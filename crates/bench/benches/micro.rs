@@ -1,14 +1,24 @@
 //! Micro-benchmarks for the hot data structures: the prediction math (these
-//! run on every progress event of every transaction), the metrics histogram,
-//! storage validation, and workload sampling. Driven by the in-repo timing
-//! harness (`planet_bench::timing`).
+//! run on every progress event of every transaction), the metrics histogram
+//! and registry, storage validation, workload sampling, and the reactor's
+//! timer wheel under a coordinator's load (one 10 s timeout per
+//! transaction, a quarter of a million armed at 25 k txn/s). Driven by the
+//! in-repo timing harness (`planet_bench::timing`).
+
+use std::sync::mpsc;
+use std::sync::Arc;
 
 use planet_bench::timing::{black_box, Harness};
 
+use planet_cluster::wheel::{TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK_US};
+use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, Transport};
+use planet_mdcc::Msg;
 use planet_predict::likelihood::{KeyState, LikelihoodModel, TxnSnapshot};
 use planet_predict::quorum::prob_at_least;
 use planet_predict::LatencyEcdf;
-use planet_sim::{DetRng, Histogram};
+use planet_sim::{
+    Actor, ActorId, Context, DetRng, Histogram, Metrics, SimDuration, SimTime, SiteId,
+};
 use planet_storage::{Key, RecordOption, Store, TxnId, Value, WriteOp};
 use planet_workload::Zipf;
 
@@ -96,6 +106,141 @@ fn bench_histogram(h: &mut Harness) {
     h.bench("histogram/quantile", || hist.quantile(black_box(0.99)));
 }
 
+fn bench_metrics(h: &mut Harness) {
+    // A reactor task's registry: a dozen names, touched by name per message.
+    let mut metrics = Metrics::new();
+    for name in [
+        "plane.batch",
+        "plane.mailbox.depth",
+        "plane.steal",
+        "replica.checkpoints",
+        "replica.versions_committed",
+        "span.quorum_wait_us",
+        "span.queue_us",
+        "span.wal_us",
+        "txn.commit_latency.fast",
+        "txn.commit_latency.fast.site0",
+        "txn.committed.fast",
+    ] {
+        metrics.histogram(name).record(1);
+        metrics.counter(name).inc();
+    }
+    let mut i = 0u64;
+    h.bench("metrics/touch-existing", || {
+        i += 1;
+        metrics
+            .histogram(black_box("span.queue_us"))
+            .record(i & 0xfff);
+    });
+}
+
+/// One timer every 40 us, due `ahead_us` later: `armed` of them.
+fn armed_wheel(armed: u64, ahead_us: u64) -> TimerWheel<u64> {
+    let mut wheel = TimerWheel::new(DEFAULT_SLOTS, DEFAULT_TICK_US);
+    for i in 0..armed {
+        wheel.insert(SimTime::from_micros(i * 40 + ahead_us), i);
+    }
+    wheel
+}
+
+fn bench_wheel(h: &mut Harness) {
+    // What a worker pays each time it parks, against how much is armed.
+    for (label, armed) in [("1k", 1_000), ("250k", 250_000)] {
+        let wheel = armed_wheel(armed, 10_000_000);
+        h.bench(&format!("wheel/next_deadline@{label}-armed"), || {
+            black_box(&wheel).next_deadline()
+        });
+    }
+    // What it pays per loop iteration while nothing is due.
+    let mut wheel = armed_wheel(250_000, 10_000_000);
+    let mut now = 0u64;
+    h.bench("wheel/advance-idle", || {
+        now = (now + 7) % 9_000_000;
+        wheel.advance(SimTime::from_micros(now), |_, item| {
+            black_box(item);
+        });
+    });
+    // Steady state at 25 k txn/s: ten seconds' worth armed, and every 40 us
+    // the oldest timeout expires and a new one is armed behind the rest.
+    let mut wheel = armed_wheel(250_000, 0);
+    let mut i = 250_000u64;
+    h.bench("wheel/insert+expire-10s@25k/s", || {
+        let now = (i - 250_000) * 40;
+        wheel.insert(SimTime::from_micros(i * 40), i);
+        wheel.advance(SimTime::from_micros(now), |_, item| {
+            black_box(item);
+        });
+        i += 1;
+    });
+    assert_eq!(wheel.len(), 250_000, "one in, one out");
+}
+
+/// Arms `timers` one-minute timers at start, then answers every message.
+struct Echo {
+    timers: u64,
+    reply: mpsc::Sender<()>,
+}
+
+impl Actor<Msg> for Echo {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        for tag in 0..self.timers {
+            ctx.schedule(
+                SimDuration::from_micros(60_000_000 + tag * 40),
+                Msg::ClientTimer { kind: 9, tag },
+            );
+        }
+    }
+
+    fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {
+        let _ = self.reply.send(());
+    }
+}
+
+struct NullTransport;
+
+impl Transport for NullTransport {
+    fn send(&self, _env: Envelope) {}
+    fn send_many(&self, envs: &mut Vec<Envelope>) {
+        envs.clear();
+    }
+}
+
+fn bench_reactor(h: &mut Harness) {
+    // Message in, reply out, and the worker back in its parker (its sleep
+    // bounded by the wheel's next deadline) on a one-worker reactor whose
+    // wheel holds a quarter of a million timers. Waiting for the park
+    // keeps the next message from arriving mid-drive, which would requeue
+    // the task and skip the park path this row is about.
+    let plane = PlaneConfig::default().with_workers(1);
+    let reactor = Reactor::new(Clock::new(), plane, 1);
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let (tx, rx) = mailbox(plane.mailbox_capacity);
+    let node = reactor.spawn(
+        ActorId(1),
+        SiteId(0),
+        Box::new(Echo {
+            timers: 250_000,
+            reply: reply_tx,
+        }),
+        tx,
+        rx,
+        Arc::new(NullTransport),
+    );
+    let parks = || reactor.worker_stats().3;
+    let round_trip = || {
+        let before = parks();
+        node.inject(Msg::ClientTimer { kind: 1, tag: 0 });
+        reply_rx.recv().expect("the echo actor answers");
+        while parks() == before {
+            std::hint::spin_loop();
+        }
+    };
+    round_trip(); // the timers are armed before the first answer
+    h.bench("reactor/park-with-250k-timers", round_trip);
+    node.stop_and_join();
+    reactor.shutdown();
+}
+
 fn bench_storage(h: &mut Harness) {
     let mut store = Store::new();
     let key = Key::new("bench");
@@ -149,6 +294,9 @@ fn main() {
     bench_likelihood(&mut h);
     bench_ecdf(&mut h);
     bench_histogram(&mut h);
+    bench_metrics(&mut h);
+    bench_wheel(&mut h);
+    bench_reactor(&mut h);
     bench_storage(&mut h);
     bench_zipf(&mut h);
 }

@@ -137,10 +137,11 @@ impl TaskCore {
         }
     }
 
-    /// Queue a fired timer's message for delivery on the next drive.
-    fn push_timer(&self, member: usize, msg: Msg) {
+    /// Queue fired timers' messages for delivery on the next drive: one
+    /// lock and one flag store for the whole batch.
+    fn push_timers(&self, batch: impl IntoIterator<Item = (usize, Msg)>) {
         let mut fires = self.timer_fires.lock().expect("lock poisoned");
-        fires.push_back((member, msg));
+        fires.extend(batch);
         self.timer_pending.store(true, Ordering::Release);
     }
 
@@ -696,12 +697,26 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     let mut wheel: TimerWheel<TimerFire> = TimerWheel::new(DEFAULT_SLOTS, DEFAULT_TICK_US);
     let mut pending = PendingFlush::new(&inner.plane);
     let mut fired: Vec<TimerFire> = Vec::new();
+    let mut others: Vec<TimerFire> = Vec::new();
     loop {
-        // Deliver every due timer as a pending self-message + wake.
+        // Deliver every due timer as a pending self-message, then wake its
+        // task: one fire-queue lock and one wake per task, however many of
+        // its timers came due together (a coordinator's per-transaction
+        // timeouts expire by the dozen per tick). Deadline order is kept
+        // within each task.
         wheel.advance(inner.clock.now(), |_, fire| fired.push(fire));
-        for fire in fired.drain(..) {
-            fire.task.push_timer(fire.member, fire.msg);
-            inner.wake(&fire.task);
+        while let Some(first) = fired.first() {
+            let task = Arc::clone(&first.task);
+            task.push_timers(fired.drain(..).filter_map(|fire| {
+                if Arc::ptr_eq(&fire.task, &task) {
+                    Some((fire.member, fire.msg))
+                } else {
+                    others.push(fire);
+                    None
+                }
+            }));
+            inner.wake(&task);
+            std::mem::swap(&mut fired, &mut others);
         }
         // The flush horizon is checked between drives, so a batch ages at
         // most one drive past `fabric_slack_us` even on a saturated worker.
@@ -1105,9 +1120,11 @@ mod tests {
         reactor.shutdown();
     }
 
-    /// Re-arms a short timer on every fire while a firehose of external
-    /// messages concurrently wakes (and migrates) the task.
+    /// Re-arms a short timer on every fire, reporting each one (the
+    /// rearm-under-wake test adds a firehose of external messages that
+    /// concurrently wakes, and migrates, the task).
     struct RearmActor {
+        every: SimDuration,
         fires: u64,
         target: u64,
         msgs: u64,
@@ -1116,10 +1133,7 @@ mod tests {
 
     impl Actor<Msg> for RearmActor {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.schedule(
-                SimDuration::from_micros(500),
-                Msg::ClientTimer { kind: 7, tag: 0 },
-            );
+            ctx.schedule(self.every, Msg::ClientTimer { kind: 7, tag: 0 });
         }
 
         fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
@@ -1128,10 +1142,7 @@ mod tests {
                     self.fires += 1;
                     let _ = self.progress.send(self.fires);
                     if self.fires < self.target {
-                        ctx.schedule(
-                            SimDuration::from_micros(500),
-                            Msg::ClientTimer { kind: 7, tag: 0 },
-                        );
+                        ctx.schedule(self.every, Msg::ClientTimer { kind: 7, tag: 0 });
                     }
                 }
                 _ => self.msgs += 1,
@@ -1156,6 +1167,7 @@ mod tests {
             ActorId(1),
             SiteId(0),
             Box::new(RearmActor {
+                every: SimDuration::from_micros(500),
                 fires: 0,
                 target,
                 msgs: 0,
@@ -1203,6 +1215,48 @@ mod tests {
         assert_eq!(rearm.fires, target);
         assert_eq!(rearm.msgs, noise, "no external message may be lost");
     }
+
+    /// Satellite regression: a timer shorter than a wheel tick fires within
+    /// that tick. The wheel used to step past the tick and strand the timer
+    /// for a whole rotation, ~262 ms: four fires a second.
+    #[test]
+    fn sub_tick_timers_fire_on_time_through_the_reactor() {
+        let plane = PlaneConfig::default().with_workers(1);
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let reactor = Reactor::new(Clock::new(), plane, 3);
+        let target = 300u64;
+        let (progress_tx, progress_rx) = mpsc::channel();
+        let (tx, rx) = mailbox(plane.mailbox_capacity);
+        let handle = reactor.spawn(
+            ActorId(1),
+            SiteId(0),
+            Box::new(RearmActor {
+                every: SimDuration::from_micros(200),
+                fires: 0,
+                target,
+                msgs: 0,
+                progress: progress_tx,
+            }),
+            tx,
+            rx,
+            transport as std::sync::Arc<dyn Transport>,
+        );
+        let mut first = None;
+        loop {
+            let n = progress_rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the next fire must come");
+            let first = *first.get_or_insert_with(Instant::now);
+            if n == target {
+                let took = first.elapsed();
+                let per_s = (target - 1) as f64 / took.as_secs_f64();
+                assert!(per_s >= 1_000.0, "{per_s:.0} fires/s over {took:?}");
+                break;
+            }
+        }
+        handle.stop_and_join();
+        reactor.shutdown();
+    }
 }
 
 /// Exhaustive weak-memory verification of the reactor's lock-free
@@ -1210,7 +1264,7 @@ mod tests {
 /// facade swaps every primitive above for `planet-loom`'s modeled
 /// types). Each model drives the *real* `Parker` / `TaskCore` code —
 /// `park_unless`, `try_wake`, `claim_running`, `release_running`,
-/// `push_timer`, `pop_timer`, `wait_finished` — under every bounded-
+/// `push_timers`, `pop_timer`, `wait_finished` — under every bounded-
 /// preemption interleaving and every C11-visible load value. Broken
 /// "twin" variants re-create the protocol with the load-bearing piece
 /// removed (a sub-SeqCst Dekker word, a lock-free mailbox with no
@@ -1500,45 +1554,45 @@ mod loom_tests {
         assert!(msg.contains("deadlock"), "{msg}");
     }
 
-    /// The timer fast-path handshake: `push_timer` (queue under lock,
-    /// then flag) racing `pop_timer` (flag probe, queue under lock,
-    /// flag clear on empty) while the driver re-arms mid-drain — the
-    /// wheel re-arm shape `timer_rearm_survives_concurrent_wakes`
-    /// stresses on real threads. Every pushed fire must be drained and
-    /// the flag may never read false at rest while fires sit queued.
+    /// The timer fast-path handshake: `push_timers` (a worker's batch of
+    /// due fires queued under one lock, then the flag) racing `pop_timer`
+    /// (flag probe, queue under lock, flag clear on empty) while the
+    /// driver re-arms mid-drain — the wheel re-arm shape
+    /// `timer_rearm_survives_concurrent_wakes` stresses on real threads.
+    /// Every pushed fire must be drained, a batch in the order it was
+    /// pushed, and the flag may never read false at rest while fires sit
+    /// queued.
     #[test]
     fn timer_flag_handshake_never_strands_a_fire() {
         let report = loom::model(|| {
             let core = fresh_core();
             let c2 = Arc::clone(&core);
             let pusher = loom::thread::spawn(move || {
-                c2.push_timer(0, timer_msg(1));
+                c2.push_timers([(0, timer_msg(1)), (0, timer_msg(2))]);
             });
-            let mut seen = 0u32;
+            let mut seen = Vec::new();
             let mut rearmed = false;
-            // Race the concurrent push: drain whatever is visible,
-            // re-arming once on the first fire exactly as RearmActor does.
-            while let Some((member, _msg)) = core.pop_timer() {
-                assert_eq!(member, 0);
-                seen += 1;
-                if !rearmed {
-                    rearmed = true;
-                    core.push_timer(0, timer_msg(2));
+            // Drain whatever is visible, re-arming once on the first fire
+            // exactly as RearmActor does.
+            let mut drain = || {
+                while let Some((member, msg)) = core.pop_timer() {
+                    assert_eq!(member, 0);
+                    let Msg::ClientTimer { tag, .. } = msg else {
+                        panic!("only client timers are pushed");
+                    };
+                    seen.push(tag);
+                    if !rearmed {
+                        rearmed = true;
+                        core.push_timers([(0, timer_msg(3))]);
+                    }
                 }
-            }
+            };
+            // Race the concurrent push; post-join the push is ordered
+            // before us and the fast path must expose everything queued.
+            drain();
             pusher.join().expect("pusher");
-            // Post-join the push is ordered before us: the fast path must
-            // expose everything still queued.
-            while let Some((member, _msg)) = core.pop_timer() {
-                assert_eq!(member, 0);
-                seen += 1;
-                if !rearmed {
-                    rearmed = true;
-                    core.push_timer(0, timer_msg(2));
-                }
-            }
-            assert!(rearmed, "the concurrent fire must have been re-armed");
-            assert_eq!(seen, 2, "one pushed + one re-armed fire, exactly once each");
+            drain();
+            assert_eq!(seen, [1, 2, 3], "the batch in order, then the re-arm");
             assert!(
                 !core.has_pending_timer_fires(),
                 "flag must be clean once the queue is drained"

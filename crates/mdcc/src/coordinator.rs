@@ -234,6 +234,30 @@ pub struct CoordinatorActor {
     read_buffer_pool: Vec<Vec<Vec<KeyRead>>>,
     /// Scratch for the interpreted proposal round, reused across txns.
     proposal_scratch: Vec<(Key, RecordOption)>,
+    names: OutcomeNames,
+}
+
+/// The per-outcome metric names. Protocol and site are fixed for an actor's
+/// life, so they are spelled out once instead of on every transaction.
+struct OutcomeNames {
+    committed: String,
+    commit_latency: String,
+    commit_latency_site: String,
+    aborted: String,
+    timedout: String,
+}
+
+impl OutcomeNames {
+    fn new(protocol: Protocol, site: SiteId) -> Self {
+        let proto = protocol.name();
+        OutcomeNames {
+            committed: format!("txn.committed.{proto}"),
+            commit_latency: format!("txn.commit_latency.{proto}"),
+            commit_latency_site: format!("txn.commit_latency.{proto}.site{}", site.0),
+            aborted: format!("txn.aborted.{proto}"),
+            timedout: format!("txn.timedout.{proto}"),
+        }
+    }
 }
 
 /// Cap on pooled read buffers: enough for any realistic in-flight window,
@@ -251,6 +275,7 @@ impl CoordinatorActor {
             "one replica per (site, shard)"
         );
         CoordinatorActor {
+            names: OutcomeNames::new(config.protocol, site),
             config,
             replicas,
             site,
@@ -598,16 +623,17 @@ impl CoordinatorActor {
     }
 
     /// Reject a plan submission that cannot start (unknown plan, bad
-    /// parameters): report `Aborted` immediately so closed-loop clients make
-    /// progress instead of waiting out the server-side timeout.
+    /// parameters), counted under `counter`: report `Aborted` immediately so
+    /// closed-loop clients make progress instead of waiting out the
+    /// server-side timeout.
     fn reject_submission(
         &mut self,
         reply_to: ActorId,
         tag: u64,
-        why: &str,
+        counter: &'static str,
         ctx: &mut Context<'_, Msg>,
     ) {
-        ctx.metrics().counter(&format!("plan.{why}")).inc();
+        ctx.metrics().counter(counter).inc();
         let txn = TxnId::new(self.site.0, self.next_seq);
         self.next_seq += 1;
         let now = ctx.now();
@@ -643,7 +669,7 @@ impl CoordinatorActor {
         ctx: &mut Context<'_, Msg>,
     ) {
         let Some(plan) = self.plans.get(&plan_id).cloned() else {
-            self.reject_submission(reply_to, tag, "unknown", ctx);
+            self.reject_submission(reply_to, tag, "plan.unknown", ctx);
             return;
         };
         let idx = match self.free_execs.pop() {
@@ -687,7 +713,7 @@ impl CoordinatorActor {
                     return;
                 }
             }
-            self.reject_submission(reply_to, tag, "bad_params", ctx);
+            self.reject_submission(reply_to, tag, "plan.bad_params", ctx);
             return;
         }
         // Devirtualized write ops: constant steps clone a prebuilt op,
@@ -698,7 +724,7 @@ impl CoordinatorActor {
                 Err(_) => {
                     exec.clear();
                     self.free_execs.push(idx as u32);
-                    self.reject_submission(reply_to, tag, "bad_params", ctx);
+                    self.reject_submission(reply_to, tag, "plan.bad_params", ctx);
                     return;
                 }
             }
@@ -1444,30 +1470,21 @@ impl CoordinatorActor {
         latency_us: u64,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let proto = self.config.protocol.name();
+        let names = &self.names;
         match outcome {
             Outcome::Committed => {
-                ctx.metrics()
-                    .counter(&format!("txn.committed.{proto}"))
-                    .inc();
+                ctx.metrics().counter(&names.committed).inc();
                 if any_writes {
                     ctx.metrics()
-                        .histogram(&format!("txn.commit_latency.{proto}"))
+                        .histogram(&names.commit_latency)
                         .record(latency_us);
-                    let site = self.site;
                     ctx.metrics()
-                        .histogram(&format!("txn.commit_latency.{proto}.site{}", site.0))
+                        .histogram(&names.commit_latency_site)
                         .record(latency_us);
                 }
             }
-            Outcome::Aborted => {
-                ctx.metrics().counter(&format!("txn.aborted.{proto}")).inc();
-            }
-            Outcome::TimedOut => {
-                ctx.metrics()
-                    .counter(&format!("txn.timedout.{proto}"))
-                    .inc();
-            }
+            Outcome::Aborted => ctx.metrics().counter(&names.aborted).inc(),
+            Outcome::TimedOut => ctx.metrics().counter(&names.timedout).inc(),
         }
     }
 

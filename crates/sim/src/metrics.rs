@@ -243,17 +243,17 @@ impl Metrics {
 
     /// Get or create the histogram with the given name.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        get_or_create(&mut self.histograms, name)
     }
 
     /// Get or create the counter with the given name.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        get_or_create(&mut self.counters, name)
     }
 
     /// Get or create the time series with the given name.
     pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_string()).or_default()
+        get_or_create(&mut self.series, name)
     }
 
     /// Look up an existing histogram.
@@ -280,6 +280,18 @@ impl Metrics {
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
     }
+}
+
+/// The entry for `name`, created on first use. Metrics are touched on every
+/// message and every commit, nearly always under a name that exists, so the
+/// lookup borrows `name` and only the first touch allocates its `String`.
+fn get_or_create<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    // Present: found or inserted just above.
+    // check:allow(panic)
+    map.get_mut(name).expect("present or just inserted")
 }
 
 #[cfg(test)]
