@@ -2,8 +2,10 @@
 //! run on every progress event of every transaction), the metrics histogram
 //! and registry, storage validation, workload sampling, and the reactor's
 //! timer wheel under a coordinator's load (one 10 s timeout per
-//! transaction, a quarter of a million armed at 25 k txn/s). Driven by the
-//! in-repo timing harness (`planet_bench::timing`).
+//! transaction, a quarter of a million armed at 25 k txn/s), plan
+//! registration against table size, and a replica's storage maintenance
+//! (checkpoint, sweep, restart) against store size at a fixed written set.
+//! Driven by the in-repo timing harness (`planet_bench::timing`).
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -12,14 +14,15 @@ use planet_bench::timing::{black_box, Harness};
 
 use planet_cluster::wheel::{TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK_US};
 use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, Transport};
-use planet_mdcc::Msg;
+use planet_core::{CompiledPlan, DeltaRef, KeyRef, KeyTemplate, OpTemplate, TxnProgram};
+use planet_mdcc::{ClusterConfig, Msg, Protocol};
 use planet_predict::likelihood::{KeyState, LikelihoodModel, TxnSnapshot};
 use planet_predict::quorum::prob_at_least;
 use planet_predict::LatencyEcdf;
 use planet_sim::{
     Actor, ActorId, Context, DetRng, Histogram, Metrics, SimDuration, SimTime, SiteId,
 };
-use planet_storage::{Key, RecordOption, Store, TxnId, Value, WriteOp};
+use planet_storage::{Key, KeyId, RecordOption, Replica, Store, TxnId, Value, WriteOp};
 use planet_workload::Zipf;
 
 fn bench_quorum(h: &mut Harness) {
@@ -282,6 +285,128 @@ fn bench_storage(h: &mut Harness) {
     });
 }
 
+/// Registering a plan: intern every table key, add the ticket purchase's
+/// three ops, validate and compile. Ten times the keys should cost ten
+/// times as much.
+fn bench_plan(h: &mut Harness) {
+    let config = ClusterConfig::new(3, Protocol::Fast);
+    for (label, n) in [("10k", 10_000u32), ("100k", 100_000)] {
+        let keys: Vec<Key> = (0..n).map(|i| Key::new(format!("stock:{i}"))).collect();
+        h.bench(&format!("plan/build+compile@{label}-keys"), || {
+            let mut program = TxnProgram::new("ticket");
+            for key in &keys {
+                program.intern(key.clone());
+            }
+            let program = program
+                .read(KeyRef::Param(0))
+                .write(
+                    KeyRef::Param(0),
+                    OpTemplate::Add {
+                        delta: DeltaRef::Const(-1),
+                        lower: Some(0),
+                        upper: None,
+                    },
+                )
+                .write(
+                    KeyRef::Derived(KeyTemplate::new().lit("order:0:").param(1)),
+                    OpTemplate::SetParam(2),
+                );
+            CompiledPlan::compile(program, &config).expect("the ticket program compiles")
+        });
+    }
+}
+
+/// Keys written between two maintenance rounds in the rows below: the first
+/// ones interned, as the ticket workload's stock records are.
+const HOT_KEYS: u32 = 1_000;
+
+/// A replica holding `keys` committed records, swept and checkpointed.
+fn loaded_replica(keys: u32) -> Replica {
+    let mut replica = Replica::new();
+    for k in 0..keys {
+        let key = Key::new(format!("key:{k}"));
+        replica.install(&key, 1, Value::Int(0), TxnId::new(9, u64::from(k)));
+    }
+    replica.gc(4);
+    replica.checkpoint();
+    replica
+}
+
+/// One more committed version on each hot key.
+fn commit_hot_keys(replica: &mut Replica, round: u64) {
+    for k in 0..HOT_KEYS {
+        let id = KeyId(k);
+        let txn = TxnId::new(0, round * u64::from(HOT_KEYS) + u64::from(k));
+        let version = replica.read_id(id).version;
+        let set = WriteOp::Set(Value::Int(round as i64));
+        replica
+            .accept_id(id, RecordOption::new(txn, version, set))
+            .expect("bench accept");
+        replica.decide_id(id, txn, true);
+    }
+}
+
+/// What a replica's five-second maintenance tick and its crash-restart cost,
+/// against how much it stores, at a fixed number of keys written in between.
+/// Every row but the restart includes the 1 000 commits that dirty the store
+/// (`storage/1k-commits` is that part alone, on a store of the hot keys only,
+/// where a sweep of everything and a sweep of what was written are the same
+/// work): with shared pages the price of a checkpoint is paid by the first
+/// write to each page after it. The checkpoint rows sweep first, as the
+/// replica actor's tick does, so the chains they copy are as long as a
+/// running replica's.
+fn bench_maintenance(h: &mut Harness) {
+    let mut replica = loaded_replica(HOT_KEYS);
+    let mut round = 0u64;
+    h.bench("storage/1k-commits", || {
+        round += 1;
+        commit_hot_keys(&mut replica, round);
+        replica.gc(4);
+        // Keep the log short over a long run; a checkpoint of 1 000 keys is
+        // small change on either side.
+        if round.is_multiple_of(64) {
+            replica.checkpoint();
+        }
+    });
+    for (label, keys) in [("300k", 300_000), ("30k", 30_000)] {
+        let mut replica = loaded_replica(keys);
+        let mut round = 0u64;
+        h.bench(&format!("wal/checkpoint@{label}-keys/1k-dirty"), || {
+            round += 1;
+            commit_hot_keys(&mut replica, round);
+            replica.gc(4);
+            replica.checkpoint();
+        });
+    }
+    // On a bare store: no log to keep short, so no checkpoint in the row.
+    let mut store = Store::new();
+    let ids: Vec<KeyId> = (0..300_000)
+        .map(|k| store.intern(&Key::new(format!("key:{k}"))))
+        .collect();
+    for (seq, &id) in ids.iter().enumerate() {
+        store.install_id(id, 1, Value::Int(0), TxnId::new(9, seq as u64));
+    }
+    store.gc(4);
+    let mut seq = 0u64;
+    h.bench("store/gc-sweep@300k-keys/1k-dirty", || {
+        for &id in ids.iter().take(HOT_KEYS as usize) {
+            seq += 1;
+            let txn = TxnId::new(0, seq);
+            let set = WriteOp::Set(Value::Int(seq as i64));
+            let version = store.read_id(id).version;
+            store
+                .accept_id(id, RecordOption::new(txn, version, set))
+                .expect("bench accept");
+            store.decide_id(id, txn, true);
+        }
+        store.gc(4)
+    });
+    let replica = loaded_replica(300_000);
+    h.bench("wal/recover@300k-keys", || {
+        Replica::recover(replica.wal().clone())
+    });
+}
+
 fn bench_zipf(h: &mut Harness) {
     let zipf = Zipf::new(1_000_000, 0.99);
     let mut rng = DetRng::new(3);
@@ -298,5 +423,7 @@ fn main() {
     bench_wheel(&mut h);
     bench_reactor(&mut h);
     bench_storage(&mut h);
+    bench_plan(&mut h);
+    bench_maintenance(&mut h);
     bench_zipf(&mut h);
 }

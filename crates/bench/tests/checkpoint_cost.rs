@@ -1,0 +1,101 @@
+//! A replica's storage maintenance must cost what changed since the last
+//! round, not what the store holds: a checkpoint of a 300 000-key replica
+//! with 1 000 keys written since the previous one copies those keys' pages
+//! and nothing else, the sweep before it visits those pages and nothing
+//! else, and a crash-restart from the checkpoint copies no record at all.
+//! Counted in allocations, which repeat exactly where times do not: cloning
+//! one record is one allocation (its version chain), so the 300 000 of a full
+//! store clone — what a checkpoint used to be — cannot hide.
+//!
+//! Lives here because this crate owns the counting `#[global_allocator]`.
+//! One test, so nothing else in the process allocates on purpose meanwhile;
+//! the test harness's own threads may, hence the slack in the bounds.
+
+use planet_bench::alloc_counter::alloc_count;
+use planet_storage::{Key, KeyId, RecordOption, Replica, TxnId, Value, WriteOp, PAGE_LEN};
+
+const KEYS: u64 = 300_000;
+const DIRTY_KEYS: u64 = 1_000;
+/// The written keys are the first ones interned (a hot set loaded first, as
+/// in the ticket workload), so they fill whole pages.
+const DIRTY_PAGES: u64 = DIRTY_KEYS.div_ceil(PAGE_LEN as u64);
+/// What the test harness may allocate on its own threads during a count.
+const SLACK: u64 = 32;
+
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = alloc_count();
+    let out = f();
+    (alloc_count() - before, out)
+}
+
+/// Commit one more version on each of the first `DIRTY_KEYS` keys.
+fn write_hot_set(replica: &mut Replica, round: u64) {
+    for k in 0..DIRTY_KEYS {
+        let id = KeyId(k as u32);
+        let txn = TxnId::new(1, round * DIRTY_KEYS + k);
+        let version = replica.read_id(id).version;
+        let set = WriteOp::Set(Value::Int(round as i64));
+        replica
+            .accept_id(id, RecordOption::new(txn, version, set))
+            .expect("based on the current version, nothing pending");
+        assert_eq!(replica.decide_id(id, txn, true), Some(version + 1));
+    }
+}
+
+#[test]
+fn maintenance_costs_what_was_written_not_what_is_stored() {
+    let mut replica = Replica::new();
+    for k in 0..KEYS {
+        let key = Key::new(format!("key:{k}"));
+        assert!(replica.install(&key, 1, Value::Int(0), TxnId::new(0, k)));
+    }
+    let pages = KEYS.div_ceil(PAGE_LEN as u64);
+    assert_eq!(replica.gc(1) as u64, pages, "the load wrote every page");
+    replica.checkpoint();
+
+    // With every page shared with the snapshot, the first write to a page
+    // copies it; the same writes again find their pages unshared. The
+    // difference is what the checkpoint cost, paid where the writes are.
+    let (shared, ()) = allocs_during(|| write_hot_set(&mut replica, 1));
+    let (unshared, ()) = allocs_during(|| write_hot_set(&mut replica, 2));
+    let copied = shared.saturating_sub(unshared);
+    // Per page: the page's vector and one chain per record, and the `Arc`
+    // the next snapshot freezes it behind. Nothing per written key: a copied
+    // record keeps its chain's capacity and holds one pending option inline,
+    // so writing to the copy allocates no more than writing to the original.
+    let bound = DIRTY_PAGES * (PAGE_LEN as u64 + 2) + SLACK;
+    assert!(
+        copied >= DIRTY_PAGES * PAGE_LEN as u64 && copied <= bound,
+        "{copied} allocations to un-share {DIRTY_PAGES} pages ({shared} against {unshared})"
+    );
+
+    // The sweep visits the written pages and no other, and trims in place.
+    let (sweep, swept) = allocs_during(|| replica.gc(1));
+    assert_eq!(swept as u64, DIRTY_PAGES, "pages swept");
+    assert!(sweep <= SLACK, "{sweep} allocations in the sweep");
+    assert_eq!(replica.gc(1), 0, "a second sweep finds nothing written");
+
+    // The checkpoint itself is two vectors of page pointers.
+    let (checkpoint, ()) = allocs_during(|| replica.checkpoint());
+    assert!(
+        checkpoint <= 4 + SLACK,
+        "{checkpoint} allocations in the checkpoint"
+    );
+    assert_eq!(replica.wal().len(), 0);
+    assert_eq!(replica.gc(1), 0, "a checkpoint writes no page");
+
+    // A crash-restart clones the log and replays it: page pointers and the
+    // key -> id map (one table, sized once), no record.
+    let (restart, recovered) = allocs_during(|| Replica::recover(replica.wal().clone()));
+    assert!(
+        restart <= 16 + SLACK,
+        "{restart} allocations in the restart"
+    );
+    assert_eq!(recovered.store().len() as u64, KEYS);
+    for k in [0, DIRTY_KEYS - 1, DIRTY_KEYS, KEYS - 1] {
+        let key = Key::new(format!("key:{k}"));
+        assert_eq!(recovered.read(&key), replica.read(&key), "{key}");
+        assert_eq!(recovered.store().key_id(&key), Some(KeyId(k as u32)));
+    }
+    assert!(replica.verify_recovery().is_empty());
+}

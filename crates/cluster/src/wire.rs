@@ -612,7 +612,7 @@ fn get_op_template(r: &mut Reader) -> Result<OpTemplate> {
 fn put_program(w: &mut impl Sink, p: &TxnProgram) {
     w.str(&p.name);
     w.u32(p.table.len() as u32);
-    for k in &p.table {
+    for k in p.table.iter() {
         put_key(w, k);
     }
     w.u32(p.ops.len() as u32);
@@ -632,11 +632,14 @@ fn put_program(w: &mut impl Sink, p: &TxnProgram) {
     w.bool(p.quorum_reads);
 }
 fn get_program(r: &mut Reader) -> Result<TxnProgram> {
-    let name = r.string()?;
-    let n = r.u32()? as usize;
-    let mut table = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        table.push(get_key(r)?);
+    let mut program = TxnProgram::new(r.string()?);
+    // The table is interned as it is read, so entry `i` must come back as
+    // index `i`: a repeated key would shift every later index, and is
+    // refused here rather than found by a scan at every coordinator.
+    for i in 0..r.u32()? {
+        if program.intern(get_key(r)?) != i {
+            return err("repeated plan table key");
+        }
     }
     let n = r.u32()? as usize;
     let mut ops = Vec::with_capacity(n.min(1024));
@@ -647,13 +650,9 @@ fn get_program(r: &mut Reader) -> Result<TxnProgram> {
             _ => return err("bad PlanOp tag"),
         });
     }
-    let quorum_reads = r.bool()?;
-    Ok(TxnProgram {
-        name,
-        table,
-        ops,
-        quorum_reads,
-    })
+    program.ops = ops;
+    program.quorum_reads = r.bool()?;
+    Ok(program)
 }
 
 fn put_params(w: &mut impl Sink, params: &[PlanParam]) {

@@ -21,6 +21,8 @@
 //! rendering/routing, and — only for plans whose references *could* alias —
 //! a runtime duplicate check that falls back to the interpreted path.
 
+use std::collections::HashMap;
+
 use planet_storage::{Key, WriteOp};
 
 use crate::ir::{KeyRef, PlanError, PlanOp, PlanParam, TxnProgram};
@@ -139,7 +141,8 @@ pub struct CompiledPlan {
 
 impl CompiledPlan {
     /// Specialize `program` against the routing environment. Validates the
-    /// program first.
+    /// program first. Linear in the program: two routing hashes per table
+    /// key, one hash per op to find its slot.
     pub fn compile(program: TxnProgram, env: &dyn PlanEnv) -> Result<Self, PlanError> {
         program.validate()?;
         let routes: Vec<KeyRoute> = program
@@ -151,29 +154,27 @@ impl CompiledPlan {
             })
             .collect();
 
+        // Slot and step indices fit `u16`: `validate` bounded `ops.len()`.
         let mut slots: Vec<PlanSlot> = Vec::new();
+        let mut slot_of_ref: HashMap<&KeyRef, u16> = HashMap::new();
         let mut steps: Vec<CompiledStep> = Vec::new();
         for op in &program.ops {
             let (key, tmpl) = match op {
                 PlanOp::Read(k) => (k, None),
                 PlanOp::Write(k, t) => (k, Some(t)),
             };
-            let slot = match slots.iter().position(|s| s.key == *key) {
-                Some(i) => i,
-                None => {
-                    let route = match key {
-                        // check:allow(panic): `validate` bounded every table index
-                        KeyRef::Fixed(i) => Some(routes[*i as usize]),
-                        _ => None,
-                    };
-                    slots.push(PlanSlot {
-                        key: key.clone(),
-                        route,
-                        step: None,
-                    });
-                    slots.len() - 1
-                }
-            };
+            let slot = *slot_of_ref.entry(key).or_insert_with(|| {
+                let route = match key {
+                    KeyRef::Fixed(i) => routes.get(*i as usize).copied(),
+                    _ => None,
+                };
+                slots.push(PlanSlot {
+                    key: key.clone(),
+                    route,
+                    step: None,
+                });
+                (slots.len() - 1) as u16
+            });
             if let Some(tmpl) = tmpl {
                 let compiled = match tmpl.materialize(&[]) {
                     // No parameters referenced: prebuild the op.
@@ -195,12 +196,9 @@ impl CompiledPlan {
                     },
                 };
                 let step_idx = steps.len() as u16;
-                steps.push(CompiledStep {
-                    slot: slot as u16,
-                    op: compiled,
-                });
-                // check:allow(panic): `slot` came from `position` or `len - 1`
-                slots[slot].step = Some(step_idx);
+                steps.push(CompiledStep { slot, op: compiled });
+                // check:allow(panic): `slot` is an index `slot_of_ref` took from `slots`
+                slots[slot as usize].step = Some(step_idx);
             }
         }
 
@@ -219,7 +217,7 @@ impl CompiledPlan {
                 match slot_of(&steps[i as usize]).key {
                     // `validate` bounded the table index; non-fixed keys are
                     // excluded by `all_fixed_writes` above.
-                    KeyRef::Fixed(t) => program.table.get(t as usize).cloned(),
+                    KeyRef::Fixed(t) => program.table_key(t),
                     _ => None,
                 }
             });
@@ -262,7 +260,10 @@ impl CompiledPlan {
         routes.clear();
         for slot in &self.slots {
             let (key, route) = match (&slot.key, slot.route) {
-                (KeyRef::Fixed(i), Some(route)) => (self.program.table[*i as usize].clone(), route),
+                (KeyRef::Fixed(i), Some(route)) => match self.program.table_key(*i) {
+                    Some(key) => (key.clone(), route),
+                    None => return Err(PlanError::BadTableIndex(*i)),
+                },
                 _ => {
                     let key = self.program.resolve_key(&slot.key, params)?;
                     let route = match &slot.key {

@@ -14,7 +14,9 @@
 //! coordinator's compiled execution path is message-for-message identical to
 //! the interpreted one (the planet-mck digest-neutrality test pins this).
 
-use planet_storage::{Key, Value, WriteOp};
+use std::collections::HashSet;
+
+use planet_storage::{Key, KeyId, KeyInterner, Value, WriteOp};
 
 /// Wire-visible plan handle: assigned by the registering client, scoped to
 /// the coordinator it was registered with.
@@ -30,8 +32,9 @@ pub enum PlanError {
     /// A parameter slot is used both as a key and as an integer, or the
     /// supplied argument has the wrong type.
     BadParamType(u8),
-    /// Two table entries hold the same key (the table must be a set).
-    DuplicateTableKey(u32),
+    /// The program has more ops than a compiled plan can index (slot and
+    /// step indices are `u16`); carries the op count.
+    TooManyOps(usize),
     /// Two writes name the same key reference statically.
     DuplicateWrite,
     /// At instantiation, two distinct key references resolved to the same
@@ -46,7 +49,7 @@ impl std::fmt::Display for PlanError {
             PlanError::BadTableIndex(i) => write!(f, "key table index {i} out of range"),
             PlanError::BadParamIndex(p) => write!(f, "parameter index {p} out of range"),
             PlanError::BadParamType(p) => write!(f, "parameter {p} has conflicting/wrong type"),
-            PlanError::DuplicateTableKey(i) => write!(f, "key table entry {i} duplicates another"),
+            PlanError::TooManyOps(n) => write!(f, "{n} ops, at most {} compile", u16::MAX),
             PlanError::DuplicateWrite => write!(f, "two writes name the same key reference"),
             PlanError::AliasedKeys => write!(f, "parameters aliased two key references"),
         }
@@ -56,7 +59,7 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// One piece of a derived-key template.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TemplatePart {
     /// A literal fragment, copied verbatim.
     Lit(String),
@@ -66,7 +69,7 @@ pub enum TemplatePart {
 
 /// A key template: concatenation of literal fragments and decimal-rendered
 /// integer parameters, e.g. `["order:", site, ":", n]`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct KeyTemplate {
     /// The fragments, concatenated in order.
     pub parts: Vec<TemplatePart>,
@@ -111,7 +114,7 @@ impl KeyTemplate {
 }
 
 /// How a program op names its key.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KeyRef {
     /// An entry of the program's key table, resolved and routed at compile
     /// time — the zero-cost case.
@@ -231,9 +234,13 @@ pub enum ParamType {
 pub struct TxnProgram {
     /// Diagnostic name ("ycsb-point-write", "ticket-purchase").
     pub name: String,
-    /// The key table: every fixed key the program can touch, interned once.
-    /// Entries must be pairwise distinct.
-    pub table: Vec<Key>,
+    /// The key table: every fixed key the program can touch, interned once;
+    /// an op names entry *i* as [`KeyRef::Fixed`]`(i)`. The interner makes
+    /// the table a set by construction. Boxed because a program travels
+    /// inside `Msg::RegisterPlan`: inline, the interner would make that the
+    /// largest message variant and every message in every mailbox 16 bytes
+    /// bigger.
+    pub table: Box<KeyInterner>,
     /// The operations, in program order. First-use order of key references
     /// here defines read order, mirroring `TxnSpec::touched_keys`.
     pub ops: Vec<PlanOp>,
@@ -278,13 +285,14 @@ impl TxnProgram {
     }
 
     /// Intern `key` into the table, returning its index (existing entry
-    /// reused).
+    /// reused). One hash, whatever the table holds.
     pub fn intern(&mut self, key: Key) -> u32 {
-        if let Some(i) = self.table.iter().position(|k| *k == key) {
-            return i as u32;
-        }
-        self.table.push(key);
-        (self.table.len() - 1) as u32
+        self.table.intern(&key).0
+    }
+
+    /// The key at table index `i`, if in range.
+    pub fn table_key(&self, i: u32) -> Option<&Key> {
+        self.table.try_name(KeyId(i))
     }
 
     /// Append a read op (builder-style).
@@ -353,14 +361,13 @@ impl TxnProgram {
         types
     }
 
-    /// Check static well-formedness: table indices in range, table entries
-    /// distinct, parameter slots consistently typed, and no two writes
-    /// naming the same key reference.
+    /// Check static well-formedness: few enough ops to compile, table
+    /// indices in range, parameter slots consistently typed, and no two
+    /// writes naming the same key reference. Linear in the program. (That
+    /// table entries are distinct needs no check: the table is an interner.)
     pub fn validate(&self) -> Result<(), PlanError> {
-        for (i, key) in self.table.iter().enumerate() {
-            if self.table.iter().take(i).any(|k| k == key) {
-                return Err(PlanError::DuplicateTableKey(i as u32));
-            }
+        if self.ops.len() > usize::from(u16::MAX) {
+            return Err(PlanError::TooManyOps(self.ops.len()));
         }
         let check_ref = |r: &KeyRef| -> Result<(), PlanError> {
             if let KeyRef::Fixed(i) = r {
@@ -370,16 +377,15 @@ impl TxnProgram {
             }
             Ok(())
         };
-        let mut written: Vec<&KeyRef> = Vec::new();
+        let mut written: HashSet<&KeyRef> = HashSet::new();
         for op in &self.ops {
             match op {
                 PlanOp::Read(k) => check_ref(k)?,
                 PlanOp::Write(k, _) => {
                     check_ref(k)?;
-                    if written.contains(&k) {
+                    if !written.insert(k) {
                         return Err(PlanError::DuplicateWrite);
                     }
-                    written.push(k);
                 }
             }
         }
@@ -431,16 +437,14 @@ impl TxnProgram {
     pub fn resolve_key(&self, r: &KeyRef, params: &[PlanParam]) -> Result<Key, PlanError> {
         match r {
             KeyRef::Fixed(i) => self
-                .table
-                .get(*i as usize)
+                .table_key(*i)
                 .cloned()
                 .ok_or(PlanError::BadTableIndex(*i)),
             KeyRef::Param(p) => {
                 let PlanParam::Key(i) = param_at(params, *p)? else {
                     return Err(PlanError::BadParamType(*p));
                 };
-                self.table
-                    .get(i as usize)
+                self.table_key(i)
                     .cloned()
                     .ok_or(PlanError::BadTableIndex(i))
             }
@@ -558,10 +562,6 @@ mod tests {
     fn validate_rejects_malformed_programs() {
         let bad_idx = TxnProgram::new("x").read(KeyRef::Fixed(0));
         assert_eq!(bad_idx.validate(), Err(PlanError::BadTableIndex(0)));
-
-        let mut dup_table = TxnProgram::new("x");
-        dup_table.table = vec![Key::new("a"), Key::new("a")];
-        assert_eq!(dup_table.validate(), Err(PlanError::DuplicateTableKey(1)));
 
         let mut dup_write = TxnProgram::new("x");
         let a = dup_write.intern(Key::new("a"));

@@ -9,18 +9,46 @@
 //! the simulation is the (deterministic) message order. The internal
 //! `HashMap` is only ever *probed*, never iterated, so no hash-order
 //! nondeterminism can escape; ordered key traversal goes through
-//! [`KeyInterner::keys_sorted`].
+//! [`KeyInterner::keys_sorted`] or, in first-seen order, [`KeyInterner::iter`].
+//!
+//! This is the workspace's one interning implementation: a replica's store
+//! interns the keys it holds, and a `planet_plan::TxnProgram` interns its key
+//! table through the same type, which is what makes the table a set by
+//! construction.
 
 use std::collections::HashMap;
 
+use crate::paged::PagedVec;
 use crate::types::{Key, KeyId};
 
-/// A per-store (and therefore per-site, per-shard) key interner.
-#[derive(Debug, Default, Clone)]
+/// A key interner: per store (and therefore per site, per shard), or per
+/// transaction program.
+///
+/// The id → key direction lives in pages a store snapshot shares; the
+/// key → id map is not part of a snapshot and is rebuilt from the names at
+/// recovery ([`KeyInterner::from_names`]).
+#[derive(Default, Clone)]
 pub struct KeyInterner {
     ids: HashMap<Key, KeyId>,
-    names: Vec<Key>,
+    names: PagedVec<Key>,
 }
+
+/// Prints the keys in id order. The map is left out: it says the same
+/// thing in hash order, which differs from run to run.
+impl std::fmt::Debug for KeyInterner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Two interners are equal when they issued the same ids for the same keys.
+impl PartialEq for KeyInterner {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for KeyInterner {}
 
 impl KeyInterner {
     /// An empty interner.
@@ -48,12 +76,43 @@ impl KeyInterner {
         self.ids.get(key).copied()
     }
 
+    /// The key a given id stands for, if this interner issued it.
+    pub fn try_name(&self, id: KeyId) -> Option<&Key> {
+        self.names.get(id.0 as usize)
+    }
+
     /// The key a given id stands for.
     ///
     /// # Panics
     /// If `id` was not issued by this interner.
     pub fn name(&self, id: KeyId) -> &Key {
-        &self.names[id.0 as usize]
+        // Ids are issued only by `intern`, which pushed the name first, and
+        // never cross the wire.
+        // check:allow(panic)
+        self.try_name(id).expect("key id issued by this interner")
+    }
+
+    /// The interned keys in id (first-seen) order.
+    pub fn iter(&self) -> impl Iterator<Item = &Key> {
+        self.names.iter()
+    }
+
+    /// A snapshot of the id → key pages, sharing them with this interner.
+    pub(crate) fn names_snapshot(&mut self) -> PagedVec<Key> {
+        self.names.snapshot()
+    }
+
+    /// Rebuild an interner around snapshotted names: one hash per key, the
+    /// only O(keys) step of a recovery.
+    pub(crate) fn from_names(names: PagedVec<Key>) -> Self {
+        let mut ids = HashMap::with_capacity(names.len());
+        ids.extend(
+            names
+                .iter()
+                .zip(0u32..)
+                .map(|(key, id)| (key.clone(), KeyId(id))),
+        );
+        KeyInterner { ids, names }
     }
 
     /// Number of interned keys.
@@ -92,6 +151,23 @@ mod tests {
         assert_eq!(i.name(b).as_str(), "b");
         assert_eq!(i.get(&Key::new("b")), Some(b));
         assert_eq!(i.get(&Key::new("zz")), None);
+        assert_eq!(i.try_name(KeyId(2)), None);
+        let order: Vec<&str> = i.iter().map(|k| k.as_str()).collect();
+        assert_eq!(order, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn rebuilt_from_names_issues_the_same_ids() {
+        let mut i = KeyInterner::new();
+        for n in 0..200 {
+            i.intern(&Key::new(format!("k{n}")));
+        }
+        let mut rebuilt = KeyInterner::from_names(i.names_snapshot());
+        assert_eq!(rebuilt, i);
+        assert_eq!(rebuilt.get(&Key::new("k137")), Some(KeyId(137)));
+        assert_eq!(rebuilt.intern(&Key::new("new")), KeyId(200));
+        assert_eq!(i.len(), 200, "the original does not see the new key");
+        assert_ne!(rebuilt, i);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 pub mod intern;
 pub mod options;
+mod paged;
 pub mod record;
 mod replica;
 mod store;
@@ -22,8 +23,9 @@ pub mod wal;
 
 pub use intern::KeyInterner;
 pub use options::{RecordOption, RejectReason, WriteOp};
+pub use paged::PAGE_LEN;
 pub use record::{CommittedVersion, VersionedRecord};
 pub use replica::Replica;
-pub use store::{ReadResult, Store};
+pub use store::{ReadResult, Store, StoreSnapshot};
 pub use types::{Bytes, Key, KeyId, TxnId, Value, VersionNo};
 pub use wal::{LogRecord, Wal};

@@ -25,11 +25,79 @@ pub struct CommittedVersion {
     pub txn: TxnId,
 }
 
-/// A record: committed version chain plus pending options.
+/// The options accepted on a record and not yet decided. Most records have
+/// none or one at a time, so one is held inline: a record written once (an
+/// order key) never allocates for it, and neither does the copy of an idle
+/// record when its page is un-shared from a snapshot. A record that has
+/// held several keeps its vector, and its capacity, when it drains.
 #[derive(Debug, Clone, Default)]
+enum Pending {
+    #[default]
+    Empty,
+    One(RecordOption),
+    Many(Vec<RecordOption>),
+}
+
+impl Pending {
+    fn as_slice(&self) -> &[RecordOption] {
+        match self {
+            Pending::Empty => &[],
+            Pending::One(option) => std::slice::from_ref(option),
+            Pending::Many(options) => options,
+        }
+    }
+
+    fn push(&mut self, option: RecordOption) {
+        match std::mem::take(self) {
+            Pending::Empty => *self = Pending::One(option),
+            Pending::One(first) => {
+                let mut options = Vec::with_capacity(4);
+                options.extend([first, option]);
+                *self = Pending::Many(options);
+            }
+            Pending::Many(mut options) => {
+                options.push(option);
+                *self = Pending::Many(options);
+            }
+        }
+    }
+
+    /// Remove and return `txn`'s option, if it has one here.
+    fn take(&mut self, txn: TxnId) -> Option<RecordOption> {
+        match self {
+            Pending::Many(options) => {
+                let idx = options.iter().position(|o| o.txn == txn)?;
+                Some(options.remove(idx))
+            }
+            Pending::One(option) if option.txn == txn => match std::mem::take(self) {
+                Pending::One(option) => Some(option),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// A record: committed version chain plus pending options.
+#[derive(Debug, Default)]
 pub struct VersionedRecord {
     versions: Vec<CommittedVersion>,
-    pending: Vec<RecordOption>,
+    pending: Pending,
+}
+
+/// A copy keeps the chain's capacity. Copies take the original's place in a
+/// live store (the first write to a page a snapshot shares copies the page),
+/// and a chain sized to its length would regrow on its next commit: one
+/// allocation per written record per checkpoint, for nothing.
+impl Clone for VersionedRecord {
+    fn clone(&self) -> Self {
+        let mut versions = Vec::with_capacity(self.versions.capacity());
+        versions.extend_from_slice(&self.versions);
+        VersionedRecord {
+            versions,
+            pending: self.pending.clone(),
+        }
+    }
 }
 
 impl VersionedRecord {
@@ -62,17 +130,17 @@ impl VersionedRecord {
 
     /// Number of pending (accepted, undecided) options.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending().len()
     }
 
     /// True if a pending physical option exists.
     pub fn has_pending_physical(&self) -> bool {
-        self.pending.iter().any(|o| !o.is_commutative())
+        self.pending().iter().any(|o| !o.is_commutative())
     }
 
     /// The pending options (e.g. for the likelihood model's conflict term).
     pub fn pending(&self) -> &[RecordOption] {
-        &self.pending
+        self.pending.as_slice()
     }
 
     /// The full retained committed-version chain, oldest first. Used by the
@@ -83,12 +151,12 @@ impl VersionedRecord {
 
     /// Validate an option against the current state without accepting it.
     pub fn validate(&self, option: &RecordOption) -> Result<(), RejectReason> {
-        if self.pending.iter().any(|o| o.txn == option.txn) {
+        if self.pending().iter().any(|o| o.txn == option.txn) {
             return Err(RejectReason::DuplicateTxn);
         }
         match &option.op {
             WriteOp::Set(_) | WriteOp::Delete => {
-                if let Some(holder) = self.pending.first() {
+                if let Some(holder) = self.pending().first() {
                     return Err(RejectReason::PendingConflict { holder: holder.txn });
                 }
                 let actual = self.current_version();
@@ -105,7 +173,7 @@ impl VersionedRecord {
                 lower,
                 upper,
             } => {
-                if let Some(phys) = self.pending.iter().find(|o| !o.is_commutative()) {
+                if let Some(phys) = self.pending().iter().find(|o| !o.is_commutative()) {
                     return Err(RejectReason::PendingConflict { holder: phys.txn });
                 }
                 let Some(cur) = self.current_value().as_int() else {
@@ -133,7 +201,7 @@ impl VersionedRecord {
     }
 
     fn pending_delta_sum(&self, filter: impl Fn(i64) -> bool) -> i64 {
-        self.pending
+        self.pending()
             .iter()
             .filter_map(|o| match o.op {
                 WriteOp::Add { delta, .. } if filter(delta) => Some(delta),
@@ -153,8 +221,7 @@ impl VersionedRecord {
     /// here and committed, the option is executed as a new committed version.
     /// Returns the new version number if a version was produced.
     pub fn decide(&mut self, txn: TxnId, commit: bool) -> Option<VersionNo> {
-        let idx = self.pending.iter().position(|o| o.txn == txn)?;
-        let option = self.pending.remove(idx);
+        let option = self.pending.take(txn)?;
         if !commit {
             return None;
         }
@@ -173,9 +240,7 @@ impl VersionedRecord {
     /// than the current version, adopt `(version, value)` as the new head.
     /// Returns true if the head advanced.
     pub fn install(&mut self, version: VersionNo, value: Value, txn: TxnId) -> bool {
-        if let Some(idx) = self.pending.iter().position(|o| o.txn == txn) {
-            self.pending.remove(idx);
-        }
+        self.pending.take(txn);
         if version > self.current_version() {
             self.versions.push(CommittedVersion {
                 version,
@@ -240,6 +305,47 @@ mod tests {
         assert_eq!(r.decide(txn(1), false), None);
         assert_eq!(r.current_version(), 0);
         assert_eq!(r.current_value(), &Value::None);
+    }
+
+    #[test]
+    fn pending_options_keep_acceptance_order_through_every_representation() {
+        let add = |t: u64| RecordOption::new(txn(t), 0, WriteOp::add(1));
+        let txns =
+            |r: &VersionedRecord| -> Vec<u64> { r.pending().iter().map(|o| o.txn.seq).collect() };
+        let mut r = VersionedRecord::new();
+        assert!(r.pending().is_empty());
+        r.accept(add(1)).unwrap(); // held inline
+        assert_eq!(txns(&r), vec![1]);
+        assert_eq!(r.decide(txn(9), true), None, "not this record's");
+        assert_eq!(txns(&r), vec![1]);
+        r.accept(add(2)).unwrap(); // spills to a vector
+        r.accept(add(3)).unwrap();
+        assert_eq!(txns(&r), vec![1, 2, 3]);
+        assert_eq!(r.decide(txn(2), false), None);
+        assert_eq!(txns(&r), vec![1, 3]);
+        assert_eq!(r.decide(txn(1), true), Some(1));
+        assert_eq!(r.decide(txn(3), true), Some(2));
+        assert!(r.pending().is_empty());
+        r.accept(add(4)).unwrap(); // the drained vector is reused
+        assert_eq!(txns(&r), vec![4]);
+        assert_eq!(txns(&r.clone()), vec![4]);
+        assert!(r.install(9, Value::Int(0), txn(4)));
+        assert_eq!(r.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_copy_keeps_the_chain_capacity() {
+        let mut r = VersionedRecord::new();
+        for t in 1..=5 {
+            r.accept(set(t, t - 1, t as i64)).unwrap();
+            r.decide(txn(t), true);
+        }
+        r.gc(1);
+        let copy = r.clone();
+        assert_eq!(copy.versions(), r.versions());
+        assert_eq!(copy.versions.capacity(), r.versions.capacity());
+        assert!(copy.versions.capacity() > copy.versions.len());
+        assert_eq!(VersionedRecord::new().clone().versions.capacity(), 0);
     }
 
     #[test]

@@ -178,9 +178,10 @@ impl Replica {
     /// Checkpoint the WAL: install a snapshot of the live store and drop
     /// the retained log tail. The recovery invariant is preserved — replay
     /// restarts from the snapshot — which [`Replica::verify_recovery`]
-    /// continues to check afterwards.
+    /// continues to check afterwards. O(pages) pointer copies: the snapshot
+    /// shares the store's pages until the store writes to them.
     pub fn checkpoint(&mut self) {
-        self.wal.checkpoint(&self.store);
+        self.wal.checkpoint(&mut self.store);
     }
 
     /// Checkpoint if the retained WAL tail holds at least `threshold`
@@ -196,9 +197,10 @@ impl Replica {
 
     /// Garbage-collect committed version chains, keeping the newest `keep`
     /// versions per record. Reads and validation only ever look at the
-    /// chain head, so this never changes observable state.
-    pub fn gc(&mut self, keep: usize) {
-        self.store.gc(keep);
+    /// chain head, so this never changes observable state. Visits only the
+    /// pages written since the previous sweep; returns how many.
+    pub fn gc(&mut self, keep: usize) -> usize {
+        self.store.gc(keep)
     }
 
     /// The underlying store (read-only).

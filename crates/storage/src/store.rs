@@ -1,15 +1,23 @@
-//! The per-replica key-value store: interned keys addressing a dense vector
-//! of versioned records.
+//! The per-replica key-value store: interned keys addressing versioned
+//! records kept in copy-on-write pages.
 //!
 //! The store keeps two representations of its keyspace: the wire-form
 //! [`Key`] (an `Arc<str>`), and a dense [`KeyId`] assigned by a per-store
-//! [`KeyInterner`]. The `*_id` methods are the hot path — one vector index,
+//! [`KeyInterner`]. The `*_id` methods are the hot path — one page lookup,
 //! no hashing — and the [`Key`]-addressed methods are boundary conveniences
 //! that resolve the id first. A replica handling a message resolves each
 //! key once and runs the whole validate/log/accept sequence on the id.
+//!
+//! Maintenance costs what changed, not what is stored. Records (and the
+//! interner's names) live in pages of [`PAGE_LEN`]: [`Store::snapshot`]
+//! freezes the pages behind `Arc`s it shares with the snapshot, the first
+//! write to a page afterwards copies that page once, and a page that is
+//! never written again is never copied. [`Store::gc`] sweeps only the pages
+//! written since the previous sweep.
 
 use crate::intern::KeyInterner;
 use crate::options::{RecordOption, RejectReason};
+use crate::paged::{PagedVec, PAGE_LEN};
 use crate::record::VersionedRecord;
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 
@@ -35,22 +43,109 @@ impl ReadResult {
     }
 }
 
-/// An in-memory store of versioned records with interned keys.
-///
-/// `Clone` is intentional: a cloned store is a point-in-time snapshot
-/// (records are value types, keys are refcounted), which is exactly what
-/// [`Wal::checkpoint`](crate::Wal::checkpoint) persists.
+/// The record pages written since the previous [`Store::gc`] sweep.
 #[derive(Debug, Default, Clone)]
+struct WrittenPages {
+    /// Per page: is it in `list`?
+    marked: Vec<bool>,
+    list: Vec<u32>,
+}
+
+impl WrittenPages {
+    fn mark(&mut self, page: usize) {
+        if self.marked.len() <= page {
+            self.marked.resize(page + 1, false);
+        }
+        if let Some(marked) = self.marked.get_mut(page) {
+            if !*marked {
+                *marked = true;
+                self.list.push(page as u32);
+            }
+        }
+    }
+
+    /// Take the marked pages, leaving none marked.
+    fn take(&mut self) -> Vec<u32> {
+        let list = std::mem::take(&mut self.list);
+        for &page in &list {
+            if let Some(marked) = self.marked.get_mut(page as usize) {
+                *marked = false;
+            }
+        }
+        list
+    }
+}
+
+/// A point-in-time image of a [`Store`], as [`Wal::checkpoint`] persists it.
+///
+/// It holds the same pages as the store it was taken from: taking one is
+/// O(pages) pointer copies, and cloning one (a crash-restart clones the
+/// log) costs the same. It does not hold the key → id map;
+/// [`Store::from_snapshot`] rebuilds it.
+///
+/// [`Wal::checkpoint`]: crate::Wal::checkpoint
+#[derive(Debug, Default, Clone)]
+pub struct StoreSnapshot {
+    names: PagedVec<Key>,
+    records: PagedVec<VersionedRecord>,
+}
+
+/// An in-memory store of versioned records with interned keys.
+#[derive(Debug, Default)]
 pub struct Store {
     interner: KeyInterner,
     /// Indexed by [`KeyId`]; always the same length as the interner.
-    records: Vec<VersionedRecord>,
+    records: PagedVec<VersionedRecord>,
+    written: WrittenPages,
+}
+
+/// The deep copy: every record cloned, no page shared with the original,
+/// O(store). Nothing outside tests calls it — a checkpoint takes a
+/// [`Store::snapshot`] — it stays as the reference model the checkpoint
+/// tests compare against.
+impl Clone for Store {
+    fn clone(&self) -> Self {
+        Store {
+            interner: self.interner.clone(),
+            records: self.records.deep_clone(),
+            written: self.written.clone(),
+        }
+    }
 }
 
 impl Store {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    // ---- snapshots -----------------------------------------------------
+
+    /// A point-in-time image sharing every page with the live store:
+    /// O(pages), no record is copied. Later writes never show through it.
+    /// (`&mut` because the pages written since the last snapshot are frozen
+    /// in place; nothing a reader can see changes.)
+    pub fn snapshot(&mut self) -> StoreSnapshot {
+        StoreSnapshot {
+            names: self.interner.names_snapshot(),
+            records: self.records.snapshot(),
+        }
+    }
+
+    /// A store that continues from `snapshot`, sharing its pages until it
+    /// writes to them. Rebuilding the key → id map hashes every key once:
+    /// the one O(keys) step, paid at recovery and not at checkpoint. Every
+    /// page counts as written, so the first sweep looks at all of them.
+    pub fn from_snapshot(snapshot: &StoreSnapshot) -> Self {
+        let mut written = WrittenPages::default();
+        for page in 0..snapshot.records.page_count() {
+            written.mark(page);
+        }
+        Store {
+            interner: KeyInterner::from_names(snapshot.names.clone()),
+            records: snapshot.records.clone(),
+            written,
+        }
     }
 
     // ---- key interning -------------------------------------------------
@@ -78,9 +173,32 @@ impl Store {
 
     // ---- id-addressed hot path -----------------------------------------
 
+    /// Direct access to a record by id.
+    ///
+    /// # Panics
+    /// If `id` was not issued by this store's [`Store::intern`].
+    pub fn record_id(&self, id: KeyId) -> &VersionedRecord {
+        let record = self.records.get(id.0 as usize);
+        // Ids are issued only by `intern`, which created the slot, and never
+        // cross the wire.
+        // check:allow(panic)
+        record.expect("key id issued by this store")
+    }
+
+    /// The one way to a record that is about to be written: marks its page
+    /// for the next sweep and un-shares it from the last snapshot.
+    fn record_id_mut(&mut self, id: KeyId) -> &mut VersionedRecord {
+        let index = id.0 as usize;
+        self.written.mark(index / PAGE_LEN);
+        let record = self.records.get_mut(index);
+        // As in `record_id`.
+        // check:allow(panic)
+        record.expect("key id issued by this store")
+    }
+
     /// Read the latest committed state by id.
     pub fn read_id(&self, id: KeyId) -> ReadResult {
-        let r = &self.records[id.0 as usize];
+        let r = self.record_id(id);
         ReadResult {
             version: r.current_version(),
             value: r.current_value().clone(),
@@ -90,28 +208,23 @@ impl Store {
 
     /// Validate an option against a record by id without mutating anything.
     pub fn validate_id(&self, id: KeyId, option: &RecordOption) -> Result<(), RejectReason> {
-        self.records[id.0 as usize].validate(option)
+        self.record_id(id).validate(option)
     }
 
     /// Validate and accept an option by id.
     pub fn accept_id(&mut self, id: KeyId, option: RecordOption) -> Result<(), RejectReason> {
-        self.records[id.0 as usize].accept(option)
+        self.record_id_mut(id).accept(option)
     }
 
     /// Learn a transaction outcome by id; returns the new version if one
     /// was committed.
     pub fn decide_id(&mut self, id: KeyId, txn: TxnId, commit: bool) -> Option<VersionNo> {
-        self.records[id.0 as usize].decide(txn, commit)
+        self.record_id_mut(id).decide(txn, commit)
     }
 
     /// Install a committed version by state transfer, by id.
     pub fn install_id(&mut self, id: KeyId, version: VersionNo, value: Value, txn: TxnId) -> bool {
-        self.records[id.0 as usize].install(version, value, txn)
-    }
-
-    /// Direct access to a record by id.
-    pub fn record_id(&self, id: KeyId) -> &VersionedRecord {
-        &self.records[id.0 as usize]
+        self.record_id_mut(id).install(version, value, txn)
     }
 
     // ---- key-addressed boundary API ------------------------------------
@@ -183,11 +296,24 @@ impl Store {
     }
 
     /// Garbage-collect version chains, keeping the newest `keep` versions of
-    /// each record.
-    pub fn gc(&mut self, keep: usize) {
-        for r in &mut self.records {
-            r.gc(keep);
+    /// each record. A chain only grows when its record is written, so the
+    /// sweep visits the pages written since the previous sweep and no
+    /// other; returns how many that was. A visited page with nothing to trim
+    /// is left as it is (shared with a snapshot, if it was). A sweep with a
+    /// smaller `keep` than the one before does not revisit what that one
+    /// trimmed.
+    pub fn gc(&mut self, keep: usize) -> usize {
+        let pages = self.written.take();
+        for &page in &pages {
+            let page = page as usize;
+            let overlong = |r: &VersionedRecord| r.version_count() > keep;
+            if self.records.page(page).iter().any(overlong) {
+                for r in self.records.page_mut(page) {
+                    r.gc(keep);
+                }
+            }
         }
+        pages.len()
     }
 }
 
@@ -300,12 +426,92 @@ mod tests {
         )
         .unwrap();
         s.decide(&k, txn(1), true);
-        let snap = s.clone();
+        let deep = s.clone();
+        assert_eq!(s.records.shared_pages(&deep.records), 0);
+        let snap = s.snapshot();
         s.accept(&k, RecordOption::new(txn(2), 1, WriteOp::add(5)))
             .unwrap();
         s.decide(&k, txn(2), true);
         assert_eq!(s.read(&k).value, Value::Int(6));
-        assert_eq!(snap.read(&k).value, Value::Int(1), "snapshot unaffected");
+        assert_eq!(deep.read(&k).value, Value::Int(1), "deep copy unaffected");
+        let recovered = Store::from_snapshot(&snap);
+        assert_eq!(
+            recovered.read(&k).value,
+            Value::Int(1),
+            "snapshot unaffected"
+        );
+    }
+
+    fn commit_set(s: &mut Store, id: KeyId, seq: u64, value: i64) {
+        let version = s.read_id(id).version;
+        let opt = RecordOption::new(txn(seq), version, WriteOp::Set(Value::Int(value)));
+        s.accept_id(id, opt).unwrap();
+        s.decide_id(id, txn(seq), true);
+    }
+
+    /// A store of `pages` full pages, every key committed once at value 0.
+    fn paged_store(pages: usize) -> (Store, Vec<KeyId>) {
+        let mut s = Store::new();
+        let ids: Vec<KeyId> = (0..pages * PAGE_LEN)
+            .map(|i| s.intern(&Key::new(format!("k{i}"))))
+            .collect();
+        for (seq, &id) in ids.iter().enumerate() {
+            commit_set(&mut s, id, seq as u64, 0);
+        }
+        (s, ids)
+    }
+
+    #[test]
+    fn snapshot_shares_pages_until_they_are_written() {
+        let (mut s, ids) = paged_store(4);
+        let snap = s.snapshot();
+        assert_eq!(s.records.shared_pages(&snap.records), 4);
+        // One write: one page copied, and the snapshot does not see it.
+        let victim = ids[PAGE_LEN + 3];
+        commit_set(&mut s, victim, 10_000, 7);
+        assert_eq!(s.records.shared_pages(&snap.records), 3);
+        let recovered = Store::from_snapshot(&snap);
+        assert_eq!(recovered.read_id(victim).value, Value::Int(0));
+        assert_eq!(s.read_id(victim).value, Value::Int(7));
+        // A new key opens a page the snapshot never had; ids carry over.
+        let fresh = s.intern(&Key::new("fresh"));
+        assert_eq!(fresh, KeyId((4 * PAGE_LEN) as u32));
+        assert_eq!(recovered.len(), 4 * PAGE_LEN);
+        assert_eq!(recovered.key_id(&Key::new("fresh")), None);
+        assert_eq!(recovered.key_id(&Key::new("k70")), Some(KeyId(70)));
+        assert_eq!(recovered.key_name(KeyId(70)), &Key::new("k70"));
+        // The recovered store shares the snapshot's pages too, and its own
+        // writes stay its own.
+        let mut recovered = recovered;
+        assert_eq!(recovered.records.shared_pages(&snap.records), 4);
+        commit_set(&mut recovered, ids[0], 10_001, 9);
+        assert_eq!(s.read_id(ids[0]).value, Value::Int(0));
+        assert_eq!(
+            Store::from_snapshot(&snap).read_id(ids[0]).value,
+            Value::Int(0)
+        );
+    }
+
+    #[test]
+    fn gc_visits_only_pages_written_since_the_last_sweep() {
+        let (mut s, ids) = paged_store(4);
+        assert_eq!(s.gc(1), 4, "every page was written by the preload");
+        assert_eq!(s.gc(1), 0, "nothing written since");
+        let snap = s.snapshot();
+        for seq in 0..3 {
+            commit_set(&mut s, ids[2 * PAGE_LEN], 20_000 + seq, seq as i64);
+        }
+        // A pending option alone marks its page as well.
+        let pending = RecordOption::new(txn(30_000), 0, WriteOp::add(1));
+        s.accept_id(ids[5], pending).unwrap();
+        assert_eq!(s.record_id(ids[2 * PAGE_LEN]).version_count(), 4);
+        assert_eq!(s.gc(1), 2);
+        assert_eq!(s.record_id(ids[2 * PAGE_LEN]).version_count(), 1);
+        assert_eq!(s.read_id(ids[2 * PAGE_LEN]).value, Value::Int(2));
+        // The sweep copied no page it had nothing to trim on.
+        assert_eq!(s.records.shared_pages(&snap.records), 2);
+        // A recovered store sweeps everything once.
+        assert_eq!(Store::from_snapshot(&snap).gc(1), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `replica.rs`).
 
 use crate::options::RecordOption;
-use crate::store::Store;
+use crate::store::{Store, StoreSnapshot};
 use crate::types::{Key, TxnId};
 
 /// One logged state transition.
@@ -53,6 +53,10 @@ pub enum LogRecord {
 /// monotonic across checkpoints (`base_lsn` remembers how many records were
 /// folded into the snapshot).
 ///
+/// The snapshot shares its pages with the live store (see
+/// [`Store::snapshot`]), so `checkpoint` and `clone` cost O(pages) pointer
+/// copies plus the tail, whatever the store holds.
+///
 /// ```
 /// use planet_storage::{Key, LogRecord, RecordOption, TxnId, Value, Wal, WriteOp};
 ///
@@ -70,7 +74,7 @@ pub enum LogRecord {
 #[derive(Debug, Default, Clone)]
 pub struct Wal {
     /// Store state as of `base_lsn` (everything below it, applied).
-    snapshot: Option<Store>,
+    snapshot: Option<StoreSnapshot>,
     /// Global lsn of the first record in `records`.
     base_lsn: u64,
     /// The retained log tail.
@@ -136,16 +140,16 @@ impl Wal {
 
     /// Install a point-in-time store snapshot covering everything below the
     /// current base lsn. Replay starts from it instead of an empty store.
-    pub fn install_snapshot(&mut self, store: Store) {
-        self.snapshot = Some(store);
+    pub fn install_snapshot(&mut self, snapshot: StoreSnapshot) {
+        self.snapshot = Some(snapshot);
     }
 
-    /// Checkpoint: install `store` (cloned) as the snapshot of everything
+    /// Checkpoint: install a snapshot of `store` as the image of everything
     /// logged so far and drop the entire retained tail. After this,
     /// [`Wal::replay`] returns the snapshot plus any records appended later.
-    pub fn checkpoint(&mut self, store: &Store) {
+    pub fn checkpoint(&mut self, store: &mut Store) {
         let mark = self.next_lsn();
-        self.install_snapshot(store.clone());
+        self.install_snapshot(store.snapshot());
         self.truncate_to(mark);
     }
 
@@ -160,7 +164,11 @@ impl Wal {
     /// skipped rather than panicking, matching how a recovering replica must
     /// treat a torn log tail.
     pub fn replay(&self) -> Store {
-        let mut store = self.snapshot.clone().unwrap_or_default();
+        let mut store = self
+            .snapshot
+            .as_ref()
+            .map(Store::from_snapshot)
+            .unwrap_or_default();
         for rec in &self.records {
             match rec {
                 LogRecord::OptionAccepted { key, option } => {
@@ -284,8 +292,8 @@ mod tests {
             txn: txn(1),
             commit: true,
         });
-        let live = wal.replay();
-        wal.checkpoint(&live);
+        let mut live = wal.replay();
+        wal.checkpoint(&mut live);
         assert_eq!(wal.len(), 0, "tail dropped");
         assert_eq!(wal.base_lsn(), 2);
         assert!(wal.has_snapshot());
@@ -322,9 +330,9 @@ mod tests {
         };
         log_version(&mut wal, 1);
         log_version(&mut wal, 2);
-        let durable = wal.replay(); // state as of lsn 4
+        let mut durable = wal.replay(); // state as of lsn 4
         log_version(&mut wal, 3);
-        wal.install_snapshot(durable);
+        wal.install_snapshot(durable.snapshot());
         wal.truncate_to(4);
         assert_eq!(wal.base_lsn(), 4);
         assert_eq!(wal.len(), 2, "undurable tail retained");
