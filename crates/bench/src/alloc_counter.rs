@@ -1,10 +1,10 @@
 //! A counting global allocator: [`std::alloc::System`] plus one relaxed
 //! atomic increment per allocation, so experiments can report
-//! allocations-per-transaction alongside throughput. The `plan` ablation
-//! uses the delta across its measurement window to compare the compiled
-//! and interpreted commit paths; the per-allocation overhead (one
-//! uncontended atomic add) is identical for both sides of every ablation,
-//! so ratios are undistorted.
+//! allocations-per-transaction alongside throughput, and tests can pin
+//! what an operation allocates (`tests/metrics_touch.rs`,
+//! `tests/checkpoint_cost.rs`). The per-allocation overhead (one
+//! uncontended atomic add) is identical for both sides of every
+//! comparison, so ratios are undistorted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

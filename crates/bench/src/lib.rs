@@ -13,7 +13,6 @@ pub mod alloc_counter;
 pub mod common;
 mod exp_admission;
 mod exp_latency;
-pub mod exp_plan;
 mod exp_prediction;
 mod exp_reads;
 mod exp_speculation;
@@ -46,7 +45,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "tab3-reads",
     "throughput",
     "throughput-sharded",
-    "plan",
 ];
 
 /// Run one experiment by id.
@@ -65,7 +63,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Table> {
         "tab3-reads" => exp_reads::tab3_reads(scale),
         "throughput" => exp_throughput::throughput(scale),
         "throughput-sharded" => exp_throughput_sharded::throughput_sharded(scale),
-        "plan" => exp_plan::plan(scale),
         _ => return None,
     })
 }

@@ -25,7 +25,7 @@ fn note_metric(table: &Table, key: &str) -> Option<f64> {
 #[test]
 fn every_experiment_id_runs() {
     // Cheap sanity: unknown ids are rejected; the list is complete.
-    assert_eq!(EXPERIMENTS.len(), 14);
+    assert_eq!(EXPERIMENTS.len(), 13);
     assert!(run_experiment("nope", Scale::Quick).is_none());
 }
 

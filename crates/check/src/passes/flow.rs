@@ -19,9 +19,10 @@
 //!   one lost reply wedges a closed-loop client forever.
 //! * **FLOW003** — dead wire surface: a variant never sent or never handled
 //!   by any role file.
-//! * **FLOW004** — a `planet-cluster` function that special-cases
-//!   `Msg::Submit` (the shed/bounce paths) without reaching the synthetic
-//!   `Msg::TxnDone` the client contract promises.
+//! * **FLOW004** — a `planet-cluster` function that special-cases a
+//!   submission — matches `Msg::Submit` / `Msg::SubmitPlan`, or asks
+//!   `Msg::submission()` (the shed/bounce paths) — without reaching the
+//!   synthetic `Msg::TxnDone` the client contract promises.
 //!
 //! Suppress with `// check:allow(flow)`.
 
@@ -98,6 +99,10 @@ const ROUTES: &[(&str, Role)] = &[
     ("PlanReady", Role::Client),
     ("ClientTimer", Role::Client),
 ];
+
+/// The variants that are client load: a transaction submitted in either
+/// form. Transports shed these instead of blocking on them (FLOW004).
+const SUBMISSIONS: &[&str] = &["Submit", "SubmitPlan"];
 
 /// Request variant → (expected reply variant, handling role).
 const REQUESTS: &[(&str, &str, Role)] = &[
@@ -217,12 +222,12 @@ fn classify(toks: &[Tok], vidx: usize) -> Kind {
     Kind::Send
 }
 
-/// Token indices of `.schedule(` call sites in `range`.
-fn schedule_calls(toks: &[Tok], range: Range<usize>) -> Vec<usize> {
+/// Token indices of `.<method>(` call sites in `range`.
+fn method_calls(toks: &[Tok], range: Range<usize>, method: &str) -> Vec<usize> {
     let mut out = Vec::new();
     let mut i = range.start.max(1);
     while i + 1 < range.end.min(toks.len()) {
-        if toks[i].is_ident("schedule") && toks[i - 1].is_punct('.') && toks[i + 1].is_punct('(') {
+        if toks[i].is_ident(method) && toks[i - 1].is_punct('.') && toks[i + 1].is_punct('(') {
             out.push(i);
         }
         i += 1;
@@ -238,7 +243,7 @@ fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, body: Range<usize>, idx: usize) 
     let gens: Vec<u64> = cfg
         .blocks
         .iter()
-        .map(|b| u64::from(!schedule_calls(toks, b.range.clone()).is_empty()))
+        .map(|b| u64::from(!method_calls(toks, b.range.clone(), "schedule").is_empty()))
         .collect();
     // A match pattern's tokens live between arm bodies, outside every CFG
     // block: fall forward to the arm body the pattern guards.
@@ -466,7 +471,7 @@ impl Pass for FlowPass {
             if submits.is_empty() {
                 continue;
             }
-            let has_timer = schedule_calls(toks, 0..toks.len())
+            let has_timer = method_calls(toks, 0..toks.len(), "schedule")
                 .iter()
                 .any(|&i| !in_ranges(&skip, i));
             if !has_timer {
@@ -482,23 +487,32 @@ impl Pass for FlowPass {
             }
         }
 
-        // ---- FLOW004: Submit-shed paths must emit the synthetic TxnDone ----
+        // ---- FLOW004: shed paths must emit the synthetic TxnDone ----
         let done_sends = sends.get("TxnDone").map(Vec::as_slice).unwrap_or(&[]);
         for (fi, f) in files.iter().enumerate() {
             if !f.path.starts_with("crates/cluster/src/") || f.path == CODEC_FILE {
                 continue;
             }
+            let toks = f.toks();
+            let skip = cfg_test_ranges(toks);
             for &node in g.nodes_of_file(fi) {
                 let body = g.fns[node].body.clone();
-                let shed_hits: Vec<Hit> = pats
-                    .get("Submit")
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[])
+                // A submission is told apart either by matching its two
+                // variants or by asking the accessor that covers both.
+                let mut shed_lines: Vec<u32> = SUBMISSIONS
                     .iter()
+                    .filter_map(|v| pats.get(*v))
+                    .flatten()
                     .filter(|h| h.file == fi && body.contains(&h.idx))
-                    .copied()
+                    .map(|h| h.line)
                     .collect();
-                if shed_hits.is_empty() {
+                shed_lines.extend(
+                    method_calls(toks, body.clone(), "submission")
+                        .into_iter()
+                        .filter(|&i| !in_ranges(&skip, i))
+                        .map(|i| toks[i].line),
+                );
+                if shed_lines.is_empty() {
                     continue;
                 }
                 let (reach, _) = g.reachable_with_preds([node]);
@@ -508,17 +522,17 @@ impl Pass for FlowPass {
                         .any(|&n| g.fns[n].file == s.file && g.fns[n].body.contains(&s.idx))
                 });
                 if !emits_done {
-                    for h in shed_hits {
+                    for line in shed_lines {
                         flag(
                             out,
                             f,
                             "FLOW004",
-                            h.line,
+                            line,
                             format!(
-                                "`{}` special-cases `Msg::Submit` without reaching the synthetic `Msg::TxnDone` the client contract promises",
+                                "`{}` special-cases a submission (`Msg::Submit` / `Msg::SubmitPlan`) without reaching the synthetic `Msg::TxnDone` the client contract promises",
                                 g.fns[node].name
                             ),
-                            "a shed/dropped Submit must bounce a timed-out TxnDone to `reply_to`, or annotate with `// check:allow(flow)` and justify",
+                            "a shed/dropped submission must bounce a timed-out TxnDone to `reply_to`, or annotate with `// check:allow(flow)` and justify",
                         );
                     }
                 }

@@ -5,9 +5,12 @@
 //! The transaction FSM is `Started → ReadsDone → (Vote | KeyFallback |
 //! KeyResolved)* → {Committed, Aborted, TimedOut}`, with every terminal
 //! reached through `CoordinatorActor::finish` exactly once (the terminal
-//! sink: `finish` removes the transaction from `inflight`, so no edge can
+//! sink: `finish` removes the transaction from `exec_of`, so no edge can
 //! leave a terminal state — `Committed → Aborted` is structurally
 //! impossible *only if* each handler produces outcomes from its legal set).
+//! Both submissions (`Submit`, `SubmitPlan`) lower into one execution form
+//! and enter the FSM through `start`; one that cannot be lowered never
+//! enters it and is answered by `reject_submission`.
 //! On the replica, committed versions may only be installed from the decide
 //! and apply paths, and pending options may only be dropped by an abort
 //! decision, a `DropPending`, or the lease sweep.
@@ -40,11 +43,20 @@ const HANDLERS: &[HandlerRule] = &[
     // ---- coordinator: the transaction FSM ----
     HandlerRule {
         file: "crates/mdcc/src/coordinator.rs",
-        fn_name: "handle_submit",
-        // An empty transaction commits immediately; everything else just
-        // starts.
+        fn_name: "start",
+        // A transaction that touches nothing commits immediately;
+        // everything else just starts.
         allowed: &["stage:Started", "outcome:Committed"],
         required: &["stage:Started"],
+    },
+    HandlerRule {
+        file: "crates/mdcc/src/coordinator.rs",
+        fn_name: "reject_submission",
+        // A submission that cannot be lowered (unknown plan, bad
+        // parameters, a key written twice) aborts without starting: the
+        // only outcome produced outside the FSM.
+        allowed: &["outcome:Aborted"],
+        required: &["outcome:Aborted"],
     },
     HandlerRule {
         file: "crates/mdcc/src/coordinator.rs",
@@ -56,33 +68,6 @@ const HANDLERS: &[HandlerRule] = &[
     HandlerRule {
         file: "crates/mdcc/src/coordinator.rs",
         fn_name: "handle_vote",
-        allowed: &[
-            "stage:Vote",
-            "stage:KeyFallback",
-            "stage:KeyResolved",
-            "outcome:Committed",
-            "outcome:Aborted",
-        ],
-        required: &["outcome:Committed", "outcome:Aborted"],
-    },
-    // ---- coordinator: the compiled-plan twins of the FSM handlers ----
-    HandlerRule {
-        file: "crates/mdcc/src/coordinator.rs",
-        fn_name: "handle_submit_plan",
-        // Unknown-plan / bad-params submissions abort immediately; an empty
-        // plan commits immediately; everything else just starts.
-        allowed: &["stage:Started", "outcome:Committed", "outcome:Aborted"],
-        required: &["stage:Started"],
-    },
-    HandlerRule {
-        file: "crates/mdcc/src/coordinator.rs",
-        fn_name: "plan_read_resp",
-        allowed: &["stage:ReadsDone", "outcome:Committed"],
-        required: &["stage:ReadsDone"],
-    },
-    HandlerRule {
-        file: "crates/mdcc/src/coordinator.rs",
-        fn_name: "plan_vote",
         allowed: &[
             "stage:Vote",
             "stage:KeyFallback",
@@ -218,18 +203,10 @@ const KEY_ROUTED: &[&str] = &[
 ];
 
 /// Identifiers that witness shard-aware destination resolution in a sending
-/// function: the shard map itself, the coordinator's group helpers, or the
-/// replica's same-shard peer iterator.
-const ROUTING_MARKERS: &[&str] = &[
-    "shard_of",
-    "shard_replicas",
-    "master_replica_for",
-    "other_peers",
-    // compiled-plan twins: routes are precomputed at plan-compile time from
-    // the same shard map, then resolved through these accessors.
-    "route_replicas",
-    "route_master",
-];
+/// function: the shard map itself, the replica's same-shard peer iterator,
+/// or the coordinator's accessors for a slot's `KeyRoute` (taken from the
+/// same shard map when the slot was lowered or its plan compiled).
+const ROUTING_MARKERS: &[&str] = &["shard_of", "other_peers", "route_replicas", "route_master"];
 
 /// Files whose senders are subject to the shard-routing check.
 const ROUTED_FILES: &[&str] = &[
@@ -293,7 +270,7 @@ fn body_sends(toks: &[Tok], body: std::ops::Range<usize>) -> bool {
 /// STATE006: every function that *sends* a key-carrying message must resolve
 /// its destination through the shard map. Per-key ordering rests on a key
 /// only ever talking to its one shard; a send that picks a replica without a
-/// routing witness (`shard_of` / `shard_replicas` / `master_replica_for` /
+/// routing witness (`shard_of` / `route_replicas` / `route_master` /
 /// `other_peers`) can silently split a key's history across stores.
 fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     for path in ROUTED_FILES {
@@ -337,7 +314,7 @@ fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         ),
                     )
                     .with_suggestion(
-                        "route the send through shard_of/shard_replicas/master_replica_for (or other_peers on the replica); if the destination is genuinely shard-independent, mark the line `check:allow(shard_routing)`",
+                        "route the send through shard_of/route_replicas/route_master (or other_peers on the replica); if the destination is genuinely shard-independent, mark the line `check:allow(shard_routing)`",
                     ),
                 );
             }

@@ -246,7 +246,7 @@ fn state_shard_routed_send_is_quiet() {
         r#"
 impl CoordinatorActor {
     fn finish(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        let target = self.master_replica_for(&key);
+        let target = self.route_master(route);
         ctx.send(target, Msg::Decide { txn, key, commit: true });
     }
     fn reply(&mut self, coordinator: ActorId, ctx: &mut Ctx) {
@@ -1304,91 +1304,96 @@ impl ReplicaActor {
     );
 }
 
+/// The ways a cluster function tells a submission from protocol traffic:
+/// matching either variant, or asking the accessor that covers both.
+const SUBMISSION_TESTS: [&str; 3] = [
+    "matches!(env.msg, Msg::Submit { .. })",
+    "matches!(env.msg, Msg::SubmitPlan { .. })",
+    "env.msg.submission().is_some()",
+];
+
+const FLOW004_MSGS: &str = "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n    SubmitPlan { plan: u32, reply_to: u64, tag: u64 },\n    TxnDone { tag: u64 },\n}\n";
+
 #[test]
 fn flow_shed_submit_without_synthetic_txn_done_fires() {
-    // The channel.rs shed shape: a cluster function special-cases Submit
-    // (here via matches!) but never bounces the promised TxnDone.
-    let w = ws(&[
-        (
-            "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n    TxnDone { tag: u64 },\n}\n",
-        ),
-        (
-            "crates/cluster/src/channel.rs",
+    // The channel.rs shed shape: a cluster function special-cases a
+    // submission but never bounces the promised TxnDone.
+    for test in SUBMISSION_TESTS {
+        let channel = format!(
             r#"
-impl Fabric {
-    fn deliver(&mut self, env: Env) {
-        if matches!(env.msg, Msg::Submit { .. }) {
+impl Fabric {{
+    fn deliver(&mut self, env: Env) {{
+        if {test} {{
             self.dropped += 1;
-        }
+        }}
+    }}
+}}
+"#
+        );
+        let w = ws(&[
+            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
+            ("crates/cluster/src/channel.rs", &channel),
+        ]);
+        let diags = run(&w, "flow");
+        let hit = diags
+            .iter()
+            .find(|d| d.code == "FLOW004")
+            .unwrap_or_else(|| panic!("FLOW004 must fire for the shed path `{test}`"));
+        assert!(hit.message.contains("deliver"), "{}", hit.message);
+        assert_eq!(hit.file, "crates/cluster/src/channel.rs");
+        assert_eq!(hit.line, 4);
     }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "flow");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "FLOW004")
-        .expect("FLOW004 must fire for the shed path");
-    assert!(hit.message.contains("deliver"), "{}", hit.message);
-    assert_eq!(hit.file, "crates/cluster/src/channel.rs");
-    assert_eq!(hit.line, 4);
 }
 
 #[test]
 fn flow_shed_submit_bouncing_txn_done_is_quiet_and_allow_suppresses() {
-    let w = ws(&[
-        (
-            "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n    TxnDone { tag: u64 },\n}\n",
-        ),
-        (
-            "crates/cluster/src/channel.rs",
+    for test in SUBMISSION_TESTS {
+        let bouncing = format!(
             r#"
-impl Fabric {
-    fn deliver(&mut self, env: Env) {
-        if matches!(env.msg, Msg::Submit { .. }) {
+impl Fabric {{
+    fn deliver(&mut self, env: Env) {{
+        if {test} {{
             self.bounce(env);
-        }
-    }
-    fn bounce(&mut self, env: Env) {
-        self.net.send(env.reply_to, Msg::TxnDone { tag: env.tag });
-    }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "flow");
-    assert!(
-        !diags.iter().any(|d| d.code == "FLOW004"),
-        "a shed path that bounces TxnDone is quiet: {diags:?}"
-    );
+        }}
+    }}
+    fn bounce(&mut self, env: Env) {{
+        self.net.send(env.reply_to, Msg::TxnDone {{ tag: env.tag }});
+    }}
+}}
+"#
+        );
+        let w = ws(&[
+            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
+            ("crates/cluster/src/channel.rs", &bouncing),
+        ]);
+        let diags = run(&w, "flow");
+        assert!(
+            !diags.iter().any(|d| d.code == "FLOW004"),
+            "a shed path `{test}` that bounces TxnDone is quiet: {diags:?}"
+        );
 
-    let w = ws(&[
-        (
-            "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n    TxnDone { tag: u64 },\n}\n",
-        ),
-        (
-            "crates/cluster/src/channel.rs",
+        let allowed = format!(
             r#"
-impl Fabric {
-    fn deliver(&mut self, env: Env) {
+impl Fabric {{
+    fn deliver(&mut self, env: Env) {{
         // check:allow(flow): crash-injection drop, loss is the point
-        if matches!(env.msg, Msg::Submit { .. }) {
+        if {test} {{
             self.dropped += 1;
-        }
+        }}
+    }}
+}}
+"#
+        );
+        let w = ws(&[
+            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
+            ("crates/cluster/src/channel.rs", &allowed),
+        ]);
+        let diags = run(&w, "flow");
+        assert!(
+            !diags.iter().any(|d| d.code == "FLOW004"),
+            "allow marker must silence FLOW004 for `{test}`: {diags:?}"
+        );
     }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "flow");
-    assert!(
-        !diags.iter().any(|d| d.code == "FLOW004"),
-        "allow marker must silence FLOW004: {diags:?}"
-    );
 }
 
 // ---- race ----

@@ -5,6 +5,7 @@
 
 use std::path::Path;
 
+use planet_check::passes::find_paths;
 use planet_check::{run_passes, Workspace};
 
 fn real_workspace() -> Workspace {
@@ -66,6 +67,36 @@ fn panic_pass_reaches_rootless_crates() {
         !files.iter().any(|f| f.starts_with("crates/storage/")),
         "crates/storage is at zero panic findings and stays there; got files: {files:?}"
     );
+}
+
+/// One coordinator FSM. `coordinator.rs` used to answer `ReadResp` and `Vote`
+/// twice over — an interpreted handler and a compiled twin, picked per
+/// message — and the state pass's table cannot see a twin it has no row
+/// for. Every edge of the transaction FSM has exactly one producer.
+#[test]
+fn the_coordinator_has_one_producer_per_fsm_edge() {
+    let ws = real_workspace();
+    let file = ws
+        .file("crates/mdcc/src/coordinator.rs")
+        .expect("coordinator source");
+    let producers = |base: &str, variant: &str| -> Vec<&str> {
+        file.fns()
+            .iter()
+            .filter(|f| {
+                find_paths(file.toks(), f.body.clone(), base)
+                    .iter()
+                    .any(|hit| hit.name == variant)
+            })
+            .map(|f| f.name.as_str())
+            .collect()
+    };
+    assert_eq!(producers("ProgressStage", "Started"), ["start"]);
+    assert_eq!(
+        producers("ProgressStage", "ReadsDone"),
+        ["handle_read_resp"]
+    );
+    assert_eq!(producers("ProgressStage", "KeyResolved"), ["handle_vote"]);
+    assert_eq!(producers("Msg", "Decide"), ["finish"]);
 }
 
 /// The flow and race passes run clean on the real workspace — the genuine

@@ -26,11 +26,12 @@
 //! Backpressure and shedding: destination mailboxes are bounded
 //! ([`PlaneConfig::mailbox_capacity`]). Protocol traffic *blocks* at a full
 //! mailbox — loss is confined to the network model, never to queueing. A
-//! client `Msg::Submit`, however, is *shed*: bounced straight back to its
-//! `reply_to` as a `TxnDone { outcome: TimedOut }`, so an overdriven
-//! coordinator pushes load back to clients (who count it like any other
-//! timeout) instead of wedging the plane. [`ChannelTransport::shed`] counts
-//! the bounces.
+//! client submission (`Msg::Submit` or `Msg::SubmitPlan`, told apart from
+//! protocol traffic by `Msg::submission`), however, is *shed*: bounced
+//! straight back to its `reply_to` as a `TxnDone { outcome: TimedOut }`, so
+//! an overdriven coordinator pushes load back to clients (who count it like
+//! any other timeout) instead of wedging the plane.
+//! [`ChannelTransport::shed`] counts the bounces.
 //!
 //! [`SimTime`]: planet_sim::SimTime
 //! [`PlaneConfig::fabric_shards`]: crate::plane::PlaneConfig::fabric_shards
@@ -47,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use planet_mdcc::{Msg, Outcome, TxnStats};
-use planet_sim::{DetRng, NetworkModel, SimTime, SiteId};
+use planet_sim::{ActorId, DetRng, NetworkModel, SimTime, SiteId};
 use planet_storage::TxnId;
 
 use crate::node::{Clock, Packet};
@@ -266,14 +267,14 @@ impl ChannelTransport {
     /// [`deliver`](Self::deliver) with the destination mailbox already in
     /// hand (the fabric resolves routes once, at admission).
     fn deliver_to(&self, tx: &MailboxSender, env: Envelope) {
-        if matches!(env.msg, Msg::Submit { .. }) {
+        if let Some((reply_to, tag)) = env.msg.submission() {
             // Client load: shed rather than block — a full coordinator
             // bounces the submit back as a timeout.
             match tx.try_send(Packet::Env(env)) {
                 Ok(()) => {}
                 Err(TrySendError::Full(Packet::Env(env))) => {
                     self.shed.fetch_add(1, Ordering::Relaxed);
-                    self.bounce_submit(env);
+                    self.bounce_submit(env.to, reply_to, tag);
                 }
                 Err(_) => {
                     self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -285,16 +286,13 @@ impl ChannelTransport {
         }
     }
 
-    /// Turn a shed `Submit` into a synthetic timed-out `TxnDone` to its
-    /// `reply_to`, so closed-loop clients observe the shed the same way
-    /// they observe any other timeout.
-    fn bounce_submit(&self, env: Envelope) {
-        let Msg::Submit { reply_to, tag, .. } = env.msg else {
-            return;
-        };
+    /// Turn a shed submission into a synthetic timed-out `TxnDone` from the
+    /// coordinator it was for to its `reply_to`, so closed-loop clients
+    /// observe the shed the same way they observe any other timeout.
+    fn bounce_submit(&self, from: ActorId, reply_to: ActorId, tag: u64) {
         let now = self.clock.now();
         let bounce = Envelope {
-            from: env.to,
+            from,
             to: reply_to,
             msg: Msg::TxnDone {
                 tag,

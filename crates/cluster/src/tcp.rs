@@ -28,9 +28,10 @@
 //!
 //! Local delivery applies the plane's backpressure policy: hosted
 //! mailboxes are bounded, protocol traffic blocks at a full one, and a
-//! client `Msg::Submit` is shed — bounced back to its `reply_to` as a
-//! timed-out `TxnDone` (see the module docs on [`crate::channel`] for the
-//! rationale; both transports implement the identical policy).
+//! client submission (`Msg::Submit` or `Msg::SubmitPlan`) is shed — bounced
+//! back to its `reply_to` as a timed-out `TxnDone` (see the module docs on
+//! [`crate::channel`] for the rationale; both transports implement the
+//! identical policy).
 //!
 //! [`listen`]: TcpTransport::listen
 
@@ -42,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use planet_mdcc::{Msg, Outcome, TxnStats};
-use planet_sim::SimTime;
+use planet_sim::{ActorId, SimTime};
 use planet_storage::TxnId;
 
 use crate::node::Packet;
@@ -274,7 +275,7 @@ impl TcpInner {
     }
 
     /// Deliver into a hosted mailbox under the plane's backpressure
-    /// policy: block for protocol traffic, shed `Submit`s. The table lock
+    /// policy: block for protocol traffic, shed submissions. The table lock
     /// is released before any mailbox operation (sends may block).
     fn deliver_local(inner: &Arc<TcpInner>, env: Envelope) {
         let mailbox = inner
@@ -287,12 +288,12 @@ impl TcpInner {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if matches!(env.msg, Msg::Submit { .. }) {
+        if let Some((reply_to, tag)) = env.msg.submission() {
             match tx.try_send(Packet::Env(env)) {
                 Ok(()) => {}
                 Err(TrySendError::Full(Packet::Env(env))) => {
                     inner.shed.fetch_add(1, Ordering::Relaxed);
-                    TcpInner::bounce_submit(inner, env);
+                    TcpInner::bounce_submit(inner, env.to, reply_to, tag);
                 }
                 Err(_) => {
                     inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -303,15 +304,12 @@ impl TcpInner {
         }
     }
 
-    /// Turn a shed `Submit` into a synthetic timed-out `TxnDone` to its
+    /// Turn a shed submission into a synthetic timed-out `TxnDone` to its
     /// `reply_to` — routed like any other send, so a remote load driver
     /// sees the shed as a timeout down its own connection.
-    fn bounce_submit(inner: &Arc<TcpInner>, env: Envelope) {
-        let Msg::Submit { reply_to, tag, .. } = env.msg else {
-            return;
-        };
+    fn bounce_submit(inner: &Arc<TcpInner>, from: ActorId, reply_to: ActorId, tag: u64) {
         let bounce = Envelope {
-            from: env.to,
+            from,
             to: reply_to,
             msg: Msg::TxnDone {
                 tag,

@@ -20,9 +20,10 @@ pub struct Envelope {
 ///
 /// Backpressure: a send *may* block while the destination's bounded mailbox
 /// is full — that is the mechanism that keeps queues (and therefore queueing
-/// latency) bounded. The one exception is `Msg::Submit`, which transports
-/// shed rather than block on (see [`ChannelTransport`]), so client load can
-/// never wedge the protocol plane.
+/// latency) bounded. The exception is client load — a transaction submitted
+/// as `Msg::Submit` or as `Msg::SubmitPlan` (`Msg::submission` tells) —
+/// which transports shed rather than block on (see [`ChannelTransport`]), so
+/// it can never wedge the protocol plane.
 ///
 /// [`ChannelTransport`]: crate::ChannelTransport
 pub trait Transport: Send + Sync {

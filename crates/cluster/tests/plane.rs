@@ -127,46 +127,67 @@ fn full_mailbox_applies_backpressure_to_protocol_traffic() {
     assert_eq!(transport.shed(), 0);
 }
 
-/// `Submit`s into a full mailbox are shed, and the shed surfaces to the
-/// submitting client as a timed-out `TxnDone` carrying the submit's tag —
-/// a closed-loop client keyed on tags keeps running instead of hanging.
+/// A submission — `Submit` or `SubmitPlan` alike — into a full mailbox is
+/// shed, not blocked on, and the shed surfaces to the submitting client as a
+/// timed-out `TxnDone` carrying the submission's tag: a closed-loop client
+/// keyed on tags keeps running instead of hanging.
 #[test]
 fn shed_submit_bounces_as_timed_out_txn_done() {
-    let transport = ChannelTransport::direct(Clock::new());
-    // An overloaded server: capacity 2, nobody draining.
-    let (server_tx, _server_rx) = mailbox(2);
-    transport.register(1, SiteId(0), server_tx);
-    // The client mailbox receives the bounces.
-    let (client_tx, client_rx) = mailbox(64);
-    transport.register(9, SiteId(0), client_tx);
-
-    let submit = |tag| Envelope {
-        from: ActorId(9),
-        to: ActorId(1),
-        msg: Msg::Submit {
-            spec: TxnSpec::write_one(Key::new("shed"), WriteOp::add(1)),
-            reply_to: ActorId(9),
-            tag,
-        },
-    };
-    for tag in 0..6 {
-        transport.send(submit(tag));
-    }
-    assert_eq!(transport.shed(), 4, "capacity 2 admits 2, sheds the rest");
-
-    for expected_tag in 2..6 {
-        let packet = client_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("bounce arrives");
-        let Packet::Env(env) = packet else {
-            panic!("unexpected packet for client");
+    for kind in ["Submit", "SubmitPlan"] {
+        let msg = move |tag| match kind {
+            "Submit" => Msg::Submit {
+                spec: TxnSpec::write_one(Key::new("shed"), WriteOp::add(1)),
+                reply_to: ActorId(9),
+                tag,
+            },
+            _ => Msg::SubmitPlan {
+                plan: 1,
+                params: Vec::new(),
+                reply_to: ActorId(9),
+                tag,
+            },
         };
-        match env.msg {
-            Msg::TxnDone { tag, outcome, .. } => {
-                assert_eq!(tag, expected_tag, "bounce carries the submit's tag");
-                assert_eq!(outcome, Outcome::TimedOut);
+        let transport = ChannelTransport::direct(Clock::new());
+        // An overloaded server: capacity 2, nobody draining.
+        let (server_tx, _server_rx) = mailbox(2);
+        transport.register(1, SiteId(0), server_tx);
+        // The client mailbox receives the bounces.
+        let (client_tx, client_rx) = mailbox(64);
+        transport.register(9, SiteId(0), client_tx);
+
+        // Sent from a thread of its own: a transport that blocks on the
+        // full mailbox fails the test instead of hanging it.
+        let (sent_tx, sent_rx) = channel();
+        let sender = Arc::clone(&transport);
+        thread::spawn(move || {
+            for tag in 0..6 {
+                sender.send(Envelope {
+                    from: ActorId(9),
+                    to: ActorId(1),
+                    msg: msg(tag),
+                });
             }
-            other => panic!("expected a timed-out TxnDone, got {other:?}"),
+            let _ = sent_tx.send(());
+        });
+        sent_rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{kind} blocked on the full mailbox"));
+        assert_eq!(transport.shed(), 4, "{kind}: capacity 2 admits 2");
+
+        for expected_tag in 2..6 {
+            let packet = client_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("bounce arrives");
+            let Packet::Env(env) = packet else {
+                panic!("unexpected packet for client");
+            };
+            match env.msg {
+                Msg::TxnDone { tag, outcome, .. } => {
+                    assert_eq!(tag, expected_tag, "{kind}: bounce carries the tag");
+                    assert_eq!(outcome, Outcome::TimedOut);
+                }
+                other => panic!("expected a timed-out TxnDone, got {other:?}"),
+            }
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use planet_mdcc::{ClusterConfig, Msg, Outcome, ProgressStage, Protocol, ReadLevel, TxnSpec};
+use planet_mdcc::{ClusterConfig, Msg, Outcome, ProgressStage, Protocol};
 use planet_plan::{PlanId, TxnProgram};
 use planet_predict::{KeyState, LikelihoodModel, TxnSnapshot};
 use planet_sim::{Actor, ActorId, Context, DetRng, SimDuration, SimTime};
@@ -337,17 +337,7 @@ impl ClientActor {
         // execution touches (the wire still carries only `(plan, params)`).
         if let Some((plan, params)) = &txn.plan {
             match self.programs.get(plan).map(|p| p.instantiate(params)) {
-                Some(Ok(inst)) => {
-                    txn.spec = TxnSpec {
-                        reads: inst.reads,
-                        writes: inst.writes,
-                        read_level: if inst.quorum_reads {
-                            ReadLevel::Quorum
-                        } else {
-                            ReadLevel::Local
-                        },
-                    };
-                }
+                Some(Ok(inst)) => txn.spec = inst.into(),
                 _ => {
                     // Unknown plan or parameters the program cannot accept:
                     // the coordinator would reject this execution anyway, so

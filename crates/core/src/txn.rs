@@ -285,12 +285,12 @@ impl TxnBuilder {
     }
 
     /// Compile the transaction shape built so far into a zero-parameter
-    /// [`TxnProgram`] — the bridge from the interpreted builder API to the
-    /// compiled path. Install the result once (e.g. via
+    /// [`TxnProgram`] — the bridge from the ad-hoc builder API to
+    /// registered plans. Install the result once (e.g. via
     /// [`Planet::install_program`](crate::Planet::install_program)), then
     /// submit executions with [`TxnBuilder::via_plan`] and empty params.
-    /// Fails if two writes name the same key (only the interpreted path
-    /// defines semantics for that).
+    /// Fails if two writes name the same key (no front end executes that;
+    /// submitted as a spec it is answered `Aborted`).
     pub fn compile(&self, name: impl Into<String>) -> Result<TxnProgram, PlanError> {
         TxnProgram::of_concrete(
             name,

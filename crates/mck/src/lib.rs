@@ -112,9 +112,11 @@ pub struct MckConfig {
     /// Submit through compiled plans: each client's scripted `TxnSpec` is
     /// compiled to a [`TxnProgram`] installed on every coordinator before
     /// exploration, and the client submits `(PlanId, params)` instead of the
-    /// spec. The compiled commit path is digest-parity with the interpreted
-    /// one, so the explored state graph must be *count-for-count* identical
-    /// with this on or off (`plans_are_digest_neutral` certifies it).
+    /// spec. The coordinator lowers both submissions into the same
+    /// execution and digests that, so the explored state graph must be
+    /// *count-for-count* identical with this on or off
+    /// (`plans_are_digest_neutral` certifies it): a cheap exploration-level
+    /// check that the two lowerings agree.
     pub use_plans: bool,
     /// Record a trace per explored path and run the isolation auditor at
     /// every all-decided state, certifying which anomalies are *reachable*

@@ -174,8 +174,8 @@ impl ClusterConfig {
 
 /// The routing facts the plan specializer bakes into a
 /// [`planet_plan::CompiledPlan`]: compiling against the config that every
-/// actor runs makes the precomputed routes exactly the ones the interpreted
-/// path would have hashed per submission.
+/// actor runs makes the precomputed routes exactly the ones an ad-hoc
+/// `TxnSpec` submission is given when it is lowered.
 impl planet_plan::PlanEnv for ClusterConfig {
     fn num_sites(&self) -> usize {
         self.num_sites

@@ -2,40 +2,57 @@
 //! executes a transaction end to end and streams progress events back to the
 //! submitting client.
 //!
-//! Lifecycle of a transaction:
+//! # One machine, two lowerings
 //!
-//! 1. `Submit` — assign a [`TxnId`], start the server-side timeout, read all
-//!    touched keys at the local replica.
-//! 2. `ReadResp` — hand the read results to the client (`ReadsDone`), build
-//!    one option per write, and propose them along the configured path
-//!    (fast: to every replica; classic/2PC: to each key's master).
-//! 3. `Vote*` — forward every vote as a `Progress` event (this is the raw
+//! A transaction arrives in one of two forms. `Submit` carries an ad-hoc
+//! [`TxnSpec`]: key strings and write ops. `SubmitPlan` names a
+//! [`planet_plan::TxnProgram`] registered earlier (`RegisterPlan`, compiled
+//! once against this coordinator's `ClusterConfig` into a [`CompiledPlan`])
+//! and carries only its parameters. Neither form is executed as it arrives:
+//! each is *lowered* into an [`Exec`], a flat self-describing execution —
+//! one slot per distinct touched key (the key, its shard and master route,
+//! the write step that targets it), one step per write (its slot, its op,
+//! later its option and vote tally) and the key-sorted decide order — held
+//! in a slab slot whose vectors keep their capacity from one transaction to
+//! the next. What is compiled is the lowering, not the machine:
+//!
+//! - [`Exec::lower_spec`] dedups the touched keys into slots (reads, then
+//!   writes), hashes each distinct key twice for its route, moves the write
+//!   ops out of the spec and sorts the decide order.
+//! - [`Exec::lower_plan`] copies what `compile` worked out — interned keys
+//!   with their routes, step ↔ slot links, the presorted decide order — and
+//!   builds the ops from the parameters. Only derived keys are hashed, only
+//!   plans whose parameters could alias two slots are checked for it, and an
+//!   execution that does alias is lowered from its instantiated read/write
+//!   lists by `lower_spec` instead (counted in `plan.fallback_interpreted`,
+//!   a name that predates the single machine).
+//!
+//! Both give the same `Exec` for the same transaction — slots in
+//! `TxnSpec::touched_keys` order, steps in write order — and both refuse
+//! two writes to one key (a replica would take the second proposal for a
+//! retry of the first and drop it): `reject_submission` answers `Aborted`
+//! at once. After lowering one state machine runs, and it never looks at
+//! the spec, the plan or the plan table again:
+//!
+//! 1. `start` — assign a [`TxnId`], start the server-side timeout, read
+//!    every slot's key: one `ReadReq` per touched shard, to the local
+//!    replica or (quorum reads) to the whole shard group.
+//! 2. `ReadResp` — once every shard has answered, hand the read results to
+//!    the client (`ReadsDone`), build one option per step, and propose them
+//!    along the configured path (fast: to every replica; classic/2PC: to
+//!    each key's master).
+//! 3. `Vote` — forward every vote as a `Progress` event (this is the raw
 //!    signal PLANET's likelihood model feeds on), resolve keys as quorums
 //!    form or become impossible, and decide the instant all keys resolve.
-//! 4. Broadcast per-key `Decide` to the masters and emit `TxnDone`.
+//! 4. `finish` — broadcast per-key `Decide` to the masters in key order,
+//!    emit `TxnDone`, return the slot to the slab.
 //!
 //! Read-only transactions commit locally after step 2 — they never touch the
 //! WAN, mirroring MDCC's local read-committed reads.
-//!
-//! # Compiled plans
-//!
-//! Next to the interpreted `Submit` path the coordinator runs a *compiled*
-//! one: clients register a [`planet_plan::TxnProgram`] once (`RegisterPlan`),
-//! the coordinator specializes it against its own `ClusterConfig` into a
-//! [`CompiledPlan`], and every subsequent `SubmitPlan { plan, params }`
-//! executes the precompiled shape — no key strings hashed (shard and master
-//! routes were baked in at compile time), no `touched_keys()` dedup (the
-//! slot array *is* the deduplicated key set), no per-submit `BTreeMap`s
-//! (per-execution state lives in a pooled [`PlanExec`] slab slot whose
-//! vectors retain their capacity across transactions). The two paths emit
-//! bit-identical message sequences for equivalent inputs — that equivalence
-//! is what the property tests and the model checker's digest-neutrality
-//! check pin down.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
-use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, TxnProgram};
+use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, SlotFinder, TxnProgram};
 use planet_sim::{Actor, ActorId, Context, SimTime, SiteId};
 use planet_storage::{Key, RecordOption, TxnId, WriteOp};
 
@@ -80,7 +97,7 @@ impl SiteMask {
 }
 
 /// Vote bookkeeping for one key. `Copy`: both tallies are site masks.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct KeyVotes {
     accepts: SiteMask,
     rejects: SiteMask,
@@ -91,77 +108,59 @@ struct KeyVotes {
     round: u8,
 }
 
-/// A transaction in flight at this coordinator (interpreted path).
-struct TxnState {
+/// One transaction in flight: the flat form both submissions lower into
+/// (see the module doc). Every collection is a plain vector indexed by slot
+/// or step number, and the whole struct lives in a slab slot that is
+/// recycled (capacities retained) when the transaction finishes —
+/// steady-state executions touch the allocator only for the payloads they
+/// ship in messages.
+#[derive(Debug, PartialEq)]
+struct Exec {
     tag: u64,
     reply_to: ActorId,
-    spec: TxnSpec,
     submitted_at: SimTime,
     proposals_sent_at: Option<SimTime>,
-    // BTreeMaps: iteration order feeds message send order, which must be
-    // deterministic for replays to be exact.
-    options: BTreeMap<Key, RecordOption>,
-    votes: BTreeMap<Key, KeyVotes>,
+    /// Reads go to the whole shard group and wait for a classic quorum.
+    quorum_reads: bool,
+    /// Key per slot: the distinct touched keys, read keys first, then
+    /// written ones (the order of `TxnSpec::touched_keys`).
+    keys: Vec<Key>,
+    /// Route per slot, parallel to `keys`.
+    routes: Vec<KeyRoute>,
+    /// Slot each step writes, in the order the writes were given.
+    slot_of: Vec<u16>,
+    /// Write op per step; turned into options once reads complete.
+    ops: Vec<WriteOp>,
+    /// One option per step, built at reads-done (empty before).
+    options: Vec<RecordOption>,
+    /// One tally per step, parallel to `options`.
+    votes: Vec<KeyVotes>,
+    /// Step indices in key order: the `Decide` broadcast order, and the
+    /// index a vote's key is looked up in.
+    sorted_steps: Vec<u16>,
     votes_received: usize,
     rejections: usize,
     /// Read responses collected so far (one entry per responding replica).
     read_buffer: Vec<Vec<KeyRead>>,
-    /// Responses still required per touched shard before reads complete
-    /// (1 per shard for local reads, a classic quorum for quorum reads).
-    reads_outstanding: BTreeMap<usize, usize>,
+    /// `(shard, responses still required)`, ascending by shard: 1 per
+    /// touched shard for local reads, a classic quorum for quorum reads.
+    reads_outstanding: Vec<(u32, usize)>,
     /// True once reads completed and proposals went out (late `ReadResp`s
     /// are then ignored).
     reads_done: bool,
 }
 
-/// One compiled-plan execution: the flat mirror of [`TxnState`]. Every
-/// collection is a plain vector indexed by the plan's slot/step numbers, and
-/// the whole struct lives in a slab slot that is recycled (capacities
-/// retained) when the transaction finishes — steady-state executions touch
-/// the allocator only for the payloads they ship in messages.
-struct PlanExec {
-    plan: PlanId,
-    tag: u64,
-    reply_to: ActorId,
-    params: Vec<PlanParam>,
-    submitted_at: SimTime,
-    proposals_sent_at: Option<SimTime>,
-    /// Resolved key per plan slot (first-use order, exactly the order
-    /// `TxnSpec::touched_keys` would produce).
-    keys: Vec<Key>,
-    /// Route per plan slot, parallel to `keys`.
-    routes: Vec<KeyRoute>,
-    /// Materialized write op per plan step (program order); turned into
-    /// options once reads complete.
-    ops: Vec<WriteOp>,
-    /// One option per plan step, built at reads-done (empty before).
-    options: Vec<RecordOption>,
-    /// One tally per plan step, parallel to `options`.
-    votes: Vec<KeyVotes>,
-    /// Step indices in key-sorted order (the `Decide` broadcast order the
-    /// interpreted path gets from its options `BTreeMap`); filled at
-    /// reads-done from the plan's precomputed permutation when available.
-    sorted_steps: Vec<u16>,
-    votes_received: usize,
-    rejections: usize,
-    read_buffer: Vec<Vec<KeyRead>>,
-    /// `(shard, responses still required)`, ascending by shard — the flat
-    /// twin of `TxnState::reads_outstanding`.
-    reads_outstanding: Vec<(u32, usize)>,
-    reads_done: bool,
-}
-
-impl Default for PlanExec {
+impl Default for Exec {
     fn default() -> Self {
-        PlanExec {
-            plan: 0,
+        Exec {
             tag: 0,
             reply_to: ActorId(0),
-            params: Vec::new(),
             submitted_at: SimTime::ZERO,
             proposals_sent_at: None,
+            quorum_reads: false,
             keys: Vec::new(),
             routes: Vec::new(),
+            slot_of: Vec::new(),
             ops: Vec::new(),
             options: Vec::new(),
             votes: Vec::new(),
@@ -175,17 +174,17 @@ impl Default for PlanExec {
     }
 }
 
-impl PlanExec {
+impl Exec {
     /// Reset for reuse, retaining every vector's capacity.
     fn clear(&mut self) {
-        self.plan = 0;
         self.tag = 0;
         self.reply_to = ActorId(0);
-        self.params.clear();
         self.submitted_at = SimTime::ZERO;
         self.proposals_sent_at = None;
+        self.quorum_reads = false;
         self.keys.clear();
         self.routes.clear();
+        self.slot_of.clear();
         self.ops.clear();
         self.options.clear();
         self.votes.clear();
@@ -195,6 +194,119 @@ impl PlanExec {
         self.read_buffer.clear();
         self.reads_outstanding.clear();
         self.reads_done = false;
+    }
+
+    /// Lower an ad-hoc spec into this (cleared) execution: one slot per
+    /// distinct key, reads before writes, routed as it opens; one step per
+    /// write, ops moved out of the spec; decide order sorted. Refuses more
+    /// distinct keys than a `u16` slot index names and two writes to one key.
+    fn lower_spec(&mut self, spec: TxnSpec, config: &ClusterConfig) -> Result<(), PlanError> {
+        const MAX: usize = u16::MAX as usize;
+        if spec.writes.len() > MAX {
+            return Err(PlanError::TooManyOps(spec.writes.len()));
+        }
+        self.quorum_reads = spec.read_level == ReadLevel::Quorum;
+        let mut finder = SlotFinder::default();
+        let mut slot_for = |exec: &mut Exec, key: Key| {
+            if let Some(slot) = finder.find(&exec.keys, &key) {
+                return Ok(slot);
+            }
+            if exec.keys.len() == MAX {
+                return Err(PlanError::TooManyOps(MAX + 1));
+            }
+            exec.routes.push(KeyRoute::of(config, &key));
+            exec.keys.push(key);
+            Ok((exec.keys.len() - 1) as u16)
+        };
+        for key in spec.reads {
+            slot_for(self, key)?;
+        }
+        for (key, op) in spec.writes {
+            let slot = slot_for(self, key)?;
+            self.slot_of.push(slot);
+            self.ops.push(op);
+        }
+        self.sort_steps();
+        // Keys are one per slot, so two writes to one key are two steps on
+        // one slot, and the key order has put them side by side.
+        let mut neighbours = self
+            .sorted_steps
+            .iter()
+            .zip(self.sorted_steps.iter().skip(1));
+        if neighbours.any(|(&a, &b)| self.step_slot(a) == self.step_slot(b)) {
+            return Err(PlanError::DuplicateWrite);
+        }
+        Ok(())
+    }
+
+    /// Lower one execution of a compiled plan into this (cleared)
+    /// execution: the plan's slots resolved over `params` (clones of
+    /// interned keys with their precomputed routes; only derived keys are
+    /// hashed), ops built from the parameters, decide order copied when
+    /// compilation could fix it. Parameters that make two slots one key
+    /// break the plan's one-slot-per-reference layout; that execution is
+    /// lowered from its instantiated read/write lists instead, and `true`
+    /// is returned for it.
+    fn lower_plan(
+        &mut self,
+        plan: &CompiledPlan,
+        params: &[PlanParam],
+        config: &ClusterConfig,
+    ) -> Result<bool, PlanError> {
+        match plan.resolve_slots(params, config, &mut self.keys, &mut self.routes) {
+            Ok(()) => {}
+            Err(PlanError::AliasedKeys) => {
+                self.clear();
+                self.lower_spec(plan.instantiate(params)?.into(), config)?;
+                return Ok(true);
+            }
+            Err(err) => return Err(err),
+        }
+        self.quorum_reads = plan.quorum_reads;
+        for step in &plan.steps {
+            self.slot_of.push(step.slot);
+            self.ops.push(step.op.materialize(params)?);
+        }
+        match &plan.sorted_steps {
+            Some(order) => self.sorted_steps.extend_from_slice(order),
+            // Some written key came from a parameter or a template: the
+            // order can only be fixed now that the keys are known.
+            None => self.sort_steps(),
+        }
+        Ok(false)
+    }
+
+    /// Fill `sorted_steps` with every step index, ordered by written key.
+    fn sort_steps(&mut self) {
+        let mut order = std::mem::take(&mut self.sorted_steps);
+        // Step counts fit `u16`: both lowerings bound them.
+        order.extend(0..self.slot_of.len() as u16);
+        order.sort_by(|&a, &b| self.step_key(a).cmp(self.step_key(b)));
+        self.sorted_steps = order;
+    }
+
+    /// The slot `step` writes.
+    fn step_slot(&self, step: u16) -> usize {
+        // In bounds: steps are indices into `slot_of` and the vectors
+        // parallel to it, and come from nowhere else.
+        // check:allow(panic)
+        self.slot_of[step as usize] as usize
+    }
+
+    /// The key `step` writes.
+    fn step_key(&self, step: u16) -> &Key {
+        // check:allow(panic): slots index `keys`
+        &self.keys[self.step_slot(step)]
+    }
+
+    /// The step writing `key`, if one does: a search of the key-ordered
+    /// step index, so a vote costs a logarithm of the writes, not a scan.
+    fn step_writing(&self, key: &Key) -> Option<u16> {
+        let at = self
+            .sorted_steps
+            .binary_search_by(|&s| self.step_key(s).cmp(key))
+            .ok()?;
+        self.sorted_steps.get(at).copied()
     }
 }
 
@@ -213,27 +325,22 @@ struct RecentTxn {
 pub struct CoordinatorActor {
     config: ClusterConfig,
     /// Replica actor ids, shard-major: `replicas[shard * num_sites + site]`.
-    /// Every key-carrying send resolves its destination through
-    /// [`ClusterConfig::shard_of`] or a compiled route derived from it, so a
-    /// key only ever talks to its shard.
+    /// Every key-carrying send resolves its destination through a slot's
+    /// [`KeyRoute`], taken from [`ClusterConfig::shard_of`] / `master_of`
+    /// when the slot was lowered, so a key only ever talks to its shard.
     replicas: Vec<ActorId>,
     site: SiteId,
     next_seq: u64,
-    inflight: HashMap<TxnId, TxnState>,
     recent: HashMap<TxnId, RecentTxn>,
-    /// Registered plans, compiled against `config`. Excluded from
-    /// `mck_digest` for the same reason `config` is: plans are registered
-    /// before traffic and never mutate mid-run.
-    plans: HashMap<PlanId, Arc<CompiledPlan>>,
-    /// Slab of execution slots; `free_execs` holds recycled indices and
-    /// `exec_of` maps an in-flight plan transaction to its slot.
-    execs: Vec<PlanExec>,
+    /// Registered plans, compiled against `config`; read at submission
+    /// only. Excluded from `mck_digest` for the same reason `config` is:
+    /// plans are registered before traffic and never mutate mid-run.
+    plans: HashMap<PlanId, CompiledPlan>,
+    /// Slab of executions; `free_execs` holds the (cleared) recycled
+    /// indices and `exec_of` maps a transaction in flight to its slot.
+    execs: Vec<Exec>,
     free_execs: Vec<u32>,
     exec_of: HashMap<TxnId, u32>,
-    /// Recycled `TxnState::read_buffer` outer vectors (interpreted path).
-    read_buffer_pool: Vec<Vec<Vec<KeyRead>>>,
-    /// Scratch for the interpreted proposal round, reused across txns.
-    proposal_scratch: Vec<(Key, RecordOption)>,
     names: OutcomeNames,
 }
 
@@ -260,10 +367,6 @@ impl OutcomeNames {
     }
 }
 
-/// Cap on pooled read buffers: enough for any realistic in-flight window,
-/// bounded so a burst doesn't pin memory forever.
-const READ_BUFFER_POOL_MAX: usize = 256;
-
 impl CoordinatorActor {
     /// Build a coordinator for `site` over the given replicas, laid out
     /// shard-major (`replicas[shard * num_sites + site]`; with one shard
@@ -280,21 +383,17 @@ impl CoordinatorActor {
             replicas,
             site,
             next_seq: 0,
-            inflight: HashMap::new(),
             recent: HashMap::new(),
             plans: HashMap::new(),
             execs: Vec::new(),
             free_execs: Vec::new(),
             exec_of: HashMap::new(),
-            read_buffer_pool: Vec::new(),
-            proposal_scratch: Vec::new(),
         }
     }
 
-    /// Number of transactions currently in flight (for tests/diagnostics),
-    /// counting both interpreted and compiled executions.
+    /// Number of transactions currently in flight (for tests/diagnostics).
     pub fn inflight_count(&self) -> usize {
-        self.inflight.len() + self.exec_of.len()
+        self.exec_of.len()
     }
 
     /// Compile and register a plan directly (the message-free twin of
@@ -303,7 +402,7 @@ impl CoordinatorActor {
     /// itself adds no interleavings).
     pub fn install_plan(&mut self, plan: PlanId, program: TxnProgram) -> Result<(), PlanError> {
         let compiled = CompiledPlan::compile(program, &self.config)?;
-        self.plans.insert(plan, Arc::new(compiled));
+        self.plans.insert(plan, compiled);
         Ok(())
     }
 
@@ -315,120 +414,48 @@ impl CoordinatorActor {
     /// Digest every piece of protocol-visible state into `h`, remapping
     /// site/actor ids through `map` (see [`crate::digest`]). Hash-map
     /// contents are visited in txn-id order so the digest is independent of
-    /// insertion history. Compiled executions digest *as the interpreted
-    /// state they mirror* — same spec rendering, same key-sorted option and
-    /// vote order — so a compiled run that tracks an interpreted run
-    /// message-for-message also tracks it fingerprint-for-fingerprint.
+    /// insertion history. An execution digests as its lowered form, so the
+    /// same transaction submitted as a spec and as a plan — which lower to
+    /// equal `Exec`s — leaves the same fingerprint by construction.
     pub fn mck_digest<H: std::hash::Hasher>(&self, map: &crate::digest::DigestMap, h: &mut H) {
         use std::hash::Hash;
         map.site(self.site).hash(h);
         self.next_seq.hash(h);
 
-        enum Entry<'a> {
-            Spec(&'a TxnState),
-            Plan(&'a PlanExec),
-        }
-        let mut inflight: Vec<(TxnId, Entry<'_>)> = Vec::new();
         // check:allow(determinism): sorted by txn id before hashing
-        for (txn, state) in &self.inflight {
-            inflight.push((*txn, Entry::Spec(state)));
-        }
-        // check:allow(determinism): gathered into the sorted Vec below
-        for (txn, &idx) in &self.exec_of {
-            if let Some(exec) = self.execs.get(idx as usize) {
-                inflight.push((*txn, Entry::Plan(exec)));
-            }
-        }
-        inflight.sort_by_key(|(t, _)| *t);
-        // check:allow(determinism): iterates the sorted Vec, not the maps
-        for (txn, entry) in inflight {
+        let mut inflight: Vec<(&TxnId, &u32)> = self.exec_of.iter().collect();
+        inflight.sort_by_key(|(t, _)| **t);
+        // check:allow(determinism): iterates the sorted Vec, not the map
+        for (txn, &idx) in inflight {
+            let Some(exec) = self.execs.get(idx as usize) else {
+                continue;
+            };
             txn.hash(h);
-            match entry {
-                Entry::Spec(st) => {
-                    st.tag.hash(h);
-                    map.actor(st.reply_to).hash(h);
-                    crate::digest::dbg_hash(&st.spec, h);
-                    st.submitted_at.hash(h);
-                    st.proposals_sent_at.hash(h);
-                    for (key, option) in &st.options {
-                        key.hash(h);
-                        crate::digest::digest_option(option, h);
-                    }
-                    for (key, votes) in &st.votes {
-                        key.hash(h);
-                        Self::digest_votes(votes, map, h);
-                    }
-                    st.votes_received.hash(h);
-                    st.rejections.hash(h);
-                    crate::digest::dbg_hash(&st.read_buffer, h);
-                    for (shard, need) in &st.reads_outstanding {
-                        shard.hash(h);
-                        need.hash(h);
-                    }
-                    st.reads_done.hash(h);
-                }
-                Entry::Plan(exec) => {
-                    exec.tag.hash(h);
-                    map.actor(exec.reply_to).hash(h);
-                    // Render the spec the interpreted path would have
-                    // carried for the same inputs and hash that, so the
-                    // two paths' states are digest-equal.
-                    let plan = self.plans.get(&exec.plan);
-                    let spec = plan
-                        .and_then(|p| p.instantiate(&exec.params).ok())
-                        .map(|inst| TxnSpec {
-                            reads: inst.reads,
-                            writes: inst.writes,
-                            read_level: if inst.quorum_reads {
-                                ReadLevel::Quorum
-                            } else {
-                                ReadLevel::Local
-                            },
-                        })
-                        .unwrap_or_default();
-                    crate::digest::dbg_hash(&spec, h);
-                    exec.submitted_at.hash(h);
-                    exec.proposals_sent_at.hash(h);
-                    if let Some(plan) = plan {
-                        // Options, then votes, both in key-sorted step
-                        // order — the interpreted BTreeMap iteration order.
-                        for &si in &exec.sorted_steps {
-                            let Some(step) = plan.steps.get(si as usize) else {
-                                continue;
-                            };
-                            let (Some(key), Some(option)) = (
-                                exec.keys.get(step.slot as usize),
-                                exec.options.get(si as usize),
-                            ) else {
-                                continue;
-                            };
-                            key.hash(h);
-                            crate::digest::digest_option(option, h);
-                        }
-                        for &si in &exec.sorted_steps {
-                            let Some(step) = plan.steps.get(si as usize) else {
-                                continue;
-                            };
-                            let (Some(key), Some(votes)) = (
-                                exec.keys.get(step.slot as usize),
-                                exec.votes.get(si as usize),
-                            ) else {
-                                continue;
-                            };
-                            key.hash(h);
-                            Self::digest_votes(votes, map, h);
-                        }
-                    }
-                    exec.votes_received.hash(h);
-                    exec.rejections.hash(h);
-                    crate::digest::dbg_hash(&exec.read_buffer, h);
-                    for &(shard, need) in &exec.reads_outstanding {
-                        (shard as usize).hash(h);
-                        need.hash(h);
-                    }
-                    exec.reads_done.hash(h);
-                }
+            exec.tag.hash(h);
+            map.actor(exec.reply_to).hash(h);
+            exec.quorum_reads.hash(h);
+            exec.keys.hash(h);
+            exec.slot_of.hash(h);
+            crate::digest::dbg_hash(&exec.ops, h);
+            exec.submitted_at.hash(h);
+            exec.proposals_sent_at.hash(h);
+            // Options and tallies in key order, as the decision sends them
+            // (both empty until reads complete).
+            for &step in &exec.sorted_steps {
+                let (Some(option), Some(votes)) = (
+                    exec.options.get(step as usize),
+                    exec.votes.get(step as usize),
+                ) else {
+                    continue;
+                };
+                crate::digest::digest_option(option, h);
+                Self::digest_votes(votes, map, h);
             }
+            exec.votes_received.hash(h);
+            exec.rejections.hash(h);
+            crate::digest::dbg_hash(&exec.read_buffer, h);
+            exec.reads_outstanding.hash(h);
+            exec.reads_done.hash(h);
         }
         // check:allow(determinism): sorted by txn id before hashing
         let mut recent: Vec<(&TxnId, &RecentTxn)> = self.recent.iter().collect();
@@ -461,42 +488,22 @@ impl CoordinatorActor {
         votes.round.hash(h);
     }
 
-    /// The replication group of `key`'s shard: the same-shard replica at
-    /// every site, indexed by site.
-    fn shard_replicas(&self, key: &Key) -> &[ActorId] {
-        let n = self.config.num_sites;
-        let shard = self.config.shard_of(key);
-        // In bounds: the constructor asserts `replicas.len() == shards * n`
-        // and `shard_of` ranges over `0..shards`.
-        // check:allow(panic)
-        &self.replicas[shard * n..(shard + 1) * n]
-    }
-
-    /// The replica mastering `key`: the master site's member of the key's
-    /// shard group.
-    fn master_replica_for(&self, key: &Key) -> ActorId {
-        // In bounds: the group has `num_sites` members and `master_of`
-        // ranges over `0..num_sites`.
-        // check:allow(panic)
-        self.shard_replicas(key)[self.config.master_of(key).0 as usize]
-    }
-
-    /// The replication group of a precompiled shard route: the compiled twin
-    /// of [`Self::shard_replicas`] — the shard index comes from the plan's
-    /// `KeyRoute` instead of hashing the key.
+    /// The replication group of a routed shard: the same-shard replica at
+    /// every site, indexed by site. The shard comes from a slot's
+    /// [`KeyRoute`], i.e. from `shard_of` at lowering or plan compilation.
     fn route_replicas(&self, shard: u32) -> &[ActorId] {
         let n = self.config.num_sites;
         let shard = shard as usize;
         // In bounds: the constructor asserts `replicas.len() == shards * n`
-        // and compiled routes come from `shard_of`, ranging over `0..shards`.
+        // and routes come from `shard_of`, ranging over `0..shards`.
         // check:allow(panic)
         &self.replicas[shard * n..(shard + 1) * n]
     }
 
-    /// The replica mastering a routed key: the compiled twin of
-    /// [`Self::master_replica_for`].
+    /// The replica mastering a routed key: the master site's member of the
+    /// key's shard group.
     fn route_master(&self, route: KeyRoute) -> ActorId {
-        // In bounds: the group has `num_sites` members and compiled masters
+        // In bounds: the group has `num_sites` members and route masters
         // come from `master_of`, ranging over `0..num_sites`.
         // check:allow(panic)
         self.route_replicas(route.shard)[route.master as usize]
@@ -510,23 +517,26 @@ impl CoordinatorActor {
         }
     }
 
-    fn progress(
-        &self,
-        state: &TxnState,
-        txn: TxnId,
-        stage: ProgressStage,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        ctx.send(
-            state.reply_to,
-            Msg::Progress {
-                tag: state.tag,
-                txn,
-                stage,
-            },
-        );
+    /// A cleared execution slot: recycled, or a new one at the slab's end.
+    fn alloc_exec(&mut self) -> usize {
+        match self.free_execs.pop() {
+            Some(i) => i as usize,
+            None => {
+                self.execs.push(Exec::default());
+                self.execs.len() - 1
+            }
+        }
     }
 
+    /// Return a slot to the slab, cleared, capacities intact.
+    fn release_exec(&mut self, idx: usize) {
+        // In bounds: `idx` came from `alloc_exec` / `exec_of`.
+        // check:allow(panic)
+        self.execs[idx].clear();
+        self.free_execs.push(idx as u32);
+    }
+
+    /// `Submit`: lower the spec on the spot and start the execution.
     fn handle_submit(
         &mut self,
         spec: TxnSpec,
@@ -534,72 +544,13 @@ impl CoordinatorActor {
         tag: u64,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let txn = TxnId::new(self.site.0, self.next_seq);
-        self.next_seq += 1;
-        // Partition the touched keys by shard: one ReadReq per shard group
-        // (spec order preserved within a group), since each shard's replica
-        // only holds its own keyspace slice. `for_each_touched` visits the
-        // deduplicated keys by reference — no intermediate key vector.
-        let mut groups: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
-        spec.for_each_touched(|key| {
-            let shard = self.config.shard_of(key);
-            groups.entry(shard).or_default().push(key.clone());
-        });
-        let mut state = TxnState {
-            tag,
-            reply_to,
-            spec,
-            submitted_at: ctx.now(),
-            proposals_sent_at: None,
-            options: BTreeMap::new(),
-            votes: BTreeMap::new(),
-            votes_received: 0,
-            rejections: 0,
-            read_buffer: self.read_buffer_pool.pop().unwrap_or_default(),
-            reads_outstanding: BTreeMap::new(),
-            reads_done: false,
-        };
-        let read_level = state.spec.read_level;
-        let need = match read_level {
-            ReadLevel::Local => 1,
-            ReadLevel::Quorum => self.config.classic_quorum(),
-        };
-        for &shard in groups.keys() {
-            state.reads_outstanding.insert(shard, need);
-        }
-        self.progress(&state, txn, ProgressStage::Started, ctx);
-        let timeout = self.config.txn_timeout;
-        self.inflight.insert(txn, state);
-        ctx.schedule(timeout, Msg::TxnTimeout { txn });
-
-        if groups.is_empty() {
-            self.finish(txn, Outcome::Committed, ctx);
-            return;
-        }
-        let n = self.config.num_sites;
-        let site = self.site.0 as usize;
-        for (shard, keys) in groups {
-            match read_level {
-                ReadLevel::Local => {
-                    // This site's member of the key group's shard (shard_of
-                    // routed: the group was keyed by `shard_of` above).
-                    // In bounds: constructor-asserted shard-major layout.
-                    // check:allow(panic)
-                    ctx.send(self.replicas[shard * n + site], Msg::ReadReq { txn, keys });
-                }
-                ReadLevel::Quorum => {
-                    // In bounds: constructor-asserted shard-major layout.
-                    // check:allow(panic)
-                    for &replica in &self.replicas[shard * n..(shard + 1) * n] {
-                        ctx.send(
-                            replica,
-                            Msg::ReadReq {
-                                txn,
-                                keys: keys.clone(),
-                            },
-                        );
-                    }
-                }
+        let idx = self.alloc_exec();
+        // check:allow(panic): `alloc_exec` returns a live slab index
+        match self.execs[idx].lower_spec(spec, &self.config) {
+            Ok(()) => self.start(idx, reply_to, tag, ctx),
+            Err(_) => {
+                self.release_exec(idx);
+                self.reject_submission(reply_to, tag, "txn.bad_spec", ctx);
             }
         }
     }
@@ -622,10 +573,10 @@ impl CoordinatorActor {
         }
     }
 
-    /// Reject a plan submission that cannot start (unknown plan, bad
-    /// parameters), counted under `counter`: report `Aborted` immediately so
-    /// closed-loop clients make progress instead of waiting out the
-    /// server-side timeout.
+    /// Reject a submission that cannot start (unknown plan, bad parameters,
+    /// a key written twice), counted under `counter`: report `Aborted`
+    /// immediately so closed-loop clients make progress instead of waiting
+    /// out the server-side timeout.
     fn reject_submission(
         &mut self,
         reply_to: ActorId,
@@ -655,123 +606,80 @@ impl CoordinatorActor {
         );
     }
 
-    /// The compiled submit path: resolve the plan's key slots (clones of
-    /// interned keys plus precomputed routes — no hashing), materialize the
-    /// write ops straight from the params, and issue the shard-grouped read
-    /// round. Emits exactly the message sequence `handle_submit` would for
-    /// the instantiated equivalent.
+    /// `SubmitPlan`: lower one execution of a registered plan and start it.
     fn handle_submit_plan(
         &mut self,
-        plan_id: PlanId,
+        plan: PlanId,
         params: Vec<PlanParam>,
         reply_to: ActorId,
         tag: u64,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let Some(plan) = self.plans.get(&plan_id).cloned() else {
-            self.reject_submission(reply_to, tag, "plan.unknown", ctx);
-            return;
-        };
-        let idx = match self.free_execs.pop() {
-            Some(i) => i as usize,
-            None => {
-                self.execs.push(PlanExec::default());
-                self.execs.len() - 1
-            }
-        };
-        // In bounds: idx is from the free list or the push above.
-        // check:allow(panic)
+        let idx = self.alloc_exec();
+        // check:allow(panic): `alloc_exec` returns a live slab index
         let exec = &mut self.execs[idx];
-        exec.clear();
-        exec.plan = plan_id;
+        let lowered = match self.plans.get(&plan) {
+            Some(plan) => exec
+                .lower_plan(plan, &params, &self.config)
+                .map_err(|_| "plan.bad_params"),
+            None => Err("plan.unknown"),
+        };
+        match lowered {
+            Ok(relowered) => {
+                if relowered {
+                    ctx.metrics().counter("plan.fallback_interpreted").inc();
+                }
+                self.start(idx, reply_to, tag, ctx);
+            }
+            Err(counter) => {
+                self.release_exec(idx);
+                self.reject_submission(reply_to, tag, counter, ctx);
+            }
+        }
+    }
+
+    /// Start a lowered execution: mint its id, arm the server-side timeout
+    /// and issue the read round — one `ReadReq` per touched shard in
+    /// ascending shard order, its keys in slot order. A transaction that
+    /// touches nothing commits on the spot.
+    fn start(&mut self, idx: usize, reply_to: ActorId, tag: u64, ctx: &mut Context<'_, Msg>) {
+        let txn = TxnId::new(self.site.0, self.next_seq);
+        self.next_seq += 1;
+        // check:allow(panic): the caller's `alloc_exec` index
+        let exec = &mut self.execs[idx];
         exec.tag = tag;
         exec.reply_to = reply_to;
-        exec.params = params;
         exec.submitted_at = ctx.now();
-        if let Err(err) =
-            plan.resolve_slots(&exec.params, &self.config, &mut exec.keys, &mut exec.routes)
-        {
-            let params = std::mem::take(&mut exec.params);
-            exec.clear();
-            self.free_execs.push(idx as u32);
-            if err == PlanError::AliasedKeys {
-                // Two references resolved to the same key at runtime: the
-                // compiled one-slot-per-key layout no longer matches, so run
-                // this execution through the interpreted path instead.
-                if let Ok(inst) = plan.instantiate(&params) {
-                    ctx.metrics().counter("plan.fallback_interpreted").inc();
-                    let spec = TxnSpec {
-                        reads: inst.reads,
-                        writes: inst.writes,
-                        read_level: if inst.quorum_reads {
-                            ReadLevel::Quorum
-                        } else {
-                            ReadLevel::Local
-                        },
-                    };
-                    self.handle_submit(spec, reply_to, tag, ctx);
-                    return;
-                }
-            }
-            self.reject_submission(reply_to, tag, "plan.bad_params", ctx);
-            return;
-        }
-        // Devirtualized write ops: constant steps clone a prebuilt op,
-        // parameterized steps read straight from the argument slice.
-        for step in &plan.steps {
-            match step.op.materialize(&exec.params) {
-                Ok(op) => exec.ops.push(op),
-                Err(_) => {
-                    exec.clear();
-                    self.free_execs.push(idx as u32);
-                    self.reject_submission(reply_to, tag, "plan.bad_params", ctx);
-                    return;
-                }
-            }
-        }
-        // One read round per touched shard group (ascending shard order,
-        // like the interpreted path's BTreeMap), a classic quorum each for
-        // quorum-read plans.
-        let need = if plan.quorum_reads {
+        let need = if exec.quorum_reads {
             self.config.classic_quorum()
         } else {
             1
         };
-        let PlanExec {
-            ref routes,
-            ref mut reads_outstanding,
-            ..
-        } = *exec;
-        for route in routes {
-            match reads_outstanding.binary_search_by_key(&route.shard, |e| e.0) {
-                Ok(_) => {}
-                Err(pos) => reads_outstanding.insert(pos, (route.shard, need)),
+        for route in &exec.routes {
+            if let Err(pos) = exec
+                .reads_outstanding
+                .binary_search_by_key(&route.shard, |e| e.0)
+            {
+                exec.reads_outstanding.insert(pos, (route.shard, need));
             }
         }
-        let txn = TxnId::new(self.site.0, self.next_seq);
-        self.next_seq += 1;
         ctx.send(
-            exec.reply_to,
+            reply_to,
             Msg::Progress {
-                tag: exec.tag,
+                tag,
                 txn,
                 stage: ProgressStage::Started,
             },
         );
-        let no_keys = exec.routes.is_empty();
         self.exec_of.insert(txn, idx as u32);
         ctx.schedule(self.config.txn_timeout, Msg::TxnTimeout { txn });
-        if no_keys {
-            self.finish_plan(txn, Outcome::Committed, ctx);
+        // check:allow(panic): as above
+        let exec = &self.execs[idx];
+        if exec.keys.is_empty() {
+            self.finish(txn, Outcome::Committed, ctx);
             return;
         }
-        // In bounds: just filled above.
-        // check:allow(panic)
-        let exec = &self.execs[idx];
-        let site = self.site.0 as usize;
         for &(shard, _) in &exec.reads_outstanding {
-            // This shard's keys in slot order — the order `touched_keys`
-            // would have produced within the group.
             let keys: Vec<Key> = exec
                 .keys
                 .iter()
@@ -779,20 +687,16 @@ impl CoordinatorActor {
                 .filter(|&(_, r)| r.shard == shard)
                 .map(|(k, _)| k.clone())
                 .collect();
-            if plan.quorum_reads {
-                for &replica in self.route_replicas(shard) {
-                    ctx.send(
-                        replica,
-                        Msg::ReadReq {
-                            txn,
-                            keys: keys.clone(),
-                        },
-                    );
+            let group = self.route_replicas(shard);
+            if exec.quorum_reads {
+                for &replica in group {
+                    let keys = keys.clone();
+                    ctx.send(replica, Msg::ReadReq { txn, keys });
                 }
             } else {
                 // In bounds: `site < num_sites` by construction.
                 // check:allow(panic)
-                ctx.send(self.route_replicas(shard)[site], Msg::ReadReq { txn, keys });
+                ctx.send(group[self.site.0 as usize], Msg::ReadReq { txn, keys });
             }
         }
     }
@@ -820,226 +724,64 @@ impl CoordinatorActor {
     }
 
     fn handle_read_resp(&mut self, txn: TxnId, results: Vec<KeyRead>, ctx: &mut Context<'_, Msg>) {
-        // A response covers exactly one shard group (ReadReqs were
-        // partitioned by `shard_of`), so its first key identifies the group.
-        let Some(shard) = results.first().map(|r| self.config.shard_of(&r.key)) else {
-            return;
-        };
-        // Phase 1: buffer the response; bail until every group's quorum is
-        // satisfied.
-        {
-            let Some(state) = self.inflight.get_mut(&txn) else {
-                return;
-            };
-            if state.reads_done {
-                return; // late response from a quorum read already satisfied
-            }
-            let Some(remaining) = state.reads_outstanding.get_mut(&shard) else {
-                return; // this shard group is already satisfied
-            };
-            state.read_buffer.push(results);
-            *remaining -= 1;
-            if *remaining == 0 {
-                state.reads_outstanding.remove(&shard);
-            }
-            if !state.reads_outstanding.is_empty() {
-                return; // keep waiting for the remaining groups / quorums
-            }
-        }
-        // Phase 2: reads complete — merge, build the proposal round into the
-        // reusable scratch vector, then send.
-        let mut proposals = std::mem::take(&mut self.proposal_scratch);
-        proposals.clear();
-        let (results, writes_empty, tag, reply_to) = {
-            let Some(state) = self.inflight.get_mut(&txn) else {
-                self.proposal_scratch = proposals;
-                return;
-            };
-            // Single local response: pass it through in spec order. Anything
-            // buffered from several replicas or shards merges to key order.
-            let results = match (state.spec.read_level, state.read_buffer.len()) {
-                (ReadLevel::Local, 1) => state.read_buffer.pop().unwrap_or_default(),
-                _ => Self::merge_reads(&state.read_buffer),
-            };
-            state.reads_done = true;
-            // Borrow the writes out of the spec (restored below) so options
-            // build without cloning the write list.
-            let writes = std::mem::take(&mut state.spec.writes);
-            let writes_empty = writes.is_empty();
-            if !writes_empty {
-                state.proposals_sent_at = Some(ctx.now());
-                for (key, op) in &writes {
-                    // Specs are small: a linear scan beats building a
-                    // version map per transaction.
-                    let read_version = results
-                        .iter()
-                        .find(|r| r.key == *key)
-                        .map_or(0, |r| r.version);
-                    let option = RecordOption::new(txn, read_version, op.clone());
-                    state.options.insert(key.clone(), option.clone());
-                    state.votes.insert(key.clone(), KeyVotes::default());
-                    proposals.push((key.clone(), option));
-                }
-            }
-            state.spec.writes = writes;
-            (results, writes_empty, state.tag, state.reply_to)
-        };
-        if self.config.trace.is_on() {
-            for r in &results {
-                self.config.trace.emit(crate::trace::TraceEvent::Read {
-                    txn,
-                    key: r.key.clone(),
-                    version: r.version,
-                    site: self.site,
-                    shard: self.config.shard_of(&r.key),
-                    at: ctx.now(),
-                });
-            }
-        }
-        ctx.send(
-            reply_to,
-            Msg::Progress {
-                tag,
-                txn,
-                stage: ProgressStage::ReadsDone { reads: results },
-            },
-        );
-        if writes_empty {
-            self.proposal_scratch = proposals;
-            self.finish(txn, Outcome::Committed, ctx);
-            return;
-        }
-        let me = ctx.self_id();
-        for (key, option) in proposals.drain(..) {
-            match self.config.protocol {
-                Protocol::Fast => {
-                    for &replica in self.shard_replicas(&key) {
-                        ctx.send(
-                            replica,
-                            Msg::FastPropose {
-                                txn,
-                                key: key.clone(),
-                                option: option.clone(),
-                                round: 0,
-                            },
-                        );
-                    }
-                }
-                Protocol::Classic | Protocol::TwoPc => {
-                    let master = self.master_replica_for(&key);
-                    ctx.send(
-                        master,
-                        Msg::Propose {
-                            txn,
-                            key,
-                            option,
-                            coordinator: me,
-                            round: 0,
-                        },
-                    );
-                }
-            }
-        }
-        self.proposal_scratch = proposals;
-    }
-
-    /// The compiled read-completion path: slot lookups replace key hashing,
-    /// options materialize from the prebuilt ops, and the decide order comes
-    /// from the plan's precomputed permutation.
-    fn plan_read_resp(&mut self, txn: TxnId, results: Vec<KeyRead>, ctx: &mut Context<'_, Msg>) {
         let Some(&idx) = self.exec_of.get(&txn) else {
             return;
         };
-        let idx = idx as usize;
-        let Some(plan) = self
-            .execs
-            .get(idx)
-            .and_then(|e| self.plans.get(&e.plan))
-            .cloned()
+        // In bounds: `exec_of` only holds live slab indices.
+        // check:allow(panic)
+        let exec = &mut self.execs[idx as usize];
+        if exec.reads_done {
+            return; // late response from a quorum read already satisfied
+        }
+        // A response covers exactly one shard group (`start` partitioned
+        // the ReadReqs by route), so its first key's slot names the group;
+        // a key the transaction never asked for names none.
+        let Some(shard) = results
+            .first()
+            .and_then(|first| exec.keys.iter().position(|k| *k == first.key))
+            .and_then(|slot| exec.routes.get(slot))
+            .map(|route| route.shard)
         else {
             return;
         };
-        let (results, tag, reply_to, steps_empty) = {
-            // In bounds: `exec_of` only holds live slab indices.
-            // check:allow(panic)
-            let exec = &mut self.execs[idx];
-            if exec.reads_done {
-                return; // late response from a quorum read already satisfied
-            }
-            let Some(first) = results.first() else {
-                return;
-            };
-            // The response covers one shard group; its first key identifies
-            // the group — found by slot scan, not by re-hashing the key.
-            let Some(slot) = exec.keys.iter().position(|k| *k == first.key) else {
-                return;
-            };
-            // In bounds: `routes` is parallel to `keys`.
-            // check:allow(panic)
-            let shard = exec.routes[slot].shard;
-            let Some(pos) = exec.reads_outstanding.iter().position(|e| e.0 == shard) else {
-                return; // this shard group is already satisfied
-            };
-            exec.read_buffer.push(results);
-            // In bounds: `pos` came from `position` just above.
-            // check:allow(panic)
-            let group = &mut exec.reads_outstanding[pos];
-            group.1 -= 1;
-            if group.1 == 0 {
-                exec.reads_outstanding.remove(pos);
-            }
-            if !exec.reads_outstanding.is_empty() {
-                return; // keep waiting for the remaining groups / quorums
-            }
-            let results = if !plan.quorum_reads && exec.read_buffer.len() == 1 {
-                exec.read_buffer.pop().unwrap_or_default()
-            } else {
-                Self::merge_reads(&exec.read_buffer)
-            };
-            exec.reads_done = true;
-            if !plan.steps.is_empty() {
-                exec.proposals_sent_at = Some(ctx.now());
-            }
-            let PlanExec {
-                ref keys,
-                ref ops,
-                ref mut options,
-                ref mut votes,
-                ref mut sorted_steps,
-                ..
-            } = *exec;
-            for (step, op) in plan.steps.iter().zip(ops) {
-                // In bounds: `resolve_slots` filled `keys` 1:1 with the
-                // plan's slots, which `step.slot` indexes.
-                // check:allow(panic)
-                let key = &keys[step.slot as usize];
-                let version = results
-                    .iter()
-                    .find(|r| r.key == *key)
-                    .map_or(0, |r| r.version);
-                options.push(RecordOption::new(txn, version, op.clone()));
-                votes.push(KeyVotes::default());
-            }
-            match &plan.sorted_steps {
-                Some(order) => sorted_steps.extend_from_slice(order),
-                None => {
-                    // Some written key was parameter- or template-derived:
-                    // fix the decide order now that the keys are known.
-                    sorted_steps.extend(0..plan.steps.len() as u16);
-                    // In bounds: step indices index `plan.steps`, slots
-                    // index `keys` (as above).
-                    let slot_key = |s: u16| {
-                        // check:allow(panic)
-                        &keys[plan.steps[s as usize].slot as usize]
-                    };
-                    sorted_steps.sort_by(|&a, &b| slot_key(a).cmp(slot_key(b)));
-                }
-            }
-            (results, exec.tag, exec.reply_to, plan.steps.is_empty())
+        let Some(pos) = exec.reads_outstanding.iter().position(|e| e.0 == shard) else {
+            return; // this shard group is already satisfied
         };
+        exec.read_buffer.push(results);
+        // check:allow(panic): `pos` came from `position` just above
+        let group = &mut exec.reads_outstanding[pos];
+        group.1 -= 1;
+        if group.1 == 0 {
+            exec.reads_outstanding.remove(pos);
+        }
+        if !exec.reads_outstanding.is_empty() {
+            return; // keep waiting for the remaining groups / quorums
+        }
+        // Reads complete. A single local response passes through in slot
+        // order; anything buffered from several replicas or shards merges
+        // to key order.
+        let results = if !exec.quorum_reads && exec.read_buffer.len() == 1 {
+            exec.read_buffer.pop().unwrap_or_default()
+        } else {
+            Self::merge_reads(&exec.read_buffer)
+        };
+        exec.reads_done = true;
+        if !exec.ops.is_empty() {
+            exec.proposals_sent_at = Some(ctx.now());
+        }
+        for (step, op) in exec.ops.iter().enumerate() {
+            let key = exec.step_key(step as u16);
+            // Transactions are small: a linear scan beats building a
+            // version map per transaction.
+            let version = results
+                .iter()
+                .find(|r| r.key == *key)
+                .map_or(0, |r| r.version);
+            let option = RecordOption::new(txn, version, op.clone());
+            exec.options.push(option);
+            exec.votes.push(KeyVotes::default());
+        }
         if self.config.trace.is_on() {
-            // Trace-only (off on the hot path): hashing here keeps the
-            // emitted shard ids identical to the interpreted path's.
             for r in &results {
                 self.config.trace.emit(crate::trace::TraceEvent::Read {
                     txn,
@@ -1052,33 +794,28 @@ impl CoordinatorActor {
             }
         }
         ctx.send(
-            reply_to,
+            exec.reply_to,
             Msg::Progress {
-                tag,
+                tag: exec.tag,
                 txn,
                 stage: ProgressStage::ReadsDone { reads: results },
             },
         );
-        if steps_empty {
-            self.finish_plan(txn, Outcome::Committed, ctx);
+        if exec.ops.is_empty() {
+            self.finish(txn, Outcome::Committed, ctx);
             return;
         }
-        // In bounds: checked at entry.
-        // check:allow(panic)
-        let exec = &self.execs[idx];
+        // check:allow(panic): as at entry
+        let exec = &self.execs[idx as usize];
         let me = ctx.self_id();
-        for (i, step) in plan.steps.iter().enumerate() {
-            let slot = step.slot as usize;
-            // In bounds: slots resolved 1:1 into keys/routes; options are
-            // parallel to steps (built above).
+        for (step, option) in exec.options.iter().enumerate() {
+            let slot = exec.step_slot(step as u16);
+            // In bounds: slots index `keys` and `routes`, filled 1:1.
             // check:allow(panic)
-            let key = exec.keys[slot].clone();
-            // check:allow(panic)
-            let option = exec.options[i].clone();
+            let (key, route) = (&exec.keys[slot], exec.routes[slot]);
             match self.config.protocol {
                 Protocol::Fast => {
-                    // check:allow(panic)
-                    for &replica in self.route_replicas(exec.routes[slot].shard) {
+                    for &replica in self.route_replicas(route.shard) {
                         ctx.send(
                             replica,
                             Msg::FastPropose {
@@ -1091,14 +828,12 @@ impl CoordinatorActor {
                     }
                 }
                 Protocol::Classic | Protocol::TwoPc => {
-                    // check:allow(panic)
-                    let master = self.route_master(exec.routes[slot]);
                     ctx.send(
-                        master,
+                        self.route_master(route),
                         Msg::Propose {
                             txn,
-                            key,
-                            option,
+                            key: key.clone(),
+                            option: option.clone(),
                             coordinator: me,
                             round: 0,
                         },
@@ -1119,35 +854,35 @@ impl CoordinatorActor {
         round: u8,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let voters = self.voters_per_key();
-        let Some(state) = self.inflight.get_mut(&txn) else {
+        let now = ctx.now();
+        let vote = |sent_at: Option<SimTime>| ProgressStage::Vote {
+            key: key.clone(),
+            site,
+            accept,
+            reason,
+            elapsed_us: sent_at.map_or(0, |at| now.since(at).as_micros()),
+        };
+        let Some(&idx) = self.exec_of.get(&txn) else {
             // Late vote for a decided transaction: still forward it so the
             // client's latency model learns the slow paths.
             if let Some(recent) = self.recent.get(&txn) {
-                let elapsed_us = recent
-                    .proposals_sent_at
-                    .map_or(0, |at| ctx.now().since(at).as_micros());
-                ctx.send(
-                    recent.reply_to,
-                    Msg::Progress {
-                        tag: recent.tag,
-                        txn,
-                        stage: ProgressStage::Vote {
-                            key,
-                            site,
-                            accept,
-                            reason,
-                            elapsed_us,
-                        },
-                    },
-                );
+                let (tag, stage) = (recent.tag, vote(recent.proposals_sent_at));
+                ctx.send(recent.reply_to, Msg::Progress { tag, txn, stage });
             }
             return;
         };
-        let elapsed_us = state
-            .proposals_sent_at
-            .map_or(0, |at| ctx.now().since(at).as_micros());
-        let Some(kv) = state.votes.get_mut(&key) else {
+        let voters = self.voters_per_key();
+        let classic = self.config.classic_quorum();
+        let protocol = self.config.protocol;
+        // In bounds: `exec_of` only holds live slab indices.
+        // check:allow(panic)
+        let exec = &mut self.execs[idx as usize];
+        // A vote for a key no step writes has no tally — ignore it; so has
+        // any vote that arrives before reads complete.
+        let Some(step) = exec.step_writing(&key) else {
+            return;
+        };
+        let Some(kv) = exec.votes.get_mut(step as usize) else {
             return;
         };
         // Stale votes from a superseded round are meaningless for the tally.
@@ -1162,22 +897,22 @@ impl CoordinatorActor {
             kv.accepts.insert(site);
         } else {
             kv.rejects.insert(site);
-            state.rejections += 1;
+            exec.rejections += 1;
         }
-        state.votes_received += 1;
+        exec.votes_received += 1;
 
         // Master-routed rounds — classic, 2PC, or a fast-path fallback
         // round — hear rejects only from the master, whose rejection is
         // definitive (no replication happened). Quorum size also depends on
         // the round: the fallback round needs only a classic majority.
-        let master_routed = !matches!(self.config.protocol, Protocol::Fast) || kv.round > 0;
+        let master_routed = protocol != Protocol::Fast || kv.round > 0;
         let quorum = if kv.round > 0 {
-            self.config.classic_quorum()
+            classic
         } else {
             self.config.required_quorum()
         };
         let mut resolved_now = None;
-        let mut fallback_now = false;
+        let mut fallback = None;
         if kv.resolved.is_none() {
             if kv.accepts.len() >= quorum {
                 kv.resolved = Some(true);
@@ -1185,10 +920,10 @@ impl CoordinatorActor {
             } else if (master_routed && !kv.rejects.is_empty())
                 || voters - kv.rejects.len() < quorum
             {
-                if self.config.protocol == Protocol::Fast
+                if protocol == Protocol::Fast
                     && self.config.fast_fallback
                     && kv.round == 0
-                    && kv.rejects.len() < self.config.classic_quorum()
+                    && kv.rejects.len() < classic
                 {
                     // Collision, not a definitive loss: fewer than a
                     // majority rejected, so the option may still win a
@@ -1197,185 +932,34 @@ impl CoordinatorActor {
                     kv.round = 1;
                     kv.accepts.clear();
                     kv.rejects.clear();
-                    fallback_now = true;
+                    // The tally implies the option was built with it; if it
+                    // somehow is not there, skip the retry rather than crash
+                    // the coordinator — the txn then ends by its timeout.
+                    fallback = exec
+                        .options
+                        .get(step as usize)
+                        .cloned()
+                        .zip(exec.routes.get(exec.step_slot(step)).copied());
                 } else {
                     kv.resolved = Some(false);
                     resolved_now = Some(false);
                 }
             }
         }
-        if fallback_now {
-            // The votes entry implies the option was recorded with it; if it
-            // somehow is not there, skip the retry rather than crash the
-            // coordinator — the txn then resolves through the timeout path.
-            if let Some(option) = state.options.get(&key).cloned() {
-                let master = self.master_replica_for(&key);
-                let me = ctx.self_id();
-                ctx.send(
-                    master,
-                    Msg::Propose {
-                        txn,
-                        key: key.clone(),
-                        option,
-                        coordinator: me,
-                        round: 1,
-                    },
-                );
-                ctx.metrics().counter("txn.fast_fallbacks").inc();
-                let Some(state) = self.inflight.get(&txn) else {
-                    return;
-                };
-                self.progress(
-                    state,
-                    txn,
-                    ProgressStage::KeyFallback { key: key.clone() },
-                    ctx,
-                );
-            }
-        }
-
-        let Some(state) = self.inflight.get(&txn) else {
-            return;
-        };
-        self.progress(
-            state,
-            txn,
-            ProgressStage::Vote {
-                key: key.clone(),
-                site,
-                accept,
-                reason,
-                elapsed_us,
-            },
-            ctx,
-        );
-        if let Some(ok) = resolved_now {
-            self.progress(
-                state,
-                txn,
-                ProgressStage::KeyResolved { key, accepted: ok },
-                ctx,
-            );
-        }
-
         // Decide as soon as every key has resolved, or any key failed.
-        let Some(state) = self.inflight.get(&txn) else {
-            return;
+        let decided = if exec.votes.iter().any(|kv| kv.resolved == Some(false)) {
+            Some(Outcome::Aborted)
+        } else if exec.votes.iter().all(|kv| kv.resolved == Some(true)) {
+            Some(Outcome::Committed)
+        } else {
+            None
         };
-        let any_failed = state.votes.values().any(|kv| kv.resolved == Some(false));
-        let all_ok = state.votes.values().all(|kv| kv.resolved == Some(true));
-        if any_failed {
-            self.finish(txn, Outcome::Aborted, ctx);
-        } else if all_ok {
-            self.finish(txn, Outcome::Committed, ctx);
-        }
-    }
-
-    /// The compiled vote path: identical tally/quorum/fallback logic to
-    /// [`Self::handle_vote`], over slot-indexed vectors.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-    fn plan_vote(
-        &mut self,
-        txn: TxnId,
-        key: Key,
-        site: SiteId,
-        accept: bool,
-        reason: Option<planet_storage::RejectReason>,
-        round: u8,
-        ctx: &mut Context<'_, Msg>,
-    ) {
-        let Some(&idx) = self.exec_of.get(&txn) else {
-            return;
-        };
-        let idx = idx as usize;
-        let Some(plan) = self
-            .execs
-            .get(idx)
-            .and_then(|e| self.plans.get(&e.plan))
-            .cloned()
-        else {
-            return;
-        };
-        let voters = self.voters_per_key();
-        let classic = self.config.classic_quorum();
-        let round0_quorum = self.config.required_quorum();
-        let protocol = self.config.protocol;
-        let fast_fallback = self.config.fast_fallback;
-        let (tag, reply_to, elapsed_us, resolved_now, fallback) = {
-            // In bounds: `exec_of` only holds live slab indices.
-            // check:allow(panic)
-            let exec = &mut self.execs[idx];
-            let elapsed_us = exec
-                .proposals_sent_at
-                .map_or(0, |at| ctx.now().since(at).as_micros());
-            let Some(slot) = exec.keys.iter().position(|k| *k == key) else {
-                return;
-            };
-            // A vote for a read-only slot has no tally — ignore it, exactly
-            // as the interpreted path ignores keys absent from its votes map.
-            let Some(step) = plan.slots.get(slot).and_then(|s| s.step) else {
-                return;
-            };
-            let Some(kv) = exec.votes.get_mut(step as usize) else {
-                return;
-            };
-            if round != kv.round {
-                return;
-            }
-            if kv.accepts.contains(site) || kv.rejects.contains(site) {
-                return;
-            }
-            if accept {
-                kv.accepts.insert(site);
-            } else {
-                kv.rejects.insert(site);
-                exec.rejections += 1;
-            }
-            exec.votes_received += 1;
-            // In bounds: `get_mut` above proved `step` indexes `votes`.
-            // check:allow(panic)
-            let kv = &mut exec.votes[step as usize];
-            let master_routed = !matches!(protocol, Protocol::Fast) || kv.round > 0;
-            let quorum = if kv.round > 0 { classic } else { round0_quorum };
-            let mut resolved_now = None;
-            let mut fallback_now = false;
-            if kv.resolved.is_none() {
-                if kv.accepts.len() >= quorum {
-                    kv.resolved = Some(true);
-                    resolved_now = Some(true);
-                } else if (master_routed && !kv.rejects.is_empty())
-                    || voters - kv.rejects.len() < quorum
-                {
-                    if protocol == Protocol::Fast
-                        && fast_fallback
-                        && kv.round == 0
-                        && kv.rejects.len() < classic
-                    {
-                        kv.round = 1;
-                        kv.accepts.clear();
-                        kv.rejects.clear();
-                        fallback_now = true;
-                    } else {
-                        kv.resolved = Some(false);
-                        resolved_now = Some(false);
-                    }
-                }
-            }
-            let fallback = if fallback_now {
-                match (exec.options.get(step as usize), exec.routes.get(slot)) {
-                    (Some(option), Some(route)) => Some((option.clone(), *route)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            (exec.tag, exec.reply_to, elapsed_us, resolved_now, fallback)
-        };
+        let (tag, reply_to, sent_at) = (exec.tag, exec.reply_to, exec.proposals_sent_at);
+        let progress = |stage| Msg::Progress { tag, txn, stage };
         if let Some((option, route)) = fallback {
-            let master = self.route_master(route);
             let me = ctx.self_id();
             ctx.send(
-                master,
+                self.route_master(route),
                 Msg::Propose {
                     txn,
                     key: key.clone(),
@@ -1385,61 +969,28 @@ impl CoordinatorActor {
                 },
             );
             ctx.metrics().counter("txn.fast_fallbacks").inc();
+            let key = key.clone();
+            ctx.send(reply_to, progress(ProgressStage::KeyFallback { key }));
+        }
+        ctx.send(reply_to, progress(vote(sent_at)));
+        if let Some(accepted) = resolved_now {
             ctx.send(
                 reply_to,
-                Msg::Progress {
-                    tag,
-                    txn,
-                    stage: ProgressStage::KeyFallback { key: key.clone() },
-                },
+                progress(ProgressStage::KeyResolved { key, accepted }),
             );
         }
-        ctx.send(
-            reply_to,
-            Msg::Progress {
-                tag,
-                txn,
-                stage: ProgressStage::Vote {
-                    key: key.clone(),
-                    site,
-                    accept,
-                    reason,
-                    elapsed_us,
-                },
-            },
-        );
-        if let Some(ok) = resolved_now {
-            ctx.send(
-                reply_to,
-                Msg::Progress {
-                    tag,
-                    txn,
-                    stage: ProgressStage::KeyResolved { key, accepted: ok },
-                },
-            );
-        }
-        // In bounds: checked at entry.
-        // check:allow(panic)
-        let exec = &self.execs[idx];
-        let any_failed = exec.votes.iter().any(|kv| kv.resolved == Some(false));
-        let all_ok = exec.votes.iter().all(|kv| kv.resolved == Some(true));
-        if any_failed {
-            self.finish_plan(txn, Outcome::Aborted, ctx);
-        } else if all_ok {
-            self.finish_plan(txn, Outcome::Committed, ctx);
+        if let Some(outcome) = decided {
+            self.finish(txn, outcome, ctx);
         }
     }
 
     fn handle_timeout(&mut self, txn: TxnId, ctx: &mut Context<'_, Msg>) {
-        if self.inflight.contains_key(&txn) {
+        if self.exec_of.contains_key(&txn) {
             self.finish(txn, Outcome::TimedOut, ctx);
             // `finish` just parked the txn in `recent` to keep the late-vote
             // forwarding window open, but the timer that expires that window
             // was consumed by this very firing — re-arm it, or the entry
             // leaks forever.
-            ctx.schedule(self.config.txn_timeout, Msg::TxnTimeout { txn });
-        } else if self.exec_of.contains_key(&txn) {
-            self.finish_plan(txn, Outcome::TimedOut, ctx);
             ctx.schedule(self.config.txn_timeout, Msg::TxnTimeout { txn });
         } else {
             // The timeout doubles as the expiry of the late-vote forwarding
@@ -1448,8 +999,6 @@ impl CoordinatorActor {
         }
     }
 
-    /// Outcome counters and commit-latency histograms, shared by the
-    /// interpreted and compiled finish paths.
     /// Record the per-transaction latency-attribution span this actor owns:
     /// `span.quorum_wait_us`, proposal dispatch to decision — the slice of
     /// the commit path spent blocked on replica votes. (The other spans —
@@ -1463,6 +1012,7 @@ impl CoordinatorActor {
         }
     }
 
+    /// Outcome counters and commit-latency histograms.
     fn outcome_metrics(
         &self,
         outcome: Outcome,
@@ -1488,104 +1038,41 @@ impl CoordinatorActor {
         }
     }
 
-    /// Broadcast per-key decisions, emit the terminal event, drop state.
+    /// Broadcast per-key decisions in key order, emit the terminal event,
+    /// return the execution's slot to the slab.
     fn finish(&mut self, txn: TxnId, outcome: Outcome, ctx: &mut Context<'_, Msg>) {
-        let Some(state) = self.inflight.remove(&txn) else {
-            return;
-        };
-        let commit = outcome.is_commit();
-        for (key, option) in &state.options {
-            let master = self.master_replica_for(key);
-            ctx.send(
-                master,
-                Msg::Decide {
-                    txn,
-                    key: key.clone(),
-                    option: option.clone(),
-                    commit,
-                },
-            );
-        }
-        let stats = TxnStats {
-            submitted_at: state.submitted_at,
-            decided_at: ctx.now(),
-            proposals_sent_at: state.proposals_sent_at.unwrap_or(SimTime::ZERO),
-            write_keys: state.options.len(),
-            votes_received: state.votes_received,
-            rejections: state.rejections,
-        };
-        self.recent.insert(
-            txn,
-            RecentTxn {
-                tag: state.tag,
-                reply_to: state.reply_to,
-                proposals_sent_at: state.proposals_sent_at,
-            },
-        );
-        let latency = stats.decided_at.since(stats.submitted_at).as_micros();
-        self.span_metrics(&stats, ctx);
-        self.outcome_metrics(outcome, !state.options.is_empty(), latency, ctx);
-        if self.config.trace.is_on() {
-            self.config.trace.emit(crate::trace::TraceEvent::Finish {
-                txn,
-                outcome,
-                at: ctx.now(),
-            });
-        }
-        ctx.send(
-            state.reply_to,
-            Msg::TxnDone {
-                tag: state.tag,
-                txn,
-                outcome,
-                stats,
-            },
-        );
-        // Recycle the read buffer's outer vector.
-        let mut buf = state.read_buffer;
-        if self.read_buffer_pool.len() < READ_BUFFER_POOL_MAX {
-            buf.clear();
-            self.read_buffer_pool.push(buf);
-        }
-    }
-
-    /// The compiled finish path: decisions broadcast in precomputed
-    /// key-sorted order, then the execution slot returns to the slab.
-    fn finish_plan(&mut self, txn: TxnId, outcome: Outcome, ctx: &mut Context<'_, Msg>) {
         let Some(idx) = self.exec_of.remove(&txn) else {
             return;
         };
         let idx = idx as usize;
         let commit = outcome.is_commit();
-        let plan = self
-            .execs
-            .get(idx)
-            .and_then(|e| self.plans.get(&e.plan))
-            .cloned();
         // In bounds: `exec_of` only holds live slab indices.
         // check:allow(panic)
         let exec = &self.execs[idx];
-        if let Some(plan) = &plan {
-            for &si in &exec.sorted_steps {
-                let si = si as usize;
-                // In bounds: `sorted_steps` indexes `plan.steps`; slots
-                // resolved 1:1 into keys/routes; options parallel to steps.
-                // check:allow(panic)
-                let slot = plan.steps[si].slot as usize;
-                // check:allow(panic)
-                let master = self.route_master(exec.routes[slot]);
-                ctx.send(
-                    master,
-                    Msg::Decide {
-                        txn,
-                        // check:allow(panic)
-                        key: exec.keys[slot].clone(),
-                        // check:allow(panic)
-                        option: exec.options[si].clone(),
-                        commit,
-                    },
-                );
-            }
+        // A timeout that fires before reads complete has built, and
+        // proposed, no option: there is nothing to decide.
+        let built: &[u16] = if exec.reads_done {
+            &exec.sorted_steps
+        } else {
+            &[]
+        };
+        for &step in built {
+            let slot = exec.step_slot(step);
+            // In bounds: options are parallel to steps once built; slots
+            // index `keys` and `routes`.
+            // check:allow(panic)
+            let (key, route) = (exec.keys[slot].clone(), exec.routes[slot]);
+            // check:allow(panic)
+            let option = exec.options[step as usize].clone();
+            ctx.send(
+                self.route_master(route),
+                Msg::Decide {
+                    txn,
+                    key,
+                    option,
+                    commit,
+                },
+            );
         }
         let stats = TxnStats {
             submitted_at: exec.submitted_at,
@@ -1595,21 +1082,18 @@ impl CoordinatorActor {
             votes_received: exec.votes_received,
             rejections: exec.rejections,
         };
-        let tag = exec.tag;
-        let reply_to = exec.reply_to;
-        let proposals_sent_at = exec.proposals_sent_at;
-        let any_writes = !exec.options.is_empty();
+        let (tag, reply_to) = (exec.tag, exec.reply_to);
         self.recent.insert(
             txn,
             RecentTxn {
                 tag,
                 reply_to,
-                proposals_sent_at,
+                proposals_sent_at: exec.proposals_sent_at,
             },
         );
         let latency = stats.decided_at.since(stats.submitted_at).as_micros();
         self.span_metrics(&stats, ctx);
-        self.outcome_metrics(outcome, any_writes, latency, ctx);
+        self.outcome_metrics(outcome, !exec.options.is_empty(), latency, ctx);
         if self.config.trace.is_on() {
             self.config.trace.emit(crate::trace::TraceEvent::Finish {
                 txn,
@@ -1626,11 +1110,7 @@ impl CoordinatorActor {
                 stats,
             },
         );
-        // Return the slot to the slab, capacities intact.
-        // check:allow(panic)
-        let exec = &mut self.execs[idx];
-        exec.clear();
-        self.free_execs.push(idx as u32);
+        self.release_exec(idx);
     }
 }
 
@@ -1653,13 +1133,7 @@ impl Actor<Msg> for CoordinatorActor {
                 reply_to,
                 tag,
             } => self.handle_submit_plan(plan, params, reply_to, tag, ctx),
-            Msg::ReadResp { txn, results } => {
-                if self.exec_of.contains_key(&txn) {
-                    self.plan_read_resp(txn, results, ctx);
-                } else {
-                    self.handle_read_resp(txn, results, ctx);
-                }
-            }
+            Msg::ReadResp { txn, results } => self.handle_read_resp(txn, results, ctx),
             Msg::Vote {
                 txn,
                 key,
@@ -1667,13 +1141,7 @@ impl Actor<Msg> for CoordinatorActor {
                 accept,
                 reason,
                 round,
-            } => {
-                if self.exec_of.contains_key(&txn) {
-                    self.plan_vote(txn, key, site, accept, reason, round, ctx);
-                } else {
-                    self.handle_vote(txn, key, site, accept, reason, round, ctx);
-                }
-            }
+            } => self.handle_vote(txn, key, site, accept, reason, round, ctx),
             Msg::TxnTimeout { txn } => self.handle_timeout(txn, ctx),
             other => {
                 debug_assert!(false, "coordinator received unexpected message: {other:?}");
@@ -1685,7 +1153,9 @@ impl Actor<Msg> for CoordinatorActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planet_plan::{KeyRef, OpTemplate};
+    use planet_plan::{KeyRef, KeyTemplate, OpTemplate};
+    use planet_sim::DetRng;
+    use std::collections::HashSet;
 
     #[test]
     fn site_mask_basics() {
@@ -1722,5 +1192,114 @@ mod tests {
         let bad = TxnProgram::new("bad").read(KeyRef::Fixed(42));
         assert!(coord.install_plan(8, bad).is_err());
         assert!(!coord.has_plan(8));
+    }
+
+    /// Parameter slots of the random programs: six name table keys, six are
+    /// integers (template fragments, deltas, set values).
+    const KEY_PARAMS: usize = 6;
+    const INT_PARAMS: usize = 6;
+
+    /// A random valid program and arguments for it. Table keys are spelled
+    /// like rendered templates (`t2:5`) and integer arguments are drawn from
+    /// the same few values, so `Fixed`, `Param` and `Derived` references
+    /// resolve to one key often: small tables alias in most executions,
+    /// large ones in few.
+    fn random_execution(rng: &mut DetRng) -> (TxnProgram, Vec<PlanParam>) {
+        let mut prog = TxnProgram::new("random");
+        let table = rng.index(48) + 1;
+        for i in 0..table {
+            prog.intern(Key::new(format!("t{}:{}", i % 4, i / 4)));
+        }
+        let int_param = |rng: &mut DetRng| (KEY_PARAMS + rng.index(INT_PARAMS)) as u8;
+        let mut written = HashSet::new();
+        for _ in 0..rng.index(56) + 1 {
+            let key = match rng.index(4) {
+                0 | 1 => KeyRef::Fixed(rng.index(table) as u32),
+                2 => KeyRef::Param(rng.index(KEY_PARAMS) as u8),
+                _ => {
+                    let lit = format!("t{}:", rng.index(4));
+                    KeyRef::Derived(KeyTemplate::new().lit(lit).param(int_param(rng)))
+                }
+            };
+            // `validate` refuses two writes through one reference; two
+            // references that resolve to one key are the arguments' doing.
+            if rng.bernoulli(0.15) && written.insert(key.clone()) {
+                let op = match rng.index(3) {
+                    0 => OpTemplate::Delete,
+                    1 => OpTemplate::SetParam(int_param(rng)),
+                    _ => OpTemplate::of(&WriteOp::add(rng.index(9) as i64 - 4)),
+                };
+                prog = prog.write(key, op);
+            } else {
+                prog = prog.read(key);
+            }
+        }
+        if rng.bernoulli(0.3) {
+            prog = prog.quorum_reads();
+        }
+        let params = (0..KEY_PARAMS + INT_PARAMS)
+            .map(|p| match p < KEY_PARAMS {
+                true => PlanParam::Key(rng.index(table) as u32),
+                false => PlanParam::Int(rng.index(12) as i64),
+            })
+            .collect();
+        (prog, params)
+    }
+
+    /// The two lowerings are one function of the transaction: an execution
+    /// of a compiled plan and the spec it instantiates to leave equal
+    /// `Exec`s, slot for slot and step for step, or are refused alike.
+    #[test]
+    fn both_lowerings_give_the_same_execution() {
+        const CASES: u64 = 600;
+        let (mut scanned, mut hashed, mut relowered, mut refused) = (0, 0, 0, 0);
+        for seed in 0..CASES {
+            let mut rng = DetRng::new(seed);
+            let mut config = ClusterConfig::new(3, Protocol::Fast);
+            config.num_shards = [1, 2, 4][rng.index(3)];
+            let (prog, params) = random_execution(&mut rng);
+            let plan = CompiledPlan::compile(prog.clone(), &config)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let spec: TxnSpec = prog
+                .instantiate(&params)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+                .into();
+            let touched = spec.touched_keys();
+            let mut written = HashSet::new();
+            let writes_twice = !spec.writes.iter().all(|(k, _)| written.insert(k));
+
+            let (mut from_plan, mut from_spec) = (Exec::default(), Exec::default());
+            let plan_result = from_plan.lower_plan(&plan, &params, &config);
+            let spec_result = from_spec.lower_spec(spec, &config);
+            if writes_twice {
+                assert_eq!(plan_result, Err(PlanError::DuplicateWrite), "seed {seed}");
+                assert_eq!(spec_result, Err(PlanError::DuplicateWrite), "seed {seed}");
+                refused += 1;
+                continue;
+            }
+            assert_eq!(spec_result, Ok(()), "seed {seed}");
+            // Re-lowered exactly when two of the plan's slots were one key.
+            let aliased = touched.len() < plan.slots.len();
+            assert_eq!(plan_result, Ok(aliased), "seed {seed}");
+            assert_eq!(from_plan, from_spec, "seed {seed}");
+            assert_eq!(from_spec.keys, touched, "seed {seed}");
+            assert_eq!(from_spec.keys.len(), from_spec.routes.len());
+            relowered += usize::from(aliased);
+            if touched.len() > SlotFinder::SCAN_SLOTS {
+                hashed += 1;
+            } else {
+                scanned += 1;
+            }
+        }
+        // The generator reaches every case the lowerings tell apart.
+        for (what, cases) in [
+            ("scanned", scanned),
+            ("hashed", hashed),
+            ("re-lowered", relowered),
+            ("refused", refused),
+            ("straight", CASES as usize - relowered - refused),
+        ] {
+            assert!(cases >= 20, "only {cases} {what} cases");
+        }
     }
 }

@@ -37,6 +37,21 @@ pub struct TxnSpec {
     pub read_level: ReadLevel,
 }
 
+/// The spec an ad-hoc client would submit for one execution of a program.
+impl From<planet_plan::InstantiatedTxn> for TxnSpec {
+    fn from(inst: planet_plan::InstantiatedTxn) -> Self {
+        TxnSpec {
+            reads: inst.reads,
+            writes: inst.writes,
+            read_level: if inst.quorum_reads {
+                ReadLevel::Quorum
+            } else {
+                ReadLevel::Local
+            },
+        }
+    }
+}
+
 impl TxnSpec {
     /// A read-only transaction.
     pub fn read_only(keys: impl IntoIterator<Item = Key>) -> Self {
@@ -97,7 +112,7 @@ impl TxnSpec {
 }
 
 /// A single key's read result as returned to clients.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeyRead {
     /// The key.
     pub key: Key,
@@ -235,9 +250,10 @@ pub enum Msg {
         /// Actor to receive `PlanReady`.
         reply_to: ActorId,
     },
-    /// Submit one execution of a registered plan: the compiled hot path.
-    /// Replaces `Submit`'s full key-string spec with `(plan, params)`;
-    /// progress and the outcome flow back exactly as for `Submit`.
+    /// Submit one execution of a registered plan. Replaces `Submit`'s full
+    /// key-string spec with `(plan, params)`; the coordinator lowers either
+    /// into the same execution, so progress and the outcome flow back
+    /// exactly as for `Submit`.
     SubmitPlan {
         /// The registered plan.
         plan: planet_plan::PlanId,
@@ -424,6 +440,20 @@ pub enum Msg {
         /// Caller-defined payload (e.g. a transaction tag).
         tag: u64,
     },
+}
+
+impl Msg {
+    /// `(reply_to, tag)` if this is client load — a transaction submitted in
+    /// either form — and `None` for protocol traffic. Transports shed the
+    /// former at a full mailbox and block on the latter.
+    pub fn submission(&self) -> Option<(ActorId, u64)> {
+        match self {
+            Msg::Submit { reply_to, tag, .. } | Msg::SubmitPlan { reply_to, tag, .. } => {
+                Some((*reply_to, *tag))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

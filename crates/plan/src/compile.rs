@@ -5,11 +5,13 @@
 //! What compilation precomputes:
 //!
 //! - **Routing**: every table key's shard and master site (the two FNV
-//!   hashes the interpreted path recomputes per submission) are resolved
-//!   once via [`PlanEnv`].
-//! - **Touched-key slots**: the deduplicated first-use-ordered key set that
-//!   `TxnSpec::touched_keys` rebuilds per submission becomes a static slot
-//!   array; each slot records whether a write targets it and which one.
+//!   hashes an ad-hoc `TxnSpec` submission pays per distinct key) are
+//!   resolved once via [`PlanEnv`].
+//! - **Touched-key slots**: the deduplicated key set, read references
+//!   first and then written ones, each in program order — the order
+//!   `TxnSpec::touched_keys` gives the instantiated transaction — becomes a
+//!   static slot array; each slot records whether a write targets it and
+//!   which one.
 //! - **Write steps**: `WriteOp` construction is devirtualized into a step
 //!   array of [`CompiledOp`]s — constant ops are prebuilt and cloned
 //!   (refcount bump at worst), parameterized ops read straight from the
@@ -19,7 +21,8 @@
 //!
 //! What stays at execution time: parameter substitution, derived-key
 //! rendering/routing, and — only for plans whose references *could* alias —
-//! a runtime duplicate check that falls back to the interpreted path.
+//! a runtime duplicate check ([`SlotFinder`]); an execution that fails it is
+//! lowered from its instantiated read/write lists instead.
 
 use std::collections::HashMap;
 
@@ -48,7 +51,45 @@ pub struct KeyRoute {
     pub master: u8,
 }
 
-/// One touched-key slot: a distinct key reference, in first-use order.
+impl KeyRoute {
+    /// Route `key` in `env`: the two hashes every other route is a copy of.
+    pub fn of(env: &dyn PlanEnv, key: &Key) -> Self {
+        KeyRoute {
+            shard: env.shard_of(key) as u32,
+            master: env.master_site_of(key),
+        }
+    }
+}
+
+/// Key → slot lookup over an execution's slot array while it is being
+/// filled: a scan while the array is short, a hash index that catches up
+/// with the array above that. Both lowerings into the coordinator's
+/// execution form dedup (and detect aliasing) through it, so neither is
+/// quadratic in a transaction a peer chose the size of.
+#[derive(Debug, Default)]
+pub struct SlotFinder {
+    index: HashMap<Key, u16>,
+}
+
+impl SlotFinder {
+    /// Slot arrays up to this long are scanned.
+    pub const SCAN_SLOTS: usize = 16;
+
+    /// The slot of `key` in `keys`. Between calls on one finder `keys` may
+    /// only grow by pushing keys this returned `None` for (so it stays
+    /// duplicate-free and the index can catch up by length).
+    pub fn find(&mut self, keys: &[Key], key: &Key) -> Option<u16> {
+        if keys.len() <= Self::SCAN_SLOTS {
+            return keys.iter().position(|k| k == key).map(|i| i as u16);
+        }
+        for (i, k) in keys.iter().enumerate().skip(self.index.len()) {
+            self.index.insert(k.clone(), i as u16);
+        }
+        self.index.get(key).copied()
+    }
+}
+
+/// One touched-key slot: a distinct key reference.
 #[derive(Debug, Clone)]
 pub struct PlanSlot {
     /// The key reference (deduplicated structurally at compile time).
@@ -123,8 +164,9 @@ pub struct CompiledPlan {
     program: TxnProgram,
     /// Routing per table entry, parallel to `program.table`.
     routes: Vec<KeyRoute>,
-    /// Deduplicated touched-key slots, first-use order (the order
-    /// `TxnSpec::touched_keys` would produce for the instantiated txn).
+    /// Deduplicated touched-key slots: read references, then written ones,
+    /// each in program order (the order `TxnSpec::touched_keys` produces
+    /// for the instantiated txn).
     pub slots: Vec<PlanSlot>,
     /// Write steps in program order.
     pub steps: Vec<CompiledStep>,
@@ -133,7 +175,8 @@ pub struct CompiledPlan {
     pub sorted_steps: Option<Vec<u16>>,
     /// True if two slots could resolve to the same key at execution time
     /// (any non-fixed reference present alongside another slot): execution
-    /// must then verify distinctness and fall back if violated.
+    /// must then verify distinctness and lower the instantiated transaction
+    /// if violated.
     pub may_alias: bool,
     /// Serve reads at quorum.
     pub quorum_reads: bool,
@@ -148,22 +191,14 @@ impl CompiledPlan {
         let routes: Vec<KeyRoute> = program
             .table
             .iter()
-            .map(|key| KeyRoute {
-                shard: env.shard_of(key) as u32,
-                master: env.master_site_of(key),
-            })
+            .map(|key| KeyRoute::of(env, key))
             .collect();
 
         // Slot and step indices fit `u16`: `validate` bounded `ops.len()`.
         let mut slots: Vec<PlanSlot> = Vec::new();
         let mut slot_of_ref: HashMap<&KeyRef, u16> = HashMap::new();
-        let mut steps: Vec<CompiledStep> = Vec::new();
-        for op in &program.ops {
-            let (key, tmpl) = match op {
-                PlanOp::Read(k) => (k, None),
-                PlanOp::Write(k, t) => (k, Some(t)),
-            };
-            let slot = *slot_of_ref.entry(key).or_insert_with(|| {
+        let mut slot_for = |key| {
+            *slot_of_ref.entry(key).or_insert_with(|| {
                 let route = match key {
                     KeyRef::Fixed(i) => routes.get(*i as usize).copied(),
                     _ => None,
@@ -174,32 +209,46 @@ impl CompiledPlan {
                     step: None,
                 });
                 (slots.len() - 1) as u16
-            });
-            if let Some(tmpl) = tmpl {
-                let compiled = match tmpl.materialize(&[]) {
-                    // No parameters referenced: prebuild the op.
-                    Ok(op) => CompiledOp::Ready(op),
-                    Err(_) => match tmpl {
-                        crate::ir::OpTemplate::SetParam(p) => CompiledOp::SetParam(*p),
-                        crate::ir::OpTemplate::Add {
-                            delta: crate::ir::DeltaRef::Param(p),
-                            lower,
-                            upper,
-                        } => CompiledOp::AddParam {
-                            delta: *p,
-                            lower: *lower,
-                            upper: *upper,
-                        },
-                        // materialize(&[]) only fails on parameter refs,
-                        // which the arms above cover.
-                        _ => return Err(PlanError::BadParamIndex(0)),
-                    },
-                };
-                let step_idx = steps.len() as u16;
-                steps.push(CompiledStep { slot, op: compiled });
-                // check:allow(panic): `slot` is an index `slot_of_ref` took from `slots`
-                slots[slot as usize].step = Some(step_idx);
+            })
+        };
+        // Two passes, reads before writes: the slot order is the touched
+        // order of the instantiated transaction whatever order the ops were
+        // written in, so both lowerings of one program send the same reads.
+        for op in &program.ops {
+            if let PlanOp::Read(key) = op {
+                slot_for(key);
             }
+        }
+        let mut steps: Vec<CompiledStep> = Vec::new();
+        for op in &program.ops {
+            let PlanOp::Write(key, tmpl) = op else {
+                continue;
+            };
+            let slot = slot_for(key);
+            let compiled = match tmpl.materialize(&[]) {
+                // No parameters referenced: prebuild the op.
+                Ok(op) => CompiledOp::Ready(op),
+                Err(_) => match tmpl {
+                    crate::ir::OpTemplate::SetParam(p) => CompiledOp::SetParam(*p),
+                    crate::ir::OpTemplate::Add {
+                        delta: crate::ir::DeltaRef::Param(p),
+                        lower,
+                        upper,
+                    } => CompiledOp::AddParam {
+                        delta: *p,
+                        lower: *lower,
+                        upper: *upper,
+                    },
+                    // materialize(&[]) only fails on parameter refs,
+                    // which the arms above cover.
+                    _ => return Err(PlanError::BadParamIndex(0)),
+                },
+            };
+            steps.push(CompiledStep { slot, op: compiled });
+        }
+        for (i, step) in steps.iter().enumerate() {
+            // check:allow(panic): `slot` is an index `slot_for` took from `slots`
+            slots[step.slot as usize].step = Some(i as u16);
         }
 
         // In bounds: every step's `slot` indexes `slots` by construction.
@@ -247,8 +296,8 @@ impl CompiledPlan {
     /// Resolve every slot's key and route for one execution, appending to
     /// the caller's (cleared) scratch vectors — the coordinator reuses them
     /// across transactions. Detects runtime key aliasing (see
-    /// [`CompiledPlan::may_alias`]); on `AliasedKeys` the caller falls back
-    /// to the interpreted path.
+    /// [`CompiledPlan::may_alias`]) in time linear in the slots; on
+    /// `AliasedKeys` the caller lowers the instantiated transaction instead.
     pub fn resolve_slots(
         &self,
         params: &[PlanParam],
@@ -258,6 +307,7 @@ impl CompiledPlan {
     ) -> Result<(), PlanError> {
         keys.clear();
         routes.clear();
+        let mut finder = SlotFinder::default();
         for slot in &self.slots {
             let (key, route) = match (&slot.key, slot.route) {
                 (KeyRef::Fixed(i), Some(route)) => match self.program.table_key(*i) {
@@ -278,15 +328,12 @@ impl CompiledPlan {
                                 .ok_or(PlanError::BadTableIndex(*i))?
                         }
                         // Derived keys route at execution time.
-                        _ => KeyRoute {
-                            shard: env.shard_of(&key) as u32,
-                            master: env.master_site_of(&key),
-                        },
+                        _ => KeyRoute::of(env, &key),
                     };
                     (key, route)
                 }
             };
-            if self.may_alias && keys.contains(&key) {
+            if self.may_alias && finder.find(keys, &key).is_some() {
                 return Err(PlanError::AliasedKeys);
             }
             keys.push(key);
@@ -295,8 +342,9 @@ impl CompiledPlan {
         Ok(())
     }
 
-    /// Instantiate the underlying program (the interpreted-equivalent
-    /// read/write lists) — the fallback and test path.
+    /// Instantiate the underlying program (the read/write lists an ad-hoc
+    /// submission of this execution would carry) — the reference semantics,
+    /// and what an aliasing execution is lowered from.
     pub fn instantiate(
         &self,
         params: &[PlanParam],

@@ -8,11 +8,13 @@
 //! [`crate::compile`] turns a program into a [`crate::CompiledPlan`] whose
 //! per-execution work is a straight-line walk over pre-resolved slots.
 //!
-//! Programs are *observationally equivalent* to the interpreted
-//! [`TxnSpec`]-style submission: [`TxnProgram::instantiate`] produces the
-//! exact read/write lists an interpreted client would have sent, and the
-//! coordinator's compiled execution path is message-for-message identical to
-//! the interpreted one (the planet-mck digest-neutrality test pins this).
+//! Programs are *observationally equivalent* to an ad-hoc `TxnSpec`
+//! submission: [`TxnProgram::instantiate`] produces the exact read/write
+//! lists such a client would have sent, and the coordinator lowers both —
+//! one execution of a compiled plan, or those lists — into the same flat
+//! execution before its one state machine runs (field-for-field equal, which
+//! the coordinator's lowering test and planet-mck's digest-neutrality test
+//! pin).
 
 use std::collections::HashSet;
 
@@ -35,11 +37,15 @@ pub enum PlanError {
     /// The program has more ops than a compiled plan can index (slot and
     /// step indices are `u16`); carries the op count.
     TooManyOps(usize),
-    /// Two writes name the same key reference statically.
+    /// Two writes name the same key: the same reference statically, or, in
+    /// a transaction being lowered for execution, the same resolved key. A
+    /// replica would take the second proposal for a retry of the first and
+    /// drop it, so the coordinator refuses the transaction instead.
     DuplicateWrite,
     /// At instantiation, two distinct key references resolved to the same
-    /// key (a parameter aliased a fixed key). The caller must fall back to
-    /// the interpreted path, which defines the semantics of aliased writes.
+    /// key (a parameter aliased a fixed key). The one-slot-per-reference
+    /// layout no longer holds; the caller lowers the instantiated
+    /// transaction, which dedups by key, instead.
     AliasedKeys,
 }
 
@@ -50,7 +56,7 @@ impl std::fmt::Display for PlanError {
             PlanError::BadParamIndex(p) => write!(f, "parameter index {p} out of range"),
             PlanError::BadParamType(p) => write!(f, "parameter {p} has conflicting/wrong type"),
             PlanError::TooManyOps(n) => write!(f, "{n} ops, at most {} compile", u16::MAX),
-            PlanError::DuplicateWrite => write!(f, "two writes name the same key reference"),
+            PlanError::DuplicateWrite => write!(f, "two writes name the same key"),
             PlanError::AliasedKeys => write!(f, "parameters aliased two key references"),
         }
     }
@@ -199,7 +205,7 @@ impl OpTemplate {
 
 /// One program operation. Ops execute as a transaction: all reads are
 /// served from one snapshot request, all writes become options proposed
-/// together — exactly the interpreted `TxnSpec` semantics.
+/// together — exactly the `TxnSpec` semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanOp {
     /// Read a key (beyond those implicitly read for writes).
@@ -241,8 +247,9 @@ pub struct TxnProgram {
     /// largest message variant and every message in every mailbox 16 bytes
     /// bigger.
     pub table: Box<KeyInterner>,
-    /// The operations, in program order. First-use order of key references
-    /// here defines read order, mirroring `TxnSpec::touched_keys`.
+    /// The operations, in program order. Keys are read in the order of
+    /// `TxnSpec::touched_keys` over the instantiated transaction: read
+    /// references first, then written ones, each in the order given here.
     pub ops: Vec<PlanOp>,
     /// Serve reads at quorum instead of the local replica.
     pub quorum_reads: bool,
@@ -263,8 +270,8 @@ fn int_param(params: &[PlanParam], p: u8) -> Result<i64, PlanError> {
 }
 
 /// A program instantiated over concrete parameters: the read/write lists an
-/// interpreted submission would carry. This is the semantic ground truth the
-/// compiled execution path must match.
+/// ad-hoc submission would carry. This is the semantic ground truth the
+/// plan lowering must match.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstantiatedTxn {
     /// Keys read (beyond those written).
@@ -457,8 +464,8 @@ impl TxnProgram {
     }
 
     /// Instantiate the program over `params`: the concrete read/write lists
-    /// an interpreted submission of this execution would carry, in program
-    /// order. This defines the program's semantics; the compiled path is
+    /// an ad-hoc submission of this execution would carry, in program
+    /// order. This defines the program's semantics; the plan lowering is
     /// checked against it.
     pub fn instantiate(&self, params: &[PlanParam]) -> Result<InstantiatedTxn, PlanError> {
         let mut reads = Vec::new();
@@ -480,9 +487,9 @@ impl TxnProgram {
 
     /// Lift a concrete read/write list into a zero-parameter program (every
     /// key becomes a fixed table entry). This is what `TxnBuilder::compile`
-    /// uses: any interpreted transaction shape compiles, it just gains no
-    /// parameterization. Fails if two writes name the same key (the
-    /// interpreted path's semantics for that are accidental; keep it there).
+    /// uses: any concrete transaction shape compiles, it just gains no
+    /// parameterization. Fails if two writes name the same key (which no
+    /// front end executes).
     pub fn of_concrete(
         name: impl Into<String>,
         reads: &[Key],

@@ -10,13 +10,16 @@
 //!
 //! Layering: this crate sits between `planet-storage` (whose `Key`/`Value`/
 //! `WriteOp` vocabulary the IR reuses) and `planet-mdcc` (whose coordinator
-//! executes compiled plans and whose `ClusterConfig` implements
-//! [`PlanEnv`]). It knows nothing about actors or messages.
+//! lowers one execution of a compiled plan into the flat form its state
+//! machine runs, and whose `ClusterConfig` implements [`PlanEnv`]). It knows
+//! nothing about actors or messages.
 
 mod compile;
 mod ir;
 
-pub use compile::{CompiledOp, CompiledPlan, CompiledStep, KeyRoute, PlanEnv, PlanSlot};
+pub use compile::{
+    CompiledOp, CompiledPlan, CompiledStep, KeyRoute, PlanEnv, PlanSlot, SlotFinder,
+};
 pub use ir::{
     DeltaRef, InstantiatedTxn, KeyRef, KeyTemplate, OpTemplate, ParamType, PlanError, PlanId,
     PlanOp, PlanParam, TemplatePart, TxnProgram,

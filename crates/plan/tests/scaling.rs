@@ -4,15 +4,17 @@
 //! a bound the quadratic table scan missed by two orders of magnitude (250 ms
 //! per 10 000 keys, so about 100 s here). And the two ways a decoded program
 //! could reach the compiler malformed — a repeated table key, more ops than a
-//! `u16` slot index can name — are refused, not miscompiled.
+//! `u16` slot index can name — are refused, not miscompiled. The same holds
+//! per submission: lowering the widest plan a coordinator can hold, or the
+//! widest ad-hoc spec a frame can carry, costs in proportion to its keys.
 
 use std::time::{Duration, Instant};
 
 use planet_cluster::{wire, Envelope};
-use planet_mdcc::{ClusterConfig, Msg, Protocol};
+use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, TxnSpec};
 use planet_plan::{CompiledPlan, KeyRef, OpTemplate, PlanError, PlanParam, TxnProgram};
-use planet_sim::ActorId;
-use planet_storage::Key;
+use planet_sim::{drive_into, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs};
+use planet_storage::{Key, WriteOp};
 
 fn register(program: TxnProgram) -> Envelope {
     Envelope {
@@ -115,10 +117,13 @@ fn the_largest_indexable_program_compiles_with_distinct_slots() {
     use planet_plan::KeyTemplate;
     let config = ClusterConfig::new(3, Protocol::Fast);
     let mut program = TxnProgram::new("max");
-    for i in 0..u16::MAX {
+    for i in 0..u16::MAX - 1 {
         let key = KeyTemplate::new().lit(format!("order:{i}:")).param(0);
         program = program.write(KeyRef::Derived(key), OpTemplate::SetParam(0));
     }
+    // The last reference renders slot 0's key when parameter 1 is 7.
+    let twin = KeyTemplate::new().lit("order:0:").param(1);
+    program = program.write(KeyRef::Derived(twin), OpTemplate::SetParam(0));
     let start = Instant::now();
     let plan = CompiledPlan::compile(program, &config).expect("compiles");
     let elapsed = start.elapsed();
@@ -127,4 +132,107 @@ fn the_largest_indexable_program_compiles_with_distinct_slots() {
     assert_eq!(last.slot, u16::MAX - 1, "no index wrapped");
     assert_eq!(plan.slots[usize::from(last.slot)].step, Some(u16::MAX - 1));
     assert!(elapsed < Duration::from_secs(2), "compile took {elapsed:?}");
+
+    // Every reference is derived, so every execution is checked for two
+    // slots resolving to one key: by lookup, not by comparing all pairs
+    // (2 × 10⁹ string compares here, per submission, for a peer's plan).
+    assert!(plan.may_alias);
+    let (mut keys, mut routes) = (Vec::new(), Vec::new());
+    let start = Instant::now();
+    let distinct = [PlanParam::Int(7), PlanParam::Int(8)];
+    plan.resolve_slots(&distinct, &config, &mut keys, &mut routes)
+        .expect("resolves");
+    let aliased = [PlanParam::Int(7), PlanParam::Int(7)];
+    let refused = plan.resolve_slots(&aliased, &config, &mut Vec::new(), &mut Vec::new());
+    let elapsed = start.elapsed();
+    assert_eq!(keys.len(), usize::from(u16::MAX));
+    assert_eq!(keys.len(), routes.len());
+    assert_eq!(keys.last(), Some(&Key::new("order:0:8")));
+    assert_eq!(refused, Err(PlanError::AliasedKeys));
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "resolving took {elapsed:?}"
+    );
+}
+
+/// `spec` as a peer would deliver it — through the wire codec — into a fresh
+/// site-0 coordinator; the effects of that one delivery and the time it took.
+fn submit_from_the_wire(spec: TxnSpec) -> (Vec<Effect<Msg>>, Duration) {
+    let submit = Envelope {
+        from: ActorId(6),
+        to: ActorId(3),
+        msg: Msg::Submit {
+            spec,
+            reply_to: ActorId(6),
+            tag: 1,
+        },
+    };
+    let decoded = wire::decode(&wire::encode(&submit)).expect("decodes");
+    let config = ClusterConfig::new(3, Protocol::Fast);
+    let mut coordinator = CoordinatorActor::new(config, (0..3).map(ActorId).collect(), SiteId(0));
+    let inputs = TurnInputs {
+        now: SimTime::from_micros(1),
+        self_id: decoded.to,
+        self_site: SiteId(0),
+    };
+    let mut effects = Vec::new();
+    let start = Instant::now();
+    drive_into(
+        &mut coordinator,
+        inputs,
+        decoded.from,
+        decoded.msg,
+        &mut DetRng::new(1),
+        &mut Metrics::new(),
+        &mut effects,
+    );
+    (effects, start.elapsed())
+}
+
+fn spec_writing(keys: usize) -> TxnSpec {
+    TxnSpec {
+        // Each key is also read, twice: slots are per key, not per mention.
+        reads: (0..keys)
+            .chain(0..keys)
+            .map(|i| Key::new(format!("k{i}")))
+            .collect(),
+        writes: (0..keys)
+            .map(|i| (Key::new(format!("k{i}")), WriteOp::add(1)))
+            .collect(),
+        ..TxnSpec::default()
+    }
+}
+
+#[test]
+fn the_widest_spec_lowers_in_linear_time_and_a_wider_one_is_refused() {
+    let (effects, elapsed) = submit_from_the_wire(spec_writing(usize::from(u16::MAX)));
+    let asked = effects.iter().find_map(|e| match e {
+        Effect::Send {
+            msg: Msg::ReadReq { keys, .. },
+            ..
+        } => Some(keys.len()),
+        _ => None,
+    });
+    assert_eq!(asked, Some(usize::from(u16::MAX)), "one slot per key");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "lowering took {elapsed:?}"
+    );
+
+    // One key more than a `u16` slot index names: refused, not wrapped.
+    let (effects, _) = submit_from_the_wire(spec_writing(usize::from(u16::MAX) + 1));
+    assert!(
+        matches!(
+            effects[..],
+            [Effect::Send {
+                msg: Msg::TxnDone {
+                    outcome: Outcome::Aborted,
+                    ..
+                },
+                ..
+            }]
+        ),
+        "{} effects",
+        effects.len()
+    );
 }

@@ -2,13 +2,15 @@
 //! point operations and the ticket-sales purchase compile to, plus the
 //! per-execution parameter generators that drive them.
 //!
-//! An interpreted workload ships a full [`planet_core::TxnSpec`] per
+//! An ad-hoc workload ships a full [`planet_core::TxnSpec`] per
 //! transaction — key strings, write ops, the lot. The compiled edition
 //! registers one program per workload shape up front and then submits only
 //! `(PlanId, params)`: a key-table index and an integer or two. The
-//! generators here draw from the *same* key distributions as their
-//! interpreted twins, so a compiled run is an apples-to-apples ablation of
-//! the interpreted one (`exp_plan` in planet-bench measures exactly that).
+//! generators here draw from the *same* key distributions as their ad-hoc
+//! counterparts, so a compiled run differs from an ad-hoc one only in what
+//! each submission costs to ship and to lower (the benchmark's
+//! `coordinator.plan_step_ns` / `coordinator.spec_step_ns` rows and its
+//! `*-ticket-sat` / `chan-kv-open` workloads price the two front ends).
 
 use planet_core::{PlanParam, TxnProgram};
 use planet_plan::{DeltaRef, KeyRef, KeyTemplate, OpTemplate};

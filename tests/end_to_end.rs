@@ -244,3 +244,32 @@ fn facade_fault_injection_shifts_the_quorum() {
     assert!(db.record(after).unwrap().outcome.is_commit());
     assert_eq!(db.read_local(3, &Key::new("fault-key")), Value::Int(2));
 }
+
+/// A transaction that writes one key twice used to report `Committed` and
+/// apply only its first write (the replicas took the second proposal for a
+/// retry of the first). No front end executes it now: the coordinator
+/// answers `Aborted` before reading anything, and the key keeps its value.
+#[test]
+fn a_key_written_twice_aborts_at_once_and_changes_nothing() {
+    for (protocol, seed) in [(Protocol::Fast, 21u64), (Protocol::Classic, 22)] {
+        let mut db = Planet::builder().protocol(protocol).seed(seed).build();
+        let seeded = db.submit(0, PlanetTxn::builder().set("k", 100i64).build());
+        db.run_for(SimDuration::from_secs(2));
+        assert!(db.record(seeded).unwrap().outcome.is_commit());
+
+        let twice = PlanetTxn::builder().add("k", 1).add("k", 10).build();
+        let handle = db.submit(0, twice);
+        db.run_for(SimDuration::from_secs(2));
+        let record = db.record(handle).unwrap();
+        assert_eq!(record.outcome, FinalOutcome::Aborted, "{protocol}");
+        // Client to its local coordinator and back: no read, no WAN hop.
+        assert!(
+            record.latency < SimDuration::from_millis(5),
+            "{protocol}: refused after {:?}",
+            record.latency
+        );
+        for site in 0..5 {
+            assert_eq!(db.read_local(site, &Key::new("k")), Value::Int(100));
+        }
+    }
+}
