@@ -1,15 +1,13 @@
 //! Live-cluster throughput: sweep closed-loop client concurrency over a
-//! thread-per-actor deployment on the in-process channel transport.
+//! [`LiveCluster`] on the in-process channel transport.
 //!
 //! Unlike every other experiment (which runs the deterministic simulation),
-//! this one measures the *live* runtime: replicas, coordinators and clients
-//! each on their own OS thread, wall-clock time, the LAN-ish network model
-//! shaping deliveries. Every point warms up before the measured window and
-//! reports the plane's own telemetry (mean drain batch, mailbox high-water)
-//! alongside throughput and latency. At `Scale::Full` the batched sweep
-//! covers 1→256 clients and is written to `BENCH_throughput.json`, then the
-//! whole sweep is repeated with [`PlaneConfig::unbatched`] as an ablation
-//! and both curves land in `BENCH_throughput_batched.json`.
+//! this one measures the *live* runtime: replicas, coordinators and client
+//! pools as tasks on the reactor's workers, wall-clock time, the LAN-ish
+//! network model shaping deliveries. Every point warms up before the
+//! measured window and reports the plane's own telemetry (mean drain batch,
+//! mailbox high-water) alongside throughput and latency. At `Scale::Full`
+//! the sweep covers 1→256 clients and is written to `BENCH_throughput.json`.
 
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
@@ -64,8 +62,8 @@ fn run_point(
     let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("tp-{i}"))).collect();
     let (tx, rx) = channel::<LoadRecord>();
     // One client *pool* per site: hundreds of closed-loop clients ride on
-    // three driver threads, so the sweep measures the cluster, not the OS
-    // scheduler juggling hundreds of client threads on a small host.
+    // a few pool tasks, so the sweep measures the cluster, not the
+    // scheduling of hundreds of tiny tasks.
     for site in 0..SITES {
         let coordinator = cluster.coordinator(site);
         let actors: Vec<Box<dyn planet_sim::Actor<planet_mdcc::Msg>>> = (0..clients)
@@ -152,17 +150,13 @@ fn points_json(points: &[Point], indent: &str) -> String {
     out
 }
 
-fn header_json(warmup: Duration, window: Duration, trials: usize) -> String {
-    format!(
+fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usize) {
+    let mut out = String::from("{\n  \"experiment\": \"throughput\",\n");
+    out.push_str(&format!(
         "  \"sites\": {SITES},\n  \"keys\": {KEYS},\n  \"warmup_secs\": {},\n  \"window_secs\": {},\n  \"trials\": {trials},\n  \"transport\": \"channel\",\n",
         warmup.as_secs_f64(),
         window.as_secs_f64()
-    )
-}
-
-fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usize) {
-    let mut out = String::from("{\n  \"experiment\": \"throughput\",\n");
-    out.push_str(&header_json(warmup, window, trials));
+    ));
     out.push_str("  \"points\": [\n");
     out.push_str(&points_json(points, "    "));
     out.push_str("  ]\n}\n");
@@ -170,27 +164,6 @@ fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usiz
         eprintln!("throughput: could not write BENCH_throughput.json: {e}");
     } else {
         eprintln!("wrote BENCH_throughput.json");
-    }
-}
-
-fn write_ablation_json(
-    batched: &[Point],
-    unbatched: &[Point],
-    warmup: Duration,
-    window: Duration,
-    trials: usize,
-) {
-    let mut out = String::from("{\n  \"experiment\": \"throughput_batched_vs_unbatched\",\n");
-    out.push_str(&header_json(warmup, window, trials));
-    out.push_str("  \"batched\": [\n");
-    out.push_str(&points_json(batched, "    "));
-    out.push_str("  ],\n  \"unbatched\": [\n");
-    out.push_str(&points_json(unbatched, "    "));
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_throughput_batched.json", &out) {
-        eprintln!("throughput: could not write BENCH_throughput_batched.json: {e}");
-    } else {
-        eprintln!("wrote BENCH_throughput_batched.json");
     }
 }
 
@@ -226,22 +199,20 @@ fn run_sweep(
     window: Duration,
     plane: PlaneConfig,
     trials: usize,
-    mut table: Option<&mut Table>,
+    table: &mut Table,
 ) -> Vec<Point> {
     let mut points = Vec::new();
     for &clients in sweep {
         let point = run_trials(clients, warmup, window, plane, trials);
-        if let Some(table) = table.as_mut() {
-            table.row(vec![
-                point.clients.to_string(),
-                format!("{:.0}", point.ops_per_sec),
-                crate::report::ms(point.p50_us),
-                crate::report::ms(point.p99_us),
-                crate::report::pct(point.commit_rate),
-                format!("{:.1}", point.mean_batch),
-                point.mailbox_hwm.to_string(),
-            ]);
-        }
+        table.row(vec![
+            point.clients.to_string(),
+            format!("{:.0}", point.ops_per_sec),
+            crate::report::ms(point.p50_us),
+            crate::report::ms(point.p99_us),
+            crate::report::pct(point.commit_rate),
+            format!("{:.1}", point.mean_batch),
+            point.mailbox_hwm.to_string(),
+        ]);
         points.push(point);
     }
     points
@@ -272,31 +243,16 @@ pub fn throughput(scale: Scale) -> Table {
             "mbox hwm",
         ],
     );
-    let batched = run_sweep(
-        sweep,
-        warmup,
-        window,
-        PlaneConfig::default(),
-        trials,
-        Some(&mut table),
-    );
+    let plane = PlaneConfig::default();
+    let points = run_sweep(sweep, warmup, window, plane, trials, &mut table);
     table.note(format!(
-        "{SITES} sites, thread-per-actor, 2ms cross-site RTT, {KEYS} keys, commutative increments, {}s warmup, {}s window, median of {trials}",
+        "{SITES} sites, one reactor of {} worker(s), 2ms cross-site RTT, {KEYS} keys, commutative increments, {}s warmup, {}s window, median of {trials}",
+        plane.workers,
         warmup.as_secs_f64(),
         window.as_secs_f64()
     ));
     if scale == Scale::Full {
-        write_json(&batched, warmup, window, trials);
-        // Ablation: same sweep with batching, sharding and coalescing off.
-        let unbatched = run_sweep(
-            sweep,
-            warmup,
-            window,
-            PlaneConfig::unbatched(),
-            trials,
-            None,
-        );
-        write_ablation_json(&batched, &unbatched, warmup, window, trials);
+        write_json(&points, warmup, window, trials);
     }
     table
 }

@@ -5,14 +5,9 @@
 //! * **channel** — the in-process [`LiveCluster`], the delay fabric shaping
 //!   deliveries;
 //! * **tcp** — three in-process [`TcpTransport`]s (one per "planetd"), each
-//!   hosting its site's shard replicas and coordinator, clients driving
-//!   load through a fourth client-side transport over real sockets.
-//!
-//! Each transport runs in two scheduling modes: **reactor** (the sharded
-//! event-loop runtime, every actor a task multiplexed over `workers`
-//! worker threads) swept across all shard counts, and **threads**
-//! (thread-per-actor, `workers = 0`) at one shard as the baseline the
-//! reactor must not regress against.
+//!   hosting its site's shard replicas and coordinator on a [`Reactor`] of
+//!   its own, clients driving load through a fourth client-side transport
+//!   and reactor over real sockets.
 //!
 //! Each point reports the host's core count alongside the numbers: shards
 //! only buy parallel commit work when the host actually has cores to run
@@ -26,8 +21,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use planet_cluster::{
-    mailbox, spawn_node, spawn_pool, Clock, LiveCluster, LoadClient, LoadRecord, PlaneConfig,
-    PoolMembers, Reactor, TcpTransport, Transport,
+    mailbox, Clock, LiveCluster, LoadClient, LoadRecord, PlaneConfig, PoolMembers, Reactor,
+    TcpTransport, Transport,
 };
 use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, ReplicaActor};
 use planet_sim::metrics::{Histogram, Metrics};
@@ -94,7 +89,7 @@ fn span_set_of(all: impl IntoIterator<Item = Metrics>) -> SpanSet {
 struct Point {
     shards: usize,
     transport: &'static str,
-    /// Reactor worker threads; 0 = thread-per-actor baseline.
+    /// Worker threads per reactor (channel: one reactor; tcp: four).
     workers: usize,
     clients: usize,
     ops_per_sec: f64,
@@ -116,16 +111,6 @@ fn lan() -> NetworkModel {
 
 fn keys() -> Vec<Key> {
     (0..KEYS).map(|i| Key::new(format!("sh-{i}"))).collect()
-}
-
-/// The plane for a sweep mode: reactor with `workers` threads, or the
-/// thread-per-actor baseline when `workers == 0`.
-fn plane_for(workers: usize) -> PlaneConfig {
-    if workers > 0 {
-        PlaneConfig::default().with_workers(workers)
-    } else {
-        PlaneConfig::thread_per_actor()
-    }
 }
 
 /// Drain the completion channel through a warmup, then a measured window.
@@ -172,8 +157,8 @@ fn measure(
     )
 }
 
-/// One point on the in-process channel transport: [`LiveCluster`] picks the
-/// runtime (reactor tasks vs threads) from the plane's `workers`.
+/// One point on the in-process channel transport: a [`LiveCluster`] on one
+/// reactor of `workers` workers.
 fn run_channel_point(
     shards: usize,
     workers: usize,
@@ -186,7 +171,7 @@ fn run_channel_point(
     let mut cluster = LiveCluster::builder(config)
         .network(lan())
         .seed(seed)
-        .plane(plane_for(workers))
+        .plane(PlaneConfig::default().with_workers(workers))
         .build();
     let keys = keys();
     let (tx, rx) = channel::<LoadRecord>();
@@ -224,9 +209,9 @@ fn run_channel_point(
 /// shard-major id layout) plus one client-side transport whose
 /// [`LoadClient`]s reach coordinators through static routes and receive
 /// replies down the learned connections — exactly the planetd/planet-load
-/// split, inside one process. In reactor mode every hosted actor and every
-/// client becomes a task on one shared [`Reactor`]; in thread mode the
-/// servers get a thread each and clients share pool threads.
+/// split, inside one process: each "planetd" runs its actors on a
+/// [`Reactor`] of its own, as a `planetd` process does, and the clients ride
+/// a fourth as pool tasks, as `planet-load`'s do.
 fn run_tcp_point(
     shards: usize,
     workers: usize,
@@ -238,8 +223,11 @@ fn run_tcp_point(
     let n = SITES;
     let config = ClusterConfig::new(n, Protocol::Fast).with_shards(shards);
     let clock = Clock::new();
-    let plane = plane_for(workers);
-    let reactor = (plane.workers > 0).then(|| Reactor::new(clock, plane, seed));
+    let plane = PlaneConfig::default().with_workers(workers);
+    // One per site, then the load generator's.
+    let reactors: Vec<Arc<Reactor>> = (0..=n)
+        .map(|i| Reactor::new(clock, plane, seed ^ i as u64))
+        .collect();
     let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
     let server_ids: Vec<u32> = (0..(shards + 1) * n).map(|i| i as u32).collect();
 
@@ -281,27 +269,14 @@ fn run_tcp_point(
         for (id, actor) in hosted {
             let (tx, rx) = mailbox(plane.mailbox_capacity);
             transport.host(id, tx.clone());
-            nodes.push(match &reactor {
-                Some(reactor) => reactor.spawn(
-                    ActorId(id),
-                    SiteId(site as u8),
-                    actor,
-                    tx,
-                    rx,
-                    transport.clone() as Arc<dyn Transport>,
-                ),
-                None => spawn_node(
-                    ActorId(id),
-                    SiteId(site as u8),
-                    actor,
-                    tx,
-                    rx,
-                    transport.clone() as Arc<dyn Transport>,
-                    clock,
-                    seed,
-                    plane,
-                ),
-            });
+            nodes.push(reactors[site].spawn(
+                ActorId(id),
+                SiteId(site as u8),
+                actor,
+                tx,
+                rx,
+                transport.clone() as Arc<dyn Transport>,
+            ));
         }
     }
 
@@ -311,69 +286,22 @@ fn run_tcp_point(
     let mut pools = Vec::new();
     for site in 0..n {
         let coordinator = ActorId((shards * n + site) as u32);
-        let members: Vec<ActorId> = (0..clients)
+        let members: PoolMembers = (0..clients)
             .filter(|k| k % n == site)
             .map(|_| {
                 let id = ActorId(next_client);
                 next_client += 1;
-                id
+                let actor: Box<dyn Actor<Msg>> =
+                    Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone()));
+                (id, actor)
             })
             .collect();
-        if members.is_empty() {
-            continue;
-        }
-        match &reactor {
-            // Reactor: clients are chunked into one pool task per worker
-            // (mirroring `LiveCluster::spawn_client_pool`) — a task per
-            // client would pay the full scheduling cost for every ~2
-            // messages of work, while chunks keep batch amortization and
-            // stay stealable.
-            Some(reactor) => {
-                let chunk = members.len().div_ceil(reactor.workers()).max(1);
-                for group in members.chunks(chunk) {
-                    let (mtx, mrx) = mailbox(plane.mailbox_capacity);
-                    let pool_members: PoolMembers = group
-                        .iter()
-                        .map(|&id| {
-                            client_transport.host(id.0, mtx.clone());
-                            let actor: Box<dyn Actor<Msg>> =
-                                Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone()));
-                            (id, actor)
-                        })
-                        .collect();
-                    pools.push(reactor.spawn_pool(
-                        pool_members,
-                        SiteId(site as u8),
-                        mtx,
-                        mrx,
-                        client_transport.clone() as Arc<dyn Transport>,
-                    ));
-                }
-            }
-            // Threads: one pool thread per site multiplexing its members.
-            None => {
-                let (mtx, mrx) = mailbox(plane.mailbox_capacity);
-                let pool_members: PoolMembers = members
-                    .into_iter()
-                    .map(|id| {
-                        client_transport.host(id.0, mtx.clone());
-                        let actor: Box<dyn Actor<Msg>> =
-                            Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone()));
-                        (id, actor)
-                    })
-                    .collect();
-                pools.push(spawn_pool(
-                    pool_members,
-                    SiteId(site as u8),
-                    mtx,
-                    mrx,
-                    client_transport.clone() as Arc<dyn Transport>,
-                    clock,
-                    seed,
-                    plane,
-                ));
-            }
-        }
+        pools.extend(reactors[n].spawn_pool_per_worker(
+            members,
+            SiteId(site as u8),
+            client_transport.clone() as Arc<dyn Transport>,
+            |id, mtx| client_transport.host(id.0, mtx),
+        ));
     }
     drop(tx);
 
@@ -384,14 +312,12 @@ fn run_tcp_point(
         let (_, metrics) = pool.stop_and_join();
         all_metrics.push(metrics);
     }
-    // Coordinators before replicas, as LiveCluster::shutdown does. (In
-    // reactor mode client tasks joined here too — they were pushed last, so
-    // the reverse order stops them first.)
+    // Coordinators before replicas, as LiveCluster::shutdown does.
     for node in nodes.into_iter().rev() {
         let (_, metrics) = node.stop_and_join();
         all_metrics.push(metrics);
     }
-    if let Some(reactor) = reactor {
+    for reactor in &reactors {
         reactor.shutdown();
     }
     let mut shed = client_transport.shed();
@@ -467,8 +393,8 @@ fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usiz
     }
 }
 
-/// The `throughput-sharded` experiment: ops/sec vs shard count, client
-/// concurrency and scheduling mode, on both live transports.
+/// The `throughput-sharded` experiment: ops/sec vs shard count and client
+/// concurrency, on both live transports.
 pub fn throughput_sharded(scale: Scale) -> Table {
     let shard_counts: &[usize] = &[1, 2, 4];
     let client_points: &[usize] = match scale {
@@ -479,20 +405,11 @@ pub fn throughput_sharded(scale: Scale) -> Table {
         Scale::Quick => (Duration::from_millis(200), Duration::from_millis(500), 1),
         Scale::Full => (Duration::from_millis(500), Duration::from_secs(2), 3),
     };
-    let reactor_workers = planet_cluster::default_workers();
-
-    // Mode sweep: the reactor across every shard count, and the
-    // thread-per-actor baseline at shards = 1 — the floor the reactor's
-    // single-shard point is judged against.
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    runs.push((1, 0));
-    for &shards in shard_counts {
-        runs.push((shards, reactor_workers));
-    }
+    let workers = planet_cluster::default_workers();
 
     let mut table = Table::new(
         "throughput-sharded",
-        "Live cluster: throughput vs replica shards per site (channel + tcp transports, reactor + thread-per-actor modes)",
+        "Live cluster: throughput vs replica shards per site (channel + tcp transports)",
         &[
             "shards",
             "transport",
@@ -506,24 +423,22 @@ pub fn throughput_sharded(scale: Scale) -> Table {
             "net p50",
         ],
     );
-    // Every (transport, mode, clients) combination, in display order.
-    let mut configs: Vec<(&'static str, usize, usize, usize)> = Vec::new();
+    // Every (transport, shards, clients) combination, in display order.
+    let mut configs: Vec<(&'static str, usize, usize)> = Vec::new();
     for &transport in &["channel", "tcp"] {
-        for &(shards, workers) in &runs {
+        for &shards in shard_counts {
             for &clients in client_points {
-                configs.push((transport, shards, workers, clients));
+                configs.push((transport, shards, clients));
             }
         }
     }
     // Trial-major order: one trial of every config, then the next round.
     // Ambient load on the host drifts over the minutes a full sweep takes;
     // interleaving spreads that drift across all configs instead of letting
-    // it bias whichever mode happened to run during a noisy stretch — the
-    // reactor-vs-baseline comparison is only meaningful if both modes
-    // sample the same conditions.
+    // it bias whichever config happened to run during a noisy stretch.
     let mut by_config: Vec<Vec<Point>> = configs.iter().map(|_| Vec::new()).collect();
     for trial in 0..trials {
-        for (i, &(transport, shards, workers, clients)) in configs.iter().enumerate() {
+        for (i, &(transport, shards, clients)) in configs.iter().enumerate() {
             let seed = 9000 + shards as u64 * 100 + clients as u64 + 1000 * trial as u64;
             by_config[i].push(match transport {
                 "tcp" => run_tcp_point(shards, workers, clients, warmup, window, seed),
@@ -550,7 +465,7 @@ pub fn throughput_sharded(scale: Scale) -> Table {
         points.push(point);
     }
     table.note(format!(
-        "{SITES} sites, {KEYS} keys, commutative increments, {} host core(s), median of {trials}; workers=0 rows are the thread-per-actor baseline, workers>0 rows the reactor runtime; channel points ride the 2ms-RTT fabric, tcp points raw loopback sockets",
+        "{SITES} sites, {KEYS} keys, commutative increments, {} host core(s), median of {trials}; workers is per reactor: channel points run one reactor and ride the 2ms-RTT fabric, tcp points run four (one per site, one for the clients) over raw loopback sockets",
         cores()
     ));
     if scale == Scale::Full {

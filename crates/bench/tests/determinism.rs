@@ -7,7 +7,7 @@
 //! gives up, and the reason the simulation stays the ground truth for every
 //! experiment; this test pins it against regressions from engine or
 //! protocol refactors (e.g. the factored `drive` step shared with the live
-//! node loop).
+//! reactor).
 
 use planet_core::{Planet, PlanetTxn, Protocol, SimDuration, TxnRecord};
 use planet_sim::{Partition, SimTime, SiteId, Spike};

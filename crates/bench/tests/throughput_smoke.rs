@@ -5,7 +5,7 @@
 //! (`commit_rate == 1.0` — commutative increments under Fast Paxos must
 //! never abort or time out at this scale), and throughput stays above a
 //! deliberately loose ops/s floor that only a scheduling regression (e.g.
-//! reintroducing a polling tick in the node loop) would trip. Results land
+//! reintroducing a polling tick in the worker loop) would trip. Results land
 //! in `BENCH_throughput_smoke.json` as a CI artifact.
 //!
 //! `#[ignore]`d because it is wall-clock-sensitive: run it explicitly with

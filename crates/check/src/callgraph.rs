@@ -23,7 +23,7 @@
 //! The graph records per-call-site token positions (for the race pass's
 //! "blocking call while a lock is held" check) and supports BFS with
 //! predecessor tracking so diagnostics can print a witness chain
-//! (`run_node` → `drive_into` → `on_message` → ...).
+//! (`drive_task` → `drive_into` → `on_message` → ...).
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::Workspace;
@@ -696,12 +696,12 @@ mod tests {
     #[test]
     fn workspace_graph_resolves_cross_crate_chain() {
         // The chain the per-file graph provably cannot follow:
-        // run_node --use-import--> drive_into --dyn-approx--> on_message
+        // drive_task --use-import--> drive_into --dyn-approx--> on_message
         // --field-type--> Replica::accept --field-type--> Store::accept_id.
         let w = ws(&[
             (
-                "crates/cluster/src/node.rs",
-                "use planet_sim::drive_into;\npub fn run_node() { drive_into(); }",
+                "crates/cluster/src/reactor.rs",
+                "use planet_sim::drive_into;\npub fn drive_task() { drive_into(); }",
             ),
             (
                 "crates/sim/src/actor.rs",
@@ -730,7 +730,7 @@ mod tests {
             ),
         ]);
         let g = w.graph();
-        let roots = g.fn_ids("crates/cluster/src/node.rs", "run_node");
+        let roots = g.fn_ids("crates/cluster/src/reactor.rs", "drive_task");
         assert_eq!(roots.len(), 1);
         let (reach, preds) = g.reachable_with_preds(roots.clone());
         let reached: Vec<(&str, &str)> = reach
@@ -751,14 +751,14 @@ mod tests {
         // Witness chain renders root-first.
         let accept = g.fn_ids("crates/storage/src/replica.rs", "accept")[0];
         let chain = g.chain(&preds, accept);
-        assert_eq!(chain.first().map(String::as_str), Some("run_node"));
+        assert_eq!(chain.first().map(String::as_str), Some("drive_task"));
         assert_eq!(chain.last().map(String::as_str), Some("accept"));
 
-        // The v2 per-file graph misses all of it: from run_node it reaches
-        // only run_node itself.
-        let node_file = w.file("crates/cluster/src/node.rs").unwrap();
+        // The v2 per-file graph misses all of it: from drive_task it reaches
+        // only drive_task itself.
+        let node_file = w.file("crates/cluster/src/reactor.rs").unwrap();
         let cg = CallGraph::build(node_file.toks());
-        let v2 = cg.reachable(cg.named("run_node").iter().copied());
+        let v2 = cg.reachable(cg.named("drive_task").iter().copied());
         assert_eq!(v2.len(), 1, "v2 same-file graph must not see cross-crate");
     }
 

@@ -2,18 +2,18 @@
 //! actor drive loop.
 //!
 //! A panic inside `Actor::on_message` tears down the whole single-threaded
-//! simulation; live, it kills the node thread and the site goes dark
-//! without the failure-injection machinery ever seeing it. The drive loops
-//! are the roots:
+//! simulation; live, it kills a reactor worker and every task homed on it
+//! goes dark without the failure-injection machinery ever seeing it. The
+//! drive loops are the roots ([`SCOPES`]):
 //!
 //! * `crates/mdcc/src`: every `on_message` / `on_start` body (the actor
 //!   handlers `planet_sim::drive` calls).
-//! * `crates/cluster/src`: `run_node` / `run_pool` (the live node drive
-//!   loops).
+//! * `crates/cluster/src`: `run_worker` / `drive_task` (the reactor's
+//!   worker loop and the per-task drive every live actor runs under).
 //!
 //! Reachability is **workspace-wide**: the roots are closed over the
 //! interprocedural call graph ([`crate::callgraph::WorkspaceGraph`]), so an
-//! `unwrap` three calls deep in `planet-storage` that `run_node` can reach
+//! `unwrap` three calls deep in `planet-storage` that `drive_task` can reach
 //! through `on_message` fires here, in the file where it lives. Each
 //! diagnostic carries the witness call chain from the root.
 //!
@@ -46,10 +46,12 @@ use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::passes::determinism::cfg_test_ranges;
 
-/// Scope → root function names.
-const SCOPES: &[(&str, &[&str])] = &[
+/// Scope → root function names. Every name must resolve to a function
+/// under its scope in the real workspace (a self-test holds it to that): a
+/// root that names a loop nobody runs audits nothing.
+pub const SCOPES: &[(&str, &[&str])] = &[
     ("crates/mdcc/src/", &["on_message", "on_start"]),
-    ("crates/cluster/src/", &["run_node", "run_pool"]),
+    ("crates/cluster/src/", &["run_worker", "drive_task"]),
 ];
 
 /// Panic-family macros flagged by PANIC002.

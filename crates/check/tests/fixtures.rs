@@ -849,9 +849,9 @@ impl ReplicaActor {
 #[test]
 fn panic_expect_in_cluster_drive_loop_fires() {
     let w = ws(&[(
-        "crates/cluster/src/node.rs",
+        "crates/cluster/src/reactor.rs",
         r#"
-fn run_node(rx: Receiver<Msg>) {
+fn run_worker(rx: Receiver<Msg>) {
     loop {
         let msg = rx.recv().expect("channel closed");
         dispatch(msg);
@@ -863,9 +863,9 @@ fn run_node(rx: Receiver<Msg>) {
     let hit = diags
         .iter()
         .find(|d| d.code == "PANIC001")
-        .expect("PANIC001 must fire in run_node");
-    assert!(hit.message.contains("run_node"));
-    assert_eq!(hit.file, "crates/cluster/src/node.rs");
+        .expect("PANIC001 must fire in run_worker");
+    assert!(hit.message.contains("run_worker"));
+    assert_eq!(hit.file, "crates/cluster/src/reactor.rs");
     assert_eq!(hit.line, 4);
 }
 

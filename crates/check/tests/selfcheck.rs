@@ -6,6 +6,7 @@
 use std::path::Path;
 
 use planet_check::passes::find_paths;
+use planet_check::passes::panic::SCOPES;
 use planet_check::{run_passes, Workspace};
 
 fn real_workspace() -> Workspace {
@@ -14,28 +15,29 @@ fn real_workspace() -> Workspace {
 }
 
 /// The drive loop in planet-cluster reaches, across three crates, the
-/// storage hot path: `run_node` (cluster) → `drive_into` (sim, via use-path
-/// import) → `on_message` (mdcc, via the dyn-dispatch approximation) →
-/// `accept_id` (storage, via the typed-receiver resolution). v2 built one
-/// call graph per file, so every one of these edges was invisible to it.
+/// storage hot path: `drive_task` (cluster) → `drive_into` (sim, via
+/// use-path import) → `on_message` (mdcc, via the dyn-dispatch
+/// approximation) → `accept_id` (storage, via the typed-receiver
+/// resolution). v2 built one call graph per file, so every one of these
+/// edges was invisible to it.
 #[test]
 fn graph_links_cluster_drive_loop_to_storage_hot_path() {
     let ws = real_workspace();
     let g = ws.graph();
 
-    let roots = g.fn_ids("crates/cluster/src/node.rs", "run_node");
-    assert!(!roots.is_empty(), "run_node must be a graph node");
+    let roots = g.fn_ids("crates/cluster/src/reactor.rs", "drive_task");
+    assert!(!roots.is_empty(), "drive_task must be a graph node");
     let (reach, preds) = g.reachable_with_preds(roots);
 
     let on_message = g.fn_ids("crates/mdcc/src/replica_actor.rs", "on_message");
     assert!(
         on_message.iter().any(|n| reach.contains(n)),
-        "run_node must reach the replica actor's on_message across crates"
+        "drive_task must reach the replica actor's on_message across crates"
     );
 
     let accept = g.fn_ids("crates/storage/src/replica.rs", "accept_id");
     let hit = accept.iter().copied().find(|n| reach.contains(n));
-    let hit = hit.expect("run_node must reach storage's accept_id across three crates");
+    let hit = hit.expect("drive_task must reach storage's accept_id across three crates");
 
     // The witness chain renders end-to-end, so diagnostics can show it.
     let chain = g.chain_text(&preds, hit);
@@ -44,9 +46,27 @@ fn graph_links_cluster_drive_loop_to_storage_hot_path() {
         "chain ends at the sink: {chain}"
     );
     assert!(
-        chain.contains("run_node"),
+        chain.contains("drive_task"),
         "chain starts at the root: {chain}"
     );
+}
+
+/// Every root the panic pass names is a function that exists under its
+/// scope. The pass skips a name it cannot find without a word, so a root
+/// that outlives the loop it named (as the thread-per-actor loops' names
+/// did, for ten PRs after the reactor replaced them) silently audits a
+/// runtime nobody runs — or nothing.
+#[test]
+fn every_panic_root_resolves_in_the_real_workspace() {
+    let ws = real_workspace();
+    for (scope, roots) in SCOPES {
+        for root in *roots {
+            let found = ws.files().iter().any(|file| {
+                file.path.starts_with(scope) && file.fns().iter().any(|f| f.name == *root)
+            });
+            assert!(found, "panic root `{root}` names no function under {scope}");
+        }
+    }
 }
 
 /// The panic pass, re-rooted on the workspace graph, reports findings in

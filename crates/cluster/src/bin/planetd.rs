@@ -1,7 +1,7 @@
 //! `planetd` — one live PLANET server process.
 //!
-//! Hosts one site's replica and coordinator on their own threads, speaking
-//! the length-prefixed wire format over TCP. Every `planetd` in a
+//! Hosts one site's replica shards and coordinator as tasks on a reactor,
+//! speaking the length-prefixed wire format over TCP. Every `planetd` in a
 //! deployment is started with the same `--addrs` list (the topology) and
 //! its own `--site` index:
 //!
@@ -13,14 +13,15 @@
 //!
 //! Drive it with `planet-load`. Actor ids follow the cluster convention:
 //! replica shard `s` of site `i` is `s*n + i` and coordinator `shards*n + i`,
-//! all living at `addrs[i]`. Every process must be started with the same
-//! `--shards` (defaults to `min(4, cores)`) or routing ids disagree.
+//! all living at `addrs[i]`. Every process of a deployment, `planet-load`
+//! included, must be started with the same `--shards` (default 1) or routing
+//! ids disagree.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use planet_cluster::{mailbox, spawn_node, Clock, PlaneConfig, Reactor, TcpTransport, Transport};
+use planet_cluster::{mailbox, Clock, PlaneConfig, Reactor, TcpTransport, Transport};
 use planet_mdcc::{ClusterConfig, CoordinatorActor, FileSink, Msg, Protocol, ReplicaActor, Trace};
 use planet_sim::{Actor, ActorId, SiteId};
 
@@ -38,26 +39,21 @@ fn usage() -> ! {
     eprintln!(
         "usage: planetd --site <i> --addrs <a0,a1,...> [--protocol fast|classic|twopc] [--shards <s>] [--workers <w>] [--run-secs <s>] [--trace <path>]\n\
          \x20 --workers: reactor worker threads driving this site's actors\n\
-         \x20            (default: host parallelism; 0 = thread per actor)\n\
+         \x20            (default: host parallelism; at least 1)\n\
          \x20 --trace: record this site's reads/commits/applies for planet-audit\n\
          \x20          (flushed on shutdown; use --run-secs for complete traces)"
     );
     std::process::exit(2);
 }
 
-/// Default shard count: one per core up to 4 (the point of diminishing
-/// returns for a single site's validation work).
-fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get().min(4))
-        .unwrap_or(1)
-}
-
 fn parse_args() -> Args {
     let mut site = None;
     let mut addrs = Vec::new();
     let mut protocol = Protocol::Fast;
-    let mut shards = default_shards();
+    // Every process of a deployment must agree on this, so the default is
+    // a constant (`ClusterConfig::new`'s and `planet-load`'s), never
+    // something derived from the local host.
+    let mut shards = 1;
     let mut workers = planet_cluster::default_workers();
     let mut run_secs = None;
     let mut trace = None;
@@ -91,6 +87,7 @@ fn parse_args() -> Args {
                 workers = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&w| w >= 1)
                     .unwrap_or_else(|| usage())
             }
             "--run-secs" => run_secs = args.next().and_then(|v| v.parse().ok()),
@@ -146,9 +143,8 @@ fn main() {
         transport.add_route((shards * n + site) as u32, *addr);
     }
 
-    // This site's actors: one replica per shard (each its own thread, with
-    // the shard's cross-site replication group as peers), plus the
-    // coordinator.
+    // This site's actors: one replica per shard (with the shard's
+    // cross-site replication group as peers), plus the coordinator.
     let mut local: Vec<(u32, Box<dyn Actor<Msg>>)> = Vec::new();
     for shard in 0..shards {
         let peers: Vec<ActorId> = replica_ids[shard * n..(shard + 1) * n].to_vec();
@@ -164,34 +160,19 @@ fn main() {
     local.push(((shards * n + args.site) as u32, coordinator));
     let plane = PlaneConfig::default().with_workers(args.workers);
     let seed = 0x5EED ^ args.site as u64;
-    // Reactor mode (workers > 0) multiplexes every actor as a task over the
-    // worker pool; workers == 0 keeps the thread-per-actor runtime.
-    let reactor = (plane.workers > 0).then(|| Reactor::new(clock, plane, seed));
+    let reactor = Reactor::new(clock, plane, seed);
     let mut nodes = Vec::new();
     for (id, actor) in local {
         let (tx, rx) = mailbox(plane.mailbox_capacity);
         transport.host(id, tx.clone());
-        nodes.push(match &reactor {
-            Some(reactor) => reactor.spawn(
-                ActorId(id),
-                SiteId(args.site as u8),
-                actor,
-                tx,
-                rx,
-                transport.clone() as Arc<dyn Transport>,
-            ),
-            None => spawn_node(
-                ActorId(id),
-                SiteId(args.site as u8),
-                actor,
-                tx,
-                rx,
-                transport.clone() as Arc<dyn Transport>,
-                clock,
-                seed,
-                plane,
-            ),
-        });
+        nodes.push(reactor.spawn(
+            ActorId(id),
+            SiteId(args.site as u8),
+            actor,
+            tx,
+            rx,
+            transport.clone() as Arc<dyn Transport>,
+        ));
     }
 
     let bound = match transport.listen(args.addrs[args.site]) {
@@ -202,14 +183,11 @@ fn main() {
         }
     };
     println!(
-        "planetd: site {} of {n} serving {shards} replica shard(s) and coordinator {} on {bound} ({:?}, {})",
+        "planetd: site {} of {n} serving {shards} replica shard(s) and coordinator {} on {bound} ({:?}, reactor x{})",
         args.site,
         shards * n + args.site,
         args.protocol,
-        match &reactor {
-            Some(r) => format!("reactor x{}", r.workers()),
-            None => "thread-per-actor".to_string(),
-        }
+        reactor.workers()
     );
 
     match args.run_secs {
@@ -230,10 +208,8 @@ fn main() {
             }
         }
     }
-    if let Some(reactor) = &reactor {
-        println!("planetd: {} task steals", reactor.steals());
-        reactor.shutdown();
-    }
+    println!("planetd: {} task steals", reactor.steals());
+    reactor.shutdown();
     let (flushes, bytes) = transport.io_stats();
     if flushes > 0 {
         println!(

@@ -367,8 +367,8 @@ impl ChannelTransport {
             // the horizon each µs-distinct due time costs its own futex
             // sleep/wake (~the whole per-message fabric budget at scale);
             // with it one wakeup clears a `slack`-wide window and the
-            // destination mailboxes receive bursts their node loop drains
-            // in a single wakeup. Heap order is due-time order, so early
+            // destination mailboxes receive bursts their task drains in a
+            // single drive. Heap order is due-time order, so early
             // delivery cannot reorder a (src, dst) pair.
             let horizon = self.clock.now() + slack;
             loop {

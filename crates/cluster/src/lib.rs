@@ -1,8 +1,8 @@
 //! # planet-cluster
 //!
-//! The live deployment mode: every MDCC replica and coordinator runs on its
-//! own OS thread, exchanging the exact protocol messages of `planet-mdcc`
-//! through a pluggable [`Transport`]:
+//! The live deployment mode: every MDCC replica, coordinator and client
+//! runs as a task on the [`Reactor`]'s worker threads, exchanging the exact
+//! protocol messages of `planet-mdcc` through a pluggable [`Transport`]:
 //!
 //! * [`ChannelTransport`] — in-process mailboxes behind a delay-injecting
 //!   fabric thread that applies the *same* [`NetworkModel`] the
@@ -12,13 +12,13 @@
 //!   wire format ([`wire`]), for multi-process deployments: the `planetd`
 //!   server binary and the `planet-load` driver.
 //!
-//! Protocol logic is not duplicated: nodes funnel every delivered message
-//! through [`planet_sim::drive`], the same factored step function the
-//! simulation engine calls, so a replica behaves identically whether the
-//! scheduler is a deterministic event heap or the OS. Live runs are *not*
-//! replayable (thread interleaving is real); the simulation remains the
-//! ground truth for experiments, and this crate is how the same stack
-//! serves real traffic.
+//! Protocol logic is not duplicated: the reactor funnels every delivered
+//! message through [`planet_sim::drive_into`], the same factored step
+//! function the simulation engine calls, so a replica behaves identically
+//! whether the scheduler is a deterministic event heap or a worker pool.
+//! Live runs are *not* replayable (thread interleaving is real); the
+//! simulation remains the ground truth for experiments, and this crate is
+//! how the same stack serves real traffic.
 //!
 //! [`NetworkModel`]: planet_sim::NetworkModel
 
@@ -37,9 +37,7 @@ pub mod wire;
 
 pub use channel::ChannelTransport;
 pub use load::{LoadClient, LoadRecord, PlanSource, SpecSource};
-pub use node::{
-    spawn_node, spawn_pool, CallFn, Clock, NodeHandle, Packet, PoolHandle, PoolMembers,
-};
+pub use node::{CallFn, Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 pub use plane::{
     default_workers, mailbox, MailboxReceiver, MailboxSender, PlaneConfig, TrySendError, Waker,
 };
@@ -101,13 +99,11 @@ impl LiveClusterBuilder {
     /// Spawn the server nodes: `num_shards` replicas and one coordinator
     /// per site, with the same dense shard-major actor-id layout the
     /// simulated cluster uses (replica `(site, shard)` at `shard*n + site`,
-    /// coordinators at `shards*n .. shards*n + n`). With
-    /// `plane.workers > 0` (the default) every node runs as a task on the
-    /// [`Reactor`]; `workers == 0` selects the legacy thread-per-actor
-    /// runtime, one OS thread per node.
+    /// coordinators at `shards*n .. shards*n + n`), every node a task on
+    /// one [`Reactor`] of `plane.workers` workers.
     pub fn build(self) -> LiveCluster {
         let clock = Clock::new();
-        let reactor = (self.plane.workers > 0).then(|| Reactor::new(clock, self.plane, self.seed));
+        let reactor = Reactor::new(clock, self.plane, self.seed);
         let transport = match self.net {
             Some(net) => ChannelTransport::with_network(
                 clock,
@@ -123,7 +119,7 @@ impl LiveClusterBuilder {
         let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
 
         // Build every actor and mailbox first, register them all with the
-        // transport, and only then spawn threads: an actor's on_start may
+        // transport, and only then spawn tasks: an actor's on_start may
         // send to peers that would otherwise not be routable yet.
         let mut pending = Vec::new();
         for shard in 0..shards {
@@ -158,26 +154,15 @@ impl LiveClusterBuilder {
         }
         let nodes = channels
             .into_iter()
-            .map(|(id, site, actor, tx, rx)| match &reactor {
-                Some(reactor) => reactor.spawn(
+            .map(|(id, site, actor, tx, rx)| {
+                reactor.spawn(
                     id,
                     site,
                     actor,
                     tx,
                     rx,
                     transport.clone() as Arc<dyn Transport>,
-                ),
-                None => spawn_node(
-                    id,
-                    site,
-                    actor,
-                    tx,
-                    rx,
-                    transport.clone() as Arc<dyn Transport>,
-                    clock,
-                    self.seed,
-                    self.plane,
-                ),
+                )
             })
             .collect();
         LiveCluster {
@@ -188,7 +173,6 @@ impl LiveClusterBuilder {
             clients: Vec::new(),
             pools: Vec::new(),
             next_client: ((shards + 1) * n) as u32,
-            seed: self.seed,
             plane: self.plane,
             reactor,
         }
@@ -234,8 +218,7 @@ impl Harvest {
 
 /// A live MDCC cluster on the in-process transport — the deployment-mode
 /// counterpart of the simulated cluster built by
-/// `planet_mdcc::build_cluster`. Actors run as tasks on the [`Reactor`]
-/// (default) or one OS thread each (`plane.workers == 0`).
+/// `planet_mdcc::build_cluster`. Actors run as tasks on one [`Reactor`].
 pub struct LiveCluster {
     transport: Arc<ChannelTransport>,
     clock: Clock,
@@ -245,13 +228,12 @@ pub struct LiveCluster {
     nodes: Vec<NodeHandle>,
     /// Client nodes, spawned on demand.
     clients: Vec<NodeHandle>,
-    /// Pooled client groups (many actors per thread), spawned on demand.
+    /// Pooled client groups (many actors per task), spawned on demand.
     pools: Vec<PoolHandle>,
     next_client: u32,
-    seed: u64,
     plane: PlaneConfig,
-    /// The shared reactor runtime, when `plane.workers > 0`.
-    reactor: Option<Arc<Reactor>>,
+    /// The runtime every node, client and pool of this cluster is a task on.
+    reactor: Arc<Reactor>,
 }
 
 impl LiveCluster {
@@ -286,14 +268,15 @@ impl LiveCluster {
         &self.transport
     }
 
-    /// The reactor hosting this cluster's actors, when the plane selected
-    /// the multiplexed runtime (`workers > 0`).
+    /// The reactor hosting this cluster's actors. Always `Some`: the
+    /// `Option` is what `perf/` compiles against, and tightening the
+    /// signature belongs to a change of the benchmark.
     pub fn reactor(&self) -> Option<&Arc<Reactor>> {
-        self.reactor.as_ref()
+        Some(&self.reactor)
     }
 
-    /// Spawn a client actor at `site` (a reactor task, or its own thread
-    /// under the legacy runtime), returning its id.
+    /// Spawn a client actor at `site` as a task of its own, returning its
+    /// id.
     pub fn spawn_client(&mut self, site: usize, actor: Box<dyn Actor<Msg>>) -> ActorId {
         let id = ActorId(self.next_client);
         self.next_client += 1;
@@ -301,98 +284,37 @@ impl LiveCluster {
         self.transport
             .register(id.0, SiteId(site as u8), tx.clone());
         let transport = self.transport.clone() as Arc<dyn Transport>;
-        let handle = match &self.reactor {
-            Some(reactor) => reactor.spawn(id, SiteId(site as u8), actor, tx, rx, transport),
-            None => spawn_node(
-                id,
-                SiteId(site as u8),
-                actor,
-                tx,
-                rx,
-                transport,
-                self.clock,
-                self.seed,
-                self.plane,
-            ),
-        };
+        let handle = self
+            .reactor
+            .spawn(id, SiteId(site as u8), actor, tx, rx, transport);
         self.clients.push(handle);
         id
     }
 
-    /// Spawn a *pool* of client actors at `site` sharing one thread and one
-    /// mailbox, returning their ids in order. Load generators use this
-    /// instead of [`spawn_client`](Self::spawn_client): hundreds of tiny
-    /// closed-loop clients on one thread per site keep a concurrency sweep
-    /// measuring the cluster rather than the OS scheduler. Pooled actors
-    /// cannot be addressed through [`NodeHandle::call`] / `inject`.
+    /// Spawn a *pool* of client actors at `site`, returning their ids in
+    /// order. Load generators use this instead of
+    /// [`spawn_client`](Self::spawn_client): the clients ride on one pool
+    /// task per worker ([`Reactor::spawn_pool_per_worker`]), so a
+    /// concurrency sweep measures the cluster rather than the scheduling of
+    /// hundreds of tiny tasks. Pooled actors cannot be addressed through
+    /// [`NodeHandle::call`] / `inject`.
     pub fn spawn_client_pool(
         &mut self,
         site: usize,
         actors: Vec<Box<dyn Actor<Msg>>>,
     ) -> Vec<ActorId> {
-        // Under the reactor, the pool becomes one task *per worker* (each
-        // hosting a chunk of the site's clients behind a shared mailbox):
-        // a task per client would pay the full scheduling cost — queue hop,
-        // state-word CAS, body checkout, cold task state — for every ~2
-        // messages a closed-loop client moves per wake, so a concurrency
-        // sweep would measure the reactor's scheduler instead of the
-        // cluster. Chunking keeps the batch amortization of the thread
-        // pool while the tasks stay stealable across workers.
-        if let Some(reactor) = self.reactor.clone() {
-            let chunk = actors.len().div_ceil(reactor.workers()).max(1);
-            let mut ids = Vec::new();
-            let mut remaining = actors.into_iter();
-            loop {
-                let group: Vec<Box<dyn Actor<Msg>>> = remaining.by_ref().take(chunk).collect();
-                if group.is_empty() {
-                    break;
-                }
-                let (tx, rx) = mailbox(self.plane.mailbox_capacity);
-                let members: PoolMembers = group
-                    .into_iter()
-                    .map(|actor| {
-                        let id = ActorId(self.next_client);
-                        self.next_client += 1;
-                        self.transport
-                            .register(id.0, SiteId(site as u8), tx.clone());
-                        (id, actor)
-                    })
-                    .collect();
-                let handle = reactor.spawn_pool(
-                    members,
-                    SiteId(site as u8),
-                    tx,
-                    rx,
-                    self.transport.clone() as Arc<dyn Transport>,
-                );
-                ids.extend(handle.ids.iter().copied());
-                self.pools.push(handle);
-            }
-            return ids;
-        }
-        let (tx, rx) = mailbox(self.plane.mailbox_capacity);
-        let members: PoolMembers = actors
-            .into_iter()
-            .map(|actor| {
-                let id = ActorId(self.next_client);
-                self.next_client += 1;
-                self.transport
-                    .register(id.0, SiteId(site as u8), tx.clone());
-                (id, actor)
-            })
-            .collect();
-        let handle = spawn_pool(
+        let site = SiteId(site as u8);
+        let first = self.next_client;
+        self.next_client += actors.len() as u32;
+        let members: PoolMembers = (first..).map(ActorId).zip(actors).collect();
+        let ids = members.iter().map(|(id, _)| *id).collect();
+        let transport = &self.transport;
+        self.pools.extend(self.reactor.spawn_pool_per_worker(
             members,
-            SiteId(site as u8),
-            tx,
-            rx,
-            self.transport.clone() as Arc<dyn Transport>,
-            self.clock,
-            self.seed,
-            self.plane,
-        );
-        let ids = handle.ids.clone();
-        self.pools.push(handle);
+            site,
+            transport.clone() as Arc<dyn Transport>,
+            |id, tx| transport.register(id.0, site, tx),
+        ));
         ids
     }
 
@@ -404,7 +326,7 @@ impl LiveCluster {
 
     /// The node handle of a server node (replica or coordinator) by actor
     /// id, for [`NodeHandle::call`] — e.g. installing a compiled plan on a
-    /// coordinator's thread.
+    /// coordinator between two of its messages.
     pub fn server(&self, id: ActorId) -> Option<&NodeHandle> {
         self.nodes.iter().find(|h| h.id == id)
     }
@@ -435,9 +357,7 @@ impl LiveCluster {
             actors.insert(id, harvested);
         }
         self.transport.stop();
-        if let Some(reactor) = self.reactor {
-            reactor.shutdown();
-        }
+        self.reactor.shutdown();
         Harvest {
             actors,
             dropped: self.transport.dropped(),
@@ -495,7 +415,7 @@ mod tests {
 
     #[test]
     fn pooled_clients_complete_transactions() {
-        // A pool drives many closed-loop clients on one thread per site;
+        // A pool drives many closed-loop clients as a few tasks per site;
         // every member must make progress and be harvested under its own
         // id, with the pool's shared metrics counted exactly once.
         let config = ClusterConfig::new(3, Protocol::Fast);
@@ -532,80 +452,65 @@ mod tests {
     }
 
     #[test]
-    fn replica_nodes_run_on_distinct_threads() {
-        // The legacy runtime's claim: thread-per-actor replicas are
-        // actually parallel. Ask each replica node for its thread id via a
-        // Call and compare. (The reactor deliberately breaks this property
-        // — many tasks share few workers.)
-        let config = ClusterConfig::new(3, Protocol::Fast);
-        let cluster = LiveCluster::builder(config)
-            .plane(PlaneConfig::thread_per_actor())
-            .build();
-        let (tx, rx) = channel();
-        for site in 0..3 {
-            let handle = &cluster.nodes[site];
-            let tx = tx.clone();
-            handle.call(move |_actor| {
-                let _ = tx.send(std::thread::current().id());
-                Vec::new()
-            });
-        }
-        let mut ids = std::collections::HashSet::new();
-        for _ in 0..3 {
-            ids.insert(rx.recv_timeout(Duration::from_secs(5)).expect("call ran"));
-        }
-        assert_eq!(ids.len(), 3, "three replicas, three distinct threads");
-        cluster.shutdown();
-    }
-
-    #[test]
     fn reactor_runtime_commits_and_reports_spans() {
-        // The reactor path end-to-end: servers and a client pool all run
-        // as tasks on two workers, transactions commit, and the harvested
-        // metrics carry the queueing span histogram.
-        let config = ClusterConfig::new(3, Protocol::Fast);
-        let mut cluster = LiveCluster::builder(config)
-            .plane(PlaneConfig::default().with_workers(2))
-            .seed(13)
-            .build();
-        let (tx, rx) = channel();
-        let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
-        let mut all_ids = Vec::new();
-        for site in 0..3 {
-            let coord = cluster.coordinator(site);
-            let actors: Vec<Box<dyn Actor<Msg>>> = (0..4)
-                .map(|_| {
-                    Box::new(LoadClient::new(coord, keys.clone(), tx.clone()))
-                        as Box<dyn Actor<Msg>>
-                })
-                .collect();
-            all_ids.extend(cluster.spawn_client_pool(site, actors));
-        }
-        drop(tx);
-        assert_eq!(all_ids.len(), 12);
-        let records = drain_until(&rx, 36, Duration::from_secs(20));
-        assert!(
-            records.len() >= 36,
-            "expected 36 completions from 12 reactor clients, got {}",
-            records.len()
-        );
-        assert!(records.iter().any(|r| r.outcome == Outcome::Committed));
-        let harvest = cluster.shutdown();
-        for id in &all_ids {
+        // The runtime end-to-end: servers and a client pool all run as
+        // tasks, every transaction commits (commutative increments under
+        // Fast Paxos never abort), and the harvested metrics carry all four
+        // latency-attribution spans. `workers: 0` is one more input: it is
+        // not a magic value any more, `Reactor::new` clamps it to one
+        // worker and the cluster commits all the same.
+        for (workers, expect_workers) in [(2, 2), (0, 1)] {
+            let config = ClusterConfig::new(3, Protocol::Fast);
+            let mut cluster = LiveCluster::builder(config)
+                .plane(PlaneConfig::default().with_workers(workers))
+                .seed(13)
+                .build();
+            assert_eq!(cluster.reactor().map(|r| r.workers()), Some(expect_workers));
+            let (tx, rx) = channel();
+            let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
+            let mut all_ids = Vec::new();
+            for site in 0..3 {
+                let coord = cluster.coordinator(site);
+                let actors: Vec<Box<dyn Actor<Msg>>> = (0..4)
+                    .map(|_| {
+                        Box::new(LoadClient::new(coord, keys.clone(), tx.clone()))
+                            as Box<dyn Actor<Msg>>
+                    })
+                    .collect();
+                all_ids.extend(cluster.spawn_client_pool(site, actors));
+            }
+            drop(tx);
+            assert_eq!(all_ids.len(), 12);
+            let records = drain_until(&rx, 36, Duration::from_secs(20));
             assert!(
-                harvest.actor_as::<LoadClient>(*id).is_some(),
-                "reactor client {id:?} missing from harvest"
+                records.len() >= 36,
+                "workers={workers}: expected 36 completions from 12 clients, got {}",
+                records.len()
             );
+            for rec in &records {
+                assert_eq!(rec.outcome, Outcome::Committed, "workers={workers}");
+            }
+            let harvest = cluster.shutdown();
+            assert_eq!(harvest.shed, 0, "workers={workers}: nothing should shed");
+            for id in &all_ids {
+                assert!(
+                    harvest.actor_as::<LoadClient>(*id).is_some(),
+                    "workers={workers}: client {id:?} missing from harvest"
+                );
+            }
+            let mut merged = harvest.merged_metrics();
+            for span in [
+                "span.queue_us",
+                "span.quorum_wait_us",
+                "span.wal_us",
+                "span.network_us",
+            ] {
+                assert!(
+                    merged.histogram(span).count() > 0,
+                    "workers={workers}: span histogram {span} is empty"
+                );
+            }
         }
-        let mut merged = harvest.merged_metrics();
-        assert!(
-            merged.histogram("span.queue_us").count() > 0,
-            "queueing span must be recorded"
-        );
-        assert!(
-            merged.histogram("span.wal_us").count() > 0,
-            "WAL span must be recorded on replicas"
-        );
     }
 
     #[test]

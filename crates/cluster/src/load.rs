@@ -5,7 +5,7 @@
 //! finishes. Completions stream to the driver over a channel, so the driver
 //! (the `throughput` experiment, or the `planet-load` binary) can compute
 //! ops/sec and latency percentiles over a measurement window without ever
-//! touching the actor's thread.
+//! touching the actor.
 
 use std::collections::HashMap;
 use std::sync::mpsc::Sender;

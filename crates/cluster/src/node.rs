@@ -1,40 +1,23 @@
-//! The thread-per-actor mailbox loop.
+//! What a live node is to the code that holds it: the shared [`Clock`], the
+//! [`Packet`]s its mailbox carries, and the [`NodeHandle`] / [`PoolHandle`]
+//! through which a harness calls into, injects into, and finally stops and
+//! harvests a spawned actor or actor pool.
 //!
-//! A live node owns one protocol actor (replica, coordinator or client) and
-//! runs it on its own OS thread. Events reach the node as [`Packet`]s
-//! through a bounded in-process mailbox; every delivered message is
-//! funnelled through [`planet_sim::drive_into`], the same factored step
-//! function the deterministic engine uses, so the protocol logic is
-//! byte-for-byte shared between the simulated and live worlds. Only the
-//! interpretation of the emitted [`Effect`]s differs: sends go to the
-//! node's [`Transport`], timers go on a local wall-clock heap.
-//!
-//! The loop is *batched*: one wakeup drains every ready packet (bounded by
-//! [`PlaneConfig::max_batch`]), drives the whole batch as one turn-group
-//! into a reused effect buffer, and flushes the accumulated sends with a
-//! single [`Transport::send_many`] call — one wakeup, zero steady-state
-//! allocations and one coalesced transport handoff per batch instead of one
-//! of each per message. Sleeps are exact: because a mailbox arrival wakes
-//! `recv_timeout` immediately, the node sleeps all the way to its next
-//! timer deadline instead of polling on a fixed tick (at 256 clients the
-//! old 5 ms tick alone cost tens of thousands of wakeups per second).
-//!
-//! [`Effect`]: planet_sim::Effect
+//! Every actor runs as a task on the [`Reactor`](crate::reactor::Reactor),
+//! which funnels each delivered message through [`planet_sim::drive_into`],
+//! the same factored step function the deterministic engine uses, so the
+//! protocol logic is byte-for-byte shared between the simulated and live
+//! worlds. The handles here are what `Reactor::spawn` / `spawn_pool` return.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use planet_mdcc::Msg;
-use planet_sim::{
-    drive_into, drive_start, Actor, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs,
-};
+use planet_sim::{Actor, ActorId, Metrics, SimTime};
 
-use crate::plane::{MailboxReceiver, MailboxSender, PlaneConfig};
-use crate::transport::{Envelope, Transport};
+use crate::plane::MailboxSender;
+use crate::reactor::TaskCore;
+use crate::transport::Envelope;
 
 /// A shared wall-clock epoch. Every node and the delay fabric of a cluster
 /// share one clock, so "now" is consistent across threads and maps directly
@@ -65,8 +48,8 @@ impl Default for Clock {
     }
 }
 
-/// A closure executed on the node's thread with exclusive access to its
-/// actor. The returned messages are delivered to the actor immediately
+/// A closure executed by the worker driving the node's task, with exclusive
+/// access to its actor. The returned messages are delivered to the actor immediately
 /// afterwards (as if self-sent), which is how facade-level operations such
 /// as staging a transaction and firing its submit timer stay atomic with
 /// respect to protocol traffic.
@@ -76,80 +59,27 @@ pub type CallFn = Box<dyn FnOnce(&mut dyn Actor<Msg>) -> Vec<Msg> + Send>;
 pub enum Packet {
     /// A protocol message from another actor.
     Env(Envelope),
-    /// Run a closure against the actor on its own thread.
+    /// Run a closure against the actor, between two of its messages.
     Call(CallFn),
-    /// Drain and stop; the thread returns its actor for harvesting.
+    /// Stop; the task finalizes and publishes its actor for harvesting.
     Stop,
 }
 
-/// A timer pending on a node's local heap.
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    msg: Msg,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// How long a node with no pending timer sleeps before re-checking its
-/// world. Purely a liveness backstop: packets (including `Stop`) wake the
-/// blocked `recv_timeout` immediately, and a pending timer always bounds
-/// the sleep by its exact deadline, so this tick does no latency work.
-const IDLE_WAIT: Duration = Duration::from_millis(500);
-
-/// How a spawned node is hosted: a dedicated OS thread (the legacy
-/// runtime) or a schedulable task on the reactor.
-enum NodeBackend {
-    Thread(JoinHandle<(Box<dyn Actor<Msg>>, Metrics)>),
-    Task(Arc<crate::reactor::TaskCore>),
-}
-
-/// A handle to a spawned node: its id, its mailbox, and the backend
+/// A handle to a spawned node: its id, its mailbox, and the reactor task
 /// through which the actor (and the node's private metrics registry) is
-/// recovered at shutdown. The handle's API is runtime-agnostic: `call`,
-/// `inject` and `stop_and_join` behave identically whether the actor owns
-/// an OS thread or is one task among many on a reactor worker.
+/// recovered at shutdown.
 pub struct NodeHandle {
     /// The actor this node runs.
     pub id: ActorId,
     /// The node's mailbox.
     pub mailbox: MailboxSender,
-    backend: NodeBackend,
+    pub(crate) core: Arc<TaskCore>,
 }
 
 impl NodeHandle {
-    /// Wrap a reactor task in the node-handle API. Used by
-    /// [`Reactor::spawn`](crate::reactor::Reactor::spawn).
-    pub(crate) fn from_task(
-        id: ActorId,
-        mailbox: MailboxSender,
-        core: Arc<crate::reactor::TaskCore>,
-    ) -> Self {
-        NodeHandle {
-            id,
-            mailbox,
-            backend: NodeBackend::Task(core),
-        }
-    }
-
-    /// Run `f` with exclusive access to the actor (on its node thread, or
-    /// on whichever reactor worker drives the task next); messages it
-    /// returns are delivered to the actor immediately after.
+    /// Run `f` with exclusive access to the actor (on whichever reactor
+    /// worker drives the task next); messages it returns are delivered to
+    /// the actor immediately after.
     pub fn call(&self, f: impl FnOnce(&mut dyn Actor<Msg>) -> Vec<Msg> + Send + 'static) {
         let _ = self.mailbox.send(Packet::Call(Box::new(f)));
     }
@@ -167,568 +97,35 @@ impl NodeHandle {
     /// Stop the node and recover its actor and metrics.
     pub fn stop_and_join(self) -> (Box<dyn Actor<Msg>>, Metrics) {
         let _ = self.mailbox.send(Packet::Stop);
-        match self.backend {
-            NodeBackend::Thread(join) => join.join().expect("node thread panicked"),
-            NodeBackend::Task(core) => {
-                let (mut members, metrics) = core.wait_finished();
-                let (_, actor) = members
-                    .pop()
-                    .expect("single-actor task harvests one member");
-                (actor, metrics)
-            }
-        }
+        let (mut members, metrics) = self.core.wait_finished();
+        let (_, actor) = members
+            .pop()
+            .expect("single-actor task harvests one member");
+        (actor, metrics)
     }
 }
 
-/// Spawn a node thread running `actor` as `id` at `site`.
-///
-/// The caller supplies the mailbox receiver (so it can register the matching
-/// sender with the transport *before* any thread starts — actors may emit
-/// sends from `on_start`). `seed` feeds the node's private deterministic
-/// RNG; live runs are not replayable (the OS scheduler orders events), but
-/// per-node jitter sampling stays well-defined. `plane` sets the drain
-/// batch bound.
-#[allow(clippy::too_many_arguments)] // a node's full wiring, spelled out
-pub fn spawn_node(
-    id: ActorId,
-    site: SiteId,
-    actor: Box<dyn Actor<Msg>>,
-    mailbox: MailboxSender,
-    rx: MailboxReceiver,
-    transport: Arc<dyn Transport>,
-    clock: Clock,
-    seed: u64,
-    plane: PlaneConfig,
-) -> NodeHandle {
-    let join = std::thread::Builder::new()
-        .name(format!("planet-node-{}", id.0))
-        .spawn(move || run_node(id, site, actor, rx, transport, clock, seed, plane))
-        .expect("spawn node thread");
-    NodeHandle {
-        id,
-        mailbox,
-        backend: NodeBackend::Thread(join),
-    }
-}
-
-/// A pool's member list: each actor with its id. What [`spawn_pool`]
-/// consumes and [`PoolHandle::stop_and_join`] gives back.
+/// A pool's member list: each actor with its id. What
+/// [`Reactor::spawn_pool`](crate::reactor::Reactor::spawn_pool) consumes and
+/// [`PoolHandle::stop_and_join`] gives back.
 pub type PoolMembers = Vec<(ActorId, Box<dyn Actor<Msg>>)>;
 
-/// How a spawned pool is hosted: a dedicated OS thread or one schedulable
-/// task on the reactor.
-enum PoolBackend {
-    Thread(JoinHandle<(PoolMembers, Metrics)>),
-    Task(Arc<crate::reactor::TaskCore>),
-}
-
 /// A handle to a spawned actor pool: the member ids, the shared mailbox,
-/// and the backend through which the actors (and the pool's metrics
+/// and the reactor task through which the actors (and the pool's metrics
 /// registry) are recovered at shutdown.
 pub struct PoolHandle {
     /// Ids of the pooled actors, in spawn order.
     pub ids: Vec<ActorId>,
     /// The pool's shared mailbox (every member id routes here).
     pub mailbox: MailboxSender,
-    backend: PoolBackend,
+    pub(crate) core: Arc<TaskCore>,
 }
 
 impl PoolHandle {
-    /// Wrap a pooled reactor task in the pool-handle API. Used by
-    /// [`Reactor::spawn_pool`](crate::reactor::Reactor::spawn_pool).
-    pub(crate) fn from_task(
-        ids: Vec<ActorId>,
-        mailbox: MailboxSender,
-        core: Arc<crate::reactor::TaskCore>,
-    ) -> Self {
-        PoolHandle {
-            ids,
-            mailbox,
-            backend: PoolBackend::Task(core),
-        }
-    }
-
     /// Stop the pool and recover every member actor plus the pool's shared
     /// metrics registry.
     pub fn stop_and_join(self) -> (PoolMembers, Metrics) {
         let _ = self.mailbox.send(Packet::Stop);
-        match self.backend {
-            PoolBackend::Thread(join) => join.join().expect("pool thread panicked"),
-            PoolBackend::Task(core) => core.wait_finished(),
-        }
+        self.core.wait_finished()
     }
-}
-
-/// Spawn one thread driving a *pool* of actors at `site` behind a single
-/// shared mailbox.
-///
-/// Thread-per-actor is the right shape for the handful of stateful server
-/// nodes, but a load generator wants hundreds of tiny closed-loop clients —
-/// and one OS thread per client makes a concurrency sweep measure the
-/// kernel scheduler instead of the system (256 runnable threads on a small
-/// host is all context-switch and cache churn). A pool keeps the actor
-/// model intact — every member keeps its own id, RNG and mailbox-ordered
-/// delivery — while one wakeup drains the whole pool's traffic and flushes
-/// every member's sends as one coalesced transport batch.
-///
-/// The caller registers each member id against the shared mailbox before
-/// any traffic flows. `Packet::Call` is not routable to a member (it names
-/// no addressee) and is counted and dropped — pools are for headless load
-/// actors; facade clients that need `call`/`inject` get their own node via
-/// [`spawn_node`].
-#[allow(clippy::too_many_arguments)] // a pool's full wiring, spelled out
-pub fn spawn_pool(
-    members: PoolMembers,
-    site: SiteId,
-    mailbox: MailboxSender,
-    rx: MailboxReceiver,
-    transport: Arc<dyn Transport>,
-    clock: Clock,
-    seed: u64,
-    plane: PlaneConfig,
-) -> PoolHandle {
-    assert!(!members.is_empty(), "a pool needs at least one member");
-    let ids: Vec<ActorId> = members.iter().map(|(id, _)| *id).collect();
-    let first = ids[0].0;
-    let join = std::thread::Builder::new()
-        .name(format!("planet-pool-{first}"))
-        .spawn(move || run_pool(site, members, rx, transport, clock, seed, plane))
-        .expect("spawn pool thread");
-    PoolHandle {
-        ids,
-        mailbox,
-        backend: PoolBackend::Thread(join),
-    }
-}
-
-/// Everything one turn-group mutates: the timer heap, the pending send
-/// batch, and the run flag. Effects drain into it after every drive.
-struct NodeState {
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
-    outbox: Vec<Envelope>,
-    running: bool,
-}
-
-impl NodeState {
-    /// Apply one turn's effects: sends accumulate in the outbox for the
-    /// next coalesced flush, timers go on the local heap.
-    fn absorb(&mut self, effects: &mut Vec<Effect<Msg>>, id: ActorId, now: SimTime) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { dst, msg } => self.outbox.push(Envelope {
-                    from: id,
-                    to: dst,
-                    msg,
-                }),
-                Effect::Timer { delay, msg } => {
-                    self.timers.push(Reverse(TimerEntry {
-                        at: now + delay,
-                        seq: self.timer_seq,
-                        msg,
-                    }));
-                    self.timer_seq += 1;
-                }
-                Effect::Halt => self.running = false,
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_node(
-    id: ActorId,
-    site: SiteId,
-    mut actor: Box<dyn Actor<Msg>>,
-    rx: MailboxReceiver,
-    transport: Arc<dyn Transport>,
-    clock: Clock,
-    seed: u64,
-    plane: PlaneConfig,
-) -> (Box<dyn Actor<Msg>>, Metrics) {
-    let mut rng = DetRng::new(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id.0 as u64 + 1)));
-    let mut metrics = Metrics::new();
-    let max_batch = plane.max_batch.max(1);
-    let mut state = NodeState {
-        timers: BinaryHeap::new(),
-        timer_seq: 0,
-        outbox: Vec::new(),
-        running: true,
-    };
-    // Reused across every turn: zero steady-state allocation per message.
-    let mut effects: Vec<Effect<Msg>> = Vec::new();
-    let mut batch: Vec<(Packet, Instant)> = Vec::with_capacity(max_batch);
-
-    let inputs = |now: SimTime| TurnInputs {
-        now,
-        self_id: id,
-        self_site: site,
-    };
-
-    let start = drive_start(actor.as_mut(), inputs(clock.now()), &mut rng, &mut metrics);
-    effects.extend(start.effects);
-    state.absorb(&mut effects, id, clock.now());
-
-    while state.running {
-        // Fire every due timer (self-sent, like the engine's timer path).
-        loop {
-            let now = clock.now();
-            match state.timers.peek() {
-                Some(Reverse(entry)) if entry.at <= now => {
-                    let Some(Reverse(entry)) = state.timers.pop() else {
-                        break;
-                    };
-                    drive_into(
-                        actor.as_mut(),
-                        inputs(now),
-                        id,
-                        entry.msg,
-                        &mut rng,
-                        &mut metrics,
-                        &mut effects,
-                    );
-                    state.absorb(&mut effects, id, now);
-                }
-                _ => break,
-            }
-        }
-        // Flush the turn-group's sends as one coalesced transport batch.
-        if !state.outbox.is_empty() {
-            transport.send_many(&mut state.outbox);
-        }
-        if !state.running {
-            break;
-        }
-        // Sleep exactly until the next timer deadline (a packet arrival
-        // wakes the channel immediately, so long waits are safe), or the
-        // idle backstop when no timer is pending.
-        let wait = match state.timers.peek() {
-            Some(Reverse(entry)) => entry.at.since(clock.now()).to_std(),
-            None => IDLE_WAIT,
-        };
-        match rx.recv_timeout_stamped(wait) {
-            Ok(first) => {
-                batch.push(first);
-                while batch.len() < max_batch {
-                    match rx.try_recv_stamped() {
-                        Ok(packet) => batch.push(packet),
-                        Err(_) => break,
-                    }
-                }
-                metrics.histogram("plane.batch").record(batch.len() as u64);
-                metrics
-                    .histogram("plane.mailbox.depth")
-                    .record(rx.depth() as u64);
-                let drained_at = Instant::now();
-                for (packet, enqueued) in batch.drain(..) {
-                    metrics
-                        .histogram("span.queue_us")
-                        .record(drained_at.saturating_duration_since(enqueued).as_micros() as u64);
-                    match packet {
-                        Packet::Env(env) => {
-                            let now = clock.now();
-                            let wal = crate::reactor::is_wal_class(&env.msg);
-                            let before = if wal { Some(Instant::now()) } else { None };
-                            drive_into(
-                                actor.as_mut(),
-                                inputs(now),
-                                env.from,
-                                env.msg,
-                                &mut rng,
-                                &mut metrics,
-                                &mut effects,
-                            );
-                            if let Some(before) = before {
-                                metrics
-                                    .histogram("span.wal_us")
-                                    .record(before.elapsed().as_micros() as u64);
-                            }
-                            state.absorb(&mut effects, id, now);
-                        }
-                        Packet::Call(f) => {
-                            let followups = f(actor.as_mut());
-                            for msg in followups {
-                                let now = clock.now();
-                                drive_into(
-                                    actor.as_mut(),
-                                    inputs(now),
-                                    id,
-                                    msg,
-                                    &mut rng,
-                                    &mut metrics,
-                                    &mut effects,
-                                );
-                                state.absorb(&mut effects, id, now);
-                            }
-                        }
-                        Packet::Stop => {
-                            state.running = false;
-                        }
-                    }
-                    if !state.running {
-                        break;
-                    }
-                }
-                if !state.outbox.is_empty() {
-                    transport.send_many(&mut state.outbox);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-    // The mailbox's deepest point, preserved as the histogram max so merged
-    // registries report a cluster-wide high-water mark.
-    metrics
-        .histogram("plane.mailbox.depth")
-        .record(rx.high_water() as u64);
-    (actor, metrics)
-}
-
-/// A timer pending on a pool's shared heap, tagged with the member it
-/// belongs to.
-struct PoolTimer {
-    at: SimTime,
-    seq: u64,
-    member: usize,
-    msg: Msg,
-}
-
-impl PartialEq for PoolTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for PoolTimer {}
-impl PartialOrd for PoolTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PoolTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// One pooled actor: id, state, and a private RNG seeded exactly as a
-/// dedicated node's would be.
-struct PoolMember {
-    id: ActorId,
-    actor: Box<dyn Actor<Msg>>,
-    rng: DetRng,
-}
-
-/// Apply one pooled turn's effects: sends accumulate in the shared outbox,
-/// timers go on the shared heap tagged with the member index.
-#[allow(clippy::too_many_arguments)]
-fn absorb_pool(
-    effects: &mut Vec<Effect<Msg>>,
-    outbox: &mut Vec<Envelope>,
-    timers: &mut BinaryHeap<Reverse<PoolTimer>>,
-    timer_seq: &mut u64,
-    member: usize,
-    id: ActorId,
-    now: SimTime,
-    running: &mut bool,
-) {
-    for effect in effects.drain(..) {
-        match effect {
-            Effect::Send { dst, msg } => outbox.push(Envelope {
-                from: id,
-                to: dst,
-                msg,
-            }),
-            Effect::Timer { delay, msg } => {
-                timers.push(Reverse(PoolTimer {
-                    at: now + delay,
-                    seq: *timer_seq,
-                    member,
-                    msg,
-                }));
-                *timer_seq += 1;
-            }
-            Effect::Halt => *running = false,
-        }
-    }
-}
-
-fn run_pool(
-    site: SiteId,
-    members: PoolMembers,
-    rx: MailboxReceiver,
-    transport: Arc<dyn Transport>,
-    clock: Clock,
-    seed: u64,
-    plane: PlaneConfig,
-) -> (PoolMembers, Metrics) {
-    let mut metrics = Metrics::new();
-    let max_batch = plane.max_batch.max(1);
-    let mut pool: Vec<PoolMember> = members
-        .into_iter()
-        .map(|(id, actor)| PoolMember {
-            id,
-            actor,
-            rng: DetRng::new(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id.0 as u64 + 1))),
-        })
-        .collect();
-    let by_id: std::collections::HashMap<u32, usize> = pool
-        .iter()
-        .enumerate()
-        .map(|(idx, m)| (m.id.0, idx))
-        .collect();
-    let mut timers: BinaryHeap<Reverse<PoolTimer>> = BinaryHeap::new();
-    let mut timer_seq = 0u64;
-    let mut outbox: Vec<Envelope> = Vec::new();
-    let mut running = true;
-    // Reused across every turn: zero steady-state allocation per message.
-    let mut effects: Vec<Effect<Msg>> = Vec::new();
-    let mut batch: Vec<(Packet, Instant)> = Vec::with_capacity(max_batch);
-
-    let inputs = |id: ActorId, now: SimTime| TurnInputs {
-        now,
-        self_id: id,
-        self_site: site,
-    };
-
-    for (idx, member) in pool.iter_mut().enumerate() {
-        let now = clock.now();
-        let start = drive_start(
-            member.actor.as_mut(),
-            inputs(member.id, now),
-            &mut member.rng,
-            &mut metrics,
-        );
-        effects.extend(start.effects);
-        absorb_pool(
-            &mut effects,
-            &mut outbox,
-            &mut timers,
-            &mut timer_seq,
-            idx,
-            member.id,
-            now,
-            &mut running,
-        );
-    }
-
-    while running {
-        // Fire every due timer across the pool.
-        loop {
-            let now = clock.now();
-            match timers.peek() {
-                Some(Reverse(entry)) if entry.at <= now => {
-                    let Some(Reverse(entry)) = timers.pop() else {
-                        break;
-                    };
-                    let Some(member) = pool.get_mut(entry.member) else {
-                        break; // timer for a member that was never pooled
-                    };
-                    drive_into(
-                        member.actor.as_mut(),
-                        inputs(member.id, now),
-                        member.id,
-                        entry.msg,
-                        &mut member.rng,
-                        &mut metrics,
-                        &mut effects,
-                    );
-                    absorb_pool(
-                        &mut effects,
-                        &mut outbox,
-                        &mut timers,
-                        &mut timer_seq,
-                        entry.member,
-                        member.id,
-                        now,
-                        &mut running,
-                    );
-                }
-                _ => break,
-            }
-        }
-        // One coalesced flush for the whole pool's turn-group.
-        if !outbox.is_empty() {
-            transport.send_many(&mut outbox);
-        }
-        if !running {
-            break;
-        }
-        let wait = match timers.peek() {
-            Some(Reverse(entry)) => entry.at.since(clock.now()).to_std(),
-            None => IDLE_WAIT,
-        };
-        match rx.recv_timeout_stamped(wait) {
-            Ok(first) => {
-                batch.push(first);
-                while batch.len() < max_batch {
-                    match rx.try_recv_stamped() {
-                        Ok(packet) => batch.push(packet),
-                        Err(_) => break,
-                    }
-                }
-                metrics.histogram("plane.batch").record(batch.len() as u64);
-                metrics
-                    .histogram("plane.mailbox.depth")
-                    .record(rx.depth() as u64);
-                let drained_at = Instant::now();
-                for (packet, enqueued) in batch.drain(..) {
-                    metrics
-                        .histogram("span.queue_us")
-                        .record(drained_at.saturating_duration_since(enqueued).as_micros() as u64);
-                    match packet {
-                        Packet::Env(env) => {
-                            let Some(&idx) = by_id.get(&env.to.0) else {
-                                metrics.counter("plane.pool.misrouted").add(1);
-                                continue;
-                            };
-                            let now = clock.now();
-                            let Some(member) = pool.get_mut(idx) else {
-                                metrics.counter("plane.pool.misrouted").add(1);
-                                continue;
-                            };
-                            drive_into(
-                                member.actor.as_mut(),
-                                inputs(member.id, now),
-                                env.from,
-                                env.msg,
-                                &mut member.rng,
-                                &mut metrics,
-                                &mut effects,
-                            );
-                            absorb_pool(
-                                &mut effects,
-                                &mut outbox,
-                                &mut timers,
-                                &mut timer_seq,
-                                idx,
-                                member.id,
-                                now,
-                                &mut running,
-                            );
-                        }
-                        Packet::Call(_) => {
-                            // A call names no member; see `spawn_pool` docs.
-                            metrics.counter("plane.pool.dropped_call").add(1);
-                        }
-                        Packet::Stop => {
-                            running = false;
-                        }
-                    }
-                    if !running {
-                        break;
-                    }
-                }
-                if !outbox.is_empty() {
-                    transport.send_many(&mut outbox);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-    metrics
-        .histogram("plane.mailbox.depth")
-        .record(rx.high_water() as u64);
-    (pool.into_iter().map(|m| (m.id, m.actor)).collect(), metrics)
 }

@@ -12,7 +12,7 @@
 //!
 //! [`PlaneConfig`] carries the two knobs ([`max_batch`], the mailbox
 //! capacity) plus the fabric shard count, and travels from
-//! `LiveClusterBuilder` / `LivePlanetBuilder` down to the node loops.
+//! `LiveClusterBuilder` / `LivePlanetBuilder` down to the reactor's workers.
 //!
 //! [`max_batch`]: PlaneConfig::max_batch
 //! [`ChannelTransport`]: crate::ChannelTransport
@@ -51,17 +51,18 @@ pub struct PlaneConfig {
     /// fabric thread wakes it delivers every held message due within the
     /// next `fabric_slack_us`, not just the one whose timer fired — one
     /// futex sleep/wake cycle then covers a whole window of deliveries, and
-    /// destinations receive bursts their node loop drains in one wakeup.
+    /// destinations receive bursts their task drains in one drive.
     /// Messages may arrive up to this much *early*; keep it well under the
     /// smallest modelled cross-site delay (per-pair FIFO is unaffected).
     /// The same horizon caps how long a reactor worker may hold a pending
     /// coalesced flush before handing it to the transport.
     pub fabric_slack_us: u64,
-    /// Reactor worker threads driving the cluster's actors. `0` selects the
-    /// legacy thread-per-actor runtime (one OS thread per node, pools for
-    /// clients); any positive count runs every actor as a schedulable task
-    /// on a sharded-run-queue reactor with work stealing. Defaults to the
-    /// host's available parallelism.
+    /// Reactor worker threads driving the cluster's actors, each actor a
+    /// schedulable task on a sharded-run-queue reactor with work stealing.
+    /// Defaults to the host's available parallelism; [`Reactor::new`] runs
+    /// at least one worker whatever this says.
+    ///
+    /// [`Reactor::new`]: crate::Reactor::new
     pub workers: usize,
 }
 
@@ -82,30 +83,7 @@ impl Default for PlaneConfig {
 }
 
 impl PlaneConfig {
-    /// The pre-batching plane, for A/B comparison in benches: one packet per
-    /// wakeup, one fabric thread delivering at exact due times, a mailbox
-    /// deep enough that backpressure never engages, and the thread-per-actor
-    /// runtime.
-    pub fn unbatched() -> Self {
-        PlaneConfig {
-            max_batch: 1,
-            mailbox_capacity: 65_536,
-            fabric_shards: 1,
-            fabric_slack_us: 0,
-            workers: 0,
-        }
-    }
-
-    /// The thread-per-actor runtime with otherwise-default knobs: the A/B
-    /// baseline the reactor is measured against.
-    pub fn thread_per_actor() -> Self {
-        PlaneConfig {
-            workers: 0,
-            ..PlaneConfig::default()
-        }
-    }
-
-    /// Override the reactor worker count (`0` = thread-per-actor).
+    /// Override the reactor worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -231,7 +209,7 @@ impl MailboxSender {
     }
 }
 
-/// The receiving half of a bounded mailbox, owned by the node loop. Dropping
+/// The receiving half of a bounded mailbox, owned by the node's task. Dropping
 /// it marks the mailbox closed and unblocks every waiting sender.
 pub struct MailboxReceiver {
     rx: Receiver<(Instant, Packet)>,
@@ -242,7 +220,9 @@ pub struct MailboxReceiver {
 impl MailboxReceiver {
     /// Receive one packet, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet, RecvTimeoutError> {
-        self.recv_timeout_stamped(timeout).map(|(p, _)| p)
+        let (_, packet) = self.rx.recv_timeout(timeout)?;
+        self.note_dequeue();
+        Ok(packet)
     }
 
     /// Receive one packet if one is already queued.
@@ -250,18 +230,8 @@ impl MailboxReceiver {
         self.try_recv_stamped().map(|(p, _)| p)
     }
 
-    /// [`recv_timeout`](Self::recv_timeout), also yielding when the packet
-    /// was enqueued — the base of the `span.queue` measurement.
-    pub fn recv_timeout_stamped(
-        &self,
-        timeout: Duration,
-    ) -> Result<(Packet, Instant), RecvTimeoutError> {
-        let (at, packet) = self.rx.recv_timeout(timeout)?;
-        self.note_dequeue();
-        Ok((packet, at))
-    }
-
-    /// [`try_recv`](Self::try_recv), also yielding the enqueue instant.
+    /// [`try_recv`](Self::try_recv), also yielding when the packet was
+    /// enqueued — the base of the `span.queue` measurement.
     pub fn try_recv_stamped(&self) -> Result<(Packet, Instant), TryRecvError> {
         let (at, packet) = self.rx.try_recv()?;
         self.note_dequeue();

@@ -1,13 +1,17 @@
-//! The reactor message plane: N workers driving many actors each.
+//! The reactor message plane: N workers driving many actors each — the one
+//! runtime every live actor runs on.
 //!
-//! Thread-per-actor made every replica shard, coordinator and client an OS
-//! thread. At 3 sites x 4 shards plus coordinators and client pools the
-//! host scheduler — not the protocol — dominates the profile: tens of
-//! runnable threads context-switch and thrash caches on a small machine,
-//! and the sharded sweep recorded sharding *overhead*. The reactor inverts
-//! the shape: a fixed pool of [`PlaneConfig::workers`] OS threads drives
-//! every actor as a schedulable *task* — its mailbox, its `drive` state
-//! (actor, RNG, metrics, outbox) and its scheduling word.
+//! An OS thread per replica shard, coordinator and client does not scale
+//! down: at 3 sites x 4 shards plus coordinators and client pools the host
+//! scheduler — not the protocol — dominates the profile, tens of runnable
+//! threads context-switching and thrashing caches on a small machine. So a
+//! fixed pool of [`PlaneConfig::workers`] OS threads drives every actor as
+//! a schedulable *task* — its mailbox, its `drive` state (actor, RNG,
+//! metrics, outbox) and its scheduling word. Every delivered message is
+//! funnelled through [`planet_sim::drive_into`], the step function the
+//! deterministic engine uses; only the interpretation of the emitted
+//! effects differs (sends go to the task's [`Transport`], timers on the
+//! driving worker's wheel).
 //!
 //! Scheduling is a sharded run queue with work stealing:
 //!
@@ -18,14 +22,14 @@
 //!   strand runnable tasks behind one busy worker.
 //! * The per-task scheduling word (idle / queued / running / running+
 //!   notified) guarantees exactly one worker drives a task at a time —
-//!   actor state never needs a lock of its own, exactly as in the
-//!   thread-per-actor world.
+//!   actor state never needs a lock of its own.
 //!
-//! Timers go on a per-worker hashed [`TimerWheel`] instead of a per-thread
-//! `BinaryHeap` + exact `recv_timeout` sleep: one `advance` per loop fires
-//! everything due, and an idle worker parks until the wheel's next
-//! deadline. Outbound sends coalesce across tasks driven back-to-back on
-//! the same worker and flush as one `send_many` batch, capped by
+//! Timers go on a per-worker hashed [`TimerWheel`]: one `advance` per loop
+//! fires everything due, and an idle worker parks until the wheel's next
+//! deadline — a sleep that is exact, because a mailbox arrival or a wake
+//! cuts it short, so no polling tick is needed. Outbound sends coalesce
+//! across tasks driven back-to-back on the same worker and flush as one
+//! `send_many` batch, capped by
 //! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
 //! transport when it fills, when the worker runs out of tasks, or when its
 //! oldest envelope has waited a full horizon — whichever comes first — so
@@ -42,7 +46,7 @@ use planet_sim::{
 };
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
-use crate::plane::{MailboxReceiver, MailboxSender, PlaneConfig};
+use crate::plane::{mailbox, MailboxReceiver, MailboxSender, PlaneConfig};
 use crate::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::transport::{Envelope, Transport};
 use crate::wheel::{TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK_US};
@@ -60,8 +64,8 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const RUNNING_NOTIFIED: u8 = 3;
 
-/// One actor hosted by a task: id, state, and a private RNG seeded exactly
-/// as a dedicated node's would be.
+/// One actor hosted by a task: id, state, and a private RNG seeded from
+/// the reactor's seed and the actor's id.
 struct TaskMember {
     id: ActorId,
     actor: Box<dyn Actor<Msg>>,
@@ -74,14 +78,12 @@ struct TaskMember {
 /// called.
 ///
 /// A task hosts one *or more* members behind its single mailbox. The
-/// multi-member shape exists for the same reason [`spawn_pool`] does on the
-/// thread runtime: hundreds of tiny closed-loop clients each completing
+/// multi-member shape ([`Reactor::spawn_pool`]) exists for load
+/// generators: hundreds of tiny closed-loop clients each completing
 /// ~2 messages per wake would pay the full scheduling cost (queue hop,
 /// state-word CAS, body checkout, cold task state) per message, where a
 /// pool amortizes one drive across a whole batch of its members' traffic.
 /// Members keep private ids and RNGs; routing is by envelope destination.
-///
-/// [`spawn_pool`]: crate::node::spawn_pool
 struct TaskBody {
     site: SiteId,
     members: Vec<TaskMember>,
@@ -292,6 +294,8 @@ impl Parker {
                 let (guard, _) = self
                     .cv
                     .wait_timeout(notified, timeout)
+                    // Errs only when the lock is poisoned, i.e. a holder
+                    // already panicked (the `.lock()` idiom): check:allow(panic)
                     .expect("lock poisoned");
                 notified = guard;
             }
@@ -343,10 +347,14 @@ impl ReactorInner {
     /// mutex and its condvar.
     fn enqueue(&self, home: usize, task: Arc<TaskCore>) {
         {
+            // `home` is a `TaskCore::home` (taken modulo `workers.len()` at
+            // spawn) or the calling worker's own index: check:allow(panic)
             let mut queue = self.workers[home].queue.lock().expect("lock poisoned");
             queue.push_back(task);
         }
+        // check:allow(panic): `home` < `workers.len()`, as above
         if self.workers[home].parker.parked.load(Ordering::SeqCst) {
+            // check:allow(panic): `home` < `workers.len()`, as above
             self.workers[home].parker.notify();
             return;
         }
@@ -370,6 +378,8 @@ impl ReactorInner {
     /// Pop the next runnable task for worker `w`: its own queue first,
     /// then a steal sweep over its peers.
     fn next_task(&self, w: usize) -> Option<(Arc<TaskCore>, bool)> {
+        // `w` is the calling worker's index, one of the `0..workers.len()`
+        // `Reactor::new` hands out: check:allow(panic)
         if let Some(task) = self.workers[w]
             .queue
             .lock()
@@ -381,6 +391,7 @@ impl ReactorInner {
         let n = self.workers.len();
         for step in 1..n {
             let victim = (w + step) % n;
+            // check:allow(panic): taken modulo `n == workers.len()`
             let stolen = self.workers[victim]
                 .queue
                 .lock()
@@ -445,6 +456,7 @@ impl PendingFlush {
             None => {
                 self.slots
                     .push((Arc::clone(transport), Vec::new(), Instant::now()));
+                // check:allow(panic): non-empty, pushed on the line above
                 self.slots.last_mut().expect("just pushed")
             }
         };
@@ -482,8 +494,8 @@ impl PendingFlush {
 
 /// The reactor runtime: worker threads, their shared queues, and the spawn
 /// surface. One reactor hosts every actor of a process (servers and
-/// clients alike) — [`Reactor::spawn`] returns the same [`NodeHandle`] the
-/// thread-per-actor runtime does, so harness code is runtime-agnostic.
+/// clients alike); harness code holds the [`NodeHandle`]s and
+/// [`PoolHandle`]s its spawn calls return.
 pub struct Reactor {
     inner: Arc<ReactorInner>,
     joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -491,8 +503,9 @@ pub struct Reactor {
 
 impl Reactor {
     /// Start a reactor with `plane.workers` workers (at least one) sharing
-    /// `clock`. `seed` feeds each task's private deterministic RNG exactly
-    /// as `spawn_node` would.
+    /// `clock`. `seed` feeds each task's private deterministic RNG; live
+    /// runs are not replayable (the OS scheduler orders events), but
+    /// per-actor jitter sampling stays well-defined.
     pub fn new(clock: Clock, plane: PlaneConfig, seed: u64) -> Arc<Reactor> {
         let workers = plane.workers.max(1);
         let inner = Arc::new(ReactorInner {
@@ -519,6 +532,8 @@ impl Reactor {
                 std::thread::Builder::new()
                     .name(format!("planet-reactor-{w}"))
                     .spawn(move || run_worker(w, inner))
+                    // Start-up, on the caller's thread; no worker calls this
+                    // (reached by a by-name `new` edge): check:allow(panic)
                     .expect("spawn reactor worker")
             })
             .collect();
@@ -551,8 +566,9 @@ impl Reactor {
         )
     }
 
-    /// Spawn `actor` as a reactor task, mirroring `spawn_node`'s contract:
-    /// the caller registered `mailbox` with the transport already, and the
+    /// Spawn `actor` as a reactor task. The caller has registered `mailbox`
+    /// with the transport already (actors may emit sends from `on_start`,
+    /// so every peer must be routable before any task starts), and the
     /// actor's `on_start` runs on a worker as soon as the task is first
     /// scheduled (which happens before this call returns control flow to
     /// message delivery — the wake hook is installed first, so no arrival
@@ -567,17 +583,18 @@ impl Reactor {
         transport: Arc<dyn Transport>,
     ) -> NodeHandle {
         let core = self.spawn_task(vec![(id, actor)], site, rx, transport);
-        NodeHandle::from_task(id, mailbox, core)
+        NodeHandle { id, mailbox, core }
     }
 
     /// Spawn one task driving a *pool* of actors behind a single shared
-    /// mailbox, mirroring [`spawn_pool`](crate::node::spawn_pool)'s
-    /// contract on the thread runtime: the caller registered each member id
-    /// against `mailbox` already, members keep private ids and RNGs, one
-    /// drive drains the whole pool's traffic, and `Packet::Call` (which
-    /// names no member) is counted and dropped. The pool is one schedulable
-    /// task — it migrates between workers like any other, so load
-    /// generators stay stealable without paying per-client scheduling.
+    /// mailbox: the caller registered each member id against `mailbox`
+    /// already, members keep private ids and RNGs, one drive drains the
+    /// whole pool's traffic, and `Packet::Call` (which names no member) is
+    /// counted and dropped — pools are for headless load actors; facade
+    /// clients that need `call` / `inject` get a task of their own via
+    /// [`spawn`](Self::spawn). The pool is one schedulable task — it
+    /// migrates between workers like any other, so load generators stay
+    /// stealable without paying per-client scheduling.
     pub fn spawn_pool(
         self: &Arc<Self>,
         members: PoolMembers,
@@ -589,7 +606,36 @@ impl Reactor {
         assert!(!members.is_empty(), "a pool needs at least one member");
         let ids: Vec<ActorId> = members.iter().map(|(id, _)| *id).collect();
         let core = self.spawn_task(members, site, rx, transport);
-        PoolHandle::from_task(ids, mailbox, core)
+        PoolHandle { ids, mailbox, core }
+    }
+
+    /// Spawn a site's load clients as one pool task *per worker*, each
+    /// hosting `ceil(len / workers)` of `members` behind a mailbox of its
+    /// own. A task per client would pay the full scheduling cost for every
+    /// ~2 messages a closed-loop client moves per wake, so a concurrency
+    /// sweep would measure the scheduler instead of the cluster; one pool
+    /// for all of them could not spread over the workers. `route` makes an
+    /// id reachable at its chunk's mailbox (`ChannelTransport::register`,
+    /// `TcpTransport::host`) and runs before that chunk's task exists.
+    pub fn spawn_pool_per_worker(
+        self: &Arc<Self>,
+        members: PoolMembers,
+        site: SiteId,
+        transport: Arc<dyn Transport>,
+        mut route: impl FnMut(ActorId, MailboxSender),
+    ) -> Vec<PoolHandle> {
+        let chunk = members.len().div_ceil(self.workers()).max(1);
+        let mut members = members.into_iter().peekable();
+        let mut pools = Vec::new();
+        while members.peek().is_some() {
+            let group: PoolMembers = members.by_ref().take(chunk).collect();
+            let (tx, rx) = mailbox(self.inner.plane.mailbox_capacity);
+            for (id, _) in &group {
+                route(*id, tx.clone());
+            }
+            pools.push(self.spawn_pool(group, site, tx, rx, Arc::clone(&transport)));
+        }
+        pools
     }
 
     /// The shared spawn path: build the task core, install the wake hook,
@@ -684,7 +730,7 @@ impl Drop for Reactor {
 
 /// True for message classes whose replica-side drive is dominated by
 /// validation + WAL append: what the `span.wal_us` histogram times.
-pub(crate) fn is_wal_class(msg: &Msg) -> bool {
+fn is_wal_class(msg: &Msg) -> bool {
     matches!(
         msg,
         Msg::Propose { .. } | Msg::FastPropose { .. } | Msg::Replicate { .. }
@@ -741,6 +787,7 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
                 };
                 let began = Instant::now();
                 inner.parks.fetch_add(1, Ordering::Relaxed);
+                // check:allow(panic): `w` is this worker's own index
                 inner.workers[w]
                     .parker
                     .park_unless(timeout, || inner.has_runnable());
@@ -788,6 +835,7 @@ fn drive_task(
         body.started = true;
         for idx in 0..body.members.len() {
             let now = inner.clock.now();
+            // check:allow(panic): `idx` ranges over `0..members.len()`
             let member = &mut body.members[idx];
             let start = drive_start(
                 member.actor.as_mut(),
@@ -802,8 +850,7 @@ fn drive_task(
     // A backlogged task (a coordinator fielding a whole site's clients)
     // gets several batch rounds in one scheduling slot: going to the back
     // of the run queue after every 64 messages would make its backlog age
-    // by a full round-robin cycle per batch — exactly the continuous
-    // drain a dedicated node thread gets for free. Rounds are bounded so
+    // by a full round-robin cycle per batch. Rounds are bounded so
     // one hot task cannot monopolize its worker, and each round hands its
     // sends to the coalescing buffer (which self-flushes at `max_batch`
     // and is horizon-checked between rounds).
@@ -820,6 +867,7 @@ fn drive_task(
                 continue; // timer for a member that was never pooled
             }
             let now = inner.clock.now();
+            // check:allow(panic): `idx < members.len()` was checked just above
             let member = &mut body.members[idx];
             drive_into(
                 member.actor.as_mut(),
@@ -832,7 +880,7 @@ fn drive_task(
             );
             absorb_effects(task, &mut body, idx, wheel, now, &mut halted);
         }
-        // Mailbox packets, batched exactly as the node loop batches.
+        // Mailbox packets, up to what is left of the batch budget.
         let mut drained = 0u64;
         while budget > 0 && !halted {
             let Ok((packet, enqueued)) = body.rx.try_recv_stamped() else {
@@ -858,6 +906,8 @@ fn drive_task(
                     let now = inner.clock.now();
                     let wal = is_wal_class(&env.msg);
                     let before = if wal { Some(Instant::now()) } else { None };
+                    // `idx` comes out of `by_id`, built over `members` at spawn,
+                    // or is 0 on a single-member task: check:allow(panic)
                     let member = &mut body.members[idx];
                     drive_into(
                         member.actor.as_mut(),
@@ -881,10 +931,12 @@ fn drive_task(
                         body.metrics.counter("plane.pool.dropped_call").add(1);
                         continue;
                     }
+                    // check:allow(panic): a task has at least one member
                     let member = &mut body.members[0];
                     let followups = f(member.actor.as_mut());
                     for msg in followups {
                         let now = inner.clock.now();
+                        // check:allow(panic): a task has at least one member
                         let member = &mut body.members[0];
                         drive_into(
                             member.actor.as_mut(),
@@ -963,6 +1015,7 @@ fn absorb_effects(
     now: SimTime,
     halted: &mut bool,
 ) {
+    // check:allow(panic): every caller passes the index it just drove
     let id = body.members[member].id;
     for effect in body.effects.drain(..) {
         match effect {

@@ -16,7 +16,7 @@ pub struct Envelope {
 
 /// A message fabric: anything that can carry an [`Envelope`] from one live
 /// actor to another. Implementations decide delivery latency, loss, and
-/// ordering; the node loops above are transport-agnostic.
+/// ordering; the reactor above is transport-agnostic.
 ///
 /// Backpressure: a send *may* block while the destination's bounded mailbox
 /// is full — that is the mechanism that keeps queues (and therefore queueing

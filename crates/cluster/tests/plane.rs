@@ -1,5 +1,5 @@
-//! Message-plane behavior through a live node: exact timer wakeups,
-//! transport-level backpressure, and submit shedding.
+//! Message-plane behavior through a live node: exact timer wake-ups on the
+//! reactor, transport-level backpressure, and submit shedding.
 
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -9,13 +9,13 @@ use std::time::{Duration, Instant};
 use planet_cluster::node::{Clock, Packet};
 use planet_cluster::plane::{mailbox, PlaneConfig};
 use planet_cluster::transport::{Envelope, Transport};
-use planet_cluster::{spawn_node, ChannelTransport};
+use planet_cluster::{ChannelTransport, Reactor};
 use planet_mdcc::{Msg, Outcome, TxnSpec};
 use planet_sim::{Actor, ActorId, Context, SimDuration, SiteId};
 use planet_storage::{Key, WriteOp};
 
 /// Records the wall-clock instant each message reaches it; schedules one
-/// long timer at start so the node loop has a distant deadline to sleep
+/// long timer at start so the worker has a distant deadline to park
 /// toward.
 struct Probe {
     started: Instant,
@@ -35,11 +35,11 @@ impl Actor<Msg> for Probe {
     }
 }
 
-/// A message arriving while the node sleeps toward a distant timer deadline
-/// must be handled immediately — not after the timer, and not on the next
-/// tick of some polling interval. Guards the removal of the old 5 ms
-/// `recv_timeout` cap (the fix here is that the sleep is *exact*, bounded
-/// only by the next deadline, because a mailbox arrival interrupts it).
+/// A message arriving while the task's only worker is parked toward a
+/// distant timer deadline must be handled immediately — not after the
+/// timer, and not on the next tick of some polling interval: the park is
+/// *exact*, bounded only by the wheel's next deadline, because a mailbox
+/// arrival's wake hook cuts it short.
 #[test]
 fn message_mid_timer_wait_is_handled_before_the_timer() {
     let clock = Clock::new();
@@ -50,22 +50,20 @@ fn message_mid_timer_wait_is_handled_before_the_timer() {
         timer_delay: SimDuration::from_millis(400),
         events: events_tx,
     });
-    let plane = PlaneConfig::default();
+    let plane = PlaneConfig::default().with_workers(1);
+    let reactor = Reactor::new(clock, plane, 1);
     let (tx, rx) = mailbox(plane.mailbox_capacity);
     transport.register(1, SiteId(0), tx.clone());
-    let node = spawn_node(
+    let node = reactor.spawn(
         ActorId(1),
         SiteId(0),
         probe,
         tx,
         rx,
         Arc::clone(&transport) as Arc<dyn Transport>,
-        clock,
-        1,
-        plane,
     );
 
-    // Let the node settle into its 400 ms sleep, then poke it.
+    // Let the worker settle into its 400 ms park, then poke the task.
     thread::sleep(Duration::from_millis(100));
     transport.send(Envelope {
         from: ActorId(2),
@@ -79,7 +77,7 @@ fn message_mid_timer_wait_is_handled_before_the_timer() {
     assert_eq!(kind, 7, "the injected message is handled first");
     assert!(
         env_at < Duration::from_millis(300),
-        "handled at {env_at:?}, i.e. only after the timer deadline — the node was not woken"
+        "handled at {env_at:?}, i.e. only after the timer deadline — the worker was not woken"
     );
 
     let (timer_at, kind) = events_rx
@@ -91,6 +89,7 @@ fn message_mid_timer_wait_is_handled_before_the_timer() {
         "timer fired early at {timer_at:?}"
     );
     node.stop_and_join();
+    reactor.shutdown();
 }
 
 /// Protocol (non-`Submit`) traffic into a full mailbox blocks the sender —

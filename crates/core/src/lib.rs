@@ -22,7 +22,7 @@
 //! Entry points: [`Planet`] (deterministic simulated deployment, used by all
 //! experiments), [`RealtimePlanet`] (the same simulation paced against the
 //! wall clock, for interactive demos), and [`LivePlanet`] (the same stack
-//! deployed thread-per-actor on `planet-cluster`'s live transport).
+//! deployed on `planet-cluster`'s reactor and live transport).
 
 #![warn(missing_docs)]
 

@@ -2,16 +2,16 @@
 //! programming model — progress callbacks, commit-likelihood prediction,
 //! speculative commits, chained transactions — served by a
 //! [`planet_cluster::LiveCluster`], where every replica, coordinator and
-//! per-site client runs on its own OS thread and real (wall-clock) time
-//! drives the network model.
+//! per-site client runs as a task on the reactor's worker threads and real
+//! (wall-clock) time drives the network model.
 //!
 //! The protocol and client logic are byte-for-byte the ones the simulation
-//! runs: nodes step the very same actors through [`planet_sim::drive`], and
-//! the per-site [`ClientActor`] is shared unchanged. What changes is only
-//! the scheduler (OS threads instead of the deterministic event heap) and
-//! the transport (the in-process channel fabric). Live runs are therefore
-//! *not* replayable; the simulated [`Planet`](crate::Planet) remains the
-//! ground truth for experiments.
+//! runs: the reactor steps the very same actors through
+//! [`planet_sim::drive_into`], and the per-site [`ClientActor`] is shared
+//! unchanged. What changes is only the scheduler (worker threads instead of
+//! the deterministic event heap) and the transport (the in-process channel
+//! fabric). Live runs are therefore *not* replayable; the simulated
+//! [`Planet`](crate::Planet) remains the ground truth for experiments.
 //!
 //! ```no_run
 //! use planet_core::{LivePlanet, PlanetTxn, TxnEvent};
@@ -123,7 +123,7 @@ impl LivePlanetBuilder {
         self
     }
 
-    /// Spawn the cluster: replica, coordinator and client threads at every
+    /// Spawn the cluster: replica, coordinator and client tasks at every
     /// site of the topology.
     pub fn build(self) -> LivePlanet {
         let num_sites = self.topology.num_sites();
@@ -159,7 +159,7 @@ impl LivePlanetBuilder {
 
 /// A live PLANET deployment: the full stack of
 /// [`Planet`](crate::Planet) — replicas, coordinators, per-site clients with
-/// prediction and admission — running thread-per-actor on the in-process
+/// prediction and admission — running on the reactor and the in-process
 /// transport, against the wall clock.
 pub struct LivePlanet {
     cluster: LiveCluster,
@@ -192,7 +192,7 @@ impl LivePlanet {
         &self.event_rx
     }
 
-    /// Submit a transaction at `site`. Returns once the site's client thread
+    /// Submit a transaction at `site`. Returns once the site's client task
     /// has staged and scheduled it; the outcome arrives on
     /// [`LivePlanet::events`].
     pub fn submit(&mut self, site: usize, txn: PlanetTxn) -> TxnHandle {
@@ -211,7 +211,7 @@ impl LivePlanet {
     }
 
     /// Install a compiled transaction program under `plan` on every
-    /// coordinator and client thread — the live twin of
+    /// coordinator and client task — the live twin of
     /// [`Planet::install_program`](crate::Planet::install_program). Returns
     /// once every coordinator has compiled and accepted the program.
     pub fn install_program(&mut self, plan: PlanId, program: TxnProgram) -> Result<(), PlanError> {
@@ -248,7 +248,7 @@ impl LivePlanet {
     /// Chain a transaction behind another at the same site, exactly as
     /// [`Planet::submit_after`](crate::Planet::submit_after): launched when
     /// `after` reaches `trigger`, cancelled if `after` fails. The
-    /// predecessor's current state is resolved on the client thread, so
+    /// predecessor's current state is resolved inside the client task, so
     /// there is no race with an in-flight outcome.
     pub fn submit_after(
         &mut self,
@@ -289,7 +289,7 @@ impl LivePlanet {
     }
 
     /// Admission statistics `(admitted, refused)` for one site, read from
-    /// the live client thread.
+    /// the live client task.
     pub fn admission_stats(&self, site: usize) -> (u64, u64) {
         let (reply_tx, reply_rx) = channel();
         self.client_node(site).call(move |actor| {
@@ -299,7 +299,7 @@ impl LivePlanet {
         reply_rx.recv().expect("client node gone")
     }
 
-    /// Stop every thread (clients, then coordinators, then replicas) and
+    /// Stop every task (clients, then coordinators, then replicas) and
     /// harvest the deployment for inspection.
     pub fn shutdown(self) -> LiveHarvest {
         let LivePlanet {

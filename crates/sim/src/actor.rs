@@ -55,7 +55,7 @@ pub struct Context<'a, M> {
 /// A side effect emitted by an actor handler.
 ///
 /// Public so that *drivers other than the simulation engine* — the live
-/// cluster's thread-per-actor mailbox loops in `planet-cluster` — can apply
+/// cluster's reactor in `planet-cluster` — can apply
 /// the effects of a [`drive`] call to their own fabric. Within the
 /// deterministic engine, effects are still applied in emission order by the
 /// scheduler.

@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use planet_cluster::{
-    mailbox, spawn_node, Clock, LoadClient, LoadRecord, PlaneConfig, PoolMembers, Reactor,
-    SpecSource, TcpTransport, Transport,
+    Clock, LoadClient, LoadRecord, PlaneConfig, PoolMembers, Reactor, SpecSource, TcpTransport,
+    Transport,
 };
 use planet_mdcc::{FileSink, Msg, Outcome, Trace};
 use planet_sim::metrics::Histogram;
@@ -49,7 +49,7 @@ fn usage() -> ! {
         "usage: planet-load --addrs <a0,a1,...> [--clients <n>] [--secs <s>] [--keys <k>] [--shards <s>]\n\
          \x20                 [--workers <w>] [--workload <name>] [--trace <path>]\n\
          \x20 --workers: reactor worker threads multiplexing the clients\n\
-         \x20            (default: host parallelism; 0 = thread per client)\n\
+         \x20            (default: host parallelism; at least 1)\n\
          \x20 --workload: replace the increment mix with an anomaly recipe ({})\n\
          \x20 --trace: append client-observed outcomes in planet-audit trace format",
         ANOMALY_WORKLOADS.join(", ")
@@ -94,7 +94,7 @@ fn parse_args() -> Args {
                 Some(v) => shards = v,
                 None => usage(),
             },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
+            "--workers" => match args.next().and_then(|v| v.parse().ok()).filter(|&w| w >= 1) {
                 Some(v) => workers = v,
                 None => usage(),
             },
@@ -164,9 +164,7 @@ fn main() {
     };
 
     let plane = PlaneConfig::default().with_workers(args.workers);
-    // Reactor mode (workers > 0) multiplexes the clients as pooled tasks
-    // over the worker threads; workers == 0 keeps a thread per client.
-    let reactor = (plane.workers > 0).then(|| Reactor::new(clock, plane, 0x10AD));
+    let reactor = Reactor::new(clock, plane, 0x10AD);
     let (results_tx, results_rx) = channel::<LoadRecord>();
     let make_client = |site: usize| -> Box<dyn Actor<Msg>> {
         let mut load = LoadClient::new(
@@ -183,73 +181,28 @@ fn main() {
         }
         Box::new(load)
     };
-    let mut nodes = Vec::new();
+    // Each site's clients become one pool task per worker.
     let mut pools = Vec::new();
-    match &reactor {
-        // Clients chunk into one pool task per worker per site — a task
-        // per client would pay the full scheduling cost for every ~2
-        // messages of work, while chunks keep batch amortization and stay
-        // stealable across workers.
-        Some(reactor) => {
-            for site in 0..n {
-                let ids: Vec<u32> = (0..args.clients)
-                    .filter(|k| k % n == site)
-                    .map(|k| (coord_base + n + k) as u32)
-                    .collect();
-                if ids.is_empty() {
-                    continue;
-                }
-                let chunk = ids.len().div_ceil(reactor.workers()).max(1);
-                for group in ids.chunks(chunk) {
-                    let (tx, rx) = mailbox(plane.mailbox_capacity);
-                    let members: PoolMembers = group
-                        .iter()
-                        .map(|&id| {
-                            transport.host(id, tx.clone());
-                            (ActorId(id), make_client(site))
-                        })
-                        .collect();
-                    pools.push(reactor.spawn_pool(
-                        members,
-                        SiteId(site as u8),
-                        tx,
-                        rx,
-                        transport.clone() as Arc<dyn Transport>,
-                    ));
-                }
-            }
-        }
-        None => {
-            for k in 0..args.clients {
-                let site = k % n;
-                let id = (coord_base + n + k) as u32;
-                let (tx, rx) = mailbox(plane.mailbox_capacity);
-                transport.host(id, tx.clone());
-                nodes.push(spawn_node(
-                    ActorId(id),
-                    SiteId(site as u8),
-                    make_client(site),
-                    tx,
-                    rx,
-                    transport.clone() as Arc<dyn Transport>,
-                    clock,
-                    0x10AD ^ k as u64,
-                    plane,
-                ));
-            }
-        }
+    for site in 0..n {
+        let members: PoolMembers = (0..args.clients)
+            .filter(|k| k % n == site)
+            .map(|k| (ActorId((coord_base + n + k) as u32), make_client(site)))
+            .collect();
+        pools.extend(reactor.spawn_pool_per_worker(
+            members,
+            SiteId(site as u8),
+            transport.clone() as Arc<dyn Transport>,
+            |id, tx| transport.host(id.0, tx),
+        ));
     }
     drop(results_tx);
     println!(
-        "planet-load: {} clients across {n} sites, {} keys, {}s window, {} mix, {}",
+        "planet-load: {} clients across {n} sites, {} keys, {}s window, {} mix, reactor x{}",
         args.clients,
         args.keys,
         args.secs,
         args.workload.as_deref().unwrap_or("increment"),
-        match &reactor {
-            Some(r) => format!("reactor x{}", r.workers()),
-            None => "thread-per-client".to_string(),
-        }
+        reactor.workers()
     );
 
     let window = Duration::from_secs(args.secs);
@@ -258,13 +211,15 @@ fn main() {
     let mut latencies = Histogram::new();
     let mut committed = 0u64;
     let mut aborted = 0u64;
+    let mut timed_out = 0u64;
     while started.elapsed() < window {
         let remaining = window.saturating_sub(started.elapsed());
         if let Ok(record) = results_rx.recv_timeout(remaining.min(Duration::from_millis(100))) {
             latencies.record(record.latency_us());
             match record.outcome {
                 Outcome::Committed => committed += 1,
-                _ => aborted += 1,
+                Outcome::Aborted => aborted += 1,
+                Outcome::TimedOut => timed_out += 1,
             }
         }
     }
@@ -272,16 +227,8 @@ fn main() {
 
     let mut batch = Histogram::new();
     let mut depth = Histogram::new();
-    let mut harvested = Vec::new();
-    for node in nodes {
-        let (_, metrics) = node.stop_and_join();
-        harvested.push(metrics);
-    }
     for pool in pools {
         let (_, metrics) = pool.stop_and_join();
-        harvested.push(metrics);
-    }
-    for metrics in harvested {
         for (name, hist) in metrics.histograms() {
             match name {
                 "plane.batch" => batch.merge(hist),
@@ -290,10 +237,8 @@ fn main() {
             }
         }
     }
-    if let Some(reactor) = &reactor {
-        println!("planet-load: {} task steals", reactor.steals());
-        reactor.shutdown();
-    }
+    println!("planet-load: {} task steals", reactor.steals());
+    reactor.shutdown();
     let (flushes, bytes) = transport.io_stats();
     transport.stop();
     if let Some(sink) = &trace_sink {
@@ -302,8 +247,24 @@ fn main() {
         }
     }
 
-    let total = committed + aborted;
-    println!("planet-load: {total} txns in {elapsed:.2}s ({committed} committed, {aborted} other)");
+    let total = committed + aborted + timed_out;
+    println!(
+        "planet-load: {total} txns in {elapsed:.2}s ({committed} committed, {} other)",
+        aborted + timed_out
+    );
+    if committed + aborted == 0 {
+        // A run that measured nothing must not look like a run that
+        // measured zero.
+        let addrs: Vec<String> = args.addrs.iter().map(|a| a.to_string()).collect();
+        eprintln!(
+            "planet-load: no transaction committed or aborted ({timed_out} timed out): no server reachable at {}, \
+             or --shards {} is not the servers' (coordinators are addressed as ids {coord_base}..{})",
+            addrs.join(","),
+            args.shards,
+            coord_base + n,
+        );
+        std::process::exit(1);
+    }
     println!("planet-load: {:.1} ops/sec", total as f64 / elapsed);
     if let (Some(p50), Some(p99)) = (latencies.quantile(0.50), latencies.quantile(0.99)) {
         println!("planet-load: latency p50 {p50} us, p99 {p99} us");

@@ -1,15 +1,15 @@
-//! A real thread-per-actor PLANET cluster — no simulation anywhere.
+//! A real, concurrent PLANET cluster — no simulation anywhere.
 //!
 //! Run with: `cargo run --release --example live_cluster`
 //!
 //! Unlike `live_callbacks` (the deterministic simulation paced to the wall
 //! clock), this spins up a genuinely concurrent deployment: every replica,
-//! coordinator and client from `planet-cluster` runs on its own OS thread,
-//! exchanging the real protocol messages through the in-process transport
-//! while a network model shapes deliveries — here, a three-site WAN with
-//! 60 ms cross-site RTT. The PLANET programming model is unchanged: the
-//! same progress callbacks, likelihoods and speculative commits, now driven
-//! by real time.
+//! coordinator and client from `planet-cluster` runs as a task on the
+//! reactor's worker threads, exchanging the real protocol messages through
+//! the in-process transport while a network model shapes deliveries — here,
+//! a three-site WAN with 60 ms cross-site RTT. The PLANET programming model
+//! is unchanged: the same progress callbacks, likelihoods and speculative
+//! commits, now driven by real time.
 
 use std::time::{Duration, Instant};
 
@@ -23,7 +23,7 @@ fn main() {
         vec![60.0, 0.5, 60.0],
         vec![60.0, 60.0, 0.5],
     ];
-    println!("spawning a 3-site live cluster (one OS thread per actor)…");
+    println!("spawning a 3-site live cluster (every actor a reactor task)…");
     let mut db = LivePlanet::builder()
         .topology(NetworkModel::from_rtt_ms(&rtt))
         .seed(99)
