@@ -11,20 +11,29 @@
 //! * **Learned routes**: when an envelope arrives from an actor with no
 //!   static route (a load-driver client behind NAT, say), the transport
 //!   remembers the connection it came in on and sends replies back down it.
-//!   This is how coordinators answer clients that never [`listen`].
+//!   This is how coordinators answer clients that never [`listen`]. A path
+//!   is learned once per (connection, sender), on the sender's first frame.
 //!
 //! Frames never overtake each other on a connection (TCP is FIFO), which
 //! preserves the same per-(src, dst) ordering guarantee the simulator's
 //! scheduler and the in-process fabric enforce.
 //!
 //! Writes are *coalesced*: a batch handed over via
-//! [`Transport::send_many`] is grouped by destination connection, each
-//! group is encoded back-to-back into one pooled buffer
-//! ([`wire::BufPool`] — no allocation once warm), and the whole group goes
-//! out as a single `write_all` under a single stream lock. One syscall and
-//! one lock acquisition per destination per flush, instead of per message.
-//! [`TcpTransport::io_stats`] reports the resulting flush and byte counts,
-//! from which `bytes / flush` falls out directly.
+//! [`Transport::send_many`] is split by destination connection as it is
+//! encoded — each envelope goes straight onto the end of its connection's
+//! pooled buffer ([`wire::BufPool`] — no allocation once warm) — and each
+//! buffer goes out as a single `write_all` under a single stream lock. One
+//! syscall and one lock acquisition per destination per flush, instead of
+//! per message. [`TcpTransport::io_stats`] reports the resulting flush and
+//! byte counts, from which `bytes / flush` falls out directly.
+//!
+//! Reads take the batch back the same way: a connection's reader thread
+//! issues one `read` per *burst* into a recycled chunk and decodes every
+//! frame of the burst as views into it ([`wire::FrameReader`]) — no
+//! allocation and a fraction of a syscall per frame. The envelopes handed
+//! to mailboxes therefore share a burst chunk; it is recycled when the last
+//! of them drops, which is why whatever keeps a key or a value past its
+//! message stores a detached copy (see [`wire::FrameReader`]).
 //!
 //! Local delivery applies the plane's backpressure policy: hosted
 //! mailboxes are bounded, protocol traffic blocks at a full one, and a
@@ -35,7 +44,7 @@
 //!
 //! [`listen`]: TcpTransport::listen
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,6 +72,19 @@ enum ConnKey {
     Addr(SocketAddr),
 }
 
+/// One connection's share of a `send_many`: the frames bound for it, encoded
+/// back-to-back, and how many there are (what a failed write drops).
+struct ConnWrite {
+    conn: Conn,
+    key: ConnKey,
+    buf: Vec<u8>,
+    frames: u64,
+}
+
+/// Most emptied `send_many` scratch lists kept: one per concurrent sender is
+/// all that is ever in use.
+const SCRATCH_CAP: usize = 8;
+
 struct TcpInner {
     /// Static actor → address routes (the deployment topology).
     routes: Mutex<HashMap<u32, SocketAddr>>,
@@ -82,6 +104,8 @@ struct TcpInner {
     shed: AtomicU64, // check:allow(atomics)
     /// Reused encode buffers for the coalesced write path.
     pool: wire::BufPool,
+    /// Emptied per-connection lists of `send_many`, kept for their capacity.
+    flush_scratch: Mutex<Vec<Vec<ConnWrite>>>,
     /// Successful coalesced writes (one per destination per flush).
     flushes: AtomicU64, // check:allow(atomics)
     /// Payload bytes across those writes.
@@ -109,6 +133,7 @@ impl TcpTransport {
                 dropped: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 pool: wire::BufPool::new(),
+                flush_scratch: Mutex::new(Vec::new()),
                 flushes: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
             }),
@@ -243,51 +268,78 @@ impl TcpInner {
         Some(conn)
     }
 
-    /// Decode frames off one connection until EOF, delivering locally and
-    /// learning reply routes. Frames are read into pooled `Arc<[u8]>`
-    /// buffers and decoded zero-copy: payload fields (keys, byte values)
-    /// borrow views of the receive buffer instead of allocating, and the
-    /// buffer returns to the pool once every view of it is dropped.
+    /// Receive on one connection until EOF, burst by burst: one `read`
+    /// takes whatever the socket holds into a recycled chunk, and every
+    /// frame of the burst is decoded zero-copy out of it
+    /// ([`wire::FrameReader`]) and delivered locally.
+    ///
+    /// The tables are consulted per connection and per burst, not per
+    /// frame. A sender's reply path is settled once per (connection,
+    /// sender): it has a static route, or `peers` is pointed at this
+    /// connection. That holds for the life of the connection — routes are
+    /// never removed, and a connection whose write failed is shut down
+    /// ([`TcpInner::write_buf`]), which ends this loop. A destination's
+    /// mailbox is looked up once per burst, so a mailbox `host`ed later is
+    /// seen by the next burst.
     fn read_loop(inner: &Arc<TcpInner>, mut stream: TcpStream, conn: Conn) {
-        let mut pool = wire::FramePool::new();
-        loop {
-            match wire::read_frame_pooled(&mut stream, &mut pool) {
-                Ok(Some(env)) => {
-                    // Learn the reply path: the sender is reachable down
-                    // this connection (unless a static route exists).
-                    let has_route = inner
-                        .routes
-                        .lock()
-                        .expect("lock poisoned")
-                        .contains_key(&env.from.0);
-                    if !has_route {
-                        inner
-                            .peers
-                            .lock()
-                            .expect("lock poisoned")
-                            .insert(env.from.0, conn.clone());
-                    }
-                    TcpInner::deliver_local(inner, env);
+        let mut reader = wire::FrameReader::new();
+        let mut settled: HashSet<u32> = HashSet::new();
+        let mut mailboxes: Vec<(u32, Option<MailboxSender>)> = Vec::new();
+        while matches!(reader.fill(&mut stream), Ok(n) if n > 0) {
+            loop {
+                let env = match reader.pop_frame() {
+                    Ok(Some(env)) => env,
+                    Ok(None) => break,
+                    Err(_) => return,
+                };
+                if settled.insert(env.from.0) {
+                    inner.learn_reply_path(env.from.0, &conn);
                 }
-                Ok(None) | Err(_) => return,
+                let known = mailboxes.iter().position(|(id, _)| *id == env.to.0);
+                let slot = known.unwrap_or_else(|| {
+                    mailboxes.push((env.to.0, inner.mailbox_of(env.to.0)));
+                    mailboxes.len() - 1
+                });
+                match mailboxes.get(slot) {
+                    Some((_, Some(tx))) => TcpInner::deliver(inner, tx, env),
+                    _ => {
+                        inner.dropped.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
             }
+            mailboxes.clear();
         }
     }
 
-    /// Deliver into a hosted mailbox under the plane's backpressure
-    /// policy: block for protocol traffic, shed submissions. The table lock
-    /// is released before any mailbox operation (sends may block).
-    fn deliver_local(inner: &Arc<TcpInner>, env: Envelope) {
-        let mailbox = inner
-            .local
+    /// The sender is reachable down the connection its frame came in on,
+    /// unless a static route says where it lives.
+    fn learn_reply_path(&self, from: u32, conn: &Conn) {
+        let has_route = self
+            .routes
             .lock()
             .expect("lock poisoned")
-            .get(&env.to.0)
-            .cloned();
-        let Some(tx) = mailbox else {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+            .contains_key(&from);
+        if !has_route {
+            self.peers
+                .lock()
+                .expect("lock poisoned")
+                .insert(from, conn.clone());
+        }
+    }
+
+    /// The mailbox of a locally hosted actor. The table lock is released
+    /// before any mailbox operation (sends may block).
+    fn mailbox_of(&self, actor: u32) -> Option<MailboxSender> {
+        self.local
+            .lock()
+            .expect("lock poisoned")
+            .get(&actor)
+            .cloned()
+    }
+
+    /// Deliver into a hosted mailbox under the plane's backpressure
+    /// policy: block for protocol traffic, shed submissions.
+    fn deliver(inner: &Arc<TcpInner>, tx: &MailboxSender, env: Envelope) {
         if let Some((reply_to, tag)) = env.msg.submission() {
             match tx.try_send(Packet::Env(env)) {
                 Ok(()) => {}
@@ -396,20 +448,24 @@ impl TcpInner {
         }
     }
 
-    /// Encode `envs` back-to-back into one pooled buffer and write the lot
-    /// with a single `write_all` under a single stream lock.
-    fn write_batch(&self, conn: &Conn, envs: &[Envelope]) -> bool {
-        let mut buf = self.pool.get();
-        for env in envs {
-            wire::encode_frame_into(env, &mut buf);
-        }
+    /// Write one connection's share of a flush — frames encoded
+    /// back-to-back into a pooled buffer — with a single `write_all` under
+    /// a single stream lock, and hand the buffer back to the pool. A
+    /// failed or timed-out write may have left half a frame on the wire,
+    /// after which nothing the peer reads would parse: the connection is
+    /// shut down, which also ends its reader thread.
+    fn write_buf(&self, conn: &Conn, buf: Vec<u8>) -> bool {
         let ok = {
             let mut stream = conn.lock().expect("lock poisoned");
             // The wait is bounded: adopt() sets a write timeout on every
             // stream, so a stalled peer errors out instead of parking
             // writers behind this connection's lock forever.
             // check:allow(race)
-            stream.write_all(&buf).and_then(|()| stream.flush()).is_ok()
+            let ok = stream.write_all(&buf).and_then(|()| stream.flush()).is_ok();
+            if !ok {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+            ok
         };
         if ok {
             self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -421,19 +477,16 @@ impl TcpInner {
 
     /// Deliver one envelope: hosted mailbox, or down a resolved connection.
     fn send_env(inner: &Arc<TcpInner>, env: Envelope) {
-        if inner
-            .local
-            .lock()
-            .expect("lock poisoned")
-            .contains_key(&env.to.0)
-        {
-            TcpInner::deliver_local(inner, env);
+        if let Some(tx) = inner.mailbox_of(env.to.0) {
+            TcpInner::deliver(inner, &tx, env);
             return;
         }
         let Some((conn, key)) = TcpInner::resolve(inner, env.to.0) else {
             return; // drop already counted
         };
-        if !inner.write_batch(&conn, std::slice::from_ref(&env)) {
+        let mut buf = inner.pool.get();
+        wire::encode_frame_into(&env, &mut buf);
+        if !inner.write_buf(&conn, buf) {
             inner.invalidate(&key);
             inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -447,35 +500,43 @@ impl Transport for TcpTransport {
 
     fn send_many(&self, envs: &mut Vec<Envelope>) {
         let inner = &self.inner;
-        // Group the batch by destination connection (order within a group
-        // follows batch order, so per-pair FIFO is untouched). Local
-        // deliveries happen inline.
-        let mut groups: Vec<(Conn, ConnKey, Vec<Envelope>)> = Vec::new();
+        // Each envelope is encoded, as it is resolved, onto the end of its
+        // connection's buffer: order within a buffer follows batch order,
+        // so per-pair FIFO is untouched. Local deliveries happen inline.
+        let mut flush = inner.flush_scratch.lock().expect("lock poisoned").pop();
+        let flush = flush.get_or_insert_default();
         for env in envs.drain(..) {
-            if inner
-                .local
-                .lock()
-                .expect("lock poisoned")
-                .contains_key(&env.to.0)
-            {
-                TcpInner::deliver_local(inner, env);
+            if let Some(tx) = inner.mailbox_of(env.to.0) {
+                TcpInner::deliver(inner, &tx, env);
                 continue;
             }
             let Some((conn, key)) = TcpInner::resolve(inner, env.to.0) else {
                 continue; // drop already counted
             };
-            match groups.iter_mut().find(|(c, _, _)| Arc::ptr_eq(c, &conn)) {
-                Some((_, _, group)) => group.push(env),
-                None => groups.push((conn, key, vec![env])),
+            let at = flush.iter().position(|w| Arc::ptr_eq(&w.conn, &conn));
+            let at = at.unwrap_or_else(|| {
+                flush.push(ConnWrite {
+                    conn,
+                    key,
+                    buf: inner.pool.get(),
+                    frames: 0,
+                });
+                flush.len() - 1
+            });
+            if let Some(write) = flush.get_mut(at) {
+                wire::encode_frame_into(&env, &mut write.buf);
+                write.frames += 1;
             }
         }
-        for (conn, key, group) in groups {
-            if !inner.write_batch(&conn, &group) {
-                inner.invalidate(&key);
-                inner
-                    .dropped
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+        for write in flush.drain(..) {
+            if !inner.write_buf(&write.conn, write.buf) {
+                inner.invalidate(&write.key);
+                inner.dropped.fetch_add(write.frames, Ordering::Relaxed);
             }
+        }
+        let mut scratch = inner.flush_scratch.lock().expect("lock poisoned");
+        if scratch.len() < SCRATCH_CAP {
+            scratch.push(std::mem::take(flush));
         }
     }
 }

@@ -2,13 +2,16 @@
 //! [`Envelope`]s.
 //!
 //! Framing: each envelope is one frame — a little-endian `u32` payload
-//! length followed by the payload. The payload is `from: u32`, `to: u32`,
-//! then the [`Msg`] encoded with one leading tag byte per enum and
-//! fixed-width little-endian integers throughout. Strings and byte blobs
-//! are length-prefixed (`u32`). There is no external serialization
-//! dependency by design: the workspace builds offline, so the codec is
-//! written out by hand and covered by round-trip tests over every message
-//! variant.
+//! length followed by the payload. Frames are written many to a socket
+//! write and read back many to a socket `read`: [`FrameReader`] is the one
+//! way to read them, splitting each received burst into envelopes whose
+//! keys and byte values are views into the burst's chunk. The payload is
+//! `from: u32`, `to: u32`, then the [`Msg`] encoded with one leading tag
+//! byte per enum and fixed-width little-endian integers throughout. Strings
+//! and byte blobs are length-prefixed (`u32`). There is no external
+//! serialization dependency by design: the workspace builds offline, so the
+//! codec is written out by hand and covered by round-trip tests over every
+//! message variant.
 //!
 //! The encoder is generic over a byte [`Sink`], which gives three shapes
 //! from one set of putters: [`encode_into`] appends to a caller-owned
@@ -115,11 +118,13 @@ impl Sink for Measure {
 // ---------------------------------------------------------------- reader
 
 struct Reader<'a> {
+    /// What is left to decode.
     buf: &'a [u8],
+    /// Bytes decoded so far: the offset of `buf[0]` in the payload.
     pos: usize,
-    /// When decoding off a shared frame buffer: the owning `Arc` and the
-    /// offset of `buf[0]` within it. Keys and byte values then decode as
-    /// zero-copy views into the frame instead of per-field allocations.
+    /// When decoding off a shared buffer: the owning `Arc` and the offset
+    /// of the payload within it. Keys and byte values then decode as
+    /// zero-copy views into the buffer instead of per-field allocations.
     shared: Option<(&'a Arc<[u8]>, usize)>,
 }
 
@@ -135,25 +140,35 @@ impl<'a> Reader<'a> {
     /// A reader over `owner[base..base + len]` that decodes blob fields as
     /// views into `owner`.
     fn new_shared(owner: &'a Arc<[u8]>, base: usize, len: usize) -> Result<Self> {
-        if base.checked_add(len).is_none_or(|end| end > owner.len()) {
+        let range = base.checked_add(len).and_then(|end| owner.get(base..end));
+        let Some(buf) = range else {
             return err("shared range out of bounds");
-        }
+        };
         Ok(Reader {
-            buf: &owner[base..base + len],
+            buf,
             pos: 0,
             shared: Some((owner, base)),
         })
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
             return err("truncated frame");
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        };
+        self.buf = rest;
         self.pos += n;
-        Ok(s)
+        Ok(head)
+    }
+    /// The next `N` bytes, for the fixed-width integers.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
+            return err("truncated frame");
+        };
+        self.buf = rest;
+        self.pos += N;
+        Ok(*head)
     }
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
     fn bool(&mut self) -> Result<bool> {
         match self.u8()? {
@@ -163,19 +178,13 @@ impl<'a> Reader<'a> {
         }
     }
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("take(4) returns 4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("take(8) returns 8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("take(8) returns 8 bytes"),
-        ))
+        Ok(i64::from_le_bytes(self.array()?))
     }
     fn blob(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
@@ -219,7 +228,7 @@ impl<'a> Reader<'a> {
         })
     }
     fn finished(&self) -> bool {
-        self.pos == self.buf.len()
+        self.buf.is_empty()
     }
 }
 
@@ -1056,115 +1065,215 @@ pub fn write_frame(w: &mut impl Write, env: &Envelope) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one length-prefixed frame. Returns `Ok(None)` on clean EOF (the
-/// peer closed between frames).
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Envelope>> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof mid-header",
-                ))
-            }
-            n => filled += n,
-        }
-    }
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode(&payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+// ----------------------------------------------------------- frame reader
+
+/// Size of a burst chunk: what one socket `read` can return. Eight times
+/// the ~1.9 KB a sender's coalesced flush carries at saturation, so a read
+/// that found several flushes queued still takes them in one call.
+const CHUNK_LEN: usize = 16 * 1024;
+
+/// Most retired chunks a connection keeps for reuse (1 MiB).
+const MAX_CHUNKS: usize = 64;
+
+fn invalid_data(what: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Read one length-prefixed frame into a pooled shared buffer and decode
-/// it zero-copy ([`decode_shared`]): one buffer (re)use per frame, no
-/// per-field allocation. Returns `Ok(None)` on clean EOF.
-pub fn read_frame_pooled(r: &mut impl Read, pool: &mut FramePool) -> io::Result<Option<Envelope>> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof mid-header",
-                ))
-            }
-            n => filled += n,
-        }
-    }
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    let len = len as usize;
-    let mut buf = pool.get(len);
-    {
-        let slot = Arc::get_mut(&mut buf).expect("pooled frame buffer is unique");
-        r.read_exact(&mut slot[..len])?;
-    }
-    let env =
-        decode_shared(&buf, 0, len).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    // Back into the pool: reusable again once every decoded view drops.
-    pool.put(buf);
-    Ok(Some(env))
+/// What `fill` returns should a chunk it is about to write turn out to be
+/// shared. It takes only unique chunks, so this is a defined failure for a
+/// bug in this file, not a state a peer can bring about.
+fn not_writable() -> io::Error {
+    io::Error::other("receive chunk is not writable")
 }
 
-/// A small free-list of shared frame buffers for the zero-copy receive
-/// path. Decoded messages hold refcounted views into these buffers, so a
-/// buffer is only handed out again once the last view from its previous
-/// frame has dropped (`strong_count == 1`) — the pool checks, never
-/// blocks, and allocates fresh when everything is still pinned.
-pub struct FramePool {
-    slots: Vec<Arc<[u8]>>,
+/// The one way to read frames: a splitter over *burst chunks*.
+///
+/// The sender coalesces many frames into one socket write, so the receiver
+/// takes them back the same way. [`fill`](Self::fill) issues **one**
+/// `read` into a fixed-size chunk for whatever the socket holds, and
+/// [`pop_frame`](Self::pop_frame) then yields every complete frame of that
+/// burst, decoded zero-copy ([`decode_shared`]): the keys and byte values
+/// of an envelope are views into the chunk. A frame cut off by the end of
+/// the burst stays buffered; the next `fill` moves that partial tail to the
+/// front of the chunk it reads into.
+///
+/// Chunks are recycled, never shared while written: a chunk is written
+/// only while this reader holds the one reference to it, and once
+/// `pop_frame` has handed out views nothing appends to it — the next `fill`
+/// takes another chunk and retires this one, to be handed out again when
+/// the last envelope decoded out of it has dropped (`strong_count == 1`).
+/// So a view costs its holder nothing and costs the connection a 16 KiB
+/// chunk for as long as it is held: **views are for the life of a
+/// message**, and state that outlives one stores `Key::detached` /
+/// `Bytes::detached` (`planet_storage` does so where a key is interned and
+/// where a value enters a record or the log).
+///
+/// `fill` and `pop_frame` never block beyond the one `read`, so the pair is
+/// a plain state machine over bytes: a readiness-driven poller can call
+/// `fill` when the socket is readable and drain `pop_frame`, and a fuzzer
+/// can feed it any byte stream cut anywhere.
+/// [`next_frame`](Self::next_frame) is the blocking loop over the two.
+pub struct FrameReader {
+    /// The chunk being split. `chunk[start..end]` is received and not yet
+    /// yielded; everything before `start` may be viewed by live envelopes.
+    chunk: Arc<[u8]>,
+    start: usize,
+    end: usize,
+    /// Chunks this reader filled before, oldest first.
+    retired: Vec<Arc<[u8]>>,
 }
 
-impl FramePool {
-    /// An empty pool.
+impl FrameReader {
+    /// A reader with nothing buffered. The first chunk is allocated by the
+    /// first [`fill`](Self::fill).
     pub fn new() -> Self {
-        FramePool { slots: Vec::new() }
+        FrameReader {
+            chunk: Arc::from([]),
+            start: 0,
+            end: 0,
+            retired: Vec::new(),
+        }
     }
 
-    /// A unique buffer of at least `len` bytes — a recycled frame whose
-    /// views have all dropped, or a fresh allocation.
-    fn get(&mut self, len: usize) -> Arc<[u8]> {
-        for i in 0..self.slots.len() {
-            if self.slots[i].len() >= len && Arc::strong_count(&self.slots[i]) == 1 {
-                return self.slots.swap_remove(i);
+    /// The received bytes not yet yielded as frames.
+    fn unread(&self) -> &[u8] {
+        self.chunk.get(self.start..self.end).unwrap_or_default()
+    }
+
+    /// Payload length of the frame at the front of the unread bytes, once
+    /// its header is there. A length above [`MAX_FRAME`] is refused here,
+    /// before anything is sized by it.
+    fn frame_len(&self) -> io::Result<Option<usize>> {
+        let Some(header) = self.unread().first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*header);
+        if len > MAX_FRAME {
+            return Err(invalid_data("frame too large"));
+        }
+        Ok(Some(len as usize))
+    }
+
+    /// The next complete frame already received, decoded as views into the
+    /// chunk; `Ok(None)` when what is buffered ends mid-frame (or is
+    /// empty) and [`fill`](Self::fill) has to run first.
+    pub fn pop_frame(&mut self) -> io::Result<Option<Envelope>> {
+        let Some(len) = self.frame_len()? else {
+            return Ok(None);
+        };
+        let body = self.start + 4;
+        if self.end - body < len {
+            return Ok(None);
+        }
+        let env = decode_shared(&self.chunk, body, len).map_err(invalid_data)?;
+        self.start = body + len;
+        Ok(Some(env))
+    }
+
+    /// Receive one burst: a single `read` of whatever the stream holds, up
+    /// to the room in the chunk. Call it when
+    /// [`pop_frame`](Self::pop_frame) has returned `None`. Returns the byte
+    /// count; `Ok(0)` is a clean end of stream (the peer closed between
+    /// frames), and an end of stream inside a frame is `UnexpectedEof`.
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        // A frame too large for a chunk gets a one-off buffer of exactly
+        // its size; `read` then cannot run past the frame's end, and the
+        // frames after it go back to chunks.
+        let want = match self.frame_len()? {
+            Some(len) if 4 + len > CHUNK_LEN => 4 + len,
+            _ => CHUNK_LEN,
+        };
+        let (start, end) = (self.start, self.end);
+        let unread = end - start;
+        match Arc::get_mut(&mut self.chunk) {
+            // Nothing views the current chunk (its envelopes are gone, or
+            // it has yielded none yet): keep filling it.
+            Some(buf) if buf.len() == want => {
+                if start > 0 {
+                    buf.copy_within(start..end, 0);
+                }
+            }
+            _ => {
+                let mut next = self.unique_chunk(want);
+                let tail = self.chunk.get(start..end);
+                let front = Arc::get_mut(&mut next).and_then(|buf| buf.get_mut(..unread));
+                let (Some(tail), Some(front)) = (tail, front) else {
+                    return Err(not_writable());
+                };
+                front.copy_from_slice(tail);
+                let retiring = std::mem::replace(&mut self.chunk, next);
+                self.retire(retiring);
             }
         }
-        // Sized allocation (not rounded up): a long-lived decoded value
-        // then pins at most its own frame, never a larger slab.
+        (self.start, self.end) = (0, unread);
+        let room = Arc::get_mut(&mut self.chunk).and_then(|buf| buf.get_mut(unread..));
+        let Some(room) = room else {
+            return Err(not_writable());
+        };
+        let n = loop {
+            match r.read(room) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                other => break other?,
+            }
+        };
+        self.end += n;
+        if n == 0 && self.end > 0 {
+            let what = if self.end < 4 {
+                "eof mid-header"
+            } else {
+                "eof mid-payload"
+            };
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what));
+        }
+        Ok(n)
+    }
+
+    /// Read the next frame, blocking: [`pop_frame`](Self::pop_frame), and
+    /// [`fill`](Self::fill) whenever that runs dry. `Ok(None)` on a clean
+    /// end of stream.
+    pub fn next_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Envelope>> {
+        loop {
+            if let Some(env) = self.pop_frame()? {
+                return Ok(Some(env));
+            }
+            if self.fill(r)? == 0 {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// A buffer of `len` bytes nothing else refers to: for a chunk, the
+    /// oldest retired one whose views have all dropped, else a fresh one.
+    fn unique_chunk(&mut self, len: usize) -> Arc<[u8]> {
+        if len == CHUNK_LEN {
+            let free = self.retired.iter().position(|c| Arc::strong_count(c) == 1);
+            if let Some(i) = free {
+                return self.retired.remove(i);
+            }
+        }
         std::iter::repeat_n(0u8, len).collect()
     }
 
-    /// Track a buffer for future reuse. Buffers still pinned by decoded
-    /// views simply stay unavailable until those views drop.
-    fn put(&mut self, buf: Arc<[u8]>) {
-        if self.slots.len() < POOL_CAP {
-            self.slots.push(buf);
+    /// Keep a filled chunk for reuse. One-off large buffers are not kept.
+    /// A full list is a list of chunks that were all still viewed a moment
+    /// ago, so the oldest is let go (its last view frees it): were the
+    /// newcomer turned away instead, chunks pinned for good would occupy
+    /// the list for the life of the connection and nothing would ever be
+    /// reused again.
+    fn retire(&mut self, chunk: Arc<[u8]>) {
+        if chunk.len() != CHUNK_LEN {
+            return;
         }
+        if self.retired.len() >= MAX_CHUNKS {
+            self.retired.remove(0);
+        }
+        self.retired.push(chunk);
     }
 }
 
-impl Default for FramePool {
+impl Default for FrameReader {
     fn default() -> Self {
-        FramePool::new()
+        FrameReader::new()
     }
 }
 
@@ -1649,41 +1758,238 @@ mod tests {
         }
     }
 
-    /// A pooled frame buffer is reused once the views of its previous
-    /// frame drop, and left alone while any view still pins it.
+    /// A `Read` that hands out the stream in pieces of the given sizes
+    /// (cycled), however much room the caller offers.
+    struct Dribble<'a> {
+        rest: &'a [u8],
+        sizes: Vec<usize>,
+        turn: usize,
+    }
+
+    impl<'a> Dribble<'a> {
+        fn new(stream: &'a [u8], sizes: Vec<usize>) -> Self {
+            Dribble {
+                rest: stream,
+                sizes,
+                turn: 0,
+            }
+        }
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.turn % self.sizes.len()];
+            self.turn += 1;
+            let n = size.min(buf.len()).min(self.rest.len());
+            let (head, rest) = self.rest.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.rest = rest;
+            Ok(n)
+        }
+    }
+
+    /// Every variant, then one frame larger than a chunk, then every
+    /// variant again (so frames follow the one-off buffer too), framed
+    /// into one stream. Returns the stream and each frame's payload.
+    fn splitter_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
+        let big = Msg::Apply {
+            key: Key::new("big"),
+            version: 1,
+            value: Value::bytes((0..CHUNK_LEN + 1000).map(|i| i as u8).collect::<Vec<u8>>()),
+            txn: TxnId::new(0, 1),
+        };
+        let msgs = all_variants()
+            .into_iter()
+            .chain([big])
+            .chain(all_variants());
+        let mut stream = Vec::new();
+        let mut payloads = Vec::new();
+        for msg in msgs {
+            let env = envelope(msg);
+            encode_frame_into(&env, &mut stream);
+            payloads.push(encode(&env));
+        }
+        (stream, payloads)
+    }
+
+    /// The splitter yields exactly the envelopes `decode` yields frame by
+    /// frame, wherever the reads cut the stream.
     #[test]
-    fn frame_pool_reuses_only_unpinned_buffers() {
-        let mut pool = FramePool::new();
+    fn frame_reader_is_decode_frame_by_frame_for_every_split() {
+        let (stream, payloads) = splitter_stream();
+        let mut splits: Vec<Vec<usize>> = [1, 2, 3, 7, usize::MAX]
+            .into_iter()
+            .map(|n| vec![n])
+            .collect();
+        for seed in 0..8u64 {
+            let mut rng = DetRng::new(0x5B11_7000 + seed);
+            splits.push(
+                (0..64)
+                    .map(|_| 1 + (rng.next_u64() % 3000) as usize)
+                    .collect(),
+            );
+        }
+        for sizes in splits {
+            let label = format!("{:?}", &sizes[..sizes.len().min(4)]);
+            let mut src = Dribble::new(&stream, sizes);
+            let mut reader = FrameReader::new();
+            for payload in &payloads {
+                let want = decode(payload).expect("owned decode");
+                let got = reader
+                    .next_frame(&mut src)
+                    .unwrap_or_else(|e| panic!("split {label}: {e}"))
+                    .unwrap_or_else(|| panic!("split {label}: premature eof"));
+                assert_eq!(format!("{want:?}"), format!("{got:?}"), "split {label}");
+            }
+            assert!(
+                reader.next_frame(&mut src).expect("clean eof").is_none(),
+                "split {label}: clean EOF after the last frame"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_reader_tells_clean_eof_from_a_cut_frame() {
+        let mut stream = Vec::new();
+        encode_frame_into(&envelope(Msg::ClientTimer { kind: 1, tag: 2 }), &mut stream);
+        let whole = stream.len();
+        encode_frame_into(&envelope(Msg::Recover), &mut stream);
+        let read_all = |bytes: &[u8]| {
+            let mut reader = FrameReader::new();
+            let mut cursor = io::Cursor::new(bytes);
+            let mut frames = 0;
+            loop {
+                match reader.next_frame(&mut cursor) {
+                    Ok(Some(_)) => frames += 1,
+                    Ok(None) => return (frames, None),
+                    Err(e) => return (frames, Some((e.kind(), e.to_string()))),
+                }
+            }
+        };
+        assert_eq!(read_all(&[]), (0, None), "empty stream");
+        assert_eq!(read_all(&stream[..whole]), (1, None), "eof between frames");
+        assert_eq!(read_all(&stream), (2, None));
+        for cut in [1, 3, whole + 2] {
+            let (frames, err) = read_all(&stream[..cut]);
+            assert_eq!(frames, cut / whole);
+            let eof = io::ErrorKind::UnexpectedEof;
+            assert_eq!(err, Some((eof, "eof mid-header".into())), "cut at {cut}");
+        }
+        for cut in [4, whole - 1, stream.len() - 1] {
+            let (frames, err) = read_all(&stream[..cut]);
+            assert_eq!(frames, cut / whole);
+            let eof = io::ErrorKind::UnexpectedEof;
+            assert_eq!(err, Some((eof, "eof mid-payload".into())), "cut at {cut}");
+        }
+    }
+
+    /// A header above `MAX_FRAME` is refused when it is seen: no buffer is
+    /// sized by it and nothing more is read.
+    #[test]
+    fn oversized_frame_header_is_rejected_before_anything_is_sized_by_it() {
+        let mut stream = Vec::new();
+        encode_frame_into(&envelope(Msg::Recover), &mut stream);
+        stream.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        stream.extend_from_slice(&[0u8; 64]);
+        let mut cursor = io::Cursor::new(stream);
+        let mut reader = FrameReader::new();
+        assert!(reader
+            .next_frame(&mut cursor)
+            .expect("first frame")
+            .is_some());
+        let err = reader
+            .next_frame(&mut cursor)
+            .expect_err("oversized header");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(reader.chunk.len(), CHUNK_LEN, "still the burst chunk");
+        assert!(reader.retired.is_empty(), "nothing was allocated for it");
+        // The largest legal length is taken at its word (and then starves).
+        let mut cursor = io::Cursor::new(MAX_FRAME.to_le_bytes().to_vec());
+        let err = FrameReader::new().next_frame(&mut cursor).expect_err("eof");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A chunk is handed out again once the envelopes decoded out of it
+    /// have dropped, and left alone while one is still held.
+    #[test]
+    fn frame_reader_reuses_only_unpinned_chunks() {
         let env = envelope(Msg::Apply {
             key: Key::new("k"),
             version: 1,
             value: Value::bytes(&b"payload-bytes"[..]),
             txn: TxnId::new(0, 1),
         });
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &env).unwrap();
-        write_frame(&mut stream, &env).unwrap();
-        write_frame(&mut stream, &env).unwrap();
-        let mut cursor = std::io::Cursor::new(stream);
-        let first = read_frame_pooled(&mut cursor, &mut pool)
-            .unwrap()
-            .expect("first frame");
-        // `first`'s key/value views pin the first buffer, so the second
-        // read must allocate a distinct one.
-        let second = read_frame_pooled(&mut cursor, &mut pool)
-            .unwrap()
-            .expect("second frame");
-        assert_eq!(format!("{first:?}"), format!("{second:?}"));
-        assert_eq!(pool.slots.len(), 2, "two buffers in flight");
-        // Drop both decoded envelopes: both buffers become reusable, and
-        // the third read recycles instead of growing the pool.
+        let mut frame = Vec::new();
+        encode_frame_into(&env, &mut frame);
+        // One frame per read: each burst is one frame.
+        let stream = frame.repeat(4);
+        let mut src = Dribble::new(&stream, vec![frame.len()]);
+        let mut reader = FrameReader::new();
+        let chunk_of = |r: &FrameReader| r.chunk.as_ptr();
+
+        let first = reader.next_frame(&mut src).unwrap().expect("first frame");
+        let first_chunk = chunk_of(&reader);
+        // `first`'s key/value views pin the first chunk, so the second
+        // burst must go into a distinct one.
+        let second = reader.next_frame(&mut src).unwrap().expect("second frame");
+        let second_chunk = chunk_of(&reader);
+        assert_ne!(first_chunk, second_chunk, "a viewed chunk is not written");
+        assert_eq!(
+            format!("{first:?}"),
+            format!("{env:?}"),
+            "and not disturbed"
+        );
+        assert_eq!(reader.retired.len(), 1);
+        // Drop the first envelope only: the third burst recycles its chunk
+        // and leaves the second's alone.
         drop(first);
-        drop(second);
-        let third = read_frame_pooled(&mut cursor, &mut pool)
-            .unwrap()
-            .expect("third frame");
-        assert_eq!(format!("{env:?}"), format!("{third:?}"));
-        assert_eq!(pool.slots.len(), 2, "recycled, not grown");
+        let third = reader.next_frame(&mut src).unwrap().expect("third frame");
+        assert_eq!(chunk_of(&reader), first_chunk, "recycled, not allocated");
+        assert_eq!(reader.retired.len(), 1, "recycled, not grown");
+        assert_eq!(format!("{second:?}"), format!("{env:?}"));
+        // With nothing viewing the current chunk it is simply kept.
+        drop(third);
+        let fourth = reader.next_frame(&mut src).unwrap().expect("fourth frame");
+        assert_eq!(chunk_of(&reader), first_chunk, "an unviewed chunk is kept");
+        assert_eq!(format!("{fourth:?}"), format!("{env:?}"));
+    }
+
+    /// Chunks pinned for good do not end reuse: when the list is full the
+    /// oldest is let go, so chunks retired later are still found again.
+    #[test]
+    fn frame_reader_evicts_pinned_chunks_when_the_list_is_full() {
+        let mut frame = Vec::new();
+        encode_frame_into(
+            &envelope(Msg::DropPending {
+                key: Key::new("k"),
+                txn: TxnId::new(0, 1),
+            }),
+            &mut frame,
+        );
+        let stream = frame.repeat(MAX_CHUNKS + 20);
+        let mut src = Dribble::new(&stream, vec![frame.len()]);
+        let mut reader = FrameReader::new();
+        // Hold one envelope per burst, past the capacity of the list.
+        let pinned: Vec<Envelope> = (0..MAX_CHUNKS + 8)
+            .map(|_| reader.next_frame(&mut src).unwrap().expect("frame"))
+            .collect();
+        assert_eq!(reader.retired.len(), MAX_CHUNKS, "bounded");
+        // Now hold only the previous envelope, as a mailbox would: the
+        // chunk being split is viewed at every fill, so each burst needs
+        // another one — and after the first, finds it in the list.
+        let mut held = reader.next_frame(&mut src).unwrap().expect("frame");
+        for burst in 0..8 {
+            let listed: Vec<*const u8> = reader.retired.iter().map(|c| c.as_ptr()).collect();
+            held = reader.next_frame(&mut src).unwrap().expect("frame");
+            // (The first still finds every listed chunk pinned.)
+            assert!(
+                burst == 0 || listed.contains(&reader.chunk.as_ptr()),
+                "reused"
+            );
+            assert_eq!(reader.retired.len(), MAX_CHUNKS);
+        }
+        drop(held);
+        drop(pinned);
     }
 
     #[test]
@@ -1719,9 +2025,19 @@ mod tests {
         write_frame(&mut buf, &env).unwrap();
         write_frame(&mut buf, &env).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        let a = read_frame(&mut cursor).unwrap().expect("first frame");
-        let b = read_frame(&mut cursor).unwrap().expect("second frame");
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+        let mut reader = FrameReader::new();
+        let a = reader
+            .next_frame(&mut cursor)
+            .unwrap()
+            .expect("first frame");
+        let b = reader
+            .next_frame(&mut cursor)
+            .unwrap()
+            .expect("second frame");
+        assert!(
+            reader.next_frame(&mut cursor).unwrap().is_none(),
+            "clean EOF"
+        );
         assert_eq!(format!("{env:?}"), format!("{a:?}"));
         assert_eq!(format!("{env:?}"), format!("{b:?}"));
     }
@@ -1765,13 +2081,5 @@ mod tests {
         let mut bad_tag = encoded;
         *bad_tag.last_mut().unwrap() = 200;
         assert!(decode(&bad_tag).is_err(), "unknown tag detected");
-    }
-
-    #[test]
-    fn oversized_frame_header_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_err());
     }
 }

@@ -48,8 +48,10 @@ fn commit_through(site0: SocketAddr) {
 
     let mut outcome = None;
     let mut progress_events = 0;
+    let mut reader = wire::FrameReader::new();
     while outcome.is_none() {
-        let env = wire::read_frame(&mut conn)
+        let env = reader
+            .next_frame(&mut conn)
             .expect("read reply frame")
             .expect("connection stays open until the outcome");
         assert_eq!(env.to, client_id, "replies are addressed to the client");

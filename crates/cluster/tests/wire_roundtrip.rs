@@ -11,7 +11,7 @@
 //!    name.
 
 use planet_cluster::transport::Envelope;
-use planet_cluster::wire::{decode, encode, read_frame, write_frame};
+use planet_cluster::wire::{decode, encode, write_frame, FrameReader};
 use planet_mdcc::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
 use planet_plan::{KeyRef, KeyTemplate, OpTemplate, PlanParam, TxnProgram};
 use planet_sim::{ActorId, SimTime, SiteId};
@@ -336,14 +336,19 @@ fn every_msg_variant_round_trips_framed() {
         write_frame(&mut stream, env).expect("write frame");
     }
     let mut cursor = std::io::Cursor::new(stream);
+    let mut reader = FrameReader::new();
     for env in &envs {
         let name = variant_name(&env.msg);
-        let got = read_frame(&mut cursor)
+        let got = reader
+            .next_frame(&mut cursor)
             .unwrap_or_else(|e| panic!("read frame failed for Msg::{name}: {e}"))
             .unwrap_or_else(|| panic!("premature EOF before Msg::{name}"));
         assert_eq!(format!("{env:?}"), format!("{got:?}"), "Msg::{name}");
     }
-    assert!(read_frame(&mut cursor).expect("trailing read").is_none());
+    assert!(reader
+        .next_frame(&mut cursor)
+        .expect("trailing read")
+        .is_none());
 }
 
 #[test]

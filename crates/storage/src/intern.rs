@@ -56,8 +56,11 @@ impl KeyInterner {
         Self::default()
     }
 
-    /// Intern `key`, assigning the next dense id on first sight. The key is
-    /// only cloned (a refcount bump) the first time it is seen.
+    /// Intern `key`, assigning the next dense id on first sight. The
+    /// interner keeps a key for good, so what it keeps is
+    /// [`Key::detached`]: a refcount bump for an owned key, one copy for a
+    /// wire-decoded view — whose burst chunk would otherwise stay pinned
+    /// for as long as the key is known.
     pub fn intern(&mut self, key: &Key) -> KeyId {
         if let Some(&id) = self.ids.get(key) {
             return id;
@@ -66,8 +69,9 @@ impl KeyInterner {
         // counter overflows; the bound is structural.
         // check:allow(panic)
         let id = KeyId(u32::try_from(self.names.len()).expect("more than u32::MAX keys interned"));
+        let key = key.detached();
         self.names.push(key.clone());
-        self.ids.insert(key.clone(), id);
+        self.ids.insert(key, id);
         id
     }
 
@@ -154,6 +158,28 @@ mod tests {
         assert_eq!(i.try_name(KeyId(2)), None);
         let order: Vec<&str> = i.iter().map(|k| k.as_str()).collect();
         assert_eq!(order, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn interning_a_view_does_not_pin_its_buffer() {
+        use std::sync::Arc;
+        let buf: Arc<[u8]> = Arc::from(&b"__stock:7__"[..]);
+        let view = Key::shared(buf.clone(), 2, 7).expect("valid utf-8");
+        let mut i = KeyInterner::new();
+        let id = i.intern(&view);
+        assert_eq!(i.intern(&view), id, "a view finds its owned copy");
+        drop(view);
+        assert_eq!(
+            Arc::strong_count(&buf),
+            1,
+            "the message is gone, so is the pin"
+        );
+        assert_eq!(i.name(id).as_str(), "stock:7");
+
+        // An owned key is kept as it is: same allocation, nothing copied.
+        let owned = Key::new("event:1");
+        let id = i.intern(&owned);
+        assert!(std::ptr::eq(i.name(id).as_str(), owned.as_str()));
     }
 
     #[test]

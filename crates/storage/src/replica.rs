@@ -4,10 +4,20 @@
 //! invariant — *replaying the WAL yields exactly the live store* — is checked
 //! by [`Replica::verify_recovery`] and by property tests.
 
-use crate::options::{RecordOption, RejectReason};
+use crate::options::{RecordOption, RejectReason, WriteOp};
 use crate::store::{ReadResult, Store};
-use crate::types::{Key, KeyId, TxnId, VersionNo};
+use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 use crate::wal::{LogRecord, Wal};
+
+/// Own at rest: a byte value about to enter a record or the log lets go of
+/// the receive buffer it may have been decoded out of (see
+/// [`Bytes::detached`](crate::types::Bytes::detached)); owned bytes keep
+/// their buffer.
+fn own_at_rest(value: &mut Value) {
+    if let Value::Bytes(bytes) = value {
+        *bytes = bytes.detached();
+    }
+}
 
 /// A write-ahead-logged store replica.
 #[derive(Debug, Default)]
@@ -70,7 +80,10 @@ impl Replica {
     }
 
     /// Validate, log and accept an option by interned id.
-    pub fn accept_id(&mut self, id: KeyId, option: RecordOption) -> Result<(), RejectReason> {
+    pub fn accept_id(&mut self, id: KeyId, mut option: RecordOption) -> Result<(), RejectReason> {
+        if let WriteOp::Set(value) = &mut option.op {
+            own_at_rest(value);
+        }
         // Accept first (it validates internally) and log only on success:
         // the log still never contains an invalid acceptance, the option is
         // validated exactly once, and a rejection propagates as an error
@@ -99,7 +112,7 @@ impl Replica {
                 // Unknown key: the decision is still logged (the log is the
                 // history of everything learned), but nothing applies.
                 self.wal.append(LogRecord::Decided {
-                    key: key.clone(),
+                    key: key.detached(),
                     txn,
                     commit,
                 });
@@ -129,13 +142,7 @@ impl Replica {
 
     /// Log and apply a state-transfer install from the key's master.
     /// Returns true if the committed head advanced.
-    pub fn install(
-        &mut self,
-        key: &Key,
-        version: VersionNo,
-        value: crate::types::Value,
-        txn: TxnId,
-    ) -> bool {
+    pub fn install(&mut self, key: &Key, version: VersionNo, value: Value, txn: TxnId) -> bool {
         let id = self.store.intern(key);
         self.install_id(id, version, value, txn)
     }
@@ -145,9 +152,10 @@ impl Replica {
         &mut self,
         id: KeyId,
         version: VersionNo,
-        value: crate::types::Value,
+        mut value: Value,
         txn: TxnId,
     ) -> bool {
+        own_at_rest(&mut value);
         self.wal.append(LogRecord::Installed {
             key: self.store.key_name(id).clone(),
             version,
@@ -236,11 +244,35 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::WriteOp;
-    use crate::types::Value;
+    use crate::types::Bytes;
+    use std::sync::Arc;
 
     fn txn(n: u64) -> TxnId {
         TxnId::new(0, n)
+    }
+
+    /// What a replica keeps — pending options, the version chain, the log,
+    /// the interner — owns its bytes: once the message that carried a view
+    /// is gone, nothing pins the buffer it was decoded out of.
+    #[test]
+    fn accepted_and_installed_views_do_not_pin_their_buffer() {
+        let buf: Arc<[u8]> = Arc::from(&b"key-akey-bpayload"[..]);
+        let view = |start, len| Value::Bytes(Bytes::shared(buf.clone(), start, len));
+        let key = |start| Key::shared(buf.clone(), start, 5).expect("valid utf-8");
+        let mut r = Replica::new();
+        r.accept(
+            &key(0),
+            RecordOption::new(txn(1), 0, WriteOp::Set(view(10, 7))),
+        )
+        .unwrap();
+        assert!(r.install(&key(5), 3, view(10, 7), txn(2)));
+        r.decide(&key(0), txn(1), true);
+        r.decide(&Key::shared(buf.clone(), 10, 7).unwrap(), txn(9), false);
+        assert_eq!(Arc::strong_count(&buf), 1, "nothing at rest is a view");
+        let payload = Value::bytes(&b"payload"[..]);
+        assert_eq!(r.read(&Key::new("key-a")).value, payload);
+        assert_eq!(r.read(&Key::new("key-b")).value, payload);
+        assert!(r.verify_recovery().is_empty());
     }
 
     #[test]

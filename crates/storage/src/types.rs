@@ -8,8 +8,16 @@ use std::sync::Arc;
 /// are written once and shared thereafter, so reference-counted sharing is
 /// all the protocol needs — and because a view needs no allocation of its
 /// own, the wire decoder can carve every payload field of a frame out of
-/// the frame's single receive buffer (zero-copy decode) instead of copying
-/// each field into a fresh allocation.
+/// the receive buffer the frame arrived in (zero-copy decode) instead of
+/// copying each field into a fresh allocation.
+///
+/// That receive buffer is a *burst chunk*: one 16 KiB buffer shared by
+/// every frame one socket `read` returned, recycled once the last view
+/// into it drops. A view is therefore for the life of a message, not for
+/// keeping: state that outlives the drive that decoded it stores
+/// [`Bytes::detached`] instead, or one 20-byte value pins a whole chunk.
+/// (Application code never sees a view today: the one application front
+/// end, `LivePlanet`, runs on the channel cluster, which decodes nothing.)
 ///
 /// Equality, ordering and hashing are on the viewed *contents*, so an
 /// owned value and a zero-copy view of the same bytes are
@@ -70,6 +78,18 @@ impl Bytes {
     /// and pool accounting.
     pub fn is_view(&self) -> bool {
         (self.len as usize) != self.buf.len()
+    }
+
+    /// The same bytes, owning exactly their own storage: what state that
+    /// is kept at rest stores. An owned value shares its buffer (a
+    /// refcount bump, no allocation); a view copies its bytes out once, so
+    /// the buffer it was carved from can be recycled.
+    pub fn detached(&self) -> Self {
+        if self.is_view() {
+            Bytes::copy_from_slice(self.as_slice())
+        } else {
+            self.clone()
+        }
     }
 }
 
@@ -150,6 +170,10 @@ impl From<&str> for Bytes {
 /// ordering and hashing are on the string contents, so the two are
 /// indistinguishable — an interner lookup keyed by an owned key finds a
 /// wire-decoded view of the same key and vice versa.
+///
+/// As with [`Bytes`], a view is into a burst chunk and must not be kept at
+/// rest: whatever outlives the message (the interner, the log) stores
+/// [`Key::detached`].
 #[derive(Clone)]
 pub struct Key(KeyRepr);
 
@@ -174,15 +198,25 @@ impl Key {
     /// once, so `as_str` never re-checks failure paths at use sites).
     pub fn shared(buf: Arc<[u8]>, start: usize, len: usize) -> Option<Self> {
         let end = start.checked_add(len)?;
-        if end > buf.len() || len > u32::MAX as usize || start > u32::MAX as usize {
+        if len > u32::MAX as usize || start > u32::MAX as usize {
             return None;
         }
-        std::str::from_utf8(&buf[start..end]).ok()?;
+        std::str::from_utf8(buf.get(start..end)?).ok()?;
         Some(Key(KeyRepr::Shared {
             buf,
             start: start as u32,
             len: len as u32,
         }))
+    }
+
+    /// The same key, owning exactly its own storage: an owned key shares
+    /// its `Arc` (no allocation), a view copies its string out once and
+    /// lets go of the buffer it was carved from.
+    pub fn detached(&self) -> Self {
+        match &self.0 {
+            KeyRepr::Owned(_) => self.clone(),
+            KeyRepr::Shared { .. } => Key::from(self.as_str()),
+        }
     }
 
     /// The key as a string slice.
@@ -346,6 +380,31 @@ mod tests {
         assert_eq!(k, Key::new("a"));
         assert_eq!(k.as_str(), "a");
         assert_eq!(k.to_string(), "a");
+    }
+
+    #[test]
+    fn detached_shares_an_owned_value_and_copies_a_view_once() {
+        // Owned: the same allocation, so nothing was allocated.
+        let key = Key::new("stock:42");
+        assert!(std::ptr::eq(key.as_str(), key.detached().as_str()));
+        let bytes = Bytes::from(&b"payload"[..]);
+        assert!(std::ptr::eq(bytes.as_slice(), bytes.detached().as_slice()));
+
+        // A view: equal contents, and the buffer is let go of.
+        let buf: Arc<[u8]> = Arc::from(&b"..stock:42payload.."[..]);
+        let key_view = Key::shared(buf.clone(), 2, 8).expect("valid utf-8");
+        let bytes_view = Bytes::shared(buf.clone(), 10, 7);
+        let (key_owned, bytes_owned) = (key_view.detached(), bytes_view.detached());
+        assert_eq!(key_owned, key);
+        assert_eq!(bytes_owned, bytes);
+        assert!(!bytes_owned.is_view());
+        drop((key_view, bytes_view));
+        assert_eq!(Arc::strong_count(&buf), 1, "detached values pin nothing");
+        // Detaching what is already detached is again a refcount bump.
+        assert!(std::ptr::eq(
+            key_owned.as_str(),
+            key_owned.detached().as_str()
+        ));
     }
 
     #[test]
