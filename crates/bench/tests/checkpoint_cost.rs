@@ -3,9 +3,13 @@
 //! with 1 000 keys written since the previous one copies those keys' pages
 //! and nothing else, the sweep before it visits those pages and nothing
 //! else, and a crash-restart from the checkpoint copies no record at all.
-//! Counted in allocations, which repeat exactly where times do not: cloning
-//! one record is one allocation (its version chain), so the 300 000 of a full
-//! store clone — what a checkpoint used to be — cannot hide.
+//! Counted in allocations, which repeat exactly where times do not. Copying
+//! a record allocates only when it holds two versions or more (one version
+//! and one pending option are held inline), so un-sharing a page of records
+//! written once costs the page and nothing per record, and a page of
+//! records with history costs one chain each — and never more, so the
+//! 300 000 of a full store clone of such records, which is what a
+//! checkpoint used to be, cannot hide.
 //!
 //! Lives here because this crate owns the counting `#[global_allocator]`.
 //! One test, so nothing else in the process allocates on purpose meanwhile;
@@ -28,8 +32,10 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (alloc_count() - before, out)
 }
 
-/// Commit one more version on each of the first `DIRTY_KEYS` keys.
-fn write_hot_set(replica: &mut Replica, round: u64) {
+/// Accept one `Set` on each of the first `DIRTY_KEYS` keys and decide it:
+/// committed, it adds a version; aborted, it writes the page (which is
+/// what un-shares it) and leaves the record as it was.
+fn write_hot_set(replica: &mut Replica, round: u64, commit: bool) {
     for k in 0..DIRTY_KEYS {
         let id = KeyId(k as u32);
         let txn = TxnId::new(1, round * DIRTY_KEYS + k);
@@ -38,8 +44,18 @@ fn write_hot_set(replica: &mut Replica, round: u64) {
         replica
             .accept_id(id, RecordOption::new(txn, version, set))
             .expect("based on the current version, nothing pending");
-        assert_eq!(replica.decide_id(id, txn, true), Some(version + 1));
+        let produced = replica.decide_id(id, txn, commit);
+        assert_eq!(produced, commit.then_some(version + 1));
     }
+}
+
+/// What a checkpoint costs where it is paid: with every page shared with
+/// the snapshot the first write to a page copies it, and the same writes
+/// again find their pages unshared. The difference is the copying.
+fn allocs_to_unshare(replica: &mut Replica, first_round: u64) -> u64 {
+    let (shared, ()) = allocs_during(|| write_hot_set(replica, first_round, false));
+    let (unshared, ()) = allocs_during(|| write_hot_set(replica, first_round + 1, false));
+    shared.saturating_sub(unshared)
 }
 
 #[test]
@@ -53,20 +69,27 @@ fn maintenance_costs_what_was_written_not_what_is_stored() {
     assert_eq!(replica.gc(1) as u64, pages, "the load wrote every page");
     replica.checkpoint();
 
-    // With every page shared with the snapshot, the first write to a page
-    // copies it; the same writes again find their pages unshared. The
-    // difference is what the checkpoint cost, paid where the writes are.
-    let (shared, ()) = allocs_during(|| write_hot_set(&mut replica, 1));
-    let (unshared, ()) = allocs_during(|| write_hot_set(&mut replica, 2));
-    let copied = shared.saturating_sub(unshared);
-    // Per page: the page's vector and one chain per record, and the `Arc`
-    // the next snapshot freezes it behind. Nothing per written key: a copied
-    // record keeps its chain's capacity and holds one pending option inline,
-    // so writing to the copy allocates no more than writing to the original.
+    // Every record holds the one version it was loaded with, inline: a
+    // page of them is copied as one vector, behind the `Arc` the next
+    // snapshot freezes it, and nothing per record.
+    let copied = allocs_to_unshare(&mut replica, 1);
+    assert!(
+        copied <= DIRTY_PAGES * 2 + SLACK,
+        "{copied} allocations to un-share {DIRTY_PAGES} pages of single-version records"
+    );
+
+    // Give the hot set history: three versions a record. A copied record
+    // takes its chain along, capacity and all (writing to the copy then
+    // allocates no more than writing to the original): one chain per
+    // record and the page's two, never more.
+    write_hot_set(&mut replica, 3, true);
+    write_hot_set(&mut replica, 4, true);
+    replica.checkpoint();
+    let copied = allocs_to_unshare(&mut replica, 5);
     let bound = DIRTY_PAGES * (PAGE_LEN as u64 + 2) + SLACK;
     assert!(
-        copied >= DIRTY_PAGES * PAGE_LEN as u64 && copied <= bound,
-        "{copied} allocations to un-share {DIRTY_PAGES} pages ({shared} against {unshared})"
+        copied >= DIRTY_KEYS && copied <= bound,
+        "{copied} allocations to un-share {DIRTY_PAGES} pages of multi-version records"
     );
 
     // The sweep visits the written pages and no other, and trims in place.

@@ -4,8 +4,8 @@
 //! receiver takes them back with one `read` into a recycled chunk and
 //! decodes every frame as views into it (`wire::FrameReader`), and what
 //! keeps a key — the interner — copies it out once, on first sight, so the
-//! chunk comes back. What is left per frame is the mailbox's queue block
-//! (one per 31 packets) and one small copy per *new* key; it used to be a
+//! chunk comes back. What is left per frame is one small copy per *new*
+//! key (the mailbox's queue is a ring that stops growing); it used to be a
 //! buffer per frame, for good once eight frames had been pinned by interned
 //! keys, plus a `Vec` per destination per `send_many`.
 //!

@@ -158,11 +158,11 @@ const WAKE_TABLE: &[WakeRule] = &[
     },
     WakeRule {
         file_suffix: "plane.rs",
-        recv: Some("tx"),
-        method: "send",
+        recv: Some("queue"),
+        method: "push_back",
         cover: &["waker"],
         what: "mailbox enqueue",
-        fix: "invoke the registered waker after a successful enqueue, or the reactor task never learns about the message",
+        fix: "hand the registered waker out of every enqueue (and invoke it once the lock is released), or the reactor task never learns about the message",
     },
 ];
 

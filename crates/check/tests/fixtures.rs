@@ -1952,6 +1952,94 @@ impl Worker {
 }
 
 #[test]
+fn sync_mailbox_enqueue_must_hand_out_the_waker() {
+    // The mailbox's queue push: the enqueue and the waker hand-off are one
+    // critical section, and a push that can leave without the waker is a
+    // message its task is never told about.
+    let w = ws(&[(
+        "crates/cluster/src/plane.rs",
+        r#"
+impl Shared {
+    fn push(&self, state: &mut State, at: Instant, packet: Packet) -> Option<Waker> {
+        state.queue.push_back((at, packet));
+        if state.receiver_waiting {
+            self.arrived.notify_one();
+        }
+        state.waker.clone()
+    }
+    fn push_silent(&self, state: &mut State, at: Instant, packet: Packet) {
+        state.queue.push_back((at, packet));
+        if state.receiver_waiting {
+            self.arrived.notify_one();
+        }
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE001").collect();
+    assert_eq!(hits.len(), 1, "only the push without a waker: {diags:?}");
+    assert!(
+        hits[0].message.contains("push_silent"),
+        "{}",
+        hits[0].message
+    );
+    assert!(
+        hits[0].message.contains("mailbox enqueue"),
+        "{}",
+        hits[0].message
+    );
+    assert_eq!(hits[0].line, 11);
+}
+
+#[test]
+fn sync_registered_waits_recheck_their_guard() {
+    // The mailbox's two waits: the waiter registers under the lock, waits,
+    // and goes round the loop that re-reads the guard. The same waits
+    // outside a loop trust whoever woke them.
+    let w = ws(&[(
+        "crates/cluster/src/plane.rs",
+        r#"
+impl MailboxSender {
+    fn send(&self, packet: Packet) {
+        let mut state = self.shared.state.lock().unwrap();
+        loop {
+            if state.queue.len() < self.shared.capacity {
+                break;
+            }
+            state.blocked_senders += 1;
+            state = self.shared.drained.wait(state).unwrap();
+            state.blocked_senders -= 1;
+        }
+    }
+    fn recv(&self, left: Duration) {
+        let mut state = self.shared.state.lock().unwrap();
+        loop {
+            if state.queue.pop_front().is_some() {
+                return;
+            }
+            state.receiver_waiting = true;
+            state = self.shared.arrived.wait_timeout(state, left).unwrap().0;
+            state.receiver_waiting = false;
+        }
+    }
+    fn recv_once(&self, left: Duration) {
+        let mut state = self.shared.state.lock().unwrap();
+        state.receiver_waiting = true;
+        state = self.shared.arrived.wait_timeout(state, left).unwrap().0;
+        state.receiver_waiting = false;
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE002").collect();
+    assert_eq!(hits.len(), 1, "only the wait outside a loop: {diags:?}");
+    assert!(hits[0].message.contains("recv_once"), "{}", hits[0].message);
+    assert_eq!(hits[0].line, 28);
+}
+
+#[test]
 fn sync_bare_wait_fires_wake002_rechecked_waits_are_quiet() {
     let w = ws(&[(
         "crates/cluster/src/reactor.rs",

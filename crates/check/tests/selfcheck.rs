@@ -176,3 +176,39 @@ fn seeded_parker_downgrade_trips_atom002() {
         "the downgraded Dekker store must fire ATOM002: {diags:#?}"
     );
 }
+
+/// The mailbox's enqueue rule reads the real `plane.rs`: with the waker
+/// taken out of the real queue push and of the two sends that invoke it,
+/// WAKE001 fires. (The rule is keyed on the push's spelling, and a rewrite
+/// of the mailbox that left it keyed on the old one would pass every
+/// fixture and check nothing.)
+#[test]
+fn seeded_mailbox_push_without_its_waker_trips_wake001() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let src =
+        std::fs::read_to_string(root.join("crates/cluster/src/plane.rs")).expect("plane source");
+    let hand_off = "        state.waker.clone()\n    }";
+    let invoke = "        if let Some(waker) = waker {\n            waker();\n        }\n";
+    assert_eq!(
+        src.matches(hand_off).count(),
+        1,
+        "the push hands out the waker"
+    );
+    assert_eq!(
+        src.matches(invoke).count(),
+        2,
+        "send and try_send invoke it"
+    );
+    let silent = src
+        .replace(hand_off, "        None\n    }")
+        .replace(invoke, "")
+        .replace("let waker = {", "let _ = {");
+    let ws = Workspace::from_sources(vec![("crates/cluster/src/plane.rs".to_string(), silent)]);
+    let diags = run_passes(&ws, &["sync".to_string()]);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == "WAKE001" && d.message.contains("mailbox enqueue")),
+        "an enqueue that wakes nobody must fire WAKE001: {diags:#?}"
+    );
+}

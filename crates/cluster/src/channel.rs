@@ -98,12 +98,18 @@ struct RouteEntry {
     mailbox: MailboxSender,
 }
 
+/// Most emptied batch vectors kept for `send_many` to refill.
+const SPARE_BATCHES: usize = 8;
+
 /// The in-process transport.
 pub struct ChannelTransport {
     routes: Vec<Mutex<HashMap<u32, RouteEntry>>>,
     clock: Clock,
     fabric_txs: Vec<Sender<FabricCmd>>,
     fabric_joins: Mutex<Vec<JoinHandle<()>>>,
+    /// Batch vectors the fabric has emptied, at most [`SPARE_BATCHES`]:
+    /// a flush hands its batch over in one of these instead of a new one.
+    spare_batches: Mutex<Vec<Vec<Envelope>>>,
     // Loss accounting only — never synchronizes. check:allow(atomics)
     dropped: AtomicU64,
     shed: AtomicU64, // check:allow(atomics)
@@ -124,6 +130,7 @@ impl ChannelTransport {
             clock,
             fabric_txs: Vec::new(),
             fabric_joins: Mutex::new(Vec::new()),
+            spare_batches: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         })
@@ -161,6 +168,7 @@ impl ChannelTransport {
             clock,
             fabric_txs: txs,
             fabric_joins: Mutex::new(Vec::new()),
+            spare_batches: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         });
@@ -389,9 +397,13 @@ impl ChannelTransport {
             };
             match rx.recv_timeout(wait) {
                 Ok(FabricCmd::Env(env)) => admit(env, &mut heap, &mut fifo_high, &mut routes),
-                Ok(FabricCmd::Batch(envs)) => {
-                    for env in envs {
+                Ok(FabricCmd::Batch(mut envs)) => {
+                    for env in envs.drain(..) {
                         admit(env, &mut heap, &mut fifo_high, &mut routes);
+                    }
+                    let mut spare = self.spare_batches.lock().expect("lock poisoned");
+                    if spare.len() < SPARE_BATCHES {
+                        spare.push(envs);
                     }
                 }
                 Ok(FabricCmd::Stop) | Err(RecvTimeoutError::Disconnected) => return,
@@ -426,11 +438,12 @@ impl Transport for ChannelTransport {
             return;
         }
         if self.fabric_txs.len() == 1 {
-            // One shard: the whole batch is one channel handoff. Drain
-            // rather than `mem::take` so the caller keeps its outbox
-            // allocation for the next batch.
-            #[allow(clippy::drain_collect)]
-            let batch: Vec<Envelope> = envs.drain(..).collect();
+            // One shard: the whole batch is one channel handoff, in a
+            // vector the fabric emptied earlier. Append rather than
+            // `mem::take` so the caller keeps its outbox allocation too.
+            let spare = self.spare_batches.lock().expect("lock poisoned").pop();
+            let mut batch = spare.unwrap_or_default();
+            batch.append(envs);
             if self.fabric_txs[0].send(FabricCmd::Batch(batch)).is_err() {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }

@@ -10,6 +10,17 @@
 //! exactly the >64-client latency collapse: queues grow without limit, and
 //! every queued message ages before it is even looked at.
 //!
+//! A mailbox is one `VecDeque` and its bookkeeping behind one mutex, with a
+//! condvar for blocked senders and one for a blocked receiver. A send is one
+//! lock and one `push_back`; a receive is one lock, and a reactor drive
+//! takes its whole batch under one (`MailboxReceiver::drain_into`). A
+//! condvar is notified only when a waiter has registered under that lock:
+//! with std's futex condvar a notify is a system call even when nobody
+//! waits, and a mailbox that paid it on every dequeue paid it some twenty
+//! times per committed transaction. The two handshakes take `Mutex` and
+//! `Condvar` from `crate::sync`, so planet-loom runs this file's code
+//! (`loom_tests`, under `--cfg loom`).
+//!
 //! [`PlaneConfig`] carries the two knobs ([`max_batch`], the mailbox
 //! capacity) plus the fabric shard count, and travels from
 //! `LiveClusterBuilder` / `LivePlanetBuilder` down to the reactor's workers.
@@ -17,12 +28,15 @@
 //! [`max_batch`]: PlaneConfig::max_batch
 //! [`ChannelTransport`]: crate::ChannelTransport
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+// The receive errors stay std's (callers match on them); no channel does.
+use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::node::Packet;
+use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// A hook invoked after every successful mailbox enqueue: how the reactor
 /// learns a task has traffic. Set once (before the task goes live) via
@@ -97,18 +111,63 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Shared admission gate of one mailbox: depth and high-water tracking plus
-/// the condition senders block on.
-struct Gate {
-    state: Mutex<GateState>,
+/// What both halves of a mailbox share: the queue with its bookkeeping
+/// behind one lock, and the two conditions threads block on.
+struct Shared {
+    state: Mutex<State>,
+    /// Senders blocked on a full queue wait here.
     drained: Condvar,
+    /// A receiver blocked in [`MailboxReceiver::recv_timeout`] waits here.
+    arrived: Condvar,
+    capacity: usize,
+    // Depth watermark for stats; the state mutex carries the real
+    // synchronization. check:allow(atomics)
+    high_water: AtomicUsize,
 }
 
-struct GateState {
-    depth: usize,
+struct State {
+    /// Queued packets, each with the instant it was enqueued.
+    queue: VecDeque<(Instant, Packet)>,
+    /// The receiver is gone.
     closed: bool,
-    /// Invoked (outside the gate lock) after every successful enqueue.
+    /// Every [`MailboxSender`] is gone: an empty queue is disconnected.
+    senders_gone: bool,
+    /// Senders waiting on `drained`. A condvar is notified only when a
+    /// waiter has registered here, under the lock: a notify nobody waits
+    /// for is still a `futex_wake` system call.
+    blocked_senders: usize,
+    /// The receiver is waiting on `arrived` (registered the same way).
+    receiver_waiting: bool,
+    /// Invoked (outside the lock) after every successful enqueue.
     waker: Option<Waker>,
+}
+
+impl Shared {
+    /// Enqueue under the held lock, stamped `at` (read before the lock was
+    /// taken: the clock is not read inside the critical section); what is
+    /// left to do once it is released is to call the returned waker.
+    fn push(&self, state: &mut State, at: Instant, packet: Packet) -> Option<Waker> {
+        state.queue.push_back((at, packet));
+        self.high_water
+            .fetch_max(state.queue.len(), Ordering::Relaxed);
+        if state.receiver_waiting {
+            self.arrived.notify_one();
+        }
+        state.waker.clone()
+    }
+
+    /// Rouse blocked senders after `freed` packets left the queue under
+    /// the held lock: one dequeue makes room for one sender.
+    fn note_dequeued(&self, state: &State, freed: usize) {
+        if state.blocked_senders == 0 || freed == 0 {
+            return;
+        }
+        if freed == 1 {
+            self.drained.notify_one();
+        } else {
+            self.drained.notify_all();
+        }
+    }
 }
 
 /// A failed [`MailboxSender::try_send`].
@@ -129,16 +188,29 @@ impl std::fmt::Debug for TrySendError {
     }
 }
 
-/// The sending half of a bounded mailbox. Cloneable; every clone shares the
-/// same capacity gate.
+/// The sending half of a bounded mailbox. Cloneable; every clone feeds the
+/// same queue, and a clone costs one reference count (the fabric makes one
+/// per message it holds).
 #[derive(Clone)]
 pub struct MailboxSender {
-    tx: Sender<(Instant, Packet)>,
-    gate: Arc<Gate>,
-    // Depth watermark for stats; the gate mutex carries the real
-    // synchronization. check:allow(atomics)
-    high_water: Arc<AtomicUsize>,
-    capacity: usize,
+    side: Arc<SenderSide>,
+}
+
+/// What the clones of a sender share, so that it drops with the last one.
+struct SenderSide {
+    shared: Arc<Shared>,
+}
+
+/// The last sender to go disconnects the mailbox: a receiver waiting on an
+/// empty queue is told, so it stops waiting for traffic that cannot come.
+impl Drop for SenderSide {
+    fn drop(&mut self) {
+        let mut state = lock_in_drop(&self.shared.state);
+        state.senders_gone = true;
+        if state.receiver_waiting {
+            self.shared.arrived.notify_one();
+        }
+    }
 }
 
 impl MailboxSender {
@@ -148,25 +220,25 @@ impl MailboxSender {
     // SendError does); its size is the price of not dropping messages.
     #[allow(clippy::result_large_err)]
     pub fn send(&self, packet: Packet) -> Result<(), Packet> {
+        let shared = &*self.side.shared;
+        let mut at = Instant::now();
         let waker = {
-            let mut state = self.gate.state.lock().expect("lock poisoned");
+            let mut state = shared.state.lock().expect("lock poisoned");
             loop {
                 if state.closed {
                     return Err(packet);
                 }
-                if state.depth < self.capacity {
+                if state.queue.len() < shared.capacity {
                     break;
                 }
-                state = self.gate.drained.wait(state).expect("lock poisoned");
+                state.blocked_senders += 1;
+                state = shared.drained.wait(state).expect("lock poisoned");
+                state.blocked_senders -= 1;
+                // Time spent blocked is the sender's, not the queue's.
+                at = Instant::now();
             }
-            state.depth += 1;
-            self.high_water.fetch_max(state.depth, Ordering::Relaxed);
-            state.waker.clone()
+            shared.push(&mut state, at, packet)
         };
-        self.tx.send((Instant::now(), packet)).map_err(|e| {
-            self.on_send_failed();
-            e.0 .1
-        })?;
         if let Some(waker) = waker {
             waker();
         }
@@ -177,52 +249,60 @@ impl MailboxSender {
     /// back so the caller can shed it.
     #[allow(clippy::result_large_err)]
     pub fn try_send(&self, packet: Packet) -> Result<(), TrySendError> {
+        let shared = &*self.side.shared;
+        let at = Instant::now();
         let waker = {
-            let mut state = self.gate.state.lock().expect("lock poisoned");
+            let mut state = shared.state.lock().expect("lock poisoned");
             if state.closed {
                 return Err(TrySendError::Closed(packet));
             }
-            if state.depth >= self.capacity {
+            if state.queue.len() >= shared.capacity {
                 return Err(TrySendError::Full(packet));
             }
-            state.depth += 1;
-            self.high_water.fetch_max(state.depth, Ordering::Relaxed);
-            state.waker.clone()
+            shared.push(&mut state, at, packet)
         };
-        self.tx.send((Instant::now(), packet)).map_err(|e| {
-            self.on_send_failed();
-            TrySendError::Closed(e.0 .1)
-        })?;
         if let Some(waker) = waker {
             waker();
         }
         Ok(())
     }
-
-    /// Undo the depth reservation after a failed channel send (receiver
-    /// dropped between the gate check and the send).
-    fn on_send_failed(&self) {
-        let mut state = self.gate.state.lock().expect("lock poisoned");
-        state.depth -= 1;
-        state.closed = true;
-        self.gate.drained.notify_all();
-    }
 }
 
 /// The receiving half of a bounded mailbox, owned by the node's task. Dropping
-/// it marks the mailbox closed and unblocks every waiting sender.
+/// it marks the mailbox closed, drops what is still queued and unblocks every
+/// waiting sender.
 pub struct MailboxReceiver {
-    rx: Receiver<(Instant, Packet)>,
-    gate: Arc<Gate>,
-    high_water: Arc<AtomicUsize>, // check:allow(atomics)
+    shared: Arc<Shared>,
 }
 
 impl MailboxReceiver {
-    /// Receive one packet, waiting up to `timeout`.
+    /// Receive one packet, waiting up to `timeout`. `Disconnected` once
+    /// every sender is gone and the queue is empty.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet, RecvTimeoutError> {
-        let (_, packet) = self.rx.recv_timeout(timeout)?;
-        self.note_dequeue();
-        Ok(packet)
+        let shared = &*self.shared;
+        // A timeout too long to add to the clock is no deadline at all.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut state = shared.state.lock().expect("lock poisoned");
+        loop {
+            if let Some((_, packet)) = state.queue.pop_front() {
+                shared.note_dequeued(&state, 1);
+                return Ok(packet);
+            }
+            if state.senders_gone {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let left = deadline.map_or(timeout, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            state.receiver_waiting = true;
+            state = shared
+                .arrived
+                .wait_timeout(state, left)
+                .expect("lock poisoned")
+                .0;
+            state.receiver_waiting = false;
+        }
     }
 
     /// Receive one packet if one is already queued.
@@ -233,69 +313,93 @@ impl MailboxReceiver {
     /// [`try_recv`](Self::try_recv), also yielding when the packet was
     /// enqueued — the base of the `span.queue` measurement.
     pub fn try_recv_stamped(&self) -> Result<(Packet, Instant), TryRecvError> {
-        let (at, packet) = self.rx.try_recv()?;
-        self.note_dequeue();
-        Ok((packet, at))
+        let mut state = self.shared.state.lock().expect("lock poisoned");
+        match state.queue.pop_front() {
+            Some((at, packet)) => {
+                self.shared.note_dequeued(&state, 1);
+                Ok((packet, at))
+            }
+            None if state.senders_gone => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// Move up to `max` queued packets, oldest first, onto the back of
+    /// `into` under one lock — how a reactor drive takes its batch. Returns
+    /// how many moved.
+    pub(crate) fn drain_into(&self, max: usize, into: &mut VecDeque<(Instant, Packet)>) -> usize {
+        let mut state = self.shared.state.lock().expect("lock poisoned");
+        let moved = max.min(state.queue.len());
+        into.extend(state.queue.drain(..moved));
+        self.shared.note_dequeued(&state, moved);
+        moved
     }
 
     /// Install the wake hook invoked after every successful enqueue. The
     /// reactor sets this before a task goes live (and schedules the task
     /// once right after), so no arrival can slip through unobserved.
     pub fn set_waker(&self, waker: Waker) {
-        self.gate.state.lock().expect("lock poisoned").waker = Some(waker);
+        self.shared.state.lock().expect("lock poisoned").waker = Some(waker);
     }
 
-    /// Packets currently queued (including any a blocked sender is about to
-    /// enqueue).
+    /// Packets currently queued.
     pub fn depth(&self) -> usize {
-        self.gate.state.lock().expect("lock poisoned").depth
+        self.shared.state.lock().expect("lock poisoned").queue.len()
     }
 
     /// Deepest the mailbox has ever been.
     pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
-    }
-
-    fn note_dequeue(&self) {
-        let mut state = self.gate.state.lock().expect("lock poisoned");
-        state.depth -= 1;
-        self.gate.drained.notify_one();
+        self.shared.high_water.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for MailboxReceiver {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("lock poisoned");
-        state.closed = true;
-        self.gate.drained.notify_all();
+        // The queued packets leave under the lock and are dropped after it:
+        // a packet's destructor is not ours to run while senders wait.
+        let _queued = {
+            let mut state = lock_in_drop(&self.shared.state);
+            state.closed = true;
+            if state.blocked_senders > 0 {
+                self.shared.drained.notify_all();
+            }
+            std::mem::take(&mut state.queue)
+        };
     }
+}
+
+/// `lock` for a destructor, which must not panic: the state is valid at
+/// every step, so a poisoned lock's guard is as good as any.
+fn lock_in_drop(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Create a bounded mailbox holding at most `capacity` packets.
 pub fn mailbox(capacity: usize) -> (MailboxSender, MailboxReceiver) {
     assert!(capacity > 0, "mailbox capacity must be positive");
-    let (tx, rx) = channel();
-    let gate = Arc::new(Gate {
-        state: Mutex::new(GateState {
-            depth: 0,
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
             closed: false,
+            senders_gone: false,
+            blocked_senders: 0,
+            receiver_waiting: false,
             waker: None,
         }),
         drained: Condvar::new(),
+        arrived: Condvar::new(),
+        capacity,
+        high_water: AtomicUsize::new(0),
     });
-    let high_water = Arc::new(AtomicUsize::new(0));
     (
         MailboxSender {
-            tx,
-            gate: gate.clone(),
-            high_water: high_water.clone(),
-            capacity,
+            side: Arc::new(SenderSide {
+                shared: Arc::clone(&shared),
+            }),
         },
-        MailboxReceiver {
-            rx,
-            gate,
-            high_water,
-        },
+        MailboxReceiver { shared },
     )
 }
 
@@ -353,5 +457,263 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         drop(rx);
         assert!(t.join().expect("sender thread").is_err(), "send errors out");
+    }
+    fn tag_of(packet: Packet) -> u64 {
+        match packet {
+            Packet::Env(env) => match env.msg {
+                Msg::ClientTimer { tag, .. } => tag,
+                other => panic!("unexpected message {other:?}"),
+            },
+            _ => panic!("only envelopes are queued"),
+        }
+    }
+
+    /// Spin until `ready` holds for the mailbox's state: how a test learns
+    /// that a sender has blocked, without guessing how long that takes.
+    fn wait_for_state(tx: &MailboxSender, ready: impl Fn(&State) -> bool) {
+        while !ready(&tx.side.shared.state.lock().expect("lock poisoned")) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn each_senders_packets_arrive_in_its_order() {
+        const SENDERS: u64 = 8;
+        const EACH: u64 = 2_000;
+        // A small mailbox, so senders block and wake throughout.
+        let (tx, rx) = mailbox(16);
+        let threads: Vec<_> = (0..SENDERS)
+            .map(|s| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for i in 0..EACH {
+                        assert!(tx.send(packet(s * EACH + i)).is_ok());
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = [0u64; SENDERS as usize];
+        let mut batch = VecDeque::new();
+        // Alternate the two ways out of the queue: one packet, one batch.
+        loop {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(p) => batch.push_back((Instant::now(), p)),
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => panic!("senders stalled"),
+            }
+            rx.drain_into(5, &mut batch);
+            for (_, p) in batch.drain(..) {
+                let tag = tag_of(p);
+                let sender = (tag / EACH) as usize;
+                assert_eq!(tag % EACH, next[sender], "sender {sender} reordered");
+                next[sender] += 1;
+            }
+        }
+        assert_eq!(next, [EACH; SENDERS as usize]);
+        assert!(rx.high_water() <= 16);
+        for t in threads {
+            t.join().expect("sender thread");
+        }
+    }
+
+    #[test]
+    fn disconnected_only_once_every_sender_is_gone_and_the_queue_is_empty() {
+        let (tx, rx) = mailbox(4);
+        let second = tx.clone();
+        assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
+        assert!(tx.send(packet(1)).is_ok());
+        drop(tx);
+        assert!(second.send(packet(2)).is_ok());
+        drop(second);
+        // Both senders are gone; what they queued still arrives, in order.
+        assert_eq!(rx.try_recv().map(tag_of).ok(), Some(1));
+        assert_eq!(
+            rx.recv_timeout(Duration::ZERO).map(tag_of).ok(),
+            Some(2),
+            "a queued packet beats a zero timeout"
+        );
+        assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
+        // (A timeout the clock cannot hold is no deadline, not a panic.)
+        assert!(matches!(
+            rx.recv_timeout(Duration::MAX),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+
+        // A live sender and an empty queue is a timeout, not a disconnect.
+        let (tx, rx) = mailbox(4);
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        ));
+        // The last sender going wakes a receiver that is already waiting.
+        let waiting = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)));
+        wait_for_state(&tx, |state| state.receiver_waiting);
+        drop(tx);
+        assert!(matches!(
+            waiting.join().expect("receiver thread"),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+    }
+
+    #[test]
+    fn dropping_the_receiver_frees_what_is_queued_and_every_blocked_sender() {
+        let (tx, rx) = mailbox(2);
+        let held = Arc::new(());
+        for _ in 0..2 {
+            let held = Arc::clone(&held);
+            let call = Packet::Call(Box::new(move |_| {
+                let _ = &held;
+                Vec::new()
+            }));
+            assert!(tx.send(call).is_ok());
+        }
+        assert_eq!(Arc::strong_count(&held), 3);
+        #[allow(clippy::result_large_err)]
+        let blocked: Vec<_> = (0..3)
+            .map(|i| {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(packet(i)))
+            })
+            .collect();
+        wait_for_state(&tx, |state| state.blocked_senders == 3);
+        drop(rx);
+        for t in blocked {
+            assert!(t.join().expect("sender thread").is_err(), "handed back");
+        }
+        assert_eq!(Arc::strong_count(&held), 1, "queued packets were dropped");
+        assert!(matches!(
+            tx.try_send(packet(9)),
+            Err(TrySendError::Closed(_))
+        ));
+    }
+
+    #[test]
+    fn one_dequeue_lets_one_of_two_blocked_senders_through() {
+        let (tx, rx) = mailbox(1);
+        assert!(tx.send(packet(0)).is_ok());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (1..=2)
+            .map(|i| {
+                let (tx, done) = (tx.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    assert!(tx.send(packet(i)).is_ok());
+                    done.send(i).expect("test is listening");
+                })
+            })
+            .collect();
+        wait_for_state(&tx, |state| state.blocked_senders == 2);
+        assert_eq!(rx.try_recv().map(tag_of).ok(), Some(0));
+        let first = done_rx.recv().expect("one sender gets through");
+        // The mailbox is full again, so the other is blocked whether or
+        // not it was woken; it gets through on the next dequeue only.
+        wait_for_state(&tx, |state| state.blocked_senders == 1);
+        assert_eq!(rx.depth(), 1);
+        assert!(done_rx.try_recv().is_err(), "the second sender got through");
+        assert_eq!(rx.try_recv().map(tag_of).ok(), Some(first));
+        let second = done_rx.recv().expect("the other sender gets through");
+        assert_eq!(first + second, 3);
+        assert_eq!(rx.try_recv().map(tag_of).ok(), Some(second));
+        for t in threads {
+            t.join().expect("sender thread");
+        }
+    }
+}
+
+/// The mailbox's two blocking handshakes under `RUSTFLAGS="--cfg loom"`:
+/// the real `send` / `drain_into` / `recv_timeout` / `Drop` code runs under
+/// every bounded-preemption interleaving (`crate::sync` resolves to
+/// `planet-loom`'s modeled `Mutex` and `Condvar`, whose waits never time
+/// out), so a notify skipped because its waiter had not registered yet
+/// shows as a deadlock. The broken twin registers outside the lock and the
+/// harness must find that.
+#[cfg(all(test, loom))]
+mod loom_tests {
+    use std::collections::VecDeque;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use super::mailbox;
+    use crate::node::Packet;
+    use crate::reactor::loom_tests::{fails, record};
+    use crate::sync::{Condvar, Mutex};
+
+    /// Never elapses in real time, and modeled waits never time out: a
+    /// receive that is only saved by its timeout deadlocks instead.
+    const FOREVER: Duration = Duration::from_secs(3_600);
+
+    #[test]
+    fn loom_blocked_sender_is_woken_by_the_drain() {
+        let report = loom::model(|| {
+            let (tx, rx) = mailbox(1);
+            assert!(tx.send(Packet::Stop).is_ok());
+            // Blocks unless the drain below came first.
+            let sender = loom::thread::spawn(move || assert!(tx.send(Packet::Stop).is_ok()));
+            let mut batch = VecDeque::new();
+            assert_eq!(rx.drain_into(64, &mut batch), 1, "the packet that fitted");
+            sender.join().expect("sender");
+            assert_eq!(rx.drain_into(64, &mut batch), 1, "the one that waited");
+            assert_eq!(rx.depth(), 0);
+        });
+        record("mailbox_blocked_sender", &report);
+        assert!(report.iterations >= 2, "explorer must branch");
+    }
+
+    #[test]
+    fn loom_blocked_receiver_is_woken_by_a_send_and_by_the_last_sender_leaving() {
+        let report = loom::model(|| {
+            let (tx, rx) = mailbox(1);
+            let sender = loom::thread::spawn(move || {
+                assert!(tx.send(Packet::Stop).is_ok());
+                // `tx` drops here: the second receive below must hear of it.
+            });
+            assert!(matches!(rx.recv_timeout(FOREVER), Ok(Packet::Stop)));
+            assert!(matches!(
+                rx.recv_timeout(FOREVER),
+                Err(RecvTimeoutError::Disconnected)
+            ));
+            sender.join().expect("sender");
+        });
+        record("mailbox_blocked_receiver", &report);
+        assert!(report.iterations >= 2, "explorer must branch");
+    }
+
+    /// `send`'s full-queue wait with the waiter registered *after* the lock
+    /// that saw the queue full was released: the drain can run in between,
+    /// find nobody registered, skip its notify, and strand the sender.
+    #[test]
+    fn loom_registering_the_waiter_outside_the_lock_is_found() {
+        struct State {
+            queued: usize,
+            blocked_senders: usize,
+        }
+        let msg = fails(|| {
+            let state = Arc::new(Mutex::new(State {
+                queued: 1,
+                blocked_senders: 0,
+            }));
+            let drained = Arc::new(Condvar::new());
+            let (s2, d2) = (Arc::clone(&state), Arc::clone(&drained));
+            let sender = loom::thread::spawn(move || {
+                let full = s2.lock().expect("lock poisoned").queued == 1;
+                if full {
+                    let mut state = s2.lock().expect("lock poisoned");
+                    state.blocked_senders += 1;
+                    state = d2.wait(state).expect("lock poisoned");
+                    state.blocked_senders -= 1;
+                }
+                s2.lock().expect("lock poisoned").queued += 1;
+            });
+            {
+                let mut state = state.lock().expect("lock poisoned");
+                state.queued -= 1;
+                if state.blocked_senders > 0 {
+                    drained.notify_one();
+                }
+            }
+            sender.join().expect("sender");
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
     }
 }

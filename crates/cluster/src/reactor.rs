@@ -92,6 +92,9 @@ struct TaskBody {
     by_id: Option<HashMap<u32, usize>>,
     metrics: Metrics,
     rx: MailboxReceiver,
+    /// The batch a drive moved out of the mailbox under one lock and is
+    /// working through; empty between drives unless the task halted.
+    inbox: VecDeque<(Instant, Packet)>,
     transport: Arc<dyn Transport>,
     outbox: Vec<Envelope>,
     effects: Vec<Effect<Msg>>,
@@ -696,6 +699,7 @@ impl Reactor {
             by_id,
             metrics: Metrics::new(),
             rx,
+            inbox: VecDeque::new(),
             transport,
             outbox: Vec::new(),
             effects: Vec::new(),
@@ -880,10 +884,15 @@ fn drive_task(
             );
             absorb_effects(task, &mut body, idx, wheel, now, &mut halted);
         }
-        // Mailbox packets, up to what is left of the batch budget.
+        // Mailbox packets, up to what is left of the batch budget: moved
+        // out under one lock, so the senders contend with this task once a
+        // drive, not once a packet.
         let mut drained = 0u64;
-        while budget > 0 && !halted {
-            let Ok((packet, enqueued)) = body.rx.try_recv_stamped() else {
+        if !halted {
+            body.rx.drain_into(budget, &mut body.inbox);
+        }
+        while !halted {
+            let Some((enqueued, packet)) = body.inbox.pop_front() else {
                 break;
             };
             budget -= 1;
@@ -974,9 +983,9 @@ fn drive_task(
         return;
     }
     // More work queued behind the batch cap? Treat it as a wake. (With
-    // budget left the drain loop already saw the mailbox empty — anything
-    // arriving since has flipped the scheduling word to RUNNING_NOTIFIED —
-    // so the depth probe and its gate lock are only paid when the cap hit.)
+    // budget left the last batch emptied the mailbox — anything arriving
+    // since has flipped the scheduling word to RUNNING_NOTIFIED — so the
+    // depth probe and its lock are only paid when the cap hit.)
     let more = task.has_pending_timer_fires() || (budget == 0 && body.rx.depth() > 0);
     // Body back before the word is released: a stealer may drive the task
     // the instant it reads QUEUED.
@@ -1324,7 +1333,7 @@ mod tests {
 /// happens-before bridge) and assert the harness *finds* the lost
 /// wakeup, so the clean runs are evidence rather than vacuity.
 #[cfg(all(test, loom))]
-mod loom_tests {
+pub(crate) mod loom_tests {
     use std::collections::VecDeque;
     use std::io::Write as _;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1361,7 +1370,7 @@ mod loom_tests {
     }
 
     /// Run a model expected to FAIL and return the failure message.
-    fn fails(f: impl Fn() + Send + Sync + 'static) -> String {
+    pub(crate) fn fails(f: impl Fn() + Send + Sync + 'static) -> String {
         let Err(err) = catch_unwind(AssertUnwindSafe(|| loom::model(f))) else {
             panic!("model must fail");
         };
@@ -1374,7 +1383,7 @@ mod loom_tests {
     /// Record the exploration report where CI archives it
     /// (`target/loom/*.json`). Best-effort: the assertions, not the
     /// artifact, are the test.
-    fn record(name: &str, report: &loom::Report) {
+    pub(crate) fn record(name: &str, report: &loom::Report) {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/loom");
         if std::fs::create_dir_all(dir).is_err() {
             return;

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use planet_mdcc::{ClusterConfig, Msg, Outcome, ProgressStage, Protocol};
 use planet_plan::{PlanId, TxnProgram};
-use planet_predict::{KeyState, LikelihoodModel, TxnSnapshot};
+use planet_predict::{KeyState, LikelihoodModel};
 use planet_sim::{Actor, ActorId, Context, DetRng, SimDuration, SimTime};
 use planet_storage::{Key, TxnId, Value, VersionNo};
 
@@ -490,23 +490,16 @@ impl ClientActor {
     /// Current likelihood for a live transaction (budget-aware).
     fn likelihood_of(model: &mut LikelihoodModel, live: &LiveTxn, now: SimTime) -> f64 {
         let elapsed_proposal = live.proposals_at.map_or(0, |at| now.since(at).as_micros());
-        let snap = TxnSnapshot {
-            keys: live.keys.iter().map(|(_, ks)| ks.clone()).collect(),
-            elapsed_us: elapsed_proposal,
-        };
-        match live.txn.deadline {
-            Some(d) => {
-                let since_submit = now.since(live.submitted_at);
-                let remaining = d.saturating_sub(since_submit).as_micros();
-                if remaining == 0 {
-                    // Deadline passed: the app cares about eventual commit.
-                    model.likelihood_eventual(&snap)
-                } else {
-                    model.likelihood(&snap, remaining)
-                }
-            }
-            None => model.likelihood_eventual(&snap),
-        }
+        // Past its deadline, or without one, the app cares about eventual
+        // commit.
+        let budget_us = live
+            .txn
+            .deadline
+            .map(|d| d.saturating_sub(now.since(live.submitted_at)).as_micros())
+            .filter(|&remaining| remaining > 0)
+            .unwrap_or(LikelihoodModel::EVENTUAL_BUDGET_US);
+        let keys = live.keys.iter().map(|(_, state)| state);
+        model.likelihood_of_keys(keys, elapsed_proposal, budget_us)
     }
 
     /// Recompute likelihood, record the prediction point, emit a progress

@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, SlotFinder, TxnProgram};
 use planet_sim::{Actor, ActorId, Context, SimTime, SiteId};
-use planet_storage::{Key, RecordOption, TxnId, WriteOp};
+use planet_storage::{Key, RecordOption, TxnId, VersionNo, WriteOp};
 
 use crate::config::{ClusterConfig, Protocol};
 use crate::messages::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
@@ -142,6 +142,9 @@ struct Exec {
     rejections: usize,
     /// Read responses collected so far (one entry per responding replica).
     read_buffer: Vec<Vec<KeyRead>>,
+    /// Version read per slot, parallel to `keys`: filled when the read
+    /// round completes, so each step finds its read version by slot.
+    read_versions: Vec<VersionNo>,
     /// `(shard, responses still required)`, ascending by shard: 1 per
     /// touched shard for local reads, a classic quorum for quorum reads.
     reads_outstanding: Vec<(u32, usize)>,
@@ -168,6 +171,7 @@ impl Default for Exec {
             votes_received: 0,
             rejections: 0,
             read_buffer: Vec::new(),
+            read_versions: Vec::new(),
             reads_outstanding: Vec::new(),
             reads_done: false,
         }
@@ -192,6 +196,7 @@ impl Exec {
         self.votes_received = 0;
         self.rejections = 0;
         self.read_buffer.clear();
+        self.read_versions.clear();
         self.reads_outstanding.clear();
         self.reads_done = false;
     }
@@ -252,8 +257,15 @@ impl Exec {
         plan: &CompiledPlan,
         params: &[PlanParam],
         config: &ClusterConfig,
+        key_scratch: &mut String,
     ) -> Result<bool, PlanError> {
-        match plan.resolve_slots(params, config, &mut self.keys, &mut self.routes) {
+        match plan.resolve_slots(
+            params,
+            config,
+            key_scratch,
+            &mut self.keys,
+            &mut self.routes,
+        ) {
             Ok(()) => {}
             Err(PlanError::AliasedKeys) => {
                 self.clear();
@@ -341,6 +353,8 @@ pub struct CoordinatorActor {
     execs: Vec<Exec>,
     free_execs: Vec<u32>,
     exec_of: HashMap<TxnId, u32>,
+    /// Where a plan's derived keys are rendered before they are copied out.
+    key_scratch: String,
     names: OutcomeNames,
 }
 
@@ -388,6 +402,7 @@ impl CoordinatorActor {
             execs: Vec::new(),
             free_execs: Vec::new(),
             exec_of: HashMap::new(),
+            key_scratch: String::new(),
         }
     }
 
@@ -620,7 +635,7 @@ impl CoordinatorActor {
         let exec = &mut self.execs[idx];
         let lowered = match self.plans.get(&plan) {
             Some(plan) => exec
-                .lower_plan(plan, &params, &self.config)
+                .lower_plan(plan, &params, &self.config, &mut self.key_scratch)
                 .map_err(|_| "plan.bad_params"),
             None => Err("plan.unknown"),
         };
@@ -769,14 +784,21 @@ impl CoordinatorActor {
         if !exec.ops.is_empty() {
             exec.proposals_sent_at = Some(ctx.now());
         }
+        // Each result's version goes into the slot its key already has,
+        // and each step reads its slot: linear in a transaction whose size
+        // a peer chose. A key never read stays at version 0; of two results
+        // for one key the first counts (hence the reverse walk).
+        exec.read_versions.resize(exec.keys.len(), 0);
+        let mut finder = SlotFinder::default();
+        for read in results.iter().rev() {
+            if let Some(slot) = finder.find(&exec.keys, &read.key) {
+                // check:allow(panic): `find` returns an index into `keys`
+                exec.read_versions[slot as usize] = read.version;
+            }
+        }
         for (step, op) in exec.ops.iter().enumerate() {
-            let key = exec.step_key(step as u16);
-            // Transactions are small: a linear scan beats building a
-            // version map per transaction.
-            let version = results
-                .iter()
-                .find(|r| r.key == *key)
-                .map_or(0, |r| r.version);
+            // check:allow(panic): slots index `read_versions`, sized to `keys`
+            let version = exec.read_versions[exec.step_slot(step as u16)];
             let option = RecordOption::new(txn, version, op.clone());
             exec.options.push(option);
             exec.votes.push(KeyVotes::default());
@@ -1269,7 +1291,7 @@ mod tests {
             let writes_twice = !spec.writes.iter().all(|(k, _)| written.insert(k));
 
             let (mut from_plan, mut from_spec) = (Exec::default(), Exec::default());
-            let plan_result = from_plan.lower_plan(&plan, &params, &config);
+            let plan_result = from_plan.lower_plan(&plan, &params, &config, &mut String::new());
             let spec_result = from_spec.lower_spec(spec, &config);
             if writes_twice {
                 assert_eq!(plan_result, Err(PlanError::DuplicateWrite), "seed {seed}");

@@ -188,8 +188,9 @@ impl ReplicaActor {
         self.config.master_of(key) == ctx.self_site()
     }
 
-    fn other_peers(&self, ctx: &Context<'_, Msg>) -> impl Iterator<Item = ActorId> + '_ {
-        let me = ctx.self_id();
+    /// The group's other replicas. Borrows only `self.peers`, so a caller
+    /// sends through its context while iterating.
+    fn other_peers(&self, me: ActorId) -> impl Iterator<Item = ActorId> + '_ {
         self.peers.iter().copied().filter(move |&p| p != me)
     }
 
@@ -325,7 +326,7 @@ impl ReplicaActor {
                     }
                 }
                 let me = ctx.self_id();
-                for peer in self.other_peers(ctx).collect::<Vec<_>>() {
+                for peer in self.other_peers(me) {
                     ctx.send(
                         peer,
                         Msg::Replicate {
@@ -460,7 +461,7 @@ impl ReplicaActor {
                     at: ctx.now(),
                 });
             }
-            for peer in self.other_peers(ctx).collect::<Vec<_>>() {
+            for peer in self.other_peers(ctx.self_id()) {
                 ctx.send(
                     peer,
                     Msg::Apply {
@@ -473,7 +474,7 @@ impl ReplicaActor {
             }
         } else {
             self.storage.decide_id(id, txn, false);
-            for peer in self.other_peers(ctx).collect::<Vec<_>>() {
+            for peer in self.other_peers(ctx.self_id()) {
                 ctx.send(
                     peer,
                     Msg::DropPending {

@@ -440,8 +440,15 @@ impl TxnProgram {
         Ok(())
     }
 
-    /// Resolve one key reference over concrete parameters.
-    pub fn resolve_key(&self, r: &KeyRef, params: &[PlanParam]) -> Result<Key, PlanError> {
+    /// Resolve one key reference over concrete parameters. A derived key is
+    /// rendered into `scratch` (the caller's, reused across calls) and
+    /// copied out once, so the key itself is its only allocation.
+    pub fn resolve_key(
+        &self,
+        r: &KeyRef,
+        params: &[PlanParam],
+        scratch: &mut String,
+    ) -> Result<Key, PlanError> {
         match r {
             KeyRef::Fixed(i) => self
                 .table_key(*i)
@@ -456,9 +463,8 @@ impl TxnProgram {
                     .ok_or(PlanError::BadTableIndex(i))
             }
             KeyRef::Derived(t) => {
-                let mut buf = String::new();
-                t.render(params, &mut buf)?;
-                Ok(Key::new(buf))
+                t.render(params, scratch)?;
+                Ok(Key::from(scratch.as_str()))
             }
         }
     }
@@ -470,11 +476,13 @@ impl TxnProgram {
     pub fn instantiate(&self, params: &[PlanParam]) -> Result<InstantiatedTxn, PlanError> {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
+        let mut scratch = String::new();
         for op in &self.ops {
             match op {
-                PlanOp::Read(k) => reads.push(self.resolve_key(k, params)?),
+                PlanOp::Read(k) => reads.push(self.resolve_key(k, params, &mut scratch)?),
                 PlanOp::Write(k, t) => {
-                    writes.push((self.resolve_key(k, params)?, t.materialize(params)?));
+                    let key = self.resolve_key(k, params, &mut scratch)?;
+                    writes.push((key, t.materialize(params)?));
                 }
             }
         }

@@ -6,15 +6,16 @@
 //! could reach the compiler malformed — a repeated table key, more ops than a
 //! `u16` slot index can name — are refused, not miscompiled. The same holds
 //! per submission: lowering the widest plan a coordinator can hold, or the
-//! widest ad-hoc spec a frame can carry, costs in proportion to its keys.
+//! widest ad-hoc spec a frame can carry, costs in proportion to its keys, and
+//! so does completing its read round.
 
 use std::time::{Duration, Instant};
 
 use planet_cluster::{wire, Envelope};
-use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, TxnSpec};
+use planet_mdcc::{ClusterConfig, CoordinatorActor, KeyRead, Msg, Outcome, Protocol, TxnSpec};
 use planet_plan::{CompiledPlan, KeyRef, OpTemplate, PlanError, PlanParam, TxnProgram};
 use planet_sim::{drive_into, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs};
-use planet_storage::{Key, WriteOp};
+use planet_storage::{Key, Value, WriteOp};
 
 fn register(program: TxnProgram) -> Envelope {
     Envelope {
@@ -140,10 +141,22 @@ fn the_largest_indexable_program_compiles_with_distinct_slots() {
     let (mut keys, mut routes) = (Vec::new(), Vec::new());
     let start = Instant::now();
     let distinct = [PlanParam::Int(7), PlanParam::Int(8)];
-    plan.resolve_slots(&distinct, &config, &mut keys, &mut routes)
-        .expect("resolves");
+    plan.resolve_slots(
+        &distinct,
+        &config,
+        &mut String::new(),
+        &mut keys,
+        &mut routes,
+    )
+    .expect("resolves");
     let aliased = [PlanParam::Int(7), PlanParam::Int(7)];
-    let refused = plan.resolve_slots(&aliased, &config, &mut Vec::new(), &mut Vec::new());
+    let refused = plan.resolve_slots(
+        &aliased,
+        &config,
+        &mut String::new(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
     let elapsed = start.elapsed();
     assert_eq!(keys.len(), usize::from(u16::MAX));
     assert_eq!(keys.len(), routes.len());
@@ -155,21 +168,22 @@ fn the_largest_indexable_program_compiles_with_distinct_slots() {
     );
 }
 
-/// `spec` as a peer would deliver it — through the wire codec — into a fresh
-/// site-0 coordinator; the effects of that one delivery and the time it took.
-fn submit_from_the_wire(spec: TxnSpec) -> (Vec<Effect<Msg>>, Duration) {
-    let submit = Envelope {
-        from: ActorId(6),
-        to: ActorId(3),
-        msg: Msg::Submit {
-            spec,
-            reply_to: ActorId(6),
-            tag: 1,
-        },
-    };
-    let decoded = wire::decode(&wire::encode(&submit)).expect("decodes");
+/// A fresh site-0 coordinator over three replicas.
+fn coordinator() -> CoordinatorActor {
     let config = ClusterConfig::new(3, Protocol::Fast);
-    let mut coordinator = CoordinatorActor::new(config, (0..3).map(ActorId).collect(), SiteId(0));
+    CoordinatorActor::new(config, (0..3).map(ActorId).collect(), SiteId(0))
+}
+
+/// `msg` from actor `from` as a peer would deliver it — through the wire
+/// codec — into `coordinator`; the effects of that one delivery and the time
+/// it took.
+fn deliver_from_the_wire(
+    coordinator: &mut CoordinatorActor,
+    from: ActorId,
+    msg: Msg,
+) -> (Vec<Effect<Msg>>, Duration) {
+    let to = ActorId(3);
+    let decoded = wire::decode(&wire::encode(&Envelope { from, to, msg })).expect("decodes");
     let inputs = TurnInputs {
         now: SimTime::from_micros(1),
         self_id: decoded.to,
@@ -178,7 +192,7 @@ fn submit_from_the_wire(spec: TxnSpec) -> (Vec<Effect<Msg>>, Duration) {
     let mut effects = Vec::new();
     let start = Instant::now();
     drive_into(
-        &mut coordinator,
+        coordinator,
         inputs,
         decoded.from,
         decoded.msg,
@@ -187,6 +201,18 @@ fn submit_from_the_wire(spec: TxnSpec) -> (Vec<Effect<Msg>>, Duration) {
         &mut effects,
     );
     (effects, start.elapsed())
+}
+
+fn submit_from_the_wire(
+    coordinator: &mut CoordinatorActor,
+    spec: TxnSpec,
+) -> (Vec<Effect<Msg>>, Duration) {
+    let submit = Msg::Submit {
+        spec,
+        reply_to: ActorId(6),
+        tag: 1,
+    };
+    deliver_from_the_wire(coordinator, ActorId(6), submit)
 }
 
 fn spec_writing(keys: usize) -> TxnSpec {
@@ -205,7 +231,8 @@ fn spec_writing(keys: usize) -> TxnSpec {
 
 #[test]
 fn the_widest_spec_lowers_in_linear_time_and_a_wider_one_is_refused() {
-    let (effects, elapsed) = submit_from_the_wire(spec_writing(usize::from(u16::MAX)));
+    let (effects, elapsed) =
+        submit_from_the_wire(&mut coordinator(), spec_writing(usize::from(u16::MAX)));
     let asked = effects.iter().find_map(|e| match e {
         Effect::Send {
             msg: Msg::ReadReq { keys, .. },
@@ -220,7 +247,8 @@ fn the_widest_spec_lowers_in_linear_time_and_a_wider_one_is_refused() {
     );
 
     // One key more than a `u16` slot index names: refused, not wrapped.
-    let (effects, _) = submit_from_the_wire(spec_writing(usize::from(u16::MAX) + 1));
+    let (effects, _) =
+        submit_from_the_wire(&mut coordinator(), spec_writing(usize::from(u16::MAX) + 1));
     assert!(
         matches!(
             effects[..],
@@ -234,5 +262,62 @@ fn the_widest_spec_lowers_in_linear_time_and_a_wider_one_is_refused() {
         ),
         "{} effects",
         effects.len()
+    );
+}
+
+#[test]
+fn a_wide_read_round_completes_in_linear_time() {
+    // Finding each step's read version by scanning the results is steps ×
+    // results: with the results in the order that makes the scan longest,
+    // 16 384 writes cost 1.3 × 10⁸ key compares, for a transaction a peer
+    // chose the size of (1.7 s in a debug build, 0.45 s optimised). By slot
+    // it is one lookup each (28 ms and 10 ms).
+    const WRITES: usize = 16_384;
+    let mut coordinator = coordinator();
+    let (effects, _) = submit_from_the_wire(&mut coordinator, spec_writing(WRITES));
+    let (replica, txn, keys) = effects
+        .into_iter()
+        .find_map(|e| match e {
+            Effect::Send {
+                dst,
+                msg: Msg::ReadReq { txn, keys },
+            } => Some((dst, txn, keys)),
+            _ => None,
+        })
+        .expect("a read round");
+    assert_eq!(keys.len(), WRITES);
+    let results = keys
+        .into_iter()
+        .rev()
+        .enumerate()
+        .map(|(i, key)| KeyRead {
+            key,
+            version: i as u64 + 1,
+            value: Value::Int(0),
+            pending: 0,
+        })
+        .collect();
+    let (effects, elapsed) =
+        deliver_from_the_wire(&mut coordinator, replica, Msg::ReadResp { txn, results });
+    // Every step proposes on the version its own key was read at.
+    let mut proposed = 0;
+    for effect in &effects {
+        if let Effect::Send {
+            msg: Msg::FastPropose { key, option, .. },
+            dst,
+        } = effect
+        {
+            if *dst != replica {
+                continue;
+            }
+            let n: usize = key.as_str()[1..].parse().expect("k<n>");
+            assert_eq!(option.read_version, (WRITES - n) as u64, "{key}");
+            proposed += 1;
+        }
+    }
+    assert_eq!(proposed, WRITES);
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "the read round took {elapsed:?}"
     );
 }

@@ -16,10 +16,16 @@
 //! transaction's likelihood is the product over keys. The model is learned
 //! online — every observed vote updates both the path ECDF and the conflict
 //! model — so predictions track latency spikes and contention shifts.
+//!
+//! A query allocates nothing: the per-replica probabilities and the tail's
+//! DP table live in scratch the model owns, and a caller that keeps its
+//! keys' states somewhere of its own passes them by reference
+//! ([`LikelihoodModel::likelihood_of_keys`]) instead of building a
+//! [`TxnSnapshot`].
 
 use crate::conflict::KeyedConflictModel;
 use crate::ecdf::LatencyEcdf;
-use crate::quorum::prob_at_least;
+use crate::quorum::prob_at_least_in;
 
 /// Arrival probability assumed for a path with no observations yet.
 const UNKNOWN_PATH_ARRIVAL: f64 = 0.9;
@@ -74,6 +80,10 @@ pub struct LikelihoodModel {
     /// Vote round-trip ECDF per replica site.
     paths: Vec<LatencyEcdf>,
     conflict: KeyedConflictModel,
+    /// Scratch of one query: a key's per-replica success probabilities.
+    probs: Vec<f64>,
+    /// Scratch of one query: the Poisson-binomial tail's DP table.
+    dp: Vec<f64>,
 }
 
 impl LikelihoodModel {
@@ -83,6 +93,8 @@ impl LikelihoodModel {
         LikelihoodModel {
             paths: (0..num_sites).map(|_| LatencyEcdf::new(window)).collect(),
             conflict: KeyedConflictModel::new(),
+            probs: Vec::new(),
+            dp: Vec::new(),
         }
     }
 
@@ -209,13 +221,10 @@ impl LikelihoodModel {
             // the txn-level acceptance times the arrival-order-statistics
             // term, floored by the per-vote model (which dominates once most
             // of the quorum is in hand).
-            let arrivals: Vec<f64> = key
-                .outstanding
-                .iter()
-                .map(|&s| self.arrival_prob(s, elapsed_us, budget_us))
-                .collect();
-            let txn_level =
-                prob_at_least(&arrivals, needed) * self.conflict.txn_accept_prob(key.key_hash);
+            let arrivals = self.tail(key, needed, |model, site| {
+                model.arrival_prob(site, elapsed_us, budget_us)
+            });
+            let txn_level = arrivals * self.conflict.txn_accept_prob(key.key_hash);
             if key.accepts == 0 {
                 return txn_level;
             }
@@ -233,30 +242,61 @@ impl LikelihoodModel {
         budget_us: u64,
         needed: usize,
     ) -> f64 {
-        let probs: Vec<f64> = key
-            .outstanding
-            .iter()
-            .map(|&s| {
-                self.success_prob(s, elapsed_us, budget_us, key.pending_at_read, key.key_hash)
-            })
-            .collect();
-        prob_at_least(&probs, needed)
+        self.tail(key, needed, |model, site| {
+            model.success_prob(
+                site,
+                elapsed_us,
+                budget_us,
+                key.pending_at_read,
+                key.key_hash,
+            )
+        })
+    }
+
+    /// `P(at least needed of key's outstanding replicas succeed)`, each
+    /// succeeding with the probability `success` gives it.
+    fn tail(
+        &mut self,
+        key: &KeyState,
+        needed: usize,
+        mut success: impl FnMut(&mut Self, u8) -> f64,
+    ) -> f64 {
+        let mut probs = std::mem::take(&mut self.probs);
+        probs.clear();
+        probs.extend(key.outstanding.iter().map(|&site| success(self, site)));
+        let tail = prob_at_least_in(&probs, needed, &mut self.dp);
+        self.probs = probs;
+        tail
     }
 
     /// The headline number: probability the transaction commits within
     /// `budget_us` more microseconds, given the snapshot.
     pub fn likelihood(&mut self, snap: &TxnSnapshot, budget_us: u64) -> f64 {
-        snap.keys
-            .iter()
-            .map(|k| self.key_likelihood(k, snap.elapsed_us, budget_us))
+        self.likelihood_of_keys(&snap.keys, snap.elapsed_us, budget_us)
+    }
+
+    /// [`likelihood`](Self::likelihood) over key states held wherever the
+    /// caller keeps them, `elapsed_us` after the proposals went out: no
+    /// snapshot is built.
+    pub fn likelihood_of_keys<'a>(
+        &mut self,
+        keys: impl IntoIterator<Item = &'a KeyState>,
+        elapsed_us: u64,
+        budget_us: u64,
+    ) -> f64 {
+        keys.into_iter()
+            .map(|k| self.key_likelihood(k, elapsed_us, budget_us))
             .product()
     }
+
+    /// The budget that stands for "no deadline": large enough that every
+    /// arrival term is at its maximum.
+    pub const EVENTUAL_BUDGET_US: u64 = u64::MAX / 4;
 
     /// Probability the transaction *eventually* commits (no deadline):
     /// time drops out; only acceptance matters.
     pub fn likelihood_eventual(&mut self, snap: &TxnSnapshot) -> f64 {
-        // A very large budget makes every arrival term ≈ its maximum.
-        self.likelihood(snap, u64::MAX / 4)
+        self.likelihood(snap, Self::EVENTUAL_BUDGET_US)
     }
 
     /// The inverse question an application planning its UI asks (paper §3):
@@ -326,6 +366,99 @@ mod tests {
             }
         }
         m
+    }
+
+    /// The model's arithmetic with every intermediate in a fresh vector:
+    /// what the scratch-reusing code must equal bit for bit.
+    fn reference_likelihood(m: &mut LikelihoodModel, snap: &TxnSnapshot, budget_us: u64) -> f64 {
+        use crate::quorum::prob_at_least;
+        let elapsed_us = snap.elapsed_us;
+        let per_vote = |m: &mut LikelihoodModel, k: &KeyState| {
+            let probs: Vec<f64> = k
+                .outstanding
+                .iter()
+                .map(|&s| m.success_prob(s, elapsed_us, budget_us, k.pending_at_read, k.key_hash))
+                .collect();
+            prob_at_least(&probs, k.quorum - k.accepts)
+        };
+        snap.keys
+            .iter()
+            .map(|k| {
+                if let Some(settled) = k.settled() {
+                    return if settled { 1.0 } else { 0.0 };
+                }
+                if k.rejects > 0 {
+                    return per_vote(m, k);
+                }
+                let arrivals: Vec<f64> = k
+                    .outstanding
+                    .iter()
+                    .map(|&s| m.arrival_prob(s, elapsed_us, budget_us))
+                    .collect();
+                let txn_level = prob_at_least(&arrivals, k.quorum - k.accepts)
+                    * m.conflict.txn_accept_prob(k.key_hash);
+                if k.accepts == 0 {
+                    txn_level
+                } else {
+                    txn_level.max(per_vote(m, k))
+                }
+            })
+            .product()
+    }
+
+    #[test]
+    fn likelihood_of_keys_equals_likelihood_bit_for_bit() {
+        use planet_sim::DetRng;
+        for seed in 0..200u64 {
+            let mut rng = DetRng::new(seed);
+            let mut m = LikelihoodModel::new(5, 128);
+            for _ in 0..rng.index(200) {
+                let site = rng.range_u64(0, 5) as u8;
+                let rtt = rng.range_u64(50_000, 250_000);
+                let hash = rng.range_u64(0, 4);
+                m.observe_vote(site, rtt, rng.bernoulli(0.7), rng.index(4), hash);
+                if rng.bernoulli(0.3) {
+                    m.observe_key_resolution(hash, rng.bernoulli(0.7));
+                }
+            }
+            // Keys of every regime and of different widths side by side, so
+            // a scratch buffer is reused longer, shorter and not at all.
+            let keys: Vec<KeyState> = (0..rng.index(5) + 1)
+                .map(|_| {
+                    let voted = rng.index(5);
+                    let rejects = rng.index(voted.min(2) + 1);
+                    KeyState {
+                        accepts: voted - rejects,
+                        rejects,
+                        outstanding: (voted as u8..5).collect(),
+                        pending_at_read: rng.index(4),
+                        key_hash: rng.range_u64(0, 4),
+                        quorum: 3 + rng.index(2),
+                        voters: 5,
+                    }
+                })
+                .collect();
+            let snap = TxnSnapshot {
+                keys,
+                elapsed_us: rng.range_u64(0, 300_000),
+            };
+            for budget in [0, 40_000, 150_000, LikelihoodModel::EVENTUAL_BUDGET_US] {
+                let expected = reference_likelihood(&mut m, &snap, budget).to_bits();
+                let by_snapshot = m.likelihood(&snap, budget).to_bits();
+                // As the client holds them: beside something else, by reference.
+                let held: Vec<(u8, &KeyState)> = snap.keys.iter().map(|k| (0, k)).collect();
+                let by_keys = m
+                    .likelihood_of_keys(held.iter().map(|&(_, k)| k), snap.elapsed_us, budget)
+                    .to_bits();
+                assert_eq!(by_snapshot, expected, "seed {seed} budget {budget}");
+                assert_eq!(by_keys, expected, "seed {seed} budget {budget}");
+            }
+            let no_deadline = m.likelihood(&snap, LikelihoodModel::EVENTUAL_BUDGET_US);
+            assert_eq!(
+                m.likelihood_eventual(&snap).to_bits(),
+                no_deadline.to_bits()
+            );
+        }
     }
 
     #[test]

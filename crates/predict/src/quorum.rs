@@ -11,6 +11,12 @@
 ///
 /// Edge cases: `k == 0` → 1; `k > probs.len()` → 0.
 pub fn prob_at_least(probs: &[f64], k: usize) -> f64 {
+    prob_at_least_in(probs, k, &mut Vec::new())
+}
+
+/// [`prob_at_least`] with the DP table in `dp`, the caller's to reuse: a
+/// model that asks per key per progress point allocates for it once.
+pub fn prob_at_least_in(probs: &[f64], k: usize, dp: &mut Vec<f64>) -> f64 {
     if k == 0 {
         return 1.0;
     }
@@ -20,7 +26,8 @@ pub fn prob_at_least(probs: &[f64], k: usize) -> f64 {
     }
     // dp[j] = P(exactly j successes among trials seen so far), capped at k
     // (everything ≥ k is lumped into dp[k]).
-    let mut dp = vec![0.0f64; k + 1];
+    dp.clear();
+    dp.resize(k + 1, 0.0);
     dp[0] = 1.0;
     for &p in probs {
         let p = p.clamp(0.0, 1.0);

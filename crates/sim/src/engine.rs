@@ -4,11 +4,15 @@
 //! the RNG and the metrics registry. Execution is single-threaded and
 //! deterministic: events are ordered by `(time, sequence number)` where the
 //! sequence number breaks ties in scheduling order.
+//!
+//! Every event is driven into one effects buffer the engine owns and
+//! drains, as the live runtime's workers do with theirs: an event
+//! allocates what its messages carry, and nothing for being an event.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::actor::{drive, drive_start, Actor, ActorId, Effect, TurnInputs};
+use crate::actor::{drive_into, drive_start, Actor, ActorId, Effect, TurnInputs};
 use crate::metrics::Metrics;
 use crate::net::{NetworkModel, SiteId};
 use crate::rng::DetRng;
@@ -51,6 +55,8 @@ pub struct Simulation<M> {
     net: NetworkModel,
     rng: DetRng,
     metrics: Metrics,
+    /// What the turn being dispatched emitted; empty between turns.
+    effects: Vec<Effect<M>>,
     started: bool,
     halted: bool,
     events_processed: u64,
@@ -74,6 +80,7 @@ impl<M: 'static> Simulation<M> {
             net,
             rng: DetRng::new(seed),
             metrics: Metrics::new(),
+            effects: Vec::new(),
             started: false,
             halted: false,
             events_processed: 0,
@@ -173,11 +180,15 @@ impl<M: 'static> Simulation<M> {
         };
         let turn = drive_start(actor.as_mut(), inputs, &mut self.rng, &mut self.metrics);
         self.actors[id.0 as usize] = Some(actor);
-        self.apply_effects(id, turn.effects);
+        self.effects.extend(turn.effects);
+        self.apply_effects(id);
     }
 
-    fn apply_effects(&mut self, src: ActorId, effects: Vec<Effect<M>>) {
-        for effect in effects {
+    /// Turn what `src`'s turn left in the effects buffer into scheduled
+    /// events, in the order it was emitted.
+    fn apply_effects(&mut self, src: ActorId) {
+        let mut effects = std::mem::take(&mut self.effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { dst, msg } => {
                     let src_site = self.sites[src.0 as usize];
@@ -224,6 +235,7 @@ impl<M: 'static> Simulation<M> {
                 Effect::Halt => self.halted = true,
             }
         }
+        self.effects = effects;
     }
 
     /// Process a single event. Returns `false` when the queue is empty or the
@@ -249,16 +261,17 @@ impl<M: 'static> Simulation<M> {
             self_id: ev.dst,
             self_site: self.sites[idx],
         };
-        let turn = drive(
+        drive_into(
             actor.as_mut(),
             inputs,
             ev.from,
             ev.msg,
             &mut self.rng,
             &mut self.metrics,
+            &mut self.effects,
         );
         self.actors[idx] = Some(actor);
-        self.apply_effects(ev.dst, turn.effects);
+        self.apply_effects(ev.dst);
         !self.halted
     }
 
