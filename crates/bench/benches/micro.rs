@@ -69,6 +69,7 @@ fn bench_likelihood(h: &mut Harness) {
         ],
         elapsed_us: 40_000,
     };
+    // A query of a model nothing has written to since the warm-up.
     h.bench("likelihood/two_key_snapshot", || {
         model.likelihood(black_box(&snap), black_box(200_000))
     });
@@ -76,6 +77,14 @@ fn bench_likelihood(h: &mut Harness) {
     h.bench("likelihood/observe_vote", || {
         i += 1;
         model.observe_vote((i % 5) as u8, 100_000 + i % 1000, true, 0, i % 64);
+    });
+    // What `ClientActor` pays per vote: learn from it, then predict.
+    let mut i = 0u64;
+    h.bench("likelihood/observe_then_query", || {
+        i += 1;
+        let rtt = 100_000 + (i * 7_919) % 50_000;
+        model.observe_vote((i % 5) as u8, rtt, true, 1, 42);
+        model.likelihood(black_box(&snap), black_box(200_000))
     });
 }
 

@@ -150,6 +150,8 @@ pub struct ClientActor {
     /// admission machinery needs the concrete keys the coordinator will
     /// touch).
     programs: HashMap<PlanId, TxnProgram>,
+    /// Scratch of one submission: its write keys' hashes.
+    key_hashes: Vec<u64>,
 }
 
 impl ClientActor {
@@ -176,6 +178,7 @@ impl ClientActor {
             chains: Vec::new(),
             source_think: HashMap::new(),
             programs: HashMap::new(),
+            key_hashes: Vec::new(),
         }
     }
 
@@ -309,14 +312,22 @@ impl ClientActor {
         self.live.len()
     }
 
-    /// Per-key quorum/voter shape under the configured protocol.
-    fn key_shape(&self, key: &Key) -> (usize, usize, Vec<u8>) {
+    /// Accepts a written key needs and replicas that vote on it, under the
+    /// configured protocol.
+    fn quorum_shape(&self) -> (usize, usize) {
         match self.config.protocol {
             Protocol::Fast | Protocol::Classic => {
-                let n = self.config.num_sites;
-                (self.config.required_quorum(), n, (0..n as u8).collect())
+                (self.config.required_quorum(), self.config.num_sites)
             }
-            Protocol::TwoPc => (1, 1, vec![self.config.master_of(key).0]),
+            Protocol::TwoPc => (1, 1),
+        }
+    }
+
+    /// The sites whose votes on `key` are awaited.
+    fn voting_sites(&self, key: &Key) -> Vec<u8> {
+        match self.config.protocol {
+            Protocol::Fast | Protocol::Classic => (0..self.config.num_sites as u8).collect(),
+            Protocol::TwoPc => vec![self.config.master_of(key).0],
         }
     }
 
@@ -367,24 +378,25 @@ impl ClientActor {
             }
         }
         let write_keys = txn.spec.writes.len();
-        let (quorum, voters, _) = if let Some((key, _)) = txn.spec.writes.first() {
-            self.key_shape(key)
+        let (quorum, voters) = if write_keys > 0 {
+            self.quorum_shape()
         } else {
-            (0, 0, Vec::new())
+            (0, 0)
         };
-        let write_key_hashes: Vec<u64> = txn
-            .spec
-            .writes
-            .iter()
-            .map(|(k, _)| planet_predict::conflict::KeyedConflictModel::key_hash(k.as_str()))
-            .collect();
+        self.key_hashes.clear();
+        self.key_hashes.extend(
+            txn.spec
+                .writes
+                .iter()
+                .map(|(k, _)| planet_predict::conflict::KeyedConflictModel::key_hash(k.as_str())),
+        );
 
         // Admission decision.
         if self
             .admission
             .admit(
                 &self.model,
-                &write_key_hashes,
+                &self.key_hashes,
                 self.live.len(),
                 quorum.max(1),
                 voters.max(1),
@@ -420,18 +432,16 @@ impl ClientActor {
             .spec
             .writes
             .iter()
-            .map(|(key, _)| {
-                let (quorum, voters, outstanding) = self.key_shape(key);
+            .zip(&self.key_hashes)
+            .map(|((key, _), &key_hash)| {
                 (
                     key.clone(),
                     KeyState {
                         accepts: 0,
                         rejects: 0,
-                        outstanding,
+                        outstanding: self.voting_sites(key),
                         pending_at_read: 0,
-                        key_hash: planet_predict::conflict::KeyedConflictModel::key_hash(
-                            key.as_str(),
-                        ),
+                        key_hash,
                         quorum,
                         voters,
                     },
@@ -448,8 +458,14 @@ impl ClientActor {
                 },
             );
         }
-        let spec = txn.spec.clone();
-        let plan = txn.plan.clone();
+        // The request carries the spec or the plan's parameters away: after
+        // submission the client reads only the deadline, the speculation
+        // threshold, the compensation and the callbacks.
+        let plan = txn.plan.take();
+        let spec = std::mem::take(&mut txn.spec);
+        // One point at submission, one when the reads are in, and per
+        // written key one per vote and one at its resolution.
+        let predictions = Vec::with_capacity(2 + write_keys * (voters + 1));
         self.live.insert(
             tag,
             LiveTxn {
@@ -460,7 +476,7 @@ impl ClientActor {
                 keys,
                 speculated_at: None,
                 deadline_likelihood: None,
-                predictions: Vec::new(),
+                predictions,
                 votes_seen: 0,
                 reads: Vec::new(),
             },

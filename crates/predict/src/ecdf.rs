@@ -7,6 +7,12 @@
 //! than an all-history distribution) is what lets predictions track load
 //! spikes and regime changes, which is exactly the unpredictability PLANET
 //! targets.
+//!
+//! Every observed vote records a sample and is followed by a query, so the
+//! window is kept sorted as it slides: a sample is placed by binary search
+//! and the evicted one removed the same way, one memmove of at most the
+//! window between the two positions. A query is then one or two binary
+//! searches; it neither sorts nor allocates.
 
 use std::collections::VecDeque;
 
@@ -26,11 +32,11 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyEcdf {
+    /// The samples in arrival order: the front is evicted next.
     window: VecDeque<u64>,
     capacity: usize,
-    /// Sorted copy of `window`, rebuilt lazily.
+    /// The same samples, ascending, at every moment.
     sorted: Vec<u64>,
-    dirty: bool,
 }
 
 impl LatencyEcdf {
@@ -40,18 +46,31 @@ impl LatencyEcdf {
         LatencyEcdf {
             window: VecDeque::with_capacity(capacity),
             capacity,
-            sorted: Vec::new(),
-            dirty: false,
+            sorted: Vec::with_capacity(capacity),
         }
     }
 
     /// Record a sample, evicting the oldest when full.
     pub fn record(&mut self, sample: u64) {
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
+        // Past every sample ≤ the new one: ties keep their arrival order,
+        // though equal values are interchangeable to every query.
+        let at = self.sorted.partition_point(|&s| s <= sample);
+        if self.window.len() < self.capacity {
+            self.sorted.insert(at, sample);
+        } else {
+            let old = self.window.pop_front().expect("a full window has a front");
+            // The first of the evicted value's copies; any one would do.
+            let out = self.sorted.partition_point(|&s| s < old);
+            // Close the gap at `out` and open one at `at` in one move.
+            if out < at {
+                self.sorted.copy_within(out + 1..at, out);
+                self.sorted[at - 1] = sample;
+            } else {
+                self.sorted.copy_within(at..out, at + 1);
+                self.sorted[at] = sample;
+            }
         }
         self.window.push_back(sample);
-        self.dirty = true;
     }
 
     /// Number of samples currently in the window.
@@ -64,31 +83,20 @@ impl LatencyEcdf {
         self.window.is_empty()
     }
 
-    fn ensure_sorted(&mut self) {
-        if self.dirty {
-            self.sorted.clear();
-            self.sorted.extend(self.window.iter().copied());
-            self.sorted.sort_unstable();
-            self.dirty = false;
-        }
-    }
-
     /// Empirical `P(X <= x)`. Returns `None` when no samples exist.
-    pub fn cdf(&mut self, x: u64) -> Option<f64> {
+    pub fn cdf(&self, x: u64) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
-        self.ensure_sorted();
         let below = self.sorted.partition_point(|&s| s <= x);
         Some(below as f64 / self.sorted.len() as f64)
     }
 
     /// Empirical quantile (`q` in `[0,1]`). Returns `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
-        self.ensure_sorted();
         let q = q.clamp(0.0, 1.0);
         let idx = ((q * (self.sorted.len() - 1) as f64).round()) as usize;
         Some(self.sorted[idx] as f64)
@@ -111,14 +119,17 @@ impl LatencyEcdf {
     /// stale and the answer is a deliberately pessimistic small probability,
     /// because a response later than everything we have ever seen suggests
     /// loss or a partition.
-    pub fn conditional_within(&mut self, elapsed: u64, budget: u64) -> Option<f64> {
+    ///
+    /// A `budget` so large that `elapsed + budget` overflows (`u64::MAX`
+    /// spells "no deadline") reaches past every sample.
+    pub fn conditional_within(&self, elapsed: u64, budget: u64) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
-        self.ensure_sorted();
+        let deadline = elapsed.saturating_add(budget);
         let n = self.sorted.len() as f64;
         let past = self.sorted.partition_point(|&s| s <= elapsed) as f64;
-        let by_deadline = self.sorted.partition_point(|&s| s <= elapsed + budget) as f64;
+        let by_deadline = self.sorted.partition_point(|&s| s <= deadline) as f64;
         let survivors = n - past;
         if survivors <= 0.0 {
             // Beyond all observed samples: assume near-certain loss.
@@ -142,7 +153,7 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        let mut e = LatencyEcdf::new(8);
+        let e = LatencyEcdf::new(8);
         assert!(e.is_empty());
         assert_eq!(e.cdf(100), None);
         assert_eq!(e.quantile(0.5), None);
@@ -152,7 +163,7 @@ mod tests {
 
     #[test]
     fn cdf_basic() {
-        let mut e = filled(&[10, 20, 30, 40]);
+        let e = filled(&[10, 20, 30, 40]);
         assert_eq!(e.cdf(5), Some(0.0));
         assert_eq!(e.cdf(10), Some(0.25));
         assert_eq!(e.cdf(25), Some(0.5));
@@ -161,7 +172,7 @@ mod tests {
 
     #[test]
     fn quantile_basic() {
-        let mut e = filled(&[10, 20, 30, 40, 50]);
+        let e = filled(&[10, 20, 30, 40, 50]);
         assert_eq!(e.quantile(0.0), Some(10.0));
         assert_eq!(e.quantile(0.5), Some(30.0));
         assert_eq!(e.quantile(1.0), Some(50.0));
@@ -182,7 +193,7 @@ mod tests {
     fn conditional_probability_tightens_over_time() {
         // Bimodal: half fast (~10), half slow (~100). Once 50µs have passed
         // the response must be in the slow mode.
-        let mut e = filled(&[10, 10, 10, 100, 100, 100]);
+        let e = filled(&[10, 10, 10, 100, 100, 100]);
         let unconditional = e.conditional_within(0, 20).unwrap();
         assert!((unconditional - 0.5).abs() < 1e-9);
         let conditioned = e.conditional_within(50, 60).unwrap();
@@ -191,9 +202,16 @@ mod tests {
 
     #[test]
     fn conditional_beyond_support_is_pessimistic() {
-        let mut e = filled(&[10, 20, 30]);
+        let e = filled(&[10, 20, 30]);
         let p = e.conditional_within(1_000, 1_000).unwrap();
         assert!(p < 0.1, "expected pessimistic tail, got {p}");
+    }
+
+    #[test]
+    fn an_unbounded_budget_reaches_every_sample() {
+        let e = filled(&[10, 20, 30]);
+        assert_eq!(e.conditional_within(15, u64::MAX), Some(1.0));
+        assert_eq!(e.conditional_within(u64::MAX, u64::MAX), Some(0.05));
     }
 
     #[test]

@@ -165,15 +165,15 @@ impl LikelihoodModel {
     }
 
     /// Median vote round trip for a replica site, if known.
-    pub fn path_median_us(&mut self, site: u8) -> Option<f64> {
-        self.paths.get_mut(site as usize)?.quantile(0.5)
+    pub fn path_median_us(&self, site: u8) -> Option<f64> {
+        self.paths.get(site as usize)?.quantile(0.5)
     }
 
     /// Probability one outstanding replica answers within `budget_us` more
     /// microseconds (regardless of verdict).
-    fn arrival_prob(&mut self, site: u8, elapsed_us: u64, budget_us: u64) -> f64 {
+    fn arrival_prob(&self, site: u8, elapsed_us: u64, budget_us: u64) -> f64 {
         self.paths
-            .get_mut(site as usize)
+            .get(site as usize)
             .and_then(|p| p.conditional_within(elapsed_us, budget_us))
             .unwrap_or(UNKNOWN_PATH_ARRIVAL)
     }
@@ -181,19 +181,15 @@ impl LikelihoodModel {
     /// Probability one outstanding replica both answers within `budget_us`
     /// more microseconds and accepts.
     fn success_prob(
-        &mut self,
+        &self,
         site: u8,
         elapsed_us: u64,
         budget_us: u64,
         pending: usize,
         key_hash: u64,
     ) -> f64 {
-        let arrival = self
-            .paths
-            .get_mut(site as usize)
-            .and_then(|p| p.conditional_within(elapsed_us, budget_us))
-            .unwrap_or(UNKNOWN_PATH_ARRIVAL);
-        arrival * self.conflict.accept_prob(key_hash, pending)
+        self.arrival_prob(site, elapsed_us, budget_us)
+            * self.conflict.accept_prob(key_hash, pending)
     }
 
     /// `P(key reaches quorum within budget_us)` for one key.
@@ -457,6 +453,30 @@ mod tests {
             assert_eq!(
                 m.likelihood_eventual(&snap).to_bits(),
                 no_deadline.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_budget_of_u64_max_means_no_deadline() {
+        let mut m = warmed_model();
+        for _ in 0..50 {
+            m.observe_key_resolution(1, true);
+        }
+        for (accepts, elapsed_us) in [(0, 0), (0, 50_000), (2, 101_000), (3, 400_000)] {
+            let snap = TxnSnapshot {
+                keys: vec![KeyState {
+                    key_hash: 1,
+                    ..key(accepts, 0, (accepts as u8..5).collect(), 4, 5)
+                }],
+                elapsed_us,
+            };
+            let eventual = m.likelihood_eventual(&snap);
+            assert!(eventual > 0.0, "elapsed {elapsed_us}: {eventual}");
+            assert_eq!(
+                m.likelihood(&snap, u64::MAX).to_bits(),
+                eventual.to_bits(),
+                "elapsed {elapsed_us}"
             );
         }
     }

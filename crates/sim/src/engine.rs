@@ -8,9 +8,18 @@
 //! Every event is driven into one effects buffer the engine owns and
 //! drains, as the live runtime's workers do with theirs: an event
 //! allocates what its messages carry, and nothing for being an event.
+//!
+//! The event heap holds only 24-byte keys `(time, sequence, slot)`; the
+//! message a key stands for waits in a slab at `slot`, whose freed slots
+//! are reused, so a heap sift moves keys rather than messages and the slab
+//! never grows past the most events ever pending at once. The sequence
+//! number is unique, so the slot never decides an order. The per-channel
+//! FIFO high-water marks are a dense table indexed by `(src, dst)`, sized
+//! when the run starts (actors are fixed from then on): a send hashes
+//! nothing.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::actor::{drive_into, drive_start, Actor, ActorId, Effect, TurnInputs};
 use crate::metrics::Metrics;
@@ -18,38 +27,25 @@ use crate::net::{NetworkModel, SiteId};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled message delivery.
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
+/// A scheduled delivery in the heap: `(at, seq, slot)`, earliest first.
+type EventKey = Reverse<(SimTime, u64, u32)>;
+
+/// What a scheduled delivery carries, parked in the slab.
+struct Payload<M> {
     from: ActorId,
     dst: ActorId,
     msg: M,
-}
-
-// Order by (at, seq) only; messages are opaque.
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// The simulation engine. `M` is the message type shared by all actors.
 pub struct Simulation<M> {
     time: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: BinaryHeap<EventKey>,
+    /// The payload of every queued key, at the key's slot; `None` = free.
+    slab: Vec<Option<Payload<M>>>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     sites: Vec<SiteId>,
     net: NetworkModel,
@@ -61,10 +57,11 @@ pub struct Simulation<M> {
     halted: bool,
     events_processed: u64,
     dropped_messages: u64,
-    /// Per-(src, dst) pair: the latest delivery time scheduled so far.
-    /// Deliveries between one ordered pair never reorder (TCP-like FIFO
-    /// channels); cross-pair timing remains fully stochastic.
-    fifo_high_water: HashMap<(ActorId, ActorId), SimTime>,
+    /// Per-(src, dst) pair, at `src * actors + dst`: the latest delivery
+    /// time scheduled so far. Deliveries between one ordered pair never
+    /// reorder (TCP-like FIFO channels); cross-pair timing remains fully
+    /// stochastic. Sized when the run starts.
+    fifo_high_water: Vec<SimTime>,
 }
 
 impl<M: 'static> Simulation<M> {
@@ -75,6 +72,8 @@ impl<M: 'static> Simulation<M> {
             time: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             actors: Vec::new(),
             sites: Vec::new(),
             net,
@@ -85,7 +84,7 @@ impl<M: 'static> Simulation<M> {
             halted: false,
             events_processed: 0,
             dropped_messages: 0,
-            fifo_high_water: HashMap::new(),
+            fifo_high_water: Vec::new(),
         }
     }
 
@@ -145,20 +144,26 @@ impl<M: 'static> Simulation<M> {
     /// absolute time. Must not be in the past.
     pub fn inject_at(&mut self, at: SimTime, dst: ActorId, msg: M) {
         assert!(at >= self.time, "cannot inject into the past");
-        let seq = self.next_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            seq,
-            from: dst,
-            dst,
-            msg,
-        }));
+        self.push_event(at, dst, dst, msg);
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queue `msg` for delivery to `dst` at `at`, after everything already
+    /// queued for the same instant.
+    fn push_event(&mut self, at: SimTime, from: ActorId, dst: ActorId, msg: M) {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        let payload = Some(Payload { from, dst, msg });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = payload;
+                slot
+            }
+            None => {
+                self.slab.push(payload);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse((at, seq, slot)));
     }
 
     fn start_if_needed(&mut self) {
@@ -166,7 +171,9 @@ impl<M: 'static> Simulation<M> {
             return;
         }
         self.started = true;
-        for i in 0..self.actors.len() {
+        let n = self.actors.len();
+        self.fifo_high_water = vec![SimTime::ZERO; n * n];
+        for i in 0..n {
             self.dispatch_start(ActorId(i as u32));
         }
     }
@@ -201,37 +208,18 @@ impl<M: 'static> Simulation<M> {
                             let mut at = self.time + delay;
                             // FIFO per ordered pair: a message never
                             // overtakes an earlier one on the same channel.
-                            let hw = self
-                                .fifo_high_water
-                                .entry((src, dst))
-                                .or_insert(SimTime::ZERO);
+                            let pair = src.0 as usize * self.actors.len() + dst.0 as usize;
+                            let hw = &mut self.fifo_high_water[pair];
                             if at <= *hw {
                                 at = *hw + SimDuration::from_micros(1);
                             }
                             *hw = at;
-                            let seq = self.next_seq();
-                            self.queue.push(Reverse(Scheduled {
-                                at,
-                                seq,
-                                from: src,
-                                dst,
-                                msg,
-                            }));
+                            self.push_event(at, src, dst, msg);
                         }
                         None => self.dropped_messages += 1,
                     }
                 }
-                Effect::Timer { delay, msg } => {
-                    let at = self.time + delay;
-                    let seq = self.next_seq();
-                    self.queue.push(Reverse(Scheduled {
-                        at,
-                        seq,
-                        from: src,
-                        dst: src,
-                        msg,
-                    }));
-                }
+                Effect::Timer { delay, msg } => self.push_event(self.time + delay, src, src, msg),
                 Effect::Halt => self.halted = true,
             }
         }
@@ -245,33 +233,37 @@ impl<M: 'static> Simulation<M> {
         if self.halted {
             return false;
         }
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some(Reverse((at, _, slot))) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.time, "time went backwards");
-        self.time = ev.at;
+        let Payload { from, dst, msg } = self.slab[slot as usize]
+            .take()
+            .expect("a queued key has its payload");
+        self.free.push(slot);
+        debug_assert!(at >= self.time, "time went backwards");
+        self.time = at;
         self.events_processed += 1;
 
-        let idx = ev.dst.0 as usize;
+        let idx = dst.0 as usize;
         let mut actor = self.actors[idx]
             .take()
             .expect("actor missing (re-entrant dispatch?)");
         let inputs = TurnInputs {
             now: self.time,
-            self_id: ev.dst,
+            self_id: dst,
             self_site: self.sites[idx],
         };
         drive_into(
             actor.as_mut(),
             inputs,
-            ev.from,
-            ev.msg,
+            from,
+            msg,
             &mut self.rng,
             &mut self.metrics,
             &mut self.effects,
         );
         self.actors[idx] = Some(actor);
-        self.apply_effects(ev.dst);
+        self.apply_effects(dst);
         !self.halted
     }
 
@@ -281,7 +273,7 @@ impl<M: 'static> Simulation<M> {
         self.start_if_needed();
         while !self.halted {
             match self.queue.peek() {
-                Some(Reverse(ev)) if ev.at <= deadline => {
+                Some(Reverse((at, _, _))) if *at <= deadline => {
                     self.step();
                 }
                 _ => break,
@@ -556,6 +548,58 @@ mod tests {
         assert_eq!(sim.dropped_messages(), 3, "all three pings must be lost");
         let seen = &sim.actor_as::<Ponger>(ponger).unwrap().seen;
         assert!(seen.is_empty());
+    }
+
+    #[test]
+    fn the_heap_holds_keys_of_24_bytes() {
+        assert!(std::mem::size_of::<EventKey>() <= 24);
+    }
+
+    #[test]
+    fn the_slab_never_outgrows_the_peak_of_pending_events() {
+        /// Pings its peer every millisecond, forever.
+        struct Chatter {
+            peer: ActorId,
+        }
+        impl Actor<TestMsg> for Chatter {
+            fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
+                ctx.schedule(SimDuration::from_millis(1), TestMsg::Tick);
+            }
+            fn on_message(&mut self, _f: ActorId, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+                if msg == TestMsg::Tick {
+                    ctx.send(self.peer, TestMsg::Ping(0));
+                    ctx.schedule(SimDuration::from_millis(1), TestMsg::Tick);
+                }
+            }
+        }
+        // Three chatters at two sites keep a few hundred messages and
+        // timers in flight for thousands of events; a burst of 2 000
+        // injections raises the peak once mid-run, and the slots it freed
+        // carry the rest of the run.
+        let mut sim = Simulation::new(topology::three_dc(), 5);
+        let ponger = sim.add_actor(SiteId(2), Box::new(Ponger { seen: Vec::new() }));
+        for site in [0, 1, 1] {
+            sim.add_actor(SiteId(site), Box::new(Chatter { peer: ponger }));
+        }
+        let mut peak = sim.queue.len();
+        let mut steps = 0u64;
+        while steps < 20_000 && sim.step() {
+            steps += 1;
+            if steps == 5_000 {
+                for _ in 0..2_000 {
+                    sim.inject_at(sim.now(), ponger, TestMsg::Tick);
+                }
+            }
+            peak = peak.max(sim.queue.len());
+            assert_eq!(sim.slab.len() - sim.free.len(), sim.queue.len());
+        }
+        assert_eq!(steps, 20_000, "the run must be long");
+        assert!(peak > 2_000, "the burst must raise the peak: {peak}");
+        assert!(
+            sim.slab.len() <= peak,
+            "slab {} > peak pending {peak}",
+            sim.slab.len()
+        );
     }
 
     #[test]
