@@ -39,7 +39,7 @@ struct Point {
 
 /// A LAN-ish topology: the point of the sweep is scheduling and protocol
 /// cost under concurrency, not WAN geography, so cross-site RTT is 2 ms.
-fn lan() -> NetworkModel {
+pub(crate) fn lan() -> NetworkModel {
     let rtt: Vec<Vec<f64>> = (0..SITES)
         .map(|i| (0..SITES).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
         .collect();

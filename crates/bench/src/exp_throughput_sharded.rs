@@ -1,13 +1,15 @@
 //! Sharded-replica throughput: the same closed-loop concurrency sweep as
 //! [`crate::exp_throughput`], but varying the number of replica shards per
-//! site (`ClusterConfig::with_shards`) on both live transports:
+//! site (`ClusterConfig::with_shards`) on both live transports. Every point
+//! is one [`run_point`]: a [`LiveCluster`] built on the transport under
+//! test, a pool of [`LoadClient`]s per site, a measured window, a harvest.
 //!
-//! * **channel** — the in-process [`LiveCluster`], the delay fabric shaping
+//! * **channel** — one reactor for every actor, the delay fabric shaping
 //!   deliveries;
-//! * **tcp** — three in-process [`TcpTransport`]s (one per "planetd"), each
-//!   hosting its site's shard replicas and coordinator on a [`Reactor`] of
-//!   its own, clients driving load through a fourth client-side transport
-//!   and reactor over real sockets.
+//! * **tcp** — `.tcp(..)` with all three sites hosted on loopback ports:
+//!   three planetd-style nodes, each with a listener and a reactor of its
+//!   own, and the clients on a fourth, planet-load-style node, all over
+//!   real sockets.
 //!
 //! Each point reports the host's core count alongside the numbers: shards
 //! only buy parallel commit work when the host actually has cores to run
@@ -17,16 +19,12 @@
 //! `Scale::Full` the sweep lands in `BENCH_throughput_sharded.json`.
 
 use std::sync::mpsc::channel;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use planet_cluster::{
-    mailbox, Clock, LiveCluster, LoadClient, LoadRecord, PlaneConfig, PoolMembers, Reactor,
-    TcpTransport, Transport,
-};
-use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, ReplicaActor};
+use planet_cluster::{default_workers, LiveCluster, LoadClient, LoadRecord, PlaneConfig};
+use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol};
 use planet_sim::metrics::{Histogram, Metrics};
-use planet_sim::{Actor, ActorId, NetworkModel, SiteId};
+use planet_sim::Actor;
 use planet_storage::Key;
 
 use crate::common::Scale;
@@ -34,6 +32,12 @@ use crate::report::Table;
 
 const SITES: usize = 3;
 const KEYS: usize = 64;
+
+/// The four per-txn latency-attribution spans, harvested per point:
+/// mailbox enqueue → drain at every actor, coordinator proposal dispatch →
+/// decision, WAL-class drive time at replicas, and client-observed latency
+/// minus coordinator hold time.
+const SPANS: [&str; 4] = ["queue_us", "quorum_wait_us", "wal_us", "network_us"];
 
 /// Summary of one span histogram at one point.
 #[derive(Clone, Copy, Default)]
@@ -43,46 +47,15 @@ struct SpanStat {
     count: u64,
 }
 
-/// The four per-txn latency-attribution spans, harvested per point.
-#[derive(Clone, Copy, Default)]
-struct SpanSet {
-    /// Mailbox enqueue → drain, all actors.
-    queue: SpanStat,
-    /// Coordinator proposal dispatch → decision.
-    quorum_wait: SpanStat,
-    /// WAL-class message drive time at replicas.
-    wal: SpanStat,
-    /// Client-observed latency minus coordinator hold time.
-    network: SpanStat,
-}
-
-fn span_stat(metrics: &mut Metrics, name: &str) -> SpanStat {
-    let h = metrics.histogram(name);
-    SpanStat {
-        p50_us: h.quantile(0.50).unwrap_or(0),
-        p99_us: h.quantile(0.99).unwrap_or(0),
-        count: h.count(),
-    }
-}
-
-fn span_set(metrics: &mut Metrics) -> SpanSet {
-    SpanSet {
-        queue: span_stat(metrics, "span.queue_us"),
-        quorum_wait: span_stat(metrics, "span.quorum_wait_us"),
-        wal: span_stat(metrics, "span.wal_us"),
-        network: span_stat(metrics, "span.network_us"),
-    }
-}
-
-/// Merge many harvested [`Metrics`] and summarize their spans.
-fn span_set_of(all: impl IntoIterator<Item = Metrics>) -> SpanSet {
-    let mut merged = Metrics::new();
-    for metrics in all {
-        for (name, hist) in metrics.histograms() {
-            merged.histogram(name).merge(hist);
+fn span_stats(metrics: &mut Metrics) -> [SpanStat; 4] {
+    SPANS.map(|name| {
+        let h = metrics.histogram(&format!("span.{name}"));
+        SpanStat {
+            p50_us: h.quantile(0.50).unwrap_or(0),
+            p99_us: h.quantile(0.99).unwrap_or(0),
+            count: h.count(),
         }
-    }
-    span_set(&mut merged)
+    })
 }
 
 /// One measured point of the sharded sweep.
@@ -98,19 +71,8 @@ struct Point {
     commit_rate: f64,
     completions: u64,
     shed: u64,
-    spans: SpanSet,
-}
-
-/// Same LAN-ish model as the base throughput sweep: 2 ms cross-site RTT.
-fn lan() -> NetworkModel {
-    let rtt: Vec<Vec<f64>> = (0..SITES)
-        .map(|i| (0..SITES).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
-        .collect();
-    NetworkModel::from_rtt_ms(&rtt)
-}
-
-fn keys() -> Vec<Key> {
-    (0..KEYS).map(|i| Key::new(format!("sh-{i}"))).collect()
+    /// One per [`SPANS`] entry.
+    spans: [SpanStat; 4],
 }
 
 /// Drain the completion channel through a warmup, then a measured window.
@@ -157,9 +119,11 @@ fn measure(
     )
 }
 
-/// One point on the in-process channel transport: a [`LiveCluster`] on one
-/// reactor of `workers` workers.
-fn run_channel_point(
+/// One point on `transport` (`"channel"` or `"tcp"`): a [`LiveCluster`] of
+/// `shards` replica shards per site on reactors of `workers` workers, and
+/// `clients` closed-loop clients round-robined over the sites.
+fn run_point(
+    transport: &'static str,
     shards: usize,
     workers: usize,
     clients: usize,
@@ -168,12 +132,19 @@ fn run_channel_point(
     seed: u64,
 ) -> Point {
     let config = ClusterConfig::new(SITES, Protocol::Fast).with_shards(shards);
-    let mut cluster = LiveCluster::builder(config)
-        .network(lan())
+    let builder = LiveCluster::builder(config)
         .seed(seed)
-        .plane(PlaneConfig::default().with_workers(workers))
-        .build();
-    let keys = keys();
+        .plane(PlaneConfig::default().with_workers(workers));
+    let mut cluster = match transport {
+        "tcp" => {
+            let loopback = "127.0.0.1:0".parse().expect("loopback addr");
+            builder.tcp(vec![loopback; SITES], 0..SITES)
+        }
+        // The base sweep's 2 ms cross-site RTT.
+        _ => builder.network(crate::exp_throughput::lan()),
+    }
+    .build();
+    let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("sh-{i}"))).collect();
     let (tx, rx) = channel::<LoadRecord>();
     for site in 0..SITES {
         let coordinator = cluster.coordinator(site);
@@ -181,17 +152,14 @@ fn run_channel_point(
             .filter(|k| k % SITES == site)
             .map(|_| Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone())) as _)
             .collect();
-        if !actors.is_empty() {
-            cluster.spawn_client_pool(site, actors);
-        }
+        cluster.spawn_client_pool(site, actors);
     }
     drop(tx);
     let (ops_per_sec, p50_us, p99_us, commit_rate, completions) = measure(&rx, warmup, window);
     let harvest = cluster.shutdown();
-    let mut merged = harvest.merged_metrics();
     Point {
         shards,
-        transport: "channel",
+        transport,
         workers,
         clients,
         ops_per_sec,
@@ -200,174 +168,29 @@ fn run_channel_point(
         commit_rate,
         completions,
         shed: harvest.shed,
-        spans: span_set(&mut merged),
+        spans: span_stats(&mut harvest.merged_metrics()),
     }
-}
-
-/// One point over real sockets: three server transports (one per
-/// "planetd", hosting that site's shard replicas and coordinator with the
-/// shard-major id layout) plus one client-side transport whose
-/// [`LoadClient`]s reach coordinators through static routes and receive
-/// replies down the learned connections — exactly the planetd/planet-load
-/// split, inside one process: each "planetd" runs its actors on a
-/// [`Reactor`] of its own, as a `planetd` process does, and the clients ride
-/// a fourth as pool tasks, as `planet-load`'s do.
-fn run_tcp_point(
-    shards: usize,
-    workers: usize,
-    clients: usize,
-    warmup: Duration,
-    window: Duration,
-    seed: u64,
-) -> Point {
-    let n = SITES;
-    let config = ClusterConfig::new(n, Protocol::Fast).with_shards(shards);
-    let clock = Clock::new();
-    let plane = PlaneConfig::default().with_workers(workers);
-    // One per site, then the load generator's.
-    let reactors: Vec<Arc<Reactor>> = (0..=n)
-        .map(|i| Reactor::new(clock, plane, seed ^ i as u64))
-        .collect();
-    let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
-    let server_ids: Vec<u32> = (0..(shards + 1) * n).map(|i| i as u32).collect();
-
-    let transports: Vec<Arc<TcpTransport>> = (0..n).map(|_| TcpTransport::new()).collect();
-    let addrs: Vec<_> = transports
-        .iter()
-        .map(|t| {
-            let any = "127.0.0.1:0".parse().expect("loopback addr");
-            t.listen(any).expect("bind")
-        })
-        .collect();
-    let client_transport = TcpTransport::new();
-    for t in transports.iter().chain(std::iter::once(&client_transport)) {
-        for &id in &server_ids {
-            // Replica (site, shard) = shard*n + site and coordinator
-            // shards*n + site are both served by site's transport.
-            t.add_route(id, addrs[id as usize % n]);
-        }
-    }
-
-    let mut nodes = Vec::new();
-    for (site, transport) in transports.iter().enumerate() {
-        let mut hosted: Vec<(u32, Box<dyn Actor<Msg>>)> = Vec::new();
-        for shard in 0..shards {
-            let peers = replica_ids[shard * n..(shard + 1) * n].to_vec();
-            hosted.push((
-                (shard * n + site) as u32,
-                Box::new(ReplicaActor::new(config.clone(), peers, shard)),
-            ));
-        }
-        hosted.push((
-            (shards * n + site) as u32,
-            Box::new(CoordinatorActor::new(
-                config.clone(),
-                replica_ids.clone(),
-                SiteId(site as u8),
-            )),
-        ));
-        for (id, actor) in hosted {
-            let (tx, rx) = mailbox(plane.mailbox_capacity);
-            transport.host(id, tx.clone());
-            nodes.push(reactors[site].spawn(
-                ActorId(id),
-                SiteId(site as u8),
-                actor,
-                tx,
-                rx,
-                transport.clone() as Arc<dyn Transport>,
-            ));
-        }
-    }
-
-    let keys = keys();
-    let (tx, rx) = channel::<LoadRecord>();
-    let mut next_client = ((shards + 1) * n) as u32;
-    let mut pools = Vec::new();
-    for site in 0..n {
-        let coordinator = ActorId((shards * n + site) as u32);
-        let members: PoolMembers = (0..clients)
-            .filter(|k| k % n == site)
-            .map(|_| {
-                let id = ActorId(next_client);
-                next_client += 1;
-                let actor: Box<dyn Actor<Msg>> =
-                    Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone()));
-                (id, actor)
-            })
-            .collect();
-        pools.extend(reactors[n].spawn_pool_per_worker(
-            members,
-            SiteId(site as u8),
-            client_transport.clone() as Arc<dyn Transport>,
-            |id, mtx| client_transport.host(id.0, mtx),
-        ));
-    }
-    drop(tx);
-
-    let (ops_per_sec, p50_us, p99_us, commit_rate, completions) = measure(&rx, warmup, window);
-
-    let mut all_metrics = Vec::new();
-    for pool in pools {
-        let (_, metrics) = pool.stop_and_join();
-        all_metrics.push(metrics);
-    }
-    // Coordinators before replicas, as LiveCluster::shutdown does.
-    for node in nodes.into_iter().rev() {
-        let (_, metrics) = node.stop_and_join();
-        all_metrics.push(metrics);
-    }
-    for reactor in &reactors {
-        reactor.shutdown();
-    }
-    let mut shed = client_transport.shed();
-    client_transport.stop();
-    for t in &transports {
-        shed += t.shed();
-        t.stop();
-    }
-
-    Point {
-        shards,
-        transport: "tcp",
-        workers,
-        clients,
-        ops_per_sec,
-        p50_us,
-        p99_us,
-        commit_rate,
-        completions,
-        shed,
-        spans: span_set_of(all_metrics),
-    }
-}
-
-/// Median-of-`trials` by ops/sec, as the base throughput sweep does.
-#[allow(clippy::too_many_arguments)]
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-fn span_json(name: &str, s: &SpanStat) -> String {
-    format!(
-        "\"{name}\": {{\"p50_us\": {}, \"p99_us\": {}, \"count\": {}}}",
-        s.p50_us, s.p99_us, s.count
-    )
 }
 
 fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usize) {
     let mut out = String::from("{\n  \"experiment\": \"throughput_sharded\",\n");
     out.push_str(&format!(
         "  \"sites\": {SITES},\n  \"keys\": {KEYS},\n  \"cores\": {},\n  \"warmup_secs\": {},\n  \"window_secs\": {},\n  \"trials\": {trials},\n  \"points\": [\n",
-        cores(),
+        default_workers(),
         warmup.as_secs_f64(),
         window.as_secs_f64()
     ));
     for (i, p) in points.iter().enumerate() {
+        let spans: Vec<String> = SPANS
+            .iter()
+            .zip(&p.spans)
+            .map(|(name, s)| {
+                let (p50, p99, count) = (s.p50_us, s.p99_us, s.count);
+                format!("\"{name}\": {{\"p50_us\": {p50}, \"p99_us\": {p99}, \"count\": {count}}}")
+            })
+            .collect();
         out.push_str(&format!(
-            "    {{\"shards\": {}, \"transport\": \"{}\", \"workers\": {}, \"clients\": {}, \"ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"commit_rate\": {:.4}, \"completions\": {}, \"shed\": {}, \"spans\": {{{}, {}, {}, {}}}}}{}\n",
+            "    {{\"shards\": {}, \"transport\": \"{}\", \"workers\": {}, \"clients\": {}, \"ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \"commit_rate\": {:.4}, \"completions\": {}, \"shed\": {}, \"spans\": {{{}}}}}{}\n",
             p.shards,
             p.transport,
             p.workers,
@@ -378,10 +201,7 @@ fn write_json(points: &[Point], warmup: Duration, window: Duration, trials: usiz
             p.commit_rate,
             p.completions,
             p.shed,
-            span_json("queue_us", &p.spans.queue),
-            span_json("quorum_wait_us", &p.spans.quorum_wait),
-            span_json("wal_us", &p.spans.wal),
-            span_json("network_us", &p.spans.network),
+            spans.join(", "),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -405,7 +225,7 @@ pub fn throughput_sharded(scale: Scale) -> Table {
         Scale::Quick => (Duration::from_millis(200), Duration::from_millis(500), 1),
         Scale::Full => (Duration::from_millis(500), Duration::from_secs(2), 3),
     };
-    let workers = planet_cluster::default_workers();
+    let workers = default_workers();
 
     let mut table = Table::new(
         "throughput-sharded",
@@ -440,16 +260,16 @@ pub fn throughput_sharded(scale: Scale) -> Table {
     for trial in 0..trials {
         for (i, &(transport, shards, clients)) in configs.iter().enumerate() {
             let seed = 9000 + shards as u64 * 100 + clients as u64 + 1000 * trial as u64;
-            by_config[i].push(match transport {
-                "tcp" => run_tcp_point(shards, workers, clients, warmup, window, seed),
-                _ => run_channel_point(shards, workers, clients, warmup, window, seed),
-            });
+            by_config[i].push(run_point(
+                transport, shards, workers, clients, warmup, window, seed,
+            ));
         }
     }
     let mut points = Vec::new();
     for mut trials_of in by_config {
         trials_of.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
         let point = trials_of.remove(trials_of.len() / 2);
+        let [_, quorum_wait, _, network] = point.spans;
         table.row(vec![
             point.shards.to_string(),
             point.transport.to_string(),
@@ -459,14 +279,14 @@ pub fn throughput_sharded(scale: Scale) -> Table {
             crate::report::ms(point.p50_us),
             crate::report::ms(point.p99_us),
             crate::report::pct(point.commit_rate),
-            crate::report::ms(point.spans.quorum_wait.p50_us),
-            crate::report::ms(point.spans.network.p50_us),
+            crate::report::ms(quorum_wait.p50_us),
+            crate::report::ms(network.p50_us),
         ]);
         points.push(point);
     }
     table.note(format!(
         "{SITES} sites, {KEYS} keys, commutative increments, {} host core(s), median of {trials}; workers is per reactor: channel points run one reactor and ride the 2ms-RTT fabric, tcp points run four (one per site, one for the clients) over raw loopback sockets",
-        cores()
+        workers
     ));
     if scale == Scale::Full {
         write_json(&points, warmup, window, trials);

@@ -1,9 +1,10 @@
 //! `planetd` — one live PLANET server process.
 //!
 //! Hosts one site's replica shards and coordinator as tasks on a reactor,
-//! speaking the length-prefixed wire format over TCP. Every `planetd` in a
-//! deployment is started with the same `--addrs` list (the topology) and
-//! its own `--site` index:
+//! speaking the length-prefixed wire format over TCP: its command line is
+//! parsed into `LiveCluster::builder(..).tcp(addrs, [site])`. Every
+//! `planetd` in a deployment is started with the same `--addrs` list (the
+//! topology) and its own `--site` index:
 //!
 //! ```text
 //! planetd --site 0 --addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
@@ -21,9 +22,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use planet_cluster::{mailbox, Clock, PlaneConfig, Reactor, TcpTransport, Transport};
-use planet_mdcc::{ClusterConfig, CoordinatorActor, FileSink, Msg, Protocol, ReplicaActor, Trace};
-use planet_sim::{Actor, ActorId, SiteId};
+use planet_cluster::{LiveCluster, PlaneConfig};
+use planet_mdcc::{ClusterConfig, FileSink, Protocol, Trace};
 
 struct Args {
     site: usize,
@@ -90,7 +90,10 @@ fn parse_args() -> Args {
                     .filter(|&w| w >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--run-secs" => run_secs = args.next().and_then(|v| v.parse().ok()),
+            "--run-secs" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(secs) => run_secs = Some(secs),
+                None => usage(),
+            },
             "--trace" => match args.next() {
                 Some(p) => trace = Some(p),
                 None => usage(),
@@ -116,8 +119,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let n = args.addrs.len();
-    let shards = args.shards;
-    let mut config = ClusterConfig::new(n, args.protocol).with_shards(shards);
+    let mut config = ClusterConfig::new(n, args.protocol).with_shards(args.shards);
     let trace_sink = match &args.trace {
         Some(path) => match FileSink::create(std::path::Path::new(path)) {
             Ok(sink) => {
@@ -132,62 +134,26 @@ fn main() {
         },
         None => None,
     };
-    let clock = Clock::new();
-    let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
-
-    let transport = TcpTransport::new();
-    for (site, addr) in args.addrs.iter().enumerate() {
-        for shard in 0..shards {
-            transport.add_route((shard * n + site) as u32, *addr);
-        }
-        transport.add_route((shards * n + site) as u32, *addr);
-    }
-
-    // This site's actors: one replica per shard (with the shard's
-    // cross-site replication group as peers), plus the coordinator.
-    let mut local: Vec<(u32, Box<dyn Actor<Msg>>)> = Vec::new();
-    for shard in 0..shards {
-        let peers: Vec<ActorId> = replica_ids[shard * n..(shard + 1) * n].to_vec();
-        let replica: Box<dyn Actor<Msg>> =
-            Box::new(ReplicaActor::new(config.clone(), peers, shard));
-        local.push(((shard * n + args.site) as u32, replica));
-    }
-    let coordinator: Box<dyn Actor<Msg>> = Box::new(CoordinatorActor::new(
-        config.clone(),
-        replica_ids,
-        SiteId(args.site as u8),
-    ));
-    local.push(((shards * n + args.site) as u32, coordinator));
-    let plane = PlaneConfig::default().with_workers(args.workers);
-    let seed = 0x5EED ^ args.site as u64;
-    let reactor = Reactor::new(clock, plane, seed);
-    let mut nodes = Vec::new();
-    for (id, actor) in local {
-        let (tx, rx) = mailbox(plane.mailbox_capacity);
-        transport.host(id, tx.clone());
-        nodes.push(reactor.spawn(
-            ActorId(id),
-            SiteId(args.site as u8),
-            actor,
-            tx,
-            rx,
-            transport.clone() as Arc<dyn Transport>,
-        ));
-    }
-
-    let bound = match transport.listen(args.addrs[args.site]) {
-        Ok(addr) => addr,
+    let mut cluster = match LiveCluster::builder(config)
+        .tcp(args.addrs.clone(), [args.site])
+        .plane(PlaneConfig::default().with_workers(args.workers))
+        .seed(0x5EED)
+        .try_build()
+    {
+        Ok(cluster) => cluster,
         Err(e) => {
             eprintln!("planetd: cannot bind {}: {e}", args.addrs[args.site]);
             std::process::exit(1);
         }
     };
     println!(
-        "planetd: site {} of {n} serving {shards} replica shard(s) and coordinator {} on {bound} ({:?}, reactor x{})",
+        "planetd: site {} of {n} serving {} replica shard(s) and coordinator {} on {} ({:?}, reactor x{})",
         args.site,
-        shards * n + args.site,
+        args.shards,
+        cluster.coordinator(args.site).0,
+        cluster.addr(args.site).unwrap_or(args.addrs[args.site]),
         args.protocol,
-        reactor.workers()
+        cluster.reactors().map(|r| r.workers()).sum::<usize>()
     );
 
     match args.run_secs {
@@ -197,8 +163,13 @@ fn main() {
         },
     }
     println!("planetd: run window elapsed, shutting down");
-    for node in nodes {
-        let (_, metrics) = node.stop_and_join();
+    cluster.stop_tasks();
+    let steals: u64 = cluster.reactors().map(|r| r.steals()).sum();
+    let (flushes, bytes) = cluster.io_stats();
+    let harvest = cluster.shutdown();
+    let mut actors: Vec<_> = harvest.actors.iter().collect();
+    actors.sort_by_key(|(id, _)| **id);
+    for (_, (_, metrics)) in actors {
         for (name, value) in metrics.counters() {
             println!("planetd: {name} = {value}");
         }
@@ -208,14 +179,12 @@ fn main() {
             }
         }
     }
-    println!("planetd: {} task steals", reactor.steals());
-    reactor.shutdown();
-    let (flushes, bytes) = transport.io_stats();
+    println!("planetd: {steals} task steals");
     if flushes > 0 {
         println!(
             "planetd: {flushes} socket flushes, {bytes} bytes ({:.1} bytes/flush), {} submits shed",
             bytes as f64 / flushes as f64,
-            transport.shed(),
+            harvest.shed,
         );
     }
     if let Some(sink) = &trace_sink {
@@ -223,5 +192,4 @@ fn main() {
             eprintln!("planetd: trace flush failed: {e}");
         }
     }
-    transport.stop();
 }

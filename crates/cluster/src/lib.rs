@@ -12,6 +12,9 @@
 //!   wire format ([`wire`]), for multi-process deployments: the `planetd`
 //!   server binary and the `planet-load` driver.
 //!
+//! [`LiveCluster::builder`] assembles a cluster on either: every node of a
+//! channel cluster, or the tcp nodes of the sites one process hosts.
+//!
 //! Protocol logic is not duplicated: the reactor funnels every delivered
 //! message through [`planet_sim::drive_into`], the same factored step
 //! function the simulation engine calls, so a replica behaves identically
@@ -46,15 +49,24 @@ pub use tcp::TcpTransport;
 pub use transport::{Envelope, Transport};
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, OnceLock};
 
-use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, ReplicaActor};
+use planet_mdcc::{server_actors, ClusterConfig, Msg};
 use planet_sim::{Actor, ActorId, Metrics, NetworkModel, SiteId};
+
+/// What a node's actors send through, given the node's own transport and
+/// its index (see [`LiveClusterBuilder::wrap`]).
+type Wrap = Box<dyn Fn(Arc<dyn Transport>, Option<usize>) -> Arc<dyn Transport>>;
 
 /// Builder for a [`LiveCluster`].
 pub struct LiveClusterBuilder {
     config: ClusterConfig,
     net: Option<NetworkModel>,
+    /// Every site's address and the sites this process hosts.
+    tcp: Option<(Vec<SocketAddr>, Vec<usize>)>,
+    wrap: Wrap,
     seed: u64,
     plane: PlaneConfig,
 }
@@ -65,6 +77,8 @@ impl LiveClusterBuilder {
         LiveClusterBuilder {
             config,
             net: None,
+            tcp: None,
+            wrap: Box::new(|transport, _| transport),
             seed: 42,
             plane: PlaneConfig::default(),
         }
@@ -78,7 +92,8 @@ impl LiveClusterBuilder {
     }
 
     /// Shape deliveries with a network model (default: instant delivery).
-    /// The model must cover at least `config.num_sites` sites.
+    /// The model must cover at least `config.num_sites` sites. Channel
+    /// fabric only: a cluster given [`tcp`](Self::tcp) refuses to build.
     pub fn network(mut self, net: NetworkModel) -> Self {
         assert!(
             net.num_sites() >= self.config.num_sites,
@@ -96,87 +111,182 @@ impl LiveClusterBuilder {
         self
     }
 
-    /// Spawn the server nodes: `num_shards` replicas and one coordinator
-    /// per site, with the same dense shard-major actor-id layout the
-    /// simulated cluster uses (replica `(site, shard)` at `shard*n + site`,
-    /// coordinators at `shards*n .. shards*n + n`), every node a task on
-    /// one [`Reactor`] of `plane.workers` workers.
-    pub fn build(self) -> LiveCluster {
-        let clock = Clock::new();
-        let reactor = Reactor::new(clock, self.plane, self.seed);
-        let transport = match self.net {
-            Some(net) => ChannelTransport::with_network(
-                clock,
-                net,
-                self.seed,
-                self.plane.fabric_shards,
-                self.plane.fabric_slack_us,
-            ),
-            None => ChannelTransport::direct(clock),
-        };
-        let n = self.config.num_sites;
-        let shards = self.config.num_shards.max(1);
-        let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
+    /// Run over TCP, as a `planetd` deployment does: site `s` serves at
+    /// `addrs[s]`, and this process hosts the sites in `hosted`, each as a
+    /// node of its own — a [`TcpTransport`] listening on its address (port
+    /// 0 allowed; [`LiveCluster::addr`] reports the bound one) and a reactor
+    /// seeded `seed ^ site`. Clients go on a client node, as `planet-load`
+    /// runs them: no listener, and a reactor seeded `seed ^ n` that the
+    /// first client starts. Every node routes to every server id.
+    pub fn tcp(mut self, addrs: Vec<SocketAddr>, hosted: impl IntoIterator<Item = usize>) -> Self {
+        assert_eq!(addrs.len(), self.config.num_sites, "one address per site");
+        let hosted: Vec<usize> = hosted.into_iter().collect();
+        assert!(
+            hosted.iter().all(|&site| site < addrs.len()),
+            "hosted site out of range"
+        );
+        self.tcp = Some((addrs, hosted));
+        self
+    }
 
-        // Build every actor and mailbox first, register them all with the
-        // transport, and only then spawn tasks: an actor's on_start may
-        // send to peers that would otherwise not be routable yet.
-        let mut pending = Vec::new();
-        for shard in 0..shards {
-            let peers: Vec<ActorId> = replica_ids[shard * n..(shard + 1) * n].to_vec();
-            for site in 0..n {
-                let actor: Box<dyn Actor<Msg>> =
-                    Box::new(ReplicaActor::new(self.config.clone(), peers.clone(), shard));
-                pending.push((
-                    ActorId((shard * n + site) as u32),
-                    SiteId(site as u8),
-                    actor,
-                ));
+    /// Hand each node's actors `wrap(transport, node)` instead of the
+    /// node's own transport — a span around [`Transport::send_many`], a
+    /// fault injector. `node` is `None` on the channel fabric (one node);
+    /// on tcp it is a server node's site, or `n` for the client node.
+    pub fn wrap(
+        mut self,
+        wrap: impl Fn(Arc<dyn Transport>, Option<usize>) -> Arc<dyn Transport> + 'static,
+    ) -> Self {
+        self.wrap = Box::new(wrap);
+        self
+    }
+
+    /// [`try_build`](Self::try_build), panicking if a hosted site's
+    /// address cannot be bound.
+    pub fn build(self) -> LiveCluster {
+        self.try_build().expect("bind the hosted sites' listeners")
+    }
+
+    /// Spawn [`server_actors`] (on tcp, the hosted sites' share) as tasks
+    /// on their nodes' reactors, every mailbox registered before the first
+    /// spawn: an actor's `on_start` may send to any peer. Fails if a hosted
+    /// site's address cannot be bound.
+    pub fn try_build(self) -> io::Result<LiveCluster> {
+        assert!(
+            self.net.is_none() || self.tcp.is_none(),
+            "a network model shapes the channel fabric; a tcp cluster runs on real sockets"
+        );
+        let clock = Clock::new();
+        let servers = server_actors(&self.config);
+        let make_node = |fabric: Fabric, index: Option<usize>| {
+            let own: Arc<dyn Transport> = match &fabric {
+                Fabric::Channel(t) => t.clone(),
+                Fabric::Tcp(t) => t.clone(),
+            };
+            Node {
+                transport: (self.wrap)(own, index),
+                fabric,
+                index,
+                reactor: OnceLock::new(),
             }
-        }
-        for site in 0..n {
-            let actor: Box<dyn Actor<Msg>> = Box::new(CoordinatorActor::new(
-                self.config.clone(),
-                replica_ids.clone(),
-                SiteId(site as u8),
-            ));
-            pending.push((
-                ActorId((shards * n + site) as u32),
-                SiteId(site as u8),
-                actor,
-            ));
-        }
-        let mut channels = Vec::new();
-        for (id, site, actor) in pending {
-            let (tx, rx) = mailbox(self.plane.mailbox_capacity);
-            transport.register(id.0, site, tx.clone());
-            channels.push((id, site, actor, tx, rx));
-        }
-        let nodes = channels
-            .into_iter()
-            .map(|(id, site, actor, tx, rx)| {
-                reactor.spawn(
-                    id,
-                    site,
-                    actor,
-                    tx,
-                    rx,
-                    transport.clone() as Arc<dyn Transport>,
-                )
-            })
-            .collect();
-        LiveCluster {
-            transport,
+        };
+        let (nodes, addrs, listeners) = match self.tcp {
+            None => {
+                let channel = match self.net {
+                    Some(net) => ChannelTransport::with_network(
+                        clock,
+                        net,
+                        self.seed,
+                        self.plane.fabric_shards,
+                        self.plane.fabric_slack_us,
+                    ),
+                    None => ChannelTransport::direct(clock),
+                };
+                let node = make_node(Fabric::Channel(channel), None);
+                (vec![node], Vec::new(), Vec::new())
+            }
+            Some((mut addrs, hosted)) => {
+                // Bind first: a taken address fails the build before
+                // anything runs, and routes carry the ports bound as 0.
+                let mut listeners = Vec::new();
+                for &site in &hosted {
+                    let listener = TcpListener::bind(addrs[site])?;
+                    addrs[site] = listener.local_addr()?;
+                    listeners.push(listener);
+                }
+                let nodes = std::iter::once(addrs.len())
+                    .chain(hosted)
+                    .map(|index| {
+                        let tcp = TcpTransport::new();
+                        for (id, site, _) in &servers {
+                            tcp.add_route(id.0, addrs[site.0 as usize]);
+                        }
+                        make_node(Fabric::Tcp(tcp), Some(index))
+                    })
+                    .collect();
+                (nodes, addrs, listeners)
+            }
+        };
+        let mut cluster = LiveCluster {
             clock,
+            next_client: servers.len() as u32,
             config: self.config,
+            plane: self.plane,
+            seed: self.seed,
             nodes,
+            addrs,
+            servers: Vec::new(),
             clients: Vec::new(),
             pools: Vec::new(),
-            next_client: ((shards + 1) * n) as u32,
-            plane: self.plane,
-            reactor,
+            stopped: HashMap::new(),
+        };
+        let pending: Vec<_> = servers
+            .into_iter()
+            .filter_map(|(id, site, actor)| {
+                let node = cluster.node_of(site)?;
+                let (tx, rx) = mailbox(cluster.plane.mailbox_capacity);
+                node.fabric.host(id, site, tx.clone());
+                Some((node, id, site, actor, tx, rx))
+            })
+            .collect();
+        // Accept only now, with every server id routed and every hosted
+        // mailbox in place: a peer's frame neither finds its destination
+        // missing nor settles its sender's reply path on the inbound
+        // connection ([`TcpTransport`]'s learned routes).
+        for (node, listener) in cluster.nodes.iter().skip(1).zip(listeners) {
+            if let Fabric::Tcp(tcp) = &node.fabric {
+                tcp.serve(listener);
+            }
+        }
+        cluster.servers = pending
+            .into_iter()
+            .map(|(node, id, site, actor, tx, rx)| {
+                let transport = node.transport.clone();
+                cluster
+                    .reactor_of(node)
+                    .spawn(id, site, actor, tx, rx, transport)
+            })
+            .collect();
+        Ok(cluster)
+    }
+}
+
+/// The transport a node owns.
+enum Fabric {
+    Channel(Arc<ChannelTransport>),
+    Tcp(Arc<TcpTransport>),
+}
+
+impl Fabric {
+    /// Make `id` reachable at `mailbox`.
+    fn host(&self, id: ActorId, site: SiteId, mailbox: MailboxSender) {
+        match self {
+            Fabric::Channel(t) => t.register(id.0, site, mailbox),
+            Fabric::Tcp(t) => t.host(id.0, mailbox),
         }
     }
+
+    /// Stop the fabric and return its `(dropped, shed)` counts.
+    fn stop(&self) -> (u64, u64) {
+        // Left to right: stop first, then read the final counts.
+        let ((), dropped, shed) = match self {
+            Fabric::Channel(t) => (t.stop(), t.dropped(), t.shed()),
+            Fabric::Tcp(t) => (t.stop(), t.dropped(), t.shed()),
+        };
+        (dropped, shed)
+    }
+}
+
+/// One transport and the reactor its actors run on.
+struct Node {
+    fabric: Fabric,
+    /// What the node's actors send through: the fabric, wrapped.
+    transport: Arc<dyn Transport>,
+    /// `None` on the channel fabric; on tcp the site, or `n` for the
+    /// client node.
+    index: Option<usize>,
+    /// Started by the node's first spawn ([`LiveCluster::reactor_of`]).
+    reactor: OnceLock<Arc<Reactor>>,
 }
 
 /// Everything harvested from a stopped cluster: each actor (downcastable to
@@ -216,24 +326,31 @@ impl Harvest {
     }
 }
 
-/// A live MDCC cluster on the in-process transport — the deployment-mode
-/// counterpart of the simulated cluster built by
-/// `planet_mdcc::build_cluster`. Actors run as tasks on one [`Reactor`].
+/// A live MDCC cluster — the deployment-mode counterpart of the simulated
+/// cluster built by `planet_mdcc::build_cluster`, with the same actors
+/// under the same ids. Actors run as tasks on reactors: one node (one
+/// transport, one reactor) for everything on the channel fabric; on tcp one
+/// node per hosted site plus the client node.
 pub struct LiveCluster {
-    transport: Arc<ChannelTransport>,
     clock: Clock,
     config: ClusterConfig,
-    /// Server nodes: replicas `0..shards*n` shard-major, then coordinators
-    /// `shards*n .. shards*n + n`.
-    nodes: Vec<NodeHandle>,
+    plane: PlaneConfig,
+    seed: u64,
+    /// First the node clients run on — on the channel fabric, the only
+    /// node; then on tcp one node per hosted site.
+    nodes: Vec<Node>,
+    /// Tcp: where each site serves (hosted sites: the bound address).
+    addrs: Vec<SocketAddr>,
+    /// Server tasks in id order: replicas shard-major, then coordinators.
+    servers: Vec<NodeHandle>,
     /// Client nodes, spawned on demand.
     clients: Vec<NodeHandle>,
     /// Pooled client groups (many actors per task), spawned on demand.
     pools: Vec<PoolHandle>,
+    /// Actors and metrics of the tasks [`stop_tasks`](Self::stop_tasks)
+    /// stopped, by actor id.
+    stopped: HashMap<u32, (Box<dyn Actor<Msg>>, Metrics)>,
     next_client: u32,
-    plane: PlaneConfig,
-    /// The runtime every node, client and pool of this cluster is a task on.
-    reactor: Arc<Reactor>,
 }
 
 impl LiveCluster {
@@ -254,25 +371,62 @@ impl LiveCluster {
 
     /// The replica actor id for `(site, shard)`.
     pub fn replica(&self, site: usize, shard: usize) -> ActorId {
-        ActorId((shard * self.config.num_sites + site) as u32)
+        self.config.replica_id(site, shard)
     }
 
     /// The coordinator actor id at `site`.
     pub fn coordinator(&self, site: usize) -> ActorId {
-        let shards = self.config.num_shards.max(1);
-        ActorId((shards * self.config.num_sites + site) as u32)
+        self.config.coordinator_id(site)
     }
 
-    /// The transport (drop counters, direct sends from harness code).
-    pub fn transport(&self) -> &Arc<ChannelTransport> {
-        &self.transport
+    /// The address site `site` serves at (tcp only). A hosted site's is
+    /// the address its listener bound.
+    pub fn addr(&self, site: usize) -> Option<SocketAddr> {
+        self.addrs.get(site).copied()
     }
 
-    /// The reactor hosting this cluster's actors. Always `Some`: the
-    /// `Option` is what `perf/` compiles against, and tightening the
-    /// signature belongs to a change of the benchmark.
+    /// The transport clients send through, as they see it (wrapped): direct
+    /// sends from harness code.
+    pub fn transport(&self) -> &Arc<dyn Transport> {
+        &self.nodes[0].transport
+    }
+
+    /// The reactor clients run on — on the channel fabric the one every
+    /// actor runs on; on tcp the client node's, `None` until the first
+    /// client.
     pub fn reactor(&self) -> Option<&Arc<Reactor>> {
-        Some(&self.reactor)
+        self.nodes[0].reactor.get()
+    }
+
+    /// Every reactor the cluster has started.
+    pub fn reactors(&self) -> impl Iterator<Item = &Arc<Reactor>> {
+        self.nodes.iter().filter_map(|node| node.reactor.get())
+    }
+
+    /// `(flushes, bytes)` written by every tcp node so far (see
+    /// [`TcpTransport::io_stats`]); zero on the channel fabric.
+    pub fn io_stats(&self) -> (u64, u64) {
+        let tcp = self.nodes.iter().filter_map(|node| match &node.fabric {
+            Fabric::Tcp(t) => Some(t.io_stats()),
+            Fabric::Channel(_) => None,
+        });
+        tcp.fold((0, 0), |(flushes, bytes), (f, b)| (flushes + f, bytes + b))
+    }
+
+    /// The node hosting `site`'s servers, if this process hosts it: the
+    /// channel fabric's one node, or the site's tcp node.
+    fn node_of(&self, site: SiteId) -> Option<&Node> {
+        let site = site.0 as usize;
+        self.nodes
+            .iter()
+            .find(|node| node.index.is_none_or(|i| i == site))
+    }
+
+    /// `node`'s reactor, started on first use and seeded `seed ^ index`.
+    fn reactor_of<'a>(&self, node: &'a Node) -> &'a Arc<Reactor> {
+        let seed = self.seed ^ node.index.unwrap_or(0) as u64;
+        node.reactor
+            .get_or_init(|| Reactor::new(self.clock, self.plane, seed))
     }
 
     /// Spawn a client actor at `site` as a task of its own, returning its
@@ -280,13 +434,14 @@ impl LiveCluster {
     pub fn spawn_client(&mut self, site: usize, actor: Box<dyn Actor<Msg>>) -> ActorId {
         let id = ActorId(self.next_client);
         self.next_client += 1;
+        let site = SiteId(site as u8);
         let (tx, rx) = mailbox(self.plane.mailbox_capacity);
-        self.transport
-            .register(id.0, SiteId(site as u8), tx.clone());
-        let transport = self.transport.clone() as Arc<dyn Transport>;
+        let home = &self.nodes[0];
+        home.fabric.host(id, site, tx.clone());
+        let transport = home.transport.clone();
         let handle = self
-            .reactor
-            .spawn(id, SiteId(site as u8), actor, tx, rx, transport);
+            .reactor_of(home)
+            .spawn(id, site, actor, tx, rx, transport);
         self.clients.push(handle);
         id
     }
@@ -308,13 +463,14 @@ impl LiveCluster {
         self.next_client += actors.len() as u32;
         let members: PoolMembers = (first..).map(ActorId).zip(actors).collect();
         let ids = members.iter().map(|(id, _)| *id).collect();
-        let transport = &self.transport;
-        self.pools.extend(self.reactor.spawn_pool_per_worker(
+        let home = &self.nodes[0];
+        let pools = self.reactor_of(home).spawn_pool_per_worker(
             members,
             site,
-            transport.clone() as Arc<dyn Transport>,
-            |id, tx| transport.register(id.0, site, tx),
-        ));
+            home.transport.clone(),
+            |id, tx| home.fabric.host(id, site, tx),
+        );
+        self.pools.extend(pools);
         ids
     }
 
@@ -328,40 +484,53 @@ impl LiveCluster {
     /// id, for [`NodeHandle::call`] — e.g. installing a compiled plan on a
     /// coordinator between two of its messages.
     pub fn server(&self, id: ActorId) -> Option<&NodeHandle> {
-        self.nodes.iter().find(|h| h.id == id)
+        self.servers.iter().find(|h| h.id == id)
     }
 
-    /// Stop every node (clients first, then coordinators, then replicas)
-    /// and the fabric, returning the harvested actors and metrics.
-    pub fn shutdown(self) -> Harvest {
-        let mut actors = HashMap::new();
-        for handle in self.clients {
+    /// Stop every task (clients first, then coordinators, then replicas),
+    /// keeping their actors for [`shutdown`](Self::shutdown). The reactors
+    /// and transports keep running, so their counters ([`Reactor::steals`],
+    /// [`io_stats`](Self::io_stats)) are final once this returns.
+    pub fn stop_tasks(&mut self) {
+        for handle in self.clients.drain(..) {
             let id = handle.id.0;
-            let harvested = handle.stop_and_join();
-            actors.insert(id, harvested);
+            self.stopped.insert(id, handle.stop_and_join());
         }
-        for pool in self.pools {
+        for pool in self.pools.drain(..) {
             // The pool's shared metrics registry rides on its first member;
             // the rest carry empty registries so merges count it once.
             let (members, metrics) = pool.stop_and_join();
             let mut metrics = Some(metrics);
             for (id, actor) in members {
-                actors.insert(id.0, (actor, metrics.take().unwrap_or_else(Metrics::new)));
+                let metrics = metrics.take().unwrap_or_else(Metrics::new);
+                self.stopped.insert(id.0, (actor, metrics));
             }
         }
         // Coordinators before replicas, so in-flight transactions stop
         // generating replica traffic first.
-        for handle in self.nodes.into_iter().rev() {
+        for handle in self.servers.drain(..).rev() {
             let id = handle.id.0;
-            let harvested = handle.stop_and_join();
-            actors.insert(id, harvested);
+            self.stopped.insert(id, handle.stop_and_join());
         }
-        self.transport.stop();
-        self.reactor.shutdown();
+    }
+
+    /// Stop every task ([`stop_tasks`](Self::stop_tasks)), the transports
+    /// and the reactors, returning the harvested actors and metrics.
+    pub fn shutdown(mut self) -> Harvest {
+        self.stop_tasks();
+        let (mut dropped, mut shed) = (0, 0);
+        for node in &self.nodes {
+            let (d, s) = node.fabric.stop();
+            dropped += d;
+            shed += s;
+        }
+        for reactor in self.nodes.iter().filter_map(|node| node.reactor.get()) {
+            reactor.shutdown();
+        }
         Harvest {
-            actors,
-            dropped: self.transport.dropped(),
-            shed: self.transport.shed(),
+            actors: self.stopped,
+            dropped,
+            shed,
         }
     }
 }
@@ -369,148 +538,191 @@ impl LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planet_mdcc::{Outcome, Protocol};
+    use planet_mdcc::{CoordinatorActor, Outcome, Protocol, ReplicaActor};
     use planet_storage::Key;
-    use std::sync::mpsc::channel;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
-    fn drain_until(
-        rx: &std::sync::mpsc::Receiver<LoadRecord>,
-        want: usize,
-        timeout: Duration,
-    ) -> Vec<LoadRecord> {
-        let deadline = Instant::now() + timeout;
-        let mut got = Vec::new();
-        while got.len() < want && Instant::now() < deadline {
-            if let Ok(rec) = rx.recv_timeout(Duration::from_millis(100)) {
-                got.push(rec);
-            }
+    /// The fabrics a cluster test runs on.
+    const FABRICS: [&str; 2] = ["channel", "tcp"];
+
+    /// A three-site fast-path cluster on `fabric`; on tcp every site is
+    /// hosted, on a free loopback port.
+    fn builder(fabric: &str) -> LiveClusterBuilder {
+        let builder = LiveCluster::builder(ClusterConfig::new(3, Protocol::Fast));
+        match fabric {
+            "tcp" => builder.tcp(vec!["127.0.0.1:0".parse().expect("loopback"); 3], 0..3),
+            _ => builder,
         }
-        got
     }
 
-    #[test]
-    fn live_cluster_commits_on_channel_transport() {
-        let config = ClusterConfig::new(3, Protocol::Fast);
-        let mut cluster = LiveCluster::builder(config).seed(7).build();
-        let (tx, rx) = channel();
-        let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
-        let coord = cluster.coordinator(0);
-        cluster.spawn_client(0, Box::new(LoadClient::new(coord, keys, tx)));
-        let records = drain_until(&rx, 5, Duration::from_secs(10));
-        assert!(
-            records.len() >= 5,
-            "expected 5 completions, got {}",
-            records.len()
-        );
-        assert!(
-            records.iter().any(|r| r.outcome == Outcome::Committed),
-            "at least one commit expected"
-        );
-        let harvest = cluster.shutdown();
-        // One replica + one coordinator per site were harvested.
-        assert!(harvest.actor_as::<ReplicaActor>(ActorId(0)).is_some());
-        assert!(harvest.actor_as::<CoordinatorActor>(ActorId(3)).is_some());
+    /// Up to `want` completions, waiting at most `timeout` for all of them.
+    fn drain_until(rx: &Receiver<LoadRecord>, want: usize, timeout: Duration) -> Vec<LoadRecord> {
+        let deadline = Instant::now() + timeout;
+        (0..want)
+            .map_while(|_| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                rx.recv_timeout(left).ok()
+            })
+            .collect()
     }
 
-    #[test]
-    fn pooled_clients_complete_transactions() {
-        // A pool drives many closed-loop clients as a few tasks per site;
-        // every member must make progress and be harvested under its own
-        // id, with the pool's shared metrics counted exactly once.
-        let config = ClusterConfig::new(3, Protocol::Fast);
-        let mut cluster = LiveCluster::builder(config).seed(9).build();
+    /// Every latency-attribution span a full cluster records.
+    const SPANS: [&str; 4] = [
+        "span.queue_us",
+        "span.quorum_wait_us",
+        "span.wal_us",
+        "span.network_us",
+    ];
+
+    /// Four pooled closed-loop clients per site drive `cluster` until 36
+    /// transactions finished; every node's reactor must then run with
+    /// `workers` workers, every transaction must commit (commutative
+    /// increments under Fast Paxos never abort), nothing may shed, every
+    /// client must be harvested under its own id, and the harvested
+    /// metrics must carry every span in `spans`.
+    fn pools_commit(mut cluster: LiveCluster, label: &str, workers: usize, spans: &[&str]) {
         let (tx, rx) = channel();
         let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
         let mut all_ids = Vec::new();
         for site in 0..3 {
             let coord = cluster.coordinator(site);
             let actors: Vec<Box<dyn Actor<Msg>>> = (0..4)
-                .map(|_| {
-                    Box::new(LoadClient::new(coord, keys.clone(), tx.clone()))
-                        as Box<dyn Actor<Msg>>
-                })
+                .map(|_| Box::new(LoadClient::new(coord, keys.clone(), tx.clone())) as _)
                 .collect();
             all_ids.extend(cluster.spawn_client_pool(site, actors));
         }
         drop(tx);
-        assert_eq!(all_ids.len(), 12);
-        let records = drain_until(&rx, 36, Duration::from_secs(20));
-        assert!(
-            records.len() >= 36,
-            "expected 36 completions from 12 pooled clients, got {}",
-            records.len()
+        assert_eq!(all_ids.len(), 12, "{label}: pooled clients");
+        let sizes: Vec<usize> = cluster.reactors().map(|r| r.workers()).collect();
+        assert_eq!(
+            sizes,
+            vec![workers; cluster.nodes.len()],
+            "{label}: reactors"
         );
-        assert!(records.iter().any(|r| r.outcome == Outcome::Committed));
+        let records = drain_until(&rx, 36, Duration::from_secs(20));
+        assert_eq!(records.len(), 36, "{label}: completions");
+        assert!(records.iter().all(|r| r.outcome == Outcome::Committed));
         let harvest = cluster.shutdown();
-        for id in all_ids {
-            assert!(
-                harvest.actor_as::<LoadClient>(id).is_some(),
-                "pooled client {id:?} missing from harvest"
-            );
+        assert_eq!(harvest.shed, 0, "{label}: nothing should shed");
+        assert!(all_ids
+            .iter()
+            .all(|&id| harvest.actor_as::<LoadClient>(id).is_some()));
+        let mut merged = harvest.merged_metrics();
+        for span in spans {
+            assert!(merged.histogram(span).count() > 0, "{label}: {span} empty");
+        }
+    }
+
+    #[test]
+    fn pooled_clients_complete_transactions() {
+        // A pool drives many closed-loop clients as a few tasks per site;
+        // every member must make progress and be harvested under its own
+        // id, on either fabric.
+        for fabric in FABRICS {
+            let cluster = builder(fabric).seed(9).build();
+            pools_commit(cluster, fabric, default_workers(), &SPANS);
         }
     }
 
     #[test]
     fn reactor_runtime_commits_and_reports_spans() {
-        // The runtime end-to-end: servers and a client pool all run as
-        // tasks, every transaction commits (commutative increments under
-        // Fast Paxos never abort), and the harvested metrics carry all four
-        // latency-attribution spans. `workers: 0` is one more input: it is
-        // not a magic value any more, `Reactor::new` clamps it to one
+        // The runtime end-to-end: servers and client pools all run as
+        // tasks on every reactor of the cluster. `workers: 0` is one more
+        // input: it is not a magic value, `Reactor::new` clamps it to one
         // worker and the cluster commits all the same.
-        for (workers, expect_workers) in [(2, 2), (0, 1)] {
-            let config = ClusterConfig::new(3, Protocol::Fast);
-            let mut cluster = LiveCluster::builder(config)
-                .plane(PlaneConfig::default().with_workers(workers))
-                .seed(13)
-                .build();
-            assert_eq!(cluster.reactor().map(|r| r.workers()), Some(expect_workers));
-            let (tx, rx) = channel();
-            let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
-            let mut all_ids = Vec::new();
-            for site in 0..3 {
-                let coord = cluster.coordinator(site);
-                let actors: Vec<Box<dyn Actor<Msg>>> = (0..4)
-                    .map(|_| {
-                        Box::new(LoadClient::new(coord, keys.clone(), tx.clone()))
-                            as Box<dyn Actor<Msg>>
-                    })
-                    .collect();
-                all_ids.extend(cluster.spawn_client_pool(site, actors));
-            }
-            drop(tx);
-            assert_eq!(all_ids.len(), 12);
-            let records = drain_until(&rx, 36, Duration::from_secs(20));
-            assert!(
-                records.len() >= 36,
-                "workers={workers}: expected 36 completions from 12 clients, got {}",
-                records.len()
-            );
-            for rec in &records {
-                assert_eq!(rec.outcome, Outcome::Committed, "workers={workers}");
-            }
-            let harvest = cluster.shutdown();
-            assert_eq!(harvest.shed, 0, "workers={workers}: nothing should shed");
-            for id in &all_ids {
-                assert!(
-                    harvest.actor_as::<LoadClient>(*id).is_some(),
-                    "workers={workers}: client {id:?} missing from harvest"
-                );
-            }
-            let mut merged = harvest.merged_metrics();
-            for span in [
-                "span.queue_us",
-                "span.quorum_wait_us",
-                "span.wal_us",
-                "span.network_us",
-            ] {
-                assert!(
-                    merged.histogram(span).count() > 0,
-                    "workers={workers}: span histogram {span} is empty"
-                );
+        for fabric in FABRICS {
+            for (workers, expect_workers) in [(2, 2), (0, 1)] {
+                let cluster = builder(fabric)
+                    .plane(PlaneConfig::default().with_workers(workers))
+                    .seed(13)
+                    .build();
+                let label = format!("{fabric}, workers={workers}");
+                pools_commit(cluster, &label, expect_workers, &SPANS);
             }
         }
+    }
+
+    #[test]
+    fn load_generator_commits_through_servers_of_another_cluster() {
+        // The planetd / planet-load split inside one process: one cluster
+        // hosts every site, a second hosts none and drives the first's
+        // coordinators through its client node.
+        let servers = builder("tcp").seed(21).build();
+        let addrs: Vec<SocketAddr> = (0..3).filter_map(|site| servers.addr(site)).collect();
+        let load = LiveCluster::builder(ClusterConfig::new(3, Protocol::Fast))
+            .tcp(addrs, [])
+            .seed(22)
+            .build();
+        assert!(load.reactor().is_none(), "no client, no client reactor");
+        // The load cluster's harvest is its clients': queueing and network spans
+        // only, the servers record the rest.
+        let spans = ["span.queue_us", "span.network_us"];
+        pools_commit(load, "load", default_workers(), &spans);
+        servers.shutdown();
+    }
+
+    #[test]
+    fn a_client_commits_and_every_node_sends_through_its_wrap() {
+        // On both fabrics a spawned client commits, the servers are
+        // harvested under their layout ids, and a counting `wrap` sees every
+        // node send — the tcp client node included.
+        for fabric in FABRICS {
+            let counts = Counts::default();
+            let registry = counts.clone();
+            let mut cluster = builder(fabric)
+                .seed(7)
+                .wrap(move |inner, node| {
+                    let sent = Arc::new(AtomicU64::new(0));
+                    registry.lock().expect("lock").insert(node, sent.clone());
+                    Arc::new(Counting(inner, sent))
+                })
+                .build();
+            let (tx, rx) = channel();
+            let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
+            let coord = cluster.coordinator(0);
+            cluster.spawn_client(0, Box::new(LoadClient::new(coord, keys, tx)));
+            let records = drain_until(&rx, 5, Duration::from_secs(10));
+            assert_eq!(records.len(), 5, "{fabric}: completions");
+            assert!(records.iter().all(|r| r.outcome == Outcome::Committed));
+            let harvest = cluster.shutdown();
+            assert!(harvest.actor_as::<ReplicaActor>(ActorId(0)).is_some());
+            assert!(harvest.actor_as::<CoordinatorActor>(ActorId(3)).is_some());
+            let counts = counts.lock().expect("lock");
+            let nodes: Vec<Option<usize>> = counts.keys().copied().collect();
+            let expect = match fabric {
+                "tcp" => vec![Some(0), Some(1), Some(2), Some(3)],
+                _ => vec![None],
+            };
+            assert_eq!(nodes, expect, "{fabric}: one wrap per node");
+            assert!(
+                counts.values().all(|sent| sent.load(Ordering::Relaxed) > 0),
+                "{fabric}: a node sent nothing through its wrap: {counts:?}"
+            );
+        }
+    }
+
+    /// Envelopes sent per node.
+    type Counts = Arc<Mutex<BTreeMap<Option<usize>, Arc<AtomicU64>>>>;
+
+    /// A transport that counts what its node sends through it.
+    struct Counting(Arc<dyn Transport>, Arc<AtomicU64>);
+
+    impl Transport for Counting {
+        fn send(&self, env: Envelope) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.send(env);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a tcp cluster runs on real sockets")]
+    fn network_model_and_tcp_are_refused_together() {
+        let net = NetworkModel::from_rtt_ms(&[vec![0.1; 3], vec![0.1; 3], vec![0.1; 3]]);
+        let _ = builder("tcp").network(net).try_build();
     }
 
     #[test]

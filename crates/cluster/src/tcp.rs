@@ -163,7 +163,14 @@ impl TcpTransport {
     pub fn listen(&self, addr: SocketAddr) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        *self.inner.listen_addr.lock().expect("lock poisoned") = Some(bound);
+        self.serve(listener);
+        Ok(bound)
+    }
+
+    /// Start accepting connections on a listener bound earlier; until
+    /// then, peers' connections wait in its backlog.
+    pub fn serve(&self, listener: TcpListener) {
+        *self.inner.listen_addr.lock().expect("lock poisoned") = listener.local_addr().ok();
         let inner = self.inner.clone();
         let handle = std::thread::Builder::new()
             .name("planet-tcp-accept".into())
@@ -179,13 +186,13 @@ impl TcpTransport {
                         Err(_) => break,
                     }
                 }
-            })?;
+            })
+            .expect("spawn tcp acceptor");
         self.inner
             .threads
             .lock()
             .expect("lock poisoned")
             .push(handle);
-        Ok(bound)
     }
 
     /// Messages that could not be delivered (connect/write failures,

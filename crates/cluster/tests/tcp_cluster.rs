@@ -4,21 +4,19 @@
 //! what `planet-load` speaks — connects to site 0, submits a transaction to
 //! coordinator `n + 0` and reads its progress and outcome off the same
 //! connection, exercising the learned-reply-route path. The servers are the
-//! test's one input: three in-process "planetd"s (three `TcpTransport`s
-//! with their own listeners and reactors, each hosting one replica and one
-//! coordinator), or three real `planetd` processes started with default
-//! flags.
+//! test's one input: a `LiveCluster` hosting all three sites over tcp (three
+//! planetd-style nodes, each with its own listener and reactor), or three
+//! real `planetd` processes started with default flags.
 
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
 use planet_cluster::wire;
-use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, TcpTransport, Transport};
-use planet_mdcc::{ClusterConfig, CoordinatorActor, Msg, Outcome, Protocol, ReplicaActor, TxnSpec};
-use planet_sim::{Actor, ActorId, SiteId};
+use planet_cluster::{Envelope, LiveCluster, PlaneConfig};
+use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol, ReplicaActor, TxnSpec};
+use planet_sim::ActorId;
 use planet_storage::{Key, WriteOp};
 
 const N: usize = 3;
@@ -75,73 +73,20 @@ fn commit_through(site0: SocketAddr) {
 
 #[test]
 fn commit_round_trips_over_tcp() {
-    let n = N;
-    let config = ClusterConfig::new(n, Protocol::Fast);
-    let clock = Clock::new();
-    let replica_ids: Vec<ActorId> = (0..n).map(|i| ActorId(i as u32)).collect();
-
-    // One transport + listener per site.
-    let transports: Vec<Arc<TcpTransport>> = (0..n).map(|_| TcpTransport::new()).collect();
-    let addrs: Vec<_> = transports
-        .iter()
-        .map(|t| t.listen("127.0.0.1:0".parse().unwrap()).expect("bind"))
-        .collect();
-    for t in &transports {
-        for (site, addr) in addrs.iter().enumerate() {
-            t.add_route(site as u32, *addr);
-            t.add_route((n + site) as u32, *addr);
-        }
-    }
-
-    // Site i hosts replica i and coordinator n+i on a reactor of its own.
-    let plane = PlaneConfig::default().with_workers(1);
-    let mut nodes = Vec::new();
-    let mut reactors = Vec::new();
-    for (site, transport) in transports.iter().enumerate() {
-        let reactor = Reactor::new(clock, plane, 7);
-        let replica: Box<dyn Actor<Msg>> =
-            Box::new(ReplicaActor::new(config.clone(), replica_ids.clone(), 0));
-        let coordinator: Box<dyn Actor<Msg>> = Box::new(CoordinatorActor::new(
-            config.clone(),
-            replica_ids.clone(),
-            SiteId(site as u8),
-        ));
-        for (id, actor) in [(site as u32, replica), ((n + site) as u32, coordinator)] {
-            let (tx, rx) = mailbox(plane.mailbox_capacity);
-            transport.host(id, tx.clone());
-            nodes.push(reactor.spawn(
-                ActorId(id),
-                SiteId(site as u8),
-                actor,
-                tx,
-                rx,
-                transport.clone() as Arc<dyn Transport>,
-            ));
-        }
-        reactors.push(reactor);
-    }
-
-    commit_through(addrs[0]);
+    let loopback: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let cluster = LiveCluster::builder(ClusterConfig::new(N, Protocol::Fast))
+        .tcp(vec![loopback; N], 0..N)
+        .plane(PlaneConfig::default().with_workers(1))
+        .build();
+    commit_through(cluster.addr(0).unwrap());
 
     // The committed value must have propagated to every replica.
     std::thread::sleep(Duration::from_millis(200));
-    for node in nodes {
-        let (actor, _metrics) = node.stop_and_join();
-        let any: &dyn std::any::Any = actor.as_ref();
-        if let Some(replica) = any.downcast_ref::<ReplicaActor>() {
-            let value = replica.storage().read(&Key::new("tcp-key")).value;
-            assert_eq!(
-                value.as_int(),
-                Some(5),
-                "replica converged to the committed value"
-            );
-        }
-    }
-    for reactor in &reactors {
-        reactor.shutdown();
-    }
-    for t in &transports {
-        t.stop();
+    let harvest = cluster.shutdown();
+    for site in 0..N {
+        let replica: &ReplicaActor = harvest.actor_as(ActorId(site as u32)).unwrap();
+        let value = replica.storage().read(&Key::new("tcp-key")).value;
+        assert_eq!(value.as_int(), Some(5), "replica {site} converged");
     }
 }
 
@@ -200,14 +145,43 @@ fn commit_round_trips_through_default_flag_planetd_processes() {
     commit_through(addrs[0]);
 }
 
+/// Run `planetd` with `args` until it exits — killed after 10 s, so one
+/// that should have exited fails the test instead of hanging it — and
+/// return its exit code and stderr.
+fn planetd_exit(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_planetd"))
+        .args(args)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start planetd");
+    for _ in 0..500 {
+        if child.try_wait().expect("poll planetd").is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().expect("planetd's stderr");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 #[test]
-fn planetd_refuses_zero_workers() {
-    let out = Command::new(env!("CARGO_BIN_EXE_planetd"))
-        .args(["--site", "0", "--addrs", "127.0.0.1:1", "--workers", "0"])
-        .args(["--run-secs", "1"]) // a planetd that accepts the flag must not hang the test
-        .output()
-        .expect("run planetd");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("usage: planetd"), "{stderr}");
+fn planetd_refuses_bad_flags_and_a_held_address() {
+    // A flag planetd cannot use is a usage error (exit 2), never a default:
+    // `--run-secs 5s` once meant "serve forever".
+    let one_site = ["--site", "0", "--addrs", "127.0.0.1:0"];
+    for bad in [["--workers", "0"], ["--run-secs", "5s"]] {
+        let (code, stderr) = planetd_exit(&[&one_site[..], &bad[..]].concat());
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("usage: planetd"), "{bad:?}: {stderr}");
+    }
+    // An address another listener holds cannot be served (exit 1).
+    let held = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = held.local_addr().expect("local addr").to_string();
+    let (code, stderr) = planetd_exit(&["--site", "0", "--addrs", &addr, "--run-secs", "5"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cannot bind"), "{stderr}");
 }

@@ -20,9 +20,8 @@
 //!   submission, protecting goodput under contention.
 //!
 //! Entry points: [`Planet`] (deterministic simulated deployment, used by all
-//! experiments), [`RealtimePlanet`] (the same simulation paced against the
-//! wall clock, for interactive demos), and [`LivePlanet`] (the same stack
-//! deployed on `planet-cluster`'s reactor and live transport).
+//! experiments) and [`LivePlanet`] (the same stack deployed on
+//! `planet-cluster`'s reactor and live transport, against the wall clock).
 
 #![warn(missing_docs)]
 
@@ -30,7 +29,6 @@ mod admission;
 mod client;
 mod db;
 mod live;
-mod runtime;
 mod txn;
 
 pub use admission::{AdmissionController, AdmissionPolicy, RefusalReason};
@@ -38,7 +36,6 @@ pub use client::{ClientActor, PredictionPoint, SourceMode, TxnRecord, TxnSource}
 pub use db::{Planet, PlanetBuilder};
 pub use live::{LiveHarvest, LivePlanet, LivePlanetBuilder};
 pub use planet_cluster::PlaneConfig;
-pub use runtime::RealtimePlanet;
 pub use txn::{
     ChainTrigger, EventCallback, FinalOutcome, PlanetTxn, Stage, TxnBuilder, TxnEvent, TxnHandle,
 };

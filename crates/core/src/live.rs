@@ -430,6 +430,43 @@ mod tests {
     }
 
     #[test]
+    fn multiple_inflight_transactions_multiplex() {
+        // Four transactions at three sites share one event stream; finals
+        // are collected in one loop (`wait_final` discards other handles'
+        // events).
+        let mut db = LivePlanet::builder().topology(lan(3)).seed(7).build();
+        let handles: Vec<TxnHandle> = (0..4)
+            .map(|i| {
+                db.submit(
+                    i % 3,
+                    PlanetTxn::builder().set(format!("m{i}"), i as i64).build(),
+                )
+            })
+            .collect();
+        let mut finals = std::collections::HashMap::new();
+        while finals.len() < handles.len() {
+            match db.events().recv_timeout(Duration::from_secs(20)) {
+                Ok(TxnEvent::Final {
+                    handle, outcome, ..
+                }) => finals.insert(handle, outcome),
+                Ok(_) => None,
+                Err(e) => panic!("{} of 4 finals: {e}", finals.len()),
+            };
+        }
+        assert!(handles.iter().all(|h| finals[h] == FinalOutcome::Committed));
+        assert_eq!(db.shutdown().all_records().len(), 4);
+    }
+
+    #[test]
+    fn drop_without_shutdown_does_not_hang() {
+        let mut db = LivePlanet::builder().topology(lan(3)).seed(6).build();
+        let _ = db.submit(0, PlanetTxn::builder().set("x", 1i64).build());
+        let began = Instant::now();
+        drop(db);
+        assert!(began.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
     fn speculative_event_fires_before_final() {
         let mut db = LivePlanet::builder().topology(lan(3)).seed(10).build();
         let txn = PlanetTxn::builder()

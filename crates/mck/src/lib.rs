@@ -594,7 +594,7 @@ impl World {
         for (i, spec) in specs.into_iter().enumerate() {
             let site = (i % n) as u8;
             client_sites.push(site);
-            let coordinator = ActorId((shards * n + site as usize) as u32);
+            let coordinator = cluster.coordinator_id(site as usize);
             let plan = cfg.use_plans.then_some(i as PlanId);
             actors.push(Slot {
                 site: SiteId(site),
@@ -958,8 +958,9 @@ impl World {
                 actors[shard * n + site] = (shard * n + sites[site] as usize) as u32;
             }
         }
+        let c = &self.cluster;
         for site in 0..n {
-            actors[shards * n + site] = (shards * n + sites[site] as usize) as u32;
+            actors[c.coordinator_id(site).0 as usize] = c.coordinator_id(sites[site] as usize).0;
         }
         DigestMap { sites, actors }
     }

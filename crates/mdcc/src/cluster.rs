@@ -1,5 +1,6 @@
-//! Cluster assembly: wire one replica and one coordinator per site into a
-//! simulation, plus a blocking-style test client for direct protocol use.
+//! Cluster assembly: the server actors of a cluster and their id layout,
+//! wired into a simulation, plus a blocking-style test client for direct
+//! protocol use.
 
 use planet_sim::{Actor, ActorId, Context, NetworkModel, SimTime, Simulation, SiteId};
 use planet_storage::{Key, Value, WriteOp};
@@ -24,7 +25,7 @@ pub struct Cluster {
 impl Cluster {
     /// The replica actor for `(site, shard)`.
     pub fn replica(&self, site: usize, shard: usize) -> ActorId {
-        self.replicas[shard * self.config.num_sites + site]
+        self.config.replica_id(site, shard)
     }
 
     /// All of `site`'s replica shards, in shard order.
@@ -35,45 +36,54 @@ impl Cluster {
     }
 }
 
-/// Build a cluster into `sim`: `num_shards` replicas and one coordinator per
-/// site. The sim runs the sharded actors on its single deterministic thread,
-/// so seed experiments are reproducible at any shard count.
+/// Every server actor of a cluster, in actor-id order, with the site it
+/// runs at: `num_shards` replicas per site, shard-major, each given its
+/// shard's replication group as peers, then one coordinator per site
+/// ([`ClusterConfig::replica_id`], [`ClusterConfig::coordinator_id`]).
+///
+/// This is the one place the layout is decided: the simulated cluster, the
+/// live cluster (channel or tcp, every node or one site's) and `planetd`
+/// all run exactly these actors under exactly these ids.
+pub fn server_actors(config: &ClusterConfig) -> Vec<(ActorId, SiteId, Box<dyn Actor<Msg>>)> {
+    let n = config.num_sites;
+    let shards = config.num_shards.max(1);
+    let mut actors: Vec<(ActorId, SiteId, Box<dyn Actor<Msg>>)> = Vec::new();
+    for shard in 0..shards {
+        let peers: Vec<ActorId> = (0..n).map(|site| config.replica_id(site, shard)).collect();
+        for (site, &id) in peers.iter().enumerate() {
+            let actor = ReplicaActor::new(config.clone(), peers.clone(), shard);
+            actors.push((id, SiteId(site as u8), Box::new(actor)));
+        }
+    }
+    let replicas: Vec<ActorId> = actors.iter().map(|(id, ..)| *id).collect();
+    for site in 0..n {
+        let site_id = SiteId(site as u8);
+        let actor = CoordinatorActor::new(config.clone(), replicas.clone(), site_id);
+        actors.push((config.coordinator_id(site), site_id, Box::new(actor)));
+    }
+    actors
+}
+
+/// Build a cluster into `sim`: the [`server_actors`] of `config`. The sim
+/// runs the sharded actors on its single deterministic thread, so seed
+/// experiments are reproducible at any shard count.
 ///
 /// Panics if the network model has fewer sites than the configuration.
 pub fn build_cluster(sim: &mut Simulation<Msg>, config: ClusterConfig) -> Cluster {
-    let n = config.num_sites;
-    let shards = config.num_shards.max(1);
     // Replica actors need their peer ids before they are constructed, so
-    // they are predicted from the engine's dense assignment order. That
-    // prediction is only valid on a fresh simulation (asserted below):
-    // replicas take ids 0..shards*n shard-major (shard s's replication
-    // group is the contiguous slice [s*n, s*n + n)), coordinators follow.
-    let replica_ids: Vec<ActorId> = (0..shards * n).map(|i| ActorId(i as u32)).collect();
-
-    let mut actual_ids = Vec::with_capacity(shards * n);
-    for shard in 0..shards {
-        let peers: Vec<ActorId> = replica_ids[shard * n..(shard + 1) * n].to_vec();
-        for site in 0..n {
-            let actor = ReplicaActor::new(config.clone(), peers.clone(), shard);
-            let id = sim.add_actor(SiteId(site as u8), Box::new(actor));
-            actual_ids.push(id);
-        }
-    }
-    assert_eq!(
-        actual_ids, replica_ids,
-        "build_cluster requires a fresh simulation"
-    );
-
-    let coordinators: Vec<ActorId> = (0..n)
-        .map(|site| {
-            let actor =
-                CoordinatorActor::new(config.clone(), replica_ids.clone(), SiteId(site as u8));
-            sim.add_actor(SiteId(site as u8), Box::new(actor))
+    // the layout predicts the engine's dense assignment order. That
+    // prediction is only valid on a fresh simulation (asserted per actor).
+    let mut replicas: Vec<ActorId> = server_actors(&config)
+        .into_iter()
+        .map(|(id, site, actor)| {
+            let assigned = sim.add_actor(site, actor);
+            assert_eq!(assigned, id, "build_cluster requires a fresh simulation");
+            id
         })
         .collect();
-
+    let coordinators = replicas.split_off(replicas.len() - config.num_sites);
     Cluster {
-        replicas: replica_ids,
+        replicas,
         coordinators,
         config,
     }

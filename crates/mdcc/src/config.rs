@@ -1,6 +1,6 @@
 //! Protocol configuration: commit path, quorum sizes, mastership.
 
-use planet_sim::{SimDuration, SiteId};
+use planet_sim::{ActorId, SimDuration, SiteId};
 use planet_storage::Key;
 
 use crate::trace::Trace;
@@ -110,6 +110,19 @@ impl ClusterConfig {
         assert!(num_shards >= 1, "at least one shard per site");
         self.num_shards = num_shards;
         self
+    }
+
+    /// The actor id of replica `shard` at `site` in every assembled cluster,
+    /// simulated or live: replicas come first, shard-major, so shard `s`'s
+    /// replication group is the contiguous block `s*n .. s*n + n`.
+    pub fn replica_id(&self, site: usize, shard: usize) -> ActorId {
+        ActorId((shard * self.num_sites + site) as u32)
+    }
+
+    /// The actor id of `site`'s coordinator: coordinators follow the
+    /// replicas, at `shards*n + site`.
+    pub fn coordinator_id(&self, site: usize) -> ActorId {
+        ActorId((self.num_shards.max(1) * self.num_sites + site) as u32)
     }
 
     /// Classic (majority) quorum size: ⌊N/2⌋ + 1.

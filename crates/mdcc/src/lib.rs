@@ -35,7 +35,9 @@ mod messages;
 mod replica_actor;
 pub mod trace;
 
-pub use cluster::{build_cluster, build_sim, set_spec, Cluster, CompletedTxn, TestClient};
+pub use cluster::{
+    build_cluster, build_sim, server_actors, set_spec, Cluster, CompletedTxn, TestClient,
+};
 pub use config::{ClusterConfig, Protocol};
 pub use coordinator::CoordinatorActor;
 pub use messages::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};

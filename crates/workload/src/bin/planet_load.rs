@@ -2,8 +2,9 @@
 //!
 //! Spawns `--clients` closed-loop [`LoadClient`] actors, round-robined
 //! across the sites in `--addrs`, each driving its site's coordinator over
-//! TCP. After `--secs` of measurement the driver drains the completion
-//! channel and prints throughput and latency percentiles.
+//! TCP from the client node of `LiveCluster::builder(..).tcp(addrs, [])`.
+//! After `--secs` of measurement it drains the completion channel and
+//! prints throughput and latency percentiles.
 //!
 //! ```text
 //! planet-load --addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 \
@@ -23,13 +24,10 @@ use std::sync::{Arc, Mutex};
 // check:allow(determinism) — live closed-loop driver; wall-clock windows are the point
 use std::time::{Duration, Instant};
 
-use planet_cluster::{
-    Clock, LoadClient, LoadRecord, PlaneConfig, PoolMembers, Reactor, SpecSource, TcpTransport,
-    Transport,
-};
-use planet_mdcc::{FileSink, Msg, Outcome, Trace};
+use planet_cluster::{LiveCluster, LoadClient, LoadRecord, PlaneConfig, SpecSource};
+use planet_mdcc::{ClusterConfig, FileSink, Msg, Outcome, Protocol, Trace};
 use planet_sim::metrics::Histogram;
-use planet_sim::{Actor, ActorId, SiteId};
+use planet_sim::{Actor, ActorId};
 use planet_storage::Key;
 use planet_workload::{SpecGen, ANOMALY_WORKLOADS};
 
@@ -127,19 +125,20 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let n = args.addrs.len();
-    let clock = Clock::new();
     let key_space: Vec<Key> = (0..args.keys)
         .map(|i| Key::new(format!("load-{i}")))
         .collect();
 
-    // Route only to the coordinators; replies come back down our own
-    // connections via the servers' learned-peer routes. Coordinator ids
-    // depend on the deployment's shard count (replicas occupy 0..shards*n).
-    let coord_base = args.shards * n;
-    let transport = TcpTransport::new();
-    for (site, addr) in args.addrs.iter().enumerate() {
-        transport.add_route((coord_base + site) as u32, *addr);
-    }
+    // A cluster that hosts no site: its client node routes to the servers'
+    // ids, and replies come back down its own connections via the servers'
+    // learned-peer routes. Coordinator ids depend on the deployment's shard
+    // count (replicas come first).
+    let config = ClusterConfig::new(n, Protocol::Fast).with_shards(args.shards);
+    let mut cluster = LiveCluster::builder(config)
+        .tcp(args.addrs.clone(), [])
+        .plane(PlaneConfig::default().with_workers(args.workers))
+        .seed(0x10AD)
+        .build();
 
     // One shared generator behind a mutex: clients pull specs interleaved,
     // so paired transactions (write-skew twins, snapshot pairs) go to
@@ -163,16 +162,10 @@ fn main() {
         None => (Trace::off(), None),
     };
 
-    let plane = PlaneConfig::default().with_workers(args.workers);
-    let reactor = Reactor::new(clock, plane, 0x10AD);
     let (results_tx, results_rx) = channel::<LoadRecord>();
-    let make_client = |site: usize| -> Box<dyn Actor<Msg>> {
-        let mut load = LoadClient::new(
-            ActorId((coord_base + site) as u32),
-            key_space.clone(),
-            results_tx.clone(),
-        )
-        .with_trace(trace.clone());
+    let make_client = |coordinator: ActorId| -> Box<dyn Actor<Msg>> {
+        let mut load = LoadClient::new(coordinator, key_space.clone(), results_tx.clone())
+            .with_trace(trace.clone());
         if let Some(gen) = &spec_gen {
             let gen = gen.clone();
             let source: SpecSource =
@@ -182,18 +175,13 @@ fn main() {
         Box::new(load)
     };
     // Each site's clients become one pool task per worker.
-    let mut pools = Vec::new();
     for site in 0..n {
-        let members: PoolMembers = (0..args.clients)
+        let coordinator = cluster.coordinator(site);
+        let members: Vec<Box<dyn Actor<Msg>>> = (0..args.clients)
             .filter(|k| k % n == site)
-            .map(|k| (ActorId((coord_base + n + k) as u32), make_client(site)))
+            .map(|_| make_client(coordinator))
             .collect();
-        pools.extend(reactor.spawn_pool_per_worker(
-            members,
-            SiteId(site as u8),
-            transport.clone() as Arc<dyn Transport>,
-            |id, tx| transport.host(id.0, tx),
-        ));
+        cluster.spawn_client_pool(site, members);
     }
     drop(results_tx);
     println!(
@@ -202,7 +190,7 @@ fn main() {
         args.keys,
         args.secs,
         args.workload.as_deref().unwrap_or("increment"),
-        reactor.workers()
+        cluster.reactors().map(|r| r.workers()).sum::<usize>()
     );
 
     let window = Duration::from_secs(args.secs);
@@ -225,22 +213,12 @@ fn main() {
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut batch = Histogram::new();
-    let mut depth = Histogram::new();
-    for pool in pools {
-        let (_, metrics) = pool.stop_and_join();
-        for (name, hist) in metrics.histograms() {
-            match name {
-                "plane.batch" => batch.merge(hist),
-                "plane.mailbox.depth" => depth.merge(hist),
-                _ => {}
-            }
-        }
-    }
-    println!("planet-load: {} task steals", reactor.steals());
-    reactor.shutdown();
-    let (flushes, bytes) = transport.io_stats();
-    transport.stop();
+    let coordinators = cluster.coordinator(0).0..cluster.coordinator(n - 1).0 + 1;
+    cluster.stop_tasks();
+    let steals: u64 = cluster.reactors().map(|r| r.steals()).sum();
+    let (flushes, bytes) = cluster.io_stats();
+    let mut merged = cluster.shutdown().merged_metrics();
+    println!("planet-load: {steals} task steals");
     if let Some(sink) = &trace_sink {
         if let Err(e) = sink.flush() {
             eprintln!("planet-load: trace flush failed: {e}");
@@ -258,10 +236,9 @@ fn main() {
         let addrs: Vec<String> = args.addrs.iter().map(|a| a.to_string()).collect();
         eprintln!(
             "planet-load: no transaction committed or aborted ({timed_out} timed out): no server reachable at {}, \
-             or --shards {} is not the servers' (coordinators are addressed as ids {coord_base}..{})",
+             or --shards {} is not the servers' (coordinators are addressed as ids {coordinators:?})",
             addrs.join(","),
             args.shards,
-            coord_base + n,
         );
         std::process::exit(1);
     }
@@ -269,10 +246,11 @@ fn main() {
     if let (Some(p50), Some(p99)) = (latencies.quantile(0.50), latencies.quantile(0.99)) {
         println!("planet-load: latency p50 {p50} us, p99 {p99} us");
     }
+    let batch = merged.histogram("plane.batch");
     if let (Some(mean), Some(max)) = (batch.mean(), batch.max()) {
         println!("planet-load: drain batch mean {mean:.2}, max {max}");
     }
-    if let Some(hwm) = depth.max() {
+    if let Some(hwm) = merged.histogram("plane.mailbox.depth").max() {
         println!("planet-load: mailbox depth high-water {hwm}");
     }
     if flushes > 0 {

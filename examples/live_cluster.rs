@@ -2,14 +2,14 @@
 //!
 //! Run with: `cargo run --release --example live_cluster`
 //!
-//! Unlike `live_callbacks` (the deterministic simulation paced to the wall
-//! clock), this spins up a genuinely concurrent deployment: every replica,
-//! coordinator and client from `planet-cluster` runs as a task on the
-//! reactor's worker threads, exchanging the real protocol messages through
-//! the in-process transport while a network model shapes deliveries — here,
-//! a three-site WAN with 60 ms cross-site RTT. The PLANET programming model
-//! is unchanged: the same progress callbacks, likelihoods and speculative
-//! commits, now driven by real time.
+//! The other examples run the deterministic simulation; this one spins up a
+//! genuinely concurrent deployment: every replica, coordinator and client
+//! from `planet-cluster` runs as a task on the reactor's worker threads,
+//! exchanging the real protocol messages through the in-process transport
+//! while a network model shapes deliveries — here, a three-site WAN with
+//! 60 ms cross-site RTT. The PLANET programming model is unchanged: the same
+//! progress callbacks, likelihoods and speculative commits, now driven by
+//! real time.
 
 use std::time::{Duration, Instant};
 

@@ -46,6 +46,6 @@ pub use planet_workload as workload;
 
 // The everyday vocabulary, flattened.
 pub use planet_core::{
-    AdmissionPolicy, FinalOutcome, Key, Planet, PlanetTxn, Protocol, RealtimePlanet, SimDuration,
-    SimTime, Stage, TxnEvent, TxnHandle, TxnRecord, Value, WriteOp,
+    AdmissionPolicy, FinalOutcome, Key, Planet, PlanetTxn, Protocol, SimDuration, SimTime, Stage,
+    TxnEvent, TxnHandle, TxnRecord, Value, WriteOp,
 };
