@@ -24,7 +24,7 @@ impl Severity {
 /// One finding, anchored to a source position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable machine code, e.g. `WIRE002`.
+    /// Stable machine code, e.g. `FLOW001`.
     pub code: &'static str,
     /// Severity of the finding.
     pub severity: Severity,

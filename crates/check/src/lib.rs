@@ -1,8 +1,7 @@
 //! `planet-check`: protocol-aware static analysis for the PLANET workspace.
 //!
 //! The generic Rust toolchain cannot see the workspace's protocol
-//! invariants: that the hand-rolled wire codec covers every message variant
-//! on both sides, that transaction handlers only produce legal state-machine
+//! invariants: that transaction handlers only produce legal state-machine
 //! edges, that the live-cluster runtime acquires its locks in one global
 //! order, and that the simulation-deterministic crates never read a wall
 //! clock. This crate is a small compiler-shaped pipeline that checks exactly
@@ -23,8 +22,8 @@
 //!   offline, so `syn` is unavailable); records `// check:allow(<lint>)`
 //!   suppression markers.
 //! * [`parse`] — structural recovery of the item shapes passes need: enums
-//!   with per-variant field counts, function bodies as token ranges, struct
-//!   fields with type text.
+//!   and their variants, function bodies as token ranges, struct fields with
+//!   type text.
 //! * [`cfg`] — per-function control-flow graphs over the parser's token
 //!   ranges plus a bitset must/may dataflow solver; [`callgraph`] adds
 //!   file-local call resolution and, since v3, the workspace-wide
@@ -33,9 +32,9 @@
 //!   and typed method receivers).
 //! * [`model`] — the shared [`model::Workspace`] every pass reads, plus the
 //!   [`model::Pass`] trait and pipeline driver.
-//! * [`passes`] — the analyses: lexical (`wire`, `state`, `locks`,
-//!   `determinism`), dataflow-based (`time`), and interprocedural
-//!   (`callback`, `panic`, `flow`, `race`).
+//! * [`passes`] — the analyses: lexical (`state`, `locks`, `determinism`),
+//!   dataflow-based (`time`), and interprocedural (`callback`, `panic`,
+//!   `flow`, `race`).
 //! * [`diag`] — span-carrying diagnostics with stable codes, rendered as a
 //!   compiler-style text report or JSON for CI.
 //! * [`baseline`] — findings snapshots so new passes can ship strict while

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p planet-check                 # human-readable report
 //! cargo run -p planet-check -- --json      # JSON for CI
-//! cargo run -p planet-check -- --pass wire # a single pass
+//! cargo run -p planet-check -- --pass flow # a single pass
 //! cargo run -p planet-check -- --fix-allow # append allow-markers at findings
 //! cargo run -p planet-check -- --baseline check-baseline.tsv   # CI gate
 //! ```

@@ -252,7 +252,6 @@ pub trait Pass {
 /// The built-in pass pipeline, in execution order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(crate::passes::wire::WireCodecPass),
         Box::new(crate::passes::state::StateMachinePass),
         Box::new(crate::passes::locks::LockOrderPass),
         Box::new(crate::passes::determinism::DeterminismPass),

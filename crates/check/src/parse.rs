@@ -1,7 +1,7 @@
 //! Structural parsing over the token stream: enough shape recovery to feed
-//! the passes — enum definitions with per-variant field counts, function
-//! bodies as token ranges, struct fields with their type text, and
-//! explicitly-typed `let` bindings.
+//! the passes — enum definitions with their variants, function bodies as
+//! token ranges, struct fields with their type text, and explicitly-typed
+//! `let` bindings.
 //!
 //! This is deliberately not a full Rust parser. It recovers the handful of
 //! item shapes the passes reason about and ignores everything else; any
@@ -16,9 +16,6 @@ pub struct VariantDef {
     pub name: String,
     /// 1-based line of the variant.
     pub line: u32,
-    /// Number of fields: `None` for a unit variant, `Some(n)` for struct or
-    /// tuple variants.
-    pub fields: Option<usize>,
 }
 
 /// An enum definition.
@@ -168,16 +165,11 @@ pub fn enums(toks: &[Tok]) -> Vec<EnumDef> {
                 }
                 let vname = toks[k].text.clone();
                 let vline = toks[k].line;
-                let mut fields = None;
                 let mut m = k + 1;
                 if m < end - 1 && toks[m].is_punct('{') {
-                    let close = skip_group(toks, m, '{', '}');
-                    fields = Some(split_top_level_commas(toks, m + 1..close - 1).len());
-                    m = close;
+                    m = skip_group(toks, m, '{', '}');
                 } else if m < end - 1 && toks[m].is_punct('(') {
-                    let close = skip_group(toks, m, '(', ')');
-                    fields = Some(split_top_level_commas(toks, m + 1..close - 1).len());
-                    m = close;
+                    m = skip_group(toks, m, '(', ')');
                 }
                 // Skip an explicit discriminant (`= expr`).
                 while m < end - 1 && !toks[m].is_punct(',') {
@@ -186,7 +178,6 @@ pub fn enums(toks: &[Tok]) -> Vec<EnumDef> {
                 variants.push(VariantDef {
                     name: vname,
                     line: vline,
-                    fields,
                 });
                 k = m + 1;
             }
@@ -670,7 +661,7 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn enum_variants_and_field_counts() {
+    fn enum_variants_are_named_past_fields_and_attributes() {
         let src = r#"
             pub enum Msg {
                 Submit { spec: TxnSpec, reply_to: ActorId, tag: u64 },
@@ -683,22 +674,9 @@ mod tests {
         let lexed = lex(src);
         let es = enums(&lexed.toks);
         assert_eq!(es.len(), 1);
-        let e = &es[0];
-        assert_eq!(e.name, "Msg");
-        let v: Vec<(&str, Option<usize>)> = e
-            .variants
-            .iter()
-            .map(|v| (v.name.as_str(), v.fields))
-            .collect();
-        assert_eq!(
-            v,
-            vec![
-                ("Submit", Some(3)),
-                ("Pair", Some(2)),
-                ("Crash", None),
-                ("Idle", None)
-            ]
-        );
+        assert_eq!(es[0].name, "Msg");
+        let names: Vec<&str> = es[0].variants.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["Submit", "Pair", "Crash", "Idle"]);
     }
 
     #[test]

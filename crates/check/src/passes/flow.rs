@@ -1,9 +1,10 @@
 //! Message-flow analysis: a per-`Msg`-variant send/handle graph spanning
 //! `mdcc/src/messages.rs`, the actor files, and the cluster runtime.
 //!
-//! The wire pass proves the codec covers every variant; this pass proves
-//! the *protocol* does. Every variant is declared to route to a role
-//! (coordinator / replica / client); sends are `Msg::Variant` constructions,
+//! The compiler proves the codec covers every variant (its `match` is
+//! generated from one schema table); this pass proves the *protocol* does.
+//! Every variant is declared to route to a role (coordinator / replica /
+//! client); sends are `Msg::Variant` constructions,
 //! handlers are `Msg::Variant` patterns (match arms, `if let`/`let else`
 //! destructures, `matches!`). The codec (`cluster/src/wire.rs`) mentions
 //! every variant by design, so it is excluded from the send/handle

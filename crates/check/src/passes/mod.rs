@@ -1,7 +1,7 @@
 //! The pass pipeline: protocol-aware analyses over the shared model, plus
-//! token-scanning helpers they have in common. `wire`/`state`/`locks`/
-//! `determinism` are lexical; `time`/`callback`/`panic` run on the CFG +
-//! dataflow layer in [`crate::cfg`]; `flow`/`race` (and the re-rooted
+//! token-scanning helpers they have in common. `state`/`locks`/`determinism`
+//! are lexical; `time`/`callback`/`panic` run on the CFG + dataflow layer
+//! in [`crate::cfg`]; `flow`/`race` (and the re-rooted
 //! `callback`/`panic`) run on the workspace-wide call graph in
 //! [`crate::callgraph`].
 
@@ -14,7 +14,6 @@ pub mod race;
 pub mod state;
 pub mod sync;
 pub mod time;
-pub mod wire;
 
 use crate::lexer::{Tok, TokKind};
 
@@ -50,59 +49,4 @@ pub fn find_paths(toks: &[Tok], range: std::ops::Range<usize>, base: &str) -> Ve
         }
     }
     out
-}
-
-/// If `idx + 1` opens a brace/paren group, return the number of top-level
-/// comma-separated elements in it, or `None` for "contains a `..` rest
-/// pattern / no group follows" (meaning: field count unknowable).
-///
-/// Returns `Some(None)` when no group follows (a unit use),
-/// `Some(Some(n))` for a counted group, and `None` when counting must be
-/// skipped because of a rest pattern.
-pub fn group_field_count(toks: &[Tok], idx: usize) -> Option<Option<usize>> {
-    let open = idx + 1;
-    if open >= toks.len() || !(toks[open].is_punct('{') || toks[open].is_punct('(')) {
-        return Some(None);
-    }
-    let (oc, cc) = if toks[open].is_punct('{') {
-        ('{', '}')
-    } else {
-        ('(', ')')
-    };
-    let end = crate::parse::skip_group(toks, open, oc, cc);
-    let inner = open + 1..end - 1;
-    // Split on top-level commas; detect `..` rest markers.
-    let mut count = 0usize;
-    let mut depth = 0i32;
-    let mut elem_start = inner.start;
-    let mut has_rest = false;
-    let mut check_elem = |s: usize, e: usize, has_rest: &mut bool| {
-        if e > s {
-            count += 1;
-            let all_dots = (s..e).all(|k| toks[k].is_punct('.'));
-            if all_dots {
-                *has_rest = true;
-            }
-        }
-    };
-    for j in inner.clone() {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_bytes()[0] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' => depth -= 1,
-                b',' if depth == 0 => {
-                    check_elem(elem_start, j, &mut has_rest);
-                    elem_start = j + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    check_elem(elem_start, inner.end, &mut has_rest);
-    if has_rest {
-        None
-    } else {
-        Some(Some(count))
-    }
 }

@@ -17,126 +17,6 @@ fn run(ws: &Workspace, pass: &str) -> Vec<planet_check::Diagnostic> {
     run_passes(ws, &[pass.to_string()])
 }
 
-// ---- wire ----
-
-const FIXTURE_MESSAGES: &str = r#"
-pub enum Msg {
-    Submit { spec: u32, reply_to: u64, tag: u64 },
-    Crash,
-    Decide(u32, u64),
-}
-"#;
-
-#[test]
-fn wire_missing_decode_arm_fires_with_variant_name() {
-    let w = ws(&[
-        ("crates/mdcc/src/messages.rs", FIXTURE_MESSAGES),
-        (
-            "crates/cluster/src/wire.rs",
-            r#"
-pub fn put_msg(buf: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Submit { spec, reply_to, tag } => {}
-        Msg::Crash => {}
-        Msg::Decide(a, b) => {}
-    }
-}
-pub fn get_msg(buf: &[u8]) -> Msg {
-    match tag {
-        0 => Msg::Submit { spec: s, reply_to: r, tag: t },
-        2 => Msg::Decide(a, b),
-        _ => panic!(),
-    }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "wire");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "WIRE002")
-        .expect("WIRE002 must fire");
-    assert!(hit.message.contains("Msg::Crash"), "{}", hit.message);
-    assert!(hit.message.contains("get_msg"));
-    // Anchored at the variant's declaration line in the enum file.
-    assert_eq!(hit.file, "crates/mdcc/src/messages.rs");
-    assert_eq!(hit.line, 4);
-}
-
-#[test]
-fn wire_field_count_mismatch_fires_at_codec_line() {
-    let w = ws(&[
-        ("crates/mdcc/src/messages.rs", FIXTURE_MESSAGES),
-        (
-            "crates/cluster/src/wire.rs",
-            r#"
-pub fn put_msg(buf: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Submit { spec, reply_to } => {}
-        Msg::Crash => {}
-        Msg::Decide(a, b) => {}
-    }
-}
-pub fn get_msg(buf: &[u8]) -> Msg {
-    match tag {
-        0 => Msg::Submit { spec: s, reply_to: r, tag: t },
-        1 => Msg::Crash,
-        2 => Msg::Decide(a, b),
-        _ => panic!(),
-    }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "wire");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "WIRE003")
-        .expect("WIRE003 must fire for the 2-field encode of a 3-field variant");
-    assert!(hit.message.contains("Msg::Submit"));
-    assert!(hit.message.contains("handles 2 field(s)"));
-    assert_eq!(hit.file, "crates/cluster/src/wire.rs");
-    assert_eq!(hit.line, 4);
-    // The complete decode side is clean.
-    assert!(!diags
-        .iter()
-        .any(|d| d.code == "WIRE002" || d.code == "WIRE004"));
-}
-
-#[test]
-fn wire_clean_codec_is_quiet() {
-    let w = ws(&[
-        ("crates/mdcc/src/messages.rs", FIXTURE_MESSAGES),
-        (
-            "crates/cluster/src/wire.rs",
-            r#"
-pub fn put_msg(buf: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Submit { spec, reply_to, tag } => {}
-        Msg::Crash => {}
-        Msg::Decide(a, b) => {}
-    }
-}
-pub fn get_msg(buf: &[u8]) -> Msg {
-    match tag {
-        0 => Msg::Submit { spec: s, reply_to: r, tag: t },
-        1 => Msg::Crash,
-        2 => Msg::Decide(a, b),
-        _ => panic!(),
-    }
-}
-"#,
-        ),
-    ]);
-    let diags = run(&w, "wire");
-    assert!(
-        !diags
-            .iter()
-            .any(|d| d.code.starts_with("WIRE00") && d.code <= "WIRE004"),
-        "clean codec must not produce arm/field diagnostics: {diags:?}"
-    );
-}
-
 // ---- state ----
 
 #[test]

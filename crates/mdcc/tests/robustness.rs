@@ -3,7 +3,7 @@
 
 use planet_mdcc::{build_sim, ClusterConfig, Msg, Outcome, Protocol, TestClient, TxnSpec};
 use planet_sim::{ActorId, SimDuration, SimTime, Simulation, SiteId};
-use planet_storage::{Key, Value, WriteOp};
+use planet_storage::{Key, RecordOption, TxnId, Value, WriteOp};
 
 fn client(sim: &Simulation<Msg>, id: ActorId) -> &TestClient {
     sim.actor_as::<TestClient>(id).expect("not a TestClient")
@@ -252,5 +252,47 @@ fn validation_service_queue_adds_delay_under_burst() {
     assert!(
         mean_busy > mean_free + 50.0,
         "queueing delay must show: {mean_free}ms vs {mean_busy}ms"
+    );
+}
+
+/// A message addressed to the wrong role — one well-formed frame from a
+/// peer can be one — is dropped and counted, and the actor goes on serving.
+#[test]
+fn a_misaddressed_message_is_dropped_and_counted() {
+    let config = ClusterConfig::new(5, Protocol::Fast);
+    let (mut sim, cluster) = build_sim(planet_sim::topology::five_dc(), config, 6);
+    let stray = TxnId::new(0, 999);
+    sim.inject_at(
+        SimTime::from_micros(1),
+        cluster.replicas[1],
+        Msg::Submit {
+            spec: set_txn("stray", 1),
+            reply_to: cluster.coordinators[0],
+            tag: 0,
+        },
+    );
+    sim.inject_at(
+        SimTime::from_micros(1),
+        cluster.coordinators[0],
+        Msg::FastPropose {
+            txn: stray,
+            key: Key::new("stray"),
+            option: RecordOption::new(stray, 0, WriteOp::Set(Value::Int(1))),
+            round: 0,
+        },
+    );
+    let c = sim.add_actor(
+        SiteId(0),
+        Box::new(TestClient::new(
+            cluster.coordinators[0],
+            vec![(SimTime::from_millis(5), set_txn("k", 1))],
+        )),
+    );
+    sim.run_for(SimDuration::from_secs(5));
+    assert_eq!(client(&sim, c).outcome(0), Some(Outcome::Committed));
+    assert_eq!(sim.metrics().counter_value("replica.unexpected_msgs"), 1);
+    assert_eq!(
+        sim.metrics().counter_value("coordinator.unexpected_msgs"),
+        1
     );
 }

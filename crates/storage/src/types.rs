@@ -60,6 +60,9 @@ impl Bytes {
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
+        // In bounds: every constructor sets the range inside `buf` (`shared`
+        // asserts it), and `Arc<[u8]>` contents never change or shrink.
+        // check:allow(panic)
         &self.buf[self.start as usize..(self.start + self.len) as usize]
     }
 
