@@ -3,13 +3,11 @@
 //! with 1 000 keys written since the previous one copies those keys' pages
 //! and nothing else, the sweep before it visits those pages and nothing
 //! else, and a crash-restart from the checkpoint copies no record at all.
-//! Counted in allocations, which repeat exactly where times do not. Copying
-//! a record allocates only when it holds two versions or more (one version
-//! and one pending option are held inline), so un-sharing a page of records
-//! written once costs the page and nothing per record, and a page of
-//! records with history costs one chain each — and never more, so the
-//! 300 000 of a full store clone of such records, which is what a
-//! checkpoint used to be, cannot hide.
+//! Counted in allocations, which repeat exactly where times do not. A record
+//! in a page is its head and its pending options, both held inline; its
+//! history lives beside the pages. So un-sharing a page costs the page and
+//! nothing per record, whether its records were written once or have
+//! history, and the sweep that trims the histories writes no page.
 //!
 //! Lives here because this crate owns the counting `#[global_allocator]`.
 //! One test, so nothing else in the process allocates on purpose meanwhile;
@@ -78,25 +76,17 @@ fn maintenance_costs_what_was_written_not_what_is_stored() {
         "{copied} allocations to un-share {DIRTY_PAGES} pages of single-version records"
     );
 
-    // Give the hot set history: three versions a record. A copied record
-    // takes its chain along, capacity and all (writing to the copy then
-    // allocates no more than writing to the original): one chain per
-    // record and the page's two, never more.
+    // Give the hot set history: three versions a record. The history stays
+    // with the live store, so un-sharing costs what it did for records
+    // written once.
     write_hot_set(&mut replica, 3, true);
     write_hot_set(&mut replica, 4, true);
     replica.checkpoint();
     let copied = allocs_to_unshare(&mut replica, 5);
-    let bound = DIRTY_PAGES * (PAGE_LEN as u64 + 2) + SLACK;
     assert!(
-        copied >= DIRTY_KEYS && copied <= bound,
+        copied <= DIRTY_PAGES * 2 + SLACK,
         "{copied} allocations to un-share {DIRTY_PAGES} pages of multi-version records"
     );
-
-    // The sweep visits the written pages and no other, and trims in place.
-    let (sweep, swept) = allocs_during(|| replica.gc(1));
-    assert_eq!(swept as u64, DIRTY_PAGES, "pages swept");
-    assert!(sweep <= SLACK, "{sweep} allocations in the sweep");
-    assert_eq!(replica.gc(1), 0, "a second sweep finds nothing written");
 
     // The checkpoint itself is two vectors of page pointers.
     let (checkpoint, ()) = allocs_during(|| replica.checkpoint());
@@ -105,6 +95,21 @@ fn maintenance_costs_what_was_written_not_what_is_stored() {
         "{checkpoint} allocations in the checkpoint"
     );
     assert_eq!(replica.wal().len(), 0);
+
+    // The sweep visits the written pages and no other, trims the histories
+    // in place and writes no page: it allocates nothing, and the pages stay
+    // shared with the checkpoint, so the next writes to them pay the copy.
+    let (sweep, swept) = allocs_during(|| replica.gc(1));
+    assert_eq!(swept as u64, DIRTY_PAGES, "pages swept");
+    assert!(sweep <= SLACK, "{sweep} allocations in the sweep");
+    assert_eq!(replica.gc(1), 0, "a second sweep finds nothing written");
+    let copied = allocs_to_unshare(&mut replica, 7);
+    assert!(
+        copied >= DIRTY_PAGES,
+        "{copied} allocations to un-share {DIRTY_PAGES} pages after the sweep"
+    );
+    replica.gc(1);
+    replica.checkpoint();
     assert_eq!(replica.gc(1), 0, "a checkpoint writes no page");
 
     // A crash-restart clones the log and replays it: page pointers and the

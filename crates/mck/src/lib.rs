@@ -833,9 +833,8 @@ impl World {
                     let Some(rec) = store.record(&key) else {
                         continue;
                     };
-                    let chain = rec
-                        .versions()
-                        .iter()
+                    let chain = store
+                        .versions(&key)
                         .map(|v| (v.version, v.txn, format!("{:?}", v.value)))
                         .collect();
                     snap.push((idx, key, rec.current_version(), chain));
@@ -910,9 +909,7 @@ impl World {
                     let idx = shard * n + master;
                     let durable = self
                         .replica(idx)
-                        .and_then(|r| r.storage().store().record(&key).cloned())
-                        .map(|rec| rec.versions().iter().any(|v| v.txn == txn))
-                        .unwrap_or(false);
+                        .is_some_and(|r| r.storage().store().versions(&key).any(|v| v.txn == txn));
                     if !durable {
                         found.push((
                             "durability".into(),

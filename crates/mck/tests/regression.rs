@@ -101,3 +101,22 @@ fn conflicting_clients_explore_without_violation() {
     );
     assert!(rep.unique_states > 500);
 }
+
+/// The exact exploration of two cheap configurations (BENCH_mck.json's
+/// rows). The digest covers every piece of protocol-visible state, each
+/// replica's committed chains included, so a refactor meant to leave that
+/// state alone must leave these counts alone; one that changes it on
+/// purpose re-records them here and in BENCH_mck.json.
+#[test]
+fn explored_state_counts_are_pinned() {
+    for (sites, clients, depth, unique_states, steps) in
+        [(2, 1, 24, 440, 17_862), (3, 2, 8, 1_225, 47_190)]
+    {
+        let rep = explore(&MckConfig::new(sites, clients, depth));
+        let what = format!("{sites} sites, {clients} clients, depth {depth}");
+        assert!(rep.violations.is_empty(), "{what}: {:?}", rep.violations);
+        assert!(!rep.capped, "{what}");
+        assert_eq!(rep.unique_states, unique_states, "{what}: unique states");
+        assert_eq!(rep.steps, steps, "{what}: steps");
+    }
+}

@@ -140,7 +140,7 @@ impl ReplicaActor {
         for k in keys {
             k.hash(h);
             let Some(rec) = store.record(k) else { continue };
-            for v in rec.versions() {
+            for v in store.versions(k) {
                 v.version.hash(h);
                 crate::digest::dbg_hash(&v.value, h);
                 v.txn.hash(h);
@@ -666,6 +666,7 @@ impl Actor<Msg> for ReplicaActor {
                 // A crash loses volatile protocol state; only the WAL (and
                 // therefore the store it reconstructs) survives.
                 self.repl_state.clear();
+                self.accepted_at.clear();
                 self.service_queue.clear();
                 self.server_busy = false;
                 ctx.metrics().counter("replica.crashes").inc();
@@ -673,8 +674,14 @@ impl Actor<Msg> for ReplicaActor {
             Msg::Recover => {
                 if self.crashed {
                     self.crashed = false;
-                    // Restart: rebuild storage from the write-ahead log.
+                    // Restart: rebuild storage from the write-ahead log. Key
+                    // ids are re-issued in log order, so they need not be
+                    // the ones the crashed replica used: every option the
+                    // log left pending gets a fresh lease under its new id.
                     self.storage = Replica::recover(self.storage.wal().clone());
+                    let now = ctx.now();
+                    let pending = self.storage.store().pending_options();
+                    self.accepted_at = pending.map(|(id, o)| ((o.txn, id), now)).collect();
                     ctx.metrics().counter("replica.recoveries").inc();
                 }
             }

@@ -1,12 +1,20 @@
 //! Crash-injection tests: quorum tolerance of replica failures, WAL-based
 //! restart, and lazy catch-up after recovery.
 
-use planet_mdcc::{build_sim, ClusterConfig, Msg, Outcome, Protocol, TestClient, TxnSpec};
+use planet_mdcc::{
+    build_sim, ClusterConfig, Msg, Outcome, Protocol, ReplicaActor, TestClient, TxnSpec,
+};
 use planet_sim::{ActorId, SimDuration, SimTime, Simulation, SiteId};
-use planet_storage::{Key, Value, WriteOp};
+use planet_storage::{Key, RecordOption, Replica, TxnId, Value, WriteOp};
 
 fn client(sim: &Simulation<Msg>, id: ActorId) -> &TestClient {
     sim.actor_as::<TestClient>(id).expect("not a TestClient")
+}
+
+fn storage(sim: &Simulation<Msg>, id: ActorId) -> &Replica {
+    sim.actor_as::<ReplicaActor>(id)
+        .expect("not a ReplicaActor")
+        .storage()
 }
 
 fn set_txn(key: &str, v: i64) -> TxnSpec {
@@ -164,4 +172,72 @@ fn commits_during_crash_count_rejoiner_as_absent_voter() {
         (185.0..260.0).contains(&mean),
         "quorum should complete at ap-se's ~200ms RTT, mean {mean}ms"
     );
+}
+
+/// A crash-restart re-issues key ids in log order, and a key interned by an
+/// accept that was then rejected is in no log record: here it shifts every
+/// later key's id by one. The lease on an option pending at the crash must
+/// follow its key to the new id, and run from the restart, or the sweep
+/// drops an option of another key, or asks for an id past the recovered
+/// store's end.
+#[test]
+fn a_lease_pending_at_a_crash_is_reclaimed_under_the_recovered_id() {
+    let mut config = ClusterConfig::new(5, Protocol::Fast);
+    config.txn_timeout = SimDuration::from_secs(2);
+    let (mut sim, cluster) = build_sim(planet_sim::topology::five_dc(), config, 5);
+    let replica = cluster.replicas[0];
+    let (rejected, held) = (Key::new("rejected"), Key::new("held"));
+    let propose = |txn: TxnId, key: &Key, read_version| Msg::FastPropose {
+        txn,
+        key: key.clone(),
+        option: RecordOption::new(txn, read_version, WriteOp::Set(Value::Int(1))),
+        round: 0,
+    };
+    let (stale, pending, later) = (TxnId::new(0, 1), TxnId::new(0, 2), TxnId::new(0, 3));
+    // Based on a version the key never had: interned, then rejected.
+    sim.inject_at(
+        SimTime::from_millis(100),
+        replica,
+        propose(stale, &rejected, 7),
+    );
+    sim.inject_at(
+        SimTime::from_millis(200),
+        replica,
+        propose(pending, &held, 0),
+    );
+    sim.inject_at(SimTime::from_millis(500), replica, Msg::Crash);
+    sim.inject_at(SimTime::from_secs(3), replica, Msg::Recover);
+
+    sim.run_until(SimTime::from_millis(300));
+    assert!(storage(&sim, replica).has_pending(&held, pending));
+    assert_eq!(
+        storage(&sim, replica).store().key_id(&held).map(|id| id.0),
+        Some(1)
+    );
+    // The lease runs from the restart (3 s) and outlives two sweeps.
+    sim.run_until(SimTime::from_millis(5_500));
+    assert_eq!(
+        storage(&sim, replica).store().key_id(&held).map(|id| id.0),
+        Some(0)
+    );
+    assert!(storage(&sim, replica).has_pending(&held, pending));
+    assert_eq!(sim.metrics().counter_value("replica.leases_expired"), 0);
+    // The sweep past it reclaims exactly that option.
+    sim.run_until(SimTime::from_millis(6_500));
+    assert!(!storage(&sim, replica).has_pending(&held, pending));
+    assert_eq!(sim.metrics().counter_value("replica.leases_expired"), 1);
+    // And the replica keeps serving: the key takes a new option.
+    sim.inject_at(
+        SimTime::from_millis(6_600),
+        replica,
+        propose(later, &held, 0),
+    );
+    sim.run_until(SimTime::from_secs(7));
+    assert!(storage(&sim, replica).has_pending(&held, later));
+    assert_eq!(
+        storage(&sim, replica).store().len(),
+        1,
+        "the rejected key is in no log"
+    );
+    assert!(storage(&sim, replica).verify_recovery().is_empty());
 }

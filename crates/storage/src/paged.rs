@@ -10,6 +10,11 @@
 //! atomic. A page that is never written again — a page of order keys, each
 //! written once by its purchase — is never copied at all; it is shared by
 //! every snapshot taken after it filled up.
+//!
+//! What a copy costs is what an element's `clone` costs. The store keeps
+//! only records' heads and pending options in its pages, both inline, and
+//! each record's history outside them (`store.rs`): a snapshot holds no
+//! history, and copying a page copies 64 heads and no chain.
 
 use std::sync::Arc;
 
@@ -112,10 +117,6 @@ impl<T: Clone> PagedVec<T> {
         self.pages.is_empty()
     }
 
-    pub(crate) fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     pub(crate) fn get(&self, index: usize) -> Option<&T> {
         self.pages
             .get(index / PAGE_LEN)?
@@ -138,19 +139,6 @@ impl<T: Clone> PagedVec<T> {
                 page.owned.push(value);
                 self.pages.push(page);
             }
-        }
-    }
-
-    /// The elements of one page (empty for a page that does not exist).
-    pub(crate) fn page(&self, page: usize) -> &[T] {
-        self.pages.get(page).map_or(&[], Page::items)
-    }
-
-    /// Mutable access to one page; copies it first if it is shared.
-    pub(crate) fn page_mut(&mut self, page: usize) -> &mut [T] {
-        match self.pages.get_mut(page) {
-            Some(p) => p.items_mut(),
-            None => Default::default(),
         }
     }
 
@@ -218,18 +206,12 @@ mod tests {
         let n = PAGE_LEN * 2 + 3;
         let mut v = filled(n);
         assert_eq!(v.len(), n);
-        assert_eq!(v.page_count(), 3);
+        assert_eq!(v.pages.len(), 3);
         for i in [0, PAGE_LEN - 1, PAGE_LEN, n - 1] {
             assert_eq!(v.get(i), Some(&i));
         }
         assert_eq!(v.get(n), None);
         assert!(v.get_mut(n).is_none());
-        assert_eq!(
-            v.page(2),
-            &[PAGE_LEN * 2, PAGE_LEN * 2 + 1, PAGE_LEN * 2 + 2]
-        );
-        assert!(v.page(3).is_empty());
-        assert!(v.page_mut(3).is_empty());
         assert!(v.iter().copied().eq(0..n));
         assert!(PagedVec::<usize>::default().is_empty());
     }
@@ -263,12 +245,16 @@ mod tests {
     #[test]
     fn a_page_whose_snapshots_are_gone_is_taken_back_without_a_copy() {
         let mut live = filled(PAGE_LEN);
-        let before = live.page(0).as_ptr();
+        let before: *const usize = &live.pages[0].owned[0];
         drop(live.snapshot());
         if let Some(x) = live.get_mut(3) {
             *x = 999;
         }
-        assert_eq!(live.page(0).as_ptr(), before, "same allocation");
+        assert_eq!(
+            live.get(0).map(|x| x as *const usize),
+            Some(before),
+            "same allocation"
+        );
         assert_eq!(live.get(3), Some(&999));
     }
 
@@ -279,8 +265,12 @@ mod tests {
         live.push(7);
         assert_eq!(snap.len(), PAGE_LEN + 5);
         assert_eq!(snap.iter().count(), PAGE_LEN + 5);
-        assert_eq!(snap.page(1).len(), 5, "the shared last page was copied");
-        assert_eq!(live.page(1).len(), 6);
+        assert_eq!(
+            snap.pages[1].items().len(),
+            5,
+            "the shared last page was copied"
+        );
+        assert_eq!(live.pages[1].items().len(), 6);
         assert_eq!(live.shared_pages(&snap), 1);
     }
 

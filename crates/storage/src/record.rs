@@ -1,8 +1,7 @@
-//! A multi-versioned record with pending-option state.
+//! A versioned record: its committed head version plus the options accepted
+//! on it and not yet decided.
 //!
-//! Each record keeps a chain of committed versions plus the set of options
-//! that have been accepted but whose transactions are still in flight. The
-//! validation rules here are the heart of the optimistic protocol:
+//! The validation rules here are the heart of the optimistic protocol:
 //!
 //! * a **physical** option (Set/Delete) is accepted only if it is based on
 //!   the record's current committed version *and* nothing else is pending;
@@ -11,13 +10,15 @@
 //!   pending deltas keeps the value within the option's integrity bounds
 //!   (the demarcation rule).
 //!
-//! Both sequences are one container, [`InlineFirst`]: empty, one element
-//! held inline, or a vector from the second element on. A record that is
-//! written once — every order key, at each of its replicas — therefore never
-//! allocates, and copying a page of such records (un-sharing it from a
-//! snapshot) allocates only for the records that hold two versions or more.
-//! The price is 120 bytes per record where a `Vec` chain took 88, against
-//! the 224 heap bytes of a four-slot chain that held one version.
+//! Validation, reads, snapshots and recovery look at the head and the
+//! pending options and at nothing older, so that is all a record holds. A
+//! version the head replaces is handed to the caller's history (the store
+//! keeps one per key, beside its snapshot-shared pages): copying a record —
+//! un-sharing its page from a snapshot — copies no chain, however long its
+//! history. The head is held inline, and so is the first pending option
+//! ([`InlineFirst`]: empty, one element inline, or a vector from the second
+//! element on), so a record with at most one pending option never allocates
+//! and neither does its copy.
 
 use crate::options::{RecordOption, RejectReason, WriteOp};
 use crate::types::{TxnId, Value, VersionNo};
@@ -33,13 +34,12 @@ pub struct CommittedVersion {
     pub txn: TxnId,
 }
 
-/// A short sequence that holds its first element inline. Both of a record's
-/// sequences are usually that short — a record written once (an order key)
-/// has one committed version for good, and most records have no or one
-/// pending option at a time — so neither allocates for it, and neither does
-/// the copy of such a record when its page is un-shared from a snapshot.
-/// The second element spills to a vector, and a sequence that has spilled
-/// keeps its vector, and the vector's capacity, when it drains.
+/// A short sequence that holds its first element inline. A record's pending
+/// options are usually that short — none or one at a time — so they do not
+/// allocate, and neither does the copy of such a record when its page is
+/// un-shared from a snapshot. The second element spills to a vector, and a
+/// sequence that has spilled keeps its vector, and the vector's capacity,
+/// when it drains.
 #[derive(Debug, Default)]
 enum InlineFirst<T> {
     #[default]
@@ -87,28 +87,19 @@ impl<T> InlineFirst<T> {
             _ => None,
         }
     }
-
-    /// Drop the `n` oldest elements (all of them if there are fewer).
-    fn drop_oldest(&mut self, n: usize) {
-        match self {
-            InlineFirst::Spilled(items) => {
-                items.drain(..n.min(items.len()));
-            }
-            InlineFirst::One(_) if n > 0 => *self = InlineFirst::Empty,
-            _ => {}
-        }
-    }
 }
 
 /// A copy keeps a spilled vector's capacity. Copies take the original's
 /// place in a live store (the first write to a page a snapshot shares copies
-/// the page), and a chain sized to its length would regrow on its next
-/// commit: one allocation per hot record per checkpoint, for nothing.
+/// the page), and a vector sized to its length would regrow on its next
+/// push. A drained vector is not copied: its copy is empty and allocates
+/// nothing until it spills again.
 impl<T: Clone> Clone for InlineFirst<T> {
     fn clone(&self) -> Self {
         match self {
             InlineFirst::Empty => InlineFirst::Empty,
             InlineFirst::One(item) => InlineFirst::One(item.clone()),
+            InlineFirst::Spilled(items) if items.is_empty() => InlineFirst::Empty,
             InlineFirst::Spilled(items) => {
                 let mut copy = Vec::with_capacity(items.capacity());
                 copy.extend_from_slice(items);
@@ -118,11 +109,11 @@ impl<T: Clone> Clone for InlineFirst<T> {
     }
 }
 
-/// A record: committed version chain (oldest first) plus the options
+/// A record: its committed head (none until first written) plus the options
 /// accepted on it and not yet decided (in acceptance order).
 #[derive(Debug, Default, Clone)]
 pub struct VersionedRecord {
-    versions: InlineFirst<CommittedVersion>,
+    head: Option<CommittedVersion>,
     pending: InlineFirst<RecordOption>,
 }
 
@@ -132,26 +123,19 @@ impl VersionedRecord {
         Self::default()
     }
 
+    /// The current committed version, if the record was ever written.
+    pub fn head(&self) -> Option<&CommittedVersion> {
+        self.head.as_ref()
+    }
+
     /// Current committed version number (0 if never written).
     pub fn current_version(&self) -> VersionNo {
-        self.versions().last().map_or(0, |v| v.version)
+        self.head.as_ref().map_or(0, |v| v.version)
     }
 
     /// Current committed value (`Value::None` if never written or deleted).
     pub fn current_value(&self) -> &Value {
-        self.versions().last().map_or(&Value::None, |v| &v.value)
-    }
-
-    /// The committed value as of a specific version number, if retained.
-    pub fn value_at(&self, version: VersionNo) -> Option<&Value> {
-        if version == 0 {
-            return Some(&Value::None);
-        }
-        self.versions()
-            .iter()
-            .rev()
-            .find(|v| v.version <= version)
-            .map(|v| &v.value)
+        self.head.as_ref().map_or(&Value::None, |v| &v.value)
     }
 
     /// Number of pending (accepted, undecided) options.
@@ -167,12 +151,6 @@ impl VersionedRecord {
     /// The pending options (e.g. for the likelihood model's conflict term).
     pub fn pending(&self) -> &[RecordOption] {
         self.pending.as_slice()
-    }
-
-    /// The full retained committed-version chain, oldest first. Used by the
-    /// model checker to compare value histories across replicas.
-    pub fn versions(&self) -> &[CommittedVersion] {
-        self.versions.as_slice()
     }
 
     /// Validate an option against the current state without accepting it.
@@ -243,51 +221,67 @@ impl VersionedRecord {
         Ok(())
     }
 
+    /// Make `version` the head; the head it replaces, if any, goes to the
+    /// end of `history`.
+    fn advance(&mut self, version: CommittedVersion, history: &mut Vec<CommittedVersion>) {
+        if let Some(replaced) = self.head.replace(version) {
+            history.push(replaced);
+        }
+    }
+
     /// Learn a transaction's outcome. If the transaction has a pending option
-    /// here and committed, the option is executed as a new committed version.
-    /// Returns the new version number if a version was produced.
-    pub fn decide(&mut self, txn: TxnId, commit: bool) -> Option<VersionNo> {
+    /// here and committed, the option is executed as a new committed version
+    /// (the head it replaces goes to `history`). Returns the new version
+    /// number if a version was produced.
+    pub fn decide(
+        &mut self,
+        txn: TxnId,
+        commit: bool,
+        history: &mut Vec<CommittedVersion>,
+    ) -> Option<VersionNo> {
         let option = self.pending.take_first(|o| o.txn == txn)?;
         if !commit {
             return None;
         }
         let new_version = self.current_version() + 1;
         let new_value = option.op.apply(self.current_value());
-        self.versions.push(CommittedVersion {
-            version: new_version,
-            value: new_value,
-            txn,
-        });
+        self.advance(
+            CommittedVersion {
+                version: new_version,
+                value: new_value,
+                txn,
+            },
+            history,
+        );
         Some(new_version)
     }
 
     /// Install a committed version by state transfer (replica convergence
     /// path): drop any pending option of `txn`, and if `version` is newer
-    /// than the current version, adopt `(version, value)` as the new head.
-    /// Returns true if the head advanced.
-    pub fn install(&mut self, version: VersionNo, value: Value, txn: TxnId) -> bool {
+    /// than the current version, adopt `(version, value)` as the new head
+    /// (the head it replaces goes to `history`). Returns true if the head
+    /// advanced.
+    pub fn install(
+        &mut self,
+        version: VersionNo,
+        value: Value,
+        txn: TxnId,
+        history: &mut Vec<CommittedVersion>,
+    ) -> bool {
         self.pending.take_first(|o| o.txn == txn);
         if version > self.current_version() {
-            self.versions.push(CommittedVersion {
-                version,
-                value,
-                txn,
-            });
+            self.advance(
+                CommittedVersion {
+                    version,
+                    value,
+                    txn,
+                },
+                history,
+            );
             true
         } else {
             false
         }
-    }
-
-    /// Drop all but the newest `keep` committed versions.
-    pub fn gc(&mut self, keep: usize) {
-        self.versions
-            .drop_oldest(self.version_count().saturating_sub(keep));
-    }
-
-    /// Number of retained committed versions.
-    pub fn version_count(&self) -> usize {
-        self.versions().len()
     }
 }
 
@@ -303,12 +297,17 @@ mod tests {
         RecordOption::new(txn(t), read_version, WriteOp::Set(Value::Int(v)))
     }
 
+    /// Decide with a history the test does not look at.
+    fn decide(r: &mut VersionedRecord, t: u64, commit: bool) -> Option<VersionNo> {
+        r.decide(txn(t), commit, &mut Vec::new())
+    }
+
     #[test]
     fn fresh_record_is_version_zero_none() {
         let r = VersionedRecord::new();
         assert_eq!(r.current_version(), 0);
         assert_eq!(r.current_value(), &Value::None);
-        assert_eq!(r.value_at(0), Some(&Value::None));
+        assert_eq!(r.head(), None);
     }
 
     #[test]
@@ -316,7 +315,7 @@ mod tests {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
         assert_eq!(r.pending_count(), 1);
-        assert_eq!(r.decide(txn(1), true), Some(1));
+        assert_eq!(decide(&mut r, 1, true), Some(1));
         assert_eq!(r.current_version(), 1);
         assert_eq!(r.current_value(), &Value::Int(10));
         assert_eq!(r.pending_count(), 0);
@@ -326,7 +325,7 @@ mod tests {
     fn abort_discards_option() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
-        assert_eq!(r.decide(txn(1), false), None);
+        assert_eq!(decide(&mut r, 1, false), None);
         assert_eq!(r.current_version(), 0);
         assert_eq!(r.current_value(), &Value::None);
     }
@@ -340,60 +339,92 @@ mod tests {
         assert!(r.pending().is_empty());
         r.accept(add(1)).unwrap(); // held inline
         assert_eq!(txns(&r), vec![1]);
-        assert_eq!(r.decide(txn(9), true), None, "not this record's");
+        assert_eq!(decide(&mut r, 9, true), None, "not this record's");
         assert_eq!(txns(&r), vec![1]);
         r.accept(add(2)).unwrap(); // spills to a vector
         r.accept(add(3)).unwrap();
         assert_eq!(txns(&r), vec![1, 2, 3]);
-        assert_eq!(r.decide(txn(2), false), None);
+        assert_eq!(decide(&mut r, 2, false), None);
         assert_eq!(txns(&r), vec![1, 3]);
-        assert_eq!(r.decide(txn(1), true), Some(1));
-        assert_eq!(r.decide(txn(3), true), Some(2));
+        assert_eq!(decide(&mut r, 1, true), Some(1));
+        assert_eq!(decide(&mut r, 3, true), Some(2));
         assert!(r.pending().is_empty());
         r.accept(add(4)).unwrap(); // the drained vector is reused
         assert_eq!(txns(&r), vec![4]);
         assert_eq!(txns(&r.clone()), vec![4]);
-        assert!(r.install(9, Value::Int(0), txn(4)));
+        assert!(r.install(9, Value::Int(0), txn(4), &mut Vec::new()));
         assert_eq!(r.pending_count(), 0);
     }
 
     #[test]
-    fn a_copy_keeps_the_chain_capacity() {
-        let capacity = |r: &VersionedRecord| match &r.versions {
-            InlineFirst::Spilled(items) => items.capacity(),
-            _ => 0,
+    fn a_copy_keeps_a_spilled_vector_and_drops_a_drained_one() {
+        let capacity = |r: &VersionedRecord| match &r.pending {
+            InlineFirst::Spilled(items) => Some(items.capacity()),
+            _ => None,
         };
         let mut r = VersionedRecord::new();
         for t in 1..=5 {
-            r.accept(set(t, t - 1, t as i64)).unwrap();
-            r.decide(txn(t), true);
+            r.accept(RecordOption::new(txn(t), 0, WriteOp::add(1)))
+                .unwrap();
         }
-        r.gc(1);
+        decide(&mut r, 1, true);
         let copy = r.clone();
-        assert_eq!(copy.versions(), r.versions());
+        assert_eq!(copy.pending(), r.pending());
         assert_eq!(capacity(&copy), capacity(&r));
-        assert!(capacity(&copy) > copy.version_count());
-        assert_eq!(capacity(&VersionedRecord::new().clone()), 0);
+        assert!(capacity(&copy) > Some(copy.pending_count()));
+        for t in 2..=5 {
+            decide(&mut r, t, false);
+        }
+        assert!(capacity(&r) > Some(0), "the live record keeps its vector");
+        assert!(matches!(r.clone().pending, InlineFirst::Empty));
+        assert!(matches!(
+            VersionedRecord::new().clone().pending,
+            InlineFirst::Empty
+        ));
+    }
+
+    #[test]
+    fn replaced_heads_go_to_the_history_oldest_first() {
+        let mut r = VersionedRecord::new();
+        let mut history = Vec::new();
+        for (t, v) in [(1, 10), (2, 20), (3, 30)] {
+            r.accept(set(t, (t - 1) as VersionNo, v)).unwrap();
+            assert_eq!(r.decide(txn(t), true, &mut history), Some(t as VersionNo));
+        }
+        let versions: Vec<VersionNo> = history.iter().map(|v| v.version).collect();
+        assert_eq!(versions, vec![1, 2]);
+        assert_eq!(history[1].value, Value::Int(20));
+        assert_eq!(r.head().map(|v| v.version), Some(3));
+        // An abort and a stale install leave both where they are.
+        r.accept(set(4, 3, 40)).unwrap();
+        assert_eq!(r.decide(txn(4), false, &mut history), None);
+        assert!(!r.install(2, Value::Int(0), txn(5), &mut history));
+        assert_eq!(history.len(), 2);
+        // An install that advances the head pushes the old one.
+        assert!(r.install(7, Value::Int(70), txn(6), &mut history));
+        assert_eq!(history.last().map(|v| v.version), Some(3));
+        assert_eq!(r.current_value(), &Value::Int(70));
     }
 
     #[test]
     fn a_record_written_once_holds_everything_inline() {
         let mut r = VersionedRecord::new();
+        let mut history = Vec::new();
         r.accept(set(1, 0, 10)).unwrap();
         assert!(matches!(r.pending, InlineFirst::One(_)));
-        assert_eq!(r.decide(txn(1), true), Some(1));
+        assert_eq!(r.decide(txn(1), true, &mut history), Some(1));
         assert!(matches!(r.pending, InlineFirst::Empty));
-        assert!(matches!(r.versions, InlineFirst::One(_)));
-        assert!(matches!(r.clone().versions, InlineFirst::One(_)));
+        assert!(history.is_empty() && history.capacity() == 0);
         let mut installed = VersionedRecord::new();
-        assert!(installed.install(1, Value::Int(10), txn(1)));
-        assert_eq!(installed.versions(), r.versions());
-        assert!(matches!(installed.versions, InlineFirst::One(_)));
-        r.gc(0);
-        assert_eq!(r.version_count(), 0);
-        // What the inline element costs: 120 bytes a record, where a `Vec`
-        // chain took 88 and 224 more on the heap once written.
+        assert!(installed.install(1, Value::Int(10), txn(1), &mut history));
+        assert_eq!(installed.head(), r.head());
+        assert!(history.is_empty() && history.capacity() == 0);
+        // A record is 120 bytes, 56 of them the inline head. The store's
+        // history handle is 24 bytes more per key: an empty `Vec`, which
+        // allocates nothing until the record's second version.
         assert_eq!(std::mem::size_of::<VersionedRecord>(), 120);
+        assert_eq!(std::mem::size_of::<Option<CommittedVersion>>(), 56);
+        assert_eq!(std::mem::size_of::<Vec<CommittedVersion>>(), 24);
     }
 
     /// What a differential step does to both sides.
@@ -405,6 +436,7 @@ mod tests {
             (InlineFirst::Spilled(a), InlineFirst::Spilled(b)) => {
                 assert_eq!(a.capacity(), b.capacity(), "seed {seed}: capacity kept");
             }
+            (InlineFirst::Spilled(a), InlineFirst::Empty) if a.is_empty() => {}
             (InlineFirst::Empty, InlineFirst::Empty)
             | (InlineFirst::One(_), InlineFirst::One(_)) => {}
             _ => panic!("seed {seed}: the copy changed representation"),
@@ -421,28 +453,24 @@ mod tests {
             let mut model: Vec<u32> = Vec::new();
             let mut next = 0u32;
             for _ in 0..rng.index(60) + 1 {
-                match rng.index(4) {
-                    // Push twice as often as anything else, so sequences grow.
-                    0 | 1 => {
-                        seq.push(next);
-                        model.push(next);
-                        next += 1;
-                    }
-                    // Take by identity: a held element, or one never held.
-                    2 => {
-                        let wanted = rng.index(next as usize + 1) as u32;
-                        let expected = model
-                            .iter()
-                            .position(|&x| x == wanted)
-                            .map(|idx| model.remove(idx));
-                        assert_eq!(seq.take_first(|&x| x == wanted), expected, "seed {seed}");
-                    }
-                    // Drop the oldest, sometimes more than there are.
-                    _ => {
-                        let n = rng.index(model.len() + 2);
-                        model.drain(..n.min(model.len()));
-                        seq.drop_oldest(n);
-                    }
+                // Push as often as take, so sequences grow and drain.
+                if rng.bernoulli(0.5) {
+                    seq.push(next);
+                    model.push(next);
+                    next += 1;
+                } else {
+                    // Take by identity: mostly a held element, sometimes
+                    // one never held.
+                    let wanted = match model.len() {
+                        0 => next,
+                        held if rng.bernoulli(0.8) => model[rng.index(held)],
+                        _ => rng.index(next as usize + 1) as u32,
+                    };
+                    let expected = model
+                        .iter()
+                        .position(|&x| x == wanted)
+                        .map(|idx| model.remove(idx));
+                    assert_eq!(seq.take_first(|&x| x == wanted), expected, "seed {seed}");
                 }
                 check_against_model(&seq, &model, seed);
                 match &seq {
@@ -465,14 +493,14 @@ mod tests {
     #[test]
     fn decide_unknown_txn_is_noop() {
         let mut r = VersionedRecord::new();
-        assert_eq!(r.decide(txn(9), true), None);
+        assert_eq!(decide(&mut r, 9, true), None);
     }
 
     #[test]
     fn stale_physical_rejected() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         let err = r.accept(set(2, 0, 20)).unwrap_err();
         assert_eq!(
             err,
@@ -504,7 +532,7 @@ mod tests {
     fn commutative_options_coexist() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 100)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         for t in 2..7 {
             let o = RecordOption::new(txn(t), 0, WriteOp::add_with_floor(-10, 0));
             r.accept(o).unwrap();
@@ -512,7 +540,7 @@ mod tests {
         assert_eq!(r.pending_count(), 5);
         // Commit them all; value drains to 50 across versions 2..=6.
         for t in 2..7 {
-            r.decide(txn(t), true);
+            decide(&mut r, t, true);
         }
         assert_eq!(r.current_value(), &Value::Int(50));
         assert_eq!(r.current_version(), 6);
@@ -522,7 +550,7 @@ mod tests {
     fn demarcation_lower_bound_counts_worst_case() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 25)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         // Two -10s are fine (worst case 5), a third would risk -5.
         r.accept(RecordOption::new(
             txn(2),
@@ -548,7 +576,7 @@ mod tests {
         r.accept(RecordOption::new(txn(5), 0, WriteOp::add_with_floor(30, 0)))
             .unwrap();
         // And once one decrement aborts, capacity is released.
-        r.decide(txn(2), false);
+        decide(&mut r, 2, false);
         r.accept(RecordOption::new(
             txn(6),
             0,
@@ -561,7 +589,7 @@ mod tests {
     fn demarcation_upper_bound() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 90)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         let cap = |t: u64, d: i64| {
             RecordOption::new(
                 txn(t),
@@ -589,7 +617,7 @@ mod tests {
             WriteOp::Set(Value::from("blob")),
         ))
         .unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         let err = r
             .accept(RecordOption::new(txn(2), 0, WriteOp::add(1)))
             .unwrap_err();
@@ -600,7 +628,7 @@ mod tests {
     fn physical_blocked_by_pending_commutative() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         r.accept(RecordOption::new(txn(2), 0, WriteOp::add(1)))
             .unwrap();
         let err = r.accept(set(3, 1, 99)).unwrap_err();
@@ -609,24 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn value_at_walks_history() {
-        let mut r = VersionedRecord::new();
-        for (t, v) in [(1, 10), (2, 20), (3, 30)] {
-            r.accept(set(t, (t - 1) as VersionNo, v)).unwrap();
-            r.decide(txn(t), true);
-        }
-        assert_eq!(r.value_at(1), Some(&Value::Int(10)));
-        assert_eq!(r.value_at(2), Some(&Value::Int(20)));
-        assert_eq!(r.value_at(3), Some(&Value::Int(30)));
-        assert_eq!(r.value_at(0), Some(&Value::None));
-    }
-
-    #[test]
     fn install_advances_head_and_clears_pending() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
         // State transfer from the master: version 3 produced by txn 1.
-        assert!(r.install(3, Value::Int(99), txn(1)));
+        assert!(r.install(3, Value::Int(99), txn(1), &mut Vec::new()));
         assert_eq!(r.current_version(), 3);
         assert_eq!(r.current_value(), &Value::Int(99));
         assert_eq!(r.pending_count(), 0);
@@ -636,25 +651,12 @@ mod tests {
     fn stale_install_only_clears_pending() {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
-        r.decide(txn(1), true);
+        decide(&mut r, 1, true);
         r.accept(set(2, 1, 20)).unwrap();
         // A stale (already superseded) install must not regress the head.
-        assert!(!r.install(1, Value::Int(5), txn(2)));
+        assert!(!r.install(1, Value::Int(5), txn(2), &mut Vec::new()));
         assert_eq!(r.current_version(), 1);
         assert_eq!(r.current_value(), &Value::Int(10));
         assert_eq!(r.pending_count(), 0);
-    }
-
-    #[test]
-    fn gc_retains_newest() {
-        let mut r = VersionedRecord::new();
-        for (t, v) in [(1, 10), (2, 20), (3, 30)] {
-            r.accept(set(t, (t - 1) as VersionNo, v)).unwrap();
-            r.decide(txn(t), true);
-        }
-        r.gc(1);
-        assert_eq!(r.version_count(), 1);
-        assert_eq!(r.current_value(), &Value::Int(30));
-        assert_eq!(r.value_at(1), None);
     }
 }

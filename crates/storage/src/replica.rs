@@ -204,9 +204,10 @@ impl Replica {
     }
 
     /// Garbage-collect committed version chains, keeping the newest `keep`
-    /// versions per record. Reads and validation only ever look at the
-    /// chain head, so this never changes observable state. Visits only the
-    /// pages written since the previous sweep; returns how many.
+    /// versions per record (the head always among them). Reads and
+    /// validation only ever look at the head, so this never changes
+    /// observable state. Visits only the keys of the pages written since the
+    /// previous sweep and writes no page; returns how many pages.
     pub fn gc(&mut self, keep: usize) -> usize {
         self.store.gc(keep)
     }
@@ -251,8 +252,8 @@ mod tests {
         TxnId::new(0, n)
     }
 
-    /// What a replica keeps — pending options, the version chain, the log,
-    /// the interner — owns its bytes: once the message that carried a view
+    /// What a replica keeps — pending options, the head, the log, the
+    /// interner — owns its bytes: once the message that carried a view
     /// is gone, nothing pins the buffer it was decoded out of.
     #[test]
     fn accepted_and_installed_views_do_not_pin_their_buffer() {

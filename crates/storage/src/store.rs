@@ -1,5 +1,6 @@
 //! The per-replica key-value store: interned keys addressing versioned
-//! records kept in copy-on-write pages.
+//! records kept in copy-on-write pages, and each record's history beside
+//! them.
 //!
 //! The store keeps two representations of its keyspace: the wire-form
 //! [`Key`] (an `Arc<str>`), and a dense [`KeyId`] assigned by a per-store
@@ -12,13 +13,19 @@
 //! interner's names) live in pages of [`PAGE_LEN`]: [`Store::snapshot`]
 //! freezes the pages behind `Arc`s it shares with the snapshot, the first
 //! write to a page afterwards copies that page once, and a page that is
-//! never written again is never copied. [`Store::gc`] sweeps only the pages
-//! written since the previous sweep.
+//! never written again is never copied. A record in a page is its head
+//! version and its pending options — all that reads, validation, a snapshot
+//! and a recovery need — so copying a page copies 64 heads and no chain.
+//! The versions a head replaced are the record's history: a vector per key,
+//! indexed by [`KeyId`] beside the pages, owned by the live store alone. A
+//! snapshot does not hold it, so a recovered record's chain starts at its
+//! checkpointed head. [`Store::gc`] trims the histories of the keys on the
+//! pages written since the previous sweep, in place, writing no page.
 
 use crate::intern::KeyInterner;
 use crate::options::{RecordOption, RejectReason};
 use crate::paged::{PagedVec, PAGE_LEN};
-use crate::record::VersionedRecord;
+use crate::record::{CommittedVersion, VersionedRecord};
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 
 /// The result of a read: the committed version and its value.
@@ -76,12 +83,13 @@ impl WrittenPages {
     }
 }
 
-/// A point-in-time image of a [`Store`], as [`Wal::checkpoint`] persists it.
+/// A point-in-time image of a [`Store`], as [`Wal::checkpoint`] persists it:
+/// every key's head version and pending options.
 ///
 /// It holds the same pages as the store it was taken from: taking one is
 /// O(pages) pointer copies, and cloning one (a crash-restart clones the
-/// log) costs the same. It does not hold the key → id map;
-/// [`Store::from_snapshot`] rebuilds it.
+/// log) costs the same. It holds neither the records' histories nor the
+/// key → id map; [`Store::from_snapshot`] rebuilds the map.
 ///
 /// [`Wal::checkpoint`]: crate::Wal::checkpoint
 #[derive(Debug, Default, Clone)]
@@ -96,18 +104,24 @@ pub struct Store {
     interner: KeyInterner,
     /// Indexed by [`KeyId`]; always the same length as the interner.
     records: PagedVec<VersionedRecord>,
+    /// Per key, the committed versions its head replaced, oldest first.
+    /// Indexed by [`KeyId`] like `records` and as long, outside the pages:
+    /// no snapshot holds it and no page copy copies it. 24 bytes a key; a
+    /// key written at most once never allocates here.
+    history: Vec<Vec<CommittedVersion>>,
     written: WrittenPages,
 }
 
-/// The deep copy: every record cloned, no page shared with the original,
-/// O(store). Nothing outside tests calls it — a checkpoint takes a
-/// [`Store::snapshot`] — it stays as the reference model the checkpoint
+/// The deep copy: every record and history cloned, no page shared with the
+/// original, O(store). Nothing outside tests calls it — a checkpoint takes
+/// a [`Store::snapshot`] — it stays as the reference model the checkpoint
 /// tests compare against.
 impl Clone for Store {
     fn clone(&self) -> Self {
         Store {
             interner: self.interner.clone(),
             records: self.records.deep_clone(),
+            history: self.history.clone(),
             written: self.written.clone(),
         }
     }
@@ -133,18 +147,15 @@ impl Store {
     }
 
     /// A store that continues from `snapshot`, sharing its pages until it
-    /// writes to them. Rebuilding the key → id map hashes every key once:
-    /// the one O(keys) step, paid at recovery and not at checkpoint. Every
-    /// page counts as written, so the first sweep looks at all of them.
+    /// writes to them. Every record's chain restarts at its snapshot head,
+    /// with an empty history. Rebuilding the key → id map hashes every key
+    /// once: the one O(keys) step, paid at recovery and not at checkpoint.
     pub fn from_snapshot(snapshot: &StoreSnapshot) -> Self {
-        let mut written = WrittenPages::default();
-        for page in 0..snapshot.records.page_count() {
-            written.mark(page);
-        }
         Store {
             interner: KeyInterner::from_names(snapshot.names.clone()),
             records: snapshot.records.clone(),
-            written,
+            history: vec![Vec::new(); snapshot.records.len()],
+            written: WrittenPages::default(),
         }
     }
 
@@ -157,6 +168,7 @@ impl Store {
         let id = self.interner.intern(key);
         if self.records.len() <= id.0 as usize {
             self.records.push(VersionedRecord::new());
+            self.history.push(Vec::new());
         }
         id
     }
@@ -185,15 +197,17 @@ impl Store {
         record.expect("key id issued by this store")
     }
 
-    /// The one way to a record that is about to be written: marks its page
-    /// for the next sweep and un-shares it from the last snapshot.
-    fn record_id_mut(&mut self, id: KeyId) -> &mut VersionedRecord {
+    /// The one way to a record that is about to be written, with the
+    /// history its replaced heads go to: marks its page for the next sweep
+    /// and un-shares it from the last snapshot.
+    fn record_id_mut(&mut self, id: KeyId) -> (&mut VersionedRecord, &mut Vec<CommittedVersion>) {
         let index = id.0 as usize;
         self.written.mark(index / PAGE_LEN);
         let record = self.records.get_mut(index);
+        let history = self.history.get_mut(index);
         // As in `record_id`.
         // check:allow(panic)
-        record.expect("key id issued by this store")
+        record.zip(history).expect("key id issued by this store")
     }
 
     /// Read the latest committed state by id.
@@ -213,18 +227,20 @@ impl Store {
 
     /// Validate and accept an option by id.
     pub fn accept_id(&mut self, id: KeyId, option: RecordOption) -> Result<(), RejectReason> {
-        self.record_id_mut(id).accept(option)
+        self.record_id_mut(id).0.accept(option)
     }
 
     /// Learn a transaction outcome by id; returns the new version if one
     /// was committed.
     pub fn decide_id(&mut self, id: KeyId, txn: TxnId, commit: bool) -> Option<VersionNo> {
-        self.record_id_mut(id).decide(txn, commit)
+        let (record, history) = self.record_id_mut(id);
+        record.decide(txn, commit, history)
     }
 
     /// Install a committed version by state transfer, by id.
     pub fn install_id(&mut self, id: KeyId, version: VersionNo, value: Value, txn: TxnId) -> bool {
-        self.record_id_mut(id).install(version, value, txn)
+        let (record, history) = self.record_id_mut(id);
+        record.install(version, value, txn, history)
     }
 
     // ---- key-addressed boundary API ------------------------------------
@@ -272,6 +288,20 @@ impl Store {
         self.key_id(key).map(|id| self.record_id(id))
     }
 
+    /// The committed versions the store retains for a key, oldest first:
+    /// its history, then its head (none for a key never written). What the
+    /// model checker compares across replicas. After a recovery the chain
+    /// starts at the head the checkpoint held.
+    pub fn versions(&self, key: &Key) -> impl Iterator<Item = &CommittedVersion> + '_ {
+        self.key_id(key).into_iter().flat_map(|id| {
+            let history = self
+                .history
+                .get(id.0 as usize)
+                .map_or(&[][..], Vec::as_slice);
+            history.iter().chain(self.record_id(id).head())
+        })
+    }
+
     // ---- whole-store traversal -----------------------------------------
 
     /// Number of interned keys.
@@ -290,27 +320,31 @@ impl Store {
         self.interner.keys_sorted().into_iter()
     }
 
-    /// Total pending options across all records.
-    pub fn total_pending(&self) -> usize {
-        self.records.iter().map(|r| r.pending_count()).sum()
+    /// Every pending option, with the id of the record it is pending on,
+    /// in id order.
+    pub fn pending_options(&self) -> impl Iterator<Item = (KeyId, &RecordOption)> + '_ {
+        self.records.iter().enumerate().flat_map(|(id, r)| {
+            let id = KeyId(id as u32);
+            r.pending().iter().map(move |o| (id, o))
+        })
     }
 
     /// Garbage-collect version chains, keeping the newest `keep` versions of
-    /// each record. A chain only grows when its record is written, so the
-    /// sweep visits the pages written since the previous sweep and no
-    /// other; returns how many that was. A visited page with nothing to trim
-    /// is left as it is (shared with a snapshot, if it was). A sweep with a
+    /// each record, its head among them (a head is never dropped: `keep` 0
+    /// keeps it alone, as 1 does). A history only grows when its record is
+    /// written, so the sweep visits the keys of the pages written since the
+    /// previous sweep and no other; returns how many pages that was. It
+    /// trims the histories beside the pages and writes no page, so it
+    /// un-shares none from a snapshot and allocates nothing. A sweep with a
     /// smaller `keep` than the one before does not revisit what that one
     /// trimmed.
     pub fn gc(&mut self, keep: usize) -> usize {
+        let older = keep.saturating_sub(1);
         let pages = self.written.take();
         for &page in &pages {
-            let page = page as usize;
-            let overlong = |r: &VersionedRecord| r.version_count() > keep;
-            if self.records.page(page).iter().any(overlong) {
-                for r in self.records.page_mut(page) {
-                    r.gc(keep);
-                }
+            let first = page as usize * PAGE_LEN;
+            for history in self.history.iter_mut().skip(first).take(PAGE_LEN) {
+                history.drain(..history.len().saturating_sub(older));
             }
         }
         pages.len()
@@ -368,7 +402,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.decide_id(id, txn(1), true), Some(1));
         assert_eq!(s.read_id(id), s.read(&k));
-        assert_eq!(s.record_id(id).version_count(), 1);
+        assert_eq!(s.versions(&k).count(), 1);
     }
 
     #[test]
@@ -391,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn total_pending_sums_across_keys() {
+    fn pending_options_name_their_records() {
         let mut s = Store::new();
         for (i, k) in ["a", "b", "c"].iter().enumerate() {
             s.accept(
@@ -400,7 +434,14 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(s.total_pending(), 3);
+        s.accept(
+            &Key::new("a"),
+            RecordOption::new(txn(3), 0, WriteOp::add(1)),
+        )
+        .unwrap();
+        let pending: Vec<(KeyId, TxnId)> = s.pending_options().map(|(id, o)| (id, o.txn)).collect();
+        let expected = [(0, 0), (0, 3), (1, 1), (2, 2)].map(|(id, t)| (KeyId(id), txn(t)));
+        assert_eq!(pending, expected);
         assert_eq!(s.len(), 3);
         assert_eq!(s.keys().count(), 3);
     }
@@ -497,21 +538,29 @@ mod tests {
         let (mut s, ids) = paged_store(4);
         assert_eq!(s.gc(1), 4, "every page was written by the preload");
         assert_eq!(s.gc(1), 0, "nothing written since");
-        let snap = s.snapshot();
+        let (hot, hot_key) = (ids[2 * PAGE_LEN], Key::new(format!("k{}", 2 * PAGE_LEN)));
         for seq in 0..3 {
-            commit_set(&mut s, ids[2 * PAGE_LEN], 20_000 + seq, seq as i64);
+            commit_set(&mut s, hot, 20_000 + seq, seq as i64);
         }
         // A pending option alone marks its page as well.
         let pending = RecordOption::new(txn(30_000), 0, WriteOp::add(1));
         s.accept_id(ids[5], pending).unwrap();
-        assert_eq!(s.record_id(ids[2 * PAGE_LEN]).version_count(), 4);
-        assert_eq!(s.gc(1), 2);
-        assert_eq!(s.record_id(ids[2 * PAGE_LEN]).version_count(), 1);
-        assert_eq!(s.read_id(ids[2 * PAGE_LEN]).value, Value::Int(2));
-        // The sweep copied no page it had nothing to trim on.
-        assert_eq!(s.records.shared_pages(&snap.records), 2);
-        // A recovered store sweeps everything once.
-        assert_eq!(Store::from_snapshot(&snap).gc(1), 4);
+        let chain =
+            |s: &Store| -> Vec<VersionNo> { s.versions(&hot_key).map(|v| v.version).collect() };
+        assert_eq!(chain(&s), vec![1, 2, 3, 4]);
+        // The snapshot holds heads, not histories: a recovered chain starts
+        // at the head.
+        let snap = s.snapshot();
+        let mut recovered = Store::from_snapshot(&snap);
+        assert_eq!(chain(&recovered), vec![4]);
+        assert_eq!(recovered.read_id(hot), s.read_id(hot));
+        assert_eq!(recovered.gc(1), 0, "nothing written since the recovery");
+        // The sweep trims beside the pages and writes none of them.
+        assert_eq!(s.gc(2), 2);
+        assert_eq!(chain(&s), vec![3, 4]);
+        assert_eq!(s.read_id(hot).value, Value::Int(2));
+        assert_eq!(s.records.shared_pages(&snap.records), 4);
+        assert_eq!(s.gc(1), 0, "a sweep marks nothing written");
     }
 
     #[test]
@@ -527,7 +576,15 @@ mod tests {
             s.decide(&k, txn(v), true);
         }
         s.gc(2);
-        assert_eq!(s.record(&k).unwrap().version_count(), 2);
+        let kept: Vec<VersionNo> = s.versions(&k).map(|v| v.version).collect();
+        assert_eq!(kept, vec![4, 5]);
         assert_eq!(s.read(&k).value, Value::Int(5));
+        // Written again (a pending option marks its page) and swept with
+        // `keep` 0: the head stays.
+        s.accept(&k, RecordOption::new(txn(9), 5, WriteOp::add(1)))
+            .unwrap();
+        s.gc(0);
+        assert_eq!(s.versions(&k).count(), 1);
+        assert_eq!(s.read(&k).version, 5);
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Every state transition a replica performs — accepting an option, learning
 //! a decision — is logged before it is applied. Replaying the log into a
-//! fresh [`Store`] reconstructs exactly the same state, which is both the
+//! fresh [`Store`] reconstructs the same state — every key's head version,
+//! value and pending options, under the same key ids — which is both the
 //! recovery story and a powerful testing oracle (see the property tests in
-//! `replica.rs`).
+//! `replica.rs`). A checkpoint snapshot holds heads and pending options and
+//! no history, so a record recovered from one starts its chain at the head
+//! the snapshot held, with the tail replayed on top.
 
 use crate::options::RecordOption;
 use crate::store::{Store, StoreSnapshot};
@@ -55,7 +58,8 @@ pub enum LogRecord {
 ///
 /// The snapshot shares its pages with the live store (see
 /// [`Store::snapshot`]), so `checkpoint` and `clone` cost O(pages) pointer
-/// copies plus the tail, whatever the store holds.
+/// copies plus the tail, whatever the store holds. The records' histories
+/// are not in it: they stay with the live store.
 ///
 /// ```
 /// use planet_storage::{Key, LogRecord, RecordOption, TxnId, Value, Wal, WriteOp};

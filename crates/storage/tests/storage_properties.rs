@@ -16,7 +16,8 @@ use std::fmt::Display;
 
 use planet_sim::DetRng;
 use planet_storage::{
-    Key, KeyId, RecordOption, Replica, Store, TxnId, Value, VersionedRecord, Wal, WriteOp, PAGE_LEN,
+    CommittedVersion, Key, KeyId, RecordOption, Replica, Store, TxnId, Value, VersionedRecord, Wal,
+    WriteOp, PAGE_LEN,
 };
 
 /// A randomly generated action against a replica.
@@ -192,12 +193,14 @@ fn random_step(rng: &mut DetRng, keys: usize) -> Step {
 }
 
 /// The store as it was before it had pages: one record per key in a plain
-/// vector, a sweep that visits every record, and a note of which pages the
-/// paged store should count as written.
+/// vector with the versions its head replaced beside it, a sweep that visits
+/// every key, and a note of which pages the paged store should count as
+/// written.
 #[derive(Default)]
 struct ModelStore {
     keys: Vec<Key>,
     records: Vec<VersionedRecord>,
+    histories: Vec<Vec<CommittedVersion>>,
     written_pages: BTreeSet<usize>,
 }
 
@@ -205,21 +208,34 @@ impl ModelStore {
     fn new_key(&mut self, key: Key) {
         self.keys.push(key);
         self.records.push(VersionedRecord::new());
+        self.histories.push(Vec::new());
     }
 
-    /// The record, about to be handed to a mutating call: the store marks a
-    /// page when it hands a record out mutably, whatever the call then does.
-    fn record_mut(&mut self, key: usize) -> &mut VersionedRecord {
+    /// The record, about to be handed to a mutating call, and its history:
+    /// the store marks a page when it hands a record out mutably, whatever
+    /// the call then does.
+    fn record_mut(&mut self, key: usize) -> (&mut VersionedRecord, &mut Vec<CommittedVersion>) {
         self.written_pages.insert(key / PAGE_LEN);
-        &mut self.records[key]
+        (&mut self.records[key], &mut self.histories[key])
     }
 
+    /// The whole retained chain of a key, oldest first.
+    fn chain(&self, key: usize) -> Vec<CommittedVersion> {
+        let head = self.records[key].head();
+        self.histories[key].iter().chain(head).cloned().collect()
+    }
+
+    /// Keep the newest `keep` versions of every key, the head among them.
     fn gc(&mut self, keep: usize) -> usize {
-        for r in &mut self.records {
-            r.gc(keep);
+        for history in &mut self.histories {
+            history.drain(..history.len().saturating_sub(keep - 1));
         }
         std::mem::take(&mut self.written_pages).len()
     }
+}
+
+fn chain(store: &Store, key: &Key) -> Vec<CommittedVersion> {
+    store.versions(key).cloned().collect()
 }
 
 /// Version chain, pending set and key id of every key agree.
@@ -231,12 +247,8 @@ fn assert_same_state(store: &Store, model: &ModelStore, what: &str) {
             Some(KeyId(id as u32)),
             "{what}: id of {key}"
         );
+        assert_eq!(chain(store, key), model.chain(id), "{what}: chain of {key}");
         let got = store.record(key).expect("interned");
-        assert_eq!(
-            got.versions(),
-            expected.versions(),
-            "{what}: chain of {key}"
-        );
         assert_eq!(
             got.pending(),
             expected.pending(),
@@ -246,9 +258,11 @@ fn assert_same_state(store: &Store, model: &ModelStore, what: &str) {
 }
 
 /// What a recovery must reproduce: head version, value, pending set and key
-/// id of every key, and no key more. Chains only where `chains` says so: a
-/// sweep after the checkpoint trims the live store and not its log.
-fn assert_recovers(recovered: &Store, live: &Store, chains: bool, what: &dyn Display) {
+/// id of every key, and no key more. The chains agree on every version both
+/// hold: a recovered chain starts at the head its checkpoint held, and a
+/// sweep may have trimmed the live one since, so the shorter is a suffix
+/// of the longer, both ending at the head.
+fn assert_recovers(recovered: &Store, live: &Store, what: &dyn Display) {
     assert_eq!(recovered.len(), live.len(), "{what}: key count");
     for key in live.keys() {
         assert_eq!(
@@ -260,10 +274,13 @@ fn assert_recovers(recovered: &Store, live: &Store, chains: bool, what: &dyn Dis
         let (got, want) = (recovered.record(key), live.record(key));
         let pending = |r: Option<&VersionedRecord>| r.map(|r| r.pending().to_vec());
         assert_eq!(pending(got), pending(want), "{what}: pending of {key}");
-        if chains {
-            let chain = |r: Option<&VersionedRecord>| r.map(|r| r.versions().to_vec());
-            assert_eq!(chain(got), chain(want), "{what}: chain of {key}");
-        }
+        let (got, want) = (chain(recovered, key), chain(live, key));
+        let common = got.len().min(want.len());
+        assert_eq!(
+            got[got.len() - common..],
+            want[want.len() - common..],
+            "{what}: chain of {key}"
+        );
     }
 }
 
@@ -275,10 +292,12 @@ fn assert_recovers(recovered: &Store, live: &Store, chains: bool, what: &dyn Dis
 /// * the live store equals [`ModelStore`] key by key (chain, pending, id),
 ///   and each sweep reports exactly the pages written since the one before;
 /// * `Replica::recover(wal.clone())` and `verify_recovery()` agree with the
-///   live store on version, value, pending set and key ids;
+///   live store on version, value, pending set and key ids, and on every
+///   committed version both chains hold;
 /// * every earlier checkpoint, replayed from a log cloned when it was taken,
 ///   still equals the deep `Store::clone` made at that moment: a write after
-///   a checkpoint never shows through the older snapshot.
+///   a checkpoint never shows through the older snapshot. It holds heads
+///   and no history, so each replayed chain is its head alone.
 ///
 /// Five seeded mutations of the store were each checked to fail this test
 /// (CHANGES.md, PR 16).
@@ -299,7 +318,8 @@ fn recovery_holds_across_random_checkpoints() {
             let by = TxnId::new(9, k as u64);
             assert!(replica.install(&key, 1, Value::Int(0), by));
             model.new_key(key);
-            assert!(model.record_mut(k).install(1, Value::Int(0), by));
+            let (record, history) = model.record_mut(k);
+            assert!(record.install(1, Value::Int(0), by, history));
         };
         for _ in 0..initial {
             new_key(&mut replica, &mut model);
@@ -315,7 +335,7 @@ fn recovery_holds_across_random_checkpoints() {
             let mut propose =
                 |replica: &mut Replica, model: &mut ModelStore, k, opt: RecordOption| {
                     let live = replica.accept(&model.keys[k], opt.clone());
-                    assert_eq!(live, model.record_mut(k).accept(opt.clone()), "{what}");
+                    assert_eq!(live, model.record_mut(k).0.accept(opt.clone()), "{what}");
                     if live.is_ok() {
                         undecided.push_back((k, opt.txn));
                     }
@@ -338,7 +358,8 @@ fn recovery_holds_across_random_checkpoints() {
                 Step::Decide { commit } => {
                     if let Some((k, txn)) = undecided.pop_front() {
                         let live = replica.decide(&model.keys[k], txn, commit);
-                        assert_eq!(live, model.record_mut(k).decide(txn, commit), "{what}");
+                        let (record, history) = model.record_mut(k);
+                        assert_eq!(live, record.decide(txn, commit, history), "{what}");
                     }
                 }
                 Step::Install {
@@ -349,11 +370,8 @@ fn recovery_holds_across_random_checkpoints() {
                     let version = replica.read(&model.keys[k]).version + ahead;
                     let value = Value::Int(value);
                     let live = replica.install(&model.keys[k], version, value.clone(), txn);
-                    assert_eq!(
-                        live,
-                        model.record_mut(k).install(version, value, txn),
-                        "{what}"
-                    );
+                    let (record, history) = model.record_mut(k);
+                    assert_eq!(live, record.install(version, value, txn, history), "{what}");
                 }
                 Step::NewKey => new_key(&mut replica, &mut model),
                 Step::Checkpoint => {
@@ -367,10 +385,13 @@ fn recovery_holds_across_random_checkpoints() {
             assert_same_state(replica.store(), &model, &what);
             assert!(replica.verify_recovery().is_empty(), "{what}");
             let recovered = Replica::recover(replica.wal().clone());
-            assert_recovers(recovered.store(), replica.store(), false, &what);
+            assert_recovers(recovered.store(), replica.store(), &what);
             for (n, (log, then)) in checkpoints.iter().enumerate() {
                 let what = format_args!("{what}: checkpoint {n} replayed");
-                assert_recovers(&log.replay(), then, true, &what);
+                let replayed = log.replay();
+                assert_recovers(&replayed, then, &what);
+                let heads_only = replayed.keys().all(|k| replayed.versions(k).count() <= 1);
+                assert!(heads_only, "{what}: a history in the snapshot");
             }
         }
     }
