@@ -2,12 +2,13 @@
 //!
 //! A sender coalesces the frames of a drive into one socket write; the
 //! receiver takes them back with one `read` into a recycled chunk and
-//! decodes every frame as views into it (`wire::FrameReader`), and what
-//! keeps a key — the interner — copies it out once, on first sight, so the
-//! chunk comes back. What is left per frame is one small copy per *new*
-//! key (the mailbox's queue is a ring that stops growing); it used to be a
-//! buffer per frame, for good once eight frames had been pinned by interned
-//! keys, plus a `Vec` per destination per `send_many`.
+//! decodes every frame out of it (`wire::FrameReader`). A key is decoded as
+//! a value held inline, so interning a new key — what a replica does on
+//! first sight — copies nothing and pins nothing, and the chunk comes back.
+//! Nothing is left per frame (the mailbox's queue is a ring that stops
+//! growing). It used to be a copy per new key (0.1 per frame here), before
+//! that a buffer per frame, for good once eight frames had been pinned by
+//! interned keys, plus a `Vec` per destination per `send_many`.
 //!
 //! Lives here because this crate owns the counting `#[global_allocator]`;
 //! alone in its file, so no other test allocates while it counts.
@@ -25,6 +26,9 @@ const WARM_UP: usize = 2_000;
 const MEASURED: usize = 20_000;
 /// Frames per `send_many`, about what a reactor drive hands over.
 const BATCH: usize = 32;
+/// Allocations per frame: 0.002 measured (40 in 20 000 frames, none of
+/// them per frame), five times that allowed.
+const PER_FRAME_BUDGET: f64 = 0.01;
 
 const SENDER: ActorId = ActorId(7);
 const RECEIVER: ActorId = ActorId(1);
@@ -117,9 +121,9 @@ fn receiving_frames_allocates_per_burst_not_per_frame() {
     assert_eq!((sender.dropped(), receiver.dropped()), (0, 0));
     let per_frame = allocs as f64 / MEASURED as f64;
     assert!(
-        per_frame <= 0.25,
+        per_frame <= PER_FRAME_BUDGET,
         "{allocs} allocations while sending and receiving {MEASURED} frames \
-         ({per_frame:.3} per frame; the budget is 0.25)"
+         ({per_frame:.3} per frame; the budget is {PER_FRAME_BUDGET})"
     );
     sender.stop();
     receiver.stop();

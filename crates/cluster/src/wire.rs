@@ -71,7 +71,7 @@ struct Reader<'a> {
     /// What is left to decode.
     buf: &'a [u8],
     /// When decoding off a shared buffer: the owning `Arc` and where the
-    /// payload ends in it, for zero-copy keys and byte values.
+    /// payload ends in it, for zero-copy byte values.
     shared: Option<(&'a Arc<[u8]>, usize)>,
 }
 
@@ -174,22 +174,22 @@ impl Wire for String {
     }
 }
 
-/// Keys and byte values decode as views into a shared buffer, else copies.
+/// A key decodes as a value: UTF-8 checked, then built (inline up to 23
+/// bytes), never a view, so no key pins the buffer it was read from.
 impl Wire for Key {
     #[inline]
     fn wire_write(&self, w: &mut impl Sink) {
-        w.blob(self.as_str().as_bytes());
+        w.blob(self.as_bytes());
     }
     fn wire_read(r: &mut Reader<'_>) -> Result<Self> {
         let raw = r.blob()?;
-        match r.view(raw) {
-            Some((owner, at)) => Key::shared(owner, at, raw.len()),
-            None => std::str::from_utf8(raw).ok().map(Key::new),
-        }
-        .ok_or_else(|| WireError("bad utf8".into()))
+        std::str::from_utf8(raw)
+            .map(Key::from)
+            .map_err(|_| WireError("bad utf8".into()))
     }
 }
 
+/// Byte values decode as views into a shared buffer, else copies.
 impl Wire for Bytes {
     fn wire_write(&self, w: &mut impl Sink) {
         w.blob(self.as_slice());
@@ -385,10 +385,11 @@ pub fn decode(buf: &[u8]) -> Result<Envelope> {
     decode_payload(buf, None)
 }
 
-/// Decode the payload at `buf[start..start + len]` *zero-copy*: every key
-/// and byte value is a refcounted view into `buf`, so a frame decodes with
-/// no per-field allocation. Otherwise identical to [`decode`] (the codec's
-/// property tests pin this).
+/// Decode the payload at `buf[start..start + len]` *zero-copy*: every byte
+/// value is a refcounted view into `buf`, and every key of up to 23 bytes
+/// is held inline, so a frame decodes with no per-field allocation. Keys
+/// are not views, so only byte values keep `buf` alive. Otherwise
+/// identical to [`decode`] (the codec's property tests pin this).
 pub fn decode_shared(buf: &Arc<[u8]>, start: usize, len: usize) -> Result<Envelope> {
     let range = start.checked_add(len).and_then(|end| buf.get(start..end));
     let Some(payload) = range else {
@@ -450,10 +451,10 @@ fn not_writable() -> io::Error {
 /// takes them back the same way. [`fill`](Self::fill) issues **one**
 /// `read` into a fixed-size chunk for whatever the socket holds, and
 /// [`pop_frame`](Self::pop_frame) then yields every complete frame of that
-/// burst, decoded zero-copy ([`decode_shared`]): the keys and byte values
-/// of an envelope are views into the chunk. A frame cut off by the end of
-/// the burst stays buffered; the next `fill` moves that partial tail to the
-/// front of the chunk it reads into.
+/// burst, decoded zero-copy ([`decode_shared`]): the byte values of an
+/// envelope are views into the chunk (its keys are values of their own).
+/// A frame cut off by the end of the burst stays buffered; the next `fill`
+/// moves that partial tail to the front of the chunk it reads into.
 ///
 /// Chunks are recycled, never shared while written: a chunk is written
 /// only while this reader holds the one reference to it, and once
@@ -462,9 +463,8 @@ fn not_writable() -> io::Error {
 /// the last envelope decoded out of it has dropped (`strong_count == 1`).
 /// So a view costs its holder nothing and costs the connection a 16 KiB
 /// chunk for as long as it is held: **views are for the life of a
-/// message**, and state that outlives one stores `Key::detached` /
-/// `Bytes::detached` (`planet_storage` does so where a key is interned and
-/// where a value enters a record or the log).
+/// message**, and state that outlives one stores `Bytes::detached`
+/// (`planet_storage` does so where a value enters a record or the log).
 ///
 /// `fill` and `pop_frame` never block beyond the one `read`, so the pair is
 /// a plain state machine over bytes: a readiness-driven poller can call
@@ -1225,6 +1225,99 @@ mod tests {
         assert!(b.is_view(), "shared decode must not copy byte values");
     }
 
+    /// A key is decoded as a value, so interning it keeps nothing of the
+    /// chunk: once the envelope drops, the chunk is free again.
+    #[test]
+    fn an_interned_key_does_not_pin_its_chunk() {
+        let env = envelope(Msg::DropPending {
+            key: Key::new("order:2:399999"),
+            txn: TxnId::new(0, 1),
+        });
+        let payload = encode(&env);
+        let chunk: Arc<[u8]> = [&[0xEE; 5][..], &payload].concat().into();
+        let decoded = decode_shared(&chunk, 5, payload.len()).expect("decodes");
+        let Msg::DropPending { key, .. } = &decoded.msg else {
+            panic!("decoded to {decoded:?}");
+        };
+        let mut interner = planet_storage::KeyInterner::new();
+        let id = interner.intern(key);
+        drop(decoded);
+        assert_eq!(
+            Arc::strong_count(&chunk),
+            1,
+            "the message is gone, so is the pin"
+        );
+        assert_eq!(interner.name(id).as_str(), "order:2:399999");
+    }
+
+    /// The key a frame carries, decoded owned and shared.
+    fn decoded_keys(key: &Key) -> [Key; 2] {
+        let payload = encode(&envelope(Msg::DropPending {
+            key: key.clone(),
+            txn: TxnId::new(0, 1),
+        }));
+        let chunk: Arc<[u8]> = [&[0xEE; 3][..], &payload, &[0xEE; 2]].concat().into();
+        let decoded = [
+            decode(&payload).expect("owned decode"),
+            decode_shared(&chunk, 3, payload.len()).expect("shared decode"),
+        ];
+        decoded.map(|env| match env.msg {
+            Msg::DropPending { key, .. } => key,
+            other => panic!("decoded to {other:?}"),
+        })
+    }
+
+    /// Decoding, owned or shared, gives the key that was sent, on both
+    /// sides of the 23-byte inline edge: equal, hashing equally, in `str`
+    /// order. (`types::tests` holds the other constructors to the same.)
+    #[test]
+    fn decoded_keys_equal_constructed_ones_across_the_inline_edge() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        let strings: Vec<String> = [0, 1, 22, 23, 24, 200]
+            .iter()
+            .map(|&n| "k".repeat(n))
+            .chain(["k".repeat(21) + "é", "k".repeat(22) + "é"])
+            .collect();
+        let mut decoded_all = Vec::new();
+        for s in &strings {
+            let sent = Key::from_fmt(format_args!("{s}"));
+            for decoded in decoded_keys(&sent) {
+                assert_eq!(decoded.as_str(), s);
+                assert_eq!(decoded, sent);
+                assert_eq!(hasher.hash_one(&decoded), hasher.hash_one(s.as_str()));
+                decoded_all.push((decoded, s));
+            }
+        }
+        for (a, s) in &decoded_all {
+            for (b, t) in &decoded_all {
+                assert_eq!(a.cmp(b), s.cmp(t), "{s:?} vs {t:?}");
+            }
+        }
+    }
+
+    /// A key that is not UTF-8 is refused, owned and shared.
+    #[test]
+    fn a_non_utf8_key_is_refused() {
+        let env = envelope(Msg::DropPending {
+            key: Key::new("k"),
+            txn: TxnId::new(0, 1),
+        });
+        let mut payload = encode(&env);
+        let at = payload
+            .iter()
+            .position(|&b| b == b'k')
+            .expect("the key's byte");
+        payload[at] = 0xFF;
+        let refused = WireError("bad utf8".into());
+        assert_eq!(decode(&payload).unwrap_err(), refused);
+        let shared: Arc<[u8]> = payload.clone().into();
+        assert_eq!(
+            decode_shared(&shared, 0, payload.len()).unwrap_err(),
+            refused
+        );
+    }
+
     /// A count is held to the bytes left in the frame before anything is
     /// reserved for it.
     #[test]
@@ -1412,8 +1505,8 @@ mod tests {
 
         let first = reader.next_frame(&mut src).unwrap().expect("first frame");
         let first_chunk = chunk_of(&reader);
-        // `first`'s key/value views pin the first chunk, so the second
-        // burst must go into a distinct one.
+        // `first`'s value view pins the first chunk, so the second burst
+        // must go into a distinct one.
         let second = reader.next_frame(&mut src).unwrap().expect("second frame");
         let second_chunk = chunk_of(&reader);
         assert_ne!(first_chunk, second_chunk, "a viewed chunk is not written");
@@ -1439,12 +1532,15 @@ mod tests {
 
     /// Chunks pinned for good do not end reuse: when the list is full the
     /// oldest is let go, so chunks retired later are still found again.
+    /// (A byte value pins; a key would not.)
     #[test]
     fn frame_reader_evicts_pinned_chunks_when_the_list_is_full() {
         let mut frame = Vec::new();
         encode_frame_into(
-            &envelope(Msg::DropPending {
+            &envelope(Msg::Apply {
                 key: Key::new("k"),
+                version: 1,
+                value: Value::bytes(&b"payload-bytes"[..]),
                 txn: TxnId::new(0, 1),
             }),
             &mut frame,

@@ -151,7 +151,7 @@ impl ClusterConfig {
     pub fn master_of(&self, key: &Key) -> SiteId {
         // FNV-1a over the key bytes; cheap, stable across runs.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_str().as_bytes() {
+        for b in key.as_bytes() {
             h ^= *b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -175,7 +175,7 @@ impl ClusterConfig {
         // power-of-two shard counts.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for _ in 0..2 {
-            for b in key.as_str().as_bytes() {
+            for b in key.as_bytes() {
                 h ^= *b as u64;
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }

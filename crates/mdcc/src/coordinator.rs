@@ -257,15 +257,8 @@ impl Exec {
         plan: &CompiledPlan,
         params: &[PlanParam],
         config: &ClusterConfig,
-        key_scratch: &mut String,
     ) -> Result<bool, PlanError> {
-        match plan.resolve_slots(
-            params,
-            config,
-            key_scratch,
-            &mut self.keys,
-            &mut self.routes,
-        ) {
+        match plan.resolve_slots(params, config, &mut self.keys, &mut self.routes) {
             Ok(()) => {}
             Err(PlanError::AliasedKeys) => {
                 self.clear();
@@ -353,8 +346,6 @@ pub struct CoordinatorActor {
     execs: Vec<Exec>,
     free_execs: Vec<u32>,
     exec_of: HashMap<TxnId, u32>,
-    /// Where a plan's derived keys are rendered before they are copied out.
-    key_scratch: String,
     names: OutcomeNames,
 }
 
@@ -402,7 +393,6 @@ impl CoordinatorActor {
             execs: Vec::new(),
             free_execs: Vec::new(),
             exec_of: HashMap::new(),
-            key_scratch: String::new(),
         }
     }
 
@@ -635,7 +625,7 @@ impl CoordinatorActor {
         let exec = &mut self.execs[idx];
         let lowered = match self.plans.get(&plan) {
             Some(plan) => exec
-                .lower_plan(plan, &params, &self.config, &mut self.key_scratch)
+                .lower_plan(plan, &params, &self.config)
                 .map_err(|_| "plan.bad_params"),
             None => Err("plan.unknown"),
         };
@@ -1291,7 +1281,7 @@ mod tests {
             let writes_twice = !spec.writes.iter().all(|(k, _)| written.insert(k));
 
             let (mut from_plan, mut from_spec) = (Exec::default(), Exec::default());
-            let plan_result = from_plan.lower_plan(&plan, &params, &config, &mut String::new());
+            let plan_result = from_plan.lower_plan(&plan, &params, &config);
             let spec_result = from_spec.lower_spec(spec, &config);
             if writes_twice {
                 assert_eq!(plan_result, Err(PlanError::DuplicateWrite), "seed {seed}");

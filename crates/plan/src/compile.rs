@@ -295,15 +295,13 @@ impl CompiledPlan {
 
     /// Resolve every slot's key and route for one execution, appending to
     /// the caller's (cleared) scratch vectors — the coordinator reuses them
-    /// across transactions, as it does `scratch`, the string derived keys
-    /// are rendered in. Detects runtime key aliasing (see
+    /// across transactions. Detects runtime key aliasing (see
     /// [`CompiledPlan::may_alias`]) in time linear in the slots; on
     /// `AliasedKeys` the caller lowers the instantiated transaction instead.
     pub fn resolve_slots(
         &self,
         params: &[PlanParam],
         env: &dyn PlanEnv,
-        scratch: &mut String,
         keys: &mut Vec<Key>,
         routes: &mut Vec<KeyRoute>,
     ) -> Result<(), PlanError> {
@@ -317,7 +315,7 @@ impl CompiledPlan {
                     None => return Err(PlanError::BadTableIndex(*i)),
                 },
                 _ => {
-                    let key = self.program.resolve_key(&slot.key, params, scratch)?;
+                    let key = self.program.resolve_key(&slot.key, params)?;
                     let route = match &slot.key {
                         KeyRef::Param(p) => {
                             // Table-interned parameter: routing is a lookup.
@@ -415,7 +413,7 @@ mod tests {
 
         let mut keys = Vec::new();
         let mut routes = Vec::new();
-        plan.resolve_slots(&[], &env(), &mut String::new(), &mut keys, &mut routes)
+        plan.resolve_slots(&[], &env(), &mut keys, &mut routes)
             .expect("resolves");
         assert_eq!(keys, vec![Key::new("aa"), Key::new("b")]);
         assert_eq!(routes.len(), 2);
@@ -462,13 +460,7 @@ mod tests {
         let mut routes = Vec::new();
         // Param 0 = table entry 0 = "a": aliases the fixed read slot.
         assert_eq!(
-            plan.resolve_slots(
-                &[PlanParam::Key(a)],
-                &env(),
-                &mut String::new(),
-                &mut keys,
-                &mut routes
-            ),
+            plan.resolve_slots(&[PlanParam::Key(a)], &env(), &mut keys, &mut routes),
             Err(PlanError::AliasedKeys)
         );
     }
@@ -485,7 +477,6 @@ mod tests {
         plan.resolve_slots(
             &[PlanParam::Int(41), PlanParam::Int(7)],
             &env(),
-            &mut String::new(),
             &mut keys,
             &mut routes,
         )

@@ -99,20 +99,38 @@ impl KeyTemplate {
         self
     }
 
-    /// Render the template over `params` into `buf` (cleared first).
-    pub fn render(&self, params: &[PlanParam], buf: &mut String) -> Result<(), PlanError> {
-        use std::fmt::Write;
-        buf.clear();
+    /// Render the template over `params` straight into a key: no
+    /// allocation for a key of up to 23 bytes.
+    pub fn render(&self, params: &[PlanParam]) -> Result<Key, PlanError> {
+        // Every parameter is checked first, so the rendering cannot fail.
         for part in &self.parts {
+            if let TemplatePart::Param(p) = part {
+                int_param(params, *p)?;
+            }
+        }
+        let rendered = Rendered {
+            parts: &self.parts,
+            params,
+        };
+        Ok(Key::from_fmt(format_args!("{rendered}")))
+    }
+}
+
+/// A template over parameters [`KeyTemplate::render`] has checked.
+struct Rendered<'a> {
+    parts: &'a [TemplatePart],
+    params: &'a [PlanParam],
+}
+
+impl std::fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for part in self.parts {
             match part {
-                TemplatePart::Lit(s) => buf.push_str(s),
-                TemplatePart::Param(p) => {
-                    let PlanParam::Int(v) = param_at(params, *p)? else {
-                        return Err(PlanError::BadParamType(*p));
-                    };
-                    // Writing an integer into a String cannot fail.
-                    let _ = write!(buf, "{v}");
-                }
+                TemplatePart::Lit(s) => f.write_str(s)?,
+                TemplatePart::Param(p) => match self.params.get(usize::from(*p)) {
+                    Some(PlanParam::Int(v)) => write!(f, "{v}")?,
+                    _ => return Err(std::fmt::Error),
+                },
             }
         }
         Ok(())
@@ -441,14 +459,8 @@ impl TxnProgram {
     }
 
     /// Resolve one key reference over concrete parameters. A derived key is
-    /// rendered into `scratch` (the caller's, reused across calls) and
-    /// copied out once, so the key itself is its only allocation.
-    pub fn resolve_key(
-        &self,
-        r: &KeyRef,
-        params: &[PlanParam],
-        scratch: &mut String,
-    ) -> Result<Key, PlanError> {
+    /// rendered straight into the key.
+    pub fn resolve_key(&self, r: &KeyRef, params: &[PlanParam]) -> Result<Key, PlanError> {
         match r {
             KeyRef::Fixed(i) => self
                 .table_key(*i)
@@ -462,10 +474,7 @@ impl TxnProgram {
                     .cloned()
                     .ok_or(PlanError::BadTableIndex(i))
             }
-            KeyRef::Derived(t) => {
-                t.render(params, scratch)?;
-                Ok(Key::from(scratch.as_str()))
-            }
+            KeyRef::Derived(t) => t.render(params),
         }
     }
 
@@ -476,12 +485,11 @@ impl TxnProgram {
     pub fn instantiate(&self, params: &[PlanParam]) -> Result<InstantiatedTxn, PlanError> {
         let mut reads = Vec::new();
         let mut writes = Vec::new();
-        let mut scratch = String::new();
         for op in &self.ops {
             match op {
-                PlanOp::Read(k) => reads.push(self.resolve_key(k, params, &mut scratch)?),
+                PlanOp::Read(k) => reads.push(self.resolve_key(k, params)?),
                 PlanOp::Write(k, t) => {
-                    let key = self.resolve_key(k, params, &mut scratch)?;
+                    let key = self.resolve_key(k, params)?;
                     writes.push((key, t.materialize(params)?));
                 }
             }
@@ -527,18 +535,20 @@ mod tests {
     #[test]
     fn template_renders_params_in_decimal() {
         let t = KeyTemplate::new().lit("order:").param(0).lit(":").param(1);
-        let mut buf = String::new();
-        t.render(&[PlanParam::Int(3), PlanParam::Int(-7)], &mut buf)
-            .expect("render");
-        assert_eq!(buf, "order:3:-7");
+        let key = t.render(&[PlanParam::Int(3), PlanParam::Int(-7)]);
+        assert_eq!(key, Ok(Key::new("order:3:-7")));
         assert_eq!(
-            t.render(&[PlanParam::Key(0), PlanParam::Int(1)], &mut buf),
+            t.render(&[PlanParam::Key(0), PlanParam::Int(1)]),
             Err(PlanError::BadParamType(0))
         );
         assert_eq!(
-            t.render(&[PlanParam::Int(0)], &mut buf),
+            t.render(&[PlanParam::Int(0)]),
             Err(PlanError::BadParamIndex(1))
         );
+        // Past 23 bytes the key moves to the heap, same string.
+        let long = KeyTemplate::new().lit("a-long-literal-prefix:").param(0);
+        let key = long.render(&[PlanParam::Int(123_456)]);
+        assert_eq!(key, Ok(Key::new("a-long-literal-prefix:123456")));
     }
 
     #[test]

@@ -141,22 +141,10 @@ fn the_largest_indexable_program_compiles_with_distinct_slots() {
     let (mut keys, mut routes) = (Vec::new(), Vec::new());
     let start = Instant::now();
     let distinct = [PlanParam::Int(7), PlanParam::Int(8)];
-    plan.resolve_slots(
-        &distinct,
-        &config,
-        &mut String::new(),
-        &mut keys,
-        &mut routes,
-    )
-    .expect("resolves");
+    plan.resolve_slots(&distinct, &config, &mut keys, &mut routes)
+        .expect("resolves");
     let aliased = [PlanParam::Int(7), PlanParam::Int(7)];
-    let refused = plan.resolve_slots(
-        &aliased,
-        &config,
-        &mut String::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
+    let refused = plan.resolve_slots(&aliased, &config, &mut Vec::new(), &mut Vec::new());
     let elapsed = start.elapsed();
     assert_eq!(keys.len(), usize::from(u16::MAX));
     assert_eq!(keys.len(), routes.len());

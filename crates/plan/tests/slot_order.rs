@@ -17,7 +17,7 @@ fn assert_slots_follow_touched_order(program: TxnProgram, params: &[PlanParam], 
     let spec: TxnSpec = program.instantiate(params).expect("instantiates").into();
     let plan = CompiledPlan::compile(program, &config).expect("compiles");
     let (mut keys, mut routes) = (Vec::new(), Vec::new());
-    plan.resolve_slots(params, &config, &mut String::new(), &mut keys, &mut routes)
+    plan.resolve_slots(params, &config, &mut keys, &mut routes)
         .expect("resolves");
     assert_eq!(keys, spec.touched_keys(), "{what}");
     // Steps keep program order and point at the slot of the key they write.

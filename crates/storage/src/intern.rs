@@ -15,6 +15,10 @@
 //! interns the keys it holds, and a `planet_plan::TxnProgram` interns its key
 //! table through the same type, which is what makes the table a set by
 //! construction.
+//!
+//! What the interner keeps is a clone of the key it was handed. A key is a
+//! value — inline up to 23 bytes, else an `Arc<str>` — and never a view into
+//! a receive buffer, so keeping it copies nothing and pins nothing.
 
 use std::collections::HashMap;
 
@@ -56,11 +60,8 @@ impl KeyInterner {
         Self::default()
     }
 
-    /// Intern `key`, assigning the next dense id on first sight. The
-    /// interner keeps a key for good, so what it keeps is
-    /// [`Key::detached`]: a refcount bump for an owned key, one copy for a
-    /// wire-decoded view — whose burst chunk would otherwise stay pinned
-    /// for as long as the key is known.
+    /// Intern `key`, assigning the next dense id on first sight, and keep
+    /// a clone of it: no allocation for a key held inline.
     pub fn intern(&mut self, key: &Key) -> KeyId {
         if let Some(&id) = self.ids.get(key) {
             return id;
@@ -69,9 +70,8 @@ impl KeyInterner {
         // counter overflows; the bound is structural.
         // check:allow(panic)
         let id = KeyId(u32::try_from(self.names.len()).expect("more than u32::MAX keys interned"));
-        let key = key.detached();
         self.names.push(key.clone());
-        self.ids.insert(key, id);
+        self.ids.insert(key.clone(), id);
         id
     }
 
@@ -158,28 +158,6 @@ mod tests {
         assert_eq!(i.try_name(KeyId(2)), None);
         let order: Vec<&str> = i.iter().map(|k| k.as_str()).collect();
         assert_eq!(order, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn interning_a_view_does_not_pin_its_buffer() {
-        use std::sync::Arc;
-        let buf: Arc<[u8]> = Arc::from(&b"__stock:7__"[..]);
-        let view = Key::shared(buf.clone(), 2, 7).expect("valid utf-8");
-        let mut i = KeyInterner::new();
-        let id = i.intern(&view);
-        assert_eq!(i.intern(&view), id, "a view finds its owned copy");
-        drop(view);
-        assert_eq!(
-            Arc::strong_count(&buf),
-            1,
-            "the message is gone, so is the pin"
-        );
-        assert_eq!(i.name(id).as_str(), "stock:7");
-
-        // An owned key is kept as it is: same allocation, nothing copied.
-        let owned = Key::new("event:1");
-        let id = i.intern(&owned);
-        assert!(std::ptr::eq(i.name(id).as_str(), owned.as_str()));
     }
 
     #[test]

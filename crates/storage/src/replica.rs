@@ -12,7 +12,7 @@ use crate::wal::{LogRecord, Wal};
 /// Own at rest: a byte value about to enter a record or the log lets go of
 /// the receive buffer it may have been decoded out of (see
 /// [`Bytes::detached`](crate::types::Bytes::detached)); owned bytes keep
-/// their buffer.
+/// their buffer. Keys need no such step: a key is never a view.
 fn own_at_rest(value: &mut Value) {
     if let Value::Bytes(bytes) = value {
         *bytes = bytes.detached();
@@ -112,7 +112,7 @@ impl Replica {
                 // Unknown key: the decision is still logged (the log is the
                 // history of everything learned), but nothing applies.
                 self.wal.append(LogRecord::Decided {
-                    key: key.detached(),
+                    key: key.clone(),
                     txn,
                     commit,
                 });
@@ -252,23 +252,20 @@ mod tests {
         TxnId::new(0, n)
     }
 
-    /// What a replica keeps — pending options, the head, the log, the
-    /// interner — owns its bytes: once the message that carried a view
-    /// is gone, nothing pins the buffer it was decoded out of.
+    /// What a replica keeps — pending options, the head, the log — owns its
+    /// byte values: once the message that carried a view is gone, nothing
+    /// pins the buffer it was decoded out of.
     #[test]
     fn accepted_and_installed_views_do_not_pin_their_buffer() {
-        let buf: Arc<[u8]> = Arc::from(&b"key-akey-bpayload"[..]);
-        let view = |start, len| Value::Bytes(Bytes::shared(buf.clone(), start, len));
-        let key = |start| Key::shared(buf.clone(), start, 5).expect("valid utf-8");
+        let buf: Arc<[u8]> = Arc::from(&b"..payload.."[..]);
+        let view = || Value::Bytes(Bytes::shared(buf.clone(), 2, 7));
+        let (a, b) = (Key::new("key-a"), Key::new("key-b"));
         let mut r = Replica::new();
-        r.accept(
-            &key(0),
-            RecordOption::new(txn(1), 0, WriteOp::Set(view(10, 7))),
-        )
-        .unwrap();
-        assert!(r.install(&key(5), 3, view(10, 7), txn(2)));
-        r.decide(&key(0), txn(1), true);
-        r.decide(&Key::shared(buf.clone(), 10, 7).unwrap(), txn(9), false);
+        r.accept(&a, RecordOption::new(txn(1), 0, WriteOp::Set(view())))
+            .unwrap();
+        assert!(r.install(&b, 3, view(), txn(2)));
+        r.decide(&a, txn(1), true);
+        r.decide(&Key::new("unknown"), txn(9), false);
         assert_eq!(Arc::strong_count(&buf), 1, "nothing at rest is a view");
         let payload = Value::bytes(&b"payload"[..]);
         assert_eq!(r.read(&Key::new("key-a")).value, payload);

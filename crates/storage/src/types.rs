@@ -1,6 +1,13 @@
 //! Core identifier and value types shared across the storage and protocol
 //! layers.
+//!
+//! A [`Key`] is a value: one of up to 23 bytes lives inline, so making,
+//! cloning or decoding one allocates nothing, and no key ever refers to a
+//! receive buffer. [`Bytes`] is shared: a byte value decoded off the wire is
+//! a view into the buffer it arrived in, and is detached where it comes to
+//! rest.
 
+use std::num::NonZeroU8;
 use std::sync::Arc;
 
 /// Immutable, cheaply cloneable byte string: a `(start, len)` view into a
@@ -162,94 +169,158 @@ impl From<&str> for Bytes {
     }
 }
 
-/// A record key. Keys are short strings like `"stock:42"`, shared so
-/// cloning one (message fan-out, WAL records) is a refcount bump rather
-/// than a heap copy. Inside a store the hot path goes further and works on
-/// interned [`KeyId`]s; this form is for the wire and API boundary.
+/// Longest key held inline: with its length byte it fills the 24 bytes a
+/// key occupies anyway.
+const INLINE_CAP: usize = 23;
+
+/// A record key: a short string like `"event:42:stock"`. Inside a store the
+/// hot path works on interned [`KeyId`]s; this form is for the wire and API
+/// boundary.
 ///
-/// Two representations share the type: an owned `Arc<str>` (the
-/// constructor path) and a zero-copy view into a shared byte buffer (the
-/// wire-decode path, UTF-8 validated once at construction). Equality,
-/// ordering and hashing are on the string contents, so the two are
-/// indistinguishable — an interner lookup keyed by an owned key finds a
-/// wire-decoded view of the same key and vice versa.
+/// A key is a value. One of up to 23 bytes is held inline, in the 24 bytes
+/// of the key itself, so building, cloning, decoding and interning it
+/// allocates nothing. Every key the workloads use fits: `event:9999:stock`
+/// is 16 bytes, `order:2:399999` is 14. A longer key is an `Arc<str>`, so
+/// cloning it is a refcount bump. The trade: decoding a key longer than 23
+/// bytes off the wire costs one allocation. Wire keys are never views into
+/// the receive buffer, so no key pins a burst chunk.
 ///
-/// As with [`Bytes`], a view is into a burst chunk and must not be kept at
-/// rest: whatever outlives the message (the interner, the log) stores
-/// [`Key::detached`].
+/// Equality, ordering and hashing are on the bytes, exactly as `str`'s, so
+/// an inline and a heap key of the same string are indistinguishable; which
+/// one a string becomes depends on its length alone.
 #[derive(Clone)]
 pub struct Key(KeyRepr);
 
 #[derive(Clone)]
 enum KeyRepr {
-    Owned(Arc<str>),
-    Shared {
-        buf: Arc<[u8]>,
-        start: u32,
-        len: u32,
-    },
+    Inline(Inline),
+    Heap(Arc<str>),
+}
+
+/// The bytes of a key of at most [`INLINE_CAP`] bytes. Only whole `str`s
+/// are ever copied in, so the bytes are UTF-8.
+#[derive(Clone)]
+struct Inline {
+    /// The length plus one: zero is the niche that tells [`KeyRepr::Heap`]
+    /// apart, which keeps a key at 24 bytes.
+    len: NonZeroU8,
+    bytes: [u8; INLINE_CAP],
+}
+
+impl Inline {
+    const EMPTY: Inline = Inline {
+        len: NonZeroU8::MIN,
+        bytes: [0; INLINE_CAP],
+    };
+
+    /// `s` inline, if it fits.
+    fn new(s: &str) -> Option<Self> {
+        let mut inline = Inline::EMPTY;
+        inline.push(s).then_some(inline)
+    }
+
+    /// Append `s` if it fits; false (and nothing appended) if not.
+    fn push(&mut self, s: &str) -> bool {
+        let at = usize::from(self.len.get() - 1);
+        let end = at + s.len();
+        let len = u8::try_from(end + 1).ok().and_then(NonZeroU8::new);
+        let (Some(room), Some(len)) = (self.bytes.get_mut(at..end), len) else {
+            return false;
+        };
+        room.copy_from_slice(s.as_bytes());
+        self.len = len;
+        true
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        let len = usize::from(self.len.get() - 1);
+        self.bytes.get(..len).unwrap_or_default()
+    }
+
+    fn as_str(&self) -> &str {
+        // UTF-8: `push` copies in whole `str`s only.
+        // check:allow(panic)
+        std::str::from_utf8(self.as_bytes()).expect("inline key bytes are UTF-8")
+    }
+}
+
+/// Where [`Key::from_fmt`] writes: the inline buffer until a piece no longer
+/// fits, then a `String`.
+enum KeyBuf {
+    Inline(Inline),
+    Spilled(String),
+}
+
+impl std::fmt::Write for KeyBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let spilled = match self {
+            KeyBuf::Spilled(spilled) => {
+                spilled.push_str(s);
+                return Ok(());
+            }
+            KeyBuf::Inline(inline) => {
+                if inline.push(s) {
+                    return Ok(());
+                }
+                [inline.as_str(), s].concat()
+            }
+        };
+        *self = KeyBuf::Spilled(spilled);
+        Ok(())
+    }
 }
 
 impl Key {
     /// Build a key from anything string-like.
-    pub fn new(s: impl Into<String>) -> Self {
-        Key(KeyRepr::Owned(Arc::from(s.into())))
+    pub fn new(s: impl AsRef<str>) -> Self {
+        Key::from(s.as_ref())
     }
 
-    /// A zero-copy key view of `buf[start..start + len]`. Returns `None`
-    /// if the range is out of bounds or not valid UTF-8 (validated here,
-    /// once, so `as_str` never re-checks failure paths at use sites).
-    pub fn shared(buf: Arc<[u8]>, start: usize, len: usize) -> Option<Self> {
-        let end = start.checked_add(len)?;
-        if len > u32::MAX as usize || start > u32::MAX as usize {
-            return None;
+    /// Build a key from format arguments, written straight into the key:
+    /// `Key::from_fmt(format_args!("event:{n}:stock"))` allocates nothing
+    /// for a key of up to 23 bytes, and moves to the heap only past that.
+    pub fn from_fmt(args: std::fmt::Arguments<'_>) -> Self {
+        if let Some(s) = args.as_str() {
+            return Key::from(s);
         }
-        std::str::from_utf8(buf.get(start..end)?).ok()?;
-        Some(Key(KeyRepr::Shared {
-            buf,
-            start: start as u32,
-            len: len as u32,
-        }))
+        let mut buf = KeyBuf::Inline(Inline::EMPTY);
+        // Writing into memory cannot fail.
+        let _ = std::fmt::write(&mut buf, args);
+        Key(match buf {
+            KeyBuf::Inline(inline) => KeyRepr::Inline(inline),
+            KeyBuf::Spilled(s) => KeyRepr::Heap(Arc::from(s)),
+        })
     }
 
-    /// The same key, owning exactly its own storage: an owned key shares
-    /// its `Arc` (no allocation), a view copies its string out once and
-    /// lets go of the buffer it was carved from.
-    pub fn detached(&self) -> Self {
+    /// The key's bytes: what equality, ordering, hashing, routing and the
+    /// wire use, with no UTF-8 check.
+    pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            KeyRepr::Owned(_) => self.clone(),
-            KeyRepr::Shared { .. } => Key::from(self.as_str()),
+            KeyRepr::Inline(inline) => inline.as_bytes(),
+            KeyRepr::Heap(s) => s.as_bytes(),
         }
     }
 
-    /// The key as a string slice.
+    /// The key as a string slice. An inline key checks its bytes are UTF-8
+    /// on every call, so hot paths use [`Key::as_bytes`].
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            KeyRepr::Owned(s) => s,
-            KeyRepr::Shared { buf, start, len } => {
-                // In bounds: `shared` checked the range at construction and
-                // `Arc<[u8]>` contents never change or shrink.
-                // check:allow(panic)
-                let bytes = &buf[*start as usize..(*start + *len) as usize];
-                // UTF-8 validated in `shared`, once, for the same reason.
-                // check:allow(panic)
-                std::str::from_utf8(bytes).expect("key validated at construction")
-            }
+            KeyRepr::Inline(inline) => inline.as_str(),
+            KeyRepr::Heap(s) => s,
         }
     }
 }
 
 impl std::fmt::Debug for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Contents only: an owned key and a view of the same string are
-        // semantically identical, so they print identically too.
+        // Contents only: the representation is not part of a key's value.
         f.debug_tuple("Key").field(&self.as_str()).finish()
     }
 }
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 impl Eq for Key {}
@@ -261,25 +332,30 @@ impl PartialOrd for Key {
 }
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
 impl std::hash::Hash for Key {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state)
+        // What `str`'s `Hash` feeds a hasher: the bytes, then 0xff.
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(KeyRepr::Owned(Arc::from(s)))
+        Key(match Inline::new(s) {
+            Some(inline) => KeyRepr::Inline(inline),
+            None => KeyRepr::Heap(Arc::from(s)),
+        })
     }
 }
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(KeyRepr::Owned(Arc::from(s)))
+        Key::from(s.as_str())
     }
 }
 
@@ -385,29 +461,82 @@ mod tests {
         assert_eq!(k.to_string(), "a");
     }
 
-    #[test]
-    fn detached_shares_an_owned_value_and_copies_a_view_once() {
-        // Owned: the same allocation, so nothing was allocated.
-        let key = Key::new("stock:42");
-        assert!(std::ptr::eq(key.as_str(), key.detached().as_str()));
-        let bytes = Bytes::from(&b"payload"[..]);
-        assert!(std::ptr::eq(bytes.as_slice(), bytes.detached().as_slice()));
+    /// A string of `len` bytes whose last character is multi-byte, so a
+    /// cut at any other length is not UTF-8.
+    fn ending_in_two_byte_char(len: usize) -> String {
+        "k".repeat(len - 2) + "é"
+    }
 
-        // A view: equal contents, and the buffer is let go of.
-        let buf: Arc<[u8]> = Arc::from(&b"..stock:42payload.."[..]);
-        let key_view = Key::shared(buf.clone(), 2, 8).expect("valid utf-8");
-        let bytes_view = Bytes::shared(buf.clone(), 10, 7);
-        let (key_owned, bytes_owned) = (key_view.detached(), bytes_view.detached());
-        assert_eq!(key_owned, key);
-        assert_eq!(bytes_owned, bytes);
-        assert!(!bytes_owned.is_view());
-        drop((key_view, bytes_view));
-        assert_eq!(Arc::strong_count(&buf), 1, "detached values pin nothing");
-        // Detaching what is already detached is again a refcount bump.
-        assert!(std::ptr::eq(
-            key_owned.as_str(),
-            key_owned.detached().as_str()
-        ));
+    #[test]
+    fn a_key_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn keys_of_every_length_keep_their_string() {
+        let mut strings: Vec<String> = [0, 1, 22, 23, 24, 200]
+            .iter()
+            .map(|&n| "x".repeat(n))
+            .collect();
+        // A two-byte character ending at byte 22 or 23 (inline), and one
+        // straddling the edge, bytes 23 and 24: the key goes to the heap
+        // whole, not cut inside the character.
+        strings.extend([22, 23, 24].map(ending_in_two_byte_char));
+        for s in &strings {
+            let key = Key::new(s);
+            assert_eq!(key.as_str(), s);
+            assert_eq!(key.as_bytes(), s.as_bytes());
+            assert_eq!(key.to_string(), *s);
+            assert_eq!(format!("{key:?}"), format!("Key({s:?})"));
+            let inline = matches!(key.0, KeyRepr::Inline(_));
+            assert_eq!(inline, s.len() <= INLINE_CAP, "{} bytes", s.len());
+        }
+    }
+
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+    }
+
+    /// Every constructor gives the same key, which compares and hashes as
+    /// its string does, on either side of the inline/heap edge.
+    #[test]
+    fn every_constructor_agrees_and_keys_order_and_hash_as_strings() {
+        let strings = [
+            String::new(),
+            "a".into(),
+            "order:2:399999".into(),
+            "x".repeat(22),
+            "x".repeat(23),
+            "x".repeat(24),
+            "y".repeat(200),
+            ending_in_two_byte_char(23),
+            ending_in_two_byte_char(24),
+        ];
+        for s in &strings {
+            let (head, tail) = s.split_at(s.len() / 2);
+            let made = [
+                Key::from(s.as_str()),
+                Key::from(s.clone()),
+                Key::new(s),
+                Key::new(s.clone()),
+                Key::from_fmt(format_args!("{s}")),
+                Key::from_fmt(format_args!("{head}{tail}")),
+            ];
+            for key in &made {
+                assert_eq!(key, &made[0]);
+                assert_eq!(key.as_str(), s);
+                assert_eq!(hash_of(key), hash_of(&s.as_str()), "{s:?}");
+            }
+            for t in &strings {
+                assert_eq!(Key::new(s).cmp(&Key::new(t)), s.cmp(t), "{s:?} vs {t:?}");
+                assert_eq!(Key::new(s) == Key::new(t), s == t);
+            }
+        }
+        // Formatting spills to the heap mid-way, and a literal is taken as is.
+        let long = Key::from_fmt(format_args!("{}:{}", "p".repeat(20), 123_456));
+        assert_eq!(long.as_str(), format!("{}:123456", "p".repeat(20)));
+        assert_eq!(Key::from_fmt(format_args!("event:1")), Key::new("event:1"));
     }
 
     #[test]

@@ -32,47 +32,64 @@ pub enum KeyDistribution {
     },
 }
 
+/// A [`KeyDistribution`] ready to draw from: a Zipfian one holds its
+/// precomputed sampler.
+#[derive(Debug, Clone)]
+enum Sampler {
+    Uniform {
+        n: u64,
+    },
+    Zipfian(Zipf),
+    HotSpot {
+        n: u64,
+        hot_keys: u64,
+        hot_prob: f64,
+    },
+}
+
 /// A key chooser: a distribution plus a name prefix.
 #[derive(Debug, Clone)]
 pub struct KeyChooser {
     prefix: String,
-    dist: KeyDistribution,
-    sampler: Option<Zipf>,
+    sampler: Sampler,
 }
 
 impl KeyChooser {
     /// Build a chooser producing keys `"<prefix>:<index>"`.
     pub fn new(prefix: impl Into<String>, dist: KeyDistribution) -> Self {
-        let sampler = match &dist {
-            KeyDistribution::Zipfian { n, theta } => Some(Zipf::new(*n, *theta)),
-            _ => None,
+        let sampler = match dist {
+            KeyDistribution::Uniform { n } => Sampler::Uniform { n },
+            KeyDistribution::Zipfian { n, theta } => Sampler::Zipfian(Zipf::new(n, theta)),
+            KeyDistribution::HotSpot {
+                n,
+                hot_keys,
+                hot_prob,
+            } => Sampler::HotSpot {
+                n,
+                hot_keys,
+                hot_prob,
+            },
         };
         KeyChooser {
             prefix: prefix.into(),
-            dist,
             sampler,
         }
     }
 
     /// Keyspace size.
     pub fn keyspace(&self) -> u64 {
-        match self.dist {
-            KeyDistribution::Uniform { n }
-            | KeyDistribution::Zipfian { n, .. }
-            | KeyDistribution::HotSpot { n, .. } => n,
+        match &self.sampler {
+            Sampler::Uniform { n } | Sampler::HotSpot { n, .. } => *n,
+            Sampler::Zipfian(zipf) => zipf.n(),
         }
     }
 
     /// Draw a key index.
     pub fn sample_index(&self, rng: &mut DetRng) -> u64 {
-        match &self.dist {
-            KeyDistribution::Uniform { n } => rng.range_u64(0, *n),
-            KeyDistribution::Zipfian { .. } => self
-                .sampler
-                .as_ref()
-                .expect("sampler built in new")
-                .sample(rng),
-            KeyDistribution::HotSpot {
+        match &self.sampler {
+            Sampler::Uniform { n } => rng.range_u64(0, *n),
+            Sampler::Zipfian(zipf) => zipf.sample(rng),
+            Sampler::HotSpot {
                 n,
                 hot_keys,
                 hot_prob,
@@ -90,12 +107,12 @@ impl KeyChooser {
 
     /// Draw a key.
     pub fn sample(&self, rng: &mut DetRng) -> Key {
-        Key::new(format!("{}:{}", self.prefix, self.sample_index(rng)))
+        self.key_at(self.sample_index(rng))
     }
 
     /// The key for a specific index (e.g. for preloading).
     pub fn key_at(&self, index: u64) -> Key {
-        Key::new(format!("{}:{}", self.prefix, index))
+        Key::from_fmt(format_args!("{}:{}", self.prefix, index))
     }
 }
 

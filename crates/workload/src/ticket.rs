@@ -53,7 +53,7 @@ impl Default for TicketConfig {
 
 /// The key of an event's stock record.
 pub fn stock_key(event: u64) -> Key {
-    Key::new(format!("event:{event}:stock"))
+    Key::from_fmt(format_args!("event:{event}:stock"))
 }
 
 /// Preload event stock into a deployment (run before attaching workloads).
@@ -104,7 +104,7 @@ impl TicketWorkload {
 
     fn purchase(&mut self, rng: &mut DetRng) -> PlanetTxn {
         let event = self.events.sample_index(rng);
-        let order_key = Key::new(format!("order:{}:{}", self.site, self.issued));
+        let order_key = Key::from_fmt(format_args!("order:{}:{}", self.site, self.issued));
         let mut b = PlanetTxn::builder()
             .read(stock_key(event))
             .write(
