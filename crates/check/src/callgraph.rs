@@ -38,7 +38,7 @@ pub struct CallGraph {
     /// kept too (a call to the name reaches *all* of them — conservative).
     pub fns: Vec<FnDef>,
     by_name: BTreeMap<String, Vec<usize>>,
-    /// callees[i] = indices of functions called (by name) from fns[i].
+    /// `callees[i]` = indices of functions called (by name) from `fns[i]`.
     pub callees: Vec<BTreeSet<usize>>,
 }
 

@@ -24,7 +24,7 @@
 //! * [`parse`] — structural recovery of the item shapes passes need: enums
 //!   and their variants, function bodies as token ranges, struct fields with
 //!   type text.
-//! * [`cfg`] — per-function control-flow graphs over the parser's token
+//! * [`cfg`](mod@cfg) — per-function control-flow graphs over the parser's token
 //!   ranges plus a bitset must/may dataflow solver; [`callgraph`] adds
 //!   file-local call resolution and, since v3, the workspace-wide
 //!   interprocedural [`callgraph::WorkspaceGraph`] (cross-file and

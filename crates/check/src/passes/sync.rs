@@ -13,7 +13,7 @@
 //! protocol. Codes:
 //!
 //! * **ATOM001** — role/ordering pairing. Every atomic field in scope
-//!   must be declared in [`ATOMIC_ROLES`] (or carry an allow marker at
+//!   must be declared in `ATOMIC_ROLES` (or carry an allow marker at
 //!   its declaration: "this is an unchecked stat word"). Declared
 //!   `Counter`s must use exactly `Relaxed` (anything stronger is a
 //!   misdocumented protocol word); declared `Handoff` words must pair

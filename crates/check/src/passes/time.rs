@@ -7,7 +7,7 @@
 //! hangs forever the first time a message is lost. Three codes:
 //!
 //! * **TIME001** — a function inserts into a wait-tracking collection (the
-//!   table in [`WAIT_TABLE`]) but some path through the insert never
+//!   table in `WAIT_TABLE`) but some path through the insert never
 //!   executes `ctx.schedule(_, Msg::<Timer>)`. Checked with the CFG
 //!   must-solver: the insert block itself, all paths into it, or all paths
 //!   from it to the exit must contain the schedule.

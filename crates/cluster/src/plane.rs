@@ -23,7 +23,8 @@
 //!
 //! [`PlaneConfig`] carries the two knobs ([`max_batch`], the mailbox
 //! capacity) plus the fabric shard count, and travels from
-//! `LiveClusterBuilder` / `LivePlanetBuilder` down to the reactor's workers.
+//! `LiveClusterBuilder` (or the application front end's live fabric
+//! argument) down to the reactor's workers.
 //!
 //! [`max_batch`]: PlaneConfig::max_batch
 //! [`ChannelTransport`]: crate::ChannelTransport

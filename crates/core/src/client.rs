@@ -14,6 +14,7 @@
 //!   experiments.
 
 use std::collections::HashMap;
+use std::sync::mpsc::Sender;
 
 use planet_mdcc::{ClusterConfig, Msg, Outcome, ProgressStage, Protocol};
 use planet_plan::{PlanId, TxnProgram};
@@ -152,6 +153,9 @@ pub struct ClientActor {
     programs: HashMap<PlanId, TxnProgram>,
     /// Scratch of one submission: its write keys' hashes.
     key_hashes: Vec<u64>,
+    /// Where every staged transaction's events are also sent (a live
+    /// front end's event stream).
+    events: Option<Sender<TxnEvent>>,
 }
 
 impl ClientActor {
@@ -179,7 +183,14 @@ impl ClientActor {
             source_think: HashMap::new(),
             programs: HashMap::new(),
             key_hashes: Vec::new(),
+            events: None,
         }
+    }
+
+    /// Also send every event of every transaction staged from now on to
+    /// `events`, after the transaction's own callbacks.
+    pub fn stream_events(&mut self, events: Sender<TxnEvent>) {
+        self.events = Some(events);
     }
 
     /// Mirror an installed program so plan-handle submissions can be
@@ -196,7 +207,13 @@ impl ClientActor {
 
     /// Stage a transaction for submission; returns its handle. The facade
     /// pairs this with an injected `TIMER_SUBMIT` message.
-    pub fn stage(&mut self, txn: PlanetTxn) -> TxnHandle {
+    pub fn stage(&mut self, mut txn: PlanetTxn) -> TxnHandle {
+        if let Some(events) = &self.events {
+            let events = events.clone();
+            txn.callbacks.push(Box::new(move |event: &TxnEvent| {
+                let _ = events.send(event.clone());
+            }));
+        }
         let tag = self.next_tag;
         self.next_tag += 1;
         self.staged.insert(tag, txn);
@@ -572,15 +589,16 @@ impl ClientActor {
             ProgressStage::ReadsDone { reads } => {
                 if let Some(live) = self.live.get_mut(&tag) {
                     live.proposals_at = Some(ctx.now());
-                    for read in &reads {
+                    for mut read in reads {
                         self.admission.observe_pending(read.pending);
                         for (key, ks) in &mut live.keys {
                             if key == &read.key {
                                 ks.pending_at_read = read.pending;
                             }
                         }
-                        live.reads
-                            .push((read.key.clone(), read.value.clone(), read.version));
+                        // A record outlives the message it was decoded from.
+                        read.value.own_at_rest();
+                        live.reads.push((read.key, read.value, read.version));
                     }
                 }
                 self.on_progress_point(tag, Stage::Voting, ctx);

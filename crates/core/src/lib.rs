@@ -19,23 +19,24 @@
 //! * **Admission control** — transactions predicted to abort are refused at
 //!   submission, protecting goodput under contention.
 //!
-//! Entry points: [`Planet`] (deterministic simulated deployment, used by all
-//! experiments) and [`LivePlanet`] (the same stack deployed on
-//! `planet-cluster`'s reactor and live transport, against the wall clock).
+//! Entry point: [`Planet::builder`]. Its [`build`](PlanetBuilder::build)
+//! returns the deterministic simulated deployment every experiment runs
+//! on; its [`live`](PlanetBuilder::live) deploys the same stack on
+//! `planet-cluster`'s reactor, over the channel fabric or tcp, against the
+//! wall clock. Both are one handle, [`Planet`], whose shared methods are
+//! written once over the [`Fabric`] it runs on.
 
 #![warn(missing_docs)]
 
 mod admission;
 mod client;
 mod db;
-mod live;
 mod txn;
 
 pub use admission::{AdmissionController, AdmissionPolicy, RefusalReason};
 pub use client::{ClientActor, PredictionPoint, SourceMode, TxnRecord, TxnSource};
-pub use db::{Planet, PlanetBuilder};
-pub use live::{LiveHarvest, LivePlanet, LivePlanetBuilder};
-pub use planet_cluster::PlaneConfig;
+pub use db::{Clients, Fabric, Live, LiveFabric, Planet, PlanetBuilder, Sim};
+pub use planet_cluster::{Harvest, PlaneConfig};
 pub use txn::{
     ChainTrigger, EventCallback, FinalOutcome, PlanetTxn, Stage, TxnBuilder, TxnEvent, TxnHandle,
 };

@@ -1,7 +1,7 @@
 //! Tests for the programming-model extensions: chained speculative
 //! transactions (the paper's workflow use case) and deadline planning.
 
-use planet_core::{ChainTrigger, FinalOutcome, Planet, PlanetTxn, Protocol, SimDuration, SimTime};
+use planet_core::{ChainTrigger, FinalOutcome, Planet, PlanetTxn, Protocol, SimDuration};
 
 fn warm(db: &mut Planet, site: usize, n: u64) {
     let base = db.now();
@@ -78,73 +78,6 @@ fn commit_chain_waits_for_durability() {
         "commit-triggered chain launched at {launch_gap}, before the {} commit",
         r1.latency
     );
-}
-
-#[test]
-fn failed_predecessor_cancels_the_chain() {
-    let mut db = Planet::builder().protocol(Protocol::Fast).seed(3).build();
-    // A decrement below the floor on an unseeded key must abort.
-    let doomed = db.submit(
-        0,
-        PlanetTxn::builder()
-            .add_with_floor("empty-stock", -5, 0)
-            .build(),
-    );
-    let chained = db.submit_after(
-        doomed,
-        ChainTrigger::Commit,
-        PlanetTxn::builder().set("never", 1i64).build(),
-    );
-    // And a third chained on the second: cancellation must cascade.
-    let third = db.submit_after(
-        chained,
-        ChainTrigger::Speculative,
-        PlanetTxn::builder().set("never2", 1i64).build(),
-    );
-    db.run_for(SimDuration::from_secs(5));
-    assert_eq!(db.record(doomed).unwrap().outcome, FinalOutcome::Aborted);
-    assert_eq!(db.record(chained).unwrap().outcome, FinalOutcome::Cancelled);
-    assert_eq!(db.record(third).unwrap().outcome, FinalOutcome::Cancelled);
-    assert_eq!(db.metrics().counter_value("planet.cancelled"), 2);
-    // The cancelled writes never reached storage.
-    assert_eq!(
-        db.read_local(0, &planet_core::Key::new("never")),
-        planet_core::Value::None
-    );
-}
-
-#[test]
-fn chaining_after_terminal_predecessor_resolves_immediately() {
-    let mut db = Planet::builder().protocol(Protocol::Fast).seed(4).build();
-    let committed = db.submit_at(
-        0,
-        SimTime::from_millis(1),
-        PlanetTxn::builder().set("done", 1i64).build(),
-    );
-    db.run_for(SimDuration::from_secs(3));
-    assert!(db.record(committed).unwrap().outcome.is_commit());
-
-    // Chain after an already-committed txn → submits now.
-    let late = db.submit_after(
-        committed,
-        ChainTrigger::Commit,
-        PlanetTxn::builder().set("late", 2i64).build(),
-    );
-    // Chain after an already-failed txn → cancelled now.
-    let failed = db.submit(
-        0,
-        PlanetTxn::builder().add_with_floor("none", -1, 0).build(),
-    );
-    db.run_for(SimDuration::from_secs(3));
-    assert!(!db.record(failed).unwrap().outcome.is_commit());
-    let dead = db.submit_after(
-        failed,
-        ChainTrigger::Commit,
-        PlanetTxn::builder().set("dead", 3i64).build(),
-    );
-    db.run_for(SimDuration::from_secs(3));
-    assert_eq!(db.record(late).unwrap().outcome, FinalOutcome::Committed);
-    assert_eq!(db.record(dead).unwrap().outcome, FinalOutcome::Cancelled);
 }
 
 #[test]

@@ -333,24 +333,3 @@ fn runs_replay_identically() {
     };
     assert_eq!(run(77), run(77));
 }
-
-#[test]
-fn works_on_every_protocol() {
-    for protocol in [Protocol::Fast, Protocol::Classic, Protocol::TwoPc] {
-        let mut db = Planet::builder().protocol(protocol).seed(10).build();
-        let txn = PlanetTxn::builder()
-            .read("r")
-            .set("w1", 1i64)
-            .add("w2", 5)
-            .build();
-        let h = db.submit_at(2, SimTime::from_millis(1), txn);
-        db.run_for(SimDuration::from_secs(5));
-        let r = db.record(h).unwrap();
-        assert_eq!(r.outcome, FinalOutcome::Committed, "{protocol}");
-        assert_eq!(
-            db.read_local(2, &Key::new("w2")),
-            Value::Int(5),
-            "{protocol}"
-        );
-    }
-}

@@ -5,37 +5,6 @@
 use planet_core::{FinalOutcome, Key, Planet, PlanetTxn, Protocol, SimDuration, Value};
 
 #[test]
-fn records_expose_read_results() {
-    let mut db = Planet::builder().protocol(Protocol::Fast).seed(1).build();
-    let w = db.submit(0, PlanetTxn::builder().set("answer", 42i64).build());
-    db.run_for(SimDuration::from_secs(3));
-    assert!(db.record(w).unwrap().outcome.is_commit());
-
-    let r = db.submit(
-        0,
-        PlanetTxn::builder().read("answer").read("absent").build(),
-    );
-    db.run_for(SimDuration::from_secs(1));
-    let record = db.record(r).unwrap();
-    assert_eq!(record.outcome, FinalOutcome::Committed);
-    assert_eq!(record.reads.len(), 2);
-    let answer = record
-        .reads
-        .iter()
-        .find(|(k, _, _)| k.as_str() == "answer")
-        .unwrap();
-    assert_eq!(answer.1, Value::Int(42));
-    assert_eq!(answer.2, 1, "first committed version");
-    let absent = record
-        .reads
-        .iter()
-        .find(|(k, _, _)| k.as_str() == "absent")
-        .unwrap();
-    assert_eq!(absent.1, Value::None);
-    assert_eq!(absent.2, 0);
-}
-
-#[test]
 fn quorum_reads_cost_a_wan_round_trip() {
     let mut db = Planet::builder().protocol(Protocol::Fast).seed(2).build();
     let local = db.submit(0, PlanetTxn::builder().read("k").build());

@@ -30,7 +30,7 @@ use crate::types::{Key, KeyId};
 ///
 /// The id → key direction lives in pages a store snapshot shares; the
 /// key → id map is not part of a snapshot and is rebuilt from the names at
-/// recovery ([`KeyInterner::from_names`]).
+/// recovery (`KeyInterner::from_names`).
 #[derive(Default, Clone)]
 pub struct KeyInterner {
     ids: HashMap<Key, KeyId>,

@@ -16,7 +16,7 @@
 //! keeps one per key, beside its snapshot-shared pages): copying a record —
 //! un-sharing its page from a snapshot — copies no chain, however long its
 //! history. The head is held inline, and so is the first pending option
-//! ([`InlineFirst`]: empty, one element inline, or a vector from the second
+//! (`InlineFirst`: empty, one element inline, or a vector from the second
 //! element on), so a record with at most one pending option never allocates
 //! and neither does its copy.
 

@@ -9,16 +9,6 @@ use crate::store::{ReadResult, Store};
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 use crate::wal::{LogRecord, Wal};
 
-/// Own at rest: a byte value about to enter a record or the log lets go of
-/// the receive buffer it may have been decoded out of (see
-/// [`Bytes::detached`](crate::types::Bytes::detached)); owned bytes keep
-/// their buffer. Keys need no such step: a key is never a view.
-fn own_at_rest(value: &mut Value) {
-    if let Value::Bytes(bytes) = value {
-        *bytes = bytes.detached();
-    }
-}
-
 /// A write-ahead-logged store replica.
 #[derive(Debug, Default)]
 pub struct Replica {
@@ -82,7 +72,7 @@ impl Replica {
     /// Validate, log and accept an option by interned id.
     pub fn accept_id(&mut self, id: KeyId, mut option: RecordOption) -> Result<(), RejectReason> {
         if let WriteOp::Set(value) = &mut option.op {
-            own_at_rest(value);
+            value.own_at_rest();
         }
         // Accept first (it validates internally) and log only on success:
         // the log still never contains an invalid acceptance, the option is
@@ -155,7 +145,7 @@ impl Replica {
         mut value: Value,
         txn: TxnId,
     ) -> bool {
-        own_at_rest(&mut value);
+        value.own_at_rest();
         self.wal.append(LogRecord::Installed {
             key: self.store.key_name(id).clone(),
             version,

@@ -23,8 +23,9 @@ use std::sync::Arc;
 /// into it drops. A view is therefore for the life of a message, not for
 /// keeping: state that outlives the drive that decoded it stores
 /// [`Bytes::detached`] instead, or one 20-byte value pins a whole chunk.
-/// (Application code never sees a view today: the one application front
-/// end, `LivePlanet`, runs on the channel cluster, which decodes nothing.)
+/// (Application code never sees a view: the client stores every value it
+/// reads through [`Value::own_at_rest`], so a transaction record that a
+/// tcp front end decoded holds its own bytes.)
 ///
 /// Equality, ordering and hashing are on the viewed *contents*, so an
 /// owned value and a zero-copy view of the same bytes are
@@ -408,6 +409,17 @@ impl Value {
     /// True if this value is `None` (absent).
     pub fn is_none(&self) -> bool {
         matches!(self, Value::None)
+    }
+
+    /// Own at rest: a byte value about to be kept — in a record, the log,
+    /// or an application's transaction record — lets go of the receive
+    /// buffer it may have been decoded out of (see [`Bytes::detached`]);
+    /// owned bytes keep their buffer. Keys need no such step: a key is
+    /// never a view.
+    pub fn own_at_rest(&mut self) {
+        if let Value::Bytes(bytes) = self {
+            *bytes = bytes.detached();
+        }
     }
 }
 

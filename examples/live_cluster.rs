@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use planet_core::{LivePlanet, PlanetTxn, TxnEvent};
+use planet_core::{LiveFabric, PlaneConfig, Planet, PlanetTxn, SimDuration, TxnEvent};
 use planet_sim::NetworkModel;
 
 fn main() {
@@ -24,10 +24,10 @@ fn main() {
         vec![60.0, 60.0, 0.5],
     ];
     println!("spawning a 3-site live cluster (every actor a reactor task)…");
-    let mut db = LivePlanet::builder()
+    let mut db = Planet::builder()
         .topology(NetworkModel::from_rtt_ms(&rtt))
         .seed(99)
-        .build();
+        .live(LiveFabric::Channel(PlaneConfig::default()));
 
     // Warm the likelihood model with a few easy commits.
     for i in 0..5u64 {
@@ -37,12 +37,8 @@ fn main() {
                 .set(format!("warm:{i}"), i as i64)
                 .build(),
         );
-        loop {
-            match db.events().recv_timeout(Duration::from_secs(10)) {
-                Ok(TxnEvent::Final { handle, .. }) if handle == warm => break,
-                Ok(_) => {}
-                Err(_) => return println!("cluster did not respond"),
-            }
+        if db.wait(warm, SimDuration::from_secs(10)).is_none() {
+            return println!("cluster did not respond");
         }
     }
 
@@ -84,10 +80,10 @@ fn main() {
         }
     }
 
-    let harvest = db.shutdown();
+    let stopped = db.shutdown();
     println!(
         "\nlive cluster processed {} transactions; {} messages shaped away by the network model",
-        harvest.all_records().len(),
-        harvest.dropped()
+        stopped.all_records().len(),
+        stopped.harvest().dropped
     );
 }
