@@ -7,7 +7,10 @@
 //! applies), so this is the gate that keeps it honest: one mutex push per
 //! event, and nothing at all when no sink is attached.
 //!
-//! Both points land in `BENCH_audit.json` as a CI artifact. Each
+//! Both points land in `BENCH_audit.json` in cargo's per-target temporary
+//! directory (`target/tmp/` by default), which CI uploads as an
+//! artifact; the committed root `BENCH_audit.json` is the recorded run
+//! EXPERIMENTS.md cites, and no test run rewrites it. Each
 //! configuration takes the best of three 1-second windows to damp scheduler
 //! noise; the 5% envelope is on those bests.
 //!
@@ -137,9 +140,9 @@ fn tracing_overhead_stays_inside_the_envelope() {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
-    std::fs::write(path, &out).expect("write audit overhead artifact");
-    eprintln!("wrote BENCH_audit.json:\n{out}");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_audit.json");
+    std::fs::write(&path, &out).expect("write audit overhead artifact");
+    eprintln!("wrote {}:\n{out}", path.display());
 
     for p in [&off, &on] {
         assert!(p.completions > 0, "traced={}: nothing completed", p.traced);

@@ -1,24 +1,19 @@
-//! Call graphs and reachability, used by the panic/callback/race passes to
-//! follow handler code into the helper functions it calls.
+//! The workspace-wide call graph and its reachability queries, used by the
+//! panic/flow/race passes to follow handler code into the helper functions
+//! it calls, across files and crates, and by the `time` pass restricted to
+//! one file.
 //!
-//! Two layers:
-//!
-//! * [`CallGraph`] — the v2 *per-file* graph. Resolution is name-based and
-//!   file-local: `foo(...)`, `self.foo(...)`, `Self::foo(...)` resolve to
-//!   same-file functions named `foo`. Kept for passes whose scope really is
-//!   one file (lock-order, time).
-//! * [`WorkspaceGraph`] — the v3 *workspace-wide* graph. Nodes are every
-//!   function in every file; edges resolve across files and crates:
-//!   `use`-imported free functions, `module::path::fn()` calls,
-//!   `Type::method()` with the type's impl blocks found anywhere in the
-//!   workspace, `recv.method()` with the receiver's type recovered from
-//!   struct fields, typed `let` bindings, and fn parameters, and — the
-//!   dynamic-dispatch approximation — `x.method()` on an *unknown* receiver
-//!   resolving to every `impl Trait for Type` method of that name (minus a
-//!   deny-list of ubiquitous std trait methods like `fmt`/`clone`/`next`).
-//!   Every resolution strategy falls back to the v2 same-file rule, so the
-//!   workspace graph is a strict superset of the per-file one: anything v2
-//!   reached, v3 reaches too.
+//! Nodes are every function in every file; edges resolve across files and
+//! crates: `use`-imported free functions, `module::path::fn()` calls,
+//! `Type::method()` with the type's impl blocks found anywhere in the
+//! workspace, `recv.method()` with the receiver's type recovered from
+//! struct fields, typed `let` bindings, and fn parameters, and — the
+//! dynamic-dispatch approximation — `x.method()` on an *unknown* receiver
+//! resolving to every `impl Trait for Type` method of that name (minus a
+//! deny-list of ubiquitous std trait methods like `fmt`/`clone`/`next`).
+//! Every resolution strategy also unions in the same-file functions of the
+//! called name, so the edges that stay inside one file are exactly the
+//! name-based per-file graph (see [`WorkspaceGraph::reachable_in_file`]).
 //!
 //! The graph records per-call-site token positions (for the race pass's
 //! "blocking call while a lock is held" check) and supports BFS with
@@ -27,96 +22,8 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::Workspace;
-use crate::parse::{fns, FnDef};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::Range;
-
-/// The call graph of one source file.
-pub struct CallGraph {
-    /// All function definitions in the file, keyed by name. Rust allows
-    /// duplicate method names across impl blocks; later definitions are
-    /// kept too (a call to the name reaches *all* of them — conservative).
-    pub fns: Vec<FnDef>,
-    by_name: BTreeMap<String, Vec<usize>>,
-    /// `callees[i]` = indices of functions called (by name) from `fns[i]`.
-    pub callees: Vec<BTreeSet<usize>>,
-}
-
-impl CallGraph {
-    /// Build the graph from a file's token stream.
-    pub fn build(toks: &[Tok]) -> CallGraph {
-        let defs = fns(toks);
-        let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, f) in defs.iter().enumerate() {
-            by_name.entry(f.name.clone()).or_default().push(i);
-        }
-        let mut callees = vec![BTreeSet::new(); defs.len()];
-        for (i, f) in defs.iter().enumerate() {
-            for name in call_names(toks, f.body.clone()) {
-                if let Some(targets) = by_name.get(&name) {
-                    for &t in targets {
-                        if t != i {
-                            callees[i].insert(t);
-                        }
-                    }
-                }
-            }
-        }
-        CallGraph {
-            fns: defs,
-            by_name,
-            callees,
-        }
-    }
-
-    /// Indices of functions with the given name.
-    pub fn named(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Transitive closure of callees from the given roots (roots included).
-    pub fn reachable(&self, roots: impl IntoIterator<Item = usize>) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut queue: VecDeque<usize> = roots.into_iter().collect();
-        while let Some(i) = queue.pop_front() {
-            if !seen.insert(i) {
-                continue;
-            }
-            for &c in &self.callees[i] {
-                if !seen.contains(&c) {
-                    queue.push_back(c);
-                }
-            }
-        }
-        seen
-    }
-}
-
-/// Names that appear in call position within `range`: `name(`,
-/// `self.name(`, `Self::name(`. Field accesses and paths into other types
-/// (`other.name(`, `Type::name(`) are included too — they only matter if a
-/// same-file fn shares the name, which over-approximates safely.
-pub fn call_names(toks: &[Tok], range: Range<usize>) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    let mut i = range.start;
-    while i + 1 < range.end {
-        let t = &toks[i];
-        if t.kind == crate::lexer::TokKind::Ident && toks[i + 1].is_punct('(') {
-            // Exclude definitions (`fn name(`) and control keywords.
-            let is_def = i > range.start && toks[i - 1].is_ident("fn");
-            let kw = matches!(t.text.as_str(), "if" | "while" | "for" | "match" | "loop");
-            if !is_def && !kw {
-                names.insert(t.text.clone());
-            }
-        }
-        i += 1;
-    }
-    names
-}
-
-// ---------------------------------------------------------------------------
-// Workspace-wide graph (v3)
-// ---------------------------------------------------------------------------
 
 /// One function anywhere in the workspace.
 #[derive(Debug, Clone)]
@@ -525,6 +432,32 @@ impl WorkspaceGraph {
         (seen, preds)
     }
 
+    /// Closure from `roots` (roots included) over the call edges whose
+    /// target is defined in file `fi`: the per-file view of the graph, for
+    /// passes whose scope is one file.
+    pub fn reachable_in_file(
+        &self,
+        roots: impl IntoIterator<Item = usize>,
+        fi: usize,
+    ) -> BTreeSet<usize> {
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        let mut queue: VecDeque<usize> = roots
+            .into_iter()
+            .filter(|&r| self.fns[r].file == fi)
+            .collect();
+        while let Some(i) = queue.pop_front() {
+            if seen.insert(i) {
+                queue.extend(
+                    self.callees[i]
+                        .iter()
+                        .copied()
+                        .filter(|&c| self.fns[c].file == fi && !seen.contains(&c)),
+                );
+            }
+        }
+        seen
+    }
+
     /// The witness chain root → ... → `node` implied by BFS predecessors,
     /// as function names.
     pub fn chain(&self, preds: &HashMap<usize, usize>, node: usize) -> Vec<String> {
@@ -642,7 +575,18 @@ fn collect_let_types<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+
+    /// Names of the same-file closure from the functions named `root` in
+    /// the one-file workspace `src`.
+    fn in_file_reach(src: &str, root: &str) -> Vec<String> {
+        let w = ws(&[("crates/a/src/lib.rs", src)]);
+        let g = w.graph();
+        let roots = g.fn_ids("crates/a/src/lib.rs", root);
+        g.reachable_in_file(roots, 0)
+            .iter()
+            .map(|&n| g.fns[n].name.clone())
+            .collect()
+    }
 
     #[test]
     fn resolves_local_calls_transitively() {
@@ -652,12 +596,7 @@ mod tests {
             fn c(x: u32) { external(x); }
             fn lonely() {}
         "#;
-        let lexed = lex(src);
-        let cg = CallGraph::build(&lexed.toks);
-        let a = cg.named("a")[0];
-        let reach = cg.reachable([a]);
-        let names: Vec<&str> = reach.iter().map(|&i| cg.fns[i].name.as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
+        assert_eq!(in_file_reach(src, "a"), ["a", "b", "c"]);
     }
 
     #[test]
@@ -667,21 +606,17 @@ mod tests {
             fn step() { one(); }
             fn step(x: u32) { two(); }
         "#;
-        let lexed = lex(src);
-        let cg = CallGraph::build(&lexed.toks);
-        let root = cg.named("root")[0];
-        let reach = cg.reachable([root]);
-        assert_eq!(reach.len(), 3, "both `step` defs reached");
+        assert_eq!(
+            in_file_reach(src, "root").len(),
+            3,
+            "both `step` defs reached"
+        );
     }
 
     #[test]
     fn recursion_terminates() {
         let src = "fn f() { f(); g(); } fn g() { f(); }";
-        let lexed = lex(src);
-        let cg = CallGraph::build(&lexed.toks);
-        let f = cg.named("f")[0];
-        let reach = cg.reachable([f]);
-        assert_eq!(reach.len(), 2);
+        assert_eq!(in_file_reach(src, "f").len(), 2);
     }
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
@@ -754,12 +689,15 @@ mod tests {
         assert_eq!(chain.first().map(String::as_str), Some("drive_task"));
         assert_eq!(chain.last().map(String::as_str), Some("accept"));
 
-        // The v2 per-file graph misses all of it: from drive_task it reaches
+        // The per-file view misses all of it: from drive_task it reaches
         // only drive_task itself.
-        let node_file = w.file("crates/cluster/src/reactor.rs").unwrap();
-        let cg = CallGraph::build(node_file.toks());
-        let v2 = cg.reachable(cg.named("drive_task").iter().copied());
-        assert_eq!(v2.len(), 1, "v2 same-file graph must not see cross-crate");
+        let reactor = g.file_index("crates/cluster/src/reactor.rs").unwrap();
+        let in_file = g.reachable_in_file(roots, reactor);
+        assert_eq!(
+            in_file.len(),
+            1,
+            "the per-file view must not see cross-crate"
+        );
     }
 
     #[test]

@@ -536,6 +536,32 @@ pub fn solve(cfg: &Cfg, dir: Dir, meet: Meet, gen_facts: impl Fn(usize) -> u64) 
     FlowResult { entry, out }
 }
 
+/// True when every path through token `idx` passes a block whose `gens`
+/// bit 0 is set: `idx`'s own block, all paths into it, or all paths from
+/// it to the exit. A token outside every block (a match pattern sits
+/// between arm bodies) stands for the first block after it; with none,
+/// the answer is a strict `false`.
+pub fn covered_on_every_path(cfg: &Cfg, gens: &[u64], idx: usize) -> bool {
+    let blocks = 0..cfg.blocks.len();
+    let b = blocks
+        .clone()
+        .find(|&b| cfg.blocks[b].range.contains(&idx))
+        .or_else(|| {
+            blocks
+                .filter(|&b| !cfg.blocks[b].range.is_empty() && cfg.blocks[b].range.start >= idx)
+                .min_by_key(|&b| cfg.blocks[b].range.start)
+        });
+    let Some(b) = b else {
+        return false;
+    };
+    if gens[b] & 1 == 1 {
+        return true;
+    }
+    let fwd = solve(cfg, Dir::Forward, Meet::Must, |x| gens[x]);
+    let bwd = solve(cfg, Dir::Backward, Meet::Must, |x| gens[x]);
+    fwd.entry[b] & 1 == 1 || bwd.entry[b] & 1 == 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

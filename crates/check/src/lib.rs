@@ -2,19 +2,20 @@
 //!
 //! The generic Rust toolchain cannot see the workspace's protocol
 //! invariants: that transaction handlers only produce legal state-machine
-//! edges, that the live-cluster runtime acquires its locks in one global
-//! order, and that the simulation-deterministic crates never read a wall
-//! clock. This crate is a small compiler-shaped pipeline that checks exactly
-//! those protocol-specific properties and nothing else. On top of the
-//! lexical passes, a structural CFG + dataflow layer checks path-sensitive
-//! properties: every quorum wait reaches a timeout edge (`time`), progress
-//! callbacks never block the drive loop (`callback`), and no panic source
-//! is reachable from an actor drive loop (`panic`). Since v3 the pipeline
-//! is interprocedural: a workspace-wide call graph closes reachability
+//! edges, that the live-cluster runtime never takes a lock or blocks while
+//! holding another, and that the simulation-deterministic crates never
+//! read a wall clock. This crate is a small compiler-shaped pipeline that
+//! checks exactly those protocol-specific properties and nothing else —
+//! and leaves to rustc what rustc already proves (thread-safety of
+//! captures, exhaustive codec matches). On top of the lexical passes, a
+//! structural CFG + dataflow layer checks path-sensitive properties: every
+//! quorum wait reaches a timeout edge (`time`), and no panic source is
+//! reachable from an actor drive loop (`panic`). Since v3 the pipeline is
+//! interprocedural: one workspace-wide call graph closes reachability
 //! across files and crates, the `flow` pass proves every message variant
-//! sent has a handler and every request reaches a reply or an armed
-//! timeout, and the `race` pass finds actor state escaping node threads
-//! and blocking calls reachable while a lock is held.
+//! sent — timers included — has a handler and every request reaches a
+//! reply or an armed timeout, and the `race` pass finds locks and blocking
+//! calls reachable while a lock guard is live.
 //!
 //! Architecture (front to back):
 //!
@@ -25,16 +26,16 @@
 //!   and their variants, function bodies as token ranges, struct fields with
 //!   type text.
 //! * [`cfg`](mod@cfg) — per-function control-flow graphs over the parser's token
-//!   ranges plus a bitset must/may dataflow solver; [`callgraph`] adds
-//!   file-local call resolution and, since v3, the workspace-wide
-//!   interprocedural [`callgraph::WorkspaceGraph`] (cross-file and
-//!   cross-crate call resolution through `use` imports, qualified paths,
-//!   and typed method receivers).
+//!   ranges plus a bitset must/may dataflow solver; [`callgraph`] is the
+//!   one call graph, the workspace-wide [`callgraph::WorkspaceGraph`]
+//!   (cross-file and cross-crate call resolution through `use` imports,
+//!   qualified paths, and typed method receivers), which a one-file pass
+//!   reads restricted to its file.
 //! * [`model`] — the shared [`model::Workspace`] every pass reads, plus the
 //!   [`model::Pass`] trait and pipeline driver.
-//! * [`passes`] — the analyses: lexical (`state`, `locks`, `determinism`),
-//!   dataflow-based (`time`), and interprocedural (`callback`, `panic`,
-//!   `flow`, `race`).
+//! * [`passes`] — the analyses: lexical (`state`, `determinism`),
+//!   dataflow-based (`time`), and interprocedural (`panic`, `flow`,
+//!   `race`, `sync`).
 //! * [`diag`] — span-carrying diagnostics with stable codes, rendered as a
 //!   compiler-style text report or JSON for CI.
 //! * [`baseline`] — findings snapshots so new passes can ship strict while

@@ -5,7 +5,6 @@
 //! cargo run -p planet-check                 # human-readable report
 //! cargo run -p planet-check -- --json      # JSON for CI
 //! cargo run -p planet-check -- --pass flow # a single pass
-//! cargo run -p planet-check -- --fix-allow # append allow-markers at findings
 //! cargo run -p planet-check -- --baseline check-baseline.tsv   # CI gate
 //! ```
 //!
@@ -25,7 +24,6 @@ use planet_check::{
 struct Opts {
     root: PathBuf,
     json: bool,
-    fix_allow: bool,
     list: bool,
     passes: Vec<String>,
     baseline: Option<PathBuf>,
@@ -36,7 +34,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
         json: false,
-        fix_allow: false,
         list: false,
         passes: Vec::new(),
         baseline: None,
@@ -46,7 +43,6 @@ fn parse_args() -> Result<Opts, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--fix-allow" => opts.fix_allow = true,
             "--list" => opts.list = true,
             "--root" => {
                 opts.root = PathBuf::from(
@@ -75,12 +71,11 @@ fn parse_args() -> Result<Opts, String> {
             "--help" | "-h" => {
                 println!(
                     "planet-check: protocol-aware static analysis\n\n\
-                     USAGE: planet-check [--root <dir>] [--pass <name>]... [--json] [--fix-allow] [--list]\n\
+                     USAGE: planet-check [--root <dir>] [--pass <name>]... [--json] [--list]\n\
                      \x20                   [--baseline <file>] [--write-baseline <file>]\n\n\
                      --root <dir>           workspace root (default: current directory)\n\
                      --pass <name>          run only the named pass (repeatable); see --list\n\
                      --json                 machine-readable output\n\
-                     --fix-allow            append `// check:allow(determinism)` at DET findings\n\
                      --list                 list the registered passes and exit\n\
                      --baseline <file>      suppress findings recorded in <file>; only NEW\n\
                      \x20                       errors fail the run\n\
@@ -92,39 +87,6 @@ fn parse_args() -> Result<Opts, String> {
         }
     }
     Ok(opts)
-}
-
-/// `--fix-allow`: append a suppression marker to each line carrying a
-/// determinism finding, then report what was rewritten.
-fn apply_fix_allow(root: &std::path::Path, diags: &[diag::Diagnostic]) -> std::io::Result<usize> {
-    use std::collections::BTreeMap;
-    let mut per_file: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-    for d in diags {
-        if d.code.starts_with("DET") {
-            per_file.entry(d.file.as_str()).or_default().push(d.line);
-        }
-    }
-    let mut fixed = 0usize;
-    for (file, mut lines) in per_file {
-        lines.sort_unstable();
-        lines.dedup();
-        let path = root.join(file);
-        let src = std::fs::read_to_string(&path)?;
-        let mut out = String::with_capacity(src.len() + 64 * lines.len());
-        for (i, line) in src.lines().enumerate() {
-            let n = (i + 1) as u32;
-            if lines.contains(&n) && !line.contains("check:allow") {
-                out.push_str(line.trim_end());
-                out.push_str(" // check:allow(determinism)");
-                fixed += 1;
-            } else {
-                out.push_str(line);
-            }
-            out.push('\n');
-        }
-        std::fs::write(&path, out)?;
-    }
-    Ok(fixed)
 }
 
 /// The `--json` report: the findings array (unchanged shape, as
@@ -196,16 +158,6 @@ fn main() -> ExitCode {
 
     let (diags, timings) = run_passes_timed(&ws, &opts.passes);
 
-    if opts.fix_allow {
-        match apply_fix_allow(&opts.root, &diags) {
-            Ok(n) => eprintln!("planet-check: annotated {n} line(s) with check:allow(determinism)"),
-            Err(e) => {
-                eprintln!("planet-check: --fix-allow failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
     if let Some(path) = &opts.write_baseline {
         let baseline = Baseline::from_diags(diags.iter());
         if let Err(e) = std::fs::write(path, baseline.render()) {
@@ -265,7 +217,7 @@ fn main() -> ExitCode {
     }
 
     let errors = gated.iter().any(|d| d.severity == Severity::Error);
-    if errors && !opts.fix_allow {
+    if errors {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -253,10 +253,8 @@ pub trait Pass {
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(crate::passes::state::StateMachinePass),
-        Box::new(crate::passes::locks::LockOrderPass),
         Box::new(crate::passes::determinism::DeterminismPass),
         Box::new(crate::passes::time::TimePass),
-        Box::new(crate::passes::callback::CallbackPass),
         Box::new(crate::passes::panic::PanicPass),
         Box::new(crate::passes::flow::FlowPass),
         Box::new(crate::passes::race::RacePass),

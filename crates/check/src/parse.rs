@@ -613,48 +613,6 @@ pub fn type_names(toks: &[Tok]) -> Vec<String> {
     out
 }
 
-/// `type Alias = Target;` declarations, as `(alias, target-text)`.
-pub fn type_aliases(toks: &[Tok]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("type") && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
-            let mut j = i + 2;
-            if j < toks.len() && toks[j].is_punct('<') {
-                j = skip_angle_group(toks, j);
-            }
-            if j < toks.len() && toks[j].is_punct('=') {
-                let start = j + 1;
-                let mut k = start;
-                let mut depth = 0i32;
-                while k < toks.len() {
-                    let t = &toks[k];
-                    if t.kind == TokKind::Punct {
-                        match t.text.as_bytes()[0] {
-                            b'(' | b'[' | b'{' | b'<' => depth += 1,
-                            b')' | b']' | b'}' | b'>' => depth -= 1,
-                            b';' if depth <= 0 => break,
-                            _ => {}
-                        }
-                    }
-                    k += 1;
-                }
-                let target = toks[start..k]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                out.push((name, target));
-                i = k;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,12 +735,9 @@ mod tests {
     }
 
     #[test]
-    fn type_names_and_aliases() {
+    fn type_names_cover_structs_enums_and_traits() {
         let src = "struct A; enum B { X } trait C {} type Conn = Arc<Mutex<TcpStream>>;";
         let lexed = lex(src);
         assert_eq!(type_names(&lexed.toks), vec!["A", "B", "C"]);
-        let al = type_aliases(&lexed.toks);
-        assert_eq!(al[0].0, "Conn");
-        assert!(al[0].1.contains("Mutex"));
     }
 }

@@ -16,6 +16,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::{skip_group, typed_lets};
+use crate::passes::in_ranges;
 
 /// Crates whose `src` trees must stay deterministic.
 const SCOPES: &[&str] = &[
@@ -101,10 +102,6 @@ pub(crate) fn cfg_test_ranges(toks: &[Tok]) -> Vec<std::ops::Range<usize>> {
         i = out.last().map_or(i + 1, |r| r.end);
     }
     out
-}
-
-fn in_ranges(ranges: &[std::ops::Range<usize>], idx: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&idx))
 }
 
 /// Names in this file known to be hash-ordered containers: struct fields

@@ -30,13 +30,14 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::cfg::{build_cfg, solve, Cfg, Dir, Meet};
+use crate::cfg::{build_cfg, covered_on_every_path, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::Tok;
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
 use crate::passes::find_paths;
+use crate::passes::in_ranges;
 
 /// The message enum's home.
 const MSG_FILE: &str = "crates/mdcc/src/messages.rs";
@@ -125,10 +126,6 @@ struct Hit {
     idx: usize,
     line: u32,
     test_only: bool,
-}
-
-fn in_ranges(ranges: &[Range<usize>], idx: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&idx))
 }
 
 /// What a `Msg::Variant` occurrence is doing.
@@ -238,32 +235,14 @@ fn method_calls(toks: &[Tok], range: Range<usize>, method: &str) -> Vec<usize> {
 
 /// True when every path through token `idx`'s block passes a
 /// `.schedule(..)` call: the block itself, all paths into it, or all paths
-/// out of it (the PR-5 TIME must-dataflow).
-fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, body: Range<usize>, idx: usize) -> bool {
-    let _ = body;
+/// out of it (the TIME must-dataflow).
+fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, idx: usize) -> bool {
     let gens: Vec<u64> = cfg
         .blocks
         .iter()
         .map(|b| u64::from(!method_calls(toks, b.range.clone(), "schedule").is_empty()))
         .collect();
-    // A match pattern's tokens live between arm bodies, outside every CFG
-    // block: fall forward to the arm body the pattern guards.
-    let b = (0..cfg.blocks.len())
-        .find(|&b| cfg.blocks[b].range.contains(&idx))
-        .or_else(|| {
-            (0..cfg.blocks.len())
-                .filter(|&b| !cfg.blocks[b].range.is_empty() && cfg.blocks[b].range.start >= idx)
-                .min_by_key(|&b| cfg.blocks[b].range.start)
-        });
-    let Some(b) = b else {
-        return false;
-    };
-    if gens[b] & 1 == 1 {
-        return true;
-    }
-    let fwd = solve(cfg, Dir::Forward, Meet::Must, |x| gens[x]);
-    let bwd = solve(cfg, Dir::Backward, Meet::Must, |x| gens[x]);
-    fwd.entry[b] & 1 == 1 || bwd.entry[b] & 1 == 1
+    covered_on_every_path(cfg, &gens, idx)
 }
 
 fn flag(
@@ -440,7 +419,7 @@ impl Pass for FlowPass {
                     }
                     let cfg = build_cfg(toks, body.clone());
                     for h in req_hits {
-                        if !timer_armed_on_path(toks, &cfg, body.clone(), h.idx) {
+                        if !timer_armed_on_path(toks, &cfg, h.idx) {
                             flag(
                                 out,
                                 f,

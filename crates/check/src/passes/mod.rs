@@ -1,14 +1,12 @@
 //! The pass pipeline: protocol-aware analyses over the shared model, plus
-//! token-scanning helpers they have in common. `state`/`locks`/`determinism`
-//! are lexical; `time`/`callback`/`panic` run on the CFG + dataflow layer
-//! in [`crate::cfg`]; `flow`/`race` (and the re-rooted
-//! `callback`/`panic`) run on the workspace-wide call graph in
+//! token-scanning helpers they have in common. `state`/`determinism` are
+//! lexical; `time`/`panic` run on the CFG + dataflow layer in
+//! [`crate::cfg`]; `time` (inside one file) and `panic`/`flow`/`race`/`sync`
+//! (across the workspace) follow calls through the one call graph in
 //! [`crate::callgraph`].
 
-pub mod callback;
 pub mod determinism;
 pub mod flow;
-pub mod locks;
 pub mod panic;
 pub mod race;
 pub mod state;
@@ -16,6 +14,11 @@ pub mod sync;
 pub mod time;
 
 use crate::lexer::{Tok, TokKind};
+
+/// True when token index `idx` lies in one of `ranges`.
+pub(crate) fn in_ranges(ranges: &[std::ops::Range<usize>], idx: usize) -> bool {
+    ranges.iter().any(|r| r.contains(&idx))
+}
 
 /// An occurrence of a qualified path `Base::Name` in a token range.
 #[derive(Debug, Clone)]

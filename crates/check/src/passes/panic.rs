@@ -45,6 +45,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::passes::determinism::cfg_test_ranges;
+use crate::passes::in_ranges;
 
 /// Scope → root function names. Every name must resolve to a function
 /// under its scope in the real workspace (a self-test holds it to that): a
@@ -56,10 +57,6 @@ pub const SCOPES: &[(&str, &[&str])] = &[
 
 /// Panic-family macros flagged by PANIC002.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-fn in_ranges(ranges: &[Range<usize>], idx: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&idx))
-}
 
 /// True when `toks[i]` is a `[` used as an index expression: preceded by an
 /// identifier, `)`, or `]` (a value), not by `#`/`!`/type syntax.

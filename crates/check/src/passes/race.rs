@@ -1,63 +1,47 @@
-//! Thread-escape and blocking-under-lock analysis over `planet-cluster`.
+//! Blocking-under-lock and FIFO analysis over `planet-cluster`.
 //!
 //! The cluster runtime is the only place in the workspace that spawns real
-//! OS threads (node threads, fabric pumps, acceptor loops), so it is the
-//! only place actor-owned state can leak across a thread boundary. Codes:
+//! OS threads (node threads, fabric pumps, acceptor loops) and shares
+//! state behind locks. Whether a capture may cross a thread at all is
+//! rustc's to decide (`thread::spawn` demands `Send + 'static`, and the
+//! crate denies `unsafe`); what the type system cannot see is how long a
+//! guard lives. Codes:
 //!
-//! * **RACE001** — actor-owned state escapes its node thread: a `self`
-//!   field or typed local captured by a `spawn(..)` closure whose type
-//!   carries no synchronization (no `Mutex`/`RwLock`/`Atomic*`/channel
-//!   half), or an `Arc<..>` alias with no interior sync. One level of
-//!   `type` aliases is expanded before the check.
-//! * **RACE002** — a blocking call (`recv`, `join`, `write_all`, condvar
-//!   waits, sleeps) or a lock acquisition is reachable — workspace-wide,
-//!   through the interprocedural call graph — while a lock guard is live.
-//!   This extends the intraprocedural LOCK passes across function and
-//!   crate boundaries; the diagnostic carries the witness call chain.
-//!   A condvar wait with exactly one lock held is the intended idiom and
-//!   is not flagged.
+//! * **RACE002** — while a lock guard is live, the function acquires a
+//!   lock (`.lock()`, or `.read()`/`.write()` on a field the file declares
+//!   as an `RwLock`), makes a blocking call (`recv`, `join`, `write_all`,
+//!   condvar waits, sleeps), or calls a function from which — through the
+//!   workspace-wide call graph — a lock or a blocking call is reachable;
+//!   the interprocedural diagnostic carries the witness call chain.
+//!   Re-locking a held `std::sync` lock self-deadlocks at once, and every
+//!   edge of a lock-order cycle is a lock taken under another's guard, so
+//!   both land here. A condvar wait with exactly one lock held is the
+//!   intended idiom and is not flagged.
 //! * **RACE003** — a channel sender is cloned into a spawned closure or
 //!   stored into a collection: two handles to the same mailbox can
 //!   interleave and break the documented per-pair FIFO delivery order.
 //!
+//! Guard lifetimes follow Rust's temporary rules, approximated: a
+//! `let`-bound guard (the chain after the acquisition is only
+//! `.unwrap()`/`.expect(..)`) lives to the end of its block, an
+//! `if let`/`while let` guard through the block it opens, a `for`/`match`
+//! head temporary through the construct, and any other temporary to the
+//! end of its statement — a plain `if` condition's guard drops before the
+//! block runs.
+//!
 //! Suppress with `// check:allow(race)`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::diag::Diagnostic;
 use crate::lexer::Tok;
 use crate::model::{Pass, SourceFile, Workspace};
-use crate::parse::{skip_group, type_aliases};
+use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
+use crate::passes::in_ranges;
 
 const SCOPE: &str = "crates/cluster/src/";
-
-/// Substrings that mark a type as synchronized (safe to share).
-const SYNC_MARKERS: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "Atomic",
-    "Condvar",
-    "Sender",
-    "SyncSender",
-    "Receiver",
-    "JoinHandle",
-    "Barrier",
-    "OnceLock",
-    "Once",
-    "mpsc",
-    "Mailbox",
-    "PhantomData",
-    // Reactor runtime internals shared across worker threads (the worker
-    // loop and the steal path): each is synchronized by construction —
-    // every mutable field is a Mutex/Atomic/Condvar — so sharing one into
-    // a spawned worker is the design, not an escape.
-    "ReactorInner",
-    "WorkerShared",
-    "TaskCore",
-    "Parker",
-];
 
 /// Directly blocking method names (callee side of RACE002).
 const BLOCKING: &[&str] = &[
@@ -74,19 +58,36 @@ const BLOCKING: &[&str] = &[
 
 const CONDVAR_WAITS: &[&str] = &["wait", "wait_timeout", "wait_while"];
 
-fn in_ranges(ranges: &[Range<usize>], idx: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&idx))
+/// Names of the struct fields a file declares as `RwLock`s: `.read()` and
+/// `.write()` acquire a lock only on these (bare `.lock()` always does).
+fn rwlock_fields(file: &SourceFile) -> Vec<&str> {
+    file.fields()
+        .iter()
+        .filter(|f| f.ty.contains("RwLock"))
+        .map(|f| f.name.as_str())
+        .collect()
 }
 
-/// True when `ty` (a flattened type text) carries a sync marker, expanding
-/// one level of local `type` aliases.
-fn is_synced(ty: &str, aliases: &[(String, String)]) -> bool {
-    if SYNC_MARKERS.iter().any(|m| ty.contains(m)) {
-        return true;
+/// When `toks[i]` is the method of a zero-argument lock acquisition, the
+/// receiver's final name (`self.inner.routes.lock()` → `routes`; empty
+/// when the receiver is not a plain name).
+fn acquisition<'t>(toks: &'t [Tok], i: usize, rwlocks: &[&str]) -> Option<&'t str> {
+    if i < 2
+        || !toks[i - 1].is_punct('.')
+        || !toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+        || !toks.get(i + 2).is_some_and(|t| t.is_punct(')'))
+    {
+        return None;
     }
-    aliases.iter().any(|(name, target)| {
-        ty.contains(name.as_str()) && SYNC_MARKERS.iter().any(|m| target.contains(m))
-    })
+    let recv = &toks[i - 2];
+    let recv = if recv.kind == crate::lexer::TokKind::Ident {
+        recv.text.as_str()
+    } else {
+        ""
+    };
+    let locks = toks[i].is_ident("lock")
+        || ((toks[i].is_ident("read") || toks[i].is_ident("write")) && rwlocks.contains(&recv));
+    locks.then_some(recv)
 }
 
 /// Argument ranges of `spawn(..)` / `thread::spawn(..)` / `pool.spawn(..)`
@@ -165,13 +166,15 @@ fn flag(
 }
 
 /// A live lock guard while scanning a function body.
-struct LiveLock {
+struct LiveLock<'t> {
+    /// The locked receiver's name (see [`acquisition`]).
+    name: &'t str,
     /// Brace depth the guard dies below (`let`-bound guards), or `None`
     /// for a statement-scoped temporary.
     depth: Option<i32>,
 }
 
-/// The thread-escape pass.
+/// The blocking-under-lock and FIFO pass.
 pub struct RacePass;
 
 impl Pass for RacePass {
@@ -180,24 +183,25 @@ impl Pass for RacePass {
     }
 
     fn description(&self) -> &'static str {
-        "actor state escaping node threads, blocking calls reachable under a lock, cloned senders breaking FIFO"
+        "locks and blocking calls reachable while a lock guard is live, cloned senders breaking FIFO"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         let g = ws.graph();
         let files = ws.files();
+        let skips: Vec<Vec<Range<usize>>> =
+            files.iter().map(|f| cfg_test_ranges(f.toks())).collect();
+        let rwlocks: Vec<Vec<&str>> = files.iter().map(rwlock_fields).collect();
 
         // ---- interprocedural blocking summaries (workspace-wide) ----
         // A node blocks directly if its body (outside tests) calls a
-        // blocking method or acquires a lock. blocking_reachable is the
-        // reverse closure: "calling this function may block".
+        // blocking method or acquires a lock. may_block is the reverse
+        // closure: "calling this function may block".
         let mut direct_block: Vec<Option<&'static str>> = vec![None; g.fns.len()];
         for (n, f) in g.fns.iter().enumerate() {
-            let file = &files[f.file];
-            let toks = file.toks();
-            let skip = cfg_test_ranges(toks);
+            let toks = files[f.file].toks();
             for i in f.body.clone() {
-                if i + 1 >= toks.len() || i == 0 || in_ranges(&skip, i) {
+                if i + 1 >= toks.len() || i == 0 || in_ranges(&skips[f.file], i) {
                     continue;
                 }
                 if !toks[i - 1].is_punct('.') || !toks[i + 1].is_punct('(') {
@@ -207,12 +211,7 @@ impl Pass for RacePass {
                     direct_block[n] = Some(name);
                     break;
                 }
-                if (toks[i].is_ident("lock")
-                    || toks[i].is_ident("read")
-                    || toks[i].is_ident("write"))
-                    && i + 2 < toks.len()
-                    && toks[i + 2].is_punct(')')
-                {
+                if acquisition(toks, i, &rwlocks[f.file]).is_some() {
                     direct_block[n] = Some("lock");
                     break;
                 }
@@ -245,8 +244,7 @@ impl Pass for RacePass {
                 continue;
             }
             let toks = file.toks();
-            let skip = cfg_test_ranges(toks);
-            let aliases = type_aliases(toks);
+            let skip = &skips[fi];
             let field_ty: HashMap<&str, &str> = file
                 .fields()
                 .iter()
@@ -255,123 +253,20 @@ impl Pass for RacePass {
 
             for &node in g.nodes_of_file(fi) {
                 let def = &g.fns[node];
-                if in_ranges(&skip, def.body.start) {
+                if in_ranges(skip, def.body.start) {
                     continue;
                 }
                 let body = def.body.clone();
                 let bindings = typed_bindings(toks, body.clone(), &def.params);
                 let spawns = spawn_ranges(toks, body.clone());
 
-                // ---- RACE001 + RACE003 inside spawn closures ----
-                for sp in &spawns {
-                    let mut reported: BTreeSet<&str> = BTreeSet::new();
-                    let mut i = sp.start;
-                    while i < sp.end.min(toks.len()) {
-                        let t = &toks[i];
-                        // self.field escaping the node thread
-                        if t.is_ident("self")
-                            && i + 2 < toks.len()
-                            && toks[i + 1].is_punct('.')
-                            && toks[i + 2].kind == crate::lexer::TokKind::Ident
-                        {
-                            let fname = toks[i + 2].text.as_str();
-                            if let Some(ty) = field_ty.get(fname) {
-                                if !is_synced(ty, &aliases) && reported.insert(fname) {
-                                    flag(
-                                        out,
-                                        file,
-                                        "RACE001",
-                                        toks[i + 2].line,
-                                        format!(
-                                            "field `self.{fname}: {ty}` escapes into a spawned thread without synchronization"
-                                        ),
-                                        "wrap the shared state in `Arc<Mutex<..>>`/atomics or move ownership into the thread, or annotate with `// check:allow(race)`",
-                                    );
-                                }
-                            }
-                        }
-                        // typed local escaping
-                        if t.kind == crate::lexer::TokKind::Ident
-                            && (i == 0 || !toks[i - 1].is_punct('.'))
-                        {
-                            if let Some(ty) = bindings.get(t.text.as_str()) {
-                                let name = t.text.as_str();
-                                if !is_synced(ty, &aliases)
-                                    && !ty.contains("dyn")
-                                    && reported.insert(name)
-                                {
-                                    // A trait object's impls may carry their
-                                    // own interior sync (invisible here), so
-                                    // `dyn` types are exempt above. And a
-                                    // plain owned value both captured and
-                                    // used after the spawn only compiles if
-                                    // it was copied, so used-after only
-                                    // counts for borrowed/generic types.
-                                    let arced = ty.contains("Arc");
-                                    let shareable = ty.contains('&') || ty.contains('<');
-                                    let used_after = shareable
-                                        && (sp.end..body.end.min(toks.len()))
-                                            .any(|j| toks[j].is_ident(name));
-                                    if arced || used_after {
-                                        let what = if arced {
-                                            "an `Arc` alias with no interior synchronization"
-                                        } else {
-                                            "also used after the spawn"
-                                        };
-                                        flag(
-                                            out,
-                                            file,
-                                            "RACE001",
-                                            t.line,
-                                            format!(
-                                                "`{name}: {ty}` is captured by a spawned thread and is {what}"
-                                            ),
-                                            "add interior synchronization (`Mutex`/`RwLock`/atomics) or move ownership into the thread, or annotate with `// check:allow(race)`",
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        // RACE003: sender clone inside a spawn closure
-                        if t.is_ident("clone")
-                            && i >= 2
-                            && toks[i - 1].is_punct('.')
-                            && i + 1 < toks.len()
-                            && toks[i + 1].is_punct('(')
-                        {
-                            let recv = &toks[i - 2];
-                            let ty = bindings
-                                .get(recv.text.as_str())
-                                .map(String::as_str)
-                                .or_else(|| field_ty.get(recv.text.as_str()).copied());
-                            if let Some(ty) = ty {
-                                if ty.contains("Sender") || ty.contains("Mailbox") {
-                                    flag(
-                                        out,
-                                        file,
-                                        "RACE003",
-                                        t.line,
-                                        format!(
-                                            "`{}.clone()` duplicates a channel sender inside a spawned thread — two handles to one mailbox can interleave and break per-pair FIFO",
-                                            recv.text
-                                        ),
-                                        "route all sends to a destination through a single owned handle, or annotate with `// check:allow(race)` and document the ordering argument",
-                                    );
-                                }
-                            }
-                        }
-                        i += 1;
-                    }
-                }
-
-                // ---- RACE003 outside spawns: stored sender clones ----
+                // ---- RACE003: a sender clone moved into a spawn, or stored ----
                 let mut i = body.start.max(2);
                 while i + 1 < body.end.min(toks.len()) {
                     if toks[i].is_ident("clone")
                         && toks[i - 1].is_punct('.')
                         && toks[i + 1].is_punct('(')
-                        && !in_ranges(&skip, i)
-                        && !spawns.iter().any(|sp| sp.contains(&i))
+                        && !in_ranges(skip, i)
                     {
                         let recv = &toks[i - 2];
                         let ty = bindings
@@ -380,43 +275,46 @@ impl Pass for RacePass {
                             .or_else(|| field_ty.get(recv.text.as_str()).copied());
                         let is_sender =
                             ty.is_some_and(|t| t.contains("Sender") || t.contains("Mailbox"));
-                        if is_sender {
-                            // Only when the statement *retains* the clone
-                            // (stored into a collection): a returned or
-                            // immediately-consumed clone keeps one live
-                            // handle per destination.
-                            let stmt_end = (i..body.end.min(toks.len()))
-                                .find(|&j| toks[j].is_punct(';'))
-                                .unwrap_or(body.end.min(toks.len()));
+                        // Outside a spawn, only when the statement *retains*
+                        // the clone (stored into a collection): a returned or
+                        // immediately-consumed clone keeps one live handle
+                        // per destination.
+                        let stored = || {
+                            let end = body.end.min(toks.len());
+                            let stmt_end = (i..end).find(|&j| toks[j].is_punct(';')).unwrap_or(end);
                             let stmt_start = (body.start..i)
                                 .rev()
                                 .find(|&j| toks[j].is_punct(';') || toks[j].is_punct('{'))
-                                .map(|j| j + 1)
-                                .unwrap_or(body.start);
-                            let stored = (stmt_start..stmt_end).any(|j| {
+                                .map_or(body.start, |j| j + 1);
+                            (stmt_start..stmt_end).any(|j| {
                                 (toks[j].is_ident("push") || toks[j].is_ident("insert"))
-                                    && j + 1 < toks.len()
-                                    && toks[j + 1].is_punct('(')
-                            });
-                            if stored {
-                                flag(
-                                    out,
-                                    file,
-                                    "RACE003",
-                                    toks[i].line,
-                                    format!(
-                                        "`{}.clone()` stores a second handle to a channel sender — concurrent senders to one mailbox can break per-pair FIFO",
-                                        recv.text
-                                    ),
-                                    "keep a single owned handle per destination, or annotate with `// check:allow(race)` and document the ordering argument",
-                                );
-                            }
+                                    && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
+                            })
+                        };
+                        let what = if !is_sender {
+                            None
+                        } else if spawns.iter().any(|sp| sp.contains(&i)) {
+                            Some("duplicates a channel sender inside a spawned thread — two handles to one mailbox can interleave and break per-pair FIFO")
+                        } else if stored() {
+                            Some("stores a second handle to a channel sender — concurrent senders to one mailbox can break per-pair FIFO")
+                        } else {
+                            None
+                        };
+                        if let Some(what) = what {
+                            flag(
+                                out,
+                                file,
+                                "RACE003",
+                                toks[i].line,
+                                format!("`{}.clone()` {what}", recv.text),
+                                "keep a single owned handle per destination, or annotate with `// check:allow(race)` and document the ordering argument",
+                            );
                         }
                     }
                     i += 1;
                 }
 
-                // ---- RACE002: blocking reachable while a lock is held ----
+                // ---- RACE002: a lock or a blocking call under a live guard ----
                 let sites: HashMap<usize, usize> =
                     g.calls[node].iter().map(|s| (s.tok, s.target)).collect();
                 let mut live: Vec<LiveLock> = Vec::new();
@@ -424,6 +322,8 @@ impl Pass for RacePass {
                 let mut i = body.start;
                 while i < body.end.min(toks.len()) {
                     let t = &toks[i];
+                    let acquired =
+                        acquisition(toks, i, &rwlocks[fi]).filter(|_| !in_ranges(skip, i));
                     if t.is_punct('{') {
                         // An if/while-condition temporary dies before the
                         // block opens (for/match head temporaries are
@@ -435,14 +335,38 @@ impl Pass for RacePass {
                         live.retain(|l| l.depth.is_none_or(|d| d <= depth));
                     } else if t.is_punct(';') {
                         live.retain(|l| l.depth.is_some());
-                    } else if i > 0
-                        && i + 2 < toks.len()
-                        && toks[i - 1].is_punct('.')
-                        && toks[i + 1].is_punct('(')
-                        && toks[i + 2].is_punct(')')
-                        && (t.is_ident("lock") || t.is_ident("read") || t.is_ident("write"))
-                        && !in_ranges(&skip, i)
-                    {
+                    } else if let Some(name) = acquired {
+                        if let Some(held) = live.last() {
+                            let shown = |n: &str| {
+                                if n.is_empty() {
+                                    "a lock".to_string()
+                                } else {
+                                    format!("`{n}`")
+                                }
+                            };
+                            let message = if !name.is_empty() && live.iter().any(|l| l.name == name)
+                            {
+                                format!(
+                                    "`{name}` is locked again in `{}` while its own guard is live: a `std::sync` lock self-deadlocks",
+                                    def.name
+                                )
+                            } else {
+                                format!(
+                                    "{} is locked in `{}` while {} is held: one edge of a lock order another path can invert",
+                                    shown(name),
+                                    def.name,
+                                    shown(held.name)
+                                )
+                            };
+                            flag(
+                                out,
+                                file,
+                                "RACE002",
+                                t.line,
+                                message,
+                                "drop the held guard before locking again (copy out what you need), or annotate with `// check:allow(race)` stating the one global acquisition order",
+                            );
+                        }
                         // Guard lifetime. A `let` binds the guard for the
                         // enclosing block (`if/while let`: the block about
                         // to open) — but only when the chain after
@@ -490,13 +414,13 @@ impl Pass for RacePass {
                                 bound = Some(depth + 1);
                             }
                         }
-                        live.push(LiveLock { depth: bound });
+                        live.push(LiveLock { name, depth: bound });
                     } else if !live.is_empty()
                         && i > 0
                         && i + 1 < toks.len()
                         && toks[i - 1].is_punct('.')
                         && toks[i + 1].is_punct('(')
-                        && !in_ranges(&skip, i)
+                        && !in_ranges(skip, i)
                     {
                         if let Some(name) = BLOCKING.iter().find(|b| toks[i].is_ident(b)) {
                             let condvar_ok = CONDVAR_WAITS.contains(name) && live.len() == 1;
@@ -515,7 +439,7 @@ impl Pass for RacePass {
                             }
                         }
                     }
-                    if !live.is_empty() && !in_ranges(&skip, i) {
+                    if acquired.is_none() && !live.is_empty() && !in_ranges(skip, i) {
                         if let Some(&target) = sites.get(&i) {
                             if may_block[target] {
                                 let (reach, preds) = g.reachable_with_preds([target]);

@@ -45,12 +45,13 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::cfg::{build_cfg, find_body_brace, solve, Cfg, Dir, Meet};
+use crate::cfg::{build_cfg, covered_on_every_path, find_body_brace, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
+use crate::passes::in_ranges;
 
 const SCOPE: &str = "crates/cluster/src/";
 
@@ -279,30 +280,6 @@ fn cover_gens(toks: &[Tok], cfg: &Cfg, cover: &[&str]) -> Vec<u64> {
             u64::from(hit)
         })
         .collect()
-}
-
-/// Block index containing token `idx`.
-fn block_of(cfg: &Cfg, idx: usize) -> Option<usize> {
-    (0..cfg.blocks.len()).find(|&b| cfg.blocks[b].range.contains(&idx))
-}
-
-/// True when every path through token `idx`'s block contains a cover
-/// identifier: the block itself, all paths into it, or all paths from it
-/// to the exit.
-fn covered_on_path(cfg: &Cfg, gens: &[u64], idx: usize) -> bool {
-    let Some(b) = block_of(cfg, idx) else {
-        return false; // unmapped block: be strict
-    };
-    if gens[b] & 1 == 1 {
-        return true;
-    }
-    let fwd = solve(cfg, Dir::Forward, Meet::Must, |x| gens[x]);
-    let bwd = solve(cfg, Dir::Backward, Meet::Must, |x| gens[x]);
-    fwd.entry[b] & 1 == 1 || bwd.entry[b] & 1 == 1
-}
-
-fn in_ranges(ranges: &[Range<usize>], idx: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&idx))
 }
 
 fn flag(
@@ -568,7 +545,7 @@ impl SyncPass {
                 let cfg = build_cfg(toks, def.body.clone());
                 let gens = cover_gens(toks, &cfg, rule.cover);
                 for site in sites {
-                    if covered_on_path(&cfg, &gens, site) {
+                    if covered_on_every_path(&cfg, &gens, site) {
                         continue;
                     }
                     // Caller-level cover: every caller reaches the notify
@@ -595,7 +572,7 @@ impl SyncPass {
                             !call_sites.is_empty()
                                 && call_sites
                                     .iter()
-                                    .all(|&k| covered_on_path(&ccfg, &cgens, k))
+                                    .all(|&k| covered_on_every_path(&ccfg, &cgens, k))
                         });
                     if !covered_by_callers {
                         let line = toks[site].line;

@@ -4,16 +4,13 @@
 //! The protocol's liveness story is "every wait is bounded": a coordinator
 //! that starts collecting votes arms `TxnTimeout`; a replica's ack state is
 //! reclaimed by the standing lease sweep. A wait registered without a timer
-//! hangs forever the first time a message is lost. Three codes:
+//! hangs forever the first time a message is lost. Two codes:
 //!
 //! * **TIME001** — a function inserts into a wait-tracking collection (the
 //!   table in `WAIT_TABLE`) but some path through the insert never
 //!   executes `ctx.schedule(_, Msg::<Timer>)`. Checked with the CFG
 //!   must-solver: the insert block itself, all paths into it, or all paths
 //!   from it to the exit must contain the schedule.
-//! * **TIME002** — a timer message is scheduled somewhere in a file but the
-//!   variant never appears outside `schedule(..)` argument lists in that
-//!   file, i.e. nothing handles it when it fires.
 //! * **TIME003** — a one-shot timer's handler reaches an insert into a
 //!   collection that *only* the timer's own handler ever reclaims, without
 //!   re-arming the timer on that path. Firing the timer consumed it; the
@@ -22,13 +19,17 @@
 //!   submit-time timer is still pending, but the timeout path inserts
 //!   *after* consuming that timer.)
 //!
-//! Scope: `crates/mdcc/src/`. Suppress with `// check:allow(time)`.
+//! A timer that is scheduled but never handled is the `flow` pass's
+//! FLOW001: every timer is a `Msg` variant with a receiving role.
+//!
+//! Scope: `crates/mdcc/src/`, one file at a time: handler regions close
+//! over the workspace call graph's edges that stay inside the file.
+//! Suppress with `// check:allow(time)`.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use crate::callgraph::{call_names, CallGraph};
-use crate::cfg::{build_cfg, find_body_brace, match_arms, solve, Cfg, Dir, Meet};
+use crate::cfg::{build_cfg, covered_on_every_path, find_body_brace, match_arms, Arm, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
@@ -79,30 +80,19 @@ fn method_calls(toks: &[Tok], range: Range<usize>, methods: &[&str]) -> Vec<Meth
     out
 }
 
-/// A `schedule(..)` call site and the timer variant it constructs.
-struct ScheduleSite {
-    /// `Msg::<variant>` found in the argument list, if any.
-    variant: Option<String>,
-    line: u32,
-    args: Range<usize>,
-}
-
-fn schedule_sites(toks: &[Tok], range: Range<usize>) -> Vec<ScheduleSite> {
+/// The timer variants `schedule(.., Msg::<variant>)` calls in `range` arm.
+fn scheduled_timers(toks: &[Tok], range: Range<usize>) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = range.start;
     while i + 1 < range.end.min(toks.len()) {
         if toks[i].is_ident("schedule") && toks[i + 1].is_punct('(') {
             let end = skip_group(toks, i + 1, '(', ')');
-            let args = i + 2..end - 1;
-            let variant = super::find_paths(toks, args.clone(), "Msg")
-                .into_iter()
-                .next()
-                .map(|h| h.name);
-            out.push(ScheduleSite {
-                variant,
-                line: toks[i].line,
-                args,
-            });
+            out.extend(
+                super::find_paths(toks, i + 2..end - 1, "Msg")
+                    .into_iter()
+                    .next()
+                    .map(|h| h.name),
+            );
             i = end;
             continue;
         }
@@ -116,37 +106,16 @@ fn schedule_gens(toks: &[Tok], cfg: &Cfg, timer: &str) -> Vec<u64> {
     cfg.blocks
         .iter()
         .map(|b| {
-            let armed = schedule_sites(toks, b.range.clone())
+            let armed = scheduled_timers(toks, b.range.clone())
                 .iter()
-                .any(|s| s.variant.as_deref() == Some(timer));
+                .any(|v| v == timer);
             u64::from(armed)
         })
         .collect()
 }
 
-/// Block index containing token `idx`.
-fn block_of(cfg: &Cfg, idx: usize) -> Option<usize> {
-    (0..cfg.blocks.len()).find(|&b| cfg.blocks[b].range.contains(&idx))
-}
-
-/// True when every path through token `idx`'s block contains a
-/// `schedule(Msg::<timer>)`: the block itself, all paths into it, or all
-/// paths from it to the exit.
-fn armed_on_path(toks: &[Tok], cfg: &Cfg, gens: &[u64], idx: usize) -> bool {
-    let _ = toks;
-    let Some(b) = block_of(cfg, idx) else {
-        return false; // insert in a join block we failed to map: be strict
-    };
-    if gens[b] & 1 == 1 {
-        return true;
-    }
-    let fwd = solve(cfg, Dir::Forward, Meet::Must, |x| gens[x]);
-    let bwd = solve(cfg, Dir::Backward, Meet::Must, |x| gens[x]);
-    fwd.entry[b] & 1 == 1 || bwd.entry[b] & 1 == 1
-}
-
 /// All `match` arms in a token range (any nesting depth).
-fn arms_in(toks: &[Tok], range: Range<usize>) -> Vec<crate::cfg::Arm> {
+fn arms_in(toks: &[Tok], range: Range<usize>) -> Vec<Arm> {
     let mut out = Vec::new();
     let mut i = range.start;
     while i < range.end.min(toks.len()) {
@@ -200,16 +169,21 @@ impl Pass for TimePass {
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        for file in ws.files_under("crates/mdcc/src/") {
+        let g = ws.graph();
+        for (fi, file) in ws.files().iter().enumerate() {
+            if !file.path.starts_with("crates/mdcc/src/") {
+                continue;
+            }
             let toks = file.toks();
-            let cg = CallGraph::build(toks);
+            let nodes = g.nodes_of_file(fi);
 
             // TIME001: table-driven must-arm through wait inserts.
             for rule in WAIT_TABLE {
                 if !file.path.ends_with(rule.file_suffix) {
                     continue;
                 }
-                for f in &cg.fns {
+                for &n in nodes {
+                    let f = &g.fns[n];
                     let inserts: Vec<MethodCall> = method_calls(toks, f.body.clone(), &["insert"])
                         .into_iter()
                         .filter(|c| c.coll == rule.collection)
@@ -220,7 +194,7 @@ impl Pass for TimePass {
                     let cfg = build_cfg(toks, f.body.clone());
                     let gens = schedule_gens(toks, &cfg, rule.timer);
                     for ins in inserts {
-                        if !armed_on_path(toks, &cfg, &gens, ins.idx) {
+                        if !covered_on_every_path(&cfg, &gens, ins.idx) {
                             flag(
                                 out,
                                 file,
@@ -237,87 +211,53 @@ impl Pass for TimePass {
                 }
             }
 
-            // Collect scheduled timer variants and their sites.
             let whole = 0..toks.len();
-            let sites = schedule_sites(toks, whole.clone());
             let scheduled: BTreeSet<String> =
-                sites.iter().filter_map(|s| s.variant.clone()).collect();
+                scheduled_timers(toks, whole.clone()).into_iter().collect();
             if scheduled.is_empty() {
                 continue;
             }
 
-            // TIME002: scheduled-but-never-handled variants. A variant is
-            // "handled" if `Msg::X` appears anywhere outside schedule
-            // argument lists (a match pattern, a re-send, a forward).
-            let all_hits = super::find_paths(toks, whole.clone(), "Msg");
-            for variant in &scheduled {
-                let outside = all_hits
-                    .iter()
-                    .any(|h| h.name == *variant && !sites.iter().any(|s| s.args.contains(&h.idx)));
-                if !outside {
-                    let line = sites
-                        .iter()
-                        .find(|s| s.variant.as_deref() == Some(variant))
-                        .map(|s| s.line)
-                        .unwrap_or(1);
-                    flag(
-                        out,
-                        file,
-                        "TIME002",
-                        line,
-                        format!(
-                            "timer `Msg::{variant}` is scheduled but never handled in this file"
-                        ),
-                        "add a handler arm for the timer message (or delete the schedule); a timer nobody consumes is a silent liveness hole",
-                    );
-                }
-            }
-
             // TIME003: one-shot timer consumed without re-arm.
-            let arms = {
-                let mut v = Vec::new();
-                for f in &cg.fns {
-                    v.extend(arms_in(toks, f.body.clone()));
-                }
-                v
-            };
+            let arms: Vec<Arm> = nodes
+                .iter()
+                .flat_map(|&n| arms_in(toks, g.fns[n].body.clone()))
+                .collect();
             // Handler regions per scheduled variant: the matching arms plus
             // every same-file function reachable from them.
             struct Region {
                 variant: String,
-                arms: Vec<crate::cfg::Arm>,
+                arms: Vec<Arm>,
                 fns: BTreeSet<usize>,
             }
             let regions: Vec<Region> = scheduled
                 .iter()
                 .map(|variant| {
-                    let handler_arms: Vec<crate::cfg::Arm> = arms
+                    let handler_arms: Vec<Arm> = arms
                         .iter()
                         .filter(|a| range_has_path(toks, a.pattern.clone(), "Msg", variant))
                         .cloned()
                         .collect();
-                    let mut roots: BTreeSet<usize> = BTreeSet::new();
-                    for arm in &handler_arms {
-                        for name in call_names(toks, arm.body.clone()) {
-                            roots.extend(cg.named(&name).iter().copied());
-                        }
-                    }
-                    let fns = cg.reachable(roots);
+                    let roots = nodes
+                        .iter()
+                        .flat_map(|&n| &g.calls[n])
+                        .filter(|s| handler_arms.iter().any(|a| a.body.contains(&s.tok)))
+                        .map(|s| s.target);
                     Region {
                         variant: variant.clone(),
+                        fns: g.reachable_in_file(roots, fi),
                         arms: handler_arms,
-                        fns,
                     }
                 })
                 .collect();
             let region_contains = |r: &Region, idx: usize| -> bool {
                 r.arms.iter().any(|a| a.body.contains(&idx))
-                    || r.fns.iter().any(|&f| cg.fns[f].body.contains(&idx))
+                    || r.fns.iter().any(|&f| g.fns[f].body.contains(&idx))
             };
             let removals = method_calls(toks, whole.clone(), &["remove", "clear", "retain"]);
             for region in &regions {
                 if region.arms.is_empty() {
-                    continue; // TIME002's territory
+                    continue; // an unhandled timer is FLOW001's territory
                 }
                 let variant = &region.variant;
                 let handler_set = &region.fns;
@@ -352,8 +292,8 @@ impl Pass for TimePass {
                 // Any handler-reachable insert into a swept collection must
                 // re-arm the timer on its path (in the inserting function or
                 // around every handler-side call into it).
-                for &fi in handler_set {
-                    let f = &cg.fns[fi];
+                for &fnode in handler_set {
+                    let f = &g.fns[fnode];
                     let inserts: Vec<MethodCall> = method_calls(toks, f.body.clone(), &["insert"])
                         .into_iter()
                         .filter(|c| swept.contains(&c.coll))
@@ -364,21 +304,21 @@ impl Pass for TimePass {
                     let cfg = build_cfg(toks, f.body.clone());
                     let gens = schedule_gens(toks, &cfg, variant);
                     for ins in inserts {
-                        let mut ok = armed_on_path(toks, &cfg, &gens, ins.idx);
+                        let mut ok = covered_on_every_path(&cfg, &gens, ins.idx);
                         if !ok {
                             // Caller-level cover: every handler-side call
                             // into `f` re-arms around the call site.
                             let callers: Vec<usize> = handler_set
                                 .iter()
                                 .copied()
-                                .filter(|&g| cg.callees[g].contains(&fi))
+                                .filter(|&c| g.callees[c].contains(&fnode))
                                 .collect();
                             ok = !callers.is_empty()
-                                && callers.iter().all(|&g| {
-                                    let gf = &cg.fns[g];
-                                    let gcfg = build_cfg(toks, gf.body.clone());
-                                    let ggens = schedule_gens(toks, &gcfg, variant);
-                                    let call_sites: Vec<usize> = (gf.body.clone())
+                                && callers.iter().all(|&c| {
+                                    let cf = &g.fns[c];
+                                    let ccfg = build_cfg(toks, cf.body.clone());
+                                    let cgens = schedule_gens(toks, &ccfg, variant);
+                                    let call_sites: Vec<usize> = (cf.body.clone())
                                         .filter(|&k| {
                                             toks[k].is_ident(&f.name)
                                                 && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
@@ -387,7 +327,7 @@ impl Pass for TimePass {
                                     !call_sites.is_empty()
                                         && call_sites
                                             .iter()
-                                            .all(|&k| armed_on_path(toks, &gcfg, &ggens, k))
+                                            .all(|&k| covered_on_every_path(&ccfg, &cgens, k))
                                 });
                         }
                         if !ok {

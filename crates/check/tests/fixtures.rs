@@ -168,112 +168,6 @@ impl ReplicaActor {
     );
 }
 
-// ---- locks ----
-
-#[test]
-fn lock_order_cycle_fires() {
-    let w = ws(&[(
-        "crates/cluster/src/node.rs",
-        r#"
-impl Node {
-    fn route_then_conn(&self) {
-        let g = self.routes.lock().unwrap();
-        self.conns.lock().unwrap().clear();
-    }
-    fn conn_then_route(&self) {
-        let g = self.conns.lock().unwrap();
-        self.routes.lock().unwrap().clear();
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "locks");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "LOCK001")
-        .expect("LOCK001 must fire on an order inversion");
-    assert!(hit.message.contains("routes") && hit.message.contains("conns"));
-    assert_eq!(hit.file, "crates/cluster/src/node.rs");
-    assert!(hit.line > 1);
-}
-
-#[test]
-fn lock_self_reacquisition_fires() {
-    let w = ws(&[(
-        "crates/cluster/src/node.rs",
-        r#"
-impl Node {
-    fn double_lock(&self) {
-        let g = self.routes.lock().unwrap();
-        self.routes.lock().unwrap().clear();
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "locks");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "LOCK002")
-        .expect("LOCK002 must fire on re-locking a held lock");
-    assert!(hit.message.contains("routes"));
-    assert_eq!(hit.line, 5);
-}
-
-#[test]
-fn lock_cycle_through_same_file_call_fires() {
-    // a holds `routes` and calls helper; helper locks `conns`; b orders them
-    // the other way round directly.
-    let w = ws(&[(
-        "crates/cluster/src/node.rs",
-        r#"
-impl Node {
-    fn helper(&self) {
-        self.conns.lock().unwrap().clear();
-    }
-    fn a(&self) {
-        let g = self.routes.lock().unwrap();
-        helper();
-    }
-    fn b(&self) {
-        let g = self.conns.lock().unwrap();
-        self.routes.lock().unwrap().clear();
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "locks");
-    assert!(
-        diags.iter().any(|d| d.code == "LOCK001"),
-        "call-through edge must close the cycle: {diags:?}"
-    );
-}
-
-#[test]
-fn lock_plain_if_condition_guard_is_not_held() {
-    // The tcp.rs send() shape: a plain `if` condition's guard temporary is
-    // dropped before the block runs, so re-locking inside is fine.
-    let w = ws(&[(
-        "crates/cluster/src/tcp.rs",
-        r#"
-impl Transport {
-    fn send(&self) {
-        if self.local.lock().unwrap().contains_key(&k) {
-            self.deliver(env);
-        }
-    }
-    fn deliver(&self) {
-        let mailbox = self.local.lock().unwrap().get(&k).cloned();
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "locks");
-    assert!(
-        diags.is_empty(),
-        "plain-if condition must not count as held: {diags:?}"
-    );
-}
-
 // ---- determinism ----
 
 #[test]
@@ -446,53 +340,6 @@ impl CoordinatorActor {
 }
 
 #[test]
-fn time_scheduled_but_unhandled_timer_fires() {
-    let w = ws(&[(
-        "crates/mdcc/src/gc.rs",
-        r#"
-impl GcActor {
-    fn arm(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(delay, Msg::GcTick);
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "time");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "TIME002")
-        .expect("TIME002 must fire for an unhandled timer");
-    assert!(hit.message.contains("Msg::GcTick"));
-    assert_eq!(hit.file, "crates/mdcc/src/gc.rs");
-    assert_eq!(hit.line, 4);
-}
-
-#[test]
-fn time_handled_timer_is_quiet() {
-    let w = ws(&[(
-        "crates/mdcc/src/gc.rs",
-        r#"
-impl GcActor {
-    fn arm(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(delay, Msg::GcTick);
-    }
-    fn on_message(&mut self, msg: Msg) {
-        match msg {
-            Msg::GcTick => self.sweep(),
-            _ => {}
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "time");
-    assert!(
-        !diags.iter().any(|d| d.code == "TIME002"),
-        "handled timer must be quiet: {diags:?}"
-    );
-}
-
-#[test]
 fn time_oneshot_handler_insert_without_rearm_fires() {
     // The `recent` map shape: only the TxnTimeout handler reclaims it, and
     // the handler path inserts after consuming the one-shot timer.
@@ -558,143 +405,6 @@ impl CoordinatorActor {
         !diags.iter().any(|d| d.code == "TIME003"),
         "re-armed handler must be quiet: {diags:?}"
     );
-}
-
-// ---- callback ----
-
-#[test]
-fn callback_lock_in_registered_closure_fires() {
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.callbacks.push(Box::new(move |ev| {
-            let g = state.lock();
-            g.record(ev);
-        }));
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "CB001")
-        .expect("CB001 must fire on a lock in a callback");
-    assert_eq!(hit.file, "crates/core/src/txn.rs");
-    assert_eq!(hit.line, 5);
-}
-
-#[test]
-fn callback_lock_via_same_file_helper_fires() {
-    // The closure itself is clean; the helper it calls takes the lock.
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.on_progress(move |ev| apply(ev));
-    }
-}
-fn apply(ev: Event) {
-    let g = STATE.lock();
-    g.record(ev);
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "CB001")
-        .expect("CB001 must follow the call into the helper");
-    assert_eq!(hit.line, 8);
-}
-
-#[test]
-fn callback_blocking_recv_and_sync_channel_fire() {
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.callbacks.push(Box::new(move |ev| {
-            let ack = reply_rx.recv();
-            let (tx, rx) = sync_channel(1);
-        }));
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    let hits: Vec<_> = diags.iter().filter(|d| d.code == "CB002").collect();
-    assert_eq!(hits.len(), 2, "recv + sync_channel: {diags:?}");
-    assert_eq!(hits[0].line, 5);
-    assert_eq!(hits[1].line, 6);
-}
-
-#[test]
-fn callback_engine_reentry_fires() {
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.on_progress(move |ev| {
-            engine.submit(follow_up(ev));
-        });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "CB003")
-        .expect("CB003 must fire on submit from a callback");
-    assert!(hit.message.contains("submit"));
-    assert_eq!(hit.line, 5);
-}
-
-#[test]
-fn callback_nonblocking_forward_is_quiet() {
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.callbacks.push(Box::new(move |ev| {
-            let _ = tx.send(ev);
-        }));
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    assert!(
-        diags.is_empty(),
-        "an unbounded-channel forward is the sanctioned shape: {diags:?}"
-    );
-}
-
-#[test]
-fn callback_allow_marker_suppresses() {
-    let w = ws(&[(
-        "crates/core/src/txn.rs",
-        r#"
-impl PlanetTxn {
-    fn register(&mut self) {
-        self.callbacks.push(Box::new(move |ev| {
-            // check:allow(callback): metrics mutex is never held across fire
-            let g = metrics.lock();
-            g.bump(ev);
-        }));
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "callback");
-    assert!(diags.is_empty(), "allow marker must suppress: {diags:?}");
 }
 
 // ---- panic ----
@@ -938,6 +648,68 @@ impl ReplicaActor {
     assert!(
         diags.is_empty(),
         "routed + handled must be quiet: {diags:?}"
+    );
+}
+
+#[test]
+fn flow_scheduled_but_unhandled_timer_fires_at_schedule() {
+    // A timer is a message like any other: scheduling `Msg::TxnTimeout`
+    // that the coordinator never matches leaves the wait it bounds
+    // unbounded.
+    let w = ws(&[
+        (
+            "crates/mdcc/src/messages.rs",
+            "\npub enum Msg {\n    TxnTimeout { txn: u64 },\n}\n",
+        ),
+        (
+            "crates/mdcc/src/gc.rs",
+            r#"
+impl GcActor {
+    fn arm(&mut self, ctx: &mut Ctx) {
+        ctx.schedule(delay, Msg::TxnTimeout { txn });
+    }
+}
+"#,
+        ),
+    ]);
+    let diags = run(&w, "flow");
+    let hit = diags
+        .iter()
+        .find(|d| d.code == "FLOW001")
+        .expect("FLOW001 must fire for an unhandled timer");
+    assert!(hit.message.contains("Msg::TxnTimeout"), "{}", hit.message);
+    assert_eq!(hit.file, "crates/mdcc/src/gc.rs");
+    assert_eq!(hit.line, 4);
+}
+
+#[test]
+fn flow_handled_timer_is_quiet() {
+    let w = ws(&[
+        (
+            "crates/mdcc/src/messages.rs",
+            "\npub enum Msg {\n    TxnTimeout { txn: u64 },\n}\n",
+        ),
+        (
+            "crates/mdcc/src/coordinator.rs",
+            r#"
+impl CoordinatorActor {
+    fn arm(&mut self, ctx: &mut Ctx) {
+        ctx.schedule(delay, Msg::TxnTimeout { txn });
+    }
+    fn on_message(&mut self, msg: Msg) {
+        match msg {
+            Msg::TxnTimeout { txn } => self.sweep(txn),
+            _ => {}
+        }
+    }
+}
+"#,
+        ),
+    ]);
+    let diags = run(&w, "flow");
+    assert!(
+        !diags.iter().any(|d| d.code == "FLOW001"),
+        "handled timer must be quiet: {diags:?}"
     );
 }
 
@@ -1279,18 +1051,47 @@ impl Fabric {{
 // ---- race ----
 
 #[test]
-fn race_unsynced_field_escaping_spawn_fires_and_allow_suppresses() {
+fn race_lock_order_inversion_fires_at_each_nested_acquisition() {
+    // Both edges of a two-lock cycle are a lock taken under another's
+    // guard.
     let w = ws(&[(
         "crates/cluster/src/node.rs",
         r#"
-pub struct Node {
-    stats: HashMap<u64, u64>,
-}
 impl Node {
-    fn start(&mut self) {
-        std::thread::spawn(move || {
-            self.stats.insert(1, 2);
-        });
+    fn route_then_conn(&self) {
+        let g = self.routes.lock().unwrap();
+        self.conns.lock().unwrap().clear();
+    }
+    fn conn_then_route(&self) {
+        let g = self.conns.lock().unwrap();
+        self.routes.lock().unwrap().clear();
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "race");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "RACE002").collect();
+    let lines: Vec<u32> = hits.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [5, 9], "{diags:?}");
+    assert!(
+        hits[1]
+            .message
+            .contains("`routes` is locked in `conn_then_route` while `conns` is held"),
+        "{}",
+        hits[1].message
+    );
+    assert_eq!(hits[1].file, "crates/cluster/src/node.rs");
+}
+
+#[test]
+fn race_self_reacquisition_fires() {
+    let w = ws(&[(
+        "crates/cluster/src/node.rs",
+        r#"
+impl Node {
+    fn double_lock(&self) {
+        let g = self.routes.lock().unwrap();
+        self.routes.lock().unwrap().clear();
     }
 }
 "#,
@@ -1298,83 +1099,103 @@ impl Node {
     let diags = run(&w, "race");
     let hit = diags
         .iter()
-        .find(|d| d.code == "RACE001")
-        .expect("RACE001 must fire for an unsynced field in a spawn");
-    assert!(hit.message.contains("self.stats"), "{}", hit.message);
-    assert_eq!(hit.file, "crates/cluster/src/node.rs");
-    assert_eq!(hit.line, 8);
-
-    let w = ws(&[(
-        "crates/cluster/src/node.rs",
-        r#"
-pub struct Node {
-    stats: HashMap<u64, u64>,
-}
-impl Node {
-    fn start(&mut self) {
-        std::thread::spawn(move || {
-            // check:allow(race): the spawn consumes self by move
-            self.stats.insert(1, 2);
-        });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "race");
+        .find(|d| d.code == "RACE002")
+        .expect("RACE002 must fire on re-locking a held lock");
     assert!(
-        !diags.iter().any(|d| d.code == "RACE001"),
-        "allow marker must silence RACE001: {diags:?}"
+        hit.message.contains("`routes` is locked again"),
+        "{}",
+        hit.message
     );
+    assert!(hit.message.contains("self-deadlocks"), "{}", hit.message);
+    assert_eq!(hit.line, 5);
 }
 
 #[test]
-fn race_synced_field_in_spawn_is_quiet() {
+fn race_lock_cycle_through_same_file_call_fires() {
+    // a holds `routes` and calls helper; helper locks `conns`; b orders them
+    // the other way round directly. Line 8 is the call-through edge.
     let w = ws(&[(
         "crates/cluster/src/node.rs",
         r#"
-pub struct Node {
-    stats: Arc<Mutex<HashMap<u64, u64>>>,
-}
 impl Node {
-    fn start(&mut self) {
-        std::thread::spawn(move || {
-            self.stats.lock().unwrap().insert(1, 2);
-        });
+    fn helper(&self) {
+        self.conns.lock().unwrap().clear();
+    }
+    fn a(&self) {
+        let g = self.routes.lock().unwrap();
+        helper();
+    }
+    fn b(&self) {
+        let g = self.conns.lock().unwrap();
+        self.routes.lock().unwrap().clear();
     }
 }
 "#,
     )]);
     let diags = run(&w, "race");
-    assert!(
-        !diags.iter().any(|d| d.code == "RACE001"),
-        "a Mutex-wrapped field may cross threads: {diags:?}"
-    );
-}
-
-#[test]
-fn race_unsynced_arc_local_escaping_spawn_fires() {
-    let w = ws(&[(
-        "crates/cluster/src/plane.rs",
-        r#"
-impl Plane {
-    fn start(&mut self) {
-        let shared: Arc<Vec<u64>> = Arc::new(Vec::new());
-        std::thread::spawn(move || {
-            shared.len();
-        });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "race");
-    let hit = diags
+    let lines: Vec<u32> = diags
         .iter()
-        .find(|d| d.code == "RACE001")
-        .expect("RACE001 must fire for a bare-Arc capture");
-    assert!(hit.message.contains("shared"), "{}", hit.message);
-    assert!(hit.message.contains("Arc"), "{}", hit.message);
-    assert_eq!(hit.file, "crates/cluster/src/plane.rs");
-    assert_eq!(hit.line, 6);
+        .filter(|d| d.code == "RACE002")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, [8, 12], "both edges of the cycle: {diags:?}");
+}
+
+#[test]
+fn race_plain_if_condition_guard_is_not_held() {
+    // The tcp.rs send() shape: a plain `if` condition's guard temporary is
+    // dropped before the block runs, so re-locking inside is fine.
+    let w = ws(&[(
+        "crates/cluster/src/tcp.rs",
+        r#"
+impl Transport {
+    fn send(&self) {
+        if self.local.lock().unwrap().contains_key(&k) {
+            self.deliver(env);
+        }
+    }
+    fn deliver(&self) {
+        let mailbox = self.local.lock().unwrap().get(&k).cloned();
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "race");
+    assert!(
+        diags.is_empty(),
+        "plain-if condition must not count as held: {diags:?}"
+    );
+}
+
+#[test]
+fn race_read_write_lock_only_on_rwlock_fields() {
+    // `.read()` under a guard is an acquisition on an `RwLock` field, and
+    // just a method call on anything else.
+    let w = ws(&[(
+        "crates/cluster/src/node.rs",
+        r#"
+pub struct Node {
+    routes: RwLock<Routes>,
+    conns: Mutex<Conns>,
+    log: Journal,
+}
+impl Node {
+    fn refresh(&self) {
+        let g = self.conns.lock().unwrap();
+        let r = self.routes.read().unwrap();
+        self.log.read();
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "race");
+    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [10], "only the RwLock read: {diags:?}");
+    assert!(
+        diags[0].message.contains("`routes`"),
+        "{}",
+        diags[0].message
+    );
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! and the passes rooted on it must surface findings across crate
 //! boundaries.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use planet_check::passes::find_paths;
@@ -210,5 +211,98 @@ fn seeded_mailbox_push_without_its_waker_trips_wake001() {
             .iter()
             .any(|d| d.code == "WAKE001" && d.message.contains("mailbox enqueue")),
         "an enqueue that wakes nobody must fire WAKE001: {diags:#?}"
+    );
+}
+
+/// Diagnostic codes named in `text`: two or more capitals and three digits
+/// (`FLOW001`), with the shorthands the docs use expanded — a range
+/// `TIME001–003` (en dash or hyphen) names every code in it, and
+/// `DET001/2` names `DET002` too.
+fn codes_in(text: &str) -> BTreeSet<String> {
+    let b = text.as_bytes();
+    let mut out = BTreeSet::new();
+    let mut i = 0;
+    while i < b.len() {
+        if !b[i].is_ascii_uppercase() || (i > 0 && b[i - 1].is_ascii_alphanumeric()) {
+            i += 1;
+            continue;
+        }
+        let p_end = i + b[i..].iter().take_while(|c| c.is_ascii_uppercase()).count();
+        let d_end = p_end + b[p_end..].iter().take_while(|c| c.is_ascii_digit()).count();
+        if p_end - i < 2 || d_end - p_end != 3 || b.get(d_end).is_some_and(u8::is_ascii_alphabetic)
+        {
+            i = p_end;
+            continue;
+        }
+        let prefix = &text[i..p_end];
+        let Ok(first) = text[p_end..d_end].parse::<u32>() else {
+            i = d_end;
+            continue;
+        };
+        out.insert(format!("{prefix}{first:03}"));
+        let rest = &text[d_end..];
+        let (sep, range) = match rest.chars().next() {
+            Some(c @ ('–' | '-')) => (c.len_utf8(), true),
+            Some('/') => (1, false),
+            _ => (0, false),
+        };
+        let digits: String = rest[sep..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        if let (true, Ok(last)) = (sep > 0, digits.parse::<u32>()) {
+            let from = if range { first + 1 } else { last };
+            for n in from..=last {
+                out.insert(format!("{prefix}{n:03}"));
+            }
+        }
+        i = d_end;
+    }
+    out
+}
+
+/// The docs name only codes a pass can emit, and DESIGN.md names every
+/// one: a deleted code fails here while any README/DESIGN sentence or
+/// baseline row still describes it, and a new code fails until DESIGN.md
+/// describes it.
+#[test]
+fn docs_name_only_live_codes() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let passes = root.join("crates/check/src/passes");
+    let mut live = BTreeSet::new();
+    for entry in std::fs::read_dir(&passes).expect("passes dir") {
+        let src = std::fs::read_to_string(entry.expect("dir entry").path()).expect("pass source");
+        live.extend(
+            codes_in(&src)
+                .into_iter()
+                .filter(|code| src.contains(&format!("\"{code}\""))),
+        );
+    }
+    assert!(live.contains("RACE002"), "code literals found: {live:?}");
+
+    let mut design = BTreeSet::new();
+    for doc in ["README.md", "DESIGN.md", "check-baseline.tsv"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc");
+        let named = codes_in(&text);
+        let dead: Vec<_> = named.difference(&live).collect();
+        assert!(dead.is_empty(), "{doc} names codes no pass emits: {dead:?}");
+        if doc == "DESIGN.md" {
+            design = named;
+        }
+    }
+    let undocumented: Vec<_> = live.difference(&design).collect();
+    assert!(
+        undocumented.is_empty(),
+        "DESIGN.md does not describe {undocumented:?}"
+    );
+}
+
+#[test]
+fn code_scanner_expands_ranges_and_alternatives() {
+    let codes = codes_in("TIME001–003, DET001/2, ATOM001-002 and FLOW004; not G1c or WIRE1");
+    let codes: Vec<&str> = codes.iter().map(String::as_str).collect();
+    assert_eq!(
+        codes,
+        ["ATOM001", "ATOM002", "DET001", "DET002", "FLOW004", "TIME001", "TIME002", "TIME003"]
     );
 }
