@@ -51,7 +51,7 @@ fn bench_likelihood(h: &mut Harness) {
             KeyState {
                 accepts: 1,
                 rejects: 0,
-                outstanding: vec![1, 2, 3, 4],
+                outstanding: (1..5).collect(),
                 pending_at_read: 1,
                 key_hash: 42,
                 quorum: 4,
@@ -60,7 +60,7 @@ fn bench_likelihood(h: &mut Harness) {
             KeyState {
                 accepts: 0,
                 rejects: 0,
-                outstanding: vec![0, 1, 2, 3, 4],
+                outstanding: (0..5).collect(),
                 pending_at_read: 0,
                 key_hash: 43,
                 quorum: 4,

@@ -60,7 +60,7 @@ fn measure(quorum: bool, rounds: u64, seed: u64) -> (f64, u64, u64) {
         }
         let record = db.record(*r).expect("transaction was recorded");
         reads.push(record.latency.as_micros());
-        if record.reads.first().map(|(_, v, _)| v) == Some(&Value::Int(round as i64 + 1)) {
+        if record.reads.first().map(|r| &r.value) == Some(&Value::Int(round as i64 + 1)) {
             fresh += 1;
         }
     }

@@ -16,7 +16,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::{skip_group, typed_lets};
-use crate::passes::in_ranges;
+use crate::passes::{flag, in_ranges};
 
 /// Crates whose `src` trees must stay deterministic.
 const SCOPES: &[&str] = &[
@@ -117,20 +117,6 @@ fn hash_names(file: &SourceFile) -> BTreeSet<String> {
     names
 }
 
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("determinism", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
-}
-
 /// The determinism pass.
 pub struct DeterminismPass;
 
@@ -167,6 +153,7 @@ impl Pass for DeterminismPass {
                         flag(
                             out,
                             file,
+                            "determinism",
                             code,
                             t.line,
                             format!(
@@ -189,6 +176,7 @@ impl Pass for DeterminismPass {
                                 flag(
                                     out,
                                     file,
+                                    "determinism",
                                     "DET004",
                                     m.line,
                                     format!(
@@ -223,6 +211,7 @@ impl Pass for DeterminismPass {
                                         flag(
                                             out,
                                             file,
+                                            "determinism",
                                             "DET004",
                                             name_tok.line,
                                             format!(

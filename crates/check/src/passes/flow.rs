@@ -33,11 +33,11 @@ use std::ops::Range;
 use crate::cfg::{build_cfg, covered_on_every_path, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::Tok;
-use crate::model::{Pass, SourceFile, Workspace};
+use crate::model::{Pass, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
 use crate::passes::find_paths;
-use crate::passes::in_ranges;
+use crate::passes::{flag, in_ranges};
 
 /// The message enum's home.
 const MSG_FILE: &str = "crates/mdcc/src/messages.rs";
@@ -245,20 +245,6 @@ fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, idx: usize) -> bool {
     covered_on_every_path(cfg, &gens, idx)
 }
 
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("flow", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
-}
-
 /// The message-flow pass.
 pub struct FlowPass;
 
@@ -322,6 +308,7 @@ impl Pass for FlowPass {
                 flag(
                     out,
                     msg_file,
+                    "flow",
                     "FLOW001",
                     v.line,
                     format!(
@@ -344,6 +331,7 @@ impl Pass for FlowPass {
                 flag(
                     out,
                     &files[first.file],
+                    "flow",
                     "FLOW001",
                     first.line,
                     format!(
@@ -364,6 +352,7 @@ impl Pass for FlowPass {
                 flag(
                     out,
                     msg_file,
+                    "flow",
                     "FLOW003",
                     v.line,
                     format!("`Msg::{}` is never sent: dead wire surface", v.name),
@@ -376,6 +365,7 @@ impl Pass for FlowPass {
                 flag(
                     out,
                     msg_file,
+                    "flow",
                     "FLOW003",
                     v.line,
                     format!(
@@ -423,6 +413,7 @@ impl Pass for FlowPass {
                             flag(
                                 out,
                                 f,
+                                "flow",
                                 "FLOW002",
                                 h.line,
                                 format!(
@@ -459,6 +450,7 @@ impl Pass for FlowPass {
                 flag(
                     out,
                     f,
+                    "flow",
                     "FLOW002",
                     first.line,
                     "client sends `Msg::Submit` but this file never arms a client-side timer — one lost reply wedges the closed loop forever".to_string(),
@@ -506,6 +498,7 @@ impl Pass for FlowPass {
                         flag(
                             out,
                             f,
+                            "flow",
                             "FLOW004",
                             line,
                             format!(

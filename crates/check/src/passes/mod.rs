@@ -13,7 +13,26 @@ pub mod state;
 pub mod sync;
 pub mod time;
 
+use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
+use crate::model::SourceFile;
+
+/// Report `code` at `line` of `file`, unless the line (or the one above it)
+/// carries `// check:allow(<allow>)`: `allow` is the pass's marker name.
+pub(crate) fn flag(
+    out: &mut Vec<Diagnostic>,
+    file: &SourceFile,
+    allow: &str,
+    code: &'static str,
+    line: u32,
+    message: String,
+    suggestion: &str,
+) {
+    if file.allowed(allow, line) {
+        return;
+    }
+    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
+}
 
 /// True when token index `idx` lies in one of `ranges`.
 pub(crate) fn in_ranges(ranges: &[std::ops::Range<usize>], idx: usize) -> bool {

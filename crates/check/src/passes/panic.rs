@@ -43,9 +43,9 @@ use std::ops::Range;
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
-use crate::model::{Pass, SourceFile, Workspace};
+use crate::model::{Pass, Workspace};
 use crate::passes::determinism::cfg_test_ranges;
-use crate::passes::in_ranges;
+use crate::passes::{flag, in_ranges};
 
 /// Scope → root function names. Every name must resolve to a function
 /// under its scope in the real workspace (a self-test holds it to that): a
@@ -78,20 +78,6 @@ fn is_poison_unwrap(toks: &[Tok], i: usize) -> bool {
         && (toks[i - 4].is_ident("lock")
             || toks[i - 4].is_ident("read")
             || toks[i - 4].is_ident("write"))
-}
-
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("panic", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
 }
 
 /// The panic-reachability pass.
@@ -160,6 +146,7 @@ impl Pass for PanicPass {
                     flag(
                         out,
                         file,
+                        "panic",
                         "PANIC001",
                         t.line,
                         format!(
@@ -177,6 +164,7 @@ impl Pass for PanicPass {
                     flag(
                         out,
                         file,
+                        "panic",
                         "PANIC002",
                         t.line,
                         format!("`{}!` reachable from actor drive loop (via {via})", t.text),
@@ -188,6 +176,7 @@ impl Pass for PanicPass {
                     flag(
                         out,
                         file,
+                        "panic",
                         "PANIC002",
                         t.line,
                         format!(

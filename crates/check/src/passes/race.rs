@@ -39,7 +39,7 @@ use crate::lexer::Tok;
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
-use crate::passes::in_ranges;
+use crate::passes::{flag, in_ranges};
 
 const SCOPE: &str = "crates/cluster/src/";
 
@@ -149,20 +149,6 @@ fn typed_bindings(
         }
     }
     out
-}
-
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("race", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
 }
 
 /// A live lock guard while scanning a function body.
@@ -304,6 +290,7 @@ impl Pass for RacePass {
                             flag(
                                 out,
                                 file,
+                                "race",
                                 "RACE003",
                                 toks[i].line,
                                 format!("`{}.clone()` {what}", recv.text),
@@ -361,6 +348,7 @@ impl Pass for RacePass {
                             flag(
                                 out,
                                 file,
+                                "race",
                                 "RACE002",
                                 t.line,
                                 message,
@@ -428,6 +416,7 @@ impl Pass for RacePass {
                                 flag(
                                     out,
                                     file,
+                                    "race",
                                     "RACE002",
                                     t.line,
                                     format!(
@@ -450,6 +439,7 @@ impl Pass for RacePass {
                                     flag(
                                         out,
                                         file,
+                                        "race",
                                         "RACE002",
                                         t.line,
                                         format!(

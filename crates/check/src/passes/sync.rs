@@ -51,7 +51,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
-use crate::passes::in_ranges;
+use crate::passes::{flag, in_ranges};
 
 const SCOPE: &str = "crates/cluster/src/";
 
@@ -282,20 +282,6 @@ fn cover_gens(toks: &[Tok], cfg: &Cfg, cover: &[&str]) -> Vec<u64> {
         .collect()
 }
 
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("atomics", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
-}
-
 /// The atomics/wakeup pass.
 pub struct SyncPass;
 
@@ -356,6 +342,7 @@ impl SyncPass {
             flag(
                 out,
                 file,
+                "atomics",
                 "ATOM001",
                 line,
                 format!(
@@ -397,6 +384,7 @@ impl SyncPass {
                         flag(
                             out,
                             file,
+                            "atomics",
                             "ATOM001",
                             op.line,
                             format!(
@@ -412,6 +400,7 @@ impl SyncPass {
                         flag(
                             out,
                             file,
+                            "atomics",
                             "ATOM002",
                             op.line,
                             format!(
@@ -433,6 +422,7 @@ impl SyncPass {
                         flag(
                             out,
                             file,
+                            "atomics",
                             "ATOM001",
                             op.line,
                             format!(
@@ -454,6 +444,7 @@ impl SyncPass {
                         flag(
                             out,
                             file,
+                            "atomics",
                             "ATOM001",
                             op.line,
                             format!(
@@ -472,6 +463,7 @@ impl SyncPass {
                     flag(
                         out,
                         file,
+                        "atomics",
                         "ATOM003",
                         op.line,
                         format!(
@@ -485,6 +477,7 @@ impl SyncPass {
                     flag(
                         out,
                         file,
+                        "atomics",
                         "ATOM003",
                         op.line,
                         format!(
@@ -498,6 +491,7 @@ impl SyncPass {
                     flag(
                         out,
                         file,
+                        "atomics",
                         "ATOM003",
                         op.line,
                         format!(
@@ -579,6 +573,7 @@ impl SyncPass {
                         flag(
                             out,
                             file,
+                            "atomics",
                             "WAKE001",
                             line,
                             format!(
@@ -636,6 +631,7 @@ impl SyncPass {
                     flag(
                         out,
                         file,
+                        "atomics",
                         "WAKE002",
                         toks[i].line,
                         format!(

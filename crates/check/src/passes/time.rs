@@ -32,8 +32,9 @@ use std::ops::Range;
 use crate::cfg::{build_cfg, covered_on_every_path, find_body_brace, match_arms, Arm, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
-use crate::model::{Pass, SourceFile, Workspace};
+use crate::model::{Pass, Workspace};
 use crate::parse::skip_group;
+use crate::passes::flag;
 
 /// Wait-tracking collections that require a per-wait timer: inserting into
 /// `collection` (in files whose path ends with `file_suffix`) must be
@@ -142,20 +143,6 @@ fn range_has_path(toks: &[Tok], range: Range<usize>, base: &str, name: &str) -> 
         .any(|h| h.name == name)
 }
 
-fn flag(
-    out: &mut Vec<Diagnostic>,
-    file: &SourceFile,
-    code: &'static str,
-    line: u32,
-    message: String,
-    suggestion: &str,
-) {
-    if file.allowed("time", line) {
-        return;
-    }
-    out.push(Diagnostic::error(code, &file.path, line, message).with_suggestion(suggestion));
-}
-
 /// The timeout-coverage pass.
 pub struct TimePass;
 
@@ -198,6 +185,7 @@ impl Pass for TimePass {
                             flag(
                                 out,
                                 file,
+                                "time",
                                 "TIME001",
                                 ins.line,
                                 format!(
@@ -334,6 +322,7 @@ impl Pass for TimePass {
                             flag(
                                 out,
                                 file,
+                                "time",
                                 "TIME003",
                                 ins.line,
                                 format!(

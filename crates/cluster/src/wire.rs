@@ -16,7 +16,7 @@ use planet_plan::{
     DeltaRef, KeyRef, KeyTemplate, OpTemplate, PlanOp, PlanParam, TemplatePart, TxnProgram,
 };
 use planet_sim::{ActorId, SimTime, SiteId};
-use planet_storage::{Bytes, Key, RecordOption, RejectReason, TxnId, Value, WriteOp};
+use planet_storage::{Bytes, Key, KeyList, RecordOption, RejectReason, TxnId, Value, WriteOp};
 
 use crate::transport::Envelope;
 
@@ -224,6 +224,23 @@ impl<T: Wire> Wire for Vec<T> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::wire_read(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Encodes exactly as a `Vec<Key>` of the same keys: the count, held to
+/// the bytes left in the frame before anything is reserved, then the keys.
+impl Wire for KeyList {
+    fn wire_write(&self, w: &mut impl Sink) {
+        w.len_prefix(self.len());
+        self.iter().for_each(|k| k.wire_write(w));
+    }
+    fn wire_read(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.len_prefix()?;
+        let mut out = KeyList::with_capacity(n);
+        for _ in 0..n {
+            out.push(Key::wire_read(r)?);
         }
         Ok(out)
     }
@@ -751,6 +768,7 @@ mod tests {
         SiteId = |r| SiteId(u8::arb(r));
         String = |r| (0..r.index(8)).map(|_| ['a', 'k', ':', 'é', '中'][r.index(5)]).collect();
         Key = |r| Key::new(String::arb(r));
+        KeyList = |r| Vec::<Key>::arb(r).into_iter().collect();
         Bytes = |r| Bytes::from((0..r.index(24)).map(|_| u8::arb(r)).collect::<Vec<u8>>());
         TxnProgram = |r| {
             let mut program = TxnProgram::new(String::arb(r));
@@ -907,7 +925,7 @@ mod tests {
             },
             Msg::ReadReq {
                 txn: TxnId::new(1, 5),
-                keys: vec![Key::new("x"), Key::new("y")],
+                keys: [Key::new("x"), Key::new("y")].into_iter().collect(),
             },
             Msg::FastPropose {
                 txn: TxnId::new(1, 5),
@@ -1322,16 +1340,50 @@ mod tests {
     /// reserved for it.
     #[test]
     fn a_count_past_the_end_of_the_frame_is_refused() {
-        let env = envelope(Msg::ReadResp {
+        let read_resp = Msg::ReadResp {
             txn: TxnId::new(1, 5),
             results: Vec::new(),
-        });
-        let mut payload = encode(&env);
-        // The results' count is the last field.
-        let at = payload.len() - 4;
-        payload[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let refused = WireError("count exceeds frame".into());
-        assert_eq!(decode(&payload).unwrap_err(), refused);
+        };
+        let read_req = Msg::ReadReq {
+            txn: TxnId::new(1, 5),
+            keys: KeyList::new(),
+        };
+        for msg in [read_resp, read_req] {
+            let mut payload = encode(&envelope(msg));
+            // The results' or keys' count is the last field.
+            let at = payload.len() - 4;
+            payload[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+            let refused = WireError("count exceeds frame".into());
+            assert_eq!(decode(&payload).unwrap_err(), refused);
+        }
+    }
+
+    /// A key list is a `Vec<Key>` on the wire, byte for byte, inline or
+    /// spilled, and decodes back to the same keys.
+    #[test]
+    fn a_key_list_encodes_as_a_vec_of_keys() {
+        let long = "a key of more than twenty-three bytes";
+        for n in 0..=4 {
+            let keys: Vec<Key> = (0..n)
+                .map(|i| {
+                    Key::new(if i == 1 {
+                        long.to_string()
+                    } else {
+                        format!("k{i}")
+                    })
+                })
+                .collect();
+            let list: KeyList = keys.iter().cloned().collect();
+            let (mut as_list, mut as_vec) = (Vec::new(), Vec::new());
+            list.wire_write(&mut as_list);
+            keys.wire_write(&mut as_vec);
+            assert_eq!(as_list, as_vec, "{n} keys");
+            let mut r = Reader {
+                buf: &as_vec,
+                shared: None,
+            };
+            assert_eq!(KeyList::wire_read(&mut r).expect("decodes"), list);
+        }
     }
 
     /// A `Read` that hands out the stream in pieces of the given sizes

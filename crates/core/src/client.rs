@@ -16,11 +16,11 @@
 use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 
-use planet_mdcc::{ClusterConfig, Msg, Outcome, ProgressStage, Protocol};
+use planet_mdcc::{ClusterConfig, KeyRead, Msg, Outcome, ProgressStage, Protocol};
 use planet_plan::{PlanId, TxnProgram};
 use planet_predict::{KeyState, LikelihoodModel};
-use planet_sim::{Actor, ActorId, Context, DetRng, SimDuration, SimTime};
-use planet_storage::{Key, TxnId, Value, VersionNo};
+use planet_sim::{Actor, ActorId, Context, DetRng, SimDuration, SimTime, SiteMask};
+use planet_storage::{Key, TxnId};
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::txn::{ChainTrigger, FinalOutcome, PlanetTxn, Stage, TxnEvent, TxnHandle};
@@ -102,9 +102,10 @@ pub struct TxnRecord {
     pub deadline_likelihood: Option<f64>,
     /// The full prediction trace (one point per observed event).
     pub predictions: Vec<PredictionPoint>,
-    /// The transaction's read results: `(key, value, version)` per touched
-    /// key, as served by the configured read level.
-    pub reads: Vec<(Key, Value, VersionNo)>,
+    /// The transaction's read results, one per touched key, as served by
+    /// the configured read level: the coordinator's `ReadsDone` vector
+    /// itself, its byte values owned at rest.
+    pub reads: Vec<KeyRead>,
 }
 
 impl TxnRecord {
@@ -125,7 +126,7 @@ struct LiveTxn {
     deadline_likelihood: Option<f64>,
     predictions: Vec<PredictionPoint>,
     votes_seen: usize,
-    reads: Vec<(Key, Value, VersionNo)>,
+    reads: Vec<KeyRead>,
 }
 
 /// The per-site PLANET client actor.
@@ -153,6 +154,9 @@ pub struct ClientActor {
     programs: HashMap<PlanId, TxnProgram>,
     /// Scratch of one submission: its write keys' hashes.
     key_hashes: Vec<u64>,
+    /// Per-key vote state vectors of finished transactions, emptied with
+    /// their capacity kept, for the next submissions to reuse.
+    spare_keys: Vec<Vec<(Key, KeyState)>>,
     /// Where every staged transaction's events are also sent (a live
     /// front end's event stream).
     events: Option<Sender<TxnEvent>>,
@@ -183,6 +187,7 @@ impl ClientActor {
             source_think: HashMap::new(),
             programs: HashMap::new(),
             key_hashes: Vec::new(),
+            spare_keys: Vec::new(),
             events: None,
         }
     }
@@ -341,10 +346,10 @@ impl ClientActor {
     }
 
     /// The sites whose votes on `key` are awaited.
-    fn voting_sites(&self, key: &Key) -> Vec<u8> {
+    fn voting_sites(&self, key: &Key) -> SiteMask {
         match self.config.protocol {
             Protocol::Fast | Protocol::Classic => (0..self.config.num_sites as u8).collect(),
-            Protocol::TwoPc => vec![self.config.master_of(key).0],
+            Protocol::TwoPc => std::iter::once(self.config.master_of(key).0).collect(),
         }
     }
 
@@ -445,26 +450,27 @@ impl ClientActor {
         }
 
         // Initialise per-key vote tracking.
-        let keys: Vec<(Key, KeyState)> = txn
-            .spec
-            .writes
-            .iter()
-            .zip(&self.key_hashes)
-            .map(|((key, _), &key_hash)| {
-                (
-                    key.clone(),
-                    KeyState {
-                        accepts: 0,
-                        rejects: 0,
-                        outstanding: self.voting_sites(key),
-                        pending_at_read: 0,
-                        key_hash,
-                        quorum,
-                        voters,
-                    },
-                )
-            })
-            .collect();
+        let mut keys = self.spare_keys.pop().unwrap_or_default();
+        keys.extend(
+            txn.spec
+                .writes
+                .iter()
+                .zip(&self.key_hashes)
+                .map(|((key, _), &key_hash)| {
+                    (
+                        key.clone(),
+                        KeyState {
+                            accepts: 0,
+                            rejects: 0,
+                            outstanding: self.voting_sites(key),
+                            pending_at_read: 0,
+                            key_hash,
+                            quorum,
+                            voters,
+                        },
+                    )
+                }),
+        );
 
         if let Some(deadline) = txn.deadline {
             ctx.schedule(
@@ -586,10 +592,10 @@ impl ClientActor {
     ) {
         match stage {
             ProgressStage::Started => self.on_progress_point(tag, Stage::Reading, ctx),
-            ProgressStage::ReadsDone { reads } => {
+            ProgressStage::ReadsDone { mut reads } => {
                 if let Some(live) = self.live.get_mut(&tag) {
                     live.proposals_at = Some(ctx.now());
-                    for mut read in reads {
+                    for read in &mut reads {
                         self.admission.observe_pending(read.pending);
                         for (key, ks) in &mut live.keys {
                             if key == &read.key {
@@ -598,8 +604,8 @@ impl ClientActor {
                         }
                         // A record outlives the message it was decoded from.
                         read.value.own_at_rest();
-                        live.reads.push((read.key, read.value, read.version));
                     }
+                    live.reads = reads;
                 }
                 self.on_progress_point(tag, Stage::Voting, ctx);
             }
@@ -626,7 +632,7 @@ impl ClientActor {
                     let mut key_hash = 0;
                     for (k, ks) in &mut live.keys {
                         if k == &key {
-                            ks.outstanding.retain(|&s| s != site.0);
+                            ks.outstanding.remove(site);
                             if accept {
                                 ks.accepts += 1;
                             } else {
@@ -728,12 +734,16 @@ impl ClientActor {
             FinalOutcome::TimedOut => ctx.metrics().counter("planet.timedout").inc(),
             FinalOutcome::Rejected | FinalOutcome::Cancelled => {}
         }
+        let mut keys = live.keys;
+        let write_keys = keys.len();
+        keys.clear();
+        self.spare_keys.push(keys);
         self.records.push(TxnRecord {
             handle,
             outcome: final_outcome,
             submitted_at: live.submitted_at,
             latency,
-            write_keys: live.keys.len(),
+            write_keys,
             speculated_at: live.speculated_at,
             deadline_likelihood: live.deadline_likelihood,
             predictions: live.predictions,

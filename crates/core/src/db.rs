@@ -576,7 +576,7 @@ impl Planet<Sim> {
             .iter()
             .map(|(key, _)| {
                 let (quorum, voters, outstanding) = match config.protocol {
-                    Protocol::TwoPc => (1, 1, vec![config.master_of(key).0]),
+                    Protocol::TwoPc => (1, 1, std::iter::once(config.master_of(key).0).collect()),
                     _ => (
                         config.required_quorum(),
                         config.num_sites,

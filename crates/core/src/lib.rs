@@ -42,7 +42,7 @@ pub use txn::{
 };
 
 // Re-export the vocabulary types applications need.
-pub use planet_mdcc::{Protocol, TxnSpec};
+pub use planet_mdcc::{KeyRead, Protocol, TxnSpec};
 pub use planet_plan::{
     CompiledPlan, DeltaRef, KeyRef, KeyTemplate, OpTemplate, PlanError, PlanId, PlanParam,
     TxnProgram,

@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use planet_core::{
-    ChainTrigger, DeltaRef, Fabric, FinalOutcome, Key, KeyRef, Live, LiveFabric, OpTemplate,
+    ChainTrigger, DeltaRef, Fabric, FinalOutcome, KeyRead, KeyRef, Live, LiveFabric, OpTemplate,
     PlanParam, PlaneConfig, Planet, PlanetTxn, Protocol, Sim, SimDuration, TxnEvent, TxnHandle,
     TxnProgram, TxnRecord, Value,
 };
@@ -113,7 +113,7 @@ fn read_until<F: ReadBack>(
     for _ in 0..F::settle(db) {
         let handle = db.submit(site, read());
         let record = finish(db, handle);
-        if read_of(&record, key).1 == *want {
+        if read_of(&record, key).value == *want {
             return record;
         }
     }
@@ -121,9 +121,9 @@ fn read_until<F: ReadBack>(
 }
 
 /// What `record` read of `key`: the key, the value and its version.
-fn read_of<'r>(record: &'r TxnRecord, key: &str) -> &'r (Key, Value, u64) {
+fn read_of<'r>(record: &'r TxnRecord, key: &str) -> &'r KeyRead {
     let mut reads = record.reads.iter();
-    reads.find(|(k, _, _)| k.as_str() == key).expect("read")
+    reads.find(|r| r.key.as_str() == key).expect("read")
 }
 
 #[test]
@@ -136,9 +136,13 @@ fn records_expose_read_results() {
         let record = read_until(&mut db, 0, read, "answer", &Value::Int(42));
         assert_eq!(record.outcome, FinalOutcome::Committed);
         assert_eq!(record.reads.len(), 2);
-        assert_eq!(read_of(&record, "answer").2, 1, "first committed version");
+        assert_eq!(
+            read_of(&record, "answer").version,
+            1,
+            "first committed version"
+        );
         let absent = read_of(&record, "absent");
-        assert_eq!((&absent.1, absent.2), (&Value::None, 0));
+        assert_eq!((&absent.value, absent.version), (&Value::None, 0));
     });
 }
 
@@ -152,7 +156,7 @@ fn recorded_byte_reads_own_their_bytes() {
         assert!(finish(&mut db, w).outcome.is_commit());
         let read = || PlanetTxn::builder().read("blob").build();
         let record = read_until(&mut db, 0, read, "blob", &bytes);
-        let Value::Bytes(recorded) = &record.reads[0].1 else {
+        let Value::Bytes(recorded) = &record.reads[0].value else {
             panic!("a byte value");
         };
         assert!(!recorded.is_view(), "the recorded read owns its bytes");

@@ -48,7 +48,7 @@ fn quorum_reads_see_past_a_stale_replica() {
     let local = db.submit(4, PlanetTxn::builder().read("fresh").build());
     db.run_for(SimDuration::from_secs(1));
     assert_eq!(
-        db.record(local).unwrap().reads[0].1,
+        db.record(local).unwrap().reads[0].value,
         Value::Int(1),
         "local read is stale"
     );
@@ -58,11 +58,11 @@ fn quorum_reads_see_past_a_stale_replica() {
     db.run_for(SimDuration::from_secs(2));
     let record = db.record(quorum).unwrap();
     assert_eq!(
-        record.reads[0].1,
+        record.reads[0].value,
         Value::Int(2),
         "quorum read must see version 2"
     );
-    assert_eq!(record.reads[0].2, 2);
+    assert_eq!(record.reads[0].version, 2);
 }
 
 #[test]

@@ -53,48 +53,11 @@
 use std::collections::{BTreeMap, HashMap};
 
 use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, SlotFinder, TxnProgram};
-use planet_sim::{Actor, ActorId, Context, SimTime, SiteId};
-use planet_storage::{Key, RecordOption, TxnId, VersionNo, WriteOp};
+use planet_sim::{Actor, ActorId, Context, SimTime, SiteId, SiteMask};
+use planet_storage::{Key, KeyList, RecordOption, TxnId, VersionNo, WriteOp};
 
 use crate::config::{ClusterConfig, Protocol};
 use crate::messages::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
-
-/// A set of sites packed into a 64-bit mask (`ClusterConfig::new` caps
-/// clusters at 64 sites). Vote tallies used to be `Vec<SiteId>` pairs — two
-/// heap allocations per written key per transaction; the mask makes vote
-/// bookkeeping allocation-free and membership tests a single AND.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SiteMask(u64);
-
-impl SiteMask {
-    fn contains(self, site: SiteId) -> bool {
-        // `& 63` keeps the shift in range even for out-of-contract ids.
-        self.0 & (1u64 << (site.0 & 63)) != 0
-    }
-
-    fn insert(&mut self, site: SiteId) {
-        self.0 |= 1u64 << (site.0 & 63);
-    }
-
-    fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    fn clear(&mut self) {
-        self.0 = 0;
-    }
-
-    /// Member sites in ascending id order.
-    fn sites(self) -> impl Iterator<Item = SiteId> {
-        (0u8..64)
-            .filter(move |b| self.0 & (1u64 << b) != 0)
-            .map(SiteId)
-    }
-}
 
 /// Vote bookkeeping for one key. `Copy`: both tallies are site masks.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -114,7 +77,7 @@ struct KeyVotes {
 /// recycled (capacities retained) when the transaction finishes —
 /// steady-state executions touch the allocator only for the payloads they
 /// ship in messages.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Exec {
     tag: u64,
     reply_to: ActorId,
@@ -151,31 +114,6 @@ struct Exec {
     /// True once reads completed and proposals went out (late `ReadResp`s
     /// are then ignored).
     reads_done: bool,
-}
-
-impl Default for Exec {
-    fn default() -> Self {
-        Exec {
-            tag: 0,
-            reply_to: ActorId(0),
-            submitted_at: SimTime::ZERO,
-            proposals_sent_at: None,
-            quorum_reads: false,
-            keys: Vec::new(),
-            routes: Vec::new(),
-            slot_of: Vec::new(),
-            ops: Vec::new(),
-            options: Vec::new(),
-            votes: Vec::new(),
-            sorted_steps: Vec::new(),
-            votes_received: 0,
-            rejections: 0,
-            read_buffer: Vec::new(),
-            read_versions: Vec::new(),
-            reads_outstanding: Vec::new(),
-            reads_done: false,
-        }
-    }
 }
 
 impl Exec {
@@ -685,7 +623,7 @@ impl CoordinatorActor {
             return;
         }
         for &(shard, _) in &exec.reads_outstanding {
-            let keys: Vec<Key> = exec
+            let keys: KeyList = exec
                 .keys
                 .iter()
                 .zip(&exec.routes)
@@ -1168,24 +1106,6 @@ mod tests {
     use planet_plan::{KeyRef, KeyTemplate, OpTemplate};
     use planet_sim::DetRng;
     use std::collections::HashSet;
-
-    #[test]
-    fn site_mask_basics() {
-        let mut m = SiteMask::default();
-        assert!(m.is_empty());
-        m.insert(SiteId(0));
-        m.insert(SiteId(5));
-        m.insert(SiteId(5)); // idempotent
-        assert_eq!(m.len(), 2);
-        assert!(m.contains(SiteId(0)));
-        assert!(m.contains(SiteId(5)));
-        assert!(!m.contains(SiteId(1)));
-        let sites: Vec<u8> = m.sites().map(|s| s.0).collect();
-        assert_eq!(sites, vec![0, 5]);
-        m.clear();
-        assert!(m.is_empty());
-        assert!(!m.contains(SiteId(5)));
-    }
 
     #[test]
     fn install_plan_compiles_against_the_cluster_config() {

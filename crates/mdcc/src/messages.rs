@@ -8,7 +8,7 @@
 //! and are never interpreted by the protocol actors.
 
 use planet_sim::{ActorId, SimTime, SiteId};
-use planet_storage::{Key, RecordOption, RejectReason, TxnId, Value, VersionNo, WriteOp};
+use planet_storage::{Key, KeyList, RecordOption, RejectReason, TxnId, Value, VersionNo, WriteOp};
 
 /// Where a transaction's reads are served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -270,8 +270,8 @@ pub enum Msg {
     ReadReq {
         /// Transaction performing the read.
         txn: TxnId,
-        /// Keys to read.
-        keys: Vec<Key>,
+        /// Keys to read: two inline, a vector from the third.
+        keys: KeyList,
     },
     /// Fast path: propose an option directly at a replica for validation.
     FastPropose {

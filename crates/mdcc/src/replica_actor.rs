@@ -31,7 +31,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use planet_sim::{Actor, ActorId, Context, SimDuration, SimTime, SiteId};
-use planet_storage::{Key, KeyId, RecordOption, Replica, TxnId};
+use planet_storage::{Key, KeyId, KeyList, RecordOption, Replica, TxnId};
 
 use crate::config::{ClusterConfig, Protocol};
 use crate::messages::{KeyRead, Msg};
@@ -225,16 +225,16 @@ impl ReplicaActor {
         &mut self,
         from: ActorId,
         txn: TxnId,
-        keys: Vec<Key>,
+        keys: KeyList,
         ctx: &mut Context<'_, Msg>,
     ) {
         let results = keys
-            .into_iter()
+            .iter()
             .map(|k| {
-                debug_assert!(self.owns(&k), "read of {k} routed to wrong shard");
-                let r = self.storage.read(&k);
+                debug_assert!(self.owns(k), "read of {k} routed to wrong shard");
+                let r = self.storage.read(k);
                 KeyRead {
-                    key: k,
+                    key: k.clone(),
                     version: r.version,
                     value: r.value,
                     pending: r.pending,

@@ -275,11 +275,11 @@ fn a_wide_read_round_completes_in_linear_time() {
         .expect("a read round");
     assert_eq!(keys.len(), WRITES);
     let results = keys
-        .into_iter()
+        .iter()
         .rev()
         .enumerate()
         .map(|(i, key)| KeyRead {
-            key,
+            key: key.clone(),
             version: i as u64 + 1,
             value: Value::Int(0),
             pending: 0,

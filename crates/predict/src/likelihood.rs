@@ -26,6 +26,7 @@
 use crate::conflict::KeyedConflictModel;
 use crate::ecdf::LatencyEcdf;
 use crate::quorum::prob_at_least_in;
+use planet_sim::SiteMask;
 
 /// Arrival probability assumed for a path with no observations yet.
 const UNKNOWN_PATH_ARRIVAL: f64 = 0.9;
@@ -38,7 +39,7 @@ pub struct KeyState {
     /// Sites that rejected.
     pub rejects: usize,
     /// Replica sites that have not voted yet.
-    pub outstanding: Vec<u8>,
+    pub outstanding: SiteMask,
     /// Options pending on the record when the transaction read it — the
     /// contention signal.
     pub pending_at_read: usize,
@@ -259,7 +260,7 @@ impl LikelihoodModel {
     ) -> f64 {
         let mut probs = std::mem::take(&mut self.probs);
         probs.clear();
-        probs.extend(key.outstanding.iter().map(|&site| success(self, site)));
+        probs.extend(key.outstanding.sites().map(|site| success(self, site.0)));
         let tail = prob_at_least_in(&probs, needed, &mut self.dp);
         self.probs = probs;
         tail
@@ -338,14 +339,14 @@ mod tests {
     fn key(
         accepts: usize,
         rejects: usize,
-        outstanding: Vec<u8>,
+        outstanding: impl IntoIterator<Item = u8>,
         quorum: usize,
         voters: usize,
     ) -> KeyState {
         KeyState {
             accepts,
             rejects,
-            outstanding,
+            outstanding: outstanding.into_iter().collect(),
             pending_at_read: 0,
             key_hash: 0,
             quorum,
@@ -372,8 +373,8 @@ mod tests {
         let per_vote = |m: &mut LikelihoodModel, k: &KeyState| {
             let probs: Vec<f64> = k
                 .outstanding
-                .iter()
-                .map(|&s| m.success_prob(s, elapsed_us, budget_us, k.pending_at_read, k.key_hash))
+                .sites()
+                .map(|s| m.success_prob(s.0, elapsed_us, budget_us, k.pending_at_read, k.key_hash))
                 .collect();
             prob_at_least(&probs, k.quorum - k.accepts)
         };
@@ -388,8 +389,8 @@ mod tests {
                 }
                 let arrivals: Vec<f64> = k
                     .outstanding
-                    .iter()
-                    .map(|&s| m.arrival_prob(s, elapsed_us, budget_us))
+                    .sites()
+                    .map(|s| m.arrival_prob(s.0, elapsed_us, budget_us))
                     .collect();
                 let txn_level = prob_at_least(&arrivals, k.quorum - k.accepts)
                     * m.conflict.txn_accept_prob(k.key_hash);
@@ -467,7 +468,7 @@ mod tests {
             let snap = TxnSnapshot {
                 keys: vec![KeyState {
                     key_hash: 1,
-                    ..key(accepts, 0, (accepts as u8..5).collect(), 4, 5)
+                    ..key(accepts, 0, accepts as u8..5, 4, 5)
                 }],
                 elapsed_us,
             };

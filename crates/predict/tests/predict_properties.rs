@@ -110,7 +110,7 @@ fn likelihood_bounded_and_monotone_in_budget() {
             m.observe_vote(site, rtt, ok, pending, 7);
         }
         let voted = accepts + rejects;
-        let outstanding: Vec<u8> = (voted as u8..5).collect();
+        let outstanding = (voted as u8..5).collect();
         let snap = TxnSnapshot {
             keys: vec![KeyState {
                 accepts,

@@ -181,7 +181,7 @@ fn observe_then_query(window: usize, warm: &[Vote], measured: &[Vote]) -> Durati
     let mut key = KeyState {
         accepts: 1,
         rejects: 0,
-        outstanding: vec![1, 2, 3, 4],
+        outstanding: (1..5).collect(),
         pending_at_read: 1,
         key_hash: 0,
         quorum: 4,

@@ -12,7 +12,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor within a simulation. Ids are assigned densely in
 /// registration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 
 impl std::fmt::Display for ActorId {

@@ -46,6 +46,6 @@ pub use actor::{
 };
 pub use engine::Simulation;
 pub use metrics::{Counter, Histogram, Metrics, TimeSeries};
-pub use net::{JitterModel, NetworkModel, Partition, SiteId, Spike};
+pub use net::{JitterModel, NetworkModel, Partition, SiteId, SiteMask, Spike};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -25,6 +25,78 @@ impl std::fmt::Display for SiteId {
     }
 }
 
+/// A set of sites packed into a 64-bit mask: bit `i` is `SiteId(i)`.
+/// `ClusterConfig::new` caps a cluster at 64 sites, so one word holds any
+/// set of them: building, copying and updating one allocates nothing, and a
+/// membership test is a single AND. The coordinator tallies each key's votes
+/// in two; the client tracks each written key's outstanding voters in one.
+///
+/// A site id past 63 is outside that contract; it is folded into range
+/// (`& 63`) rather than shifting out of bounds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct SiteMask(u64);
+
+impl SiteMask {
+    /// True if `site` is a member.
+    pub fn contains(self, site: SiteId) -> bool {
+        self.0 & Self::bit(site.0) != 0
+    }
+
+    /// Add `site`.
+    pub fn insert(&mut self, site: SiteId) {
+        self.0 |= Self::bit(site.0);
+    }
+
+    /// Take `site` out; a non-member leaves the set as it was.
+    pub fn remove(&mut self, site: SiteId) {
+        self.0 &= !Self::bit(site.0);
+    }
+
+    /// Number of member sites.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True if no site is a member.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Remove every site.
+    pub fn clear(&mut self) {
+        self.0 = 0;
+    }
+
+    /// Member sites in ascending id order, one bit scan per member.
+    pub fn sites(self) -> impl Iterator<Item = SiteId> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let site = SiteId(rest.trailing_zeros() as u8);
+            rest &= rest - 1;
+            Some(site)
+        })
+    }
+
+    fn bit(site: u8) -> u64 {
+        1u64 << (site & 63)
+    }
+}
+
+/// The set of the given site ids, so `(0..n).collect()` is the first `n`
+/// sites.
+impl FromIterator<u8> for SiteMask {
+    fn from_iter<I: IntoIterator<Item = u8>>(sites: I) -> Self {
+        SiteMask(
+            sites
+                .into_iter()
+                .fold(0, |mask, site| mask | Self::bit(site)),
+        )
+    }
+}
+
 /// Jitter applied multiplicatively to every base delay.
 #[derive(Debug, Clone, Copy)]
 pub struct JitterModel {
@@ -187,6 +259,49 @@ impl NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn site_mask_basics() {
+        let mut m = SiteMask::default();
+        assert!(m.is_empty());
+        m.insert(SiteId(0));
+        m.insert(SiteId(5));
+        m.insert(SiteId(5)); // idempotent
+        assert_eq!(m.len(), 2);
+        assert!(m.contains(SiteId(0)));
+        assert!(m.contains(SiteId(5)));
+        assert!(!m.contains(SiteId(1)));
+        m.remove(SiteId(1)); // not a member: nothing changes
+        assert_eq!(m.len(), 2);
+        m.remove(SiteId(0));
+        assert!(!m.contains(SiteId(0)));
+        assert_eq!(m.sites().collect::<Vec<_>>(), vec![SiteId(5)]);
+        m.clear();
+        assert!(m.is_empty());
+        assert!(!m.contains(SiteId(5)));
+    }
+
+    #[test]
+    fn site_mask_holds_sites_0_to_63_in_ascending_order() {
+        let all: SiteMask = (0..64).collect();
+        assert_eq!(all.len(), 64);
+        assert_eq!(
+            all.sites().map(|s| s.0).collect::<Vec<u8>>(),
+            (0..64).collect::<Vec<u8>>()
+        );
+        // Collected out of order and with repeats: a set, iterated ascending.
+        let some: SiteMask = [63, 0, 17, 4, 17, 62].into_iter().collect();
+        assert_eq!(
+            some.sites().map(|s| s.0).collect::<Vec<u8>>(),
+            vec![0, 4, 17, 62, 63]
+        );
+        let mut rest = all;
+        for site in (0..64).step_by(2) {
+            rest.remove(SiteId(site));
+        }
+        assert!(rest.sites().map(|s| s.0).eq((1..64).step_by(2)));
+        assert_eq!((0..0).collect::<SiteMask>(), SiteMask::default());
+    }
 
     fn two_site_model() -> NetworkModel {
         NetworkModel::from_rtt_ms(&[vec![0.5, 80.0], vec![80.0, 0.5]])

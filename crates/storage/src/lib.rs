@@ -27,5 +27,5 @@ pub use paged::PAGE_LEN;
 pub use record::{CommittedVersion, VersionedRecord};
 pub use replica::Replica;
 pub use store::{ReadResult, Store, StoreSnapshot};
-pub use types::{Bytes, Key, KeyId, TxnId, Value, VersionNo};
+pub use types::{Bytes, Key, KeyId, KeyList, TxnId, Value, VersionNo};
 pub use wal::{LogRecord, Wal};

@@ -272,6 +272,9 @@ impl std::fmt::Write for KeyBuf {
 }
 
 impl Key {
+    /// The empty key: the filler of a [`KeyList`]'s unused inline slots.
+    const EMPTY: Key = Key(KeyRepr::Inline(Inline::EMPTY));
+
     /// Build a key from anything string-like.
     pub fn new(s: impl AsRef<str>) -> Self {
         Key::from(s.as_ref())
@@ -359,6 +362,118 @@ impl From<String> for Key {
         Key::from(s.as_str())
     }
 }
+
+/// Keys a [`KeyList`] holds inline before it spills to a vector.
+const LIST_INLINE: usize = 2;
+
+/// The keys of one read request. Up to two are held inline, which covers
+/// every ticket, kv and sim-geo transaction, so building, cloning and
+/// sending one allocates nothing; from the third key on they move to a
+/// `Vec`. It derefs to `[Key]`, and its `Debug` is a list's, the same text
+/// a `Vec<Key>` of the same keys prints.
+#[derive(Clone)]
+pub struct KeyList(KeyListRepr);
+
+#[derive(Clone)]
+enum KeyListRepr {
+    /// The first `len` slots are the keys; the rest are [`Key::EMPTY`].
+    Inline {
+        len: u8,
+        keys: [Key; LIST_INLINE],
+    },
+    Spilled(Vec<Key>),
+}
+
+impl KeyList {
+    /// An empty list.
+    pub fn new() -> Self {
+        KeyList(KeyListRepr::Inline {
+            len: 0,
+            keys: [Key::EMPTY, Key::EMPTY],
+        })
+    }
+
+    /// An empty list with room for `n` keys: inline up to two, else one
+    /// vector of `n`.
+    pub fn with_capacity(n: usize) -> Self {
+        if n <= LIST_INLINE {
+            KeyList::new()
+        } else {
+            KeyList(KeyListRepr::Spilled(Vec::with_capacity(n)))
+        }
+    }
+
+    /// Append `key`; the third key of an inline list moves them all to a
+    /// vector.
+    pub fn push(&mut self, key: Key) {
+        let spilled = match &mut self.0 {
+            KeyListRepr::Spilled(keys) => {
+                keys.push(key);
+                return;
+            }
+            KeyListRepr::Inline { len, keys } => {
+                if let Some(slot) = keys.get_mut(usize::from(*len)) {
+                    *slot = key;
+                    *len += 1;
+                    return;
+                }
+                let mut spilled = Vec::with_capacity(2 * LIST_INLINE);
+                spilled.extend(std::mem::replace(keys, [Key::EMPTY, Key::EMPTY]));
+                spilled.push(key);
+                spilled
+            }
+        };
+        self.0 = KeyListRepr::Spilled(spilled);
+    }
+
+    /// The keys, in the order they were pushed.
+    pub fn as_slice(&self) -> &[Key] {
+        match &self.0 {
+            KeyListRepr::Inline { len, keys } => keys.get(..usize::from(*len)).unwrap_or_default(),
+            KeyListRepr::Spilled(keys) => keys,
+        }
+    }
+
+    /// True once the keys live in a vector.
+    #[cfg(test)]
+    fn spilled(&self) -> bool {
+        matches!(self.0, KeyListRepr::Spilled(_))
+    }
+}
+
+impl Default for KeyList {
+    fn default() -> Self {
+        KeyList::new()
+    }
+}
+
+impl std::ops::Deref for KeyList {
+    type Target = [Key];
+    fn deref(&self) -> &[Key] {
+        self.as_slice()
+    }
+}
+
+impl FromIterator<Key> for KeyList {
+    fn from_iter<I: IntoIterator<Item = Key>>(keys: I) -> Self {
+        let mut list = KeyList::new();
+        keys.into_iter().for_each(|key| list.push(key));
+        list
+    }
+}
+
+impl std::fmt::Debug for KeyList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl PartialEq for KeyList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+impl Eq for KeyList {}
 
 /// A store-local dense handle for an interned [`Key`]: index into the
 /// owning [`KeyInterner`](crate::KeyInterner). Resolving a key to its id
@@ -464,6 +579,40 @@ pub type VersionNo = u64;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_key_list_holds_two_keys_inline_and_spills_the_third() {
+        let keys: Vec<Key> = (0..5).map(|i| Key::new(format!("k{i}"))).collect();
+        let mut list = KeyList::new();
+        assert!(list.is_empty() && !list.spilled());
+        for (n, key) in keys.iter().enumerate() {
+            list.push(key.clone());
+            assert_eq!(list.spilled(), n + 1 > 2, "{} keys", n + 1);
+            assert_eq!(list.as_slice(), &keys[..=n]);
+        }
+        for n in 0..=keys.len() {
+            let collected: KeyList = keys[..n].iter().cloned().collect();
+            assert_eq!(collected.spilled(), n > 2, "{n} keys collected");
+            assert_eq!(KeyList::with_capacity(n).spilled(), n > 2);
+            assert_eq!(collected.as_slice(), &keys[..n]);
+        }
+    }
+
+    #[test]
+    fn a_key_list_prints_as_a_vec_of_keys() {
+        let long = Key::new("a key of more than twenty-three bytes");
+        for n in 0..=4 {
+            let keys: Vec<Key> = (0..n).map(|i| Key::new(format!("k{i}"))).collect();
+            let list: KeyList = keys.iter().cloned().collect();
+            assert_eq!(format!("{list:?}"), format!("{keys:?}"));
+            assert_eq!(format!("{list:#?}"), format!("{keys:#?}"));
+        }
+        let list: KeyList = [Key::new("a"), long.clone()].into_iter().collect();
+        assert_eq!(
+            format!("{list:?}"),
+            format!("{:?}", vec![Key::new("a"), long])
+        );
+    }
 
     #[test]
     fn key_conversions() {
