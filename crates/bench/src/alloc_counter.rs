@@ -45,6 +45,10 @@ thread_local! {
 /// `planet-bench`'s crate root.
 pub struct CountingAllocator;
 
+/// The first line of the allocator's own code in this file (see
+/// [`OWN_LINES_END`]).
+const OWN_LINES_START: u32 = line!();
+
 /// Count one allocation, and sample it if this thread attributes and it is
 /// its turn. Not while the thread panics: the panic hook allocates while it
 /// holds the lock a capture takes.
@@ -83,6 +87,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
         System.realloc(ptr, layout, new_size)
     }
 }
+
+/// One past the last line of the allocator's own code. A release build
+/// inlines `note_allocation` into `alloc`, whose frame then reads as a bare
+/// `alloc` in this file: its name says nothing, its line does.
+const OWN_LINES_END: u32 = line!();
 
 /// Total allocations (allocs + reallocs) since process start, across all
 /// threads. Subtract two readings to attribute a window.
@@ -131,12 +140,16 @@ impl Attribution {
 /// The innermost frame of `trace` under `crates/`, the allocator's own
 /// frames aside. Read off the `Debug` form (the frame API is not stable),
 /// whose frames are `{ fn: "..", file: "..", line: N }`, a file under the
-/// working directory `cwd` being written `./..`.
+/// working directory `cwd` being written `./..`. A release build names an
+/// inlined frame without its path, so the allocator's own frames are told
+/// by line as well as by name, and a bare `{closure#N}` is named after the
+/// function around it (the next named frame in the same file).
 fn site_of(trace: &Backtrace, cwd: &std::path::Path) -> String {
     let text = format!("{trace:?}");
-    text.split("{ fn: \"")
+    let frames: Vec<(&str, String, u32)> = text
+        .split("{ fn: \"")
         .skip(1)
-        .find_map(|frame| {
+        .filter_map(|frame| {
             let (function, rest) = frame.split_once('"')?;
             let (_, rest) = rest.split_once("file: \"")?;
             let (path, rest) = rest.split_once('"')?;
@@ -144,18 +157,31 @@ fn site_of(trace: &Backtrace, cwd: &std::path::Path) -> String {
                 Some(relative) => cwd.join(relative).display().to_string(),
                 None => path.to_string(),
             };
-            let file = path.get(path.find("crates/")?..)?;
-            if ["note_allocation", "CountingAllocator", "__rust_"]
-                .iter()
-                .any(|own| function.contains(own))
-            {
-                return None;
-            }
+            let file = path.get(path.find("crates/")?..)?.to_string();
             let line = rest.trim_start_matches(", line: ");
             let line = line.split(|c: char| !c.is_ascii_digit()).next()?;
-            Some(format!("{file}:{line} {function}"))
+            Some((function, file, line.parse().ok()?))
         })
-        .unwrap_or_else(|| "(no frame under crates/)".to_string())
+        .collect();
+    let own = |(function, file, line): &(&str, String, u32)| {
+        ["note_allocation", "CountingAllocator", "__rust_"]
+            .iter()
+            .any(|own| function.contains(own))
+            || (file.ends_with("bench/src/alloc_counter.rs")
+                && (OWN_LINES_START..OWN_LINES_END).contains(line))
+    };
+    let Some(at) = frames.iter().position(|frame| !own(frame)) else {
+        return "(no frame under crates/)".to_string();
+    };
+    let (function, file, line) = &frames[at];
+    let outer = frames[at + 1..]
+        .iter()
+        .find(|(name, outer_file, _)| outer_file == file && !name.starts_with('{'))
+        .filter(|_| function.starts_with('{'));
+    match outer {
+        Some((name, ..)) => format!("{file}:{line} {name}::{function}"),
+        None => format!("{file}:{line} {function}"),
+    }
 }
 
 #[cfg(test)]

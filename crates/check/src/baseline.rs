@@ -120,8 +120,8 @@ mod tests {
     #[test]
     fn roundtrip() {
         let diags = vec![
-            d("TIME001", "a.rs", 3),
-            d("TIME001", "a.rs", 9),
+            d("TIME003", "a.rs", 3),
+            d("TIME003", "a.rs", 9),
             d("CB002", "b.rs", 1),
         ];
         let b = Baseline::from_diags(&diags);
@@ -131,8 +131,8 @@ mod tests {
 
     #[test]
     fn excess_findings_are_new() {
-        let base = Baseline::parse("TIME001\ta.rs\t1\n").expect("parses");
-        let diags = vec![d("TIME001", "a.rs", 3), d("TIME001", "a.rs", 9)];
+        let base = Baseline::parse("TIME003\ta.rs\t1\n").expect("parses");
+        let diags = vec![d("TIME003", "a.rs", 3), d("TIME003", "a.rs", 9)];
         let (fresh, old) = base.filter(&diags);
         assert_eq!(old.len(), 1);
         assert_eq!(fresh.len(), 1);
@@ -150,9 +150,9 @@ mod tests {
     #[test]
     fn malformed_line_errors() {
         assert!(
-            Baseline::parse("TIME001 a.rs 1\n").is_err(),
+            Baseline::parse("TIME003 a.rs 1\n").is_err(),
             "spaces not tabs"
         );
-        assert!(Baseline::parse("TIME001\ta.rs\tmany\n").is_err());
+        assert!(Baseline::parse("TIME003\ta.rs\tmany\n").is_err());
     }
 }

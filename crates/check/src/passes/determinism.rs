@@ -1,13 +1,16 @@
 //! Determinism lints: the simulation-deterministic crates must not read
-//! wall-clock time, draw OS randomness, or let `HashMap`/`HashSet`
-//! iteration order escape into protocol behaviour.
+//! an `Instant` (DET001) or let `HashMap`/`HashSet` iteration order escape
+//! into protocol behaviour (DET004).
 //!
 //! The whole point of the discrete-event harness is bit-identical replay
 //! from a seed; one `Instant::now()` in a protocol crate silently breaks
-//! that. Scope: `crates/{sim,mdcc,predict,workload}/src`. The live-cluster
-//! runtime (`crates/cluster`) deliberately uses real time and is out of
-//! scope. Sites that are deterministic for a reason the lint cannot see
-//! (e.g. a hash-map iteration whose results are sorted before use) carry a
+//! that. Other sources of nondeterminism (`SystemTime`, OS randomness) are
+//! left to the replay test, `bench/tests/determinism.rs`, which runs the
+//! same seed twice and compares every record. Scope:
+//! `crates/{sim,mdcc,predict,workload}/src`. The live-cluster runtime
+//! (`crates/cluster`) deliberately uses real time and is out of scope.
+//! Sites that are deterministic for a reason the lint cannot see (e.g. a
+//! hash-map iteration whose results are sorted before use) carry a
 //! `// check:allow(determinism)` comment on the same or preceding line.
 
 use std::collections::BTreeSet;
@@ -24,16 +27,6 @@ const SCOPES: &[&str] = &[
     "crates/mdcc/src/",
     "crates/predict/src/",
     "crates/workload/src/",
-];
-
-/// Identifiers that read nondeterministic state, with their codes.
-const BANNED_IDENTS: &[(&str, &str, &str)] = &[
-    ("Instant", "DET001", "wall-clock time"),
-    ("SystemTime", "DET002", "wall-clock time"),
-    ("thread_rng", "DET003", "OS-seeded randomness"),
-    ("ThreadRng", "DET003", "OS-seeded randomness"),
-    ("OsRng", "DET003", "OS-seeded randomness"),
-    ("getrandom", "DET003", "OS-seeded randomness"),
 ];
 
 /// Methods whose results surface a hash container's iteration order.
@@ -126,7 +119,7 @@ impl Pass for DeterminismPass {
     }
 
     fn description(&self) -> &'static str {
-        "sim-deterministic crates avoid wall clocks, OS randomness and hash-order escapes"
+        "sim-deterministic crates avoid `Instant` and hash-order escapes"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -146,19 +139,16 @@ impl Pass for DeterminismPass {
                         i += 1;
                         continue;
                     }
-                    // DET001-003: banned identifiers.
-                    if let Some((name, code, what)) =
-                        BANNED_IDENTS.iter().find(|(n, _, _)| t.is_ident(n))
-                    {
+                    // DET001: a wall clock.
+                    if t.is_ident("Instant") {
                         flag(
                             out,
                             file,
                             "determinism",
-                            code,
+                            "DET001",
                             t.line,
-                            format!(
-                                "nondeterminism: `{name}` ({what}) in a sim-deterministic crate"
-                            ),
+                            "nondeterminism: `Instant` (wall-clock time) in a sim-deterministic crate"
+                                .to_string(),
                             "route time through SimContext/Ctx::now() and randomness through the seeded sim RNG; if this site is provably replay-safe, annotate it with `// check:allow(determinism)`",
                         );
                         i += 1;

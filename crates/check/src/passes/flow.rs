@@ -20,10 +20,11 @@
 //!   one lost reply wedges a closed-loop client forever.
 //! * **FLOW003** — dead wire surface: a variant never sent or never handled
 //!   by any role file.
-//! * **FLOW004** — a `planet-cluster` function that special-cases a
-//!   submission — matches `Msg::Submit` / `Msg::SubmitPlan`, or asks
-//!   `Msg::submission()` (the shed/bounce paths) — without reaching the
-//!   synthetic `Msg::TxnDone` the client contract promises.
+//! * **FLOW005** — a coordinator or replica function sends a key-carrying
+//!   variant without resolving its destination through the shard map
+//!   (no `shard_of` / `other_peers` / `route_replicas` / `route_master` in
+//!   its body): per-key ordering rests on a key only ever talking to its
+//!   one shard.
 //!
 //! Suppress with `// check:allow(flow)`.
 
@@ -32,7 +33,7 @@ use std::ops::Range;
 
 use crate::cfg::{build_cfg, covered_on_every_path, Cfg};
 use crate::diag::Diagnostic;
-use crate::lexer::Tok;
+use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, Workspace};
 use crate::parse::skip_group;
 use crate::passes::determinism::cfg_test_ranges;
@@ -102,10 +103,6 @@ const ROUTES: &[(&str, Role)] = &[
     ("ClientTimer", Role::Client),
 ];
 
-/// The variants that are client load: a transaction submitted in either
-/// form. Transports shed these instead of blocking on them (FLOW004).
-const SUBMISSIONS: &[&str] = &["Submit", "SubmitPlan"];
-
 /// Request variant → (expected reply variant, handling role).
 const REQUESTS: &[(&str, &str, Role)] = &[
     ("Submit", "TxnDone", Role::Coordinator),
@@ -115,6 +112,31 @@ const REQUESTS: &[(&str, &str, Role)] = &[
     ("FastPropose", "Vote", Role::Replica),
     ("Propose", "Vote", Role::Replica),
     ("Replicate", "ReplicateAck", Role::Replica),
+];
+
+/// Variants that carry a key and so must be routed to the key's replica
+/// shard (FLOW005). `Vote` and `ReplicateAck` carry keys too, but they are
+/// replies: they go back to an explicit requester, never by key.
+const KEY_ROUTED: &[&str] = &[
+    "ReadReq",
+    "FastPropose",
+    "Propose",
+    "Replicate",
+    "Decide",
+    "Apply",
+    "DropPending",
+];
+
+/// Identifiers that witness shard-aware destination resolution in a sending
+/// function: the shard map itself, the replica's same-shard peer iterator,
+/// or the coordinator's accessors for a slot's `KeyRoute` (taken from the
+/// same shard map when the slot was lowered or its plan compiled).
+const ROUTING_MARKERS: &[&str] = &["shard_of", "other_peers", "route_replicas", "route_master"];
+
+/// The files whose senders FLOW005 checks.
+const ROUTED_FILES: &[&str] = &[
+    "crates/mdcc/src/coordinator.rs",
+    "crates/mdcc/src/replica_actor.rs",
 ];
 
 /// One `Msg::Variant` occurrence: file index, token index of the variant
@@ -245,6 +267,49 @@ fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, idx: usize) -> bool {
     covered_on_every_path(cfg, &gens, idx)
 }
 
+/// FLOW005: a function that sends (`ctx.send`) a key-carrying variant must
+/// name a routing witness somewhere in its body. A send that picks a
+/// replica without one can split a key's history across stores.
+fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for path in ROUTED_FILES {
+        let Some(file) = ws.file(path) else {
+            continue;
+        };
+        let toks = file.toks();
+        for fn_def in file.fns() {
+            let body = fn_def.body.start..fn_def.body.end.min(toks.len());
+            let sends = body.clone().skip(2).any(|i| {
+                toks[i - 2].is_ident("ctx") && toks[i - 1].is_punct('.') && toks[i].is_ident("send")
+            });
+            let witnessed = body.clone().any(|i| {
+                toks[i].kind == TokKind::Ident && ROUTING_MARKERS.contains(&toks[i].text.as_str())
+            });
+            if !sends || witnessed {
+                continue;
+            }
+            for hit in find_paths(toks, body.clone(), "Msg") {
+                if !KEY_ROUTED.contains(&hit.name.as_str()) {
+                    continue;
+                }
+                flag(
+                    out,
+                    file,
+                    "flow",
+                    "FLOW005",
+                    hit.line,
+                    format!(
+                        "unrouted key-carrying send: `{}` sends `Msg::{}` without resolving the destination through the shard map ({})",
+                        fn_def.name,
+                        hit.name,
+                        ROUTING_MARKERS.join(" / "),
+                    ),
+                    "route the send through shard_of/route_replicas/route_master (or other_peers on the replica); if the destination is genuinely shard-independent, annotate with `// check:allow(flow)`",
+                );
+            }
+        }
+    }
+}
+
 /// The message-flow pass.
 pub struct FlowPass;
 
@@ -254,10 +319,11 @@ impl Pass for FlowPass {
     }
 
     fn description(&self) -> &'static str {
-        "every Msg variant sent is handled by its role, requests reach a reply or an armed timeout, shed paths emit TxnDone"
+        "every Msg variant sent is handled by its role, requests reach a reply or an armed timeout, key-carrying sends are shard-routed"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
+        check_shard_routing(ws, out);
         let Some(msg_file) = ws.file(MSG_FILE) else {
             return; // fixture workspaces without the protocol: nothing to do
         };
@@ -456,59 +522,6 @@ impl Pass for FlowPass {
                     "client sends `Msg::Submit` but this file never arms a client-side timer — one lost reply wedges the closed loop forever".to_string(),
                     "arm a `Msg::ClientTimer` deadline per in-flight transaction and resubmit/report on expiry, or annotate with `// check:allow(flow)`",
                 );
-            }
-        }
-
-        // ---- FLOW004: shed paths must emit the synthetic TxnDone ----
-        let done_sends = sends.get("TxnDone").map(Vec::as_slice).unwrap_or(&[]);
-        for (fi, f) in files.iter().enumerate() {
-            if !f.path.starts_with("crates/cluster/src/") || f.path == CODEC_FILE {
-                continue;
-            }
-            let toks = f.toks();
-            let skip = cfg_test_ranges(toks);
-            for &node in g.nodes_of_file(fi) {
-                let body = g.fns[node].body.clone();
-                // A submission is told apart either by matching its two
-                // variants or by asking the accessor that covers both.
-                let mut shed_lines: Vec<u32> = SUBMISSIONS
-                    .iter()
-                    .filter_map(|v| pats.get(*v))
-                    .flatten()
-                    .filter(|h| h.file == fi && body.contains(&h.idx))
-                    .map(|h| h.line)
-                    .collect();
-                shed_lines.extend(
-                    method_calls(toks, body.clone(), "submission")
-                        .into_iter()
-                        .filter(|&i| !in_ranges(&skip, i))
-                        .map(|i| toks[i].line),
-                );
-                if shed_lines.is_empty() {
-                    continue;
-                }
-                let (reach, _) = g.reachable_with_preds([node]);
-                let emits_done = done_sends.iter().any(|s| {
-                    reach
-                        .iter()
-                        .any(|&n| g.fns[n].file == s.file && g.fns[n].body.contains(&s.idx))
-                });
-                if !emits_done {
-                    for line in shed_lines {
-                        flag(
-                            out,
-                            f,
-                            "flow",
-                            "FLOW004",
-                            line,
-                            format!(
-                                "`{}` special-cases a submission (`Msg::Submit` / `Msg::SubmitPlan`) without reaching the synthetic `Msg::TxnDone` the client contract promises",
-                                g.fns[node].name
-                            ),
-                            "a shed/dropped submission must bounce a timed-out TxnDone to `reply_to`, or annotate with `// check:allow(flow)` and justify",
-                        );
-                    }
-                }
             }
         }
     }

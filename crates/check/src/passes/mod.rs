@@ -1,5 +1,5 @@
-//! The pass pipeline: protocol-aware analyses over the shared model, plus
-//! token-scanning helpers they have in common. `state`/`determinism` are
+//! The pass pipeline: six protocol-aware analyses over the shared model,
+//! plus token-scanning helpers they have in common. `determinism` is
 //! lexical; `time`/`panic` run on the CFG + dataflow layer in
 //! [`crate::cfg`]; `time` (inside one file) and `panic`/`flow`/`race`/`sync`
 //! (across the workspace) follow calls through the one call graph in
@@ -9,7 +9,6 @@ pub mod determinism;
 pub mod flow;
 pub mod panic;
 pub mod race;
-pub mod state;
 pub mod sync;
 pub mod time;
 

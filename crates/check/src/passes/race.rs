@@ -1,11 +1,11 @@
-//! Blocking-under-lock and FIFO analysis over `planet-cluster`.
+//! Blocking-under-lock analysis over `planet-cluster`.
 //!
 //! The cluster runtime is the only place in the workspace that spawns real
 //! OS threads (node threads, fabric pumps, acceptor loops) and shares
 //! state behind locks. Whether a capture may cross a thread at all is
 //! rustc's to decide (`thread::spawn` demands `Send + 'static`, and the
 //! crate denies `unsafe`); what the type system cannot see is how long a
-//! guard lives. Codes:
+//! guard lives. One code:
 //!
 //! * **RACE002** — while a lock guard is live, the function acquires a
 //!   lock (`.lock()`, or `.read()`/`.write()` on a field the file declares
@@ -17,9 +17,11 @@
 //!   edge of a lock-order cycle is a lock taken under another's guard, so
 //!   both land here. A condvar wait with exactly one lock held is the
 //!   intended idiom and is not flagged.
-//! * **RACE003** — a channel sender is cloned into a spawned closure or
-//!   stored into a collection: two handles to the same mailbox can
-//!   interleave and break the documented per-pair FIFO delivery order.
+//!
+//! Per-pair FIFO is a property of the transports, not of how many handles
+//! point at a mailbox;
+//! `channel_stress::batched_fifo_survives_a_partition_window` checks it at
+//! run time.
 //!
 //! Guard lifetimes follow Rust's temporary rules, approximated: a
 //! `let`-bound guard (the chain after the acquisition is only
@@ -90,67 +92,6 @@ fn acquisition<'t>(toks: &'t [Tok], i: usize, rwlocks: &[&str]) -> Option<&'t st
     locks.then_some(recv)
 }
 
-/// Argument ranges of `spawn(..)` / `thread::spawn(..)` / `pool.spawn(..)`
-/// calls in `range` (token indices inside the parens).
-fn spawn_ranges(toks: &[Tok], range: Range<usize>) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let mut i = range.start.max(1);
-    while i + 1 < range.end.min(toks.len()) {
-        if toks[i].is_ident("spawn")
-            && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'))
-            && toks[i + 1].is_punct('(')
-        {
-            let end = skip_group(toks, i + 1, '(', ')');
-            out.push(i + 2..end.saturating_sub(1));
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Explicitly-typed bindings visible in a function: parameters plus
-/// `let name: Ty = ..` locals, as flattened type text.
-fn typed_bindings(
-    toks: &[Tok],
-    body: Range<usize>,
-    params: &[(String, String)],
-) -> HashMap<String, String> {
-    let mut out: HashMap<String, String> = params.iter().cloned().collect();
-    let mut i = body.start;
-    while i + 3 < body.end.min(toks.len()) {
-        if toks[i].is_ident("let")
-            && toks[i + 1].kind == crate::lexer::TokKind::Ident
-            && toks[i + 2].is_punct(':')
-            && !toks[i + 3].is_punct(':')
-        {
-            let name = toks[i + 1].text.clone();
-            let mut ty = String::new();
-            let mut j = i + 3;
-            let mut depth = 0i32;
-            while j < body.end.min(toks.len()) {
-                let t = &toks[j];
-                if t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct('>') {
-                    depth -= 1;
-                } else if depth <= 0 && (t.is_punct('=') || t.is_punct(';')) {
-                    break;
-                }
-                if !ty.is_empty() {
-                    ty.push(' ');
-                }
-                ty.push_str(&t.text);
-                j += 1;
-            }
-            out.insert(name, ty);
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
 /// A live lock guard while scanning a function body.
 struct LiveLock<'t> {
     /// The locked receiver's name (see [`acquisition`]).
@@ -160,7 +101,7 @@ struct LiveLock<'t> {
     depth: Option<i32>,
 }
 
-/// The blocking-under-lock and FIFO pass.
+/// The blocking-under-lock pass.
 pub struct RacePass;
 
 impl Pass for RacePass {
@@ -169,7 +110,7 @@ impl Pass for RacePass {
     }
 
     fn description(&self) -> &'static str {
-        "locks and blocking calls reachable while a lock guard is live, cloned senders breaking FIFO"
+        "locks and blocking calls reachable while a lock guard is live"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -231,77 +172,12 @@ impl Pass for RacePass {
             }
             let toks = file.toks();
             let skip = &skips[fi];
-            let field_ty: HashMap<&str, &str> = file
-                .fields()
-                .iter()
-                .map(|f| (f.name.as_str(), f.ty.as_str()))
-                .collect();
-
             for &node in g.nodes_of_file(fi) {
                 let def = &g.fns[node];
                 if in_ranges(skip, def.body.start) {
                     continue;
                 }
                 let body = def.body.clone();
-                let bindings = typed_bindings(toks, body.clone(), &def.params);
-                let spawns = spawn_ranges(toks, body.clone());
-
-                // ---- RACE003: a sender clone moved into a spawn, or stored ----
-                let mut i = body.start.max(2);
-                while i + 1 < body.end.min(toks.len()) {
-                    if toks[i].is_ident("clone")
-                        && toks[i - 1].is_punct('.')
-                        && toks[i + 1].is_punct('(')
-                        && !in_ranges(skip, i)
-                    {
-                        let recv = &toks[i - 2];
-                        let ty = bindings
-                            .get(recv.text.as_str())
-                            .map(String::as_str)
-                            .or_else(|| field_ty.get(recv.text.as_str()).copied());
-                        let is_sender =
-                            ty.is_some_and(|t| t.contains("Sender") || t.contains("Mailbox"));
-                        // Outside a spawn, only when the statement *retains*
-                        // the clone (stored into a collection): a returned or
-                        // immediately-consumed clone keeps one live handle
-                        // per destination.
-                        let stored = || {
-                            let end = body.end.min(toks.len());
-                            let stmt_end = (i..end).find(|&j| toks[j].is_punct(';')).unwrap_or(end);
-                            let stmt_start = (body.start..i)
-                                .rev()
-                                .find(|&j| toks[j].is_punct(';') || toks[j].is_punct('{'))
-                                .map_or(body.start, |j| j + 1);
-                            (stmt_start..stmt_end).any(|j| {
-                                (toks[j].is_ident("push") || toks[j].is_ident("insert"))
-                                    && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
-                            })
-                        };
-                        let what = if !is_sender {
-                            None
-                        } else if spawns.iter().any(|sp| sp.contains(&i)) {
-                            Some("duplicates a channel sender inside a spawned thread — two handles to one mailbox can interleave and break per-pair FIFO")
-                        } else if stored() {
-                            Some("stores a second handle to a channel sender — concurrent senders to one mailbox can break per-pair FIFO")
-                        } else {
-                            None
-                        };
-                        if let Some(what) = what {
-                            flag(
-                                out,
-                                file,
-                                "race",
-                                "RACE003",
-                                toks[i].line,
-                                format!("`{}.clone()` {what}", recv.text),
-                                "keep a single owned handle per destination, or annotate with `// check:allow(race)` and document the ordering argument",
-                            );
-                        }
-                    }
-                    i += 1;
-                }
-
-                // ---- RACE002: a lock or a blocking call under a live guard ----
                 let sites: HashMap<usize, usize> =
                     g.calls[node].iter().map(|s| (s.tok, s.target)).collect();
                 let mut live: Vec<LiveLock> = Vec::new();

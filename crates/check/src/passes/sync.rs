@@ -23,29 +23,23 @@
 //!   `closed` word) take part in store-one-word-then-load-the-other
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
-//! * **ATOM003** — `compare_exchange` ordering sanity: the failure
-//!   ordering feeds the retry loop's next decision, so it must not be
-//!   `Relaxed` on a protocol word; a successful exchange that publishes
-//!   a state transition must carry a `Release` component; and a failure
-//!   ordering stronger than the success ordering is incoherent.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
 //!   push, timer-fire push, mailbox enqueue, flush-slot absorb) must
 //!   reach the matching unpark/notify on every path — checked with the
-//!   CFG must-solver like TIME001, with a caller-level cover for sites
-//!   whose notify lives one frame up (`absorb` → the worker loop's
+//!   CFG must-solver, with a caller-level cover for sites whose notify
+//!   lives one frame up (`absorb` → the worker loop's
 //!   `flush`/`flush_if_due`).
-//! * **WAKE002** — park without recheck: a condvar wait must re-check
-//!   its predicate under the lock — either the wait sits in a loop that
-//!   re-reads the guard, or it is gated by an `if`/`while` on the guard
-//!   (`park_unless`'s sticky-notified check). A bare wait loses the
-//!   notify that lands between the caller's check and the sleep.
+//!
+//! What `compare_exchange` pairs and condvar waits must satisfy is left to
+//! the loom models, `reactor::loom_tests` and `plane::loom_tests`, which
+//! explore the real code's interleavings under weak memory.
 //!
 //! Scope: `crates/cluster/src/`. Suppress with `// check:allow(atomics)`.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::cfg::{build_cfg, covered_on_every_path, find_body_brace, Cfg};
+use crate::cfg::{build_cfg, covered_on_every_path, Cfg};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, SourceFile, Workspace};
@@ -167,18 +161,6 @@ const WAKE_TABLE: &[WakeRule] = &[
     },
 ];
 
-/// Ordering strength for coherence comparisons (`Acquire`/`Release` are
-/// incomparable directions but equal strength).
-fn rank(ord: &str) -> u8 {
-    match ord {
-        "Relaxed" => 0,
-        "Acquire" | "Release" => 1,
-        "AcqRel" => 2,
-        "SeqCst" => 3,
-        _ => 0,
-    }
-}
-
 fn has_acquire(ord: &str) -> bool {
     matches!(ord, "Acquire" | "AcqRel" | "SeqCst")
 }
@@ -291,7 +273,7 @@ impl Pass for SyncPass {
     }
 
     fn description(&self) -> &'static str {
-        "atomic orderings match declared roles; every enqueue reaches its notify; parks recheck"
+        "atomic orderings match declared roles; every enqueue reaches its notify"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -311,7 +293,6 @@ impl Pass for SyncPass {
             self.check_declarations(file, toks, &skip, &roles, out);
             self.check_ops(file, toks, &skip, &roles, out);
             self.check_wakes(ws, fi, file, out);
-            self.check_parks(file, toks, &skip, out);
         }
     }
 }
@@ -353,7 +334,7 @@ impl SyncPass {
         }
     }
 
-    /// ATOM001/002/003 (operation half): every op on a declared word
+    /// ATOM001/002 (operation half): every op on a declared word
     /// satisfies its role's ordering contract.
     fn check_ops(
         &self,
@@ -376,7 +357,6 @@ impl SyncPass {
             if line_idx.get(&op.line).is_some_and(|&k| in_ranges(skip, k)) {
                 continue;
             }
-            let is_cas = op.op.starts_with("compare_exchange");
             let success = op.ords.first().map(String::as_str).unwrap_or("Relaxed");
             match role {
                 Role::Counter => {
@@ -437,7 +417,6 @@ impl SyncPass {
                     let bad = match op.op.as_str() {
                         "load" => !has_acquire(success),
                         "store" => !has_release(success),
-                        _ if is_cas => !(has_acquire(success) && has_release(success)),
                         _ => !(has_acquire(success) && has_release(success)),
                     };
                     if bad {
@@ -454,52 +433,6 @@ impl SyncPass {
                             "use `AcqRel` exchanges, `Release` stores and `Acquire` loads on the scheduling word",
                         );
                     }
-                }
-            }
-            // ATOM003: CAS pair sanity on protocol words.
-            if is_cas && role != Role::Counter {
-                let failure = op.ords.get(1).map(String::as_str).unwrap_or("Relaxed");
-                if failure == "Relaxed" {
-                    flag(
-                        out,
-                        file,
-                        "atomics",
-                        "ATOM003",
-                        op.line,
-                        format!(
-                            "`{}.{}`: `Relaxed` failure ordering — the loaded value feeds the retry loop's next decision and must be at least `Acquire`",
-                            op.recv, op.op
-                        ),
-                        "use `Ordering::Acquire` (or stronger) as the failure ordering",
-                    );
-                }
-                if rank(failure) > rank(success) {
-                    flag(
-                        out,
-                        file,
-                        "atomics",
-                        "ATOM003",
-                        op.line,
-                        format!(
-                            "`{}.{}`: failure ordering `{}` is stronger than success ordering `{}` — the pair is incoherent",
-                            op.recv, op.op, failure, success
-                        ),
-                        "make the success ordering at least as strong as the failure ordering",
-                    );
-                }
-                if !has_release(success) {
-                    flag(
-                        out,
-                        file,
-                        "atomics",
-                        "ATOM003",
-                        op.line,
-                        format!(
-                            "`{}.{}`: success ordering `{}` has no `Release` component — a successful exchange publishes the transition",
-                            op.recv, op.op, success
-                        ),
-                        "use `AcqRel` (or `SeqCst`) as the success ordering on state-machine words",
-                    );
                 }
             }
         }
@@ -592,101 +525,5 @@ impl SyncPass {
                 }
             }
         }
-    }
-
-    /// WAKE002: every condvar wait rechecks its predicate.
-    fn check_parks(
-        &self,
-        file: &SourceFile,
-        toks: &[Tok],
-        skip: &[Range<usize>],
-        out: &mut Vec<Diagnostic>,
-    ) {
-        for f in file.fns() {
-            if in_ranges(skip, f.body.start) {
-                continue;
-            }
-            let body = f.body.clone();
-            let mut i = body.start.max(2);
-            while i + 1 < body.end.min(toks.len()) {
-                let is_wait = (toks[i].is_ident("wait") || toks[i].is_ident("wait_timeout"))
-                    && toks[i - 1].is_punct('.')
-                    && toks[i + 1].is_punct('(');
-                if !is_wait {
-                    i += 1;
-                    continue;
-                }
-                let end = skip_group(toks, i + 1, '(', ')');
-                // `wait_while` self-rechecks; `recv_timeout`-style waits
-                // have no guard argument and are out of scope. The guard
-                // is the first identifier in the argument list.
-                let guard = (i + 2..end - 1)
-                    .find(|&k| toks[k].kind == TokKind::Ident)
-                    .map(|k| toks[k].text.clone());
-                let Some(guard) = guard else {
-                    i = end;
-                    continue;
-                };
-                if !self.wait_rechecks(toks, &body, i, end, &guard) {
-                    flag(
-                        out,
-                        file,
-                        "atomics",
-                        "WAKE002",
-                        toks[i].line,
-                        format!(
-                            "condvar wait on guard `{guard}` in `{}` without a predicate recheck — a notify landing between the caller's check and this sleep is lost (spurious wakeups also return here unchecked)",
-                            f.name
-                        ),
-                        "wrap the wait in `while !predicate { guard = cv.wait(guard) }` or gate it with `if !*flag` on the sticky-notified pattern",
-                    );
-                }
-                i = end;
-            }
-        }
-    }
-
-    /// A wait site rechecks when (a) an enclosing `if`/`while` condition
-    /// mentions the guard, or (b) an enclosing `loop`/`while` body reads
-    /// the guard at some other site (the `while !*g { g = wait(g) }` and
-    /// `loop { if let Some(x) = g.take() .. }` shapes).
-    fn wait_rechecks(
-        &self,
-        toks: &[Tok],
-        body: &Range<usize>,
-        site: usize,
-        call_end: usize,
-        guard: &str,
-    ) -> bool {
-        let mut i = body.start;
-        while i < body.end.min(toks.len()) {
-            let t = &toks[i];
-            let is_block_kw = t.is_ident("loop") || t.is_ident("while") || t.is_ident("if");
-            if !is_block_kw {
-                i += 1;
-                continue;
-            }
-            let Some(bs) = find_body_brace(toks, i + 1, body.end) else {
-                i += 1;
-                continue;
-            };
-            let be = skip_group(toks, bs, '{', '}');
-            if (bs..be).contains(&site) {
-                // (a) the enclosing condition mentions the guard
-                if (i + 1..bs).any(|k| toks[k].is_ident(guard)) {
-                    return true;
-                }
-                // (b) a loop body that reads the guard somewhere other
-                // than the wait call's own argument list
-                if (t.is_ident("loop") || t.is_ident("while"))
-                    && (bs..be).any(|k| toks[k].is_ident(guard) && !(site..call_end).contains(&k))
-                {
-                    return true;
-                }
-            }
-            // descend into the block to examine nested gates
-            i = bs + 1;
-        }
-        false
     }
 }

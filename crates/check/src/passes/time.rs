@@ -1,16 +1,9 @@
-//! Timeout-coverage lints: every quorum/ack wait in the MDCC protocol
-//! crate must reach a timeout edge.
+//! Timer-reclaim lint: in the MDCC protocol crate, a one-shot timer's
+//! handler must not strand an entry that only that timer reclaims.
 //!
-//! The protocol's liveness story is "every wait is bounded": a coordinator
-//! that starts collecting votes arms `TxnTimeout`; a replica's ack state is
-//! reclaimed by the standing lease sweep. A wait registered without a timer
-//! hangs forever the first time a message is lost. Two codes:
+//! The protocol's liveness story is "every wait is bounded": a wait that
+//! outlives the timer meant to reclaim it hangs forever. One code:
 //!
-//! * **TIME001** — a function inserts into a wait-tracking collection (the
-//!   table in `WAIT_TABLE`) but some path through the insert never
-//!   executes `ctx.schedule(_, Msg::<Timer>)`. Checked with the CFG
-//!   must-solver: the insert block itself, all paths into it, or all paths
-//!   from it to the exit must contain the schedule.
 //! * **TIME003** — a one-shot timer's handler reaches an insert into a
 //!   collection that *only* the timer's own handler ever reclaims, without
 //!   re-arming the timer on that path. Firing the timer consumed it; the
@@ -19,6 +12,9 @@
 //!   submit-time timer is still pending, but the timeout path inserts
 //!   *after* consuming that timer.)
 //!
+//! That a registered wait arms its timer at all is the model checker's to
+//! show: `planet-mck` fires every pending timer at quiescence, so a wait
+//! without one is a stuck transaction in its agreement and stability runs.
 //! A timer that is scheduled but never handled is the `flow` pass's
 //! FLOW001: every timer is a `Msg` variant with a receiving role.
 //!
@@ -35,22 +31,6 @@ use crate::lexer::{Tok, TokKind};
 use crate::model::{Pass, Workspace};
 use crate::parse::skip_group;
 use crate::passes::flag;
-
-/// Wait-tracking collections that require a per-wait timer: inserting into
-/// `collection` (in files whose path ends with `file_suffix`) must be
-/// covered by `ctx.schedule(_, Msg::<timer>)` on every path.
-const WAIT_TABLE: &[WaitRule] = &[WaitRule {
-    file_suffix: "coordinator.rs",
-    collection: "inflight",
-    timer: "TxnTimeout",
-}];
-
-/// One entry of [`WAIT_TABLE`].
-struct WaitRule {
-    file_suffix: &'static str,
-    collection: &'static str,
-    timer: &'static str,
-}
 
 /// A `<coll>.<method>(` call site.
 struct MethodCall {
@@ -102,19 +82,6 @@ fn scheduled_timers(toks: &[Tok], range: Range<usize>) -> Vec<String> {
     out
 }
 
-/// Mask-bit-0 gen vector: blocks containing `schedule(.. Msg::<timer> ..)`.
-fn schedule_gens(toks: &[Tok], cfg: &Cfg, timer: &str) -> Vec<u64> {
-    cfg.blocks
-        .iter()
-        .map(|b| {
-            let armed = scheduled_timers(toks, b.range.clone())
-                .iter()
-                .any(|v| v == timer);
-            u64::from(armed)
-        })
-        .collect()
-}
-
 /// All `match` arms in a token range (any nesting depth).
 fn arms_in(toks: &[Tok], range: Range<usize>) -> Vec<Arm> {
     let mut out = Vec::new();
@@ -152,7 +119,7 @@ impl Pass for TimePass {
     }
 
     fn description(&self) -> &'static str {
-        "every quorum/ack wait in mdcc reaches a timeout edge"
+        "a one-shot timer's handler re-arms it before inserting into what only it reclaims"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -163,41 +130,6 @@ impl Pass for TimePass {
             }
             let toks = file.toks();
             let nodes = g.nodes_of_file(fi);
-
-            // TIME001: table-driven must-arm through wait inserts.
-            for rule in WAIT_TABLE {
-                if !file.path.ends_with(rule.file_suffix) {
-                    continue;
-                }
-                for &n in nodes {
-                    let f = &g.fns[n];
-                    let inserts: Vec<MethodCall> = method_calls(toks, f.body.clone(), &["insert"])
-                        .into_iter()
-                        .filter(|c| c.coll == rule.collection)
-                        .collect();
-                    if inserts.is_empty() {
-                        continue;
-                    }
-                    let cfg = build_cfg(toks, f.body.clone());
-                    let gens = schedule_gens(toks, &cfg, rule.timer);
-                    for ins in inserts {
-                        if !covered_on_every_path(&cfg, &gens, ins.idx) {
-                            flag(
-                                out,
-                                file,
-                                "time",
-                                "TIME001",
-                                ins.line,
-                                format!(
-                                    "wait registered in `{}.{}` without a timeout: some path through this insert in `{}` never schedules `Msg::{}`",
-                                    rule.collection, "insert", f.name, rule.timer
-                                ),
-                                "arm the timer with `ctx.schedule(timeout, Msg::..)` on every path that registers the wait, or annotate with `// check:allow(time)` if the wait is reclaimed elsewhere",
-                            );
-                        }
-                    }
-                }
-            }
 
             let whole = 0..toks.len();
             let scheduled: BTreeSet<String> =
@@ -249,6 +181,15 @@ impl Pass for TimePass {
                 }
                 let variant = &region.variant;
                 let handler_set = &region.fns;
+                // Mask-bit-0 gen vector: blocks that re-arm this timer.
+                let rearms = |cfg: &Cfg| -> Vec<u64> {
+                    cfg.blocks
+                        .iter()
+                        .map(|b| {
+                            u64::from(scheduled_timers(toks, b.range.clone()).contains(variant))
+                        })
+                        .collect()
+                };
                 // Collections reclaimed *only* by this timer's handler:
                 // every removal site lies in this region and in no other
                 // timer's region (a site reachable from two timers means
@@ -290,7 +231,7 @@ impl Pass for TimePass {
                         continue;
                     }
                     let cfg = build_cfg(toks, f.body.clone());
-                    let gens = schedule_gens(toks, &cfg, variant);
+                    let gens = rearms(&cfg);
                     for ins in inserts {
                         let mut ok = covered_on_every_path(&cfg, &gens, ins.idx);
                         if !ok {
@@ -305,7 +246,7 @@ impl Pass for TimePass {
                                 && callers.iter().all(|&c| {
                                     let cf = &g.fns[c];
                                     let ccfg = build_cfg(toks, cf.body.clone());
-                                    let cgens = schedule_gens(toks, &ccfg, variant);
+                                    let cgens = rearms(&ccfg);
                                     let call_sites: Vec<usize> = (cf.body.clone())
                                         .filter(|&k| {
                                             toks[k].is_ident(&f.name)

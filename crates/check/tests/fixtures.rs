@@ -17,157 +17,6 @@ fn run(ws: &Workspace, pass: &str) -> Vec<planet_check::Diagnostic> {
     run_passes(ws, &[pass.to_string()])
 }
 
-// ---- state ----
-
-#[test]
-fn state_illegal_transition_fires() {
-    // A timeout handler that commits: `Committed` is outside handle_timeout's
-    // legal-edge set (votes may still be in flight).
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn handle_timeout(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        self.finish(txn, Outcome::Committed, ctx);
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "STATE001")
-        .expect("STATE001 must fire");
-    assert!(hit.message.contains("handle_timeout"));
-    assert!(hit.message.contains("outcome:Committed"));
-    assert_eq!(hit.file, "crates/mdcc/src/coordinator.rs");
-    assert_eq!(hit.line, 4);
-}
-
-#[test]
-fn state_missing_required_edge_fires() {
-    // An apply handler that no longer installs anything has silently dropped
-    // a protocol edge.
-    let w = ws(&[(
-        "crates/mdcc/src/replica_actor.rs",
-        r#"
-impl ReplicaActor {
-    fn handle_apply(&mut self, key: Key) {
-        let _ = key;
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "STATE002")
-        .expect("STATE002 must fire");
-    assert!(hit.message.contains("handle_apply"));
-    assert!(hit.message.contains("install"));
-}
-
-#[test]
-fn state_speculative_commit_guard_fires() {
-    // Proposal validation deciding/installing = a commit from an unprepared
-    // state.
-    let w = ws(&[(
-        "crates/mdcc/src/replica_actor.rs",
-        r#"
-impl ReplicaActor {
-    fn handle_fast_propose(&mut self, key: Key, txn: TxnId) {
-        self.storage.decide(&key, txn, true);
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "STATE001")
-        .expect("STATE001 must fire for decide in a propose handler");
-    assert!(hit.message.contains("handle_fast_propose"));
-    assert!(hit.message.contains("decide:commit"));
-    assert_eq!(hit.line, 4);
-}
-
-#[test]
-fn state_unrouted_key_send_fires() {
-    // A coordinator helper that fans a key-carrying Decide out to a replica
-    // picked without consulting the shard map: per-key ordering is gone.
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn finish(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        let target = self.replicas[0];
-        ctx.send(target, Msg::Decide { txn, key, commit: true });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "STATE006")
-        .expect("STATE006 must fire for an unrouted Decide send");
-    assert!(hit.message.contains("finish"), "{}", hit.message);
-    assert!(hit.message.contains("Msg::Decide"));
-    assert_eq!(hit.file, "crates/mdcc/src/coordinator.rs");
-    assert_eq!(hit.line, 5);
-}
-
-#[test]
-fn state_shard_routed_send_is_quiet() {
-    // The same send resolved through the shard map is legal, and so are
-    // reply-routed messages (Vote) and dispatchers that only pattern-match.
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn finish(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        let target = self.route_master(route);
-        ctx.send(target, Msg::Decide { txn, key, commit: true });
-    }
-    fn reply(&mut self, coordinator: ActorId, ctx: &mut Ctx) {
-        ctx.send(coordinator, Msg::Vote { txn, key, accept: true });
-    }
-    fn dispatch(&mut self, msg: Msg) {
-        match msg {
-            Msg::Decide { txn, key, commit } => self.on_decide(txn, key, commit),
-            _ => {}
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    assert!(
-        !diags.iter().any(|d| d.code == "STATE006"),
-        "routed/reply/dispatch-only code must be quiet: {diags:?}"
-    );
-}
-
-#[test]
-fn state_allow_marker_silences_shard_routing() {
-    let w = ws(&[(
-        "crates/mdcc/src/replica_actor.rs",
-        r#"
-impl ReplicaActor {
-    fn resend(&mut self, target: ActorId, ctx: &mut Ctx) {
-        // check:allow(shard_routing)
-        ctx.send(target, Msg::Replicate { txn, key });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "state");
-    assert!(
-        !diags.iter().any(|d| d.code == "STATE006"),
-        "allow marker must silence STATE006: {diags:?}"
-    );
-}
-
 // ---- determinism ----
 
 #[test]
@@ -237,107 +86,7 @@ mod tests {
     assert!(hits[0].message.contains("pending"));
 }
 
-#[test]
-fn determinism_thread_rng_fires() {
-    let w = ws(&[(
-        "crates/workload/src/gen.rs",
-        "fn pick() -> u64 { thread_rng().gen() }\n",
-    )]);
-    let diags = run(&w, "determinism");
-    assert!(
-        diags.iter().any(|d| d.code == "DET003"),
-        "DET003 must fire on thread_rng: {diags:?}"
-    );
-}
-
 // ---- time ----
-
-#[test]
-fn time_unarmed_wait_insert_fires_on_bare_branch() {
-    // One branch arms TxnTimeout next to the inflight insert, the other
-    // registers the wait bare: only the bare one is a liveness hole.
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn submit(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        if fast {
-            self.inflight.insert(txn, state);
-            ctx.schedule(delay, Msg::TxnTimeout { txn });
-        } else {
-            self.inflight.insert(txn, state);
-        }
-    }
-    fn on_message(&mut self, msg: Msg) {
-        match msg {
-            Msg::TxnTimeout { txn } => self.reap(txn),
-            _ => {}
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "time");
-    let hits: Vec<_> = diags.iter().filter(|d| d.code == "TIME001").collect();
-    assert_eq!(hits.len(), 1, "exactly the unarmed insert: {diags:?}");
-    assert_eq!(hits[0].file, "crates/mdcc/src/coordinator.rs");
-    assert_eq!(hits[0].line, 8);
-    assert!(hits[0].message.contains("inflight"));
-    assert!(hits[0].message.contains("TxnTimeout"));
-}
-
-#[test]
-fn time_armed_wait_insert_is_quiet() {
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn submit(&mut self, txn: TxnId, ctx: &mut Ctx) {
-        self.inflight.insert(txn, state);
-        ctx.schedule(delay, Msg::TxnTimeout { txn });
-    }
-    fn on_message(&mut self, msg: Msg) {
-        match msg {
-            Msg::TxnTimeout { txn } => self.reap(txn),
-            _ => {}
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "time");
-    assert!(
-        !diags.iter().any(|d| d.code == "TIME001"),
-        "insert and schedule share a path: {diags:?}"
-    );
-}
-
-#[test]
-fn time_allow_marker_silences_unarmed_insert() {
-    let w = ws(&[(
-        "crates/mdcc/src/coordinator.rs",
-        r#"
-impl CoordinatorActor {
-    fn adopt(&mut self, txn: TxnId) {
-        // check:allow(time): adopted entries are swept by the lease GC
-        self.inflight.insert(txn, state);
-    }
-    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx) {
-        ctx.schedule(delay, Msg::TxnTimeout { txn });
-        match msg {
-            Msg::TxnTimeout { txn } => self.reap(txn),
-            _ => {}
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "time");
-    assert!(
-        !diags.iter().any(|d| d.code == "TIME001"),
-        "allow marker must silence TIME001: {diags:?}"
-    );
-}
 
 #[test]
 fn time_oneshot_handler_insert_without_rearm_fires() {
@@ -956,96 +705,81 @@ impl ReplicaActor {
     );
 }
 
-/// The ways a cluster function tells a submission from protocol traffic:
-/// matching either variant, or asking the accessor that covers both.
-const SUBMISSION_TESTS: [&str; 3] = [
-    "matches!(env.msg, Msg::Submit { .. })",
-    "matches!(env.msg, Msg::SubmitPlan { .. })",
-    "env.msg.submission().is_some()",
-];
-
-const FLOW004_MSGS: &str = "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n    SubmitPlan { plan: u32, reply_to: u64, tag: u64 },\n    TxnDone { tag: u64 },\n}\n";
-
 #[test]
-fn flow_shed_submit_without_synthetic_txn_done_fires() {
-    // The channel.rs shed shape: a cluster function special-cases a
-    // submission but never bounces the promised TxnDone.
-    for test in SUBMISSION_TESTS {
-        let channel = format!(
-            r#"
-impl Fabric {{
-    fn deliver(&mut self, env: Env) {{
-        if {test} {{
-            self.dropped += 1;
-        }}
-    }}
-}}
-"#
-        );
-        let w = ws(&[
-            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
-            ("crates/cluster/src/channel.rs", &channel),
-        ]);
-        let diags = run(&w, "flow");
-        let hit = diags
-            .iter()
-            .find(|d| d.code == "FLOW004")
-            .unwrap_or_else(|| panic!("FLOW004 must fire for the shed path `{test}`"));
-        assert!(hit.message.contains("deliver"), "{}", hit.message);
-        assert_eq!(hit.file, "crates/cluster/src/channel.rs");
-        assert_eq!(hit.line, 4);
+fn flow_unrouted_key_send_fires() {
+    // A coordinator helper that fans a key-carrying Decide out to a replica
+    // picked without consulting the shard map: per-key ordering is gone.
+    let w = ws(&[(
+        "crates/mdcc/src/coordinator.rs",
+        r#"
+impl CoordinatorActor {
+    fn finish(&mut self, txn: TxnId, ctx: &mut Ctx) {
+        let target = self.replicas[0];
+        ctx.send(target, Msg::Decide { txn, key, commit: true });
     }
+}
+"#,
+    )]);
+    let diags = run(&w, "flow");
+    let hit = diags
+        .iter()
+        .find(|d| d.code == "FLOW005")
+        .expect("FLOW005 must fire for an unrouted Decide send");
+    assert!(hit.message.contains("finish"), "{}", hit.message);
+    assert!(hit.message.contains("Msg::Decide"));
+    assert_eq!(hit.file, "crates/mdcc/src/coordinator.rs");
+    assert_eq!(hit.line, 5);
 }
 
 #[test]
-fn flow_shed_submit_bouncing_txn_done_is_quiet_and_allow_suppresses() {
-    for test in SUBMISSION_TESTS {
-        let bouncing = format!(
-            r#"
-impl Fabric {{
-    fn deliver(&mut self, env: Env) {{
-        if {test} {{
-            self.bounce(env);
-        }}
-    }}
-    fn bounce(&mut self, env: Env) {{
-        self.net.send(env.reply_to, Msg::TxnDone {{ tag: env.tag }});
-    }}
-}}
-"#
-        );
-        let w = ws(&[
-            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
-            ("crates/cluster/src/channel.rs", &bouncing),
-        ]);
-        let diags = run(&w, "flow");
-        assert!(
-            !diags.iter().any(|d| d.code == "FLOW004"),
-            "a shed path `{test}` that bounces TxnDone is quiet: {diags:?}"
-        );
-
-        let allowed = format!(
-            r#"
-impl Fabric {{
-    fn deliver(&mut self, env: Env) {{
-        // check:allow(flow): crash-injection drop, loss is the point
-        if {test} {{
-            self.dropped += 1;
-        }}
-    }}
-}}
-"#
-        );
-        let w = ws(&[
-            ("crates/mdcc/src/messages.rs", FLOW004_MSGS),
-            ("crates/cluster/src/channel.rs", &allowed),
-        ]);
-        let diags = run(&w, "flow");
-        assert!(
-            !diags.iter().any(|d| d.code == "FLOW004"),
-            "allow marker must silence FLOW004 for `{test}`: {diags:?}"
-        );
+fn flow_shard_routed_send_is_quiet() {
+    // The same send resolved through the shard map is legal, and so are
+    // reply-routed messages (Vote) and dispatchers that only pattern-match.
+    let w = ws(&[(
+        "crates/mdcc/src/coordinator.rs",
+        r#"
+impl CoordinatorActor {
+    fn finish(&mut self, txn: TxnId, ctx: &mut Ctx) {
+        let target = self.route_master(route);
+        ctx.send(target, Msg::Decide { txn, key, commit: true });
     }
+    fn reply(&mut self, coordinator: ActorId, ctx: &mut Ctx) {
+        ctx.send(coordinator, Msg::Vote { txn, key, accept: true });
+    }
+    fn dispatch(&mut self, msg: Msg) {
+        match msg {
+            Msg::Decide { txn, key, commit } => self.on_decide(txn, key, commit),
+            _ => {}
+        }
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "flow");
+    assert!(
+        !diags.iter().any(|d| d.code == "FLOW005"),
+        "routed/reply/dispatch-only code must be quiet: {diags:?}"
+    );
+}
+
+#[test]
+fn flow_allow_marker_silences_shard_routing() {
+    let w = ws(&[(
+        "crates/mdcc/src/replica_actor.rs",
+        r#"
+impl ReplicaActor {
+    fn resend(&mut self, target: ActorId, ctx: &mut Ctx) {
+        // check:allow(flow)
+        ctx.send(target, Msg::Replicate { txn, key });
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "flow");
+    assert!(
+        !diags.iter().any(|d| d.code == "FLOW005"),
+        "allow marker must silence FLOW005: {diags:?}"
+    );
 }
 
 // ---- race ----
@@ -1297,73 +1031,6 @@ fn pump_once() {
     assert_eq!(hit.line, 5);
 }
 
-#[test]
-fn race_cloned_sender_in_spawn_fires_and_allow_suppresses() {
-    let w = ws(&[(
-        "crates/cluster/src/channel.rs",
-        r#"
-impl Fabric {
-    fn start(&mut self, tx: Sender<Msg>) {
-        std::thread::spawn(move || {
-            let mine = tx.clone();
-            mine.send(1);
-        });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "race");
-    let hit = diags
-        .iter()
-        .find(|d| d.code == "RACE003")
-        .expect("RACE003 must fire for a sender clone in a spawn");
-    assert!(hit.message.contains("tx.clone()"), "{}", hit.message);
-    assert_eq!(hit.file, "crates/cluster/src/channel.rs");
-    assert_eq!(hit.line, 5);
-
-    let w = ws(&[(
-        "crates/cluster/src/channel.rs",
-        r#"
-impl Fabric {
-    fn start(&mut self, tx: Sender<Msg>) {
-        std::thread::spawn(move || {
-            // check:allow(race): per-thread handle, pairwise order unused
-            let mine = tx.clone();
-            mine.send(1);
-        });
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "race");
-    assert!(
-        !diags.iter().any(|d| d.code == "RACE003"),
-        "allow marker must silence RACE003: {diags:?}"
-    );
-}
-
-#[test]
-fn race_stored_sender_clone_fires_but_returned_clone_is_quiet() {
-    let w = ws(&[(
-        "crates/cluster/src/channel.rs",
-        r#"
-impl Fabric {
-    fn register(&mut self, tx: Sender<Msg>) {
-        self.peers.push(tx.clone());
-    }
-    fn handle(&self, tx: Sender<Msg>) -> Sender<Msg> {
-        tx.clone()
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "race");
-    let hits: Vec<_> = diags.iter().filter(|d| d.code == "RACE003").collect();
-    assert_eq!(hits.len(), 1, "only the stored clone: {diags:?}");
-    assert!(hits[0].message.contains("stores"), "{}", hits[0].message);
-    assert_eq!(hits[0].line, 4);
-}
-
 // ---- sync (atomics & wakeups) ----
 
 #[test]
@@ -1475,50 +1142,6 @@ impl Parker {
 }
 
 #[test]
-fn sync_cas_pair_sanity_fires_atom003() {
-    let w = ws(&[(
-        "crates/cluster/src/reactor.rs",
-        r#"
-impl TaskCore {
-    fn claim_relaxed_failure(&self) {
-        self.sched.compare_exchange(1, 2, Ordering::AcqRel, Ordering::Relaxed);
-    }
-    fn claim_incoherent(&self) {
-        self.sched.compare_exchange(1, 2, Ordering::Release, Ordering::SeqCst);
-    }
-    fn claim_no_release(&self) {
-        self.sched.compare_exchange(1, 2, Ordering::Acquire, Ordering::Acquire);
-    }
-    fn claim_ok(&self) {
-        self.sched.compare_exchange(1, 2, Ordering::AcqRel, Ordering::Acquire);
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "sync");
-    let a3: Vec<_> = diags.iter().filter(|d| d.code == "ATOM003").collect();
-    assert!(
-        a3.iter()
-            .any(|d| d.line == 4 && d.message.contains("Relaxed")),
-        "relaxed failure: {diags:?}"
-    );
-    assert!(
-        a3.iter()
-            .any(|d| d.line == 7 && d.message.contains("stronger")),
-        "incoherent pair: {diags:?}"
-    );
-    assert!(
-        a3.iter()
-            .any(|d| d.line == 10 && d.message.contains("Release")),
-        "missing release on success: {diags:?}"
-    );
-    assert!(
-        !a3.iter().any(|d| d.line == 13),
-        "the AcqRel/Acquire pair is sound: {diags:?}"
-    );
-}
-
-#[test]
 fn sync_enqueue_without_notify_fires_wake001_and_allow_suppresses() {
     let w = ws(&[(
         "crates/cluster/src/reactor.rs",
@@ -1574,7 +1197,7 @@ impl Inner {
 #[test]
 fn sync_enqueue_with_escaping_branch_fires_wake001() {
     // One early-return path skips the parked check: exactly the lost
-    // wakeup TIME001-style must-analysis exists to catch.
+    // wakeup the must-analysis exists to catch.
     let w = ws(&[(
         "crates/cluster/src/reactor.rs",
         r#"
@@ -1691,83 +1314,4 @@ impl Shared {
         hits[0].message
     );
     assert_eq!(hits[0].line, 11);
-}
-
-#[test]
-fn sync_registered_waits_recheck_their_guard() {
-    // The mailbox's two waits: the waiter registers under the lock, waits,
-    // and goes round the loop that re-reads the guard. The same waits
-    // outside a loop trust whoever woke them.
-    let w = ws(&[(
-        "crates/cluster/src/plane.rs",
-        r#"
-impl MailboxSender {
-    fn send(&self, packet: Packet) {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if state.queue.len() < self.shared.capacity {
-                break;
-            }
-            state.blocked_senders += 1;
-            state = self.shared.drained.wait(state).unwrap();
-            state.blocked_senders -= 1;
-        }
-    }
-    fn recv(&self, left: Duration) {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if state.queue.pop_front().is_some() {
-                return;
-            }
-            state.receiver_waiting = true;
-            state = self.shared.arrived.wait_timeout(state, left).unwrap().0;
-            state.receiver_waiting = false;
-        }
-    }
-    fn recv_once(&self, left: Duration) {
-        let mut state = self.shared.state.lock().unwrap();
-        state.receiver_waiting = true;
-        state = self.shared.arrived.wait_timeout(state, left).unwrap().0;
-        state.receiver_waiting = false;
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "sync");
-    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE002").collect();
-    assert_eq!(hits.len(), 1, "only the wait outside a loop: {diags:?}");
-    assert!(hits[0].message.contains("recv_once"), "{}", hits[0].message);
-    assert_eq!(hits[0].line, 28);
-}
-
-#[test]
-fn sync_bare_wait_fires_wake002_rechecked_waits_are_quiet() {
-    let w = ws(&[(
-        "crates/cluster/src/reactor.rs",
-        r#"
-impl Parker {
-    fn park_bare(&self) {
-        let guard = self.lock.lock().unwrap();
-        let guard = self.cv.wait(guard).unwrap();
-    }
-    fn park_looped(&self) {
-        let mut guard = self.lock.lock().unwrap();
-        while !*guard {
-            guard = self.cv.wait(guard).unwrap();
-        }
-    }
-    fn park_gated(&self) {
-        let guard = self.lock.lock().unwrap();
-        if !*guard {
-            let guard = self.cv.wait(guard).unwrap();
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&w, "sync");
-    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE002").collect();
-    assert_eq!(hits.len(), 1, "only the bare wait: {diags:?}");
-    assert!(hits[0].message.contains("park_bare"), "{}", hits[0].message);
-    assert_eq!(hits[0].line, 5);
 }

@@ -92,8 +92,8 @@ fn panic_pass_reaches_rootless_crates() {
 
 /// One coordinator FSM. `coordinator.rs` used to answer `ReadResp` and `Vote`
 /// twice over — an interpreted handler and a compiled twin, picked per
-/// message — and the state pass's table cannot see a twin it has no row
-/// for. Every edge of the transaction FSM has exactly one producer.
+/// message. Every edge of the transaction FSM has exactly one producer, so
+/// a returning twin shows up here as a second name.
 #[test]
 fn the_coordinator_has_one_producer_per_fsm_edge() {
     let ws = real_workspace();
@@ -131,6 +131,52 @@ fn flow_and_race_are_clean_on_the_real_workspace() {
     assert!(
         diags.is_empty(),
         "flow/race regressions must be fixed, not baselined: {diags:#?}"
+    );
+}
+
+/// FLOW003 reads the real protocol: in a copy of the real sources with the
+/// only send of `Msg::Recover` (`Planet::recover_site_at`) taken out, the
+/// variant is dead wire surface and FLOW003 fires at its declaration. The
+/// unmodified copy stays clean.
+#[test]
+fn seeded_dead_recover_variant_trips_flow003() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let real = real_workspace();
+    let copy = |edit: &dyn Fn(&str, String) -> String| {
+        let sources = real.files().iter().map(|f| {
+            let src = std::fs::read_to_string(root.join(&f.path)).expect("source");
+            (f.path.clone(), edit(&f.path, src))
+        });
+        Workspace::from_sources(sources.collect())
+    };
+    let flow003 = |ws: &Workspace| -> Vec<_> {
+        run_passes(ws, &["flow".to_string()])
+            .into_iter()
+            .filter(|d| d.code == "FLOW003")
+            .collect()
+    };
+    assert_eq!(flow003(&copy(&|_, src| src)).len(), 0, "the copy is clean");
+
+    let send = "        self.inject_site_at(site, at, Msg::Recover);\n";
+    let seeded = copy(&|path, src| {
+        if path != "crates/core/src/db.rs" {
+            return src;
+        }
+        assert_eq!(src.matches(send).count(), 1, "recover_site_at sends it");
+        src.replace(send, "")
+    });
+    let decl = real
+        .file("crates/mdcc/src/messages.rs")
+        .and_then(|f| f.enum_named("Msg"))
+        .and_then(|msg| msg.variants.iter().find(|v| v.name == "Recover"))
+        .expect("Msg::Recover is declared")
+        .line;
+    let hits = flow003(&seeded);
+    assert!(
+        hits.iter().any(|d| d.file == "crates/mdcc/src/messages.rs"
+            && d.line == decl
+            && d.message.contains("`Msg::Recover` is never sent")),
+        "a variant nobody sends must fire FLOW003 at its declaration: {hits:#?}"
     );
 }
 

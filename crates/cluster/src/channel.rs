@@ -47,13 +47,11 @@ use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use planet_mdcc::{Msg, Outcome, TxnStats};
-use planet_sim::{ActorId, DetRng, NetworkModel, SimTime, SiteId};
-use planet_storage::TxnId;
+use planet_sim::{DetRng, NetworkModel, SimTime, SiteId};
 
 use crate::node::{Clock, Packet};
 use crate::plane::{MailboxSender, TrySendError};
-use crate::transport::{Envelope, Transport};
+use crate::transport::{shed_bounce, Envelope, Transport};
 
 enum FabricCmd {
     Env(Envelope),
@@ -282,7 +280,7 @@ impl ChannelTransport {
                 Ok(()) => {}
                 Err(TrySendError::Full(Packet::Env(env))) => {
                     self.shed.fetch_add(1, Ordering::Relaxed);
-                    self.bounce_submit(env.to, reply_to, tag);
+                    self.deliver(shed_bounce(env.to, reply_to, tag, self.clock.now()));
                 }
                 Err(_) => {
                     self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -292,31 +290,6 @@ impl ChannelTransport {
             // Destination node already stopped.
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Turn a shed submission into a synthetic timed-out `TxnDone` from the
-    /// coordinator it was for to its `reply_to`, so closed-loop clients
-    /// observe the shed the same way they observe any other timeout.
-    fn bounce_submit(&self, from: ActorId, reply_to: ActorId, tag: u64) {
-        let now = self.clock.now();
-        let bounce = Envelope {
-            from,
-            to: reply_to,
-            msg: Msg::TxnDone {
-                tag,
-                txn: TxnId::new(0, 0),
-                outcome: Outcome::TimedOut,
-                stats: TxnStats {
-                    submitted_at: now,
-                    decided_at: now,
-                    proposals_sent_at: SimTime::ZERO,
-                    write_keys: 0,
-                    votes_received: 0,
-                    rejections: 0,
-                },
-            },
-        };
-        self.deliver(bounce);
     }
 
     /// The fabric loop: hold each envelope for its sampled delay, then

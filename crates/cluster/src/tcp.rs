@@ -51,13 +51,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use planet_mdcc::{Msg, Outcome, TxnStats};
-use planet_sim::{ActorId, SimTime};
-use planet_storage::TxnId;
+use planet_sim::SimTime;
 
 use crate::node::Packet;
 use crate::plane::{MailboxSender, TrySendError};
-use crate::transport::{Envelope, Transport};
+use crate::transport::{shed_bounce, Envelope, Transport};
 use crate::wire;
 
 /// A write handle to one connection, shared by everyone routing to it.
@@ -352,7 +350,9 @@ impl TcpInner {
                 Ok(()) => {}
                 Err(TrySendError::Full(Packet::Env(env))) => {
                     inner.shed.fetch_add(1, Ordering::Relaxed);
-                    TcpInner::bounce_submit(inner, env.to, reply_to, tag);
+                    // Routed like any other send, so a remote load driver
+                    // sees the shed as a timeout down its own connection.
+                    TcpInner::send_env(inner, shed_bounce(env.to, reply_to, tag, SimTime::ZERO));
                 }
                 Err(_) => {
                     inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -361,30 +361,6 @@ impl TcpInner {
         } else if tx.send(Packet::Env(env)).is_err() {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Turn a shed submission into a synthetic timed-out `TxnDone` to its
-    /// `reply_to` — routed like any other send, so a remote load driver
-    /// sees the shed as a timeout down its own connection.
-    fn bounce_submit(inner: &Arc<TcpInner>, from: ActorId, reply_to: ActorId, tag: u64) {
-        let bounce = Envelope {
-            from,
-            to: reply_to,
-            msg: Msg::TxnDone {
-                tag,
-                txn: TxnId::new(0, 0),
-                outcome: Outcome::TimedOut,
-                stats: TxnStats {
-                    submitted_at: SimTime::from_micros(0),
-                    decided_at: SimTime::from_micros(0),
-                    proposals_sent_at: SimTime::from_micros(0),
-                    write_keys: 0,
-                    votes_received: 0,
-                    rejections: 0,
-                },
-            },
-        };
-        TcpInner::send_env(inner, bounce);
     }
 
     /// Resolve the connection an envelope to `dst` should go down: learned

@@ -1,7 +1,8 @@
 //! The pluggable message fabric underneath a live cluster.
 
-use planet_mdcc::Msg;
-use planet_sim::ActorId;
+use planet_mdcc::{Msg, Outcome, TxnStats};
+use planet_sim::{ActorId, SimTime};
+use planet_storage::TxnId;
 
 /// A protocol message in flight between two live actors.
 #[derive(Debug, Clone)]
@@ -14,6 +15,30 @@ pub struct Envelope {
     pub msg: Msg,
 }
 
+/// The answer to a shed submission: a synthetic timed-out `TxnDone` from
+/// the coordinator it was for (`from`) to its `reply_to`, carrying its
+/// `tag`, so a closed-loop client observes the shed the way it observes any
+/// other timeout. `at` stamps its submission and decision times.
+pub(crate) fn shed_bounce(from: ActorId, reply_to: ActorId, tag: u64, at: SimTime) -> Envelope {
+    Envelope {
+        from,
+        to: reply_to,
+        msg: Msg::TxnDone {
+            tag,
+            txn: TxnId::new(0, 0),
+            outcome: Outcome::TimedOut,
+            stats: TxnStats {
+                submitted_at: at,
+                decided_at: at,
+                proposals_sent_at: SimTime::ZERO,
+                write_keys: 0,
+                votes_received: 0,
+                rejections: 0,
+            },
+        },
+    }
+}
+
 /// A message fabric: anything that can carry an [`Envelope`] from one live
 /// actor to another. Implementations decide delivery latency, loss, and
 /// ordering; the reactor above is transport-agnostic.
@@ -23,7 +48,8 @@ pub struct Envelope {
 /// latency) bounded. The exception is client load — a transaction submitted
 /// as `Msg::Submit` or as `Msg::SubmitPlan` (`Msg::submission` tells) —
 /// which transports shed rather than block on (see [`ChannelTransport`]), so
-/// it can never wedge the protocol plane.
+/// it can never wedge the protocol plane; the client gets a
+/// `shed_bounce` instead.
 ///
 /// [`ChannelTransport`]: crate::ChannelTransport
 pub trait Transport: Send + Sync {

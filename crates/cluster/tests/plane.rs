@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use planet_cluster::node::{Clock, Packet};
 use planet_cluster::plane::{mailbox, PlaneConfig};
 use planet_cluster::transport::{Envelope, Transport};
-use planet_cluster::{ChannelTransport, Reactor};
+use planet_cluster::{ChannelTransport, Reactor, TcpTransport};
 use planet_mdcc::{Msg, Outcome, TxnSpec};
 use planet_sim::{Actor, ActorId, Context, SimDuration, SiteId};
 use planet_storage::{Key, WriteOp};
@@ -129,10 +129,16 @@ fn full_mailbox_applies_backpressure_to_protocol_traffic() {
 /// A submission — `Submit` or `SubmitPlan` alike — into a full mailbox is
 /// shed, not blocked on, and the shed surfaces to the submitting client as a
 /// timed-out `TxnDone` carrying the submission's tag: a closed-loop client
-/// keyed on tags keeps running instead of hanging.
+/// keyed on tags keeps running instead of hanging. Both fabrics: the
+/// channel transport, and a tcp transport hosting both mailboxes.
 #[test]
 fn shed_submit_bounces_as_timed_out_txn_done() {
-    for kind in ["Submit", "SubmitPlan"] {
+    for (fabric, kind) in [
+        ("channel", "Submit"),
+        ("channel", "SubmitPlan"),
+        ("tcp", "Submit"),
+        ("tcp", "SubmitPlan"),
+    ] {
         let msg = move |tag| match kind {
             "Submit" => Msg::Submit {
                 spec: TxnSpec::write_one(Key::new("shed"), WriteOp::add(1)),
@@ -146,13 +152,27 @@ fn shed_submit_bounces_as_timed_out_txn_done() {
                 tag,
             },
         };
-        let transport = ChannelTransport::direct(Clock::new());
-        // An overloaded server: capacity 2, nobody draining.
+        // An overloaded server: capacity 2, nobody draining. The client
+        // mailbox receives the bounces.
         let (server_tx, _server_rx) = mailbox(2);
-        transport.register(1, SiteId(0), server_tx);
-        // The client mailbox receives the bounces.
         let (client_tx, client_rx) = mailbox(64);
-        transport.register(9, SiteId(0), client_tx);
+        let (transport, shed): (Arc<dyn Transport>, Box<dyn Fn() -> u64>) = match fabric {
+            "channel" => {
+                let channel = ChannelTransport::direct(Clock::new());
+                channel.register(1, SiteId(0), server_tx);
+                channel.register(9, SiteId(0), client_tx);
+                let counter = Arc::clone(&channel);
+                (channel, Box::new(move || counter.shed()))
+            }
+            _ => {
+                let tcp = TcpTransport::new();
+                tcp.host(1, server_tx);
+                tcp.host(9, client_tx);
+                let counter = Arc::clone(&tcp);
+                (tcp, Box::new(move || counter.shed()))
+            }
+        };
+        let kind = format!("{kind} on {fabric}");
 
         // Sent from a thread of its own: a transport that blocks on the
         // full mailbox fails the test instead of hanging it.
@@ -171,12 +191,12 @@ fn shed_submit_bounces_as_timed_out_txn_done() {
         sent_rx
             .recv_timeout(Duration::from_secs(5))
             .unwrap_or_else(|_| panic!("{kind} blocked on the full mailbox"));
-        assert_eq!(transport.shed(), 4, "{kind}: capacity 2 admits 2");
+        assert_eq!(shed(), 4, "{kind}: capacity 2 admits 2");
 
         for expected_tag in 2..6 {
             let packet = client_rx
                 .recv_timeout(Duration::from_secs(5))
-                .expect("bounce arrives");
+                .unwrap_or_else(|_| panic!("{kind}: no bounce arrived"));
             let Packet::Env(env) = packet else {
                 panic!("unexpected packet for client");
             };

@@ -155,7 +155,7 @@ fn lost_wakeup_check_outside_lock_is_found() {
         });
         // Broken: the predicate check and the wait are not atomic, and the
         // wait never re-reads the predicate — the producer can run
-        // entirely inside the window between them (WAKE002's shape).
+        // entirely inside the window between them (a park without a recheck).
         let ready = { *work.0.lock().expect("lock") };
         if !ready {
             let guard = work.0.lock().expect("lock");

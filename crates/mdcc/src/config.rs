@@ -164,7 +164,7 @@ impl ClusterConfig {
     /// align), identical across sites so a shard's peer group replicates
     /// exactly its own keyspace slice. Every key-carrying message must be
     /// routed with this — it is the per-key ordering invariant the sharded
-    /// hot path rests on (planet-check STATE006).
+    /// hot path rests on (planet-check FLOW005).
     pub fn shard_of(&self, key: &Key) -> usize {
         if self.num_shards == 1 {
             return 0;
