@@ -3,8 +3,8 @@
 //! Two modes:
 //!
 //! * **Offline** (`--trace f1 [f2 ...]`): parse one or more trace files
-//!   (written by `planetd --trace` or `planet-load --trace`), merge them into
-//!   a single history, and audit it.
+//!   (written by `planetd --trace`, one per site), merge them into a single
+//!   history, and audit it.
 //! * **Run** (`--run <workload>`): execute a named anomaly workload on the
 //!   deterministic in-process sim cluster with tracing on, then audit the
 //!   captured trace. This is what CI uses — no servers, no wall clock.

@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: scales, deployment builders, statistics.
 
 use planet_core::{Planet, PlanetTxn, Protocol, SimDuration, SimTime, TxnRecord};
+use planet_sim::NetworkModel;
 
 /// Experiment scale: `Quick` keeps CI and `cargo test` fast; `Full` is what
 /// EXPERIMENTS.md records.
@@ -28,6 +29,16 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// A LAN-ish topology of `sites` sites for the live-cluster runs, whose
+/// point is scheduling and protocol cost under concurrency, not WAN
+/// geography: 2 ms RTT between sites, 0.1 ms within one.
+pub fn lan(sites: usize) -> NetworkModel {
+    let rtt: Vec<Vec<f64>> = (0..sites)
+        .map(|i| (0..sites).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
+        .collect();
+    NetworkModel::from_rtt_ms(&rtt)
 }
 
 /// Build the standard five-DC deployment.

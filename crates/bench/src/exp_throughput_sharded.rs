@@ -1,11 +1,12 @@
-//! Sharded-replica throughput: the same closed-loop concurrency sweep as
-//! [`crate::exp_throughput`], but varying the number of replica shards per
-//! site (`ClusterConfig::with_shards`) on both live transports. Every point
-//! is one [`run_point`]: a [`LiveCluster`] built on the transport under
-//! test, a pool of [`LoadClient`]s per site, a measured window, a harvest.
+//! Sharded-replica throughput: a closed-loop concurrency sweep that varies
+//! the number of replica shards per site (`ClusterConfig::with_shards`) on
+//! both live transports. Every point is one [`run_point`]: a
+//! [`LiveCluster`] built on the transport under test, the virtual users of
+//! `planet_workload::closed_loop` on one product client per site, a
+//! measured window, a harvest.
 //!
 //! * **channel** — one reactor for every actor, the delay fabric shaping
-//!   deliveries;
+//!   deliveries at a 2 ms cross-site RTT;
 //! * **tcp** — `.tcp(..)` with all three sites hosted on loopback ports:
 //!   three planetd-style nodes, each with a listener and a reactor of its
 //!   own, and the clients on a fourth, planet-load-style node, all over
@@ -18,16 +19,15 @@
 //! quorum wait, WAL drive, network) harvested from the actors' metrics. At
 //! `Scale::Full` the sweep lands in `BENCH_throughput_sharded.json`.
 
-use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use planet_cluster::{default_workers, LiveCluster, LoadClient, LoadRecord, PlaneConfig};
-use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol};
-use planet_sim::metrics::{Histogram, Metrics};
-use planet_sim::Actor;
+use planet_cluster::{default_workers, LiveCluster, PlaneConfig};
+use planet_mdcc::{ClusterConfig, Protocol};
+use planet_sim::metrics::Metrics;
 use planet_storage::Key;
+use planet_workload::closed_loop::{self, Mix};
 
-use crate::common::Scale;
+use crate::common::{lan, Scale};
 use crate::report::Table;
 
 const SITES: usize = 3;
@@ -75,50 +75,6 @@ struct Point {
     spans: [SpanStat; 4],
 }
 
-/// Drain the completion channel through a warmup, then a measured window.
-/// Returns `(ops_per_sec, p50, p99, commit_rate, completions)`.
-fn measure(
-    rx: &std::sync::mpsc::Receiver<LoadRecord>,
-    warmup: Duration,
-    window: Duration,
-) -> (f64, u64, u64, f64, u64) {
-    // Coarse poll-and-drain, not per-record blocking recv: at tens of
-    // thousands of completions per second a per-record wake of this thread
-    // preempts the system under test once per transaction and the sweep
-    // measures the kernel's wakeup behavior instead of the cluster.
-    let warm_end = Instant::now() + warmup;
-    while Instant::now() < warm_end {
-        std::thread::sleep(Duration::from_millis(10).min(warm_end - Instant::now()));
-        while rx.try_recv().is_ok() {}
-    }
-    let started = Instant::now();
-    let mut latencies = Histogram::new();
-    let mut committed = 0u64;
-    let mut completions = 0u64;
-    while started.elapsed() < window {
-        std::thread::sleep(Duration::from_millis(10).min(window - started.elapsed()));
-        while let Ok(record) = rx.try_recv() {
-            completions += 1;
-            latencies.record(record.latency_us());
-            if record.outcome == Outcome::Committed {
-                committed += 1;
-            }
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    (
-        completions as f64 / elapsed,
-        latencies.quantile(0.50).unwrap_or(0),
-        latencies.quantile(0.99).unwrap_or(0),
-        if completions > 0 {
-            committed as f64 / completions as f64
-        } else {
-            0.0
-        },
-        completions,
-    )
-}
-
 /// One point on `transport` (`"channel"` or `"tcp"`): a [`LiveCluster`] of
 /// `shards` replica shards per site on reactors of `workers` workers, and
 /// `clients` closed-loop clients round-robined over the sites.
@@ -140,33 +96,23 @@ fn run_point(
             let loopback = "127.0.0.1:0".parse().expect("loopback addr");
             builder.tcp(vec![loopback; SITES], 0..SITES)
         }
-        // The base sweep's 2 ms cross-site RTT.
-        _ => builder.network(crate::exp_throughput::lan()),
+        _ => builder.network(lan(SITES)),
     }
     .build();
     let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("sh-{i}"))).collect();
-    let (tx, rx) = channel::<LoadRecord>();
-    for site in 0..SITES {
-        let coordinator = cluster.coordinator(site);
-        let actors: Vec<Box<dyn Actor<Msg>>> = (0..clients)
-            .filter(|k| k % SITES == site)
-            .map(|_| Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone())) as _)
-            .collect();
-        cluster.spawn_client_pool(site, actors);
-    }
-    drop(tx);
-    let (ops_per_sec, p50_us, p99_us, commit_rate, completions) = measure(&rx, warmup, window);
+    let ids = closed_loop::spawn(&mut cluster, clients, &Mix::Increments(keys.into()));
+    let tally = closed_loop::measure(&cluster, &ids, warmup, window);
     let harvest = cluster.shutdown();
     Point {
         shards,
         transport,
         workers,
         clients,
-        ops_per_sec,
-        p50_us,
-        p99_us,
-        commit_rate,
-        completions,
+        ops_per_sec: tally.ops_per_sec(),
+        p50_us: tally.latency_us.quantile(0.50).unwrap_or(0),
+        p99_us: tally.latency_us.quantile(0.99).unwrap_or(0),
+        commit_rate: tally.commit_rate(),
+        completions: tally.total(),
         shed: harvest.shed,
         spans: span_stats(&mut harvest.merged_metrics()),
     }

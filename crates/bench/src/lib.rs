@@ -17,7 +17,6 @@ mod exp_prediction;
 mod exp_reads;
 mod exp_speculation;
 mod exp_spike;
-mod exp_throughput;
 mod exp_throughput_sharded;
 pub mod report;
 pub mod timing;
@@ -43,7 +42,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "tab1-percentiles",
     "tab2-contention",
     "tab3-reads",
-    "throughput",
     "throughput-sharded",
 ];
 
@@ -61,7 +59,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Table> {
         "tab1-percentiles" => exp_latency::tab1_percentiles(scale),
         "tab2-contention" => exp_admission::tab2_contention(scale),
         "tab3-reads" => exp_reads::tab3_reads(scale),
-        "throughput" => exp_throughput::throughput(scale),
         "throughput-sharded" => exp_throughput_sharded::throughput_sharded(scale),
         _ => return None,
     })

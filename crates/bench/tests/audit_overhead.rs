@@ -1,6 +1,6 @@
 //! Trace-overhead gate for the isolation auditor.
 //!
-//! Runs the same smoke-scale closed-loop harness as `throughput_smoke`
+//! Runs the same smoke-scale closed-loop driver as `throughput_smoke`
 //! twice — tracing off, then tracing into a live `VecSink` — and enforces
 //! that the traced run keeps at least 95% of the untraced throughput. The
 //! trace layer sits on the coordinator/replica hot paths (reads, commits,
@@ -17,14 +17,14 @@
 //! `#[ignore]`d because it is wall-clock-sensitive: run it explicitly with
 //! `cargo test --release -p planet-bench --test audit_overhead -- --ignored`.
 
-use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use planet_cluster::{LiveCluster, LoadClient, LoadRecord, PlaneConfig};
-use planet_mdcc::{ClusterConfig, Outcome, Protocol, Trace, VecSink};
-use planet_sim::NetworkModel;
+use planet_bench::common::lan;
+use planet_cluster::{LiveCluster, PlaneConfig};
+use planet_mdcc::{ClusterConfig, Protocol, Trace, VecSink};
 use planet_storage::Key;
+use planet_workload::closed_loop::{self, Mix};
 
 const SITES: usize = 3;
 const KEYS: usize = 64;
@@ -41,13 +41,6 @@ struct Point {
     trace_events: usize,
 }
 
-fn lan() -> NetworkModel {
-    let rtt: Vec<Vec<f64>> = (0..SITES)
-        .map(|i| (0..SITES).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
-        .collect();
-    NetworkModel::from_rtt_ms(&rtt)
-}
-
 fn run_window(traced: bool) -> Point {
     let mut config = ClusterConfig::new(SITES, Protocol::Fast).with_shards(1);
     let sink = Arc::new(VecSink::new());
@@ -55,52 +48,21 @@ fn run_window(traced: bool) -> Point {
         config.trace = Trace::to(sink.clone());
     }
     let mut cluster = LiveCluster::builder(config)
-        .network(lan())
+        .network(lan(SITES))
         .seed(0xA0D1 ^ traced as u64)
         .plane(PlaneConfig::default())
         .build();
     let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("audit-{i}"))).collect();
-    let (tx, rx) = channel::<LoadRecord>();
-    for k in 0..CLIENTS {
-        let site = k % SITES;
-        let coordinator = cluster.coordinator(site);
-        cluster.spawn_client(
-            site,
-            Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone())),
-        );
-    }
-    drop(tx);
-
-    let warm_end = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < warm_end {
-        let _ = rx.recv_timeout(warm_end - Instant::now());
-    }
-
-    let window = Duration::from_secs(1);
-    let started = Instant::now();
-    let mut committed = 0u64;
-    let mut completions = 0u64;
-    while started.elapsed() < window {
-        let remaining = window - started.elapsed();
-        if let Ok(record) = rx.recv_timeout(remaining.min(Duration::from_millis(50))) {
-            completions += 1;
-            if record.outcome == Outcome::Committed {
-                committed += 1;
-            }
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
+    let ids = closed_loop::spawn(&mut cluster, CLIENTS, &Mix::Increments(keys.into()));
+    let warmup = Duration::from_millis(300);
+    let tally = closed_loop::measure(&cluster, &ids, warmup, Duration::from_secs(1));
     cluster.shutdown();
 
     Point {
         traced,
-        ops_per_sec: completions as f64 / elapsed,
-        commit_rate: if completions > 0 {
-            committed as f64 / completions as f64
-        } else {
-            0.0
-        },
-        completions,
+        ops_per_sec: tally.ops_per_sec(),
+        commit_rate: tally.commit_rate(),
+        completions: tally.total(),
         trace_events: sink.len(),
     }
 }

@@ -1,6 +1,6 @@
 //! Smoke-scale live-cluster throughput gate for CI.
 //!
-//! Runs the closed-loop load harness at small concurrency on the in-process
+//! Runs the closed-loop driver at small concurrency on the in-process
 //! channel transport and enforces two floors: every completion commits
 //! (`commit_rate == 1.0` — commutative increments under Fast Paxos must
 //! never abort or time out at this scale), and throughput stays above a
@@ -11,13 +11,13 @@
 //! `#[ignore]`d because it is wall-clock-sensitive: run it explicitly with
 //! `cargo test --release -p planet-bench --test throughput_smoke -- --ignored`.
 
-use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use planet_cluster::{LiveCluster, LoadClient, LoadRecord, PlaneConfig};
-use planet_mdcc::{ClusterConfig, Outcome, Protocol};
-use planet_sim::NetworkModel;
+use planet_bench::common::lan;
+use planet_cluster::{LiveCluster, PlaneConfig};
+use planet_mdcc::{ClusterConfig, Protocol};
 use planet_storage::Key;
+use planet_workload::closed_loop::{self, Mix};
 
 const SITES: usize = 3;
 const KEYS: usize = 64;
@@ -32,63 +32,25 @@ struct SmokePoint {
     shed: u64,
 }
 
-fn lan() -> NetworkModel {
-    let rtt: Vec<Vec<f64>> = (0..SITES)
-        .map(|i| (0..SITES).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
-        .collect();
-    NetworkModel::from_rtt_ms(&rtt)
-}
-
 fn run_point(clients: usize, shards: usize) -> SmokePoint {
     let config = ClusterConfig::new(SITES, Protocol::Fast).with_shards(shards);
     let mut cluster = LiveCluster::builder(config)
-        .network(lan())
+        .network(lan(SITES))
         .seed(0x540C ^ clients as u64 ^ (shards as u64) << 32)
         .plane(PlaneConfig::default())
         .build();
     let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("smoke-{i}"))).collect();
-    let (tx, rx) = channel::<LoadRecord>();
-    for k in 0..clients {
-        let site = k % SITES;
-        let coordinator = cluster.coordinator(site);
-        cluster.spawn_client(
-            site,
-            Box::new(LoadClient::new(coordinator, keys.clone(), tx.clone())),
-        );
-    }
-    drop(tx);
-
-    let warm_end = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < warm_end {
-        let _ = rx.recv_timeout(warm_end - Instant::now());
-    }
-
-    let window = Duration::from_secs(1);
-    let started = Instant::now();
-    let mut committed = 0u64;
-    let mut completions = 0u64;
-    while started.elapsed() < window {
-        let remaining = window - started.elapsed();
-        if let Ok(record) = rx.recv_timeout(remaining.min(Duration::from_millis(50))) {
-            completions += 1;
-            if record.outcome == Outcome::Committed {
-                committed += 1;
-            }
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
+    let ids = closed_loop::spawn(&mut cluster, clients, &Mix::Increments(keys.into()));
+    let warmup = Duration::from_millis(300);
+    let tally = closed_loop::measure(&cluster, &ids, warmup, Duration::from_secs(1));
     let harvest = cluster.shutdown();
 
     SmokePoint {
         clients,
         shards,
-        ops_per_sec: completions as f64 / elapsed,
-        commit_rate: if completions > 0 {
-            committed as f64 / completions as f64
-        } else {
-            0.0
-        },
-        completions,
+        ops_per_sec: tally.ops_per_sec(),
+        commit_rate: tally.commit_rate(),
+        completions: tally.total(),
         shed: harvest.shed,
     }
 }

@@ -68,11 +68,7 @@ impl Role {
         match self {
             Role::Coordinator => &["crates/mdcc/src/coordinator.rs"],
             Role::Replica => &["crates/mdcc/src/replica_actor.rs"],
-            Role::Client => &[
-                "crates/core/src/client.rs",
-                "crates/mdcc/src/cluster.rs",
-                "crates/cluster/src/load.rs",
-            ],
+            Role::Client => &["crates/core/src/client.rs", "crates/mdcc/src/cluster.rs"],
         }
     }
 }

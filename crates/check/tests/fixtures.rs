@@ -598,7 +598,7 @@ impl ReplicaActor {
 #[test]
 fn flow_client_submit_without_timer_fires_and_allow_suppresses() {
     let submit_only = r#"
-impl LoadClient {
+impl ClientActor {
     fn submit_next(&mut self, ctx: &mut Ctx) {
         ctx.send(self.coordinator, Msg::Submit { spec, reply_to, tag });
     }
@@ -609,7 +609,7 @@ impl LoadClient {
             "crates/mdcc/src/messages.rs",
             "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n}\n",
         ),
-        ("crates/cluster/src/load.rs", submit_only),
+        ("crates/core/src/client.rs", submit_only),
     ]);
     let diags = run(&w, "flow");
     let hit = diags
@@ -617,7 +617,7 @@ impl LoadClient {
         .find(|d| d.code == "FLOW002")
         .expect("FLOW002 must fire for the timer-less client");
     assert!(hit.message.contains("closed loop"), "{}", hit.message);
-    assert_eq!(hit.file, "crates/cluster/src/load.rs");
+    assert_eq!(hit.file, "crates/core/src/client.rs");
     assert_eq!(hit.line, 4);
 
     let allowed = submit_only.replace(
@@ -629,7 +629,7 @@ impl LoadClient {
             "crates/mdcc/src/messages.rs",
             "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n}\n",
         ),
-        ("crates/cluster/src/load.rs", &allowed),
+        ("crates/core/src/client.rs", &allowed),
     ]);
     let diags = run(&w, "flow");
     assert!(
@@ -646,9 +646,9 @@ fn flow_client_submit_with_timer_is_quiet() {
             "\npub enum Msg {\n    Submit { spec: u32, reply_to: u64, tag: u64 },\n}\n",
         ),
         (
-            "crates/cluster/src/load.rs",
+            "crates/core/src/client.rs",
             r#"
-impl LoadClient {
+impl ClientActor {
     fn submit_next(&mut self, ctx: &mut Ctx) {
         ctx.send(self.coordinator, Msg::Submit { spec, reply_to, tag });
         ctx.schedule(self.resubmit_timeout, Msg::ClientTimer { kind: 1, tag });

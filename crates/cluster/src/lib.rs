@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod load;
 pub mod node;
 pub mod plane;
 pub mod reactor;
@@ -39,7 +38,6 @@ pub mod wheel;
 pub mod wire;
 
 pub use channel::ChannelTransport;
-pub use load::{LoadClient, LoadRecord, PlanSource, SpecSource};
 pub use node::{CallFn, Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 pub use plane::{
     default_workers, mailbox, MailboxReceiver, MailboxSender, PlaneConfig, TrySendError, Waker,
@@ -538,13 +536,41 @@ impl LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use planet_mdcc::{CoordinatorActor, Outcome, Protocol, ReplicaActor};
-    use planet_storage::Key;
+    use planet_mdcc::{CoordinatorActor, Outcome, Protocol, ReplicaActor, TxnSpec};
+    use planet_sim::{Context, SimTime};
+    use planet_storage::{Key, WriteOp};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
+
+    /// A closed-loop increment client of (coordinator, keys, outcome sink,
+    /// last send time): one `add(1)` of a random key in flight, the next
+    /// submitted when its `TxnDone` lands, each outcome sent to the sink
+    /// with its latency in µs.
+    struct Incrementer(ActorId, Vec<Key>, Sender<(Outcome, u64)>, SimTime);
+
+    impl Actor<Msg> for Incrementer {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.3 = ctx.now();
+            let key = self.1[ctx.rng().index(self.1.len())].clone();
+            let (spec, reply_to) = (TxnSpec::write_one(key, WriteOp::add(1)), ctx.self_id());
+            let submit = Msg::Submit {
+                spec,
+                reply_to,
+                tag: 0,
+            };
+            ctx.send(self.0, submit);
+        }
+
+        fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            if let Msg::TxnDone { outcome, .. } = msg {
+                let _ = self.2.send((outcome, ctx.now().since(self.3).as_micros()));
+                self.on_start(ctx);
+            }
+        }
+    }
 
     /// The fabrics a cluster test runs on.
     const FABRICS: [&str; 2] = ["channel", "tcp"];
@@ -560,7 +586,11 @@ mod tests {
     }
 
     /// Up to `want` completions, waiting at most `timeout` for all of them.
-    fn drain_until(rx: &Receiver<LoadRecord>, want: usize, timeout: Duration) -> Vec<LoadRecord> {
+    fn drain_until(
+        rx: &Receiver<(Outcome, u64)>,
+        want: usize,
+        timeout: Duration,
+    ) -> Vec<(Outcome, u64)> {
         let deadline = Instant::now() + timeout;
         (0..want)
             .map_while(|_| {
@@ -570,13 +600,8 @@ mod tests {
             .collect()
     }
 
-    /// Every latency-attribution span a full cluster records.
-    const SPANS: [&str; 4] = [
-        "span.queue_us",
-        "span.quorum_wait_us",
-        "span.wal_us",
-        "span.network_us",
-    ];
+    /// Every latency-attribution span a cluster's servers record.
+    const SPANS: [&str; 3] = ["span.queue_us", "span.quorum_wait_us", "span.wal_us"];
 
     /// Four pooled closed-loop clients per site drive `cluster` until 36
     /// transactions finished; every node's reactor must then run with
@@ -591,7 +616,7 @@ mod tests {
         for site in 0..3 {
             let coord = cluster.coordinator(site);
             let actors: Vec<Box<dyn Actor<Msg>>> = (0..4)
-                .map(|_| Box::new(LoadClient::new(coord, keys.clone(), tx.clone())) as _)
+                .map(|_| Box::new(Incrementer(coord, keys.clone(), tx.clone(), SimTime::ZERO)) as _)
                 .collect();
             all_ids.extend(cluster.spawn_client_pool(site, actors));
         }
@@ -605,12 +630,14 @@ mod tests {
         );
         let records = drain_until(&rx, 36, Duration::from_secs(20));
         assert_eq!(records.len(), 36, "{label}: completions");
-        assert!(records.iter().all(|r| r.outcome == Outcome::Committed));
+        assert!(records
+            .iter()
+            .all(|&(outcome, _)| outcome == Outcome::Committed));
         let harvest = cluster.shutdown();
         assert_eq!(harvest.shed, 0, "{label}: nothing should shed");
         assert!(all_ids
             .iter()
-            .all(|&id| harvest.actor_as::<LoadClient>(id).is_some()));
+            .all(|&id| harvest.actor_as::<Incrementer>(id).is_some()));
         let mut merged = harvest.merged_metrics();
         for span in spans {
             assert!(merged.histogram(span).count() > 0, "{label}: {span} empty");
@@ -658,9 +685,9 @@ mod tests {
             .seed(22)
             .build();
         assert!(load.reactor().is_none(), "no client, no client reactor");
-        // The load cluster's harvest is its clients': queueing and network spans
+        // The load cluster's harvest is its clients': the queueing span
         // only, the servers record the rest.
-        let spans = ["span.queue_us", "span.network_us"];
+        let spans = ["span.queue_us"];
         pools_commit(load, "load", default_workers(), &spans);
         servers.shutdown();
     }
@@ -684,10 +711,12 @@ mod tests {
             let (tx, rx) = channel();
             let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
             let coord = cluster.coordinator(0);
-            cluster.spawn_client(0, Box::new(LoadClient::new(coord, keys, tx)));
+            cluster.spawn_client(0, Box::new(Incrementer(coord, keys, tx, SimTime::ZERO)));
             let records = drain_until(&rx, 5, Duration::from_secs(10));
             assert_eq!(records.len(), 5, "{fabric}: completions");
-            assert!(records.iter().all(|r| r.outcome == Outcome::Committed));
+            assert!(records
+                .iter()
+                .all(|&(outcome, _)| outcome == Outcome::Committed));
             let harvest = cluster.shutdown();
             assert!(harvest.actor_as::<ReplicaActor>(ActorId(0)).is_some());
             assert!(harvest.actor_as::<CoordinatorActor>(ActorId(3)).is_some());
@@ -740,21 +769,18 @@ mod tests {
         let mut cluster = LiveCluster::builder(config).network(net).seed(11).build();
         let (tx, rx) = channel();
         let coord = cluster.coordinator(0);
-        cluster.spawn_client(
-            0,
-            Box::new(LoadClient::new(coord, vec![Key::new("hot")], tx)),
-        );
+        let hot = vec![Key::new("hot")];
+        cluster.spawn_client(0, Box::new(Incrementer(coord, hot, tx, SimTime::ZERO)));
         let records = drain_until(&rx, 3, Duration::from_secs(10));
         assert!(
             records.len() >= 3,
             "expected 3 completions, got {}",
             records.len()
         );
-        for rec in &records {
+        for &(_, latency_us) in &records {
             assert!(
-                rec.latency_us() >= 10_000,
-                "one-way delay is 10ms, commit took only {}us",
-                rec.latency_us()
+                latency_us >= 10_000,
+                "one-way delay is 10ms, commit took only {latency_us}us"
             );
         }
         cluster.shutdown();

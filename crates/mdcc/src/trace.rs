@@ -412,8 +412,8 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A line-per-event file sink for live runs (`planetd --trace`,
-/// `planet-load --trace`). Buffered; flushed on drop.
+/// A line-per-event file sink for live runs (`planetd --trace`).
+/// Buffered; flushed on drop.
 #[cfg(feature = "trace")]
 pub struct FileSink {
     writer: std::sync::Mutex<std::io::BufWriter<std::fs::File>>,

@@ -6,12 +6,15 @@
 //!
 //! Generators implement [`planet_core::TxnSource`] and attach to a site via
 //! [`planet_core::Planet::attach_source`]; each site's client then paces the
-//! arrivals inside the deterministic simulation.
+//! arrivals inside the deterministic simulation. [`closed_loop`] drives a
+//! live cluster the same way: one client per site carrying closed-loop
+//! virtual users.
 
 #![warn(missing_docs)]
 
 pub mod anomaly;
 pub mod arrival;
+pub mod closed_loop;
 pub mod keyspace;
 pub mod plan;
 pub mod ticket;

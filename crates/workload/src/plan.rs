@@ -72,12 +72,6 @@ impl YcsbPointParams {
             WriteKind::Commutative => vec![key],
         }
     }
-
-    /// Box into a [`planet_cluster::PlanSource`] for
-    /// [`planet_cluster::LoadClient::with_plan`].
-    pub fn into_source(mut self) -> planet_cluster::PlanSource {
-        Box::new(move |rng| self.next_params(rng))
-    }
 }
 
 /// The ticket-purchase program for one site: read the stock record of a
@@ -136,12 +130,6 @@ impl TicketPlanParams {
             PlanParam::Int(issued),
             PlanParam::Int(event as i64),
         ]
-    }
-
-    /// Box into a [`planet_cluster::PlanSource`] for
-    /// [`planet_cluster::LoadClient::with_plan`].
-    pub fn into_source(mut self) -> planet_cluster::PlanSource {
-        Box::new(move |rng| self.next_params(rng))
     }
 }
 
