@@ -4,7 +4,7 @@
 //! timer wheel under a coordinator's load (one 10 s timeout per
 //! transaction, a quarter of a million armed at 25 k txn/s), plan
 //! registration against table size, and a replica's storage maintenance
-//! (checkpoint, sweep, restart) against store size at a fixed written set.
+//! (checkpoint, restart) against store size at a fixed written set.
 //! Driven by the in-repo timing harness (`planet_bench::timing`).
 
 use std::sync::mpsc;
@@ -264,10 +264,6 @@ fn bench_storage(h: &mut Harness) {
         let opt = RecordOption::new(txn, read.version, WriteOp::Set(Value::Int(seq as i64)));
         store.accept(&key, opt).expect("bench accept");
         store.decide(&key, txn, true);
-        // Bound memory growth during long bench runs.
-        if seq.is_multiple_of(1024) {
-            store.gc(4);
-        }
     });
 
     let mut store = Store::new();
@@ -329,14 +325,13 @@ fn bench_plan(h: &mut Harness) {
 /// ones interned, as the ticket workload's stock records are.
 const HOT_KEYS: u32 = 1_000;
 
-/// A replica holding `keys` committed records, swept and checkpointed.
+/// A replica holding `keys` committed records, checkpointed.
 fn loaded_replica(keys: u32) -> Replica {
     let mut replica = Replica::new();
     for k in 0..keys {
         let key = Key::new(format!("key:{k}"));
         replica.install(&key, 1, Value::Int(0), TxnId::new(9, u64::from(k)));
     }
-    replica.gc(4);
     replica.checkpoint();
     replica
 }
@@ -358,19 +353,16 @@ fn commit_hot_keys(replica: &mut Replica, round: u64) {
 /// What a replica's five-second maintenance tick and its crash-restart cost,
 /// against how much it stores, at a fixed number of keys written in between.
 /// Every row but the restart includes the 1 000 commits that dirty the store
-/// (`storage/1k-commits` is that part alone, on a store of the hot keys only,
-/// where a sweep of everything and a sweep of what was written are the same
-/// work): with shared pages the price of a checkpoint is paid by the first
-/// write to each page after it. The checkpoint rows sweep first, as the
-/// replica actor's tick does, so the chains they copy are as long as a
-/// running replica's.
+/// (`storage/1k-commits` is that part alone, on a store of the hot keys
+/// only): with shared pages the price of a checkpoint is paid by the first
+/// write to each page after it, and from the second checkpoint on that
+/// write copies into a recycled page, so neither allocates.
 fn bench_maintenance(h: &mut Harness) {
     let mut replica = loaded_replica(HOT_KEYS);
     let mut round = 0u64;
     h.bench("storage/1k-commits", || {
         round += 1;
         commit_hot_keys(&mut replica, round);
-        replica.gc(4);
         // Keep the log short over a long run; a checkpoint of 1 000 keys is
         // small change on either side.
         if round.is_multiple_of(64) {
@@ -383,33 +375,9 @@ fn bench_maintenance(h: &mut Harness) {
         h.bench(&format!("wal/checkpoint@{label}-keys/1k-dirty"), || {
             round += 1;
             commit_hot_keys(&mut replica, round);
-            replica.gc(4);
             replica.checkpoint();
         });
     }
-    // On a bare store: no log to keep short, so no checkpoint in the row.
-    let mut store = Store::new();
-    let ids: Vec<KeyId> = (0..300_000)
-        .map(|k| store.intern(&Key::new(format!("key:{k}"))))
-        .collect();
-    for (seq, &id) in ids.iter().enumerate() {
-        store.install_id(id, 1, Value::Int(0), TxnId::new(9, seq as u64));
-    }
-    store.gc(4);
-    let mut seq = 0u64;
-    h.bench("store/gc-sweep@300k-keys/1k-dirty", || {
-        for &id in ids.iter().take(HOT_KEYS as usize) {
-            seq += 1;
-            let txn = TxnId::new(0, seq);
-            let set = WriteOp::Set(Value::Int(seq as i64));
-            let version = store.read_id(id).version;
-            store
-                .accept_id(id, RecordOption::new(txn, version, set))
-                .expect("bench accept");
-            store.decide_id(id, txn, true);
-        }
-        store.gc(4)
-    });
     let replica = loaded_replica(300_000);
     h.bench("wal/recover@300k-keys", || {
         Replica::recover(replica.wal().clone())

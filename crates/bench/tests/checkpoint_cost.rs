@@ -1,13 +1,12 @@
 //! A replica's storage maintenance must cost what changed since the last
-//! round, not what the store holds: a checkpoint of a 300 000-key replica
-//! with 1 000 keys written since the previous one copies those keys' pages
-//! and nothing else, the sweep before it visits those pages and nothing
-//! else, and a crash-restart from the checkpoint copies no record at all.
-//! Counted in allocations, which repeat exactly where times do not. A record
-//! in a page is its head and its pending options, both held inline; its
-//! history lives beside the pages. So un-sharing a page costs the page and
-//! nothing per record, whether its records were written once or have
-//! history, and the sweep that trims the histories writes no page.
+//! round, not what the store holds, and once warm it allocates nothing: a
+//! checkpoint of a 300 000-key replica with 1 000 keys written since the
+//! previous one freezes those keys' pages and touches no other, the writes
+//! after it copy those pages into the buffers of the snapshot it replaced,
+//! and a crash-restart from the checkpoint copies no record at all. Counted
+//! in allocations, which repeat exactly where times do not. A record in a
+//! page is its head and its pending options, both held inline, so copying a
+//! page costs the page and nothing per record.
 //!
 //! Lives here because this crate owns the counting `#[global_allocator]`.
 //! One test, so nothing else in the process allocates on purpose meanwhile;
@@ -31,7 +30,7 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// Accept one `Set` on each of the first `DIRTY_KEYS` keys and decide it:
-/// committed, it adds a version; aborted, it writes the page (which is
+/// committed, it replaces the head; aborted, it writes the page (which is
 /// what un-shares it) and leaves the record as it was.
 fn write_hot_set(replica: &mut Replica, round: u64, commit: bool) {
     for k in 0..DIRTY_KEYS {
@@ -56,6 +55,16 @@ fn allocs_to_unshare(replica: &mut Replica, first_round: u64) -> u64 {
     shared.saturating_sub(unshared)
 }
 
+/// One maintenance cycle of a running replica: the hot set committed once
+/// more, then the checkpoint.
+fn allocs_in_a_cycle(replica: &mut Replica, round: u64) -> u64 {
+    allocs_during(|| {
+        write_hot_set(replica, round, true);
+        replica.checkpoint();
+    })
+    .0
+}
+
 #[test]
 fn maintenance_costs_what_was_written_not_what_is_stored() {
     let mut replica = Replica::new();
@@ -63,54 +72,35 @@ fn maintenance_costs_what_was_written_not_what_is_stored() {
         let key = Key::new(format!("key:{k}"));
         assert!(replica.install(&key, 1, Value::Int(0), TxnId::new(0, k)));
     }
-    let pages = KEYS.div_ceil(PAGE_LEN as u64);
-    assert_eq!(replica.gc(1) as u64, pages, "the load wrote every page");
     replica.checkpoint();
 
-    // Every record holds the one version it was loaded with, inline: a
-    // page of them is copied as one vector, behind the `Arc` the next
-    // snapshot freezes it, and nothing per record.
+    // No snapshot has come back yet: the first write to a page copies it
+    // into a new buffer, one per page and nothing per record.
     let copied = allocs_to_unshare(&mut replica, 1);
     assert!(
-        copied <= DIRTY_PAGES * 2 + SLACK,
-        "{copied} allocations to un-share {DIRTY_PAGES} pages of single-version records"
+        (DIRTY_PAGES..=DIRTY_PAGES + SLACK).contains(&copied),
+        "{copied} allocations to un-share {DIRTY_PAGES} pages"
     );
 
-    // Give the hot set history: three versions a record. The history stays
-    // with the live store, so un-sharing costs what it did for records
-    // written once.
-    write_hot_set(&mut replica, 3, true);
-    write_hot_set(&mut replica, 4, true);
-    replica.checkpoint();
-    let copied = allocs_to_unshare(&mut replica, 5);
-    assert!(
-        copied <= DIRTY_PAGES * 2 + SLACK,
-        "{copied} allocations to un-share {DIRTY_PAGES} pages of multi-version records"
-    );
-
-    // The checkpoint itself is two vectors of page pointers.
+    // The second checkpoint takes back the first snapshot, whose pages the
+    // writes above un-shared, and freezes the written pages into them: what
+    // is left is two vectors of page pointers.
     let (checkpoint, ()) = allocs_during(|| replica.checkpoint());
     assert!(
         checkpoint <= 4 + SLACK,
-        "{checkpoint} allocations in the checkpoint"
+        "{checkpoint} allocations in the second checkpoint"
     );
     assert_eq!(replica.wal().len(), 0);
 
-    // The sweep visits the written pages and no other, trims the histories
-    // in place and writes no page: it allocates nothing, and the pages stay
-    // shared with the checkpoint, so the next writes to them pay the copy.
-    let (sweep, swept) = allocs_during(|| replica.gc(1));
-    assert_eq!(swept as u64, DIRTY_PAGES, "pages swept");
-    assert!(sweep <= SLACK, "{sweep} allocations in the sweep");
-    assert_eq!(replica.gc(1), 0, "a second sweep finds nothing written");
-    let copied = allocs_to_unshare(&mut replica, 7);
-    assert!(
-        copied >= DIRTY_PAGES,
-        "{copied} allocations to un-share {DIRTY_PAGES} pages after the sweep"
-    );
-    replica.gc(1);
-    replica.checkpoint();
-    assert_eq!(replica.gc(1), 0, "a checkpoint writes no page");
+    // From then on a cycle copies each written page into a buffer the
+    // replaced snapshot gave back and freezes it into that snapshot's `Arc`.
+    for round in 3..6 {
+        let cycle = allocs_in_a_cycle(&mut replica, round);
+        assert!(
+            cycle <= SLACK,
+            "{cycle} allocations to re-write {DIRTY_PAGES} pages and checkpoint (round {round})"
+        );
+    }
 
     // A crash-restart clones the log and replays it: page pointers and the
     // key -> id map (one table, sized once), no record.
@@ -125,5 +115,17 @@ fn maintenance_costs_what_was_written_not_what_is_stored() {
         assert_eq!(recovered.read(&key), replica.read(&key), "{key}");
         assert_eq!(recovered.store().key_id(&key), Some(KeyId(k as u32)));
     }
+
+    // While the clone holds the checkpoint, none of its pages comes back:
+    // the next cycle un-shares into the last spare buffers but boxes every
+    // written page anew, and the one after it copies into new buffers.
+    assert!(allocs_in_a_cycle(&mut replica, 6) >= DIRTY_PAGES);
+    drop(recovered);
+    assert!(allocs_in_a_cycle(&mut replica, 7) >= DIRTY_PAGES);
+    let cycle = allocs_in_a_cycle(&mut replica, 8);
+    assert!(
+        cycle <= SLACK,
+        "{cycle} allocations in a cycle once the clone is gone"
+    );
     assert!(replica.verify_recovery().is_empty());
 }

@@ -34,8 +34,9 @@ const EVENTS: u64 = 16;
 const IN_FLIGHT: u64 = 8;
 const PLAN: PlanId = 1;
 
-/// Allocations per committed purchase: what this test reads (2.11, the
-/// same on every run and in debug and release builds), plus 10 %. It read
+/// Allocations per committed purchase: what this test reads (2.10, the
+/// same on every run and in debug and release builds), plus 9 %. It read
+/// 2.11 while each replica kept a history of replaced versions per key,
 /// 3.11 while a `ReadReq` carried its keys in a `Vec`, 4.11 while the
 /// derived order key was an `Arc<str>`, and 31.1 with a version chain per
 /// order record at each replica, a peer vector per fan-out, a rendered

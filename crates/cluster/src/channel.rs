@@ -96,17 +96,16 @@ struct RouteEntry {
     mailbox: MailboxSender,
 }
 
-/// Most emptied batch vectors kept for `send_many` to refill.
-const SPARE_BATCHES: usize = 8;
-
 /// The in-process transport.
 pub struct ChannelTransport {
     routes: Vec<Mutex<HashMap<u32, RouteEntry>>>,
     clock: Clock,
     fabric_txs: Vec<Sender<FabricCmd>>,
     fabric_joins: Mutex<Vec<JoinHandle<()>>>,
-    /// Batch vectors the fabric has emptied, at most [`SPARE_BATCHES`]:
-    /// a flush hands its batch over in one of these instead of a new one.
+    /// Batch vectors the fabric has emptied: a flush hands its batch over
+    /// in one of these instead of a new one. All are kept, and that is
+    /// bounded: a new vector is made only when none is spare, so there are
+    /// never more than were once in flight together.
     spare_batches: Mutex<Vec<Vec<Envelope>>>,
     // Loss accounting only — never synchronizes. check:allow(atomics)
     dropped: AtomicU64,
@@ -187,11 +186,17 @@ impl ChannelTransport {
     /// Register an actor's mailbox and site. Must happen before traffic for
     /// that actor flows; sends to unregistered actors are counted as drops.
     pub fn register(&self, id: u32, site: SiteId, mailbox: MailboxSender) {
-        let shard = id as usize % ROUTE_SHARDS;
-        self.routes[shard]
-            .lock()
-            .expect("lock poisoned")
-            .insert(id, RouteEntry { site, mailbox });
+        if let Some(routes) = self.routes_of(id) {
+            routes
+                .lock()
+                .expect("lock poisoned")
+                .insert(id, RouteEntry { site, mailbox });
+        }
+    }
+
+    /// The route table shard that holds `id`.
+    fn routes_of(&self, id: u32) -> Option<&Mutex<HashMap<u32, RouteEntry>>> {
+        self.routes.get(id as usize % ROUTE_SHARDS)
     }
 
     /// Messages lost so far — to the model's loss/partition rules, to
@@ -227,8 +232,7 @@ impl ChannelTransport {
     }
 
     fn mailbox_of(&self, id: u32) -> Option<MailboxSender> {
-        let shard = id as usize % ROUTE_SHARDS;
-        self.routes[shard]
+        self.routes_of(id)?
             .lock()
             .expect("lock poisoned")
             .get(&id)
@@ -248,8 +252,8 @@ impl ChannelTransport {
         match cache.entry(id) {
             Entry::Occupied(e) => Some(e.into_mut()),
             Entry::Vacant(v) => {
-                let shard = id as usize % ROUTE_SHARDS;
-                let found = self.routes[shard]
+                let found = self
+                    .routes_of(id)?
                     .lock()
                     .expect("lock poisoned")
                     .get(&id)
@@ -374,10 +378,7 @@ impl ChannelTransport {
                     for env in envs.drain(..) {
                         admit(env, &mut heap, &mut fifo_high, &mut routes);
                     }
-                    let mut spare = self.spare_batches.lock().expect("lock poisoned");
-                    if spare.len() < SPARE_BATCHES {
-                        spare.push(envs);
-                    }
+                    self.spare_batches.lock().expect("lock poisoned").push(envs);
                 }
                 Ok(FabricCmd::Stop) | Err(RecvTimeoutError::Disconnected) => return,
                 Err(RecvTimeoutError::Timeout) => {}
@@ -385,59 +386,64 @@ impl ChannelTransport {
         }
     }
 
-    fn fabric_shard(&self, dst: u32) -> &Sender<FabricCmd> {
-        &self.fabric_txs[dst as usize % self.fabric_txs.len()]
+    /// The fabric thread that delivers to `dst`; none without a network
+    /// model, where sends are delivered at once.
+    fn fabric_shard(&self, dst: u32) -> Option<&Sender<FabricCmd>> {
+        let shard = (dst as usize).checked_rem(self.fabric_txs.len())?;
+        self.fabric_txs.get(shard)
+    }
+
+    /// A batch vector the fabric emptied, or a new one if none is spare.
+    fn spare_batch(&self) -> Vec<Envelope> {
+        let spare = self.spare_batches.lock().expect("lock poisoned").pop();
+        spare.unwrap_or_default()
+    }
+
+    fn hand_over(&self, fabric: &Sender<FabricCmd>, cmd: FabricCmd) {
+        if fabric.send(cmd).is_err() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 impl Transport for ChannelTransport {
     fn send(&self, env: Envelope) {
-        if self.fabric_txs.is_empty() {
-            self.deliver(env);
-        } else if self
-            .fabric_shard(env.to.0)
-            .send(FabricCmd::Env(env))
-            .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        match self.fabric_shard(env.to.0) {
+            Some(fabric) => self.hand_over(fabric, FabricCmd::Env(env)),
+            None => self.deliver(env),
         }
     }
 
     fn send_many(&self, envs: &mut Vec<Envelope>) {
-        if self.fabric_txs.is_empty() {
-            for env in envs.drain(..) {
-                self.deliver(env);
+        match self.fabric_txs.as_slice() {
+            [] => {
+                for env in envs.drain(..) {
+                    self.deliver(env);
+                }
             }
-            return;
-        }
-        if self.fabric_txs.len() == 1 {
-            // One shard: the whole batch is one channel handoff, in a
-            // vector the fabric emptied earlier. Append rather than
-            // `mem::take` so the caller keeps its outbox allocation too.
-            let spare = self.spare_batches.lock().expect("lock poisoned").pop();
-            let mut batch = spare.unwrap_or_default();
-            batch.append(envs);
-            if self.fabric_txs[0].send(FabricCmd::Batch(batch)).is_err() {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+            [fabric] => {
+                // One shard: the whole batch is one channel handoff, in a
+                // vector the fabric emptied earlier. Append rather than
+                // `mem::take` so the caller keeps its outbox allocation too.
+                let mut batch = self.spare_batch();
+                batch.append(envs);
+                self.hand_over(fabric, FabricCmd::Batch(batch));
             }
-            return;
-        }
-        // Group by destination shard, preserving within-shard order, then
-        // hand each shard its sub-batch in one send.
-        let n = self.fabric_txs.len();
-        let mut per_shard: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-        for env in envs.drain(..) {
-            per_shard[env.to.0 as usize % n].push(env);
-        }
-        for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.fabric_txs[shard]
-                .send(FabricCmd::Batch(batch))
-                .is_err()
-            {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+            fabrics => {
+                // Each shard its sub-batch in one send, within-shard order
+                // preserved.
+                let n = fabrics.len();
+                for (shard, fabric) in fabrics.iter().enumerate() {
+                    let mut ours = envs
+                        .extract_if(.., |env| env.to.0 as usize % n == shard)
+                        .peekable();
+                    if ours.peek().is_none() {
+                        continue;
+                    }
+                    let mut batch = self.spare_batch();
+                    batch.extend(ours);
+                    self.hand_over(fabric, FabricCmd::Batch(batch));
+                }
             }
         }
     }

@@ -833,8 +833,10 @@ impl World {
                     let Some(rec) = store.record(&key) else {
                         continue;
                     };
-                    let chain = store
+                    let chain = rep
+                        .storage()
                         .versions(&key)
+                        .into_iter()
                         .map(|v| (v.version, v.txn, format!("{:?}", v.value)))
                         .collect();
                     snap.push((idx, key, rec.current_version(), chain));
@@ -909,7 +911,7 @@ impl World {
                     let idx = shard * n + master;
                     let durable = self
                         .replica(idx)
-                        .is_some_and(|r| r.storage().store().versions(&key).any(|v| v.txn == txn));
+                        .is_some_and(|r| r.storage().versions(&key).iter().any(|v| v.txn == txn));
                     if !durable {
                         found.push((
                             "durability".into(),

@@ -72,11 +72,8 @@ pub struct ClusterConfig {
     /// seed experiments are bit-identical).
     pub num_shards: usize,
     /// Checkpoint a shard's WAL once its retained tail reaches this many
-    /// records (0 disables). Checked on the periodic GC sweep.
+    /// records (0 disables). Checked on the periodic lease sweep.
     pub checkpoint_every: usize,
-    /// Committed versions to keep per record when the periodic GC sweep
-    /// trims version chains (0 disables trimming).
-    pub gc_keep_versions: usize,
     /// Execution-trace handle for the isolation auditor (see
     /// [`crate::trace`]). Rides in the config because every actor already
     /// receives a config clone; [`Trace::off`] by default, and never part of
@@ -100,7 +97,6 @@ impl ClusterConfig {
             validation_service: SimDuration::ZERO,
             num_shards: 1,
             checkpoint_every: 4096,
-            gc_keep_versions: 64,
             trace: Trace::off(),
         }
     }

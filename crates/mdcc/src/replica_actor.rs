@@ -140,7 +140,7 @@ impl ReplicaActor {
         for k in keys {
             k.hash(h);
             let Some(rec) = store.record(k) else { continue };
-            for v in store.versions(k) {
+            for v in self.storage.versions(k) {
                 v.version.hash(h);
                 crate::digest::dbg_hash(&v.value, h);
                 v.txn.hash(h);
@@ -544,15 +544,11 @@ impl ReplicaActor {
         }
     }
 
-    /// Periodic maintenance riding the lease-sweep timer: trim committed
-    /// version chains and checkpoint the WAL once its tail has grown past
-    /// the configured threshold. Both keep sustained-load memory bounded;
-    /// neither changes observable state (reads see the chain head, and
-    /// replay restarts from the checkpoint snapshot).
+    /// Periodic maintenance riding the lease-sweep timer: checkpoint the WAL
+    /// once its tail has grown past the configured threshold. That keeps
+    /// sustained-load memory bounded and changes no observable state
+    /// (replay restarts from the checkpoint snapshot).
     fn maintain_storage(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.config.gc_keep_versions > 0 {
-            self.storage.gc(self.config.gc_keep_versions);
-        }
         if self.storage.maybe_checkpoint(self.config.checkpoint_every) {
             ctx.metrics().counter("replica.checkpoints").inc();
         }

@@ -190,7 +190,6 @@ fn checkpoint_sweep_preserves_recovery_under_load() {
     let mut config = ClusterConfig::new(FIVE, Protocol::Fast).with_shards(2);
     config.txn_timeout = SimDuration::from_secs(2); // sweep every second
     config.checkpoint_every = 4;
-    config.gc_keep_versions = 1;
     let (mut sim, cluster) = five_dc(config, 93);
     let script: Vec<(SimTime, TxnSpec)> = (0..30)
         .map(|i| {

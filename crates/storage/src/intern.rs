@@ -106,6 +106,12 @@ impl KeyInterner {
         self.names.snapshot()
     }
 
+    /// Take back a names snapshot the store no longer needs (see
+    /// `PagedVec::recycle`).
+    pub(crate) fn recycle_names(&mut self, names: PagedVec<Key>) {
+        self.names.recycle(names);
+    }
+
     /// Rebuild an interner around snapshotted names: one hash per key, the
     /// only O(keys) step of a recovery.
     pub(crate) fn from_names(names: PagedVec<Key>) -> Self {

@@ -12,9 +12,16 @@
 //! every snapshot taken after it filled up.
 //!
 //! What a copy costs is what an element's `clone` costs. The store keeps
-//! only records' heads and pending options in its pages, both inline, and
-//! each record's history outside them (`store.rs`): a snapshot holds no
-//! history, and copying a page copies 64 heads and no chain.
+//! only records' heads and pending options in its pages, both inline, so
+//! copying a page copies 64 heads and no chain.
+//!
+//! After warm-up a page costs no allocation either. A snapshot the owner no
+//! longer needs comes back through [`PagedVec::recycle`]: each of its pages
+//! that nothing else holds any more is kept as a spare `Arc` and a spare
+//! buffer, emptied. Freezing a page fills a spare `Arc` instead of boxing
+//! a new one, and a copy goes into a spare buffer. A page still held by
+//! anything else — the live vector, a newer snapshot, a clone of the old
+//! one — is never a spare, so no write can show through a snapshot.
 
 use std::sync::Arc;
 
@@ -61,22 +68,40 @@ impl<T: Clone> Page<T> {
         }
     }
 
-    /// The page for writing: a frozen page is copied first, unless every
-    /// snapshot that held it is gone, in which case it is taken back as is.
-    fn items_mut(&mut self) -> &mut Vec<T> {
-        if let Some(shared) = self.shared.take() {
-            self.owned = Arc::try_unwrap(shared).unwrap_or_else(|held| full_page_copy(&held));
+    /// The page for writing. A frozen page is copied into a spare buffer
+    /// first, unless every snapshot that held it is gone, in which case its
+    /// elements are taken back as they are and its `Arc` becomes a spare.
+    fn items_mut(&mut self, spares: &mut Spares<T>) -> &mut Vec<T> {
+        if let Some(mut shared) = self.shared.take() {
+            self.owned = match Arc::get_mut(&mut shared) {
+                Some(items) => {
+                    let items = std::mem::take(items);
+                    spares.arcs.push(shared);
+                    items
+                }
+                None => {
+                    let mut copy = spares.buffers.pop().unwrap_or_default();
+                    copy.reserve_exact(PAGE_LEN);
+                    copy.extend_from_slice(&shared);
+                    copy
+                }
+            };
         }
         &mut self.owned
     }
 
     /// Freeze the page and return the shared handle a snapshot keeps. Moves
-    /// the elements behind the `Arc`; copies nothing.
-    fn freeze(&mut self) -> Arc<Vec<T>> {
-        let owned = &mut self.owned;
-        self.shared
-            .get_or_insert_with(|| Arc::new(std::mem::take(owned)))
-            .clone()
+    /// the elements behind a spare `Arc`, or a new one if none is spare;
+    /// copies nothing.
+    fn freeze(&mut self, spares: &mut Spares<T>) -> Arc<Vec<T>> {
+        if let Some(shared) = &self.shared {
+            return shared.clone();
+        }
+        // A spare is held by nothing else, so `make_mut` hands out its
+        // vector without a copy, as it does a new `Arc`'s.
+        let mut shared = spares.arcs.pop().unwrap_or_default();
+        *Arc::make_mut(&mut shared) = std::mem::take(&mut self.owned);
+        self.shared.insert(shared).clone()
     }
 }
 
@@ -90,18 +115,49 @@ impl<T: Clone> Clone for Page<T> {
     }
 }
 
+/// What is left of the snapshots a vector has taken back: `Arc`s that
+/// nothing else holds, each around an empty vector, and emptied page
+/// buffers.
+#[derive(Debug)]
+struct Spares<T> {
+    arcs: Vec<Arc<Vec<T>>>,
+    buffers: Vec<Vec<T>>,
+}
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares {
+            arcs: Vec::new(),
+            buffers: Vec::new(),
+        }
+    }
+}
+
 /// A growable vector in pages a snapshot can share. `clone` shares the
 /// frozen pages and copies the rest, so cloning a snapshot is O(pages);
-/// [`PagedVec::deep_clone`] shares nothing.
-#[derive(Debug, Clone)]
+/// [`PagedVec::deep_clone`] shares nothing. Neither copies the spares.
+#[derive(Debug)]
 pub(crate) struct PagedVec<T> {
     /// Every page but the last is full.
     pages: Vec<Page<T>>,
+    spares: Spares<T>,
 }
 
 impl<T> Default for PagedVec<T> {
     fn default() -> Self {
-        PagedVec { pages: Vec::new() }
+        PagedVec {
+            pages: Vec::new(),
+            spares: Spares::default(),
+        }
+    }
+}
+
+impl<T: Clone> Clone for PagedVec<T> {
+    fn clone(&self) -> Self {
+        PagedVec {
+            pages: self.pages.clone(),
+            spares: Spares::default(),
+        }
     }
 }
 
@@ -128,12 +184,14 @@ impl<T: Clone> PagedVec<T> {
     /// still shares it.
     pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
         let page = self.pages.get_mut(index / PAGE_LEN)?;
-        page.items_mut().get_mut(index % PAGE_LEN)
+        page.items_mut(&mut self.spares).get_mut(index % PAGE_LEN)
     }
 
     pub(crate) fn push(&mut self, value: T) {
         match self.pages.last_mut() {
-            Some(last) if last.items().len() < PAGE_LEN => last.items_mut().push(value),
+            Some(last) if last.items().len() < PAGE_LEN => {
+                last.items_mut(&mut self.spares).push(value)
+            }
             _ => {
                 let mut page = Page::owning(&[]);
                 page.owned.push(value);
@@ -148,15 +206,34 @@ impl<T: Clone> PagedVec<T> {
     }
 
     /// A point-in-time copy sharing every page with `self`: freezes the
-    /// pages written since the last snapshot (one `Arc` each, no element is
-    /// copied) and copies the page pointers.
+    /// pages written since the last snapshot (one `Arc` each, spare or new;
+    /// no element is copied) and copies the page pointers.
     pub(crate) fn snapshot(&mut self) -> Self {
+        let spares = &mut self.spares;
         PagedVec {
             pages: self
                 .pages
                 .iter_mut()
-                .map(|p| Page::frozen(p.freeze()))
+                .map(|p| Page::frozen(p.freeze(spares)))
                 .collect(),
+            spares: Spares::default(),
+        }
+    }
+
+    /// Take back a snapshot of `self` that is no longer needed: every page
+    /// only it held becomes a spare `Arc` and a spare buffer, its elements
+    /// dropped. Pages something else still holds are let go.
+    pub(crate) fn recycle(&mut self, snapshot: Self) {
+        for page in snapshot.pages {
+            let Some(mut shared) = page.shared else {
+                continue;
+            };
+            if let Some(items) = Arc::get_mut(&mut shared) {
+                let mut buffer = std::mem::take(items);
+                buffer.clear();
+                self.spares.buffers.push(buffer);
+                self.spares.arcs.push(shared);
+            }
         }
     }
 
@@ -164,6 +241,7 @@ impl<T: Clone> PagedVec<T> {
     pub(crate) fn deep_clone(&self) -> Self {
         PagedVec {
             pages: self.pages.iter().map(|p| Page::owning(p.items())).collect(),
+            spares: Spares::default(),
         }
     }
 
@@ -272,6 +350,64 @@ mod tests {
         );
         assert_eq!(live.pages[1].items().len(), 6);
         assert_eq!(live.shared_pages(&snap), 1);
+    }
+
+    fn write(v: &mut PagedVec<usize>, index: usize, value: usize) {
+        if let Some(x) = v.get_mut(index) {
+            *x = value;
+        }
+    }
+
+    #[test]
+    fn a_recycled_page_never_shows_a_later_write_through_a_live_snapshot() {
+        let mut live = filled(PAGE_LEN * 3);
+        let dead = live.snapshot();
+        write(&mut live, 1, 1_000); // un-shares page 0 from `dead`
+        let dead_page = dead.pages[0].shared.as_ref().map(Arc::as_ptr);
+        live.recycle(dead);
+        assert_eq!(live.spares.arcs.len(), 1, "page 0 alone was dead's only");
+        assert_eq!(live.spares.buffers.len(), 1);
+        // The next snapshot freezes page 0 into the recycled `Arc`.
+        let kept = live.snapshot();
+        let then = kept.deep_clone();
+        assert_eq!(kept.pages[0].shared.as_ref().map(Arc::as_ptr), dead_page);
+        assert_eq!(live.shared_pages(&kept), 3);
+        // A write copies the page into the recycled buffer; the snapshot
+        // still holds what it held.
+        write(&mut live, 2, 2_000);
+        assert!(live.spares.buffers.is_empty(), "the copy took the buffer");
+        assert_eq!(kept, then);
+        assert_eq!(kept.get(1), Some(&1_000));
+        assert_eq!(kept.get(2), Some(&2));
+        assert_eq!(live.get(2), Some(&2_000));
+        // Round again: `kept` dies, its page 0 comes back, and a snapshot
+        // and a write later `newer` still shows only what it was taken with.
+        live.recycle(kept);
+        let newer = live.snapshot();
+        let newer_then = newer.deep_clone();
+        write(&mut live, 3, 3_000);
+        write(&mut live, PAGE_LEN, 4_000);
+        assert_eq!(newer, newer_then);
+        assert_eq!(newer.get(2), Some(&2_000));
+        assert_eq!(newer.get(3), Some(&3));
+    }
+
+    #[test]
+    fn a_page_still_held_by_a_clone_is_never_recycled() {
+        let mut live = filled(PAGE_LEN * 2);
+        let snap = live.snapshot();
+        let held = snap.clone(); // a clone of the log keeps the snapshot
+        write(&mut live, 0, 1_000);
+        live.recycle(snap);
+        assert!(live.spares.arcs.is_empty() && live.spares.buffers.is_empty());
+        assert_eq!(held.get(0), Some(&0));
+        // Nor is a page the live vector still shares.
+        let snap = live.snapshot();
+        live.recycle(snap);
+        assert!(live.spares.arcs.is_empty());
+        write(&mut live, 0, 2_000);
+        write(&mut live, PAGE_LEN, 2_001);
+        assert_eq!(held, filled(PAGE_LEN * 2));
     }
 
     #[test]

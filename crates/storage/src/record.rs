@@ -11,11 +11,10 @@
 //!   (the demarcation rule).
 //!
 //! Validation, reads, snapshots and recovery look at the head and the
-//! pending options and at nothing older, so that is all a record holds. A
-//! version the head replaces is handed to the caller's history (the store
-//! keeps one per key, beside its snapshot-shared pages): copying a record —
-//! un-sharing its page from a snapshot — copies no chain, however long its
-//! history. The head is held inline, and so is the first pending option
+//! pending options and at nothing older, so that is all a record holds: a
+//! version the head replaces is dropped. The chain of versions a record went
+//! through is in the log, and `Replica::versions` reads it back from there.
+//! The head is held inline, and so is the first pending option
 //! (`InlineFirst`: empty, one element inline, or a vector from the second
 //! element on), so a record with at most one pending option never allocates
 //! and neither does its copy.
@@ -221,63 +220,37 @@ impl VersionedRecord {
         Ok(())
     }
 
-    /// Make `version` the head; the head it replaces, if any, goes to the
-    /// end of `history`.
-    fn advance(&mut self, version: CommittedVersion, history: &mut Vec<CommittedVersion>) {
-        if let Some(replaced) = self.head.replace(version) {
-            history.push(replaced);
-        }
-    }
-
     /// Learn a transaction's outcome. If the transaction has a pending option
-    /// here and committed, the option is executed as a new committed version
-    /// (the head it replaces goes to `history`). Returns the new version
-    /// number if a version was produced.
-    pub fn decide(
-        &mut self,
-        txn: TxnId,
-        commit: bool,
-        history: &mut Vec<CommittedVersion>,
-    ) -> Option<VersionNo> {
+    /// here and committed, the option is executed as a new committed version,
+    /// which replaces the head. Returns the new version number if a version
+    /// was produced.
+    pub fn decide(&mut self, txn: TxnId, commit: bool) -> Option<VersionNo> {
         let option = self.pending.take_first(|o| o.txn == txn)?;
         if !commit {
             return None;
         }
-        let new_version = self.current_version() + 1;
-        let new_value = option.op.apply(self.current_value());
-        self.advance(
-            CommittedVersion {
-                version: new_version,
-                value: new_value,
-                txn,
-            },
-            history,
-        );
-        Some(new_version)
+        let version = self.current_version() + 1;
+        let value = option.op.apply(self.current_value());
+        self.head = Some(CommittedVersion {
+            version,
+            value,
+            txn,
+        });
+        Some(version)
     }
 
     /// Install a committed version by state transfer (replica convergence
     /// path): drop any pending option of `txn`, and if `version` is newer
-    /// than the current version, adopt `(version, value)` as the new head
-    /// (the head it replaces goes to `history`). Returns true if the head
-    /// advanced.
-    pub fn install(
-        &mut self,
-        version: VersionNo,
-        value: Value,
-        txn: TxnId,
-        history: &mut Vec<CommittedVersion>,
-    ) -> bool {
+    /// than the current version, adopt `(version, value)` as the new head.
+    /// Returns true if the head advanced.
+    pub fn install(&mut self, version: VersionNo, value: Value, txn: TxnId) -> bool {
         self.pending.take_first(|o| o.txn == txn);
         if version > self.current_version() {
-            self.advance(
-                CommittedVersion {
-                    version,
-                    value,
-                    txn,
-                },
-                history,
-            );
+            self.head = Some(CommittedVersion {
+                version,
+                value,
+                txn,
+            });
             true
         } else {
             false
@@ -297,9 +270,8 @@ mod tests {
         RecordOption::new(txn(t), read_version, WriteOp::Set(Value::Int(v)))
     }
 
-    /// Decide with a history the test does not look at.
     fn decide(r: &mut VersionedRecord, t: u64, commit: bool) -> Option<VersionNo> {
-        r.decide(txn(t), commit, &mut Vec::new())
+        r.decide(txn(t), commit)
     }
 
     #[test]
@@ -352,7 +324,7 @@ mod tests {
         r.accept(add(4)).unwrap(); // the drained vector is reused
         assert_eq!(txns(&r), vec![4]);
         assert_eq!(txns(&r.clone()), vec![4]);
-        assert!(r.install(9, Value::Int(0), txn(4), &mut Vec::new()));
+        assert!(r.install(9, Value::Int(0), txn(4)));
         assert_eq!(r.pending_count(), 0);
     }
 
@@ -384,47 +356,18 @@ mod tests {
     }
 
     #[test]
-    fn replaced_heads_go_to_the_history_oldest_first() {
-        let mut r = VersionedRecord::new();
-        let mut history = Vec::new();
-        for (t, v) in [(1, 10), (2, 20), (3, 30)] {
-            r.accept(set(t, (t - 1) as VersionNo, v)).unwrap();
-            assert_eq!(r.decide(txn(t), true, &mut history), Some(t as VersionNo));
-        }
-        let versions: Vec<VersionNo> = history.iter().map(|v| v.version).collect();
-        assert_eq!(versions, vec![1, 2]);
-        assert_eq!(history[1].value, Value::Int(20));
-        assert_eq!(r.head().map(|v| v.version), Some(3));
-        // An abort and a stale install leave both where they are.
-        r.accept(set(4, 3, 40)).unwrap();
-        assert_eq!(r.decide(txn(4), false, &mut history), None);
-        assert!(!r.install(2, Value::Int(0), txn(5), &mut history));
-        assert_eq!(history.len(), 2);
-        // An install that advances the head pushes the old one.
-        assert!(r.install(7, Value::Int(70), txn(6), &mut history));
-        assert_eq!(history.last().map(|v| v.version), Some(3));
-        assert_eq!(r.current_value(), &Value::Int(70));
-    }
-
-    #[test]
     fn a_record_written_once_holds_everything_inline() {
         let mut r = VersionedRecord::new();
-        let mut history = Vec::new();
         r.accept(set(1, 0, 10)).unwrap();
         assert!(matches!(r.pending, InlineFirst::One(_)));
-        assert_eq!(r.decide(txn(1), true, &mut history), Some(1));
+        assert_eq!(r.decide(txn(1), true), Some(1));
         assert!(matches!(r.pending, InlineFirst::Empty));
-        assert!(history.is_empty() && history.capacity() == 0);
         let mut installed = VersionedRecord::new();
-        assert!(installed.install(1, Value::Int(10), txn(1), &mut history));
+        assert!(installed.install(1, Value::Int(10), txn(1)));
         assert_eq!(installed.head(), r.head());
-        assert!(history.is_empty() && history.capacity() == 0);
-        // A record is 120 bytes, 56 of them the inline head. The store's
-        // history handle is 24 bytes more per key: an empty `Vec`, which
-        // allocates nothing until the record's second version.
+        // A record is 120 bytes, 56 of them the inline head.
         assert_eq!(std::mem::size_of::<VersionedRecord>(), 120);
         assert_eq!(std::mem::size_of::<Option<CommittedVersion>>(), 56);
-        assert_eq!(std::mem::size_of::<Vec<CommittedVersion>>(), 24);
     }
 
     /// What a differential step does to both sides.
@@ -641,7 +584,7 @@ mod tests {
         let mut r = VersionedRecord::new();
         r.accept(set(1, 0, 10)).unwrap();
         // State transfer from the master: version 3 produced by txn 1.
-        assert!(r.install(3, Value::Int(99), txn(1), &mut Vec::new()));
+        assert!(r.install(3, Value::Int(99), txn(1)));
         assert_eq!(r.current_version(), 3);
         assert_eq!(r.current_value(), &Value::Int(99));
         assert_eq!(r.pending_count(), 0);
@@ -654,7 +597,7 @@ mod tests {
         decide(&mut r, 1, true);
         r.accept(set(2, 1, 20)).unwrap();
         // A stale (already superseded) install must not regress the head.
-        assert!(!r.install(1, Value::Int(5), txn(2), &mut Vec::new()));
+        assert!(!r.install(1, Value::Int(5), txn(2)));
         assert_eq!(r.current_version(), 1);
         assert_eq!(r.current_value(), &Value::Int(10));
         assert_eq!(r.pending_count(), 0);

@@ -5,6 +5,7 @@
 //! by [`Replica::verify_recovery`] and by property tests.
 
 use crate::options::{RecordOption, RejectReason, WriteOp};
+use crate::record::CommittedVersion;
 use crate::store::{ReadResult, Store};
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 use crate::wal::{LogRecord, Wal};
@@ -193,13 +194,14 @@ impl Replica {
         }
     }
 
-    /// Garbage-collect committed version chains, keeping the newest `keep`
-    /// versions per record (the head always among them). Reads and
-    /// validation only ever look at the head, so this never changes
-    /// observable state. Visits only the keys of the pages written since the
-    /// previous sweep and writes no page; returns how many pages.
-    pub fn gc(&mut self, keep: usize) -> usize {
-        self.store.gc(keep)
+    /// The committed versions of `key` since the last checkpoint, oldest
+    /// first: the head the checkpoint holds (if it holds the key), then each
+    /// head the log tail produced. The store keeps heads only; the chain is
+    /// read back from the log, so a replica recovered from a clone of the
+    /// log reads the same chain. What the model checker compares across
+    /// replicas; O(log tail), not for the hot path.
+    pub fn versions(&self, key: &Key) -> Vec<CommittedVersion> {
+        self.wal.versions(self.store.key_id(key), key)
     }
 
     /// The underlying store (read-only).

@@ -1,31 +1,30 @@
 //! The per-replica key-value store: interned keys addressing versioned
-//! records kept in copy-on-write pages, and each record's history beside
-//! them.
+//! records kept in copy-on-write pages.
 //!
 //! The store keeps two representations of its keyspace: the wire-form
-//! [`Key`] (an `Arc<str>`), and a dense [`KeyId`] assigned by a per-store
-//! [`KeyInterner`]. The `*_id` methods are the hot path — one page lookup,
-//! no hashing — and the [`Key`]-addressed methods are boundary conveniences
-//! that resolve the id first. A replica handling a message resolves each
-//! key once and runs the whole validate/log/accept sequence on the id.
+//! [`Key`] (a value: inline up to 23 bytes, else an `Arc<str>`), and a dense
+//! [`KeyId`] assigned by a per-store [`KeyInterner`]. The `*_id` methods are
+//! the hot path — one page lookup, no hashing — and the [`Key`]-addressed
+//! methods are boundary conveniences that resolve the id first. A replica
+//! handling a message resolves each key once and runs the whole
+//! validate/log/accept sequence on the id.
 //!
 //! Maintenance costs what changed, not what is stored. Records (and the
-//! interner's names) live in pages of [`PAGE_LEN`]: [`Store::snapshot`]
-//! freezes the pages behind `Arc`s it shares with the snapshot, the first
-//! write to a page afterwards copies that page once, and a page that is
-//! never written again is never copied. A record in a page is its head
-//! version and its pending options — all that reads, validation, a snapshot
-//! and a recovery need — so copying a page copies 64 heads and no chain.
-//! The versions a head replaced are the record's history: a vector per key,
-//! indexed by [`KeyId`] beside the pages, owned by the live store alone. A
-//! snapshot does not hold it, so a recovered record's chain starts at its
-//! checkpointed head. [`Store::gc`] trims the histories of the keys on the
-//! pages written since the previous sweep, in place, writing no page.
+//! interner's names) live in pages of [`PAGE_LEN`](crate::PAGE_LEN):
+//! [`Store::snapshot`] freezes the pages behind `Arc`s it shares with the
+//! snapshot, the first write to a page afterwards copies that page once,
+//! and a page that is never written again is never copied. A record in a
+//! page is its head version and its pending options — all that reads,
+//! validation, a snapshot and a recovery need — and nothing older: the
+//! versions a head replaced are in the log, not in the store. A snapshot the log no longer needs
+//! comes back through `Store::recycle`, and the pages only it held become
+//! the `Arc`s and buffers the next snapshot and copies reuse, so once a
+//! replica has checkpointed twice, writing a page allocates nothing.
 
 use crate::intern::KeyInterner;
 use crate::options::{RecordOption, RejectReason};
-use crate::paged::{PagedVec, PAGE_LEN};
-use crate::record::{CommittedVersion, VersionedRecord};
+use crate::paged::PagedVec;
+use crate::record::VersionedRecord;
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
 
 /// The result of a read: the committed version and its value.
@@ -50,46 +49,13 @@ impl ReadResult {
     }
 }
 
-/// The record pages written since the previous [`Store::gc`] sweep.
-#[derive(Debug, Default, Clone)]
-struct WrittenPages {
-    /// Per page: is it in `list`?
-    marked: Vec<bool>,
-    list: Vec<u32>,
-}
-
-impl WrittenPages {
-    fn mark(&mut self, page: usize) {
-        if self.marked.len() <= page {
-            self.marked.resize(page + 1, false);
-        }
-        if let Some(marked) = self.marked.get_mut(page) {
-            if !*marked {
-                *marked = true;
-                self.list.push(page as u32);
-            }
-        }
-    }
-
-    /// Take the marked pages, leaving none marked.
-    fn take(&mut self) -> Vec<u32> {
-        let list = std::mem::take(&mut self.list);
-        for &page in &list {
-            if let Some(marked) = self.marked.get_mut(page as usize) {
-                *marked = false;
-            }
-        }
-        list
-    }
-}
-
 /// A point-in-time image of a [`Store`], as [`Wal::checkpoint`] persists it:
 /// every key's head version and pending options.
 ///
 /// It holds the same pages as the store it was taken from: taking one is
 /// O(pages) pointer copies, and cloning one (a crash-restart clones the
-/// log) costs the same. It holds neither the records' histories nor the
-/// key → id map; [`Store::from_snapshot`] rebuilds the map.
+/// log) costs the same. It does not hold the key → id map;
+/// [`Store::from_snapshot`] rebuilds it.
 ///
 /// [`Wal::checkpoint`]: crate::Wal::checkpoint
 #[derive(Debug, Default, Clone)]
@@ -98,31 +64,35 @@ pub struct StoreSnapshot {
     records: PagedVec<VersionedRecord>,
 }
 
+impl StoreSnapshot {
+    /// The record `key` had when the snapshot was taken, under the id the
+    /// store that continues from it gave the key (ids carry over).
+    pub(crate) fn record(&self, id: KeyId, key: &Key) -> Option<&VersionedRecord> {
+        let index = id.0 as usize;
+        if self.names.get(index) != Some(key) {
+            return None;
+        }
+        self.records.get(index)
+    }
+}
+
 /// An in-memory store of versioned records with interned keys.
 #[derive(Debug, Default)]
 pub struct Store {
     interner: KeyInterner,
     /// Indexed by [`KeyId`]; always the same length as the interner.
     records: PagedVec<VersionedRecord>,
-    /// Per key, the committed versions its head replaced, oldest first.
-    /// Indexed by [`KeyId`] like `records` and as long, outside the pages:
-    /// no snapshot holds it and no page copy copies it. 24 bytes a key; a
-    /// key written at most once never allocates here.
-    history: Vec<Vec<CommittedVersion>>,
-    written: WrittenPages,
 }
 
-/// The deep copy: every record and history cloned, no page shared with the
-/// original, O(store). Nothing outside tests calls it — a checkpoint takes
-/// a [`Store::snapshot`] — it stays as the reference model the checkpoint
+/// The deep copy: every record cloned, no page shared with the original,
+/// O(store). Nothing outside tests calls it — a checkpoint takes a
+/// [`Store::snapshot`] — it stays as the reference model the checkpoint
 /// tests compare against.
 impl Clone for Store {
     fn clone(&self) -> Self {
         Store {
             interner: self.interner.clone(),
             records: self.records.deep_clone(),
-            history: self.history.clone(),
-            written: self.written.clone(),
         }
     }
 }
@@ -146,16 +116,23 @@ impl Store {
         }
     }
 
+    /// Take back a snapshot nothing else needs (the one a checkpoint
+    /// replaces): its pages that neither this store nor a clone of the
+    /// snapshot still holds are kept, emptied, for the next snapshot to
+    /// freeze pages into and for page copies to copy into. Pages still
+    /// shared are just let go.
+    pub(crate) fn recycle(&mut self, snapshot: StoreSnapshot) {
+        self.interner.recycle_names(snapshot.names);
+        self.records.recycle(snapshot.records);
+    }
+
     /// A store that continues from `snapshot`, sharing its pages until it
-    /// writes to them. Every record's chain restarts at its snapshot head,
-    /// with an empty history. Rebuilding the key → id map hashes every key
-    /// once: the one O(keys) step, paid at recovery and not at checkpoint.
+    /// writes to them. Rebuilding the key → id map hashes every key once:
+    /// the one O(keys) step, paid at recovery and not at checkpoint.
     pub fn from_snapshot(snapshot: &StoreSnapshot) -> Self {
         Store {
             interner: KeyInterner::from_names(snapshot.names.clone()),
             records: snapshot.records.clone(),
-            history: vec![Vec::new(); snapshot.records.len()],
-            written: WrittenPages::default(),
         }
     }
 
@@ -168,7 +145,6 @@ impl Store {
         let id = self.interner.intern(key);
         if self.records.len() <= id.0 as usize {
             self.records.push(VersionedRecord::new());
-            self.history.push(Vec::new());
         }
         id
     }
@@ -197,17 +173,13 @@ impl Store {
         record.expect("key id issued by this store")
     }
 
-    /// The one way to a record that is about to be written, with the
-    /// history its replaced heads go to: marks its page for the next sweep
-    /// and un-shares it from the last snapshot.
-    fn record_id_mut(&mut self, id: KeyId) -> (&mut VersionedRecord, &mut Vec<CommittedVersion>) {
-        let index = id.0 as usize;
-        self.written.mark(index / PAGE_LEN);
-        let record = self.records.get_mut(index);
-        let history = self.history.get_mut(index);
+    /// The one way to a record that is about to be written: un-shares its
+    /// page from the last snapshot.
+    fn record_id_mut(&mut self, id: KeyId) -> &mut VersionedRecord {
+        let record = self.records.get_mut(id.0 as usize);
         // As in `record_id`.
         // check:allow(panic)
-        record.zip(history).expect("key id issued by this store")
+        record.expect("key id issued by this store")
     }
 
     /// Read the latest committed state by id.
@@ -227,20 +199,18 @@ impl Store {
 
     /// Validate and accept an option by id.
     pub fn accept_id(&mut self, id: KeyId, option: RecordOption) -> Result<(), RejectReason> {
-        self.record_id_mut(id).0.accept(option)
+        self.record_id_mut(id).accept(option)
     }
 
     /// Learn a transaction outcome by id; returns the new version if one
     /// was committed.
     pub fn decide_id(&mut self, id: KeyId, txn: TxnId, commit: bool) -> Option<VersionNo> {
-        let (record, history) = self.record_id_mut(id);
-        record.decide(txn, commit, history)
+        self.record_id_mut(id).decide(txn, commit)
     }
 
     /// Install a committed version by state transfer, by id.
     pub fn install_id(&mut self, id: KeyId, version: VersionNo, value: Value, txn: TxnId) -> bool {
-        let (record, history) = self.record_id_mut(id);
-        record.install(version, value, txn, history)
+        self.record_id_mut(id).install(version, value, txn)
     }
 
     // ---- key-addressed boundary API ------------------------------------
@@ -288,20 +258,6 @@ impl Store {
         self.key_id(key).map(|id| self.record_id(id))
     }
 
-    /// The committed versions the store retains for a key, oldest first:
-    /// its history, then its head (none for a key never written). What the
-    /// model checker compares across replicas. After a recovery the chain
-    /// starts at the head the checkpoint held.
-    pub fn versions(&self, key: &Key) -> impl Iterator<Item = &CommittedVersion> + '_ {
-        self.key_id(key).into_iter().flat_map(|id| {
-            let history = self
-                .history
-                .get(id.0 as usize)
-                .map_or(&[][..], Vec::as_slice);
-            history.iter().chain(self.record_id(id).head())
-        })
-    }
-
     // ---- whole-store traversal -----------------------------------------
 
     /// Number of interned keys.
@@ -328,33 +284,13 @@ impl Store {
             r.pending().iter().map(move |o| (id, o))
         })
     }
-
-    /// Garbage-collect version chains, keeping the newest `keep` versions of
-    /// each record, its head among them (a head is never dropped: `keep` 0
-    /// keeps it alone, as 1 does). A history only grows when its record is
-    /// written, so the sweep visits the keys of the pages written since the
-    /// previous sweep and no other; returns how many pages that was. It
-    /// trims the histories beside the pages and writes no page, so it
-    /// un-shares none from a snapshot and allocates nothing. A sweep with a
-    /// smaller `keep` than the one before does not revisit what that one
-    /// trimmed.
-    pub fn gc(&mut self, keep: usize) -> usize {
-        let older = keep.saturating_sub(1);
-        let pages = self.written.take();
-        for &page in &pages {
-            let first = page as usize * PAGE_LEN;
-            for history in self.history.iter_mut().skip(first).take(PAGE_LEN) {
-                history.drain(..history.len().saturating_sub(older));
-            }
-        }
-        pages.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::WriteOp;
+    use crate::paged::PAGE_LEN;
 
     fn txn(n: u64) -> TxnId {
         TxnId::new(1, n)
@@ -402,7 +338,6 @@ mod tests {
         .unwrap();
         assert_eq!(s.decide_id(id, txn(1), true), Some(1));
         assert_eq!(s.read_id(id), s.read(&k));
-        assert_eq!(s.versions(&k).count(), 1);
     }
 
     #[test]
@@ -531,60 +466,5 @@ mod tests {
             Store::from_snapshot(&snap).read_id(ids[0]).value,
             Value::Int(0)
         );
-    }
-
-    #[test]
-    fn gc_visits_only_pages_written_since_the_last_sweep() {
-        let (mut s, ids) = paged_store(4);
-        assert_eq!(s.gc(1), 4, "every page was written by the preload");
-        assert_eq!(s.gc(1), 0, "nothing written since");
-        let (hot, hot_key) = (ids[2 * PAGE_LEN], Key::new(format!("k{}", 2 * PAGE_LEN)));
-        for seq in 0..3 {
-            commit_set(&mut s, hot, 20_000 + seq, seq as i64);
-        }
-        // A pending option alone marks its page as well.
-        let pending = RecordOption::new(txn(30_000), 0, WriteOp::add(1));
-        s.accept_id(ids[5], pending).unwrap();
-        let chain =
-            |s: &Store| -> Vec<VersionNo> { s.versions(&hot_key).map(|v| v.version).collect() };
-        assert_eq!(chain(&s), vec![1, 2, 3, 4]);
-        // The snapshot holds heads, not histories: a recovered chain starts
-        // at the head.
-        let snap = s.snapshot();
-        let mut recovered = Store::from_snapshot(&snap);
-        assert_eq!(chain(&recovered), vec![4]);
-        assert_eq!(recovered.read_id(hot), s.read_id(hot));
-        assert_eq!(recovered.gc(1), 0, "nothing written since the recovery");
-        // The sweep trims beside the pages and writes none of them.
-        assert_eq!(s.gc(2), 2);
-        assert_eq!(chain(&s), vec![3, 4]);
-        assert_eq!(s.read_id(hot).value, Value::Int(2));
-        assert_eq!(s.records.shared_pages(&snap.records), 4);
-        assert_eq!(s.gc(1), 0, "a sweep marks nothing written");
-    }
-
-    #[test]
-    fn gc_applies_to_all_records() {
-        let mut s = Store::new();
-        let k = Key::new("a");
-        for v in 1..=5u64 {
-            s.accept(
-                &k,
-                RecordOption::new(txn(v), v - 1, WriteOp::Set(Value::Int(v as i64))),
-            )
-            .unwrap();
-            s.decide(&k, txn(v), true);
-        }
-        s.gc(2);
-        let kept: Vec<VersionNo> = s.versions(&k).map(|v| v.version).collect();
-        assert_eq!(kept, vec![4, 5]);
-        assert_eq!(s.read(&k).value, Value::Int(5));
-        // Written again (a pending option marks its page) and swept with
-        // `keep` 0: the head stays.
-        s.accept(&k, RecordOption::new(txn(9), 5, WriteOp::add(1)))
-            .unwrap();
-        s.gc(0);
-        assert_eq!(s.versions(&k).count(), 1);
-        assert_eq!(s.read(&k).version, 5);
     }
 }

@@ -5,13 +5,15 @@
 //! fresh [`Store`] reconstructs the same state — every key's head version,
 //! value and pending options, under the same key ids — which is both the
 //! recovery story and a powerful testing oracle (see the property tests in
-//! `replica.rs`). A checkpoint snapshot holds heads and pending options and
-//! no history, so a record recovered from one starts its chain at the head
-//! the snapshot held, with the tail replayed on top.
+//! `replica.rs`). A checkpoint snapshot holds heads and pending options, so
+//! the log is also where a record's older versions are:
+//! [`Replica::versions`](crate::Replica::versions) replays one key's chain
+//! from its checkpointed head through the tail.
 
 use crate::options::RecordOption;
+use crate::record::CommittedVersion;
 use crate::store::{Store, StoreSnapshot};
-use crate::types::{Key, TxnId};
+use crate::types::{Key, KeyId, TxnId};
 
 /// One logged state transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +60,9 @@ pub enum LogRecord {
 ///
 /// The snapshot shares its pages with the live store (see
 /// [`Store::snapshot`]), so `checkpoint` and `clone` cost O(pages) pointer
-/// copies plus the tail, whatever the store holds. The records' histories
-/// are not in it: they stay with the live store.
+/// copies plus the tail, whatever the store holds. The snapshot a
+/// checkpoint replaces goes back to the store (`Store::recycle`), whose
+/// next snapshot and page copies reuse the pages only it still held.
 ///
 /// ```
 /// use planet_storage::{Key, LogRecord, RecordOption, TxnId, Value, Wal, WriteOp};
@@ -151,8 +154,13 @@ impl Wal {
     /// Checkpoint: install a snapshot of `store` as the image of everything
     /// logged so far and drop the entire retained tail. After this,
     /// [`Wal::replay`] returns the snapshot plus any records appended later.
+    /// The snapshot it replaces goes back to `store` first, so the new one
+    /// can freeze its pages into the old one's spares.
     pub fn checkpoint(&mut self, store: &mut Store) {
         let mark = self.next_lsn();
+        if let Some(replaced) = self.snapshot.take() {
+            store.recycle(replaced);
+        }
         self.install_snapshot(store.snapshot());
         self.truncate_to(mark);
     }
@@ -192,6 +200,49 @@ impl Wal {
             }
         }
         store
+    }
+
+    /// The committed versions `key` went through, oldest first: its head in
+    /// the checkpoint snapshot, if it has one, then every head the retained
+    /// tail produced, replayed on that record alone through the
+    /// [`VersionedRecord`](crate::VersionedRecord) calls [`Wal::replay`]
+    /// makes. `id` is the key's id in the store this log backs, if it has
+    /// one (a key the snapshot holds always does). A log that was never
+    /// checkpointed holds the key's whole chain. O(tail): a checker's read,
+    /// not the hot path's.
+    pub(crate) fn versions(&self, id: Option<KeyId>, key: &Key) -> Vec<CommittedVersion> {
+        let mut record = self
+            .snapshot
+            .as_ref()
+            .zip(id)
+            .and_then(|(snapshot, id)| snapshot.record(id, key))
+            .cloned()
+            .unwrap_or_default();
+        let mut chain: Vec<CommittedVersion> = record.head().cloned().into_iter().collect();
+        for rec in &self.records {
+            let advanced = match rec {
+                LogRecord::OptionAccepted { key: k, option } if k == key => {
+                    let _ = record.accept(option.clone());
+                    false
+                }
+                LogRecord::Decided {
+                    key: k,
+                    txn,
+                    commit,
+                } if k == key => record.decide(*txn, *commit).is_some(),
+                LogRecord::Installed {
+                    key: k,
+                    version,
+                    value,
+                    txn,
+                } if k == key => record.install(*version, value.clone(), *txn),
+                _ => false,
+            };
+            if advanced {
+                chain.extend(record.head().cloned());
+            }
+        }
+        chain
     }
 }
 

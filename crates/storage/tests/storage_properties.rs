@@ -11,13 +11,13 @@
 //! drives a fixed number of random scripts, and a failing case prints the
 //! seed that reproduces it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Display;
 
 use planet_sim::DetRng;
 use planet_storage::{
     CommittedVersion, Key, KeyId, RecordOption, Replica, Store, TxnId, Value, VersionedRecord, Wal,
-    WriteOp, PAGE_LEN,
+    WriteOp,
 };
 
 /// A randomly generated action against a replica.
@@ -137,7 +137,7 @@ fn wal_replay_matches_live_state() {
 }
 
 /// One step of a maintenance script: the operation stream of a replica with
-/// checkpoints and sweeps at random points in it.
+/// checkpoints at random points in it.
 #[derive(Debug, Clone)]
 enum Step {
     /// Accept a physical write based on the current version; stays pending.
@@ -164,82 +164,71 @@ enum Step {
     /// fresh page).
     NewKey,
     Checkpoint,
-    Gc,
 }
 
 fn random_step(rng: &mut DetRng, keys: usize) -> Step {
     let key = rng.index(keys);
     match rng.index(100) {
-        0..=14 => Step::Set {
+        0..=15 => Step::Set {
             key,
             value: rng.range_u64(0, 100) as i64 - 50,
         },
-        15..=39 => Step::Add {
+        16..=42 => Step::Add {
             key,
             delta: rng.range_u64(0, 40) as i64 - 20,
         },
-        40..=69 => Step::Decide {
+        43..=74 => Step::Decide {
             commit: rng.bernoulli(0.7),
         },
-        70..=74 => Step::Install {
+        75..=80 => Step::Install {
             key,
             ahead: rng.range_u64(1, 4),
             value: rng.range_u64(0, 100) as i64,
         },
-        75..=82 => Step::NewKey,
-        83..=89 => Step::Checkpoint,
-        _ => Step::Gc,
+        81..=90 => Step::NewKey,
+        _ => Step::Checkpoint,
     }
 }
 
 /// The store as it was before it had pages: one record per key in a plain
-/// vector with the versions its head replaced beside it, a sweep that visits
-/// every key, and a note of which pages the paged store should count as
-/// written.
+/// vector, and beside each the chain of versions it went through since the
+/// last checkpoint (which restarts every chain at its head).
 #[derive(Default)]
 struct ModelStore {
     keys: Vec<Key>,
     records: Vec<VersionedRecord>,
-    histories: Vec<Vec<CommittedVersion>>,
-    written_pages: BTreeSet<usize>,
+    chains: Vec<Vec<CommittedVersion>>,
 }
 
 impl ModelStore {
     fn new_key(&mut self, key: Key) {
         self.keys.push(key);
         self.records.push(VersionedRecord::new());
-        self.histories.push(Vec::new());
+        self.chains.push(Vec::new());
     }
 
-    /// The record, about to be handed to a mutating call, and its history:
-    /// the store marks a page when it hands a record out mutably, whatever
-    /// the call then does.
-    fn record_mut(&mut self, key: usize) -> (&mut VersionedRecord, &mut Vec<CommittedVersion>) {
-        self.written_pages.insert(key / PAGE_LEN);
-        (&mut self.records[key], &mut self.histories[key])
-    }
-
-    /// The whole retained chain of a key, oldest first.
-    fn chain(&self, key: usize) -> Vec<CommittedVersion> {
-        let head = self.records[key].head();
-        self.histories[key].iter().chain(head).cloned().collect()
-    }
-
-    /// Keep the newest `keep` versions of every key, the head among them.
-    fn gc(&mut self, keep: usize) -> usize {
-        for history in &mut self.histories {
-            history.drain(..history.len().saturating_sub(keep - 1));
+    /// Apply `write` to a key's record; a head it produces joins the chain.
+    fn write<T>(&mut self, key: usize, write: impl FnOnce(&mut VersionedRecord) -> T) -> T {
+        let record = &mut self.records[key];
+        let before = record.head().cloned();
+        let out = write(record);
+        if record.head() != before.as_ref() {
+            self.chains[key].extend(record.head().cloned());
         }
-        std::mem::take(&mut self.written_pages).len()
+        out
+    }
+
+    fn checkpoint(&mut self) {
+        for (record, chain) in self.records.iter().zip(&mut self.chains) {
+            chain.clear();
+            chain.extend(record.head().cloned());
+        }
     }
 }
 
-fn chain(store: &Store, key: &Key) -> Vec<CommittedVersion> {
-    store.versions(key).cloned().collect()
-}
-
-/// Version chain, pending set and key id of every key agree.
-fn assert_same_state(store: &Store, model: &ModelStore, what: &str) {
+/// Key id, head, pending set and version chain of every key agree.
+fn assert_same_state(replica: &Replica, model: &ModelStore, what: &str) {
+    let store = replica.store();
     assert_eq!(store.len(), model.keys.len(), "{what}: key count");
     for (id, (key, expected)) in model.keys.iter().zip(&model.records).enumerate() {
         assert_eq!(
@@ -247,21 +236,23 @@ fn assert_same_state(store: &Store, model: &ModelStore, what: &str) {
             Some(KeyId(id as u32)),
             "{what}: id of {key}"
         );
-        assert_eq!(chain(store, key), model.chain(id), "{what}: chain of {key}");
         let got = store.record(key).expect("interned");
+        assert_eq!(got.head(), expected.head(), "{what}: head of {key}");
         assert_eq!(
             got.pending(),
             expected.pending(),
             "{what}: pending of {key}"
         );
+        assert_eq!(
+            replica.versions(key),
+            model.chains[id],
+            "{what}: chain of {key}"
+        );
     }
 }
 
 /// What a recovery must reproduce: head version, value, pending set and key
-/// id of every key, and no key more. The chains agree on every version both
-/// hold: a recovered chain starts at the head its checkpoint held, and a
-/// sweep may have trimmed the live one since, so the shorter is a suffix
-/// of the longer, both ending at the head.
+/// id of every key, and no key more.
 fn assert_recovers(recovered: &Store, live: &Store, what: &dyn Display) {
     assert_eq!(recovered.len(), live.len(), "{what}: key count");
     for key in live.keys() {
@@ -274,30 +265,24 @@ fn assert_recovers(recovered: &Store, live: &Store, what: &dyn Display) {
         let (got, want) = (recovered.record(key), live.record(key));
         let pending = |r: Option<&VersionedRecord>| r.map(|r| r.pending().to_vec());
         assert_eq!(pending(got), pending(want), "{what}: pending of {key}");
-        let (got, want) = (chain(recovered, key), chain(live, key));
-        let common = got.len().min(want.len());
-        assert_eq!(
-            got[got.len() - common..],
-            want[want.len() - common..],
-            "{what}: chain of {key}"
-        );
     }
 }
 
 /// Differential test of the paged store's maintenance. A replica runs a
 /// random script — accepts left pending across checkpoints, commits, aborts,
-/// installs, new keys that open fresh pages — with many checkpoints and
-/// sweeps at random points. After every step:
+/// installs, new keys that open fresh pages — with many checkpoints at
+/// random points, each recycling the pages of the snapshot it replaces.
+/// After every step:
 ///
-/// * the live store equals [`ModelStore`] key by key (chain, pending, id),
-///   and each sweep reports exactly the pages written since the one before;
+/// * the live replica equals [`ModelStore`] key by key (id, head, pending,
+///   and the chain `Replica::versions` reads back from the log);
 /// * `Replica::recover(wal.clone())` and `verify_recovery()` agree with the
-///   live store on version, value, pending set and key ids, and on every
-///   committed version both chains hold;
+///   live store on version, value, pending set and key ids, and the
+///   recovered replica reads the same chains;
 /// * every earlier checkpoint, replayed from a log cloned when it was taken,
 ///   still equals the deep `Store::clone` made at that moment: a write after
-///   a checkpoint never shows through the older snapshot. It holds heads
-///   and no history, so each replayed chain is its head alone.
+///   a checkpoint never shows through the older snapshot, even once the
+///   live log has recycled that snapshot's pages. Its chains are its heads.
 ///
 /// Five seeded mutations of the store were each checked to fail this test
 /// (CHANGES.md, PR 16).
@@ -305,7 +290,6 @@ fn assert_recovers(recovered: &Store, live: &Store, what: &dyn Display) {
 fn recovery_holds_across_random_checkpoints() {
     for case in 0..MAINTENANCE_CASES {
         let mut rng = DetRng::new(0x57A7_3000 + case);
-        let keep = rng.index(3) + 1;
         let mut replica = Replica::new();
         let mut model = ModelStore::default();
         // Start just short of a page boundary so new keys cross it.
@@ -318,8 +302,7 @@ fn recovery_holds_across_random_checkpoints() {
             let by = TxnId::new(9, k as u64);
             assert!(replica.install(&key, 1, Value::Int(0), by));
             model.new_key(key);
-            let (record, history) = model.record_mut(k);
-            assert!(record.install(1, Value::Int(0), by, history));
+            assert!(model.write(k, |record| record.install(1, Value::Int(0), by)));
         };
         for _ in 0..initial {
             new_key(&mut replica, &mut model);
@@ -335,7 +318,7 @@ fn recovery_holds_across_random_checkpoints() {
             let mut propose =
                 |replica: &mut Replica, model: &mut ModelStore, k, opt: RecordOption| {
                     let live = replica.accept(&model.keys[k], opt.clone());
-                    assert_eq!(live, model.record_mut(k).0.accept(opt.clone()), "{what}");
+                    assert_eq!(live, model.write(k, |r| r.accept(opt.clone())), "{what}");
                     if live.is_ok() {
                         undecided.push_back((k, opt.txn));
                     }
@@ -358,8 +341,7 @@ fn recovery_holds_across_random_checkpoints() {
                 Step::Decide { commit } => {
                     if let Some((k, txn)) = undecided.pop_front() {
                         let live = replica.decide(&model.keys[k], txn, commit);
-                        let (record, history) = model.record_mut(k);
-                        assert_eq!(live, record.decide(txn, commit, history), "{what}");
+                        assert_eq!(live, model.write(k, |r| r.decide(txn, commit)), "{what}");
                     }
                 }
                 Step::Install {
@@ -370,28 +352,32 @@ fn recovery_holds_across_random_checkpoints() {
                     let version = replica.read(&model.keys[k]).version + ahead;
                     let value = Value::Int(value);
                     let live = replica.install(&model.keys[k], version, value.clone(), txn);
-                    let (record, history) = model.record_mut(k);
-                    assert_eq!(live, record.install(version, value, txn, history), "{what}");
+                    let modelled = model.write(k, |r| r.install(version, value, txn));
+                    assert_eq!(live, modelled, "{what}");
                 }
                 Step::NewKey => new_key(&mut replica, &mut model),
                 Step::Checkpoint => {
                     replica.checkpoint();
+                    model.checkpoint();
                     assert_eq!(replica.wal().len(), 0, "{what}");
                     checkpoints.push((replica.wal().clone(), replica.store().clone()));
                 }
-                Step::Gc => assert_eq!(replica.gc(keep), model.gc(keep), "{what}: pages swept"),
             }
 
-            assert_same_state(replica.store(), &model, &what);
+            assert_same_state(&replica, &model, &what);
             assert!(replica.verify_recovery().is_empty(), "{what}");
             let recovered = Replica::recover(replica.wal().clone());
             assert_recovers(recovered.store(), replica.store(), &what);
+            assert_same_state(&recovered, &model, &format!("{what}: recovered"));
             for (n, (log, then)) in checkpoints.iter().enumerate() {
                 let what = format_args!("{what}: checkpoint {n} replayed");
-                let replayed = log.replay();
-                assert_recovers(&replayed, then, &what);
-                let heads_only = replayed.keys().all(|k| replayed.versions(k).count() <= 1);
-                assert!(heads_only, "{what}: a history in the snapshot");
+                let replayed = Replica::recover(log.clone());
+                assert_recovers(replayed.store(), then, &what);
+                for key in then.keys() {
+                    let head = then.record(key).and_then(VersionedRecord::head);
+                    let heads = head.cloned().into_iter().collect::<Vec<_>>();
+                    assert_eq!(replayed.versions(key), heads, "{what}: chain of {key}");
+                }
             }
         }
     }
