@@ -1,14 +1,14 @@
 //! The socket receive path allocates per *burst*, not per frame.
 //!
 //! A sender coalesces the frames of a drive into one socket write; the
-//! receiver takes them back with one `read` into a recycled chunk and
-//! decodes every frame out of it (`wire::FrameReader`). A key is decoded as
-//! a value held inline, so interning a new key — what a replica does on
-//! first sight — copies nothing and pins nothing, and the chunk comes back.
-//! Nothing is left per frame (the mailbox's queue is a ring that stops
-//! growing). It used to be a copy per new key (0.1 per frame here), before
-//! that a buffer per frame, for good once eight frames had been pinned by
-//! interned keys, plus a `Vec` per destination per `send_many`.
+//! receiver takes them back with one `read` into the connection's one
+//! buffer and decodes every frame out of it (`wire::FrameReader`). A key is
+//! decoded as a value held inline, so interning a new key — what a replica
+//! does on first sight — copies nothing, and the buffer is refilled in
+//! place. Nothing is left per frame (the mailbox's queue is a ring that
+//! stops growing). It used to be a copy per new key (0.1 per frame here),
+//! before that a buffer per frame, for good once eight frames had been
+//! pinned by interned keys, plus a `Vec` per destination per `send_many`.
 //!
 //! Lives here because this crate owns the counting `#[global_allocator]`;
 //! alone in its file, so no other test allocates while it counts.

@@ -216,7 +216,8 @@ impl Drop for SenderSide {
 
 impl MailboxSender {
     /// Enqueue `packet`, blocking while the mailbox is full (backpressure).
-    /// Returns the packet if the receiving node is gone.
+    /// Returns the packet if the receiving node is gone, or if the lock was
+    /// poisoned while this sender waited.
     // The Err variant hands the undelivered packet back (as std's
     // SendError does); its size is the price of not dropping messages.
     #[allow(clippy::result_large_err)]
@@ -233,7 +234,12 @@ impl MailboxSender {
                     break;
                 }
                 state.blocked_senders += 1;
-                state = shared.drained.wait(state).expect("lock poisoned");
+                // A thread that panicked holding the lock poisoned it:
+                // hand the packet back, as a closed mailbox does.
+                let Ok(woken) = shared.drained.wait(state) else {
+                    return Err(packet);
+                };
+                state = woken;
                 state.blocked_senders -= 1;
                 // Time spent blocked is the sender's, not the queue's.
                 at = Instant::now();
@@ -428,6 +434,28 @@ mod tests {
         assert_eq!(rx.high_water(), 2);
         rx.try_recv().expect("drains");
         tx.try_send(packet(3)).expect("space freed");
+    }
+
+    /// A blocked sender whose wait ends on a poisoned lock gets its packet
+    /// back instead of panicking.
+    #[test]
+    fn a_poisoned_wait_hands_the_packet_back() {
+        let (tx, _rx) = mailbox(1);
+        assert!(tx.send(packet(0)).is_ok());
+        let shared = Arc::clone(&tx.side.shared);
+        let sender = std::thread::spawn(move || tx.send(packet(1)).is_err());
+        while lock_in_drop(&shared.state).blocked_senders == 0 {
+            std::thread::yield_now();
+        }
+        let poisoner = Arc::clone(&shared);
+        let poisoned = std::thread::spawn(move || {
+            let _held = poisoner.state.lock();
+            panic!("poison the mailbox lock");
+        });
+        assert!(poisoned.join().is_err());
+        shared.drained.notify_all();
+        let handed_back = sender.join().expect("the sender does not panic");
+        assert!(handed_back);
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //! byte counts, from which `bytes / flush` falls out directly.
 //!
 //! Reads take the batch back the same way: a connection's reader thread
-//! issues one `read` per *burst* into a recycled chunk and decodes every
-//! frame of the burst as views into it ([`wire::FrameReader`]) — no
-//! allocation and a fraction of a syscall per frame. The envelopes handed
-//! to mailboxes therefore share a burst chunk; it is recycled when the last
-//! of them drops, which is why whatever keeps a key or a value past its
-//! message stores a detached copy (see [`wire::FrameReader`]).
+//! issues one `read` per *burst* into the connection's one buffer and
+//! decodes every frame of the burst out of it ([`wire::FrameReader`]) — a
+//! fraction of a syscall per frame. A decoded envelope owns what it
+//! carries (a key is held inline, a byte value is copied), so the next
+//! burst reuses the buffer whatever the mailboxes still hold.
 //!
 //! Local delivery applies the plane's backpressure policy: hosted
 //! mailboxes are bounded, protocol traffic blocks at a full one, and a
@@ -274,8 +273,8 @@ impl TcpInner {
     }
 
     /// Receive on one connection until EOF, burst by burst: one `read`
-    /// takes whatever the socket holds into a recycled chunk, and every
-    /// frame of the burst is decoded zero-copy out of it
+    /// takes whatever the socket holds into the connection's buffer, and
+    /// every frame of the burst is decoded out of it
     /// ([`wire::FrameReader`]) and delivered locally.
     ///
     /// The tables are consulted per connection and per burst, not per

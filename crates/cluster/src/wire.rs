@@ -9,7 +9,7 @@
 //! Only [`TxnProgram`] is hand-written. The tags are the only versioning.
 
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use planet_mdcc::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
 use planet_plan::{
@@ -70,9 +70,6 @@ impl Sink for Measure {
 struct Reader<'a> {
     /// What is left to decode.
     buf: &'a [u8],
-    /// When decoding off a shared buffer: the owning `Arc` and where the
-    /// payload ends in it, for zero-copy byte values.
-    shared: Option<(&'a Arc<[u8]>, usize)>,
 }
 
 impl<'a> Reader<'a> {
@@ -101,19 +98,6 @@ impl<'a> Reader<'a> {
         self.buf = rest;
         Ok(head)
     }
-    /// The blob just read as a view `(buffer, offset)` into a shared buffer.
-    fn view(&self, blob: &[u8]) -> Option<(Arc<[u8]>, usize)> {
-        let (owner, end) = self.shared?;
-        Some((Arc::clone(owner), end - self.buf.len() - blob.len()))
-    }
-}
-
-/// A whole payload as one envelope; trailing bytes are a framing bug.
-fn decode_payload(buf: &[u8], shared: Option<(&Arc<[u8]>, usize)>) -> Result<Envelope> {
-    let mut r = Reader { buf, shared };
-    let env = Envelope::wire_read(&mut r)?;
-    let trailing = || WireError("trailing bytes".into());
-    r.buf.is_empty().then_some(env).ok_or_else(trailing)
 }
 
 /// A type on the wire. Its method names are unique: a by-name call graph cannot alias them.
@@ -175,7 +159,7 @@ impl Wire for String {
 }
 
 /// A key decodes as a value: UTF-8 checked, then built (inline up to 23
-/// bytes), never a view, so no key pins the buffer it was read from.
+/// bytes).
 impl Wire for Key {
     #[inline]
     fn wire_write(&self, w: &mut impl Sink) {
@@ -189,17 +173,13 @@ impl Wire for Key {
     }
 }
 
-/// Byte values decode as views into a shared buffer, else copies.
+/// A byte value decodes as a copy, so it owns its bytes.
 impl Wire for Bytes {
     fn wire_write(&self, w: &mut impl Sink) {
         w.blob(self.as_slice());
     }
     fn wire_read(r: &mut Reader<'_>) -> Result<Self> {
-        let raw = r.blob()?;
-        Ok(match r.view(raw) {
-            Some((owner, at)) => Bytes::shared(owner, at, raw.len()),
-            None => Bytes::copy_from_slice(raw),
-        })
+        r.blob().map(Bytes::copy_from_slice)
     }
 }
 
@@ -397,22 +377,14 @@ pub fn encode(env: &Envelope) -> Vec<u8> {
 }
 
 /// Decode a payload produced by [`encode`]. The whole buffer must be
-/// consumed — trailing bytes indicate a framing bug.
+/// consumed — trailing bytes indicate a framing bug. A key of up to 23
+/// bytes is held inline and a byte value is copied out, so the envelope
+/// refers to nothing of `buf`.
 pub fn decode(buf: &[u8]) -> Result<Envelope> {
-    decode_payload(buf, None)
-}
-
-/// Decode the payload at `buf[start..start + len]` *zero-copy*: every byte
-/// value is a refcounted view into `buf`, and every key of up to 23 bytes
-/// is held inline, so a frame decodes with no per-field allocation. Keys
-/// are not views, so only byte values keep `buf` alive. Otherwise
-/// identical to [`decode`] (the codec's property tests pin this).
-pub fn decode_shared(buf: &Arc<[u8]>, start: usize, len: usize) -> Result<Envelope> {
-    let range = start.checked_add(len).and_then(|end| buf.get(start..end));
-    let Some(payload) = range else {
-        return err("shared range out of bounds");
-    };
-    decode_payload(payload, Some((buf, start + len)))
+    let mut r = Reader { buf };
+    let env = Envelope::wire_read(&mut r)?;
+    let trailing = || WireError("trailing bytes".into());
+    r.buf.is_empty().then_some(env).ok_or_else(trailing)
 }
 
 // ---------------------------------------------------------------- frames
@@ -443,45 +415,26 @@ pub fn write_frame(w: &mut impl Write, env: &Envelope) -> io::Result<()> {
     w.flush()
 }
 
-/// Size of a burst chunk: what one socket `read` can return. Eight times
-/// the ~1.9 KB a sender's coalesced flush carries at saturation, so a read
-/// that found several flushes queued still takes them in one call.
-const CHUNK_LEN: usize = 16 * 1024;
-
-/// Most retired chunks a connection keeps for reuse (1 MiB).
-const MAX_CHUNKS: usize = 64;
+/// Size of a connection's receive buffer: what one socket `read` can
+/// return. Eight times the ~1.9 KB a sender's coalesced flush carries at
+/// saturation, so a read that found several flushes queued still takes
+/// them in one call.
+const BUF_LEN: usize = 16 * 1024;
 
 fn invalid_data(what: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// What `fill` returns should a chunk it is about to write turn out to be
-/// shared. It takes only unique chunks, so this is a defined failure for a
-/// bug in this file, not a state a peer can bring about.
-fn not_writable() -> io::Error {
-    io::Error::other("receive chunk is not writable")
-}
-
-/// The one way to read frames: a splitter over *burst chunks*.
+/// The one way to read frames: a splitter over *bursts*.
 ///
 /// The sender coalesces many frames into one socket write, so the receiver
 /// takes them back the same way. [`fill`](Self::fill) issues **one**
-/// `read` into a fixed-size chunk for whatever the socket holds, and
-/// [`pop_frame`](Self::pop_frame) then yields every complete frame of that
-/// burst, decoded zero-copy ([`decode_shared`]): the byte values of an
-/// envelope are views into the chunk (its keys are values of their own).
-/// A frame cut off by the end of the burst stays buffered; the next `fill`
-/// moves that partial tail to the front of the chunk it reads into.
-///
-/// Chunks are recycled, never shared while written: a chunk is written
-/// only while this reader holds the one reference to it, and once
-/// `pop_frame` has handed out views nothing appends to it — the next `fill`
-/// takes another chunk and retires this one, to be handed out again when
-/// the last envelope decoded out of it has dropped (`strong_count == 1`).
-/// So a view costs its holder nothing and costs the connection a 16 KiB
-/// chunk for as long as it is held: **views are for the life of a
-/// message**, and state that outlives one stores `Bytes::detached`
-/// (`planet_storage` does so where a value enters a record or the log).
+/// `read` into the connection's one buffer for whatever the socket holds,
+/// and [`pop_frame`](Self::pop_frame) then yields every complete frame of
+/// that burst, [`decode`]d: an envelope owns what it carries, so holding
+/// one holds nothing of the buffer, and the next `fill` reuses it. A frame
+/// cut off by the end of the burst stays buffered; the next `fill` moves
+/// that partial tail to the front.
 ///
 /// `fill` and `pop_frame` never block beyond the one `read`, so the pair is
 /// a plain state machine over bytes: a readiness-driven poller can call
@@ -489,30 +442,26 @@ fn not_writable() -> io::Error {
 /// can feed it any byte stream cut anywhere.
 /// [`next_frame`](Self::next_frame) is the blocking loop over the two.
 pub struct FrameReader {
-    /// The chunk being split. `chunk[start..end]` is received and not yet
-    /// yielded; everything before `start` may be viewed by live envelopes.
-    chunk: Arc<[u8]>,
+    /// `buf[start..end]` is received and not yet yielded as frames.
+    buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Chunks this reader filled before, oldest first.
-    retired: Vec<Arc<[u8]>>,
 }
 
 impl FrameReader {
-    /// A reader with nothing buffered. The first chunk is allocated by the
-    /// first [`fill`](Self::fill).
+    /// A reader with nothing buffered. The buffer is allocated by the first
+    /// [`fill`](Self::fill).
     pub fn new() -> Self {
         FrameReader {
-            chunk: Arc::from([]),
+            buf: Vec::new(),
             start: 0,
             end: 0,
-            retired: Vec::new(),
         }
     }
 
     /// The received bytes not yet yielded as frames.
     fn unread(&self) -> &[u8] {
-        self.chunk.get(self.start..self.end).unwrap_or_default()
+        self.buf.get(self.start..self.end).unwrap_or_default()
     }
 
     /// Payload length of the frame at the front of the unread bytes, once
@@ -529,62 +478,52 @@ impl FrameReader {
         Ok(Some(len as usize))
     }
 
-    /// The next complete frame already received, decoded as views into the
-    /// chunk; `Ok(None)` when what is buffered ends mid-frame (or is
-    /// empty) and [`fill`](Self::fill) has to run first.
+    /// The next complete frame already received, decoded; `Ok(None)` when
+    /// what is buffered ends mid-frame (or is empty) and
+    /// [`fill`](Self::fill) has to run first.
     pub fn pop_frame(&mut self) -> io::Result<Option<Envelope>> {
         let Some(len) = self.frame_len()? else {
             return Ok(None);
         };
-        let body = self.start + 4;
-        if self.end - body < len {
+        let Some(payload) = self.unread().get(4..4 + len) else {
             return Ok(None);
+        };
+        let env = decode(payload).map_err(invalid_data)?;
+        self.start += 4 + len;
+        if self.start == self.end && self.buf.len() > BUF_LEN {
+            // That was a large frame, alone in a buffer of its size: give
+            // the size back.
+            self.buf.truncate(BUF_LEN);
+            self.buf.shrink_to_fit();
+            (self.start, self.end) = (0, 0);
         }
-        let env = decode_shared(&self.chunk, body, len).map_err(invalid_data)?;
-        self.start = body + len;
         Ok(Some(env))
     }
 
     /// Receive one burst: a single `read` of whatever the stream holds, up
-    /// to the room in the chunk. Call it when
+    /// to the room in the buffer. Call it when
     /// [`pop_frame`](Self::pop_frame) has returned `None`. Returns the byte
     /// count; `Ok(0)` is a clean end of stream (the peer closed between
     /// frames), and an end of stream inside a frame is `UnexpectedEof`.
     pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
-        // A frame too large for a chunk gets a one-off buffer of exactly
-        // its size; `read` then cannot run past the frame's end, and the
-        // frames after it go back to chunks.
+        // A frame too large for the buffer gets one of exactly its size;
+        // `read` then cannot run past the frame's end, and `pop_frame`
+        // shrinks it back.
         let want = match self.frame_len()? {
-            Some(len) if 4 + len > CHUNK_LEN => 4 + len,
-            _ => CHUNK_LEN,
+            Some(len) if 4 + len > BUF_LEN => 4 + len,
+            _ => BUF_LEN,
         };
-        let (start, end) = (self.start, self.end);
-        let unread = end - start;
-        match Arc::get_mut(&mut self.chunk) {
-            // Nothing views the current chunk (its envelopes are gone, or
-            // it has yielded none yet): keep filling it.
-            Some(buf) if buf.len() == want => {
-                if start > 0 {
-                    buf.copy_within(start..end, 0);
-                }
-            }
-            _ => {
-                let mut next = self.unique_chunk(want);
-                let tail = self.chunk.get(start..end);
-                let front = Arc::get_mut(&mut next).and_then(|buf| buf.get_mut(..unread));
-                let (Some(tail), Some(front)) = (tail, front) else {
-                    return Err(not_writable());
-                };
-                front.copy_from_slice(tail);
-                let retiring = std::mem::replace(&mut self.chunk, next);
-                self.retire(retiring);
-            }
+        let unread = self.end - self.start;
+        if self.buf.len() == want {
+            self.buf.copy_within(self.start..self.end, 0);
+        } else {
+            let mut buf = Vec::with_capacity(want);
+            buf.extend_from_slice(self.unread());
+            buf.resize(want, 0);
+            self.buf = buf;
         }
         (self.start, self.end) = (0, unread);
-        let room = Arc::get_mut(&mut self.chunk).and_then(|buf| buf.get_mut(unread..));
-        let Some(room) = room else {
-            return Err(not_writable());
-        };
+        let room = self.buf.get_mut(unread..).unwrap_or_default();
         let n = loop {
             match r.read(room) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -615,34 +554,6 @@ impl FrameReader {
                 return Ok(None);
             }
         }
-    }
-
-    /// A buffer of `len` bytes nothing else refers to: for a chunk, the
-    /// oldest retired one whose views have all dropped, else a fresh one.
-    fn unique_chunk(&mut self, len: usize) -> Arc<[u8]> {
-        if len == CHUNK_LEN {
-            let free = self.retired.iter().position(|c| Arc::strong_count(c) == 1);
-            if let Some(i) = free {
-                return self.retired.remove(i);
-            }
-        }
-        std::iter::repeat_n(0u8, len).collect()
-    }
-
-    /// Keep a filled chunk for reuse. One-off large buffers are not kept.
-    /// A full list is a list of chunks that were all still viewed a moment
-    /// ago, so the oldest is let go (its last view frees it): were the
-    /// newcomer turned away instead, chunks pinned for good would occupy
-    /// the list for the life of the connection and nothing would ever be
-    /// reused again.
-    fn retire(&mut self, chunk: Arc<[u8]>) {
-        if chunk.len() != CHUNK_LEN {
-            return;
-        }
-        if self.retired.len() >= MAX_CHUNKS {
-            self.retired.remove(0);
-        }
-        self.retired.push(chunk);
     }
 }
 
@@ -704,6 +615,7 @@ mod tests {
     use super::*;
     use planet_sim::DetRng;
     use std::collections::BTreeSet;
+    use std::ops::Range;
 
     /// A seeded generator of arbitrary wire values. The wire types get it
     /// from the schema table (`arbitrary!` below); the rest are here.
@@ -816,14 +728,6 @@ mod tests {
             format!("{env:?}"),
             "decode inverts encode"
         );
-        // Shared, at an offset inside a larger buffer, as a burst chunk holds it.
-        let chunk: Arc<[u8]> = [&[0xEE; 7][..], &payload, &[0xEE; 3]].concat().into();
-        let shared = decode_shared(&chunk, 7, payload.len()).expect("shared decode");
-        assert_eq!(
-            format!("{shared:?}"),
-            format!("{owned:?}"),
-            "shared ≡ owned"
-        );
 
         for cut in 0..payload.len() {
             assert!(
@@ -837,7 +741,6 @@ mod tests {
             for mask in [0x01, 0x80, 0xFF] {
                 flipped[i] ^= mask;
                 let _ = decode(&flipped);
-                let _ = decode_shared(&Arc::from(&flipped[..]), 0, flipped.len());
                 flipped[i] ^= mask;
             }
         }
@@ -1221,71 +1124,19 @@ mod tests {
         assert_eq!(seen, Msg::TAGS.iter().copied().collect::<BTreeSet<u8>>());
     }
 
-    /// Shared decode really is zero-copy: byte values are views into the
-    /// frame, not copies.
-    #[test]
-    fn shared_decode_views_byte_values() {
-        let env = envelope(Msg::Apply {
-            key: Key::new("k"),
-            version: 1,
-            value: Value::bytes(&b"payload"[..]),
-            txn: TxnId::new(0, 1),
-        });
-        let payload: Arc<[u8]> = encode(&env).into();
-        let decoded = decode_shared(&payload, 0, payload.len()).expect("decodes");
-        let Msg::Apply {
-            value: Value::Bytes(b),
-            ..
-        } = decoded.msg
-        else {
-            panic!("decoded to {decoded:?}");
-        };
-        assert!(b.is_view(), "shared decode must not copy byte values");
-    }
-
-    /// A key is decoded as a value, so interning it keeps nothing of the
-    /// chunk: once the envelope drops, the chunk is free again.
-    #[test]
-    fn an_interned_key_does_not_pin_its_chunk() {
-        let env = envelope(Msg::DropPending {
-            key: Key::new("order:2:399999"),
-            txn: TxnId::new(0, 1),
-        });
-        let payload = encode(&env);
-        let chunk: Arc<[u8]> = [&[0xEE; 5][..], &payload].concat().into();
-        let decoded = decode_shared(&chunk, 5, payload.len()).expect("decodes");
-        let Msg::DropPending { key, .. } = &decoded.msg else {
-            panic!("decoded to {decoded:?}");
-        };
-        let mut interner = planet_storage::KeyInterner::new();
-        let id = interner.intern(key);
-        drop(decoded);
-        assert_eq!(
-            Arc::strong_count(&chunk),
-            1,
-            "the message is gone, so is the pin"
-        );
-        assert_eq!(interner.name(id).as_str(), "order:2:399999");
-    }
-
-    /// The key a frame carries, decoded owned and shared.
-    fn decoded_keys(key: &Key) -> [Key; 2] {
+    /// The key a frame carries, decoded.
+    fn decoded_key(key: &Key) -> Key {
         let payload = encode(&envelope(Msg::DropPending {
             key: key.clone(),
             txn: TxnId::new(0, 1),
         }));
-        let chunk: Arc<[u8]> = [&[0xEE; 3][..], &payload, &[0xEE; 2]].concat().into();
-        let decoded = [
-            decode(&payload).expect("owned decode"),
-            decode_shared(&chunk, 3, payload.len()).expect("shared decode"),
-        ];
-        decoded.map(|env| match env.msg {
+        match decode(&payload).expect("decodes").msg {
             Msg::DropPending { key, .. } => key,
             other => panic!("decoded to {other:?}"),
-        })
+        }
     }
 
-    /// Decoding, owned or shared, gives the key that was sent, on both
+    /// Decoding gives the key that was sent, on both
     /// sides of the 23-byte inline edge: equal, hashing equally, in `str`
     /// order. (`types::tests` holds the other constructors to the same.)
     #[test]
@@ -1300,12 +1151,11 @@ mod tests {
         let mut decoded_all = Vec::new();
         for s in &strings {
             let sent = Key::from_fmt(format_args!("{s}"));
-            for decoded in decoded_keys(&sent) {
-                assert_eq!(decoded.as_str(), s);
-                assert_eq!(decoded, sent);
-                assert_eq!(hasher.hash_one(&decoded), hasher.hash_one(s.as_str()));
-                decoded_all.push((decoded, s));
-            }
+            let decoded = decoded_key(&sent);
+            assert_eq!(decoded.as_str(), s);
+            assert_eq!(decoded, sent);
+            assert_eq!(hasher.hash_one(&decoded), hasher.hash_one(s.as_str()));
+            decoded_all.push((decoded, s));
         }
         for (a, s) in &decoded_all {
             for (b, t) in &decoded_all {
@@ -1314,7 +1164,7 @@ mod tests {
         }
     }
 
-    /// A key that is not UTF-8 is refused, owned and shared.
+    /// A key that is not UTF-8 is refused.
     #[test]
     fn a_non_utf8_key_is_refused() {
         let env = envelope(Msg::DropPending {
@@ -1329,11 +1179,6 @@ mod tests {
         payload[at] = 0xFF;
         let refused = WireError("bad utf8".into());
         assert_eq!(decode(&payload).unwrap_err(), refused);
-        let shared: Arc<[u8]> = payload.clone().into();
-        assert_eq!(
-            decode_shared(&shared, 0, payload.len()).unwrap_err(),
-            refused
-        );
     }
 
     /// A count is held to the bytes left in the frame before anything is
@@ -1378,10 +1223,7 @@ mod tests {
             list.wire_write(&mut as_list);
             keys.wire_write(&mut as_vec);
             assert_eq!(as_list, as_vec, "{n} keys");
-            let mut r = Reader {
-                buf: &as_vec,
-                shared: None,
-            };
+            let mut r = Reader { buf: &as_vec };
             assert_eq!(KeyList::wire_read(&mut r).expect("decodes"), list);
         }
     }
@@ -1416,63 +1258,100 @@ mod tests {
         }
     }
 
-    /// Every variant, then one frame larger than a chunk, then every
-    /// variant again (so frames follow the one-off buffer too), framed
-    /// into one stream. Returns the stream and each frame's payload.
-    fn splitter_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
+    /// Every variant, then one frame larger than the buffer, then every
+    /// variant again (so frames follow the one-off buffer too).
+    fn splitter_envelopes() -> Vec<Envelope> {
         let big = Msg::Apply {
             key: Key::new("big"),
             version: 1,
-            value: Value::bytes((0..CHUNK_LEN + 1000).map(|i| i as u8).collect::<Vec<u8>>()),
+            value: Value::bytes((0..BUF_LEN + 1000).map(|i| i as u8).collect::<Vec<u8>>()),
             txn: TxnId::new(0, 1),
         };
         let msgs = all_variants()
             .into_iter()
             .chain([big])
             .chain(all_variants());
-        let mut stream = Vec::new();
-        let mut payloads = Vec::new();
-        for msg in msgs {
-            let env = envelope(msg);
-            encode_frame_into(&env, &mut stream);
-            payloads.push(encode(&env));
+        msgs.map(envelope).collect()
+    }
+
+    /// `envs` framed into one stream: the stream, each frame's range in
+    /// it, and what `decode` makes of each frame's payload.
+    fn framed(envs: &[Envelope]) -> (Vec<u8>, Vec<Range<usize>>, Vec<String>) {
+        let (mut stream, mut frames, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for env in envs {
+            let start = stream.len();
+            encode_frame_into(env, &mut stream);
+            frames.push(start..stream.len());
+            want.push(format!(
+                "{:?}",
+                decode(&stream[start + 4..]).expect("decodes")
+            ));
         }
-        (stream, payloads)
+        (stream, frames, want)
+    }
+
+    /// What a reader makes of `stream` read in pieces of `sizes`, driven
+    /// as a poller drives it: `pop_frame` until it runs dry, then one
+    /// `fill`. Returns every envelope it yielded, then the error it ended
+    /// on (`None` for a clean end of stream). On the way the buffer's
+    /// capacity never exceeds 4 + the largest length a header announced
+    /// (or the usual 16 KiB), and is back at 16 KiB after every frame.
+    fn split(stream: &[u8], sizes: Vec<usize>) -> (Vec<String>, Option<io::ErrorKind>) {
+        let mut src = Dribble::new(stream, sizes);
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        let mut announced = 0;
+        loop {
+            match reader.pop_frame() {
+                Ok(Some(env)) => {
+                    assert_eq!(reader.buf.capacity(), BUF_LEN, "after a frame");
+                    frames.push(format!("{env:?}"));
+                    continue;
+                }
+                Ok(None) => {}
+                Err(e) => return (frames, Some(e.kind())),
+            }
+            if let Ok(Some(len)) = reader.frame_len() {
+                announced = announced.max(4 + len);
+            }
+            let filled = reader.fill(&mut src);
+            let bound = BUF_LEN.max(announced);
+            assert!(reader.buf.capacity() <= bound, "capacity over {bound}");
+            match filled {
+                Ok(0) => return (frames, None),
+                Ok(_) => {}
+                Err(e) => return (frames, Some(e.kind())),
+            }
+        }
+    }
+
+    /// Read sizes from one byte to more than the buffer has room for.
+    fn seeded_sizes(rng: &mut DetRng) -> Vec<usize> {
+        (0..32)
+            .map(|_| match rng.index(4) {
+                0 => 1 + rng.index(8),
+                1 => 1 + rng.index(300),
+                2 => 1 + rng.index(3 * BUF_LEN / 2),
+                _ => usize::MAX,
+            })
+            .collect()
     }
 
     /// The splitter yields exactly the envelopes `decode` yields frame by
     /// frame, wherever the reads cut the stream.
     #[test]
     fn frame_reader_is_decode_frame_by_frame_for_every_split() {
-        let (stream, payloads) = splitter_stream();
+        let (stream, _, want) = framed(&splitter_envelopes());
         let mut splits: Vec<Vec<usize>> = [1, 2, 3, 7, usize::MAX]
             .into_iter()
             .map(|n| vec![n])
             .collect();
         for seed in 0..8u64 {
-            let mut rng = DetRng::new(0x5B11_7000 + seed);
-            splits.push(
-                (0..64)
-                    .map(|_| 1 + (rng.next_u64() % 3000) as usize)
-                    .collect(),
-            );
+            splits.push(seeded_sizes(&mut DetRng::new(0x5B11_7000 + seed)));
         }
         for sizes in splits {
             let label = format!("{:?}", &sizes[..sizes.len().min(4)]);
-            let mut src = Dribble::new(&stream, sizes);
-            let mut reader = FrameReader::new();
-            for payload in &payloads {
-                let want = decode(payload).expect("owned decode");
-                let got = reader
-                    .next_frame(&mut src)
-                    .unwrap_or_else(|e| panic!("split {label}: {e}"))
-                    .unwrap_or_else(|| panic!("split {label}: premature eof"));
-                assert_eq!(format!("{want:?}"), format!("{got:?}"), "split {label}");
-            }
-            assert!(
-                reader.next_frame(&mut src).expect("clean eof").is_none(),
-                "split {label}: clean EOF after the last frame"
-            );
+            assert_eq!(split(&stream, sizes), (want.clone(), None), "split {label}");
         }
     }
 
@@ -1529,18 +1408,17 @@ mod tests {
             .next_frame(&mut cursor)
             .expect_err("oversized header");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(reader.chunk.len(), CHUNK_LEN, "still the burst chunk");
-        assert!(reader.retired.is_empty(), "nothing was allocated for it");
+        assert_eq!(reader.buf.capacity(), BUF_LEN, "nothing was sized by it");
         // The largest legal length is taken at its word (and then starves).
         let mut cursor = io::Cursor::new(MAX_FRAME.to_le_bytes().to_vec());
         let err = FrameReader::new().next_frame(&mut cursor).expect_err("eof");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    /// A chunk is handed out again once the envelopes decoded out of it
-    /// have dropped, and left alone while one is still held.
+    /// An envelope owns what it carries: with every envelope of eight
+    /// bursts still held, each burst is read into the same buffer.
     #[test]
-    fn frame_reader_reuses_only_unpinned_chunks() {
+    fn held_envelopes_do_not_hold_the_buffer() {
         let env = envelope(Msg::Apply {
             key: Key::new("k"),
             version: 1,
@@ -1549,78 +1427,85 @@ mod tests {
         });
         let mut frame = Vec::new();
         encode_frame_into(&env, &mut frame);
-        // One frame per read: each burst is one frame.
-        let stream = frame.repeat(4);
-        let mut src = Dribble::new(&stream, vec![frame.len()]);
+        let stream = frame.repeat(8 * 4);
+        let mut src = Dribble::new(&stream, vec![4 * frame.len()]);
         let mut reader = FrameReader::new();
-        let chunk_of = |r: &FrameReader| r.chunk.as_ptr();
-
-        let first = reader.next_frame(&mut src).unwrap().expect("first frame");
-        let first_chunk = chunk_of(&reader);
-        // `first`'s value view pins the first chunk, so the second burst
-        // must go into a distinct one.
-        let second = reader.next_frame(&mut src).unwrap().expect("second frame");
-        let second_chunk = chunk_of(&reader);
-        assert_ne!(first_chunk, second_chunk, "a viewed chunk is not written");
-        assert_eq!(
-            format!("{first:?}"),
-            format!("{env:?}"),
-            "and not disturbed"
-        );
-        assert_eq!(reader.retired.len(), 1);
-        // Drop the first envelope only: the third burst recycles its chunk
-        // and leaves the second's alone.
-        drop(first);
-        let third = reader.next_frame(&mut src).unwrap().expect("third frame");
-        assert_eq!(chunk_of(&reader), first_chunk, "recycled, not allocated");
-        assert_eq!(reader.retired.len(), 1, "recycled, not grown");
-        assert_eq!(format!("{second:?}"), format!("{env:?}"));
-        // With nothing viewing the current chunk it is simply kept.
-        drop(third);
-        let fourth = reader.next_frame(&mut src).unwrap().expect("fourth frame");
-        assert_eq!(chunk_of(&reader), first_chunk, "an unviewed chunk is kept");
-        assert_eq!(format!("{fourth:?}"), format!("{env:?}"));
+        let mut held = Vec::new();
+        let mut first = None;
+        while let Some(got) = reader.next_frame(&mut src).expect("frame") {
+            held.push(got);
+            let buf = (reader.buf.as_ptr(), reader.buf.capacity());
+            assert_eq!(buf, *first.get_or_insert(buf), "refilled in place");
+        }
+        assert_eq!(src.turn, 8 + 1, "eight bursts and the end");
+        assert_eq!(held.len(), 8 * 4);
+        for got in &held {
+            assert_eq!(format!("{got:?}"), format!("{env:?}"));
+        }
+        assert_eq!(first.map(|(_, cap)| cap), Some(BUF_LEN));
     }
 
-    /// Chunks pinned for good do not end reuse: when the list is full the
-    /// oldest is let go, so chunks retired later are still found again.
-    /// (A byte value pins; a key would not.)
-    #[test]
-    fn frame_reader_evicts_pinned_chunks_when_the_list_is_full() {
-        let mut frame = Vec::new();
-        encode_frame_into(
-            &envelope(Msg::Apply {
-                key: Key::new("k"),
-                version: 1,
-                value: Value::bytes(&b"payload-bytes"[..]),
-                txn: TxnId::new(0, 1),
-            }),
-            &mut frame,
-        );
-        let stream = frame.repeat(MAX_CHUNKS + 20);
-        let mut src = Dribble::new(&stream, vec![frame.len()]);
-        let mut reader = FrameReader::new();
-        // Hold one envelope per burst, past the capacity of the list.
-        let pinned: Vec<Envelope> = (0..MAX_CHUNKS + 8)
-            .map(|_| reader.next_frame(&mut src).unwrap().expect("frame"))
-            .collect();
-        assert_eq!(reader.retired.len(), MAX_CHUNKS, "bounded");
-        // Now hold only the previous envelope, as a mailbox would: the
-        // chunk being split is viewed at every fill, so each burst needs
-        // another one — and after the first, finds it in the list.
-        let mut held = reader.next_frame(&mut src).unwrap().expect("frame");
-        for burst in 0..8 {
-            let listed: Vec<*const u8> = reader.retired.iter().map(|c| c.as_ptr()).collect();
-            held = reader.next_frame(&mut src).unwrap().expect("frame");
-            // (The first still finds every listed chunk pinned.)
-            assert!(
-                burst == 0 || listed.contains(&reader.chunk.as_ptr()),
-                "reused"
-            );
-            assert_eq!(reader.retired.len(), MAX_CHUNKS);
+    /// Seeded envelopes until every `Msg` variant has come up, with one
+    /// frame larger than the buffer among them.
+    fn seeded_envelopes(rng: &mut DetRng) -> Vec<Envelope> {
+        let mut envs = Vec::new();
+        let mut seen = BTreeSet::new();
+        while seen.len() < Msg::TAGS.len() {
+            let env = Envelope::arb(rng);
+            seen.insert(encode(&env)[8]);
+            envs.push(env);
         }
-        drop(held);
-        drop(pinned);
+        let len = BUF_LEN + rng.index(BUF_LEN);
+        let big = Msg::Apply {
+            key: Key::arb(rng),
+            version: u64::arb(rng),
+            value: Value::bytes((0..len).map(|_| u8::arb(rng)).collect::<Vec<u8>>()),
+            txn: TxnId::arb(rng),
+        };
+        envs.insert(rng.index(envs.len() + 1), envelope(big));
+        envs
+    }
+
+    /// The splitter fuzzed from the codec's generator: over seeded streams
+    /// cut by seeded reads it yields exactly `decode`'s envelope per frame.
+    /// With one byte flipped, or one header overwritten by a seeded length
+    /// (above `MAX_FRAME` too), every frame before the damage still
+    /// decodes equal, and after it the reader yields envelopes and ends
+    /// cleanly or on `InvalidData` or `UnexpectedEof`, never a panic.
+    /// `split` holds the buffer to its bounds throughout.
+    #[test]
+    fn frame_reader_splits_seeded_streams_and_survives_one_corruption() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        for seed in 0..200u64 {
+            let mut rng = DetRng::new(0xF0A5_0000 + seed);
+            let (mut stream, frames, want) = framed(&seeded_envelopes(&mut rng));
+            let sizes = seeded_sizes(&mut rng);
+            assert_eq!(
+                split(&stream, sizes.clone()),
+                (want.clone(), None),
+                "seed {seed}"
+            );
+
+            let at = if rng.index(2) == 0 {
+                let at = rng.index(stream.len());
+                stream[at] ^= 1 + rng.index(255) as u8;
+                at
+            } else {
+                let at = frames[rng.index(frames.len())].start;
+                let len = match rng.index(3) {
+                    0 => u32::arb(&mut rng),
+                    1 => MAX_FRAME + 1 + rng.index(1 << 20) as u32,
+                    _ => rng.index(4 * BUF_LEN) as u32,
+                };
+                stream[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                at
+            };
+            let intact = frames.iter().filter(|f| f.end <= at).count();
+            let (got, end) = split(&stream, sizes);
+            assert_eq!(got.get(..intact), Some(&want[..intact]), "seed {seed}");
+            let ends = [None, Some(InvalidData), Some(UnexpectedEof)];
+            assert!(ends.contains(&end), "seed {seed}: {end:?}");
+        }
     }
 
     #[test]

@@ -604,18 +604,16 @@ impl ClientActor {
     ) {
         match stage {
             ProgressStage::Started => self.on_progress_point(tag, Stage::Reading, ctx),
-            ProgressStage::ReadsDone { mut reads } => {
+            ProgressStage::ReadsDone { reads } => {
                 if let Some(live) = self.live.get_mut(&tag) {
                     live.proposals_at = Some(ctx.now());
-                    for read in &mut reads {
+                    for read in &reads {
                         self.admission.observe_pending(read.pending);
                         for (key, ks) in &mut live.keys {
                             if key == &read.key {
                                 ks.pending_at_read = read.pending;
                             }
                         }
-                        // A record outlives the message it was decoded from.
-                        read.value.own_at_rest();
                     }
                     live.reads = reads;
                 }

@@ -42,6 +42,4 @@ pub use config::{ClusterConfig, Protocol};
 pub use coordinator::CoordinatorActor;
 pub use messages::{KeyRead, Msg, Outcome, ProgressStage, ReadLevel, TxnSpec, TxnStats};
 pub use replica_actor::ReplicaActor;
-#[cfg(feature = "trace")]
-pub use trace::{FileSink, TraceSink, VecSink};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{FileSink, Trace, TraceEvent, TraceSink, VecSink};

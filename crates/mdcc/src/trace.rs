@@ -14,9 +14,8 @@
 //! * **Cheap when off.** The [`Trace`] handle lives inside
 //!   [`ClusterConfig`](crate::ClusterConfig) (every actor already clones the
 //!   config), and all emission sites are guarded by [`Trace::is_on`]. With
-//!   the `trace` cargo feature disabled the handle is a zero-sized struct and
-//!   `is_on()` is a compile-time `false`, so the emission blocks — event
-//!   construction included — are dead code the optimizer removes.
+//!   no sink attached ([`Trace::off`], the default) that is one `Option`
+//!   check per site, and no event is constructed.
 //! * **Digest-neutral.** `mck_digest` hashes protocol state, never the
 //!   config, so attaching a sink cannot perturb model-checker fingerprints.
 //!
@@ -291,7 +290,6 @@ fn parse_txn(s: &str) -> Option<TxnId> {
 /// Where trace events go. Implementations must be internally synchronized:
 /// in live mode every replica/coordinator thread of a process shares one
 /// sink.
-#[cfg(feature = "trace")]
 pub trait TraceSink: Send + Sync {
     /// Record one event.
     fn record(&self, event: TraceEvent);
@@ -300,11 +298,9 @@ pub trait TraceSink: Send + Sync {
 /// A cheaply cloneable handle to an optional [`TraceSink`], carried inside
 /// [`ClusterConfig`](crate::ClusterConfig) so it reaches every actor without
 /// touching constructor signatures. [`Trace::off`] (the `Default`) records
-/// nothing; with the `trace` cargo feature disabled the handle is a
-/// zero-sized no-op regardless.
+/// nothing.
 #[derive(Clone, Default)]
 pub struct Trace {
-    #[cfg(feature = "trace")]
     sink: Option<std::sync::Arc<dyn TraceSink>>,
 }
 
@@ -313,10 +309,7 @@ impl Trace {
     pub fn off() -> Self {
         Trace::default()
     }
-}
 
-#[cfg(feature = "trace")]
-impl Trace {
     /// A handle recording into `sink`.
     pub fn to(sink: std::sync::Arc<dyn TraceSink>) -> Self {
         Trace { sink: Some(sink) }
@@ -338,19 +331,6 @@ impl Trace {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-impl Trace {
-    /// Tracing is compiled out: always `false`.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        false
-    }
-
-    /// Tracing is compiled out: a no-op.
-    #[inline]
-    pub fn emit(&self, _event: TraceEvent) {}
-}
-
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_on() {
@@ -363,13 +343,11 @@ impl fmt::Debug for Trace {
 
 /// An in-memory sink: events in arrival order behind a mutex. The sim-side
 /// capture buffer (`planet-audit --run`, the mck predicate).
-#[cfg(feature = "trace")]
 #[derive(Default)]
 pub struct VecSink {
     events: std::sync::Mutex<Vec<TraceEvent>>,
 }
 
-#[cfg(feature = "trace")]
 impl VecSink {
     /// An empty sink.
     pub fn new() -> Self {
@@ -403,7 +381,6 @@ impl VecSink {
     }
 }
 
-#[cfg(feature = "trace")]
 impl TraceSink for VecSink {
     fn record(&self, event: TraceEvent) {
         if let Ok(mut g) = self.events.lock() {
@@ -414,12 +391,10 @@ impl TraceSink for VecSink {
 
 /// A line-per-event file sink for live runs (`planetd --trace`).
 /// Buffered; flushed on drop.
-#[cfg(feature = "trace")]
 pub struct FileSink {
     writer: std::sync::Mutex<std::io::BufWriter<std::fs::File>>,
 }
 
-#[cfg(feature = "trace")]
 impl FileSink {
     /// Create (truncate) `path` and stream events into it.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
@@ -439,7 +414,6 @@ impl FileSink {
     }
 }
 
-#[cfg(feature = "trace")]
 impl TraceSink for FileSink {
     fn record(&self, event: TraceEvent) {
         use std::io::Write;
@@ -449,7 +423,6 @@ impl TraceSink for FileSink {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Drop for FileSink {
     fn drop(&mut self) {
         let _ = self.flush();
@@ -538,7 +511,6 @@ mod tests {
         assert_eq!(e.at(), SimTime::from_micros(42));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn vec_sink_records_in_order() {
         use std::sync::Arc;

@@ -17,8 +17,8 @@
 //! construction.
 //!
 //! What the interner keeps is a clone of the key it was handed. A key is a
-//! value — inline up to 23 bytes, else an `Arc<str>` — and never a view into
-//! a receive buffer, so keeping it copies nothing and pins nothing.
+//! value — inline up to 23 bytes, else an `Arc<str>` — so keeping it copies
+//! nothing.
 
 use std::collections::HashMap;
 

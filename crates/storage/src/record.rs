@@ -365,9 +365,9 @@ mod tests {
         let mut installed = VersionedRecord::new();
         assert!(installed.install(1, Value::Int(10), txn(1)));
         assert_eq!(installed.head(), r.head());
-        // A record is 120 bytes, 56 of them the inline head.
-        assert_eq!(std::mem::size_of::<VersionedRecord>(), 120);
-        assert_eq!(std::mem::size_of::<Option<CommittedVersion>>(), 56);
+        // A record is 112 bytes, 48 of them the inline head.
+        assert_eq!(std::mem::size_of::<VersionedRecord>(), 112);
+        assert_eq!(std::mem::size_of::<Option<CommittedVersion>>(), 48);
     }
 
     /// What a differential step does to both sides.

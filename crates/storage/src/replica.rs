@@ -4,7 +4,7 @@
 //! invariant — *replaying the WAL yields exactly the live store* — is checked
 //! by [`Replica::verify_recovery`] and by property tests.
 
-use crate::options::{RecordOption, RejectReason, WriteOp};
+use crate::options::{RecordOption, RejectReason};
 use crate::record::CommittedVersion;
 use crate::store::{ReadResult, Store};
 use crate::types::{Key, KeyId, TxnId, Value, VersionNo};
@@ -71,10 +71,7 @@ impl Replica {
     }
 
     /// Validate, log and accept an option by interned id.
-    pub fn accept_id(&mut self, id: KeyId, mut option: RecordOption) -> Result<(), RejectReason> {
-        if let WriteOp::Set(value) = &mut option.op {
-            value.own_at_rest();
-        }
+    pub fn accept_id(&mut self, id: KeyId, option: RecordOption) -> Result<(), RejectReason> {
         // Accept first (it validates internally) and log only on success:
         // the log still never contains an invalid acceptance, the option is
         // validated exactly once, and a rejection propagates as an error
@@ -139,14 +136,7 @@ impl Replica {
     }
 
     /// Log and apply a state-transfer install by interned id.
-    pub fn install_id(
-        &mut self,
-        id: KeyId,
-        version: VersionNo,
-        mut value: Value,
-        txn: TxnId,
-    ) -> bool {
-        value.own_at_rest();
+    pub fn install_id(&mut self, id: KeyId, version: VersionNo, value: Value, txn: TxnId) -> bool {
         self.wal.append(LogRecord::Installed {
             key: self.store.key_name(id).clone(),
             version,
@@ -237,29 +227,27 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Bytes;
-    use std::sync::Arc;
+    use crate::options::WriteOp;
 
     fn txn(n: u64) -> TxnId {
         TxnId::new(0, n)
     }
 
-    /// What a replica keeps — pending options, the head, the log — owns its
-    /// byte values: once the message that carried a view is gone, nothing
-    /// pins the buffer it was decoded out of.
+    /// A byte value accepted, installed and decided reads back equal, and
+    /// the log replays to the same state.
     #[test]
-    fn accepted_and_installed_views_do_not_pin_their_buffer() {
-        let buf: Arc<[u8]> = Arc::from(&b"..payload.."[..]);
-        let view = || Value::Bytes(Bytes::shared(buf.clone(), 2, 7));
+    fn accepted_and_installed_byte_values_read_back_and_recover() {
+        let payload = Value::bytes(&b"payload"[..]);
         let (a, b) = (Key::new("key-a"), Key::new("key-b"));
         let mut r = Replica::new();
-        r.accept(&a, RecordOption::new(txn(1), 0, WriteOp::Set(view())))
-            .unwrap();
-        assert!(r.install(&b, 3, view(), txn(2)));
+        r.accept(
+            &a,
+            RecordOption::new(txn(1), 0, WriteOp::Set(payload.clone())),
+        )
+        .unwrap();
+        assert!(r.install(&b, 3, payload.clone(), txn(2)));
         r.decide(&a, txn(1), true);
         r.decide(&Key::new("unknown"), txn(9), false);
-        assert_eq!(Arc::strong_count(&buf), 1, "nothing at rest is a view");
-        let payload = Value::bytes(&b"payload"[..]);
         assert_eq!(r.read(&Key::new("key-a")).value, payload);
         assert_eq!(r.read(&Key::new("key-b")).value, payload);
         assert!(r.verify_recovery().is_empty());

@@ -2,148 +2,36 @@
 //! layers.
 //!
 //! A [`Key`] is a value: one of up to 23 bytes lives inline, so making,
-//! cloning or decoding one allocates nothing, and no key ever refers to a
-//! receive buffer. [`Bytes`] is shared: a byte value decoded off the wire is
-//! a view into the buffer it arrived in, and is detached where it comes to
-//! rest.
+//! cloning or decoding one allocates nothing. A [`Bytes`] owns its bytes:
+//! decoding one off the wire copies it out of the receive buffer, so no
+//! value ever refers to that buffer.
 
 use std::num::NonZeroU8;
 use std::sync::Arc;
 
-/// Immutable, cheaply cloneable byte string: a `(start, len)` view into a
-/// shared `Arc<[u8]>` buffer. Replaces the external `bytes` crate: values
-/// are written once and shared thereafter, so reference-counted sharing is
-/// all the protocol needs — and because a view needs no allocation of its
-/// own, the wire decoder can carve every payload field of a frame out of
-/// the receive buffer the frame arrived in (zero-copy decode) instead of
-/// copying each field into a fresh allocation.
-///
-/// That receive buffer is a *burst chunk*: one 16 KiB buffer shared by
-/// every frame one socket `read` returned, recycled once the last view
-/// into it drops. A view is therefore for the life of a message, not for
-/// keeping: state that outlives the drive that decoded it stores
-/// [`Bytes::detached`] instead, or one 20-byte value pins a whole chunk.
-/// (Application code never sees a view: the client stores every value it
-/// reads through [`Value::own_at_rest`], so a transaction record that a
-/// tcp front end decoded holds its own bytes.)
-///
-/// Equality, ordering and hashing are on the viewed *contents*, so an
-/// owned value and a zero-copy view of the same bytes are
-/// indistinguishable.
-#[derive(Clone)]
-pub struct Bytes {
-    buf: Arc<[u8]>,
-    start: u32,
-    len: u32,
-}
+/// Immutable, cheaply cloneable byte string: one owned `Arc<[u8]>`.
+/// Replaces the external `bytes` crate: values are written once and shared
+/// thereafter, so cloning one is a refcount bump. Equality, ordering and
+/// hashing are the contents', as a `[u8]`'s.
+#[derive(Clone, Default, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
     /// Copy a slice into a fresh shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            buf: Arc::from(data),
-            start: 0,
-            len: data.len() as u32,
-        }
-    }
-
-    /// A zero-copy view of `buf[start..start + len]`. The buffer stays
-    /// alive (and its bytes immutable) as long as any view does.
-    ///
-    /// # Panics
-    /// If the range is out of bounds or exceeds `u32` addressing (wire
-    /// frames are far smaller).
-    pub fn shared(buf: Arc<[u8]>, start: usize, len: usize) -> Self {
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= buf.len()),
-            "byte view out of bounds"
-        );
-        assert!(start <= u32::MAX as usize && len <= u32::MAX as usize);
-        Bytes {
-            buf,
-            start: start as u32,
-            len: len as u32,
-        }
+        Bytes(Arc::from(data))
     }
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        // In bounds: every constructor sets the range inside `buf` (`shared`
-        // asserts it), and `Arc<[u8]>` contents never change or shrink.
-        // check:allow(panic)
-        &self.buf[self.start as usize..(self.start + self.len) as usize]
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True if this value is a view into a larger shared buffer (i.e. it
-    /// keeps more bytes alive than it exposes). Introspection for tests
-    /// and pool accounting.
-    pub fn is_view(&self) -> bool {
-        (self.len as usize) != self.buf.len()
-    }
-
-    /// The same bytes, owning exactly their own storage: what state that
-    /// is kept at rest stores. An owned value shares its buffer (a
-    /// refcount bump, no allocation); a view copies its bytes out once, so
-    /// the buffer it was carved from can be recycled.
-    pub fn detached(&self) -> Self {
-        if self.is_view() {
-            Bytes::copy_from_slice(self.as_slice())
-        } else {
-            self.clone()
-        }
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Self {
-        Bytes::copy_from_slice(&[])
-    }
-}
-
-impl std::fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Bytes").field(&self.as_slice()).finish()
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl Eq for Bytes {}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
+        &self.0
     }
 }
 
 impl std::ops::Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.as_slice()
+        &self.0
     }
 }
 
@@ -155,12 +43,7 @@ impl From<&[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len() as u32;
-        Bytes {
-            buf: Arc::from(v.into_boxed_slice()),
-            start: 0,
-            len,
-        }
+        Bytes(Arc::from(v))
     }
 }
 
@@ -183,8 +66,7 @@ const INLINE_CAP: usize = 23;
 /// allocates nothing. Every key the workloads use fits: `event:9999:stock`
 /// is 16 bytes, `order:2:399999` is 14. A longer key is an `Arc<str>`, so
 /// cloning it is a refcount bump. The trade: decoding a key longer than 23
-/// bytes off the wire costs one allocation. Wire keys are never views into
-/// the receive buffer, so no key pins a burst chunk.
+/// bytes off the wire costs one allocation.
 ///
 /// Equality, ordering and hashing are on the bytes, exactly as `str`'s, so
 /// an inline and a heap key of the same string are indistinguishable; which
@@ -525,17 +407,6 @@ impl Value {
     pub fn is_none(&self) -> bool {
         matches!(self, Value::None)
     }
-
-    /// Own at rest: a byte value about to be kept — in a record, the log,
-    /// or an application's transaction record — lets go of the receive
-    /// buffer it may have been decoded out of (see [`Bytes::detached`]);
-    /// owned bytes keep their buffer. Keys need no such step: a key is
-    /// never a view.
-    pub fn own_at_rest(&mut self) {
-        if let Value::Bytes(bytes) = self {
-            *bytes = bytes.detached();
-        }
-    }
 }
 
 impl From<i64> for Value {
@@ -631,6 +502,13 @@ mod tests {
     #[test]
     fn a_key_is_24_bytes() {
         assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    /// The tag and an `Arc<[u8]>`'s pointer and length: a record's inline
+    /// head is sized by it.
+    #[test]
+    fn a_value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]
