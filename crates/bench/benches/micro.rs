@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the hot data structures: the prediction math (these
 //! run on every progress event of every transaction), the metrics histogram
-//! and registry, storage validation, workload sampling, and the reactor's
-//! timer wheel under a coordinator's load (one 10 s timeout per
-//! transaction, a quarter of a million armed at 25 k txn/s), plan
+//! and registry, storage validation, workload sampling, the timer queue
+//! (`planet_sim::EventQueue`) with a few dozen and with a quarter of a
+//! million timers armed, the reactor parking with the latter, plan
 //! registration against table size, and a replica's storage maintenance
 //! (checkpoint, restart) against store size at a fixed written set.
 //! Driven by the in-repo timing harness (`planet_bench::timing`).
@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use planet_bench::timing::{black_box, Harness};
 
-use planet_cluster::wheel::{TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK_US};
 use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, Transport};
 use planet_core::{CompiledPlan, DeltaRef, KeyRef, KeyTemplate, OpTemplate, TxnProgram};
 use planet_mdcc::{ClusterConfig, Msg, Protocol};
@@ -20,7 +19,7 @@ use planet_predict::likelihood::{KeyState, LikelihoodModel, TxnSnapshot};
 use planet_predict::quorum::prob_at_least;
 use planet_predict::LatencyEcdf;
 use planet_sim::{
-    Actor, ActorId, Context, DetRng, Histogram, Metrics, SimDuration, SimTime, SiteId,
+    Actor, ActorId, Context, DetRng, EventQueue, Histogram, Metrics, SimDuration, SimTime, SiteId,
 };
 use planet_storage::{Key, KeyId, RecordOption, Replica, Store, TxnId, Value, WriteOp};
 use planet_workload::Zipf;
@@ -146,45 +145,39 @@ fn bench_metrics(h: &mut Harness) {
     });
 }
 
-/// One timer every 40 us, due `ahead_us` later: `armed` of them.
-fn armed_wheel(armed: u64, ahead_us: u64) -> TimerWheel<u64> {
-    let mut wheel = TimerWheel::new(DEFAULT_SLOTS, DEFAULT_TICK_US);
+/// `armed` timers, one every 40 us from `ahead_us` on.
+fn armed_queue(armed: u64, ahead_us: u64) -> EventQueue<u64> {
+    let mut queue = EventQueue::new();
     for i in 0..armed {
-        wheel.insert(SimTime::from_micros(i * 40 + ahead_us), i);
+        queue.push(SimTime::from_micros(i * 40 + ahead_us), i);
     }
-    wheel
+    queue
 }
 
-fn bench_wheel(h: &mut Harness) {
+fn bench_timers(h: &mut Harness) {
     // What a worker pays each time it parks, against how much is armed.
     for (label, armed) in [("1k", 1_000), ("250k", 250_000)] {
-        let wheel = armed_wheel(armed, 10_000_000);
-        h.bench(&format!("wheel/next_deadline@{label}-armed"), || {
-            black_box(&wheel).next_deadline()
+        let queue = armed_queue(armed, 10_000_000);
+        h.bench(&format!("timers/next_deadline@{label}-armed"), || {
+            black_box(&queue).peek_at()
         });
     }
-    // What it pays per loop iteration while nothing is due.
-    let mut wheel = armed_wheel(250_000, 10_000_000);
-    let mut now = 0u64;
-    h.bench("wheel/advance-idle", || {
-        now = (now + 7) % 9_000_000;
-        wheel.advance(SimTime::from_micros(now), |_, item| {
-            black_box(item);
+    // Steady state: every 40 us the oldest timer expires and a new one is
+    // armed behind the rest. 64 armed is a worker's load with one timer per
+    // actor; 250 k is ten seconds of one timer per transaction at 25 k/s.
+    for (label, armed) in [("64", 64u64), ("250k", 250_000)] {
+        let mut queue = armed_queue(armed, 0);
+        let mut i = armed;
+        h.bench(&format!("timers/insert+expire@{label}-armed"), || {
+            let now = SimTime::from_micros((i - armed) * 40);
+            queue.push(SimTime::from_micros(i * 40), i);
+            while let Some((_, item)) = queue.pop_due(now) {
+                black_box(item);
+            }
+            i += 1;
         });
-    });
-    // Steady state at 25 k txn/s: ten seconds' worth armed, and every 40 us
-    // the oldest timeout expires and a new one is armed behind the rest.
-    let mut wheel = armed_wheel(250_000, 0);
-    let mut i = 250_000u64;
-    h.bench("wheel/insert+expire-10s@25k/s", || {
-        let now = (i - 250_000) * 40;
-        wheel.insert(SimTime::from_micros(i * 40), i);
-        wheel.advance(SimTime::from_micros(now), |_, item| {
-            black_box(item);
-        });
-        i += 1;
-    });
-    assert_eq!(wheel.len(), 250_000, "one in, one out");
+        assert_eq!(queue.len() as u64, armed, "one in, one out");
+    }
 }
 
 /// Arms `timers` one-minute timers at start, then answers every message.
@@ -219,8 +212,8 @@ impl Transport for NullTransport {
 
 fn bench_reactor(h: &mut Harness) {
     // Message in, reply out, and the worker back in its parker (its sleep
-    // bounded by the wheel's next deadline) on a one-worker reactor whose
-    // wheel holds a quarter of a million timers. Waiting for the park
+    // bounded by the timer queue's next deadline) on a one-worker reactor
+    // whose queue holds a quarter of a million timers. Waiting for the park
     // keeps the next message from arriving mid-drive, which would requeue
     // the task and skip the park path this row is about.
     let plane = PlaneConfig::default().with_workers(1);
@@ -397,7 +390,7 @@ fn main() {
     bench_ecdf(&mut h);
     bench_histogram(&mut h);
     bench_metrics(&mut h);
-    bench_wheel(&mut h);
+    bench_timers(&mut h);
     bench_reactor(&mut h);
     bench_storage(&mut h);
     bench_plan(&mut h);

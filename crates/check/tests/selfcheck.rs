@@ -71,22 +71,23 @@ fn every_panic_root_resolves_in_the_real_workspace() {
 }
 
 /// The panic pass, re-rooted on the workspace graph, reports findings in
-/// `crates/sim` — a crate with no drive-loop roots of its own, reachable
-/// only through other crates' actors. A per-file graph reports nothing
-/// there. (`crates/storage` was the witness until its last findings were
-/// fixed; it is reachable the same way and now has to stay clean.)
+/// `crates/predict` — a crate with no drive-loop roots of its own,
+/// reachable only through other crates' actors. A per-file graph reports
+/// nothing there. (`crates/storage`, then `crates/sim`, were the witness
+/// until their last findings were fixed; they are reachable the same way
+/// and now have to stay clean.)
 #[test]
 fn panic_pass_reaches_rootless_crates() {
     let ws = real_workspace();
     let diags = run_passes(&ws, &["panic".to_string()]);
     let files: std::collections::BTreeSet<_> = diags.iter().map(|d| d.file.as_str()).collect();
     assert!(
-        files.iter().any(|f| f.starts_with("crates/sim/")),
-        "workspace-rooted panic pass must surface crates/sim findings; got files: {files:?}"
+        files.iter().any(|f| f.starts_with("crates/predict/")),
+        "workspace-rooted panic pass must surface crates/predict findings; got files: {files:?}"
     );
     assert!(
-        !files.iter().any(|f| f.starts_with("crates/storage/")),
-        "crates/storage is at zero panic findings and stays there; got files: {files:?}"
+        !files.iter().any(|f| f.starts_with("crates/storage/") || f.starts_with("crates/sim/")),
+        "crates/storage and crates/sim are at zero panic findings and stay there; got files: {files:?}"
     );
 }
 
@@ -132,6 +133,20 @@ fn flow_and_race_are_clean_on_the_real_workspace() {
         diags.is_empty(),
         "flow/race regressions must be fixed, not baselined: {diags:#?}"
     );
+}
+
+/// The runtime crates carry no baselined debt: every panic source the
+/// reactor and the simulator can reach is fixed, not tolerated, so a new
+/// one fails the ratchet instead of growing a row here.
+#[test]
+fn the_baseline_names_no_runtime_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let baseline = std::fs::read_to_string(root.join("check-baseline.tsv")).expect("baseline");
+    let rows: Vec<&str> = baseline
+        .lines()
+        .filter(|row| row.contains("\tcrates/cluster/") || row.contains("\tcrates/sim/"))
+        .collect();
+    assert!(rows.is_empty(), "runtime crates in the baseline: {rows:?}");
 }
 
 /// FLOW003 reads the real protocol: in a copy of the real sources with the

@@ -15,7 +15,7 @@
 //! [`PlaneConfig::fabric_shards`] threads by destination actor, so one
 //! overloaded thread is not the serialization point of the whole cluster.
 //! Sharding by destination keeps per-(src, dst) FIFO intact — a directed
-//! pair always lands on the same shard, whose delivery heap enforces
+//! pair always lands on the same shard, whose delivery queue enforces
 //! no-overtaking exactly as the single-threaded fabric did. Batches handed
 //! over via [`Transport::send_many`] reach each shard as one channel send,
 //! and each shard wakeup delivers every message due within the next
@@ -38,16 +38,15 @@
 //! [`PlaneConfig::fabric_slack_us`]: crate::plane::PlaneConfig::fabric_slack_us
 //! [`PlaneConfig::mailbox_capacity`]: crate::plane::PlaneConfig::mailbox_capacity
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use planet_sim::{DetRng, NetworkModel, SimTime, SiteId};
+use planet_sim::{DetRng, EventQueue, NetworkModel, SimTime, SiteId};
 
 use crate::node::{Clock, Packet};
 use crate::plane::{MailboxSender, TrySendError};
@@ -59,33 +58,10 @@ enum FabricCmd {
     Stop,
 }
 
-struct HeldMsg {
-    at: SimTime,
-    seq: u64,
-    env: Envelope,
-    /// Destination mailbox, resolved at admission so the delivery path
-    /// touches no shared route lock. If the node stops before delivery the
-    /// send fails on the closed gate and counts as a drop, exactly as a
-    /// delivery-time lookup would have.
-    tx: MailboxSender,
-}
-
-impl PartialEq for HeldMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeldMsg {}
-impl PartialOrd for HeldMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldMsg {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+/// An envelope held for its delivery time, with its destination mailbox
+/// resolved at admission, so delivery touches no shared route lock (a node
+/// stopped since fails the send and counts a drop, as a lookup would).
+type HeldMsg = (Envelope, MailboxSender);
 
 /// Route table shards: actor id → (site, mailbox). Sharded so the hot
 /// delivery path never funnels every thread through one mutex.
@@ -300,18 +276,17 @@ impl ChannelTransport {
     /// deliver. Per-(src, dst) delivery order is preserved the same way the
     /// engine preserves it: a message never overtakes an earlier one on the
     /// same directed pair (TCP gives this for free; the in-process fabric
-    /// must enforce it). Each shard owns its heap, RNG and FIFO map — no
+    /// must enforce it). Each shard owns its queue, RNG and FIFO map — no
     /// state is shared between fabric threads.
     fn run_fabric(&self, rx: Receiver<FabricCmd>, net: NetworkModel, seed: u64, slack_us: u64) {
         let slack = planet_sim::SimDuration::from_micros(slack_us);
         let mut rng = DetRng::new(seed ^ 0xFAB0_5EED_0000_0001);
-        let mut heap: BinaryHeap<Reverse<HeldMsg>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut held: EventQueue<HeldMsg> = EventQueue::new();
         let mut fifo_high: HashMap<(u32, u32), SimTime> = HashMap::new();
         let mut routes: HashMap<u32, (SiteId, MailboxSender)> = HashMap::new();
         let mut admit =
             |env: Envelope,
-             heap: &mut BinaryHeap<Reverse<HeldMsg>>,
+             held: &mut EventQueue<HeldMsg>,
              fifo_high: &mut HashMap<(u32, u32), SimTime>,
              routes: &mut HashMap<u32, (SiteId, MailboxSender)>| {
                 let now = self.clock.now();
@@ -342,8 +317,7 @@ impl ChannelTransport {
                             }
                         }
                         fifo_high.insert(pair, at);
-                        heap.push(Reverse(HeldMsg { at, seq, env, tx }));
-                        seq += 1;
+                        held.push(at, (env, tx));
                     }
                 }
             };
@@ -353,30 +327,24 @@ impl ChannelTransport {
             // sleep/wake (~the whole per-message fabric budget at scale);
             // with it one wakeup clears a `slack`-wide window and the
             // destination mailboxes receive bursts their task drains in a
-            // single drive. Heap order is due-time order, so early
+            // single drive. Queue order is due-time order, so early
             // delivery cannot reorder a (src, dst) pair.
             let horizon = self.clock.now() + slack;
-            loop {
-                match heap.peek() {
-                    Some(Reverse(held)) if held.at <= horizon => {
-                        let Reverse(held) = heap.pop().expect("peeked");
-                        self.deliver_to(&held.tx, held.env);
-                    }
-                    _ => break,
-                }
+            while let Some((_, (env, tx))) = held.pop_due(horizon) {
+                self.deliver_to(&tx, env);
             }
             // Sleep exactly until the next held message is due (it is, by
             // construction, more than `slack` away); a new command wakes
             // the channel immediately, so no polling cap is needed.
-            let wait = match heap.peek() {
-                Some(Reverse(held)) => held.at.since(self.clock.now()).to_std(),
+            let wait = match held.peek_at() {
+                Some(at) => at.since(self.clock.now()).to_std(),
                 None => Duration::from_millis(500),
             };
             match rx.recv_timeout(wait) {
-                Ok(FabricCmd::Env(env)) => admit(env, &mut heap, &mut fifo_high, &mut routes),
+                Ok(FabricCmd::Env(env)) => admit(env, &mut held, &mut fifo_high, &mut routes),
                 Ok(FabricCmd::Batch(mut envs)) => {
                     for env in envs.drain(..) {
-                        admit(env, &mut heap, &mut fifo_high, &mut routes);
+                        admit(env, &mut held, &mut fifo_high, &mut routes);
                     }
                     self.spare_batches.lock().expect("lock poisoned").push(envs);
                 }

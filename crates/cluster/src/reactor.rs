@@ -11,12 +11,12 @@
 //! funnelled through [`planet_sim::drive_into`], the step function the
 //! deterministic engine uses; only the interpretation of the emitted
 //! effects differs (sends go to the task's [`Transport`], timers on the
-//! driving worker's wheel).
+//! driving worker's [`EventQueue`]).
 //!
 //! Scheduling is a sharded run queue with work stealing:
 //!
 //! * A task is woken by message arrival (the mailbox's wake hook), by a
-//!   timer expiring on a worker's [`TimerWheel`], or by a harness call.
+//!   timer coming due on a worker's queue, or by a harness call.
 //! * Wakes enqueue the task on its home worker's queue; an idle worker
 //!   with an empty queue steals from its peers, so a skewed shard cannot
 //!   strand runnable tasks behind one busy worker.
@@ -24,12 +24,13 @@
 //!   notified) guarantees exactly one worker drives a task at a time —
 //!   actor state never needs a lock of its own.
 //!
-//! Timers go on a per-worker hashed [`TimerWheel`]: one `advance` per loop
-//! fires everything due, and an idle worker parks until the wheel's next
-//! deadline — a sleep that is exact, because a mailbox arrival or a wake
-//! cuts it short, so no polling tick is needed. Outbound sends coalesce
-//! across tasks driven back-to-back on the same worker and flush as one
-//! `send_many` batch, capped by
+//! Timers go on a per-worker [`EventQueue`], the simulator's own event
+//! queue (an actor keeps a timer or two armed, not one per transaction):
+//! each loop pops everything due, and an idle worker parks until the
+//! queue's earliest deadline — a sleep that is exact, because a mailbox
+//! arrival or a wake cuts it short, so no polling tick is needed. Outbound
+//! sends coalesce across tasks driven back-to-back on the same worker and
+//! flush as one `send_many` batch, capped by
 //! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
 //! transport when it fills, when the worker runs out of tasks, or when its
 //! oldest envelope has waited a full horizon — whichever comes first — so
@@ -42,14 +43,14 @@ use std::time::{Duration, Instant};
 
 use planet_mdcc::Msg;
 use planet_sim::{
-    drive_into, drive_start, Actor, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs,
+    drive_into, drive_start, Actor, ActorId, DetRng, Effect, EventQueue, Metrics, SimTime, SiteId,
+    TurnInputs,
 };
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 use crate::plane::{mailbox, MailboxReceiver, MailboxSender, PlaneConfig};
 use crate::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::transport::{Envelope, Transport};
-use crate::wheel::{TimerWheel, DEFAULT_SLOTS, DEFAULT_TICK_US};
 
 /// Idle park backstop when no timer is pending (wakes cut it short).
 const IDLE_WAIT: Duration = Duration::from_millis(500);
@@ -113,8 +114,8 @@ pub(crate) struct TaskCore {
     done: AtomicBool,
     /// Timer payloads whose deadline expired, awaiting delivery as
     /// self-sent messages by the next drive, tagged with the member index
-    /// that armed them (a wheel on *any* worker may push here — after a
-    /// steal, a task's older timers still live on the wheel of the worker
+    /// that armed them (a queue on *any* worker may push here — after a
+    /// steal, a task's older timers still live on the queue of the worker
     /// that armed them).
     timer_fires: Mutex<VecDeque<(usize, Msg)>>,
     /// Fast-path mirror of `timer_fires.is_empty()`: lets every drive of a
@@ -409,7 +410,7 @@ impl ReactorInner {
     }
 }
 
-/// A payload on a worker's timer wheel: which task to poke with what, on
+/// A payload on a worker's timer queue: which task to poke with what, on
 /// behalf of which member.
 struct TimerFire {
     task: Arc<TaskCore>,
@@ -742,31 +743,17 @@ fn is_wal_class(msg: &Msg) -> bool {
 }
 
 /// The worker main loop: fire timers, drive tasks (own queue first, then
-/// steals), coalesce flushes, park on the wheel's next deadline.
+/// steals), coalesce flushes, park on the timer queue's next deadline.
 fn run_worker(w: usize, inner: Arc<ReactorInner>) {
-    let mut wheel: TimerWheel<TimerFire> = TimerWheel::new(DEFAULT_SLOTS, DEFAULT_TICK_US);
+    let mut timers: EventQueue<TimerFire> = EventQueue::new();
     let mut pending = PendingFlush::new(&inner.plane);
-    let mut fired: Vec<TimerFire> = Vec::new();
-    let mut others: Vec<TimerFire> = Vec::new();
     loop {
         // Deliver every due timer as a pending self-message, then wake its
-        // task: one fire-queue lock and one wake per task, however many of
-        // its timers came due together (a coordinator's per-transaction
-        // timeouts expire by the dozen per tick). Deadline order is kept
-        // within each task.
-        wheel.advance(inner.clock.now(), |_, fire| fired.push(fire));
-        while let Some(first) = fired.first() {
-            let task = Arc::clone(&first.task);
-            task.push_timers(fired.drain(..).filter_map(|fire| {
-                if Arc::ptr_eq(&fire.task, &task) {
-                    Some((fire.member, fire.msg))
-                } else {
-                    others.push(fire);
-                    None
-                }
-            }));
-            inner.wake(&task);
-            std::mem::swap(&mut fired, &mut others);
+        // task.
+        let now = inner.clock.now();
+        while let Some((_, fire)) = timers.pop_due(now) {
+            fire.task.push_timers([(fire.member, fire.msg)]);
+            inner.wake(&fire.task);
         }
         // The flush horizon is checked between drives, so a batch ages at
         // most one drive past `fabric_slack_us` even on a saturated worker.
@@ -774,7 +761,7 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
         match inner.next_task(w) {
             Some((task, stolen)) => {
                 let began = Instant::now();
-                drive_task(&inner, w, &task, stolen, &mut wheel, &mut pending);
+                drive_task(&inner, w, &task, stolen, &mut timers, &mut pending);
                 inner
                     .busy_us
                     .fetch_add(began.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -785,7 +772,7 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
                 if !inner.running.load(Ordering::SeqCst) {
                     return;
                 }
-                let timeout = match wheel.next_deadline() {
+                let timeout = match timers.peek_at() {
                     Some(at) => at.since(inner.clock.now()).to_std().min(IDLE_WAIT),
                     None => IDLE_WAIT,
                 };
@@ -812,7 +799,7 @@ fn drive_task(
     w: usize,
     task: &Arc<TaskCore>,
     stolen: bool,
-    wheel: &mut TimerWheel<TimerFire>,
+    timers: &mut EventQueue<TimerFire>,
     pending: &mut PendingFlush,
 ) {
     if !task.claim_running() {
@@ -848,7 +835,7 @@ fn drive_task(
                 &mut body.metrics,
             );
             body.effects.extend(start.effects);
-            absorb_effects(task, &mut body, idx, wheel, now, &mut halted);
+            absorb_effects(task, &mut body, idx, timers, now, &mut halted);
         }
     }
     // A backlogged task (a coordinator fielding a whole site's clients)
@@ -861,7 +848,7 @@ fn drive_task(
     let mut budget = max_batch;
     let mut rounds = DRIVE_ROUNDS;
     loop {
-        // Timer fires queued by any worker's wheel: delivered as self-sends.
+        // Timer fires queued by any worker's queue: delivered as self-sends.
         while budget > 0 && !halted {
             let Some((idx, msg)) = task.pop_timer() else {
                 break;
@@ -882,7 +869,7 @@ fn drive_task(
                 &mut body.metrics,
                 &mut body.effects,
             );
-            absorb_effects(task, &mut body, idx, wheel, now, &mut halted);
+            absorb_effects(task, &mut body, idx, timers, now, &mut halted);
         }
         // Mailbox packets, up to what is left of the batch budget: moved
         // out under one lock, so the senders contend with this task once a
@@ -932,7 +919,7 @@ fn drive_task(
                             .histogram("span.wal_us")
                             .record(before.elapsed().as_micros() as u64);
                     }
-                    absorb_effects(task, &mut body, idx, wheel, now, &mut halted);
+                    absorb_effects(task, &mut body, idx, timers, now, &mut halted);
                 }
                 Packet::Call(f) => {
                     if body.members.len() > 1 {
@@ -956,7 +943,7 @@ fn drive_task(
                             &mut body.metrics,
                             &mut body.effects,
                         );
-                        absorb_effects(task, &mut body, 0, wheel, now, &mut halted);
+                        absorb_effects(task, &mut body, 0, timers, now, &mut halted);
                     }
                 }
                 Packet::Stop => {
@@ -1014,13 +1001,13 @@ fn finalize(task: &Arc<TaskCore>, mut body: TaskBody) {
 }
 
 /// Apply one member's turn effects: sends to the task outbox, timers to
-/// the driving worker's wheel (tagged with the arming member), halt to the
+/// the driving worker's timer queue (tagged with the arming member), halt to the
 /// drive loop.
 fn absorb_effects(
     task: &Arc<TaskCore>,
     body: &mut TaskBody,
     member: usize,
-    wheel: &mut TimerWheel<TimerFire>,
+    timers: &mut EventQueue<TimerFire>,
     now: SimTime,
     halted: &mut bool,
 ) {
@@ -1034,7 +1021,7 @@ fn absorb_effects(
                 msg,
             }),
             Effect::Timer { delay, msg } => {
-                wheel.insert(
+                timers.push(
                     now + delay,
                     TimerFire {
                         task: Arc::clone(task),
@@ -1619,7 +1606,7 @@ pub(crate) mod loom_tests {
     /// The timer fast-path handshake: `push_timers` (a worker's batch of
     /// due fires queued under one lock, then the flag) racing `pop_timer`
     /// (flag probe, queue under lock, flag clear on empty) while the
-    /// driver re-arms mid-drain — the wheel re-arm shape
+    /// driver re-arms mid-drain — the timer re-arm shape
     /// `timer_rearm_survives_concurrent_wakes` stresses on real threads.
     /// Every pushed fire must be drained, a batch in the order it was
     /// pushed, and the flag may never read false at rest while fires sit

@@ -102,15 +102,11 @@ impl Drop for Children {
     }
 }
 
-/// The deployment the README starts: three `planetd` processes given only
-/// `--site` and `--addrs` (and a `--run-secs` backstop, so that a killed
-/// test run leaves nothing behind). Every default a process picks for itself
-/// must agree with its peers' and with a client that assumes one shard —
-/// which a shard count derived from the local core count did not.
-#[test]
-fn commit_round_trips_through_default_flag_planetd_processes() {
-    // Three free loopback ports: bound (all at once, so they differ) to
-    // learn them, released for planetd.
+/// Start one default-flag `planetd` per site on fresh loopback ports and
+/// wait for their serving lines; `None` when one `cannot bind` (a port was
+/// taken between its release here and planetd's bind).
+fn start_planetds() -> Option<(Vec<SocketAddr>, Children)> {
+    // Bound all at once, so they differ, to learn them; released for planetd.
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -130,6 +126,7 @@ fn commit_round_trips_through_default_flag_planetd_processes() {
             .args(["--site", &site.to_string(), "--addrs", &list])
             .args(["--run-secs", "60"])
             .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("start planetd");
         children.0.push(child);
@@ -140,8 +137,28 @@ fn commit_round_trips_through_default_flag_planetd_processes() {
         BufReader::new(child.stdout.as_mut().expect("piped stdout"))
             .read_line(&mut line)
             .expect("planetd's serving line");
+        if line.is_empty() {
+            let stderr = child.stderr.take().map(std::io::read_to_string);
+            let stderr = stderr.and_then(Result::ok).unwrap_or_default();
+            assert!(stderr.contains("cannot bind"), "planetd exited: {stderr}");
+            return None;
+        }
         assert!(line.contains("serving"), "unexpected first line: {line:?}");
     }
+    Some((addrs, children))
+}
+
+/// The deployment the README starts: three `planetd` processes given only
+/// `--site` and `--addrs` (and a `--run-secs` backstop, so that a killed
+/// test run leaves nothing behind). Every default a process picks for itself
+/// must agree with its peers' and with a client that assumes one shard —
+/// which a shard count derived from the local core count did not. A lost
+/// port race is retried on fresh ports, three attempts in all.
+#[test]
+fn commit_round_trips_through_default_flag_planetd_processes() {
+    let (addrs, _children) = (0..3)
+        .find_map(|_| start_planetds())
+        .expect("planetd binds fresh ports within three attempts");
     commit_through(addrs[0]);
 }
 

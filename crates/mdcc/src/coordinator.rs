@@ -49,8 +49,15 @@
 //!
 //! Read-only transactions commit locally after step 2 — they never touch the
 //! WAN, mirroring MDCC's local read-committed reads.
+//!
+//! # One timeout for all transactions
+//!
+//! Every transaction shares `config.txn_timeout`, so deadlines come due in
+//! submission order: `deadlines` is a queue with one `TxnTimeout` armed for
+//! its head. A fire acts on every deadline due by then and re-arms; its
+//! `txn` is not read, so a stale or forged one acts only on what is due.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, SlotFinder, TxnProgram};
 use planet_sim::{Actor, ActorId, Context, SimTime, SiteId, SiteMask};
@@ -253,8 +260,8 @@ impl Exec {
     }
 }
 
-/// Forwarding state for a decided transaction, kept until its original
-/// timeout fires so that *late* votes still reach the client — the
+/// Forwarding state for a decided transaction, kept until its deadline
+/// passes so that *late* votes still reach the client — the
 /// likelihood model needs the slowest replicas' response times, which by
 /// definition arrive after the quorum decided.
 struct RecentTxn {
@@ -275,6 +282,9 @@ pub struct CoordinatorActor {
     site: SiteId,
     next_seq: u64,
     recent: HashMap<TxnId, RecentTxn>,
+    /// When each transaction in flight times out and each `recent` entry
+    /// expires, in order; one `TxnTimeout` is armed for the head.
+    deadlines: VecDeque<(SimTime, TxnId)>,
     /// Registered plans, compiled against `config`; read at submission
     /// only. Excluded from `mck_digest` for the same reason `config` is:
     /// plans are registered before traffic and never mutate mid-run.
@@ -327,6 +337,7 @@ impl CoordinatorActor {
             site,
             next_seq: 0,
             recent: HashMap::new(),
+            deadlines: VecDeque::new(),
             plans: HashMap::new(),
             execs: Vec::new(),
             free_execs: Vec::new(),
@@ -410,6 +421,7 @@ impl CoordinatorActor {
             map.actor(r.reply_to).hash(h);
             r.proposals_sent_at.hash(h);
         }
+        self.deadlines.hash(h);
     }
 
     /// Digest one key's tally. Masks iterate ascending by raw site id, but
@@ -582,10 +594,10 @@ impl CoordinatorActor {
         }
     }
 
-    /// Start a lowered execution: mint its id, arm the server-side timeout
-    /// and issue the read round — one `ReadReq` per touched shard in
-    /// ascending shard order, its keys in slot order. A transaction that
-    /// touches nothing commits on the spot.
+    /// Start a lowered execution: mint its id, queue its deadline (arming
+    /// the timeout for an empty queue) and issue the read round — one
+    /// `ReadReq` per touched shard in ascending shard order, its keys in
+    /// slot order. A transaction that touches nothing commits on the spot.
     fn start(&mut self, idx: usize, reply_to: ActorId, tag: u64, ctx: &mut Context<'_, Msg>) {
         let txn = TxnId::new(self.site.0, self.next_seq);
         self.next_seq += 1;
@@ -616,7 +628,12 @@ impl CoordinatorActor {
             },
         );
         self.exec_of.insert(txn, idx as u32);
-        ctx.schedule(self.config.txn_timeout, Msg::TxnTimeout { txn });
+        let idle = self.deadlines.is_empty();
+        self.deadlines
+            .push_back((ctx.now() + self.config.txn_timeout, txn));
+        if idle {
+            self.arm_timeout(ctx);
+        }
         // check:allow(panic): as above
         let exec = &self.execs[idx];
         if exec.keys.is_empty() {
@@ -935,19 +952,42 @@ impl CoordinatorActor {
         }
     }
 
-    fn handle_timeout(&mut self, txn: TxnId, ctx: &mut Context<'_, Msg>) {
-        if self.exec_of.contains_key(&txn) {
-            self.finish(txn, Outcome::TimedOut, ctx);
-            // `finish` just parked the txn in `recent` to keep the late-vote
-            // forwarding window open, but the timer that expires that window
-            // was consumed by this very firing — re-arm it, or the entry
-            // leaks forever.
-            ctx.schedule(self.config.txn_timeout, Msg::TxnTimeout { txn });
-        } else {
-            // The timeout doubles as the expiry of the late-vote forwarding
-            // window.
-            self.recent.remove(&txn);
+    /// Arm the one timeout for the earliest deadline.
+    fn arm_timeout(&mut self, ctx: &mut Context<'_, Msg>) {
+        if let Some(&(due, txn)) = self.deadlines.front() {
+            ctx.schedule(due.since(ctx.now()), Msg::TxnTimeout { txn });
         }
+    }
+
+    /// Time out every transaction in flight whose deadline has passed and
+    /// close the late-vote window of every finished one whose has, then
+    /// re-arm. One that finds nothing due (early, stale or forged) does
+    /// nothing: the armed one is still out.
+    fn handle_timeout(&mut self, ctx: &mut Context<'_, Msg>) {
+        let now = ctx.now();
+        let due = self
+            .deadlines
+            .iter()
+            .take_while(|&&(deadline, _)| deadline <= now)
+            .count();
+        if due == 0 {
+            return;
+        }
+        for _ in 0..due {
+            let Some((_, txn)) = self.deadlines.pop_front() else {
+                break;
+            };
+            if self.exec_of.contains_key(&txn) {
+                // `finish` parks the txn in `recent`: its late-vote window
+                // closes one timeout from now, after every deadline queued.
+                self.finish(txn, Outcome::TimedOut, ctx);
+                self.deadlines
+                    .push_back((now + self.config.txn_timeout, txn));
+            } else {
+                self.recent.remove(&txn);
+            }
+        }
+        self.arm_timeout(ctx);
     }
 
     /// Record the per-transaction latency-attribution span this actor owns:
@@ -1034,6 +1074,8 @@ impl CoordinatorActor {
             rejections: exec.rejections,
         };
         let (tag, reply_to) = (exec.tag, exec.reply_to);
+        // Leaves at its queued deadline; `handle_timeout` re-queues a
+        // timed-out txn before it re-arms: check:allow(time)
         self.recent.insert(
             txn,
             RecentTxn {
@@ -1093,7 +1135,7 @@ impl Actor<Msg> for CoordinatorActor {
                 reason,
                 round,
             } => self.handle_vote(txn, key, site, accept, reason, round, ctx),
-            Msg::TxnTimeout { txn } => self.handle_timeout(txn, ctx),
+            Msg::TxnTimeout { .. } => self.handle_timeout(ctx),
             // A message for another role: a well-formed frame from a peer
             // can carry one, so it is dropped and counted, never a panic.
             _ => ctx.metrics().counter("coordinator.unexpected_msgs").inc(),

@@ -9,7 +9,7 @@
 use planet_mdcc::{ClusterConfig, CoordinatorActor, KeyRead, Msg, Outcome, Protocol, TxnSpec};
 use planet_plan::{DeltaRef, KeyRef, KeyTemplate, OpTemplate, PlanParam, TxnProgram};
 use planet_sim::{drive_into, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs};
-use planet_storage::{Key, RejectReason, TxnId, Value};
+use planet_storage::{Key, RejectReason, TxnId, Value, WriteOp};
 
 const CLIENT: ActorId = ActorId(100);
 const PLAN: u32 = 1;
@@ -27,6 +27,8 @@ struct Driven {
     rng: DetRng,
     metrics: Metrics,
     clock_us: u64,
+    /// When the timer the coordinator armed last is due.
+    timer_due_us: Option<u64>,
 }
 
 impl Driven {
@@ -42,11 +44,22 @@ impl Driven {
             rng: DetRng::new(1),
             metrics: Metrics::new(),
             clock_us: 0,
+            timer_due_us: None,
         }
     }
 
+    /// Deliver `msg` 10 µs after the last delivery, or a `TxnTimeout` at
+    /// the instant the armed timer is due, as the runtimes deliver it.
     fn deliver(&mut self, msg: Msg) -> Vec<Effect<Msg>> {
-        self.clock_us += 10;
+        let at_us = match (&msg, self.timer_due_us) {
+            (Msg::TxnTimeout { .. }, Some(due)) if due > self.clock_us => due,
+            _ => self.clock_us + 10,
+        };
+        self.deliver_at(at_us, msg)
+    }
+
+    fn deliver_at(&mut self, at_us: u64, msg: Msg) -> Vec<Effect<Msg>> {
+        self.clock_us = at_us;
         let inputs = TurnInputs {
             now: SimTime::from_micros(self.clock_us),
             self_id: self.id,
@@ -62,6 +75,11 @@ impl Driven {
             &mut self.metrics,
             &mut effects,
         );
+        for effect in &effects {
+            if let Effect::Timer { delay, .. } = effect {
+                self.timer_due_us = Some(at_us + delay.as_micros());
+            }
+        }
         effects
     }
 }
@@ -485,4 +503,101 @@ fn aliasing_arguments_lower_through_the_spec_and_aliased_writes_are_refused() {
     assert_eq!(refused.by_spec.metrics.counter_value("txn.bad_spec"), 1);
     assert_eq!(refused.by_plan.metrics.counter_value("plan.bad_params"), 1);
     assert_eq!(refused.by_plan.coordinator.inflight_count(), 0);
+}
+
+/// How many timers `effects` arm, and each `TxnDone`'s transaction, outcome
+/// and µs from submission to decision.
+fn timers_and_done(effects: &[Effect<Msg>]) -> (usize, Vec<(TxnId, Outcome, u64)>) {
+    let timers = effects.iter().filter(|e| matches!(e, Effect::Timer { .. }));
+    let done = effects.iter().filter_map(|e| match e {
+        Effect::Send {
+            msg:
+                Msg::TxnDone {
+                    txn,
+                    outcome,
+                    stats,
+                    ..
+                },
+            ..
+        } => Some((*txn, *outcome, stats.server_us())),
+        _ => None,
+    });
+    (timers.count(), done.collect())
+}
+
+fn submit(spec: TxnSpec, tag: u64) -> Msg {
+    Msg::Submit {
+        spec,
+        reply_to: CLIENT,
+        tag,
+    }
+}
+
+#[test]
+fn a_forged_or_early_timeout_decides_nothing() {
+    let (program, params) = purchase();
+    let mut driven = Driven::new(&ClusterConfig::new(3, Protocol::Fast));
+    let spec = program.instantiate(&params).expect("instantiates").into();
+    assert_eq!(timers_and_done(&driven.deliver(submit(spec, TAG))).0, 1);
+    // For the live transaction and for one that never existed, long before
+    // the deadline: a peer's bytes, or a stale timer.
+    for forged in [txn(), TxnId::new(0, 99)] {
+        let at_us = driven.clock_us + 10;
+        let effects = driven.deliver_at(at_us, Msg::TxnTimeout { txn: forged });
+        assert!(
+            effects.is_empty(),
+            "no TxnDone, Decide or timer: {effects:?}"
+        );
+    }
+    let script = std::iter::once(read_resp(&TOUCHED, 3)).chain(all_accept());
+    let done: Vec<_> = script
+        .flat_map(|msg| timers_and_done(&driven.deliver(msg)).1)
+        .collect();
+    assert!(matches!(done[..], [(_, Outcome::Committed, _)]), "{done:?}");
+}
+
+/// A hundred transactions in flight, one armed timeout. Fired on time it
+/// times each out at exactly `submitted_at + txn_timeout`, and each
+/// late-vote window closes one timeout later, as when every transaction
+/// armed its own timer; fired late, it times out everything due.
+#[test]
+fn one_timeout_serves_every_transaction_in_flight() {
+    let config = ClusterConfig::new(3, Protocol::Fast);
+    let timeout_us = config.txn_timeout.as_micros();
+    let mut driven = Driven::new(&config);
+    let armed: usize = (0..100)
+        .map(|tag| {
+            let spec = TxnSpec::write_one(Key::new("k"), WriteOp::add(1));
+            timers_and_done(&driven.deliver(submit(spec, tag))).0
+        })
+        .sum();
+    assert_eq!((armed, driven.coordinator.inflight_count()), (1, 100));
+    let fire = |driven: &mut Driven| driven.deliver(Msg::TxnTimeout { txn: txn() });
+    for seq in 0..50 {
+        let (timers, done) = timers_and_done(&fire(&mut driven));
+        let expect = (TxnId::new(0, seq), Outcome::TimedOut, timeout_us);
+        assert_eq!((timers, done), (1, vec![expect]), "fire {seq}");
+    }
+    let late = driven.timer_due_us.expect("armed") + 1_000;
+    let (timers, done) = timers_and_done(&driven.deliver_at(late, Msg::TxnTimeout { txn: txn() }));
+    assert_eq!(
+        (timers, done.len(), driven.coordinator.inflight_count()),
+        (1, 50, 0)
+    );
+
+    // The first window closes with the next fire; the second stays open.
+    let late_vote = |seq| Msg::Vote {
+        txn: TxnId::new(0, seq),
+        key: Key::new("k"),
+        site: SiteId(1),
+        accept: true,
+        reason: None,
+        round: 0,
+    };
+    let closes = driven.timer_due_us.expect("armed for the windows");
+    assert_eq!(closes, 10 + 2 * timeout_us);
+    assert_eq!(driven.deliver_at(closes - 1, late_vote(0)).len(), 1);
+    assert_eq!(fire(&mut driven).len(), 1, "one timer, nothing else");
+    assert!(driven.deliver_at(closes + 5, late_vote(0)).is_empty());
+    assert_eq!(driven.deliver_at(closes + 6, late_vote(1)).len(), 1);
 }

@@ -9,28 +9,19 @@
 //! drains, as the live runtime's workers do with theirs: an event
 //! allocates what its messages carry, and nothing for being an event.
 //!
-//! The event heap holds only 24-byte keys `(time, sequence, slot)`; the
-//! message a key stands for waits in a slab at `slot`, whose freed slots
-//! are reused, so a heap sift moves keys rather than messages and the slab
-//! never grows past the most events ever pending at once. The sequence
-//! number is unique, so the slot never decides an order. The per-channel
-//! FIFO high-water marks are a dense table indexed by `(src, dst)`, sized
-//! when the run starts (actors are fixed from then on): a send hashes
-//! nothing.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Events wait on an [`EventQueue`], the same queue a live reactor worker
+//! keeps its timers on. The per-channel FIFO high-water marks are a dense
+//! table indexed by `(src, dst)`, sized when the run starts (actors are
+//! fixed from then on): a send hashes nothing.
 
 use crate::actor::{drive_into, drive_start, Actor, ActorId, Effect, TurnInputs};
 use crate::metrics::Metrics;
 use crate::net::{NetworkModel, SiteId};
+use crate::queue::EventQueue;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled delivery in the heap: `(at, seq, slot)`, earliest first.
-type EventKey = Reverse<(SimTime, u64, u32)>;
-
-/// What a scheduled delivery carries, parked in the slab.
+/// What a scheduled delivery carries.
 struct Payload<M> {
     from: ActorId,
     dst: ActorId,
@@ -40,12 +31,7 @@ struct Payload<M> {
 /// The simulation engine. `M` is the message type shared by all actors.
 pub struct Simulation<M> {
     time: SimTime,
-    seq: u64,
-    queue: BinaryHeap<EventKey>,
-    /// The payload of every queued key, at the key's slot; `None` = free.
-    slab: Vec<Option<Payload<M>>>,
-    /// Free slots of `slab`, reused before it grows.
-    free: Vec<u32>,
+    queue: EventQueue<Payload<M>>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     sites: Vec<SiteId>,
     net: NetworkModel,
@@ -70,10 +56,7 @@ impl<M: 'static> Simulation<M> {
     pub fn new(net: NetworkModel, seed: u64) -> Self {
         Simulation {
             time: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            queue: EventQueue::new(),
             actors: Vec::new(),
             sites: Vec::new(),
             net,
@@ -150,20 +133,7 @@ impl<M: 'static> Simulation<M> {
     /// Queue `msg` for delivery to `dst` at `at`, after everything already
     /// queued for the same instant.
     fn push_event(&mut self, at: SimTime, from: ActorId, dst: ActorId, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        let payload = Some(Payload { from, dst, msg });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = payload;
-                slot
-            }
-            None => {
-                self.slab.push(payload);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.queue.push(Reverse((at, seq, slot)));
+        self.queue.push(at, Payload { from, dst, msg });
     }
 
     fn start_if_needed(&mut self) {
@@ -233,13 +203,11 @@ impl<M: 'static> Simulation<M> {
         if self.halted {
             return false;
         }
-        let Some(Reverse((at, _, slot))) = self.queue.pop() else {
+        let Some((at, Payload { from, dst, msg })) =
+            self.queue.peek_at().and_then(|at| self.queue.pop_due(at))
+        else {
             return false;
         };
-        let Payload { from, dst, msg } = self.slab[slot as usize]
-            .take()
-            .expect("a queued key has its payload");
-        self.free.push(slot);
         debug_assert!(at >= self.time, "time went backwards");
         self.time = at;
         self.events_processed += 1;
@@ -272,8 +240,8 @@ impl<M: 'static> Simulation<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.start_if_needed();
         while !self.halted {
-            match self.queue.peek() {
-                Some(Reverse((at, _, _))) if *at <= deadline => {
+            match self.queue.peek_at() {
+                Some(at) if at <= deadline => {
                     self.step();
                 }
                 _ => break,
@@ -281,7 +249,7 @@ impl<M: 'static> Simulation<M> {
         }
         // Advance the clock to the deadline if we stopped early with events
         // still pending beyond it.
-        if self.time < deadline && (self.queue.peek().is_some() || self.halted) {
+        if self.time < deadline && (!self.queue.is_empty() || self.halted) {
             self.time = deadline;
         }
         self.time
@@ -548,58 +516,6 @@ mod tests {
         assert_eq!(sim.dropped_messages(), 3, "all three pings must be lost");
         let seen = &sim.actor_as::<Ponger>(ponger).unwrap().seen;
         assert!(seen.is_empty());
-    }
-
-    #[test]
-    fn the_heap_holds_keys_of_24_bytes() {
-        assert!(std::mem::size_of::<EventKey>() <= 24);
-    }
-
-    #[test]
-    fn the_slab_never_outgrows_the_peak_of_pending_events() {
-        /// Pings its peer every millisecond, forever.
-        struct Chatter {
-            peer: ActorId,
-        }
-        impl Actor<TestMsg> for Chatter {
-            fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
-                ctx.schedule(SimDuration::from_millis(1), TestMsg::Tick);
-            }
-            fn on_message(&mut self, _f: ActorId, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
-                if msg == TestMsg::Tick {
-                    ctx.send(self.peer, TestMsg::Ping(0));
-                    ctx.schedule(SimDuration::from_millis(1), TestMsg::Tick);
-                }
-            }
-        }
-        // Three chatters at two sites keep a few hundred messages and
-        // timers in flight for thousands of events; a burst of 2 000
-        // injections raises the peak once mid-run, and the slots it freed
-        // carry the rest of the run.
-        let mut sim = Simulation::new(topology::three_dc(), 5);
-        let ponger = sim.add_actor(SiteId(2), Box::new(Ponger { seen: Vec::new() }));
-        for site in [0, 1, 1] {
-            sim.add_actor(SiteId(site), Box::new(Chatter { peer: ponger }));
-        }
-        let mut peak = sim.queue.len();
-        let mut steps = 0u64;
-        while steps < 20_000 && sim.step() {
-            steps += 1;
-            if steps == 5_000 {
-                for _ in 0..2_000 {
-                    sim.inject_at(sim.now(), ponger, TestMsg::Tick);
-                }
-            }
-            peak = peak.max(sim.queue.len());
-            assert_eq!(sim.slab.len() - sim.free.len(), sim.queue.len());
-        }
-        assert_eq!(steps, 20_000, "the run must be long");
-        assert!(peak > 2_000, "the burst must raise the peak: {peak}");
-        assert!(
-            sim.slab.len() <= peak,
-            "slab {} > peak pending {peak}",
-            sim.slab.len()
-        );
     }
 
     #[test]

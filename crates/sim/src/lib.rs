@@ -37,6 +37,7 @@ mod actor;
 mod engine;
 pub mod metrics;
 pub mod net;
+mod queue;
 mod rng;
 mod time;
 pub mod topology;
@@ -47,5 +48,6 @@ pub use actor::{
 pub use engine::Simulation;
 pub use metrics::{Counter, Histogram, Metrics, TimeSeries};
 pub use net::{JitterModel, NetworkModel, Partition, SiteId, SiteMask, Spike};
+pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
