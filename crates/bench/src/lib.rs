@@ -17,7 +17,6 @@ mod exp_prediction;
 mod exp_reads;
 mod exp_speculation;
 mod exp_spike;
-mod exp_throughput_sharded;
 pub mod report;
 pub mod timing;
 
@@ -29,7 +28,8 @@ static COUNTING_ALLOCATOR: alloc_counter::CountingAllocator = alloc_counter::Cou
 pub use common::Scale;
 pub use report::Table;
 
-/// All experiment ids in presentation order.
+/// All experiment ids in presentation order: the paper's eight figures and
+/// three tables, and nothing else.
 pub const EXPERIMENTS: &[&str] = &[
     "fig1-rtt",
     "fig2-calibration",
@@ -42,7 +42,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "tab1-percentiles",
     "tab2-contention",
     "tab3-reads",
-    "throughput-sharded",
 ];
 
 /// Run one experiment by id.
@@ -59,7 +58,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Table> {
         "tab1-percentiles" => exp_latency::tab1_percentiles(scale),
         "tab2-contention" => exp_admission::tab2_contention(scale),
         "tab3-reads" => exp_reads::tab3_reads(scale),
-        "throughput-sharded" => exp_throughput_sharded::throughput_sharded(scale),
         _ => return None,
     })
 }

@@ -1,7 +1,7 @@
 //! Trace-overhead gate for the isolation auditor.
 //!
-//! Runs the same smoke-scale closed-loop driver as `throughput_smoke`
-//! twice — tracing off, then tracing into a live `VecSink` — and enforces
+//! Runs the closed-loop driver (`planet_workload::closed_loop`) at smoke
+//! scale twice — tracing off, then tracing into a live `VecSink` — and enforces
 //! that the traced run keeps at least 95% of the untraced throughput. The
 //! trace layer sits on the coordinator/replica hot paths (reads, commits,
 //! applies), so this is the gate that keeps it honest: one mutex push per

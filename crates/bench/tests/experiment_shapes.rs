@@ -24,8 +24,24 @@ fn note_metric(table: &Table, key: &str) -> Option<f64> {
 
 #[test]
 fn every_experiment_id_runs() {
-    // Cheap sanity: unknown ids are rejected; the list is complete.
-    assert_eq!(EXPERIMENTS.len(), 12);
+    // Cheap sanity: unknown ids are rejected; the list is the paper's eight
+    // figures and three tables, in order, and nothing else.
+    assert_eq!(
+        EXPERIMENTS,
+        [
+            "fig1-rtt",
+            "fig2-calibration",
+            "fig3-progress",
+            "fig4-speculation",
+            "fig5-latency-cdf",
+            "fig6-admission",
+            "fig7-spike",
+            "fig8-callbacks",
+            "tab1-percentiles",
+            "tab2-contention",
+            "tab3-reads",
+        ]
+    );
     assert!(run_experiment("nope", Scale::Quick).is_none());
 }
 

@@ -41,15 +41,12 @@
 //!   (`time`), and interprocedural (`panic`, `flow`, `race`, `sync`).
 //! * [`diag`] — span-carrying diagnostics with stable codes, rendered as a
 //!   compiler-style text report or JSON for CI.
-//! * [`baseline`] — findings snapshots so new passes can ship strict while
-//!   CI fails only on findings *not* in the committed baseline.
 //!
 //! Adding a pass is: implement [`model::Pass`], register it in
 //! [`model::all_passes`]. Passes are pure functions of the workspace model,
 //! so fixture tests drive them with in-memory sources via
 //! [`model::Workspace::from_sources`].
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
 pub mod diag;

@@ -5,29 +5,23 @@
 //! cargo run -p planet-check                 # human-readable report
 //! cargo run -p planet-check -- --json      # JSON for CI
 //! cargo run -p planet-check -- --pass flow # a single pass
-//! cargo run -p planet-check -- --baseline check-baseline.tsv   # CI gate
 //! ```
 //!
 //! Exit status is 0 when no error-severity diagnostics were produced, 1
-//! otherwise — the CI gate is just the exit code. With `--baseline`, known
-//! findings recorded in the baseline file are reported separately and only
-//! *new* errors fail the run, so a legacy debt list can be burned down
-//! without blocking unrelated changes.
+//! otherwise — the CI gate is just the exit code. There is no allowance
+//! file: a finding is fixed, or its site carries a `check:allow` marker
+//! that cites the invariant.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use planet_check::{
-    all_passes, baseline::Baseline, diag, run_passes_timed, PassTiming, Severity, Workspace,
-};
+use planet_check::{all_passes, diag, run_passes_timed, PassTiming, Severity, Workspace};
 
 struct Opts {
     root: PathBuf,
     json: bool,
     list: bool,
     passes: Vec<String>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -36,8 +30,6 @@ fn parse_args() -> Result<Opts, String> {
         json: false,
         list: false,
         passes: Vec::new(),
-        baseline: None,
-        write_baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -56,30 +48,14 @@ fn parse_args() -> Result<Opts, String> {
                         .ok_or_else(|| "--pass needs a name".to_string())?,
                 );
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--baseline needs a path".to_string())?,
-                ));
-            }
-            "--write-baseline" => {
-                opts.write_baseline =
-                    Some(PathBuf::from(args.next().ok_or_else(|| {
-                        "--write-baseline needs a path".to_string()
-                    })?));
-            }
             "--help" | "-h" => {
                 println!(
                     "planet-check: protocol-aware static analysis\n\n\
-                     USAGE: planet-check [--root <dir>] [--pass <name>]... [--json] [--list]\n\
-                     \x20                   [--baseline <file>] [--write-baseline <file>]\n\n\
+                     USAGE: planet-check [--root <dir>] [--pass <name>]... [--json] [--list]\n\n\
                      --root <dir>           workspace root (default: current directory)\n\
                      --pass <name>          run only the named pass (repeatable); see --list\n\
                      --json                 machine-readable output\n\
-                     --list                 list the registered passes and exit\n\
-                     --baseline <file>      suppress findings recorded in <file>; only NEW\n\
-                     \x20                       errors fail the run\n\
-                     --write-baseline <file> snapshot current findings to <file> and exit 0"
+                     --list                 list the registered passes and exit"
                 );
                 std::process::exit(0);
             }
@@ -158,65 +134,13 @@ fn main() -> ExitCode {
 
     let (diags, timings) = run_passes_timed(&ws, &opts.passes);
 
-    if let Some(path) = &opts.write_baseline {
-        let baseline = Baseline::from_diags(diags.iter());
-        if let Err(e) = std::fs::write(path, baseline.render()) {
-            eprintln!(
-                "planet-check: cannot write baseline {}: {e}",
-                path.display()
-            );
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "planet-check: wrote {} baseline entr{} to {}",
-            baseline.len(),
-            if baseline.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("planet-check: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("planet-check: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-
-    let gated: Vec<diag::Diagnostic> = match &baseline {
-        Some(b) => {
-            let (fresh, old) = b.filter(&diags);
-            if !old.is_empty() {
-                eprintln!(
-                    "planet-check: {} baselined finding(s) suppressed",
-                    old.len()
-                );
-            }
-            fresh.into_iter().cloned().collect()
-        }
-        None => diags.clone(),
-    };
-
     if opts.json {
-        print!("{}", render_json_report(&gated, &timings));
+        print!("{}", render_json_report(&diags, &timings));
     } else {
-        print!("{}", diag::render_text(&gated));
+        print!("{}", diag::render_text(&diags));
     }
 
-    let errors = gated.iter().any(|d| d.severity == Severity::Error);
+    let errors = diags.iter().any(|d| d.severity == Severity::Error);
     if errors {
         ExitCode::FAILURE
     } else {

@@ -15,6 +15,21 @@ fn real_workspace() -> Workspace {
     Workspace::load(&root).expect("workspace sources load")
 }
 
+/// A copy of `real`'s sources in which the one occurrence of `from` in
+/// `file` reads `to`.
+fn seeded_copy(real: &Workspace, file: &str, from: &str, to: &str) -> Workspace {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources = real.files().iter().map(|f| {
+        let src = std::fs::read_to_string(root.join(&f.path)).expect("source");
+        if f.path != file {
+            return (f.path.clone(), src);
+        }
+        assert_eq!(src.matches(from).count(), 1, "{file} has one {from:?}");
+        (f.path.clone(), src.replace(from, to))
+    });
+    Workspace::from_sources(sources.collect())
+}
+
 /// The drive loop in planet-cluster reaches, across three crates, the
 /// storage hot path: `drive_task` (cluster) → `drive_into` (sim, via
 /// use-path import) → `on_message` (mdcc, via the dyn-dispatch
@@ -73,21 +88,23 @@ fn every_panic_root_resolves_in_the_real_workspace() {
 /// The panic pass, re-rooted on the workspace graph, reports findings in
 /// `crates/predict` — a crate with no drive-loop roots of its own,
 /// reachable only through other crates' actors. A per-file graph reports
-/// nothing there. (`crates/storage`, then `crates/sim`, were the witness
-/// until their last findings were fixed; they are reachable the same way
-/// and now have to stay clean.)
+/// nothing there. The real workspace is clean, so the witness is seeded: in
+/// a copy of the real sources, one slice index in the quorum DP that every
+/// client's likelihood model runs fires PANIC002 in `quorum.rs`.
 #[test]
 fn panic_pass_reaches_rootless_crates() {
-    let ws = real_workspace();
-    let diags = run_passes(&ws, &["panic".to_string()]);
-    let files: std::collections::BTreeSet<_> = diags.iter().map(|d| d.file.as_str()).collect();
-    assert!(
-        files.iter().any(|f| f.starts_with("crates/predict/")),
-        "workspace-rooted panic pass must surface crates/predict findings; got files: {files:?}"
+    let seeded = seeded_copy(
+        &real_workspace(),
+        "crates/predict/src/quorum.rs",
+        "    dp.last().copied().unwrap_or(0.0)\n",
+        "    dp[k]\n",
     );
+    let diags = run_passes(&seeded, &["panic".to_string()]);
     assert!(
-        !files.iter().any(|f| f.starts_with("crates/storage/") || f.starts_with("crates/sim/")),
-        "crates/storage and crates/sim are at zero panic findings and stay there; got files: {files:?}"
+        diags
+            .iter()
+            .any(|d| d.code == "PANIC002" && d.file == "crates/predict/src/quorum.rs"),
+        "workspace-rooted panic pass must surface the seeded crates/predict index: {diags:#?}"
     );
 }
 
@@ -121,32 +138,21 @@ fn the_coordinator_has_one_producer_per_fsm_edge() {
     assert_eq!(producers("Msg", "Decide"), ["finish"]);
 }
 
-/// The flow and race passes run clean on the real workspace — the genuine
-/// findings they caught (client resubmit deadline, join-under-lock,
-/// unbounded socket write) are fixed in-tree, so any regression shows up
-/// here as a hard failure rather than a baseline bump.
+/// Every pass runs clean on the real workspace; there is no allowance
+/// file. The genuine findings the passes caught (client resubmit deadline,
+/// join-under-lock, unbounded socket write, slice indexing reachable from
+/// the drive loop) are fixed in-tree, every atomic in the reactor runtime
+/// has a declared role whose ordering contract its op sites satisfy (or a
+/// stat-counter allow marker), every enqueue reaches its notify and every
+/// park rechecks. A new finding fails here.
 #[test]
-fn flow_and_race_are_clean_on_the_real_workspace() {
+fn every_pass_is_clean_on_the_real_workspace() {
     let ws = real_workspace();
-    let diags = run_passes(&ws, &["flow".to_string(), "race".to_string()]);
+    let diags = run_passes(&ws, &[]);
     assert!(
         diags.is_empty(),
-        "flow/race regressions must be fixed, not baselined: {diags:#?}"
+        "findings are fixed, or their site cites its invariant in a check:allow marker: {diags:#?}"
     );
-}
-
-/// The runtime crates carry no baselined debt: every panic source the
-/// reactor and the simulator can reach is fixed, not tolerated, so a new
-/// one fails the ratchet instead of growing a row here.
-#[test]
-fn the_baseline_names_no_runtime_crate() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline = std::fs::read_to_string(root.join("check-baseline.tsv")).expect("baseline");
-    let rows: Vec<&str> = baseline
-        .lines()
-        .filter(|row| row.contains("\tcrates/cluster/") || row.contains("\tcrates/sim/"))
-        .collect();
-    assert!(rows.is_empty(), "runtime crates in the baseline: {rows:?}");
 }
 
 /// FLOW003 reads the real protocol: in a copy of the real sources with the
@@ -155,31 +161,19 @@ fn the_baseline_names_no_runtime_crate() {
 /// unmodified copy stays clean.
 #[test]
 fn seeded_dead_recover_variant_trips_flow003() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let real = real_workspace();
-    let copy = |edit: &dyn Fn(&str, String) -> String| {
-        let sources = real.files().iter().map(|f| {
-            let src = std::fs::read_to_string(root.join(&f.path)).expect("source");
-            (f.path.clone(), edit(&f.path, src))
-        });
-        Workspace::from_sources(sources.collect())
-    };
+    let db = "crates/core/src/db.rs";
+    let send = "        self.inject_site_at(site, at, Msg::Recover);\n";
     let flow003 = |ws: &Workspace| -> Vec<_> {
         run_passes(ws, &["flow".to_string()])
             .into_iter()
             .filter(|d| d.code == "FLOW003")
             .collect()
     };
-    assert_eq!(flow003(&copy(&|_, src| src)).len(), 0, "the copy is clean");
+    let clean = seeded_copy(&real, db, send, send);
+    assert_eq!(flow003(&clean).len(), 0, "the copy is clean");
 
-    let send = "        self.inject_site_at(site, at, Msg::Recover);\n";
-    let seeded = copy(&|path, src| {
-        if path != "crates/core/src/db.rs" {
-            return src;
-        }
-        assert_eq!(src.matches(send).count(), 1, "recover_site_at sends it");
-        src.replace(send, "")
-    });
+    let seeded = seeded_copy(&real, db, send, "");
     let decl = real
         .file("crates/mdcc/src/messages.rs")
         .and_then(|f| f.enum_named("Msg"))
@@ -192,21 +186,6 @@ fn seeded_dead_recover_variant_trips_flow003() {
             && d.line == decl
             && d.message.contains("`Msg::Recover` is never sent")),
         "a variant nobody sends must fire FLOW003 at its declaration: {hits:#?}"
-    );
-}
-
-/// The sync pass runs clean on the real workspace: every atomic in the
-/// reactor runtime either has a declared role whose ordering contract its
-/// op sites satisfy, or carries a stat-counter allow marker; every
-/// enqueue reaches its notify and every park rechecks. Regressions are
-/// fixed, not baselined — the ratchet holds ATOM/WAKE at zero.
-#[test]
-fn sync_pass_is_clean_on_the_real_workspace() {
-    let ws = real_workspace();
-    let diags = run_passes(&ws, &["sync".to_string()]);
-    assert!(
-        diags.is_empty(),
-        "ATOM/WAKE regressions must be fixed, not baselined: {diags:#?}"
     );
 }
 
@@ -323,8 +302,8 @@ fn codes_in(text: &str) -> BTreeSet<String> {
 }
 
 /// The docs name only codes a pass can emit, and DESIGN.md names every
-/// one: a deleted code fails here while any README/DESIGN sentence or
-/// baseline row still describes it, and a new code fails until DESIGN.md
+/// one: a deleted code fails here while any README/DESIGN sentence still
+/// describes it, and a new code fails until DESIGN.md
 /// describes it.
 #[test]
 fn docs_name_only_live_codes() {
@@ -342,7 +321,7 @@ fn docs_name_only_live_codes() {
     assert!(live.contains("RACE002"), "code literals found: {live:?}");
 
     let mut design = BTreeSet::new();
-    for doc in ["README.md", "DESIGN.md", "check-baseline.tsv"] {
+    for doc in ["README.md", "DESIGN.md"] {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc");
         let named = codes_in(&text);
         let dead: Vec<_> = named.difference(&live).collect();

@@ -27,13 +27,6 @@ impl Cluster {
     pub fn replica(&self, site: usize, shard: usize) -> ActorId {
         self.config.replica_id(site, shard)
     }
-
-    /// All of `site`'s replica shards, in shard order.
-    pub fn site_replicas(&self, site: usize) -> Vec<ActorId> {
-        (0..self.config.num_shards.max(1))
-            .map(|s| self.replica(site, s))
-            .collect()
-    }
 }
 
 /// Every server actor of a cluster, in actor-id order, with the site it

@@ -108,19 +108,9 @@ impl ReplicaActor {
         self.config.shard_of(key) == self.shard
     }
 
-    /// Current depth of the validation queue (diagnostics).
-    pub fn service_queue_depth(&self) -> usize {
-        self.service_queue.len()
-    }
-
     /// Read access to the underlying storage (for tests and result harvest).
     pub fn storage(&self) -> &Replica {
         &self.storage
-    }
-
-    /// Mutable access to storage, used by harnesses to preload data.
-    pub fn storage_mut(&mut self) -> &mut Replica {
-        &mut self.storage
     }
 
     /// Digest every piece of protocol-visible state into `h`, remapping

@@ -50,31 +50,24 @@ impl ConflictModel {
     pub fn observe(&mut self, pending: usize, accepted: bool) {
         let b = self.bucket(pending);
         let x = if accepted { 1.0 } else { 0.0 };
-        self.counts[b] += 1;
-        // Warm-up: average the first few observations rather than EWMA-ing
-        // from the prior, so early data moves the estimate quickly.
-        let n = self.counts[b] as f64;
-        if n <= 1.0 / self.alpha {
-            self.rates[b] += (x - self.rates[b]) / n;
-        } else {
-            self.rates[b] += self.alpha * (x - self.rates[b]);
+        if let (Some(rate), Some(count)) = (self.rates.get_mut(b), self.counts.get_mut(b)) {
+            ewma_update(rate, count, x, self.alpha);
         }
     }
 
     /// Estimated probability that a replica accepts an option proposed while
     /// `pending` options sat on the record.
     pub fn accept_prob(&self, pending: usize) -> f64 {
+        // The bucket's own rate once it has data; before that, the nearest
+        // warmed bucket below, else the prior.
         let b = self.bucket(pending);
-        if self.counts[b] == 0 {
-            // Borrow from the nearest warmed bucket below, else the prior.
-            for lower in (0..b).rev() {
-                if self.counts[lower] > 0 {
-                    return self.rates[lower];
-                }
-            }
-            return self.prior;
-        }
-        self.rates[b]
+        self.counts
+            .iter()
+            .zip(&self.rates)
+            .take(b + 1)
+            .rev()
+            .find(|(count, _)| **count > 0)
+            .map_or(self.prior, |(_, rate)| *rate)
     }
 
     /// Total observations across buckets.
@@ -133,6 +126,9 @@ impl Default for KeyStats {
     }
 }
 
+/// Fold observation `x` into `rate`. Warm-up: the first `1 / alpha`
+/// observations are averaged rather than EWMA-ed from the prior, so early
+/// data moves the estimate quickly.
 fn ewma_update(rate: &mut f64, count: &mut u64, x: f64, alpha: f64) {
     *count += 1;
     let n = *count as f64;

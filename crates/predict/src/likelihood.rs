@@ -137,11 +137,6 @@ impl LikelihoodModel {
         self.conflict.global_accept_prob(pending)
     }
 
-    /// The learned acceptance probability for a specific key.
-    pub fn accept_prob_keyed(&self, key_hash: u64, pending: usize) -> f64 {
-        self.conflict.accept_prob(key_hash, pending)
-    }
-
     /// Votes observed for a specific key (0 = the model has never seen it).
     pub fn key_observations(&self, key_hash: u64) -> u64 {
         self.conflict.key_observations(key_hash)
@@ -163,11 +158,6 @@ impl LikelihoodModel {
     /// Transaction-level resolutions observed for a key (0 = never seen).
     pub fn key_resolutions(&self, key_hash: u64) -> u64 {
         self.conflict.key_resolutions(key_hash)
-    }
-
-    /// Median vote round trip for a replica site, if known.
-    pub fn path_median_us(&self, site: u8) -> Option<f64> {
-        self.paths.get(site as usize)?.quantile(0.5)
     }
 
     /// Probability one outstanding replica answers within `budget_us` more

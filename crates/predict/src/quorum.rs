@@ -27,22 +27,27 @@ pub fn prob_at_least_in(probs: &[f64], k: usize, dp: &mut Vec<f64>) -> f64 {
     // dp[j] = P(exactly j successes among trials seen so far), capped at k
     // (everything ≥ k is lumped into dp[k]).
     dp.clear();
+    dp.push(1.0);
     dp.resize(k + 1, 0.0);
-    dp[0] = 1.0;
     for &p in probs {
         let p = p.clamp(0.0, 1.0);
-        for j in (0..=k).rev() {
-            let stay = dp[j] * (1.0 - p);
-            let advance = if j > 0 { dp[j - 1] * p } else { 0.0 };
-            dp[j] = if j == k {
+        // Each bucket's new value reads its own and the one below's old
+        // values, so one upward pass carries the old value of the bucket
+        // below.
+        let mut below = None;
+        for (j, cell) in dp.iter_mut().enumerate() {
+            let old = *cell;
+            let advance = below.map_or(0.0, |lower: f64| lower * p);
+            *cell = if j == k {
                 // Absorbing bucket: once at ≥k successes, stay there.
-                dp[k] + advance
+                old + advance
             } else {
-                stay + advance
+                old * (1.0 - p) + advance
             };
+            below = Some(old);
         }
     }
-    dp[k]
+    dp.last().copied().unwrap_or(0.0)
 }
 
 /// `P(exactly j successes)` for each `j` in `0..=n` (full Poisson-binomial

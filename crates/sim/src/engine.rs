@@ -113,11 +113,6 @@ impl<M: 'static> Simulation<M> {
         &self.metrics
     }
 
-    /// Shared metrics registry (write access, e.g. for harness bookkeeping).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// The network model (e.g. to add spikes before running).
     pub fn network_mut(&mut self) -> &mut NetworkModel {
         &mut self.net
@@ -279,13 +274,6 @@ impl<M: 'static> Simulation<M> {
     pub fn actor(&self, id: ActorId) -> &dyn Actor<M> {
         self.actors[id.0 as usize]
             .as_deref()
-            .expect("actor missing")
-    }
-
-    /// Mutably borrow a registered actor.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut (dyn Actor<M> + 'static) {
-        self.actors[id.0 as usize]
-            .as_deref_mut()
             .expect("actor missing")
     }
 

@@ -1,5 +1,5 @@
-//! The closed-loop driver of every live load: `planet-load`, the
-//! `throughput-sharded` sweep and the live-cluster gates.
+//! The closed-loop driver of every live load: `planet-load` and the
+//! live-cluster tests.
 //!
 //! Each site runs one product [`ClientActor`] that carries the site's share
 //! of the virtual users: a [`SourceMode::Closed`] source with zero think
