@@ -48,10 +48,8 @@ fn touching_an_existing_name_allocates_nothing() {
     assert!(m.get_histogram("span.queue_us").is_none());
     m.histogram("span.queue_us").record(7);
     m.counter("txn.committed.fast").inc();
-    m.series("tps").push(SimTime::from_secs(1), 1.0);
     assert_eq!(m.get_histogram("span.queue_us").map(|h| h.count()), Some(1));
     assert_eq!(m.counter_value("txn.committed.fast"), 1);
-    assert_eq!(m.get_series("tps").map(|s| s.points().len()), Some(1));
     // Neighbours in name order, so a lookup really compares names.
     m.histogram("span.queue").record(1);
     m.histogram("span.queue_us2").record(1);
@@ -60,10 +58,9 @@ fn touching_an_existing_name_allocates_nothing() {
         for i in 0..1_000u64 {
             m.histogram("span.queue_us").record(i);
             m.counter("txn.committed.fast").inc();
-            std::hint::black_box(m.series("tps"));
         }
     });
-    assert_eq!(touches, 0, "allocations in 3 000 touches of existing names");
+    assert_eq!(touches, 0, "allocations in 2 000 touches of existing names");
     assert_eq!(
         m.get_histogram("span.queue_us").map(|h| h.count()),
         Some(5_001)

@@ -2,11 +2,11 @@
 //! runtime (`planet-check v4`).
 //!
 //! The reactor's hot path is lock-free: a per-task scheduling word, a
-//! Dekker-style parker flag, handoff flags (task-done, timer-pending) and
-//! a pile of stat counters. Each of those words has a *role*, and each
-//! role has an ordering contract; an ordering that is too weak loses
-//! wakeups under weak memory, and one that is too strong mis-documents
-//! the protocol (and costs fences on ARM). The contracts themselves are
+//! Dekker-style parker flag, a task-done handoff flag and a pile of stat
+//! counters. Each of those words has a *role*, and each role has an
+//! ordering contract; an ordering that is too weak loses wakeups under
+//! weak memory, and one that is too strong mis-documents the protocol
+//! (and costs fences on ARM). The contracts themselves are
 //! certified dynamically by the `planet-loom` harness
 //! (`reactor::loom_tests`, run under `--cfg loom`); this pass pins them
 //! statically so a drive-by "optimization" cannot downgrade a verified
@@ -24,7 +24,7 @@
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
-//!   push, timer-fire push, mailbox enqueue, flush-slot absorb) must
+//!   push, mailbox enqueue — a timer fire is one — flush-slot absorb) must
 //!   reach the matching unpark/notify on every path — checked with the
 //!   CFG must-solver, with a caller-level cover for sites whose notify
 //!   lives one frame up (`absorb` → the worker loop's
@@ -51,8 +51,8 @@ const SCOPE: &str = "crates/cluster/src/";
 
 /// What a declared atomic word is *for* — the role decides the ordering
 /// contract.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Role {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Role {
     /// The task scheduling word: CAS-driven state machine. Publishes on
     /// every transition (`Release` component required), and the observed
     /// value drives the next decision (`Acquire` component required).
@@ -72,10 +72,9 @@ enum Role {
 /// (and not allow-marked at its declaration) is an ATOM001 finding — the
 /// table is the ratchet that forces new atomics to declare their
 /// protocol.
-const ATOMIC_ROLES: &[(&str, &str, Role)] = &[
+pub const ATOMIC_ROLES: &[(&str, &str, Role)] = &[
     ("reactor.rs", "sched", Role::Sched),
     ("reactor.rs", "done", Role::Handoff),
-    ("reactor.rs", "timer_pending", Role::Handoff),
     // `parked` pairs an enqueuer's push-then-load-parked with the
     // worker's set-parked-then-recheck; `running` pairs shutdown's
     // store-false-then-notify with the worker's empty-queue-then-load.
@@ -87,8 +86,9 @@ const ATOMIC_ROLES: &[(&str, &str, Role)] = &[
     ("reactor.rs", "idle_us", Role::Counter),
     ("reactor.rs", "drives", Role::Counter),
     ("reactor.rs", "parks", Role::Counter),
-    // tcp's `closed` gates the writer pump against `close()` from any
-    // thread with no lock on the fast path.
+    // tcp's `closed`: `stop()` stores it before it shuts every adopted
+    // stream and wakes the acceptor; the acceptor and `adopt` load it, so
+    // a connection that races the stop is refused or shut with the rest.
     ("tcp.rs", "closed", Role::SeqCst),
 ];
 
@@ -109,16 +109,20 @@ const RMW_OPS: &[&str] = &[
 /// when `recv` is `None`) must reach one of the `cover` identifiers on
 /// every path — in the enqueuing function, or (TIME003-style) around
 /// every call site in every caller.
-struct WakeRule {
-    file_suffix: &'static str,
-    recv: Option<&'static str>,
-    method: &'static str,
+pub struct WakeRule {
+    /// The file the rule reads, by path suffix.
+    pub file_suffix: &'static str,
+    /// The receiver of the enqueue, or `None` for any.
+    pub recv: Option<&'static str>,
+    /// The enqueuing method.
+    pub method: &'static str,
     cover: &'static [&'static str],
     what: &'static str,
     fix: &'static str,
 }
 
-const WAKE_TABLE: &[WakeRule] = &[
+/// The enqueue sites WAKE001 checks.
+pub const WAKE_TABLE: &[WakeRule] = &[
     WakeRule {
         file_suffix: "reactor.rs",
         recv: Some("queue"),
@@ -126,22 +130,6 @@ const WAKE_TABLE: &[WakeRule] = &[
         cover: &["parked", "notify"],
         what: "run-queue push",
         fix: "rouse a sleeper (check `parked`/call `notify`) after pushing a runnable task",
-    },
-    WakeRule {
-        file_suffix: "reactor.rs",
-        recv: Some("fires"),
-        method: "push_back",
-        cover: &["timer_pending"],
-        what: "timer-fire push",
-        fix: "set `timer_pending` after queueing a fire, or the drive fast path never sees it",
-    },
-    WakeRule {
-        file_suffix: "reactor.rs",
-        recv: None,
-        method: "push_timer",
-        cover: &["wake"],
-        what: "timer fire delivery",
-        fix: "wake the task after pushing a timer fire; a fire without a wake waits for unrelated traffic",
     },
     WakeRule {
         file_suffix: "reactor.rs",

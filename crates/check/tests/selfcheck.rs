@@ -8,6 +8,7 @@ use std::path::Path;
 
 use planet_check::passes::find_paths;
 use planet_check::passes::panic::SCOPES;
+use planet_check::passes::sync::{ATOMIC_ROLES, WAKE_TABLE};
 use planet_check::{run_passes, Workspace};
 
 fn real_workspace() -> Workspace {
@@ -82,6 +83,48 @@ fn every_panic_root_resolves_in_the_real_workspace() {
             });
             assert!(found, "panic root `{root}` names no function under {scope}");
         }
+    }
+}
+
+/// The sync pass's tables name live code: every `ATOMIC_ROLES` entry is
+/// an atomic field of its file, and every `WAKE_TABLE` rule's enqueue
+/// (`recv.method(`) occurs in its file. A rule keyed on a name the code no
+/// longer uses matches no site and reports nothing, as the timer-fire rules
+/// keyed on `push_timer` and `fires.push_back` did once that code changed.
+#[test]
+fn the_sync_tables_name_live_code() {
+    let ws = real_workspace();
+    let file_of = |suffix: &str| {
+        ws.files_under("crates/cluster/src/")
+            .find(|f| f.path.ends_with(suffix))
+            .unwrap_or_else(|| panic!("no crates/cluster/src/ file ends with {suffix}"))
+    };
+    for (suffix, name, role) in ATOMIC_ROLES {
+        let file = file_of(suffix);
+        assert!(
+            file.fields()
+                .iter()
+                .any(|f| f.name == *name && f.ty.contains("Atomic")),
+            "{role:?} word `{name}` is no atomic field of {}",
+            file.path
+        );
+    }
+    for rule in WAKE_TABLE {
+        let file = file_of(rule.file_suffix);
+        let toks = file.toks();
+        let site = (2..toks.len().saturating_sub(1)).any(|k| {
+            toks[k].is_ident(rule.method)
+                && toks[k - 1].is_punct('.')
+                && toks[k + 1].is_punct('(')
+                && rule.recv.is_none_or(|r| toks[k - 2].is_ident(r))
+        });
+        assert!(
+            site,
+            "WAKE001 rule `{}.{}(` matches nothing in {}",
+            rule.recv.unwrap_or("_"),
+            rule.method,
+            file.path
+        );
     }
 }
 

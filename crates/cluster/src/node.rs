@@ -49,10 +49,11 @@ impl Default for Clock {
 }
 
 /// A closure executed by the worker driving the node's task, with exclusive
-/// access to its actor. The returned messages are delivered to the actor immediately
-/// afterwards (as if self-sent), which is how facade-level operations such
-/// as staging a transaction and firing its submit timer stay atomic with
-/// respect to protocol traffic.
+/// access to its actor. The returned messages go to the front of the
+/// drive's batch as envelopes from the actor to itself, so they run next,
+/// ahead of every packet already queued: that is how facade-level
+/// operations such as staging a transaction and firing its submit timer
+/// stay atomic with respect to protocol traffic.
 pub type CallFn = Box<dyn FnOnce(&mut dyn Actor<Msg>) -> Vec<Msg> + Send>;
 
 /// What a node's mailbox carries.

@@ -256,6 +256,22 @@ impl MailboxSender {
     /// back so the caller can shed it.
     #[allow(clippy::result_large_err)]
     pub fn try_send(&self, packet: Packet) -> Result<(), TrySendError> {
+        self.enqueue_below(self.side.shared.capacity, packet)
+    }
+
+    /// Enqueue `packet` past the capacity bound, without blocking: how a
+    /// worker hands a due timer to the task that armed it. At most the
+    /// armed timers, a handful per actor, sit above capacity. A closed
+    /// mailbox hands the packet back.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn send_unbounded(&self, packet: Packet) -> Result<(), TrySendError> {
+        self.enqueue_below(usize::MAX, packet)
+    }
+
+    /// Enqueue `packet` unless the mailbox is closed or holds `bound`
+    /// packets already.
+    #[allow(clippy::result_large_err)]
+    fn enqueue_below(&self, bound: usize, packet: Packet) -> Result<(), TrySendError> {
         let shared = &*self.side.shared;
         let at = Instant::now();
         let waker = {
@@ -263,7 +279,7 @@ impl MailboxSender {
             if state.closed {
                 return Err(TrySendError::Closed(packet));
             }
-            if state.queue.len() >= shared.capacity {
+            if state.queue.len() >= bound {
                 return Err(TrySendError::Full(packet));
             }
             shared.push(&mut state, at, packet)
@@ -314,17 +330,11 @@ impl MailboxReceiver {
 
     /// Receive one packet if one is already queued.
     pub fn try_recv(&self) -> Result<Packet, TryRecvError> {
-        self.try_recv_stamped().map(|(p, _)| p)
-    }
-
-    /// [`try_recv`](Self::try_recv), also yielding when the packet was
-    /// enqueued — the base of the `span.queue` measurement.
-    pub fn try_recv_stamped(&self) -> Result<(Packet, Instant), TryRecvError> {
         let mut state = self.shared.state.lock().expect("lock poisoned");
         match state.queue.pop_front() {
-            Some((at, packet)) => {
+            Some((_, packet)) => {
                 self.shared.note_dequeued(&state, 1);
-                Ok((packet, at))
+                Ok(packet)
             }
             None if state.senders_gone => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),

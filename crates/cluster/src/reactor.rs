@@ -13,10 +13,17 @@
 //! effects differs (sends go to the task's [`Transport`], timers on the
 //! driving worker's [`EventQueue`]).
 //!
+//! The mailbox is a task's one way in. A due timer is a message to
+//! yourself: the worker holding it enqueues it in the arming task's
+//! mailbox as an envelope from and to the arming actor, and a harness
+//! call's follow-up messages are self-sent envelopes too, so one loop
+//! over the drained batch drives everything a task receives.
+//!
 //! Scheduling is a sharded run queue with work stealing:
 //!
-//! * A task is woken by message arrival (the mailbox's wake hook), by a
-//!   timer coming due on a worker's queue, or by a harness call.
+//! * A task is woken by mailbox arrival (the mailbox's wake hook, which a
+//!   timer fire triggers like any other packet) or by its initial
+//!   schedule.
 //! * Wakes enqueue the task on its home worker's queue; an idle worker
 //!   with an empty queue steals from its peers, so a skewed shard cannot
 //!   strand runnable tasks behind one busy worker.
@@ -26,11 +33,12 @@
 //!
 //! Timers go on a per-worker [`EventQueue`], the simulator's own event
 //! queue (an actor keeps a timer or two armed, not one per transaction):
-//! each loop pops everything due, and an idle worker parks until the
-//! queue's earliest deadline — a sleep that is exact, because a mailbox
-//! arrival or a wake cuts it short, so no polling tick is needed. Outbound
-//! sends coalesce across tasks driven back-to-back on the same worker and
-//! flush as one `send_many` batch, capped by
+//! each loop pops everything due into its task's mailbox, past the
+//! mailbox bound so a worker never blocks, and an idle worker parks until
+//! the queue's earliest deadline — a sleep that is exact, because a
+//! mailbox arrival or a wake cuts it short, so no polling tick is needed.
+//! Outbound sends coalesce across tasks driven back-to-back on the same
+//! worker and flush as one `send_many` batch, capped by
 //! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
 //! transport when it fills, when the worker runs out of tasks, or when its
 //! oldest envelope has waited a full horizon — whichever comes first — so
@@ -54,10 +62,6 @@ use crate::transport::{Envelope, Transport};
 
 /// Idle park backstop when no timer is pending (wakes cut it short).
 const IDLE_WAIT: Duration = Duration::from_millis(500);
-
-/// Most consecutive `max_batch` rounds one scheduling slot may spend on a
-/// backlogged task before it must requeue behind its peers.
-const DRIVE_ROUNDS: u32 = 1;
 
 /// Task scheduling states (the per-task scheduling word).
 const IDLE: u8 = 0;
@@ -92,6 +96,8 @@ struct TaskBody {
     /// single-member case (everything goes to member 0, no map lookup).
     by_id: Option<HashMap<u32, usize>>,
     metrics: Metrics,
+    /// The task's own mailbox: where its armed timers fire into.
+    tx: MailboxSender,
     rx: MailboxReceiver,
     /// The batch a drive moved out of the mailbox under one lock and is
     /// working through; empty between drives unless the task halted.
@@ -102,9 +108,9 @@ struct TaskBody {
     started: bool,
 }
 
-/// The shared core of a reactor task: its scheduling word, pending timer
-/// fires, the drive-state slot, and the finish rendezvous. Synchronization
-/// lives in the contained `Mutex`/atomic fields.
+/// The shared core of a reactor task: its scheduling word, the drive-state
+/// slot, and the finish rendezvous. Synchronization lives in the contained
+/// `Mutex`/atomic fields.
 pub(crate) struct TaskCore {
     /// The worker whose run queue wakes enqueue this task on.
     home: usize,
@@ -112,15 +118,6 @@ pub(crate) struct TaskCore {
     sched: AtomicU8,
     /// Set once the task has been finalized; late wakes become no-ops.
     done: AtomicBool,
-    /// Timer payloads whose deadline expired, awaiting delivery as
-    /// self-sent messages by the next drive, tagged with the member index
-    /// that armed them (a queue on *any* worker may push here — after a
-    /// steal, a task's older timers still live on the queue of the worker
-    /// that armed them).
-    timer_fires: Mutex<VecDeque<(usize, Msg)>>,
-    /// Fast-path mirror of `timer_fires.is_empty()`: lets every drive of a
-    /// timer-less task (the common case) skip the fire-queue mutex.
-    timer_pending: AtomicBool,
     /// The drive state; `None` while a worker has it out for a drive, or
     /// after finalization.
     body: Mutex<Option<TaskBody>>,
@@ -141,31 +138,6 @@ impl TaskCore {
             }
             slot = self.finished.wait(slot).expect("lock poisoned");
         }
-    }
-
-    /// Queue fired timers' messages for delivery on the next drive: one
-    /// lock and one flag store for the whole batch.
-    fn push_timers(&self, batch: impl IntoIterator<Item = (usize, Msg)>) {
-        let mut fires = self.timer_fires.lock().expect("lock poisoned");
-        fires.extend(batch);
-        self.timer_pending.store(true, Ordering::Release);
-    }
-
-    /// Pop the next pending timer fire, maintaining the fast-path flag.
-    fn pop_timer(&self) -> Option<(usize, Msg)> {
-        if !self.timer_pending.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut fires = self.timer_fires.lock().expect("lock poisoned");
-        let fire = fires.pop_front();
-        if fires.is_empty() {
-            self.timer_pending.store(false, Ordering::Release);
-        }
-        fire
-    }
-
-    fn has_pending_timer_fires(&self) -> bool {
-        self.timer_pending.load(Ordering::Acquire)
     }
 
     /// The wake-side transition of the scheduling word. Collapses
@@ -331,10 +303,9 @@ struct ReactorInner {
 }
 
 impl ReactorInner {
-    /// Make `task` runnable (message arrival, timer fire, initial
-    /// schedule). Idempotent under any interleaving: the scheduling word
-    /// collapses concurrent wakes into at most one queue entry plus one
-    /// re-run note.
+    /// Make `task` runnable (mailbox arrival, initial schedule).
+    /// Idempotent under any interleaving: the scheduling word collapses
+    /// concurrent wakes into at most one queue entry plus one re-run note.
     fn wake(&self, task: &Arc<TaskCore>) {
         if task.try_wake() == WakeVerdict::Enqueue {
             self.enqueue(task.home, Arc::clone(task));
@@ -410,12 +381,12 @@ impl ReactorInner {
     }
 }
 
-/// A payload on a worker's timer queue: which task to poke with what, on
-/// behalf of which member.
+/// A payload on a worker's timer queue: the self-addressed envelope and
+/// the mailbox of the task whose member armed it. After a steal, a task's
+/// older timers still live on the queue of the worker that armed them.
 struct TimerFire {
-    task: Arc<TaskCore>,
-    member: usize,
-    msg: Msg,
+    mailbox: MailboxSender,
+    env: Envelope,
 }
 
 /// Outbound envelopes coalesced across the tasks a worker drives
@@ -586,7 +557,7 @@ impl Reactor {
         rx: MailboxReceiver,
         transport: Arc<dyn Transport>,
     ) -> NodeHandle {
-        let core = self.spawn_task(vec![(id, actor)], site, rx, transport);
+        let core = self.spawn_task(vec![(id, actor)], site, &mailbox, rx, transport);
         NodeHandle { id, mailbox, core }
     }
 
@@ -609,7 +580,7 @@ impl Reactor {
     ) -> PoolHandle {
         assert!(!members.is_empty(), "a pool needs at least one member");
         let ids: Vec<ActorId> = members.iter().map(|(id, _)| *id).collect();
-        let core = self.spawn_task(members, site, rx, transport);
+        let core = self.spawn_task(members, site, &mailbox, rx, transport);
         PoolHandle { ids, mailbox, core }
     }
 
@@ -649,6 +620,7 @@ impl Reactor {
         self: &Arc<Self>,
         members: PoolMembers,
         site: SiteId,
+        tx: &MailboxSender,
         rx: MailboxReceiver,
         transport: Arc<dyn Transport>,
     ) -> Arc<TaskCore> {
@@ -675,8 +647,6 @@ impl Reactor {
             home,
             sched: AtomicU8::new(IDLE),
             done: AtomicBool::new(false),
-            timer_fires: Mutex::new(VecDeque::new()),
-            timer_pending: AtomicBool::new(false),
             body: Mutex::new(None),
             result: Mutex::new(None),
             finished: Condvar::new(),
@@ -699,6 +669,7 @@ impl Reactor {
             members,
             by_id,
             metrics: Metrics::new(),
+            tx: tx.clone(),
             rx,
             inbox: VecDeque::new(),
             transport,
@@ -748,12 +719,12 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     let mut timers: EventQueue<TimerFire> = EventQueue::new();
     let mut pending = PendingFlush::new(&inner.plane);
     loop {
-        // Deliver every due timer as a pending self-message, then wake its
-        // task.
+        // Deliver every due timer into its task's mailbox, whose waker
+        // wakes the task; a closed mailbox is a finalized task, and drops
+        // the fire.
         let now = inner.clock.now();
         while let Some((_, fire)) = timers.pop_due(now) {
-            fire.task.push_timers([(fire.member, fire.msg)]);
-            inner.wake(&fire.task);
+            let _ = fire.mailbox.send_unbounded(Packet::Env(fire.env));
         }
         // The flush horizon is checked between drives, so a batch ages at
         // most one drive past `fabric_slack_us` even on a saturated worker.
@@ -790,10 +761,10 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     }
 }
 
-/// Drive one scheduled task: pending timer fires first, then up to
-/// `max_batch` mailbox packets, one turn-group, one coalesced flush
-/// hand-off. Ends by releasing the scheduling word (re-queueing if traffic
-/// arrived mid-drive or the batch cap left the mailbox non-empty).
+/// Drive one scheduled task: up to `max_batch` mailbox packets, one
+/// turn-group, one coalesced flush hand-off. Ends by releasing the
+/// scheduling word (re-queueing if traffic arrived mid-drive or the batch
+/// cap left the mailbox non-empty).
 fn drive_task(
     inner: &Arc<ReactorInner>,
     w: usize,
@@ -835,145 +806,98 @@ fn drive_task(
                 &mut body.metrics,
             );
             body.effects.extend(start.effects);
-            absorb_effects(task, &mut body, idx, timers, now, &mut halted);
+            absorb_effects(&mut body, idx, timers, now, &mut halted);
         }
     }
-    // A backlogged task (a coordinator fielding a whole site's clients)
-    // gets several batch rounds in one scheduling slot: going to the back
-    // of the run queue after every 64 messages would make its backlog age
-    // by a full round-robin cycle per batch. Rounds are bounded so
-    // one hot task cannot monopolize its worker, and each round hands its
-    // sends to the coalescing buffer (which self-flushes at `max_batch`
-    // and is horizon-checked between rounds).
-    let mut budget = max_batch;
-    let mut rounds = DRIVE_ROUNDS;
-    loop {
-        // Timer fires queued by any worker's queue: delivered as self-sends.
-        while budget > 0 && !halted {
-            let Some((idx, msg)) = task.pop_timer() else {
-                break;
-            };
-            budget -= 1;
-            if idx >= body.members.len() {
-                continue; // timer for a member that was never pooled
-            }
-            let now = inner.clock.now();
-            // check:allow(panic): `idx < members.len()` was checked just above
-            let member = &mut body.members[idx];
-            drive_into(
-                member.actor.as_mut(),
-                inputs(member.id, now),
-                member.id,
-                msg,
-                &mut member.rng,
-                &mut body.metrics,
-                &mut body.effects,
-            );
-            absorb_effects(task, &mut body, idx, timers, now, &mut halted);
-        }
-        // Mailbox packets, up to what is left of the batch budget: moved
-        // out under one lock, so the senders contend with this task once a
-        // drive, not once a packet.
-        let mut drained = 0u64;
-        if !halted {
-            body.rx.drain_into(budget, &mut body.inbox);
-        }
-        while !halted {
-            let Some((enqueued, packet)) = body.inbox.pop_front() else {
-                break;
-            };
-            budget -= 1;
-            drained += 1;
-            body.metrics
-                .histogram("span.queue_us")
-                .record(enqueued.elapsed().as_micros() as u64);
-            match packet {
-                Packet::Env(env) => {
-                    let idx = match &body.by_id {
-                        None => 0,
-                        Some(map) => match map.get(&env.to.0) {
-                            Some(&idx) => idx,
-                            None => {
-                                body.metrics.counter("plane.pool.misrouted").add(1);
-                                continue;
-                            }
-                        },
-                    };
-                    let now = inner.clock.now();
-                    let wal = is_wal_class(&env.msg);
-                    let before = if wal { Some(Instant::now()) } else { None };
-                    // `idx` comes out of `by_id`, built over `members` at spawn,
-                    // or is 0 on a single-member task: check:allow(panic)
-                    let member = &mut body.members[idx];
-                    drive_into(
-                        member.actor.as_mut(),
-                        inputs(member.id, now),
-                        env.from,
-                        env.msg,
-                        &mut member.rng,
-                        &mut body.metrics,
-                        &mut body.effects,
-                    );
-                    if let Some(before) = before {
-                        body.metrics
-                            .histogram("span.wal_us")
-                            .record(before.elapsed().as_micros() as u64);
-                    }
-                    absorb_effects(task, &mut body, idx, timers, now, &mut halted);
-                }
-                Packet::Call(f) => {
-                    if body.members.len() > 1 {
-                        // A call names no member; see `spawn_pool` docs.
-                        body.metrics.counter("plane.pool.dropped_call").add(1);
-                        continue;
-                    }
-                    // check:allow(panic): a task has at least one member
-                    let member = &mut body.members[0];
-                    let followups = f(member.actor.as_mut());
-                    for msg in followups {
-                        let now = inner.clock.now();
-                        // check:allow(panic): a task has at least one member
-                        let member = &mut body.members[0];
-                        drive_into(
-                            member.actor.as_mut(),
-                            inputs(member.id, now),
-                            member.id,
-                            msg,
-                            &mut member.rng,
-                            &mut body.metrics,
-                            &mut body.effects,
-                        );
-                        absorb_effects(task, &mut body, 0, timers, now, &mut halted);
-                    }
-                }
-                Packet::Stop => {
-                    halted = true;
-                }
-            }
-        }
-        if drained > 0 {
-            body.metrics.histogram("plane.batch").record(drained);
-            body.metrics
-                .histogram("plane.mailbox.depth")
-                .record(body.rx.depth() as u64);
-        }
-        pending.absorb(&body.transport, &mut body.outbox);
-        rounds -= 1;
-        if halted || rounds == 0 || budget > 0 || body.rx.depth() == 0 {
+    // The batch moves out of the mailbox under one lock, so the senders
+    // contend with this task once a drive, not once a packet.
+    let drained = if halted {
+        0
+    } else {
+        body.rx.drain_into(max_batch, &mut body.inbox)
+    };
+    while !halted {
+        let Some((enqueued, packet)) = body.inbox.pop_front() else {
             break;
+        };
+        body.metrics
+            .histogram("span.queue_us")
+            .record(enqueued.elapsed().as_micros() as u64);
+        match packet {
+            Packet::Env(env) => {
+                let idx = match &body.by_id {
+                    None => 0,
+                    Some(map) => match map.get(&env.to.0) {
+                        Some(&idx) => idx,
+                        None => {
+                            body.metrics.counter("plane.pool.misrouted").add(1);
+                            continue;
+                        }
+                    },
+                };
+                let now = inner.clock.now();
+                let wal = is_wal_class(&env.msg);
+                let before = if wal { Some(Instant::now()) } else { None };
+                // `idx` comes out of `by_id`, built over `members` at spawn,
+                // or is 0 on a single-member task: check:allow(panic)
+                let member = &mut body.members[idx];
+                drive_into(
+                    member.actor.as_mut(),
+                    inputs(member.id, now),
+                    env.from,
+                    env.msg,
+                    &mut member.rng,
+                    &mut body.metrics,
+                    &mut body.effects,
+                );
+                if let Some(before) = before {
+                    body.metrics
+                        .histogram("span.wal_us")
+                        .record(before.elapsed().as_micros() as u64);
+                }
+                absorb_effects(&mut body, idx, timers, now, &mut halted);
+            }
+            Packet::Call(f) => {
+                if body.members.len() > 1 {
+                    // A call names no member; see `spawn_pool` docs.
+                    body.metrics.counter("plane.pool.dropped_call").add(1);
+                    continue;
+                }
+                // check:allow(panic): a task has at least one member
+                let member = &mut body.members[0];
+                let id = member.id;
+                // The follow-ups are self-sent, ahead of everything the
+                // batch still holds, and arrived with the call.
+                for msg in f(member.actor.as_mut()).into_iter().rev() {
+                    let env = Envelope {
+                        from: id,
+                        to: id,
+                        msg,
+                    };
+                    body.inbox.push_front((enqueued, Packet::Env(env)));
+                }
+            }
+            Packet::Stop => {
+                halted = true;
+            }
         }
-        pending.flush_if_due();
-        budget = max_batch;
     }
+    if drained > 0 {
+        body.metrics.histogram("plane.batch").record(drained as u64);
+        body.metrics
+            .histogram("plane.mailbox.depth")
+            .record(body.rx.depth() as u64);
+    }
+    pending.absorb(&body.transport, &mut body.outbox);
     if halted {
         finalize(task, body);
         return;
     }
-    // More work queued behind the batch cap? Treat it as a wake. (With
-    // budget left the last batch emptied the mailbox — anything arriving
-    // since has flipped the scheduling word to RUNNING_NOTIFIED — so the
-    // depth probe and its lock are only paid when the cap hit.)
-    let more = task.has_pending_timer_fires() || (budget == 0 && body.rx.depth() > 0);
+    // More work queued behind the batch cap? Treat it as a wake. (Under
+    // the cap the batch emptied the mailbox — anything arriving since has
+    // flipped the scheduling word to RUNNING_NOTIFIED — so the depth
+    // probe and its lock are only paid when the cap hit.)
+    let more = drained == max_batch && body.rx.depth() > 0;
     // Body back before the word is released: a stealer may drive the task
     // the instant it reads QUEUED.
     *task.body.lock().expect("lock poisoned") = Some(body);
@@ -1001,10 +925,9 @@ fn finalize(task: &Arc<TaskCore>, mut body: TaskBody) {
 }
 
 /// Apply one member's turn effects: sends to the task outbox, timers to
-/// the driving worker's timer queue (tagged with the arming member), halt to the
-/// drive loop.
+/// the driving worker's timer queue (addressed from and to the arming
+/// member, through the task's own mailbox), halt to the drive loop.
 fn absorb_effects(
-    task: &Arc<TaskCore>,
     body: &mut TaskBody,
     member: usize,
     timers: &mut EventQueue<TimerFire>,
@@ -1024,9 +947,12 @@ fn absorb_effects(
                 timers.push(
                     now + delay,
                     TimerFire {
-                        task: Arc::clone(task),
-                        member,
-                        msg,
+                        mailbox: body.tx.clone(),
+                        env: Envelope {
+                            from: id,
+                            to: id,
+                            msg,
+                        },
                     },
                 );
             }
@@ -1045,8 +971,8 @@ mod tests {
     use planet_sim::{Actor, ActorId, Context, SimDuration, SiteId};
 
     use super::Reactor;
-    use crate::node::Clock;
-    use crate::plane::{mailbox, PlaneConfig};
+    use crate::node::{Clock, NodeHandle, Packet, PoolMembers};
+    use crate::plane::{mailbox, PlaneConfig, TrySendError};
     use crate::transport::{Envelope, Transport};
 
     /// A transport that records when each envelope reached it.
@@ -1306,6 +1232,140 @@ mod tests {
         handle.stop_and_join();
         reactor.shutdown();
     }
+
+    /// What a [`Recorder`] saw: `(self, from, kind, tag)`.
+    type Seen = (u32, u32, u32, u64);
+
+    /// Reports every message it receives. Optionally arms one timer at
+    /// start (`ClientTimer { kind: 7, tag }`); a `kind: 1` message holds
+    /// its worker for 500 ms, so its mailbox fills meanwhile.
+    struct Recorder {
+        arm: Option<(SimDuration, u64)>,
+        seen: mpsc::Sender<Seen>,
+    }
+
+    impl Actor<Msg> for Recorder {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            if let Some((delay, tag)) = self.arm {
+                ctx.schedule(delay, Msg::ClientTimer { kind: 7, tag });
+            }
+        }
+
+        fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            let Msg::ClientTimer { kind, tag } = msg else {
+                return;
+            };
+            let _ = self.seen.send((ctx.self_id().0, from.0, kind, tag));
+            if kind == 1 {
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        }
+    }
+
+    fn env(kind: u32, tag: u64) -> Packet {
+        Packet::Env(Envelope {
+            from: ActorId(77),
+            to: ActorId(1),
+            msg: Msg::ClientTimer { kind, tag },
+        })
+    }
+
+    fn next(seen: &mpsc::Receiver<Seen>) -> Seen {
+        seen.recv_timeout(Duration::from_secs(10))
+            .expect("the next message must come")
+    }
+
+    /// A one-worker reactor whose one task, a [`Recorder`] (id 1) behind a
+    /// mailbox of `capacity`, is holding the worker.
+    fn held(
+        capacity: usize,
+        arm: Option<(SimDuration, u64)>,
+    ) -> (std::sync::Arc<Reactor>, NodeHandle, mpsc::Receiver<Seen>) {
+        let plane = PlaneConfig {
+            mailbox_capacity: capacity,
+            ..PlaneConfig::default()
+        }
+        .with_workers(1);
+        let reactor = Reactor::new(Clock::new(), plane, 5);
+        let (seen_tx, seen) = mpsc::channel();
+        let (tx, rx) = mailbox(capacity);
+        let recorder = Recorder { arm, seen: seen_tx };
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let handle = reactor.spawn(ActorId(1), SiteId(0), Box::new(recorder), tx, rx, transport);
+        assert!(handle.mailbox.send(env(1, 0)).is_ok());
+        assert_eq!(next(&seen), (1, 77, 1, 0), "the hold begins");
+        (reactor, handle, seen)
+    }
+
+    /// A timer that comes due while its task's mailbox is at capacity is
+    /// still delivered, behind what was queued before it, and the worker
+    /// that holds it does not block: it is the only worker, so a blocked
+    /// push would strand the task forever.
+    #[test]
+    fn a_timer_due_on_a_full_mailbox_is_delivered_without_blocking() {
+        let capacity = 4;
+        // The timer comes due 20 ms into the hold.
+        let (reactor, handle, seen) = held(capacity, Some((SimDuration::from_micros(20_000), 0)));
+        for tag in 0..capacity as u64 {
+            assert!(handle.mailbox.try_send(env(2, tag)).is_ok(), "{tag} fits");
+        }
+        let full = handle.mailbox.try_send(env(2, 99));
+        assert!(matches!(full, Err(TrySendError::Full(_))));
+        let got: Vec<Seen> = (0..=capacity).map(|_| next(&seen)).collect();
+        let mut want: Vec<Seen> = (0..capacity as u64).map(|tag| (1, 77, 2, tag)).collect();
+        want.push((1, 1, 7, 0));
+        assert_eq!(got, want, "the queued packets, then the fire from itself");
+        handle.stop_and_join();
+        reactor.shutdown();
+    }
+
+    /// Two members of one pool arm distinct timers: each fire comes back
+    /// through the shared mailbox to the member that armed it, from itself.
+    #[test]
+    fn each_pool_member_gets_the_timer_it_armed() {
+        let plane = PlaneConfig::default().with_workers(2);
+        let reactor = Reactor::new(Clock::new(), plane, 9);
+        let (seen_tx, seen) = mpsc::channel();
+        let (tx, rx) = mailbox(plane.mailbox_capacity);
+        let members: PoolMembers = [(10, 2_000), (11, 6_000)]
+            .into_iter()
+            .map(|(id, delay_us)| {
+                let arm = Some((SimDuration::from_micros(delay_us), u64::from(id)));
+                let seen = seen_tx.clone();
+                (
+                    ActorId(id),
+                    Box::new(Recorder { arm, seen }) as Box<dyn Actor<Msg>>,
+                )
+            })
+            .collect();
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let pool = reactor.spawn_pool(members, SiteId(0), tx, rx, transport);
+        let mut got = [next(&seen), next(&seen)];
+        got.sort();
+        assert_eq!(got, [(10, 10, 7, 10), (11, 11, 7, 11)]);
+        let (_, metrics) = pool.stop_and_join();
+        assert_eq!(metrics.counter_value("plane.pool.misrouted"), 0);
+        reactor.shutdown();
+    }
+
+    /// A `Call`'s follow-ups run before any packet already queued behind
+    /// it: they are self-sent to the front of the drive's batch.
+    #[test]
+    fn call_follow_ups_run_before_queued_packets() {
+        let (reactor, handle, seen) = held(64, None);
+        // While the only worker is held, a call and then a packet queue up,
+        // so one drive takes both.
+        handle.call(|_| {
+            (1..=2)
+                .map(|tag| Msg::ClientTimer { kind: 3, tag })
+                .collect()
+        });
+        assert!(handle.mailbox.send(env(2, 0)).is_ok());
+        let got = [next(&seen), next(&seen), next(&seen)];
+        assert_eq!(got, [(1, 1, 3, 1), (1, 1, 3, 2), (1, 77, 2, 0)]);
+        handle.stop_and_join();
+        reactor.shutdown();
+    }
 }
 
 /// Exhaustive weak-memory verification of the reactor's lock-free
@@ -1313,9 +1373,8 @@ mod tests {
 /// facade swaps every primitive above for `planet-loom`'s modeled
 /// types). Each model drives the *real* `Parker` / `TaskCore` code —
 /// `park_unless`, `try_wake`, `claim_running`, `release_running`,
-/// `push_timers`, `pop_timer`, `wait_finished` — under every bounded-
-/// preemption interleaving and every C11-visible load value. Broken
-/// "twin" variants re-create the protocol with the load-bearing piece
+/// `wait_finished` — under every bounded-preemption interleaving and
+/// every C11-visible load value. Broken "twin" variants re-create the protocol with the load-bearing piece
 /// removed (a sub-SeqCst Dekker word, a lock-free mailbox with no
 /// happens-before bridge) and assert the harness *finds* the lost
 /// wakeup, so the clean runs are evidence rather than vacuity.
@@ -1327,7 +1386,6 @@ pub(crate) mod loom_tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use planet_mdcc::Msg;
     use planet_sim::Metrics;
 
     use super::{Parker, TaskCore, WakeVerdict, IDLE};
@@ -1344,16 +1402,10 @@ pub(crate) mod loom_tests {
             home: 0,
             sched: AtomicU8::new(IDLE),
             done: AtomicBool::new(false),
-            timer_fires: Mutex::new(VecDeque::new()),
-            timer_pending: AtomicBool::new(false),
             body: Mutex::new(None),
             result: Mutex::new(None),
             finished: Condvar::new(),
         })
-    }
-
-    fn timer_msg(tag: u64) -> Msg {
-        Msg::ClientTimer { kind: 7, tag }
     }
 
     /// Run a model expected to FAIL and return the failure message.
@@ -1601,54 +1653,6 @@ pub(crate) mod loom_tests {
             }
         });
         assert!(msg.contains("deadlock"), "{msg}");
-    }
-
-    /// The timer fast-path handshake: `push_timers` (a worker's batch of
-    /// due fires queued under one lock, then the flag) racing `pop_timer`
-    /// (flag probe, queue under lock, flag clear on empty) while the
-    /// driver re-arms mid-drain — the timer re-arm shape
-    /// `timer_rearm_survives_concurrent_wakes` stresses on real threads.
-    /// Every pushed fire must be drained, a batch in the order it was
-    /// pushed, and the flag may never read false at rest while fires sit
-    /// queued.
-    #[test]
-    fn timer_flag_handshake_never_strands_a_fire() {
-        let report = loom::model(|| {
-            let core = fresh_core();
-            let c2 = Arc::clone(&core);
-            let pusher = loom::thread::spawn(move || {
-                c2.push_timers([(0, timer_msg(1)), (0, timer_msg(2))]);
-            });
-            let mut seen = Vec::new();
-            let mut rearmed = false;
-            // Drain whatever is visible, re-arming once on the first fire
-            // exactly as RearmActor does.
-            let mut drain = || {
-                while let Some((member, msg)) = core.pop_timer() {
-                    assert_eq!(member, 0);
-                    let Msg::ClientTimer { tag, .. } = msg else {
-                        panic!("only client timers are pushed");
-                    };
-                    seen.push(tag);
-                    if !rearmed {
-                        rearmed = true;
-                        core.push_timers([(0, timer_msg(3))]);
-                    }
-                }
-            };
-            // Race the concurrent push; post-join the push is ordered
-            // before us and the fast path must expose everything queued.
-            drain();
-            pusher.join().expect("pusher");
-            drain();
-            assert_eq!(seen, [1, 2, 3], "the batch in order, then the re-arm");
-            assert!(
-                !core.has_pending_timer_fires(),
-                "flag must be clean once the queue is drained"
-            );
-        });
-        record("timer_flag_handshake", &report);
-        assert!(report.iterations >= 2, "explorer must branch");
     }
 
     /// The finish rendezvous: `finalize`'s publish (done flag, result

@@ -134,12 +134,12 @@ fn main() -> ExitCode {
     };
 
     // Wall-clock measurement of the exploration itself; nothing downstream
-    // depends on it. check:allow(determinism)
-    let t0 = std::time::Instant::now(); // check:allow(determinism)
+    // depends on it.
+    let t0 = std::time::Instant::now();
 
     if opts.routing {
         let rep = routing_check(&opts.cfg);
-        let wall_ms = t0.elapsed().as_millis(); // check:allow(determinism)
+        let wall_ms = t0.elapsed().as_millis();
         if opts.json {
             println!(
                 "{{\"routing_consistent\":{},\"wall_ms\":{},\"s1\":{},\"s2\":{}}}",
@@ -168,7 +168,7 @@ fn main() -> ExitCode {
     }
 
     let rep = explore(&opts.cfg);
-    let wall_ms = t0.elapsed().as_millis(); // check:allow(determinism)
+    let wall_ms = t0.elapsed().as_millis();
     if opts.json {
         println!(
             "{{\"wall_ms\":{},\"depth\":{},\"sites\":{},\"clients\":{},\"shards\":{},\

@@ -924,6 +924,7 @@ impl CoordinatorActor {
         };
         let (tag, reply_to, sent_at) = (exec.tag, exec.reply_to, exec.proposals_sent_at);
         let progress = |stage| Msg::Progress { tag, txn, stage };
+        let fell_back = fallback.is_some();
         if let Some((option, route)) = fallback {
             let me = ctx.self_id();
             ctx.send(
@@ -937,10 +938,15 @@ impl CoordinatorActor {
                 },
             );
             ctx.metrics().counter("txn.fast_fallbacks").inc();
+        }
+        // The vote's progress goes before `KeyFallback`: the client resets
+        // the key's tally on the fallback, so a round-0 vote told after it
+        // would count in round 1.
+        ctx.send(reply_to, progress(vote(sent_at)));
+        if fell_back {
             let key = key.clone();
             ctx.send(reply_to, progress(ProgressStage::KeyFallback { key }));
         }
-        ctx.send(reply_to, progress(vote(sent_at)));
         if let Some(accepted) = resolved_now {
             ctx.send(
                 reply_to,

@@ -6,7 +6,9 @@
 //! timers, in order. Each scenario then checks that the script reached the
 //! path it was written for.
 
-use planet_mdcc::{ClusterConfig, CoordinatorActor, KeyRead, Msg, Outcome, Protocol, TxnSpec};
+use planet_mdcc::{
+    ClusterConfig, CoordinatorActor, KeyRead, Msg, Outcome, ProgressStage, Protocol, TxnSpec,
+};
 use planet_plan::{DeltaRef, KeyRef, KeyTemplate, OpTemplate, PlanParam, TxnProgram};
 use planet_sim::{drive_into, ActorId, DetRng, Effect, Metrics, SimTime, SiteId, TurnInputs};
 use planet_storage::{Key, RejectReason, TxnId, Value, WriteOp};
@@ -295,6 +297,23 @@ fn a_collision_takes_the_round_one_fallback() {
         .filter(|m| matches!(m, Msg::Propose { round: 1, .. }))
         .collect();
     assert_eq!(retried.len(), 1, "{retried:?}");
+    // The client hears of the reject before the fallback resets the key's
+    // tally, so the round-0 reject is not counted into round 1.
+    let told: Vec<&str> = run.steps[3]
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send {
+                msg: Msg::Progress { stage, .. },
+                ..
+            } => Some(match stage {
+                ProgressStage::Vote { accept: false, .. } => "reject",
+                ProgressStage::KeyFallback { .. } => "fallback",
+                _ => "other",
+            }),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(told, ["reject", "fallback"]);
     assert!(run.steps[4].is_empty(), "the stale vote is dropped");
     assert_eq!(run.outcomes(), [Outcome::Committed]);
     for driven in [&run.by_spec, &run.by_plan] {

@@ -46,7 +46,7 @@ pub use actor::{
     drive, drive_into, drive_start, Actor, ActorId, Context, Effect, Turn, TurnInputs,
 };
 pub use engine::Simulation;
-pub use metrics::{Counter, Histogram, Metrics, TimeSeries};
+pub use metrics::{Counter, Histogram, Metrics};
 pub use net::{JitterModel, NetworkModel, Partition, SiteId, SiteMask, Spike};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -1,5 +1,5 @@
-//! Measurement primitives: log-bucketed latency histograms, counters and
-//! time series, plus a registry keyed by name.
+//! Measurement primitives: log-bucketed latency histograms and counters,
+//! plus a registry keyed by name.
 //!
 //! The histogram is HDR-style: values are bucketed by (power of two ×
 //! linear sub-bucket), giving a bounded-size structure with a fixed relative
@@ -7,8 +7,6 @@
 //! latencies ranging from microseconds to minutes.
 
 use std::collections::BTreeMap;
-
-use crate::time::SimTime;
 
 /// Number of linear sub-buckets per power-of-two bucket.
 const SUB_BUCKETS: usize = 32;
@@ -143,16 +141,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Fraction of recorded values ≤ `value` (an empirical CDF point).
-    pub fn cdf_at(&self, value: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let idx = Self::bucket_index(value);
-        let below: u64 = self.counts[..=idx].iter().sum();
-        below as f64 / self.total as f64
-    }
-
     /// A compact one-line summary: count, mean and key percentiles (values
     /// interpreted as microseconds).
     pub fn summary(&self) -> String {
@@ -192,39 +180,6 @@ impl Counter {
     }
 }
 
-/// An append-only series of `(time, value)` samples.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Append a sample. Samples are expected in non-decreasing time order.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(t, _)| t <= at),
-            "time series samples must be appended in order"
-        );
-        self.points.push((at, value));
-    }
-
-    /// The recorded samples.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Mean of values whose timestamps fall in `[from, to)`.
-    pub fn window_mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-    }
-}
-
 /// A registry of named metrics. Names use `.`-separated paths by convention,
 /// e.g. `"commit.latency.us_east"`. `BTreeMap` keeps iteration order (and
 /// therefore printed reports) deterministic.
@@ -232,7 +187,6 @@ impl TimeSeries {
 pub struct Metrics {
     histograms: BTreeMap<String, Histogram>,
     counters: BTreeMap<String, Counter>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 impl Metrics {
@@ -251,11 +205,6 @@ impl Metrics {
         get_or_create(&mut self.counters, name)
     }
 
-    /// Get or create the time series with the given name.
-    pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        get_or_create(&mut self.series, name)
-    }
-
     /// Look up an existing histogram.
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -264,11 +213,6 @@ impl Metrics {
     /// Look up an existing counter's value (0 if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters.get(name).map_or(0, |c| c.get())
-    }
-
-    /// Look up an existing time series.
-    pub fn get_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
 
     /// Iterate histograms in name order.
@@ -355,23 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_at_monotone() {
-        let mut h = Histogram::new();
-        for v in [10u64, 100, 1_000, 10_000] {
-            h.record(v);
-        }
-        assert_eq!(h.cdf_at(5), 0.0);
-        assert!(h.cdf_at(150) >= 0.5);
-        assert_eq!(h.cdf_at(20_000), 1.0);
-        let mut prev = 0.0;
-        for v in [1u64, 10, 100, 1_000, 10_000, 100_000] {
-            let c = h.cdf_at(v);
-            assert!(c >= prev);
-            prev = c;
-        }
-    }
-
-    #[test]
     fn quantile_extremes_clamp_to_min_max() {
         let mut h = Histogram::new();
         h.record(123_456);
@@ -393,25 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_series() {
+    fn counters_add_up() {
         let mut m = Metrics::new();
         m.counter("commits").inc();
         m.counter("commits").add(4);
         assert_eq!(m.counter_value("commits"), 5);
         assert_eq!(m.counter_value("absent"), 0);
-
-        m.series("tps").push(SimTime::from_secs(1), 100.0);
-        m.series("tps").push(SimTime::from_secs(2), 200.0);
-        let mean = m
-            .get_series("tps")
-            .unwrap()
-            .window_mean(SimTime::ZERO, SimTime::from_secs(3))
-            .unwrap();
-        assert_eq!(mean, 150.0);
-        assert!(m
-            .get_series("tps")
-            .unwrap()
-            .window_mean(SimTime::from_secs(5), SimTime::from_secs(6))
-            .is_none());
     }
 }
