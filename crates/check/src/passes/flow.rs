@@ -90,8 +90,6 @@ const ROUTES: &[(&str, Role)] = &[
     ("Apply", Role::Replica),
     ("DropPending", Role::Replica),
     ("ReplicateAck", Role::Replica),
-    ("Crash", Role::Replica),
-    ("Recover", Role::Replica),
     ("ReplicaServiceDone", Role::Replica),
     ("Progress", Role::Client),
     ("TxnDone", Role::Client),

@@ -323,19 +323,20 @@ pub enum Msg {
 
 #[test]
 fn flow_sent_but_never_matched_by_role_fires_at_send() {
-    // Crash routes to the replica; the coordinator injects it but the
-    // replica file never matches it — the message is silently dropped.
+    // ReplicaServiceDone routes to the replica; the coordinator sends it
+    // but the replica file never matches it — the message is silently
+    // dropped.
     let w = ws(&[
         (
             "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Crash,\n}\n",
+            "\npub enum Msg {\n    ReplicaServiceDone,\n}\n",
         ),
         (
             "crates/mdcc/src/coordinator.rs",
             r#"
 impl CoordinatorActor {
     fn inject(&mut self, ctx: &mut Ctx) {
-        ctx.send(self.victim, Msg::Crash);
+        ctx.send(self.replica, Msg::ReplicaServiceDone);
     }
 }
 "#,
@@ -356,7 +357,11 @@ impl ReplicaActor {
         .iter()
         .find(|d| d.code == "FLOW001")
         .expect("FLOW001 must fire at the unanswered send");
-    assert!(hit.message.contains("Msg::Crash"), "{}", hit.message);
+    assert!(
+        hit.message.contains("Msg::ReplicaServiceDone"),
+        "{}",
+        hit.message
+    );
     assert!(hit.message.contains("replica"), "{}", hit.message);
     assert_eq!(hit.file, "crates/mdcc/src/coordinator.rs");
     assert_eq!(hit.line, 4);
@@ -367,14 +372,14 @@ fn flow_sent_and_matched_by_role_is_quiet() {
     let w = ws(&[
         (
             "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Crash,\n}\n",
+            "\npub enum Msg {\n    ReplicaServiceDone,\n}\n",
         ),
         (
             "crates/mdcc/src/coordinator.rs",
             r#"
 impl CoordinatorActor {
     fn inject(&mut self, ctx: &mut Ctx) {
-        ctx.send(self.victim, Msg::Crash);
+        ctx.send(self.replica, Msg::ReplicaServiceDone);
     }
 }
 "#,
@@ -385,7 +390,7 @@ impl CoordinatorActor {
 impl ReplicaActor {
     fn on_message(&mut self, msg: Msg) {
         match msg {
-            Msg::Crash => self.crash(),
+            Msg::ReplicaServiceDone => self.service_done(),
             _ => {}
         }
     }
@@ -669,7 +674,7 @@ fn flow_dead_variant_fires_at_declaration_and_allow_suppresses() {
     let w = ws(&[
         (
             "crates/mdcc/src/messages.rs",
-            "\npub enum Msg {\n    Recover,\n}\n",
+            "\npub enum Msg {\n    ReplicaServiceDone,\n}\n",
         ),
         (
             "crates/mdcc/src/replica_actor.rs",
@@ -677,7 +682,7 @@ fn flow_dead_variant_fires_at_declaration_and_allow_suppresses() {
 impl ReplicaActor {
     fn on_message(&mut self, msg: Msg) {
         match msg {
-            Msg::Recover => self.recover(),
+            Msg::ReplicaServiceDone => self.service_done(),
             _ => {}
         }
     }
@@ -696,7 +701,7 @@ impl ReplicaActor {
 
     let w = ws(&[(
         "crates/mdcc/src/messages.rs",
-        "\npub enum Msg {\n    // check:allow(flow): fault-injection only\n    Recover,\n}\n",
+        "\npub enum Msg {\n    // check:allow(flow): replica-internal only\n    ReplicaServiceDone,\n}\n",
     )]);
     let diags = run(&w, "flow");
     assert!(

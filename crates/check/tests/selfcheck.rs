@@ -199,35 +199,44 @@ fn every_pass_is_clean_on_the_real_workspace() {
 }
 
 /// FLOW003 reads the real protocol: in a copy of the real sources with the
-/// only send of `Msg::Recover` (`Planet::recover_site_at`) taken out, the
-/// variant is dead wire surface and FLOW003 fires at its declaration. The
-/// unmodified copy stays clean.
+/// only send of `Msg::DropPending` (a master's rejected `Decide` fanning out
+/// to its peers) taken out, the variant is dead wire surface and FLOW003
+/// fires at its declaration. The unmodified copy stays clean.
 #[test]
-fn seeded_dead_recover_variant_trips_flow003() {
+fn seeded_dead_drop_pending_variant_trips_flow003() {
     let real = real_workspace();
-    let db = "crates/core/src/db.rs";
-    let send = "        self.inject_site_at(site, at, Msg::Recover);\n";
+    let replica = "crates/mdcc/src/replica_actor.rs";
+    let send = "            for peer in self.other_peers(ctx.self_id()) {
+                ctx.send(
+                    peer,
+                    Msg::DropPending {
+                        key: key.clone(),
+                        txn,
+                    },
+                );
+            }
+";
     let flow003 = |ws: &Workspace| -> Vec<_> {
         run_passes(ws, &["flow".to_string()])
             .into_iter()
             .filter(|d| d.code == "FLOW003")
             .collect()
     };
-    let clean = seeded_copy(&real, db, send, send);
+    let clean = seeded_copy(&real, replica, send, send);
     assert_eq!(flow003(&clean).len(), 0, "the copy is clean");
 
-    let seeded = seeded_copy(&real, db, send, "");
+    let seeded = seeded_copy(&real, replica, send, "");
     let decl = real
         .file("crates/mdcc/src/messages.rs")
         .and_then(|f| f.enum_named("Msg"))
-        .and_then(|msg| msg.variants.iter().find(|v| v.name == "Recover"))
-        .expect("Msg::Recover is declared")
+        .and_then(|msg| msg.variants.iter().find(|v| v.name == "DropPending"))
+        .expect("Msg::DropPending is declared")
         .line;
     let hits = flow003(&seeded);
     assert!(
         hits.iter().any(|d| d.file == "crates/mdcc/src/messages.rs"
             && d.line == decl
-            && d.message.contains("`Msg::Recover` is never sent")),
+            && d.message.contains("`Msg::DropPending` is never sent")),
         "a variant nobody sends must fire FLOW003 at its declaration: {hits:#?}"
     );
 }

@@ -100,7 +100,7 @@ struct TaskBody {
     tx: MailboxSender,
     rx: MailboxReceiver,
     /// The batch a drive moved out of the mailbox under one lock and is
-    /// working through; empty between drives unless the task halted.
+    /// working through; empty between drives.
     inbox: VecDeque<(Instant, Packet)>,
     transport: Arc<dyn Transport>,
     outbox: Vec<Envelope>,
@@ -789,7 +789,6 @@ fn drive_task(
         self_id: id,
         self_site: site,
     };
-    let mut halted = false;
     if stolen {
         body.metrics.counter("plane.steal").add(1);
     }
@@ -805,21 +804,15 @@ fn drive_task(
                 &mut member.rng,
                 &mut body.metrics,
             );
-            body.effects.extend(start.effects);
-            absorb_effects(&mut body, idx, timers, now, &mut halted);
+            body.effects.extend(start);
+            absorb_effects(&mut body, idx, timers, now);
         }
     }
     // The batch moves out of the mailbox under one lock, so the senders
     // contend with this task once a drive, not once a packet.
-    let drained = if halted {
-        0
-    } else {
-        body.rx.drain_into(max_batch, &mut body.inbox)
-    };
-    while !halted {
-        let Some((enqueued, packet)) = body.inbox.pop_front() else {
-            break;
-        };
+    let drained = body.rx.drain_into(max_batch, &mut body.inbox);
+    let mut stopped = false;
+    while let Some((enqueued, packet)) = body.inbox.pop_front() {
         body.metrics
             .histogram("span.queue_us")
             .record(enqueued.elapsed().as_micros() as u64);
@@ -855,7 +848,7 @@ fn drive_task(
                         .histogram("span.wal_us")
                         .record(before.elapsed().as_micros() as u64);
                 }
-                absorb_effects(&mut body, idx, timers, now, &mut halted);
+                absorb_effects(&mut body, idx, timers, now);
             }
             Packet::Call(f) => {
                 if body.members.len() > 1 {
@@ -878,7 +871,8 @@ fn drive_task(
                 }
             }
             Packet::Stop => {
-                halted = true;
+                stopped = true;
+                break;
             }
         }
     }
@@ -889,7 +883,7 @@ fn drive_task(
             .record(body.rx.depth() as u64);
     }
     pending.absorb(&body.transport, &mut body.outbox);
-    if halted {
+    if stopped {
         finalize(task, body);
         return;
     }
@@ -908,7 +902,7 @@ fn drive_task(
     }
 }
 
-/// Harvest a stopped/halted task: record the mailbox high-water, publish
+/// Harvest a stopped task: record the mailbox high-water, publish
 /// the member actors and metrics, mark the task done (late wakes no-op),
 /// and drop the mailbox receiver so blocked senders unblock.
 fn finalize(task: &Arc<TaskCore>, mut body: TaskBody) {
@@ -926,13 +920,12 @@ fn finalize(task: &Arc<TaskCore>, mut body: TaskBody) {
 
 /// Apply one member's turn effects: sends to the task outbox, timers to
 /// the driving worker's timer queue (addressed from and to the arming
-/// member, through the task's own mailbox), halt to the drive loop.
+/// member, through the task's own mailbox).
 fn absorb_effects(
     body: &mut TaskBody,
     member: usize,
     timers: &mut EventQueue<TimerFire>,
     now: SimTime,
-    halted: &mut bool,
 ) {
     // check:allow(panic): every caller passes the index it just drove
     let id = body.members[member].id;
@@ -956,7 +949,6 @@ fn absorb_effects(
                     },
                 );
             }
-            Effect::Halt => *halted = true,
         }
     }
 }
@@ -1419,15 +1411,19 @@ pub(crate) mod loom_tests {
             .unwrap_or_default()
     }
 
-    /// Record the exploration report where CI archives it
-    /// (`target/loom/*.json`). Best-effort: the assertions, not the
+    /// Record the exploration report where CI archives it: `loom/*.json`
+    /// under `$CARGO_TARGET_DIR` when it is set (a relative one resolves
+    /// against the workspace root, where cargo runs), else under the
+    /// checkout's `target/`. Best-effort: the assertions, not the
     /// artifact, are the test.
     pub(crate) fn record(name: &str, report: &loom::Report) {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/loom");
-        if std::fs::create_dir_all(dir).is_err() {
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let target = std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into());
+        let dir = root.join(target).join("loom");
+        if std::fs::create_dir_all(&dir).is_err() {
             return;
         }
-        let Ok(mut f) = std::fs::File::create(format!("{dir}/{name}.json")) else {
+        let Ok(mut f) = std::fs::File::create(dir.join(format!("{name}.json"))) else {
             return;
         };
         let _ = writeln!(

@@ -6,7 +6,9 @@
 //! Every wire type is one line of the `wire_types!` table, which `schema!`
 //! turns into an encoder (an exhaustive `match`) and a decoder (struct
 //! literals): a variant or field the table leaves out does not compile.
-//! Only [`TxnProgram`] is hand-written. The tags are the only versioning.
+//! Only [`TxnProgram`] is hand-written. The tags are the only versioning:
+//! a retired variant's tag is never reused (`Msg` tags 13 and 14, once the
+//! harness's crash and recover faults, decode to an error).
 
 use std::io::{self, Read, Write};
 use std::sync::Mutex;
@@ -329,7 +331,7 @@ macro_rules! wire_types {
             7 Vote { txn, key, site, accept, reason, round }, 8 ReplicateAck { txn, key, site },
             9 Apply { key, version, value, txn }, 10 DropPending { key, txn },
             11 Progress { tag, txn, stage }, 12 TxnDone { tag, txn, outcome, stats },
-            13 Crash, 14 Recover, 15 ReplicaServiceDone, 16 TxnTimeout { txn },
+            15 ReplicaServiceDone, 16 TxnTimeout { txn },
             17 ClientTimer { kind, tag }, 18 RegisterPlan { plan, program, reply_to },
             19 SubmitPlan { plan, params, reply_to, tag }, 20 PlanReady { plan },
         }
@@ -990,8 +992,6 @@ mod tests {
                 outcome: Outcome::Committed,
                 stats,
             },
-            Msg::Crash,
-            Msg::Recover,
             Msg::ReplicaServiceDone,
             Msg::TxnTimeout {
                 txn: TxnId::new(1, 5),
@@ -1048,8 +1048,9 @@ mod tests {
     }
 
     /// `all_variants()`, encoded: the frames of the hand-written codec the
-    /// schema table replaced. The format has not changed since.
-    const GOLDEN: [&str; 35] = [
+    /// schema table replaced. The format has not changed since; only the
+    /// frames of the two retired variants left.
+    const GOLDEN: [&str; 33] = [
         "030000000900000000020000000200000072310200000072320300000002000000773100012a0000000000000002000000773201020000007733000204000000626c6f62010c0000006300000000000000",
         "03000000090000000001000000010000007203000000020000007731000105000000000000000200000077320102000000773302070000000000000000000011000000efbeadde00000000",
         "0300000009000000010105000000000000000200000001000000780100000079",
@@ -1076,8 +1077,6 @@ mod tests {
         "03000000090000000c0700000000000000010500000000000000017b00000000000000c8010000000000002c01000000000000020000000000000009000000000000000100000000000000",
         "03000000090000000c0500000000000000016300000000000000027b00000000000000c8010000000000002c01000000000000020000000000000009000000000000000100000000000000",
         "03000000090000000c0500000000000000016300000000000000007b00000000000000c8010000000000002c01000000000000020000000000000009000000000000000100000000000000",
-        "03000000090000000d",
-        "03000000090000000e",
         "03000000090000000f",
         "030000000900000010010500000000000000",
         "030000000900000011650000003700000000000000",
@@ -1122,6 +1121,22 @@ mod tests {
             seen.insert(encode(&env)[8]);
         }
         assert_eq!(seen, Msg::TAGS.iter().copied().collect::<BTreeSet<u8>>());
+    }
+
+    /// A well-formed frame whose `Msg` tag is a retired one (13, 14) is an
+    /// error, from `decode` and from the `FrameReader` alike.
+    #[test]
+    fn retired_msg_tags_are_refused() {
+        for tag in [13, 14] {
+            let mut payload = encode(&envelope(Msg::ReplicaServiceDone));
+            *payload.last_mut().expect("the tag byte") = tag;
+            assert!(decode(&payload).is_err(), "tag {tag} decodes");
+            let mut stream = (payload.len() as u32).to_le_bytes().to_vec();
+            stream.extend_from_slice(&payload);
+            let got = FrameReader::new().next_frame(&mut io::Cursor::new(stream));
+            let err = got.expect_err("a retired tag is not an envelope");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+        }
     }
 
     /// The key a frame carries, decoded.
@@ -1360,7 +1375,7 @@ mod tests {
         let mut stream = Vec::new();
         encode_frame_into(&envelope(Msg::ClientTimer { kind: 1, tag: 2 }), &mut stream);
         let whole = stream.len();
-        encode_frame_into(&envelope(Msg::Recover), &mut stream);
+        encode_frame_into(&envelope(Msg::ReplicaServiceDone), &mut stream);
         let read_all = |bytes: &[u8]| {
             let mut reader = FrameReader::new();
             let mut cursor = io::Cursor::new(bytes);
@@ -1395,7 +1410,7 @@ mod tests {
     #[test]
     fn oversized_frame_header_is_rejected_before_anything_is_sized_by_it() {
         let mut stream = Vec::new();
-        encode_frame_into(&envelope(Msg::Recover), &mut stream);
+        encode_frame_into(&envelope(Msg::ReplicaServiceDone), &mut stream);
         stream.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         stream.extend_from_slice(&[0u8; 64]);
         let mut cursor = io::Cursor::new(stream);
@@ -1559,7 +1574,7 @@ mod tests {
 
     #[test]
     fn truncated_and_malformed_payloads_are_rejected() {
-        let env = envelope(Msg::Recover);
+        let env = envelope(Msg::ReplicaServiceDone);
         let encoded = encode(&env);
         assert!(
             decode(&encoded[..encoded.len() - 1]).is_err(),

@@ -44,7 +44,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::time::Instant;
 
 use planet_cluster::{Harvest, LiveCluster, PlaneConfig};
-use planet_mdcc::{build_cluster, ClusterConfig, CoordinatorActor, Msg, Protocol};
+use planet_mdcc::{build_cluster, ClusterConfig, CoordinatorActor, Msg, Protocol, ReplicaActor};
 use planet_plan::{PlanError, PlanId, PlanParam, TxnProgram};
 use planet_sim::{Actor, ActorId, Metrics, NetworkModel, SimDuration, SimTime, Simulation, SiteId};
 use planet_storage::{Key, Value};
@@ -609,7 +609,7 @@ impl Planet<Sim> {
     pub fn read_local(&self, site: usize, key: &Key) -> Value {
         let replica = self.config.replica_id(site, self.config.shard_of(key));
         self.fabric
-            .actor_as::<planet_mdcc::ReplicaActor>(replica)
+            .actor_as::<ReplicaActor>(replica)
             .expect("replica actor")
             .storage()
             .read(key)
@@ -621,19 +621,20 @@ impl Planet<Sim> {
         self.fabric.metrics()
     }
 
-    /// Fault injection: crash a site's replica at absolute time `at` —
-    /// every shard of the site goes down together, as a host failure
-    /// would take them. They stop serving until
-    /// [`Planet::recover_site_at`]; their WALs survive.
-    pub fn crash_site_at(&mut self, site: usize, at: SimTime) {
-        self.inject_site_at(site, at, Msg::Crash);
+    /// Fault injection: crash a site's replica now — every shard of the
+    /// site goes down together, as a host failure would take them. They
+    /// stop serving until [`Planet::recover_site`]; their WALs survive. To
+    /// crash at a later instant, run the simulation there first.
+    pub fn crash_site(&mut self, site: usize) {
+        self.each_shard(site, ReplicaActor::crash);
     }
 
-    /// Fault injection: recover a crashed replica at absolute time `at`
-    /// (restart + WAL replay on every shard; they catch up on later writes
-    /// via state transfer).
-    pub fn recover_site_at(&mut self, site: usize, at: SimTime) {
-        self.inject_site_at(site, at, Msg::Recover);
+    /// Fault injection: recover a crashed site's replica now (restart +
+    /// WAL replay on every shard; they catch up on later writes via state
+    /// transfer).
+    pub fn recover_site(&mut self, site: usize) {
+        let now = self.now();
+        self.each_shard(site, |replica| replica.recover(now));
     }
 
     /// Mutable access to the network model (inject spikes/partitions).
@@ -646,11 +647,11 @@ impl Planet<Sim> {
         &mut self.fabric
     }
 
-    /// Deliver `msg` to every replica shard of `site` at `at`.
-    fn inject_site_at(&mut self, site: usize, at: SimTime, msg: Msg) {
+    /// Apply `fault` to every replica shard of `site`.
+    fn each_shard(&mut self, site: usize, fault: impl Fn(&mut ReplicaActor)) {
         for shard in 0..self.config.num_shards.max(1) {
             let replica = self.config.replica_id(site, shard);
-            self.fabric.inject_at(at, replica, msg.clone());
+            fault(self.fabric.actor_as_mut(replica).expect("replica actor"));
         }
     }
 }

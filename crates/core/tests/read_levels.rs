@@ -36,11 +36,11 @@ fn quorum_reads_see_past_a_stale_replica() {
 
     // Crash ap-southeast, commit version 2 without it, recover it. Its WAL
     // replay restores version 1 only — it is now stale until the next write.
-    db.crash_site_at(4, db.now());
+    db.crash_site(4);
     let w2 = db.submit(0, PlanetTxn::builder().set("fresh", 2i64).build());
     db.run_for(SimDuration::from_secs(3));
     assert!(db.record(w2).unwrap().outcome.is_commit());
-    db.recover_site_at(4, db.now());
+    db.recover_site(4);
     db.run_for(SimDuration::from_secs(1));
 
     // Local read at the recovered site: stale.

@@ -636,14 +636,14 @@ impl World {
                 self_site: w.actors[idx].site,
             };
             let mut rng = DetRng::new(0);
-            let turn = drive_start(
+            let effects = drive_start(
                 w.actors[idx].kind.as_actor(),
                 inputs,
                 &mut rng,
                 &mut w.metrics,
             );
             w.steps += 1;
-            w.absorb(idx as u32, turn.effects);
+            w.absorb(idx as u32, effects);
         }
         w.check_invariants();
         w
@@ -664,7 +664,6 @@ impl World {
                     self.timer_seq += 1;
                     self.timers.insert((due, seq), (src, msg));
                 }
-                Effect::Halt => {}
             }
         }
     }
@@ -676,7 +675,7 @@ impl World {
             self_site: self.actors[idx].site,
         };
         let mut rng = DetRng::new(0);
-        let turn = drive(
+        let effects = drive(
             self.actors[idx].kind.as_actor(),
             inputs,
             from,
@@ -685,7 +684,7 @@ impl World {
             &mut self.metrics,
         );
         self.steps += 1;
-        self.absorb(idx as u32, turn.effects);
+        self.absorb(idx as u32, effects);
     }
 
     fn num_clients_base(&self) -> usize {

@@ -214,7 +214,7 @@ pub fn digest_msg<H: Hasher>(m: &Msg, map: &DigestMap, h: &mut H) {
             dbg_hash(outcome, h);
             dbg_hash(stats, h);
         }
-        Msg::Crash | Msg::Recover | Msg::ReplicaServiceDone => {}
+        Msg::ReplicaServiceDone => {}
         Msg::TxnTimeout { txn } => txn.hash(h),
         Msg::ClientTimer { kind, tag } => {
             kind.hash(h);

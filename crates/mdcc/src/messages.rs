@@ -415,16 +415,6 @@ pub enum Msg {
         plan: planet_plan::PlanId,
     },
 
-    // ---- fault injection (harness → replica) ----
-    /// Crash a replica: it stops processing and answering everything until
-    /// `Recover` arrives. In-memory protocol state is lost; the WAL survives.
-    Crash,
-    /// Recover a crashed replica: its storage is rebuilt by replaying the
-    /// WAL (the recovery path the storage layer guarantees), after which it
-    /// resumes serving. State committed cluster-wide while it was down
-    /// reaches it lazily via later `Apply` state transfers.
-    Recover,
-
     // ---- timers ----
     /// Replica-internal: the validation server finished one unit of work
     /// (only used when `validation_service > 0`).
@@ -434,8 +424,9 @@ pub enum Msg {
         /// The transaction that may have expired.
         txn: TxnId,
     },
-    /// Client-side timer. The protocol actors never touch this; the PLANET
-    /// layer uses it for deadlines and periodic work. `kind` is caller-defined.
+    /// A timer for periodic work and deadlines: the PLANET layer's client
+    /// arms it, and so does the replica for its lease sweep. `kind` is
+    /// chosen by the actor that arms it.
     ClientTimer {
         /// Caller-defined discriminator.
         kind: u32,

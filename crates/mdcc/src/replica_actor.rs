@@ -64,6 +64,9 @@ pub struct ReplicaActor {
     service_queue: VecDeque<(ActorId, Msg)>,
     /// True while the validation server is occupied.
     server_busy: bool,
+    /// When the lease-sweep fire this replica armed is due; a sweep fire
+    /// before it is not that one, and is ignored.
+    next_sweep_at: SimTime,
     /// Fault injection: while true the replica ignores all traffic.
     crashed: bool,
 }
@@ -88,6 +91,7 @@ impl ReplicaActor {
             lease,
             service_queue: VecDeque::new(),
             server_busy: false,
+            next_sweep_at: SimTime::ZERO,
             crashed: false,
         }
     }
@@ -95,6 +99,34 @@ impl ReplicaActor {
     /// True while the replica is crash-injected.
     pub fn is_crashed(&self) -> bool {
         self.crashed
+    }
+
+    /// Fault injection: crash the replica. It ignores all traffic until
+    /// [`ReplicaActor::recover`]; its volatile protocol state is lost, and
+    /// only the WAL (and therefore the store it reconstructs) survives.
+    pub fn crash(&mut self) {
+        self.crashed = true;
+        self.repl_state.clear();
+        self.accepted_at.clear();
+        self.service_queue.clear();
+        self.server_busy = false;
+    }
+
+    /// Fault injection: restart a crashed replica at `now`, rebuilding its
+    /// storage by replaying the WAL. State committed cluster-wide while it
+    /// was down reaches it lazily via later `Apply` state transfers. A
+    /// replica that is up is left as it is.
+    pub fn recover(&mut self, now: SimTime) {
+        if !self.crashed {
+            return;
+        }
+        self.crashed = false;
+        // Key ids are re-issued in log order, so they need not be the ones
+        // the crashed replica used: every option the log left pending gets
+        // a fresh lease under its new id.
+        self.storage = Replica::recover(self.storage.wal().clone());
+        let pending = self.storage.store().pending_options();
+        self.accepted_at = pending.map(|(id, o)| ((o.txn, id), now)).collect();
     }
 
     /// The keyspace shard this replica owns.
@@ -117,7 +149,9 @@ impl ReplicaActor {
     /// site/actor ids through `map` (see [`crate::digest`]). Hash-map
     /// contents are visited in sorted order so the digest is independent of
     /// insertion history; interned key ids are resolved to key names because
-    /// intern order varies with message arrival order.
+    /// intern order varies with message arrival order. `next_sweep_at` is
+    /// left out: it is the due instant of the replica's one pending sweep
+    /// timer, which the checker hashes with its timers.
     pub fn mck_digest<H: std::hash::Hasher>(&self, map: &crate::digest::DigestMap, h: &mut H) {
         use std::hash::Hash;
         self.shard.hash(h);
@@ -534,6 +568,34 @@ impl ReplicaActor {
         }
     }
 
+    /// The lease-sweep timer. Only the fire due at `next_sweep_at` counts:
+    /// it sweeps (unless down: the chain survives a crash, as a restarted
+    /// process's background tasks would) and arms the next. An earlier one,
+    /// such as a peer's copy, does nothing, so no frame starts a second chain.
+    fn on_sweep_timer(&mut self, ctx: &mut Context<'_, Msg>) {
+        if ctx.now() < self.next_sweep_at {
+            return;
+        }
+        if !self.crashed {
+            self.sweep_leases(ctx);
+            self.maintain_storage(ctx);
+        }
+        self.arm_sweep(ctx);
+    }
+
+    /// Schedule the next lease sweep half a lease from now.
+    fn arm_sweep(&mut self, ctx: &mut Context<'_, Msg>) {
+        let period = SimDuration::from_micros((self.lease.as_micros() / 2).max(1));
+        self.next_sweep_at = ctx.now() + period;
+        ctx.schedule(
+            period,
+            Msg::ClientTimer {
+                kind: GC_TIMER,
+                tag: 0,
+            },
+        );
+    }
+
     /// Periodic maintenance riding the lease-sweep timer: checkpoint the WAL
     /// once its tail has grown past the configured threshold. That keeps
     /// sustained-load memory bounded and changes no observable state
@@ -614,18 +676,6 @@ impl ReplicaActor {
                 txn,
             } => self.handle_apply(key, version, value, txn, ctx),
             Msg::DropPending { key, txn } => self.handle_drop_pending(key, txn),
-            Msg::ClientTimer { kind: GC_TIMER, .. } => {
-                self.sweep_leases(ctx);
-                self.maintain_storage(ctx);
-                let period = SimDuration::from_micros((self.lease.as_micros() / 2).max(1));
-                ctx.schedule(
-                    period,
-                    Msg::ClientTimer {
-                        kind: GC_TIMER,
-                        tag: 0,
-                    },
-                );
-            }
             // A message for another role: a well-formed frame from a peer
             // can carry one, so it is dropped and counted, never a panic.
             _ => ctx.metrics().counter("replica.unexpected_msgs").inc(),
@@ -635,55 +685,12 @@ impl ReplicaActor {
 
 impl Actor<Msg> for ReplicaActor {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let period = SimDuration::from_micros((self.lease.as_micros() / 2).max(1));
-        ctx.schedule(
-            period,
-            Msg::ClientTimer {
-                kind: GC_TIMER,
-                tag: 0,
-            },
-        );
+        self.arm_sweep(ctx);
     }
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         match msg {
-            Msg::Crash => {
-                self.crashed = true;
-                // A crash loses volatile protocol state; only the WAL (and
-                // therefore the store it reconstructs) survives.
-                self.repl_state.clear();
-                self.accepted_at.clear();
-                self.service_queue.clear();
-                self.server_busy = false;
-                ctx.metrics().counter("replica.crashes").inc();
-            }
-            Msg::Recover => {
-                if self.crashed {
-                    self.crashed = false;
-                    // Restart: rebuild storage from the write-ahead log. Key
-                    // ids are re-issued in log order, so they need not be
-                    // the ones the crashed replica used: every option the
-                    // log left pending gets a fresh lease under its new id.
-                    self.storage = Replica::recover(self.storage.wal().clone());
-                    let now = ctx.now();
-                    let pending = self.storage.store().pending_options();
-                    self.accepted_at = pending.map(|(id, o)| ((o.txn, id), now)).collect();
-                    ctx.metrics().counter("replica.recoveries").inc();
-                }
-            }
-            // The lease-sweep timer chain must survive a crash (it models
-            // the process restarting with its background tasks), but the
-            // sweep itself does nothing while down.
-            Msg::ClientTimer { kind: GC_TIMER, .. } if self.crashed => {
-                let period = SimDuration::from_micros((self.lease.as_micros() / 2).max(1));
-                ctx.schedule(
-                    period,
-                    Msg::ClientTimer {
-                        kind: GC_TIMER,
-                        tag: 0,
-                    },
-                );
-            }
+            Msg::ClientTimer { kind: GC_TIMER, .. } => self.on_sweep_timer(ctx),
             _ if self.crashed => { /* down: drop everything else */ }
             Msg::ReplicaServiceDone => self.service_done(ctx),
             m if self.config.validation_service > SimDuration::ZERO && Self::is_costly(&m) => {
@@ -691,5 +698,42 @@ impl Actor<Msg> for ReplicaActor {
             }
             m => self.dispatch(from, m, ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use planet_sim::{drive, drive_start, DetRng, Effect, Metrics, TurnInputs};
+
+    /// A sweep fire before the one the replica armed is due, such as a
+    /// peer's frame, sweeps nothing and arms nothing; the armed one re-arms.
+    #[test]
+    fn a_peer_sweep_fire_starts_no_second_chain() {
+        let peers: Vec<ActorId> = (0..3).map(ActorId).collect();
+        let config = ClusterConfig::new(3, Protocol::Fast);
+        let mut replica = ReplicaActor::new(config, peers.clone(), 0);
+        let (mut rng, mut metrics) = (DetRng::new(1), Metrics::new());
+        let at = |now| TurnInputs {
+            now,
+            self_id: peers[0],
+            self_site: SiteId(0),
+        };
+        let start = drive_start(&mut replica, at(SimTime::ZERO), &mut rng, &mut metrics);
+        let [Effect::Timer { delay, .. }] = start[..] else {
+            panic!("the replica arms one sweep on start: {start:?}");
+        };
+        let mut fire = |now, from| {
+            let msg = Msg::ClientTimer {
+                kind: GC_TIMER,
+                tag: 0,
+            };
+            drive(&mut replica, at(now), from, msg, &mut rng, &mut metrics)
+        };
+        let due = SimTime::ZERO + delay;
+        let forged = fire(SimTime::from_micros(due.as_micros() / 2), peers[1]);
+        assert!(forged.is_empty(), "{forged:?}");
+        let armed = fire(due, peers[0]);
+        assert!(matches!(armed[..], [Effect::Timer { .. }]), "{armed:?}");
     }
 }

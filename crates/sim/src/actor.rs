@@ -76,29 +76,6 @@ pub enum Effect<M> {
         /// The message delivered back to the emitting actor.
         msg: M,
     },
-    /// Stop the whole simulation after the current event drains.
-    Halt,
-}
-
-/// The observable result of driving one actor event: every effect the
-/// handler emitted, in emission order.
-///
-/// This is the factored "step function" of the actor model. The simulation
-/// engine and a live thread's mailbox loop both funnel events through
-/// [`drive`] / [`drive_start`], so one body of protocol logic serves both
-/// worlds; only the interpretation of the effects differs (scheduler heap
-/// vs. transport + local timer heap).
-#[derive(Debug)]
-pub struct Turn<M> {
-    /// Effects in the order the handler emitted them.
-    pub effects: Vec<Effect<M>>,
-}
-
-impl<M> Turn<M> {
-    /// True if the handler requested a halt.
-    pub fn halted(&self) -> bool {
-        self.effects.iter().any(|e| matches!(e, Effect::Halt))
-    }
 }
 
 /// Identity and clock inputs for one [`drive`] call — everything the
@@ -114,7 +91,13 @@ pub struct TurnInputs {
 }
 
 /// Deliver one message to `actor` outside any engine, returning the effects
-/// it emitted.
+/// it emitted, in emission order.
+///
+/// This is the factored "step function" of the actor model. The simulation
+/// engine and a live thread's mailbox loop both funnel events through
+/// [`drive_into`] / [`drive_start`], so one body of protocol logic serves
+/// both worlds; only the interpretation of the effects differs (scheduler
+/// heap vs. transport + local timer heap).
 pub fn drive<M: 'static>(
     actor: &mut dyn Actor<M>,
     inputs: TurnInputs,
@@ -122,14 +105,14 @@ pub fn drive<M: 'static>(
     msg: M,
     rng: &mut DetRng,
     metrics: &mut crate::metrics::Metrics,
-) -> Turn<M> {
+) -> Vec<Effect<M>> {
     let mut effects = Vec::new();
     drive_into(actor, inputs, from, msg, rng, metrics, &mut effects);
-    Turn { effects }
+    effects
 }
 
 /// Deliver one message to `actor`, appending its effects to `effects`
-/// instead of allocating a fresh [`Turn`].
+/// instead of allocating a fresh buffer.
 ///
 /// This is the turn-group entry point used by batching drivers (the live
 /// cluster's mailbox loop): a whole batch of delivered messages is driven
@@ -163,7 +146,7 @@ pub fn drive_start<M: 'static>(
     inputs: TurnInputs,
     rng: &mut DetRng,
     metrics: &mut crate::metrics::Metrics,
-) -> Turn<M> {
+) -> Vec<Effect<M>> {
     let mut effects = Vec::new();
     let mut ctx = Context {
         now: inputs.now,
@@ -174,7 +157,7 @@ pub fn drive_start<M: 'static>(
         metrics,
     };
     actor.on_start(&mut ctx);
-    Turn { effects }
+    effects
 }
 
 impl<'a, M> Context<'a, M> {
@@ -214,10 +197,5 @@ impl<'a, M> Context<'a, M> {
     /// bypassing the network model. Use for timeouts and periodic work.
     pub fn schedule(&mut self, delay: SimDuration, msg: M) {
         self.outbox.push(Effect::Timer { delay, msg });
-    }
-
-    /// Request that the simulation stop once the current event finishes.
-    pub fn halt(&mut self) {
-        self.outbox.push(Effect::Halt);
     }
 }

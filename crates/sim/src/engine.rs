@@ -40,7 +40,6 @@ pub struct Simulation<M> {
     /// What the turn being dispatched emitted; empty between turns.
     effects: Vec<Effect<M>>,
     started: bool,
-    halted: bool,
     events_processed: u64,
     dropped_messages: u64,
     /// Per-(src, dst) pair, at `src * actors + dst`: the latest delivery
@@ -64,7 +63,6 @@ impl<M: 'static> Simulation<M> {
             metrics: Metrics::new(),
             effects: Vec::new(),
             started: false,
-            halted: false,
             events_processed: 0,
             dropped_messages: 0,
             fifo_high_water: Vec::new(),
@@ -150,9 +148,9 @@ impl<M: 'static> Simulation<M> {
             self_id: id,
             self_site: self.sites[id.0 as usize],
         };
-        let turn = drive_start(actor.as_mut(), inputs, &mut self.rng, &mut self.metrics);
+        let effects = drive_start(actor.as_mut(), inputs, &mut self.rng, &mut self.metrics);
         self.actors[id.0 as usize] = Some(actor);
-        self.effects.extend(turn.effects);
+        self.effects.extend(effects);
         self.apply_effects(id);
     }
 
@@ -185,19 +183,14 @@ impl<M: 'static> Simulation<M> {
                     }
                 }
                 Effect::Timer { delay, msg } => self.push_event(self.time + delay, src, src, msg),
-                Effect::Halt => self.halted = true,
             }
         }
         self.effects = effects;
     }
 
-    /// Process a single event. Returns `false` when the queue is empty or the
-    /// simulation has been halted.
+    /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        if self.halted {
-            return false;
-        }
         let Some((at, Payload { from, dst, msg })) =
             self.queue.peek_at().and_then(|at| self.queue.pop_due(at))
         else {
@@ -227,24 +220,19 @@ impl<M: 'static> Simulation<M> {
         );
         self.actors[idx] = Some(actor);
         self.apply_effects(dst);
-        !self.halted
+        true
     }
 
-    /// Run until the queue drains, the simulation halts, or `deadline`
-    /// passes. Returns the time at which the run stopped.
+    /// Run until the queue drains or `deadline` passes. Returns the time at
+    /// which the run stopped.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.start_if_needed();
-        while !self.halted {
-            match self.queue.peek_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while self.queue.peek_at().is_some_and(|at| at <= deadline) {
+            self.step();
         }
         // Advance the clock to the deadline if we stopped early with events
         // still pending beyond it.
-        if self.time < deadline && (!self.queue.is_empty() || self.halted) {
+        if self.time < deadline && !self.queue.is_empty() {
             self.time = deadline;
         }
         self.time
@@ -256,8 +244,8 @@ impl<M: 'static> Simulation<M> {
         self.run_until(deadline)
     }
 
-    /// Run until the event queue is empty or the simulation halts. `max_events`
-    /// bounds runaway simulations (panics if exceeded).
+    /// Run until the event queue is empty. `max_events` bounds runaway
+    /// simulations (panics if exceeded).
     pub fn run_to_completion(&mut self, max_events: u64) {
         self.start_if_needed();
         let start = self.events_processed;
@@ -355,9 +343,6 @@ mod tests {
                     let rtt = ctx.now() - sent;
                     self.latencies.push(rtt);
                     ctx.metrics().histogram("rtt").record(rtt.as_micros());
-                    if self.latencies.len() as u32 == 5 {
-                        ctx.halt();
-                    }
                 }
                 TestMsg::Ping(_) => unreachable!(),
             }
@@ -422,15 +407,6 @@ mod tests {
         // First ping fires at 1ms; pong can't have arrived inside 5ms
         // (one-way delay is 75ms), so no RTT samples yet.
         assert!(sim.metrics().get_histogram("rtt").is_none());
-    }
-
-    #[test]
-    fn halt_stops_processing() {
-        let (mut sim, _) = build();
-        sim.run_to_completion(10_000);
-        let processed = sim.events_processed();
-        assert!(!sim.step(), "step after halt must return false");
-        assert_eq!(sim.events_processed(), processed);
     }
 
     #[test]

@@ -42,9 +42,7 @@ mod rng;
 mod time;
 pub mod topology;
 
-pub use actor::{
-    drive, drive_into, drive_start, Actor, ActorId, Context, Effect, Turn, TurnInputs,
-};
+pub use actor::{drive, drive_into, drive_start, Actor, ActorId, Context, Effect, TurnInputs};
 pub use engine::Simulation;
 pub use metrics::{Counter, Histogram, Metrics};
 pub use net::{JitterModel, NetworkModel, Partition, SiteId, SiteMask, Spike};

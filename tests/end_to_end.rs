@@ -218,7 +218,8 @@ fn facade_fault_injection_shifts_the_quorum() {
     // facade; commits continue at ap-southeast's longer round trip, and
     // after recovery the crashed site converges on subsequent writes.
     let mut db = Planet::builder().protocol(Protocol::Fast).seed(21).build();
-    db.crash_site_at(3, planet::SimTime::from_millis(1));
+    db.run_until(planet::SimTime::from_millis(1));
+    db.crash_site(3);
 
     let during = db.submit_at(
         0,
@@ -234,7 +235,7 @@ fn facade_fault_injection_shifts_the_quorum() {
         r.latency
     );
 
-    db.recover_site_at(3, db.now());
+    db.recover_site(3);
     let after = db.submit_at(
         0,
         db.now() + SimDuration::from_millis(100),
