@@ -255,7 +255,7 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
         Box::new(crate::passes::determinism::DeterminismPass),
         Box::new(crate::passes::time::TimePass),
         Box::new(crate::passes::panic::PanicPass),
-        Box::new(crate::passes::flow::FlowPass),
+        Box::new(crate::passes::flow::FlowPass::default()),
         Box::new(crate::passes::race::RacePass),
         Box::new(crate::passes::sync::SyncPass),
     ]

@@ -48,9 +48,12 @@ const CODEC_FILE: &str = "crates/cluster/src/wire.rs";
 
 /// A protocol role: who a variant is addressed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
+pub enum Role {
+    /// Handled in `mdcc/src/coordinator.rs`.
     Coordinator,
+    /// Handled in `mdcc/src/replica_actor.rs`.
     Replica,
+    /// Handled in `core/src/client.rs` or `mdcc/src/cluster.rs`.
     Client,
 }
 
@@ -73,8 +76,35 @@ impl Role {
     }
 }
 
-/// Variant → receiving role. A variant missing here trips FLOW001 at its
-/// declaration: extending the protocol means declaring who handles it.
+/// What the flow pass judges a workspace's `Msg` against: which role each
+/// variant routes to, which variants are requests awaiting a reply, and
+/// which must be routed by key. The default is the real protocol's; a
+/// fixture that declares a `Msg` of its own states its own tables, so that
+/// editing the real ones cannot change what a fixture proves.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowTables {
+    /// Variant → receiving role. A variant missing here trips FLOW001 at
+    /// its declaration: extending the protocol means declaring who handles
+    /// it.
+    pub routes: &'static [(&'static str, Role)],
+    /// Request variant → (expected reply variant, handling role).
+    pub requests: &'static [(&'static str, &'static str, Role)],
+    /// Variants that carry a key and so must be routed to the key's replica
+    /// shard (FLOW005).
+    pub key_routed: &'static [&'static str],
+}
+
+impl Default for FlowTables {
+    fn default() -> Self {
+        FlowTables {
+            routes: ROUTES,
+            requests: REQUESTS,
+            key_routed: KEY_ROUTED,
+        }
+    }
+}
+
+/// The real protocol's routes (see [`FlowTables::routes`]).
 const ROUTES: &[(&str, Role)] = &[
     ("Submit", Role::Coordinator),
     ("RegisterPlan", Role::Coordinator),
@@ -97,7 +127,7 @@ const ROUTES: &[(&str, Role)] = &[
     ("ClientTimer", Role::Client),
 ];
 
-/// Request variant → (expected reply variant, handling role).
+/// The real protocol's requests (see [`FlowTables::requests`]).
 const REQUESTS: &[(&str, &str, Role)] = &[
     ("Submit", "TxnDone", Role::Coordinator),
     ("RegisterPlan", "PlanReady", Role::Coordinator),
@@ -108,9 +138,10 @@ const REQUESTS: &[(&str, &str, Role)] = &[
     ("Replicate", "ReplicateAck", Role::Replica),
 ];
 
-/// Variants that carry a key and so must be routed to the key's replica
-/// shard (FLOW005). `Vote` and `ReplicateAck` carry keys too, but they are
-/// replies: they go back to an explicit requester, never by key.
+/// The real protocol's key-routed variants (see
+/// [`FlowTables::key_routed`]). `Vote` and `ReplicateAck` carry keys too,
+/// but they are replies: they go back to an explicit requester, never by
+/// key.
 const KEY_ROUTED: &[&str] = &[
     "ReadReq",
     "FastPropose",
@@ -264,7 +295,7 @@ fn timer_armed_on_path(toks: &[Tok], cfg: &Cfg, idx: usize) -> bool {
 /// FLOW005: a function that sends (`ctx.send`) a key-carrying variant must
 /// name a routing witness somewhere in its body. A send that picks a
 /// replica without one can split a key's history across stores.
-fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+fn check_shard_routing(ws: &Workspace, key_routed: &[&str], out: &mut Vec<Diagnostic>) {
     for path in ROUTED_FILES {
         let Some(file) = ws.file(path) else {
             continue;
@@ -282,7 +313,7 @@ fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             for hit in find_paths(toks, body.clone(), "Msg") {
-                if !KEY_ROUTED.contains(&hit.name.as_str()) {
+                if !key_routed.contains(&hit.name.as_str()) {
                     continue;
                 }
                 flag(
@@ -304,8 +335,13 @@ fn check_shard_routing(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The message-flow pass.
-pub struct FlowPass;
+/// The message-flow pass, judging against its tables
+/// ([`FlowTables::default`] in the built-in pipeline).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlowPass {
+    /// The routes, requests and key-routed variants the pass enforces.
+    pub tables: FlowTables,
+}
 
 impl Pass for FlowPass {
     fn name(&self) -> &'static str {
@@ -317,7 +353,8 @@ impl Pass for FlowPass {
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-        check_shard_routing(ws, out);
+        let tables = &self.tables;
+        check_shard_routing(ws, tables.key_routed, out);
         let Some(msg_file) = ws.file(MSG_FILE) else {
             return; // fixture workspaces without the protocol: nothing to do
         };
@@ -363,7 +400,11 @@ impl Pass for FlowPass {
 
         // ---- FLOW001 + FLOW003 over the declared enum ----
         for v in &msg_enum.variants {
-            let route = ROUTES.iter().find(|(n, _)| *n == v.name).map(|(_, r)| *r);
+            let route = tables
+                .routes
+                .iter()
+                .find(|(n, _)| *n == v.name)
+                .map(|(_, r)| *r);
             let Some(role) = route else {
                 flag(
                     out,
@@ -439,7 +480,7 @@ impl Pass for FlowPass {
 
         // ---- FLOW002: request handlers must reply or arm a timeout ----
         let g = ws.graph();
-        for (req, reply, role) in REQUESTS {
+        for (req, reply, role) in tables.requests {
             let reply_sends = sends.get(*reply).map(Vec::as_slice).unwrap_or(&[]);
             for &fi in &role_file_indices(*role) {
                 let f = &files[fi];

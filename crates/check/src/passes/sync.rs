@@ -24,7 +24,8 @@
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
-//!   push, mailbox enqueue — a timer fire is one — flush-slot absorb) must
+//!   push, mailbox enqueue — a timer fire and a stamped run push are
+//!   ones — timed-wake push, flush-slot absorb) must
 //!   reach the matching unpark/notify on every path — checked with the
 //!   CFG must-solver, with a caller-level cover for sites whose notify
 //!   lives one frame up (`absorb` → the worker loop's
@@ -80,6 +81,12 @@ pub const ATOMIC_ROLES: &[(&str, &str, Role)] = &[
     // store-false-then-notify with the worker's empty-queue-then-load.
     ("reactor.rs", "parked", Role::SeqCst),
     ("reactor.rs", "running", Role::SeqCst),
+    // `earliest` pairs a wake-armer's lower-it-then-load-`parked` with
+    // the worker's set-parked-then-read-it in its park timeout.
+    ("reactor.rs", "earliest", Role::SeqCst),
+    // `wake_at` hands a task's mailbox push to the worker whose timed wake
+    // fires it: armers `fetch_min` it, the firing worker disarms it.
+    ("reactor.rs", "wake_at", Role::Handoff),
     ("reactor.rs", "next_home", Role::Counter),
     ("reactor.rs", "steals", Role::Counter),
     ("reactor.rs", "busy_us", Role::Counter),
@@ -140,12 +147,22 @@ pub const WAKE_TABLE: &[WakeRule] = &[
         fix: "every path past an absorb must reach `flush`/`flush_if_due` (the horizon check), or batched envelopes strand",
     },
     WakeRule {
+        file_suffix: "reactor.rs",
+        recv: Some("timed"),
+        method: "push",
+        cover: &["earliest"],
+        what: "timed-wake push",
+        fix: "lower `earliest` (what workers park against) under the lock after queueing a timed wake, or a parked worker sleeps past it",
+    },
+    // A stamped enqueue in a run (`Run::push`) notes its instant in
+    // `wake_due`, which the run's end hands to the waker once.
+    WakeRule {
         file_suffix: "plane.rs",
         recv: Some("queue"),
         method: "push_back",
-        cover: &["waker"],
+        cover: &["waker", "wake_due"],
         what: "mailbox enqueue",
-        fix: "hand the registered waker out of every enqueue (and invoke it once the lock is released), or the reactor task never learns about the message",
+        fix: "invoke the registered waker after every enqueue once the lock is released (a run notes the instant in `wake_due` for its end to hand over), or the reactor task never learns about the message",
     },
 ];
 

@@ -2,7 +2,8 @@
 //! diagnostics, by feeding the pipeline deliberately broken in-memory
 //! workspaces via `Workspace::from_sources`.
 
-use planet_check::{run_passes, Workspace};
+use planet_check::passes::flow::{FlowPass, FlowTables, Role};
+use planet_check::{run_passes, Pass, Workspace};
 
 fn ws(files: &[(&str, &str)]) -> Workspace {
     Workspace::from_sources(
@@ -280,6 +281,40 @@ mod tests {
 }
 
 // ---- flow ----
+//
+// Flow fixtures declare their own `Msg`, so each states its own tables
+// instead of being judged against the real protocol's: deleting a real
+// route row changes no fixture's verdict.
+
+/// The flow pass judging `ws` against `tables`.
+fn flow(ws: &Workspace, tables: FlowTables) -> Vec<planet_check::Diagnostic> {
+    let mut out = Vec::new();
+    FlowPass { tables }.run(ws, &mut out);
+    out
+}
+
+/// Tables with `routes` and no requests or key-routed variants.
+fn routes(routes: &'static [(&'static str, Role)]) -> FlowTables {
+    FlowTables {
+        routes,
+        requests: &[],
+        key_routed: &[],
+    }
+}
+
+/// A read request and its reply.
+const READS: FlowTables = FlowTables {
+    routes: &[("ReadReq", Role::Replica), ("ReadResp", Role::Coordinator)],
+    requests: &[("ReadReq", "ReadResp", Role::Replica)],
+    key_routed: &[],
+};
+
+/// Key-carrying sends that must be routed by key.
+const KEYED: FlowTables = FlowTables {
+    routes: &[],
+    requests: &[],
+    key_routed: &["Decide", "Replicate"],
+};
 
 #[test]
 fn flow_unrouted_variant_fires_at_declaration() {
@@ -292,7 +327,7 @@ pub enum Msg {
 }
 "#,
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("Submit", Role::Coordinator)]));
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW001")
@@ -314,7 +349,7 @@ pub enum Msg {
 }
 "#,
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("Submit", Role::Coordinator)]));
     assert!(
         !diags.iter().any(|d| d.code == "FLOW001"),
         "allow marker must silence FLOW001: {diags:?}"
@@ -352,7 +387,7 @@ impl ReplicaActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("ReplicaServiceDone", Role::Replica)]));
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW001")
@@ -398,7 +433,7 @@ impl ReplicaActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("ReplicaServiceDone", Role::Replica)]));
     assert!(
         diags.is_empty(),
         "routed + handled must be quiet: {diags:?}"
@@ -426,7 +461,7 @@ impl GcActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("TxnTimeout", Role::Coordinator)]));
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW001")
@@ -460,7 +495,7 @@ impl CoordinatorActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("TxnTimeout", Role::Coordinator)]));
     assert!(
         !diags.iter().any(|d| d.code == "FLOW001"),
         "handled timer must be quiet: {diags:?}"
@@ -500,7 +535,7 @@ impl ReplicaActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, READS);
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW002")
@@ -554,7 +589,7 @@ pub fn reply_read(ctx: &mut Ctx, from: u64, key: u32) {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, READS);
     assert!(
         !diags.iter().any(|d| d.code == "FLOW002"),
         "cross-crate reply must satisfy the request: {diags:?}"
@@ -593,7 +628,7 @@ impl ReplicaActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, READS);
     assert!(
         !diags.iter().any(|d| d.code == "FLOW002"),
         "a timer armed on every path through the handler satisfies the request: {diags:?}"
@@ -616,7 +651,7 @@ impl ClientActor {
         ),
         ("crates/core/src/client.rs", submit_only),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("Submit", Role::Coordinator)]));
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW002")
@@ -636,7 +671,7 @@ impl ClientActor {
         ),
         ("crates/core/src/client.rs", &allowed),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("Submit", Role::Coordinator)]));
     assert!(
         !diags.iter().any(|d| d.code == "FLOW002"),
         "allow marker must silence FLOW002: {diags:?}"
@@ -662,7 +697,7 @@ impl ClientActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("Submit", Role::Coordinator)]));
     assert!(
         !diags.iter().any(|d| d.code == "FLOW002"),
         "a client that arms deadlines is quiet: {diags:?}"
@@ -690,7 +725,7 @@ impl ReplicaActor {
 "#,
         ),
     ]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("ReplicaServiceDone", Role::Replica)]));
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW003")
@@ -703,7 +738,7 @@ impl ReplicaActor {
         "crates/mdcc/src/messages.rs",
         "\npub enum Msg {\n    // check:allow(flow): replica-internal only\n    ReplicaServiceDone,\n}\n",
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, routes(&[("ReplicaServiceDone", Role::Replica)]));
     assert!(
         !diags.iter().any(|d| d.code == "FLOW003"),
         "allow marker must silence FLOW003: {diags:?}"
@@ -725,7 +760,7 @@ impl CoordinatorActor {
 }
 "#,
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, KEYED);
     let hit = diags
         .iter()
         .find(|d| d.code == "FLOW005")
@@ -760,7 +795,7 @@ impl CoordinatorActor {
 }
 "#,
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, KEYED);
     assert!(
         !diags.iter().any(|d| d.code == "FLOW005"),
         "routed/reply/dispatch-only code must be quiet: {diags:?}"
@@ -780,7 +815,7 @@ impl ReplicaActor {
 }
 "#,
     )]);
-    let diags = run(&w, "flow");
+    let diags = flow(&w, KEYED);
     assert!(
         !diags.iter().any(|d| d.code == "FLOW005"),
         "allow marker must silence FLOW005: {diags:?}"
@@ -1319,4 +1354,79 @@ impl Shared {
         hits[0].message
     );
     assert_eq!(hits[0].line, 11);
+}
+
+#[test]
+fn sync_stamped_run_push_must_note_its_wake() {
+    // A run's push leaves the waker to the run's end: it must note the
+    // packet's instant in `wake_due`, which the end hands to the waker.
+    let enqueue = r#"
+impl Shared {
+    fn enqueue(&self, state: &mut State, due: Instant, packet: Packet) {
+        state.queue.push_back((due, packet));
+    }
+}
+impl Run {
+    fn push(&mut self, due: Instant, packet: Packet) {
+        self.shared.enqueue(&mut self.state, due, packet);
+        self.wake_due = Some(due);
+    }
+"#;
+    let noted = format!("{enqueue}}}\n");
+    let diags = run(&ws(&[("crates/cluster/src/plane.rs", &noted)]), "sync");
+    assert!(
+        !diags.iter().any(|d| d.code == "WAKE001"),
+        "a push that notes its instant is quiet: {diags:?}"
+    );
+
+    let silent = format!(
+        "{enqueue}    fn push_silent(&mut self, due: Instant, packet: Packet) {{\n        self.shared.enqueue(&mut self.state, due, packet);\n    }}\n}}\n"
+    );
+    let diags = run(&ws(&[("crates/cluster/src/plane.rs", &silent)]), "sync");
+    let hit = diags
+        .iter()
+        .find(|d| d.code == "WAKE001")
+        .expect("a run push that notes nothing must fire WAKE001");
+    assert!(hit.message.contains("mailbox enqueue"), "{}", hit.message);
+    assert_eq!(hit.line, 4);
+}
+
+#[test]
+fn sync_timed_wake_push_must_lower_the_earliest() {
+    // Workers park against `earliest`: a timed wake queued without
+    // lowering it is slept past.
+    let w = ws(&[(
+        "crates/cluster/src/reactor.rs",
+        r#"
+impl ReactorInner {
+    fn arm(&self, task: Arc<TaskCore>, at: SimTime) {
+        let mut timed = self.timed.lock().expect("lock poisoned");
+        timed.push(at, task);
+        self.earliest.store(at.as_micros(), Ordering::SeqCst);
+    }
+    fn arm_silent(&self, task: Arc<TaskCore>, at: SimTime) {
+        let mut timed = self.timed.lock().expect("lock poisoned");
+        timed.push(at, task);
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE001").collect();
+    assert_eq!(
+        hits.len(),
+        1,
+        "only the push that lowers nothing: {diags:?}"
+    );
+    assert!(
+        hits[0].message.contains("arm_silent"),
+        "{}",
+        hits[0].message
+    );
+    assert!(
+        hits[0].message.contains("timed-wake push"),
+        "{}",
+        hits[0].message
+    );
+    assert_eq!(hits[0].line, 10);
 }

@@ -5,9 +5,11 @@
 //! protocol messages of `planet-mdcc` through a pluggable [`Transport`]:
 //!
 //! * [`ChannelTransport`] — in-process mailboxes behind a delay-injecting
-//!   fabric thread that applies the *same* [`NetworkModel`] the
-//!   deterministic simulator uses (jitter, loss, spikes, partitions), with
-//!   wall-clock time since cluster start standing in for simulated time.
+//!   fabric that applies the *same* [`NetworkModel`] the deterministic
+//!   simulator uses (jitter, loss, spikes, partitions), with wall-clock
+//!   time since cluster start standing in for simulated time: a send is
+//!   stamped with its delivery instant and waits in its destination
+//!   mailbox, not on a thread of its own.
 //! * [`TcpTransport`] — `std::net` sockets with a length-prefixed binary
 //!   wire format ([`wire`]), for multi-process deployments: the `planetd`
 //!   server binary and the `planet-load` driver.
@@ -88,8 +90,8 @@ impl LiveClusterBuilder {
         }
     }
 
-    /// Tune the message plane (drain batch size, mailbox capacity, fabric
-    /// shard count). Defaults to [`PlaneConfig::default`].
+    /// Tune the message plane (drain batch size, mailbox capacity, delivery
+    /// slack, worker count). Defaults to [`PlaneConfig::default`].
     pub fn plane(mut self, plane: PlaneConfig) -> Self {
         self.plane = plane;
         self

@@ -10,7 +10,7 @@
 //! worlds. The handles here are what `Reactor::spawn` / `spawn_pool` return.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use planet_mdcc::Msg;
 use planet_sim::{Actor, ActorId, Metrics, SimTime};
@@ -22,7 +22,8 @@ use crate::transport::Envelope;
 /// A shared wall-clock epoch. Every node and the delay fabric of a cluster
 /// share one clock, so "now" is consistent across threads and maps directly
 /// onto [`SimTime`] (microseconds since cluster start) — the same timeline
-/// the network model's spike and partition windows are expressed in.
+/// the network model's spike and partition windows are expressed in, and
+/// the one a mailbox stamp ([`Instant`]) converts to and from.
 #[derive(Debug, Clone, Copy)]
 pub struct Clock {
     epoch: Instant,
@@ -38,7 +39,18 @@ impl Clock {
 
     /// Wall time since the epoch, as a [`SimTime`].
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+        self.sim_time(Instant::now())
+    }
+
+    /// The wall-clock instant `at` on this clock's timeline.
+    pub fn instant(&self, at: SimTime) -> Instant {
+        self.epoch + Duration::from_micros(at.as_micros())
+    }
+
+    /// `at` as a [`SimTime`] on this clock's timeline (the epoch for an
+    /// instant before it).
+    pub fn sim_time(&self, at: Instant) -> SimTime {
+        SimTime::from_micros(at.saturating_duration_since(self.epoch).as_micros() as u64)
     }
 }
 

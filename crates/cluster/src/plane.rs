@@ -1,30 +1,41 @@
 //! The batched message plane: tuning knobs and bounded mailboxes.
 //!
 //! Every live node receives packets through a bounded [`MailboxSender`] /
-//! [`MailboxReceiver`] pair. The bound is the backpressure mechanism of the
-//! live cluster: a sender that would overflow a peer's mailbox *blocks*
-//! until the peer drains (protocol traffic must never be silently lost to
-//! queueing), except for client `Submit`s, which the transports *shed* —
-//! bounced straight back as a timed-out `TxnDone` so the admission story
-//! stays end-to-end (see [`ChannelTransport`]). Unbounded mailboxes are
-//! exactly the >64-client latency collapse: queues grow without limit, and
-//! every queued message ages before it is even looked at.
+//! [`MailboxReceiver`] pair. Each queued packet carries the instant it
+//! becomes *deliverable*: a send is stamped now, and the in-process
+//! [`ChannelTransport`] stamps a packet with the delivery time its network
+//! model sampled, so a mailbox holds what the network still has in flight
+//! and no thread has to hold it anywhere else. A reactor task drains its
+//! mailbox whole and keeps what is not yet due (see the reactor); a bare
+//! receiver ([`MailboxReceiver::recv_timeout`], [`MailboxReceiver::try_recv`])
+//! never hands out a packet before its instant.
+//!
+//! The bound is the backpressure mechanism of a sender that may block: a
+//! thread outside the reactor (a tcp reader, a harness call) that would
+//! overflow a peer's mailbox *blocks* until the peer drains. A reactor
+//! worker never blocks on a mailbox: the channel transport takes protocol
+//! traffic past the bound, as a worker does with a due timer, and *sheds*
+//! client submissions at it (bounced straight back as a timed-out
+//! `TxnDone`, see [`ChannelTransport`]), so admission stays end-to-end.
+//! Unbounded client load is exactly the >64-client latency collapse:
+//! queues grow without limit, and every queued message ages before it is
+//! even looked at.
 //!
 //! A mailbox is one `VecDeque` and its bookkeeping behind one mutex, with a
 //! condvar for blocked senders and one for a blocked receiver. A send is one
-//! lock and one `push_back`; a receive is one lock, and a reactor drive
-//! takes its whole batch under one (`MailboxReceiver::drain_into`). A
-//! condvar is notified only when a waiter has registered under that lock:
-//! with std's futex condvar a notify is a system call even when nobody
-//! waits, and a mailbox that paid it on every dequeue paid it some twenty
-//! times per committed transaction. The two handshakes take `Mutex` and
-//! `Condvar` from `crate::sync`, so planet-loom runs this file's code
-//! (`loom_tests`, under `--cfg loom`).
+//! lock and one `push_back`, a run of sends to one mailbox is one lock
+//! (`MailboxSender::open_run`), and a reactor drive takes its whole batch
+//! under one (`MailboxReceiver::drain_into`). A condvar is notified only when a
+//! waiter has registered under that lock: with std's futex condvar a notify
+//! is a system call even when nobody waits, and a mailbox that paid it on
+//! every dequeue paid it some twenty times per committed transaction. The
+//! two handshakes take `Mutex` and `Condvar` from `crate::sync`, so
+//! planet-loom runs this file's code (`loom_tests`, under `--cfg loom`).
 //!
-//! [`PlaneConfig`] carries the two knobs ([`max_batch`], the mailbox
-//! capacity) plus the fabric shard count, and travels from
-//! `LiveClusterBuilder` (or the application front end's live fabric
-//! argument) down to the reactor's workers.
+//! [`PlaneConfig`] carries the knobs ([`max_batch`], the mailbox capacity,
+//! the slack, the worker count) and travels from `LiveClusterBuilder` (or
+//! the application front end's live fabric argument) down to the reactor's
+//! workers.
 //!
 //! [`max_batch`]: PlaneConfig::max_batch
 //! [`ChannelTransport`]: crate::ChannelTransport
@@ -39,10 +50,11 @@ use std::time::{Duration, Instant};
 use crate::node::Packet;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
-/// A hook invoked after every successful mailbox enqueue: how the reactor
-/// learns a task has traffic. Set once (before the task goes live) via
-/// [`MailboxReceiver::set_waker`].
-pub type Waker = Arc<dyn Fn() + Send + Sync>;
+/// A hook invoked after every successful mailbox enqueue with the instant
+/// the enqueued packet becomes deliverable (for a run, the earliest of
+/// its packets): how the reactor learns a task has traffic, and when. Set
+/// once (before the task goes live) via [`MailboxReceiver::set_waker`].
+pub type Waker = Arc<dyn Fn(Instant) + Send + Sync>;
 
 /// Tuning knobs for the batched message plane. One value configures every
 /// node and the transport fabric of a cluster.
@@ -51,26 +63,23 @@ pub struct PlaneConfig {
     /// Most packets a node drains (and drives) per mailbox wakeup before
     /// flushing its accumulated sends as one coalesced transport batch.
     pub max_batch: usize,
-    /// Mailbox capacity. Senders of protocol traffic block when the
-    /// destination is full; client `Submit`s are shed instead (bounced as a
-    /// timed-out `TxnDone`). Must comfortably exceed the worst-case
-    /// instantaneous fan-in of the protocol or backpressure degenerates
-    /// into lock-step.
+    /// Mailbox capacity. Client submissions are shed at it (bounced as a
+    /// timed-out `TxnDone`); a sender outside the reactor blocks at it; the
+    /// channel transport takes protocol traffic past it, so that no reactor
+    /// worker ever blocks on a mailbox.
     pub mailbox_capacity: usize,
-    /// Number of fabric threads the in-process [`ChannelTransport`] shards
-    /// deliveries over (by destination actor, preserving per-pair FIFO).
-    ///
-    /// [`ChannelTransport`]: crate::ChannelTransport
+    /// Ignored: the channel fabric has no threads to shard over (a send is
+    /// stamped on the sending thread and enqueued at its destination). It
+    /// stays only because the benchmark's plane names it.
     pub fabric_shards: usize,
-    /// Delivery coalescing horizon of the fabric, in microseconds. When a
-    /// fabric thread wakes it delivers every held message due within the
-    /// next `fabric_slack_us`, not just the one whose timer fired — one
-    /// futex sleep/wake cycle then covers a whole window of deliveries, and
-    /// destinations receive bursts their task drains in one drive.
-    /// Messages may arrive up to this much *early*; keep it well under the
-    /// smallest modelled cross-site delay (per-pair FIFO is unaffected).
-    /// The same horizon caps how long a reactor worker may hold a pending
-    /// coalesced flush before handing it to the transport.
+    /// The delivery slack, in microseconds. A reactor task drives a packet
+    /// stamped for later up to this much before its instant, so that one
+    /// drive takes a window of deliveries instead of one, and a packet due
+    /// further out than this does not wake its task at all but arms a timed
+    /// wake for its instant. Keep it well under the smallest modelled
+    /// cross-site delay (per-pair FIFO is unaffected). The same slack caps
+    /// how long a reactor worker may hold a pending coalesced flush before
+    /// handing it to the transport.
     pub fabric_slack_us: u64,
     /// Reactor worker threads driving the cluster's actors, each actor a
     /// schedulable task on a sharded-run-queue reactor with work stealing.
@@ -86,11 +95,7 @@ impl Default for PlaneConfig {
         PlaneConfig {
             max_batch: 64,
             mailbox_capacity: 4096,
-            // Sharding the fabric past the host's parallelism buys no
-            // concurrency and costs a futex wake per extra shard on every
-            // coalesced flush that spans destinations, so the default
-            // tracks the core count (capped at 4 — delivery is cheap).
-            fabric_shards: default_workers().min(4),
+            fabric_shards: 1,
             fabric_slack_us: 200,
             workers: default_workers(),
         }
@@ -127,7 +132,10 @@ struct Shared {
 }
 
 struct State {
-    /// Queued packets, each with the instant it was enqueued.
+    /// Queued packets in push order, each with the instant it becomes
+    /// deliverable. Not in due order across senders; one sender's packets
+    /// to one mailbox are, so the first due packet never overtakes an
+    /// earlier one of its pair.
     queue: VecDeque<(Instant, Packet)>,
     /// The receiver is gone.
     closed: bool,
@@ -144,17 +152,17 @@ struct State {
 }
 
 impl Shared {
-    /// Enqueue under the held lock, stamped `at` (read before the lock was
-    /// taken: the clock is not read inside the critical section); what is
-    /// left to do once it is released is to call the returned waker.
-    fn push(&self, state: &mut State, at: Instant, packet: Packet) -> Option<Waker> {
-        state.queue.push_back((at, packet));
+    /// Enqueue under the held lock, deliverable at `due` (read before the
+    /// lock was taken: the clock is not read inside the critical section).
+    /// What the caller has left to do is to call the waker with `due` once
+    /// the lock is released.
+    fn enqueue(&self, state: &mut State, due: Instant, packet: Packet) {
+        state.queue.push_back((due, packet));
         self.high_water
             .fetch_max(state.queue.len(), Ordering::Relaxed);
         if state.receiver_waiting {
             self.arrived.notify_one();
         }
-        state.waker.clone()
     }
 
     /// Rouse blocked senders after `freed` packets left the queue under
@@ -244,10 +252,11 @@ impl MailboxSender {
                 // Time spent blocked is the sender's, not the queue's.
                 at = Instant::now();
             }
-            shared.push(&mut state, at, packet)
+            shared.enqueue(&mut state, at, packet);
+            state.waker.clone()
         };
         if let Some(waker) = waker {
-            waker();
+            waker(at);
         }
         Ok(())
     }
@@ -256,7 +265,7 @@ impl MailboxSender {
     /// back so the caller can shed it.
     #[allow(clippy::result_large_err)]
     pub fn try_send(&self, packet: Packet) -> Result<(), TrySendError> {
-        self.enqueue_below(self.side.shared.capacity, packet)
+        self.open_run().push(Instant::now(), packet, true)
     }
 
     /// Enqueue `packet` past the capacity bound, without blocking: how a
@@ -265,29 +274,75 @@ impl MailboxSender {
     /// mailbox hands the packet back.
     #[allow(clippy::result_large_err)]
     pub(crate) fn send_unbounded(&self, packet: Packet) -> Result<(), TrySendError> {
-        self.enqueue_below(usize::MAX, packet)
+        self.open_run().push(Instant::now(), packet, false)
     }
 
-    /// Enqueue `packet` unless the mailbox is closed or holds `bound`
-    /// packets already.
-    #[allow(clippy::result_large_err)]
-    fn enqueue_below(&self, bound: usize, packet: Packet) -> Result<(), TrySendError> {
+    /// True when `other` feeds the same mailbox.
+    pub(crate) fn same_as(&self, other: &MailboxSender) -> bool {
+        Arc::ptr_eq(&self.side.shared, &other.side.shared)
+    }
+
+    /// Open a run of enqueues under one lock: each packet is stamped with
+    /// its own deliverable instant, and the waker is called once, when the
+    /// run ends, with the earliest of them. Nothing in a run blocks.
+    pub(crate) fn open_run(&self) -> Run<'_> {
         let shared = &*self.side.shared;
-        let at = Instant::now();
-        let waker = {
-            let mut state = shared.state.lock().expect("lock poisoned");
-            if state.closed {
-                return Err(TrySendError::Closed(packet));
-            }
-            if state.queue.len() >= bound {
-                return Err(TrySendError::Full(packet));
-            }
-            shared.push(&mut state, at, packet)
-        };
-        if let Some(waker) = waker {
-            waker();
+        Run {
+            shared,
+            state: Some(shared.state.lock().expect("lock poisoned")),
+            wake_due: None,
         }
+    }
+}
+
+/// Enqueues into one mailbox under one hold of its lock, opened by
+/// [`MailboxSender::open_run`]. Dropping it releases the lock and then
+/// calls the waker with `wake_due`, the earliest instant pushed.
+pub(crate) struct Run<'a> {
+    shared: &'a Shared,
+    /// The held lock; taken out only by `drop`.
+    state: Option<MutexGuard<'a, State>>,
+    /// The earliest deliverable instant pushed so far.
+    wake_due: Option<Instant>,
+}
+
+impl Run<'_> {
+    /// Enqueue `packet`, deliverable at `due`: at the capacity bound when
+    /// `bounded` (a full mailbox hands the packet back), past it otherwise.
+    /// A closed mailbox hands the packet back.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn push(
+        &mut self,
+        due: Instant,
+        packet: Packet,
+        bounded: bool,
+    ) -> Result<(), TrySendError> {
+        let Some(state) = self.state.as_mut() else {
+            return Err(TrySendError::Closed(packet));
+        };
+        if state.closed {
+            return Err(TrySendError::Closed(packet));
+        }
+        if bounded && state.queue.len() >= self.shared.capacity {
+            return Err(TrySendError::Full(packet));
+        }
+        self.shared.enqueue(state, due, packet);
+        // The waker is called once, with the earliest, when the run ends.
+        self.wake_due = Some(self.wake_due.map_or(due, |at| at.min(due)));
         Ok(())
+    }
+}
+
+impl Drop for Run<'_> {
+    fn drop(&mut self) {
+        let (Some(state), Some(due)) = (self.state.take(), self.wake_due) else {
+            return;
+        };
+        let waker = state.waker.clone();
+        drop(state);
+        if let Some(waker) = waker {
+            waker(due);
+        }
     }
 }
 
@@ -299,24 +354,31 @@ pub struct MailboxReceiver {
 }
 
 impl MailboxReceiver {
-    /// Receive one packet, waiting up to `timeout`. `Disconnected` once
-    /// every sender is gone and the queue is empty.
+    /// Receive the first packet already deliverable, waiting up to
+    /// `timeout` for one: a packet stamped for later is not handed out
+    /// before its instant. `Disconnected` once every sender is gone and the
+    /// queue is empty.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet, RecvTimeoutError> {
         let shared = &*self.shared;
         // A timeout too long to add to the clock is no deadline at all.
         let deadline = Instant::now().checked_add(timeout);
         let mut state = shared.state.lock().expect("lock poisoned");
         loop {
-            if let Some((_, packet)) = state.queue.pop_front() {
+            let now = Instant::now();
+            if let Some(packet) = take_due(&mut state, now) {
                 shared.note_dequeued(&state, 1);
                 return Ok(packet);
             }
-            if state.senders_gone {
+            if state.queue.is_empty() && state.senders_gone {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let left = deadline.map_or(timeout, |d| d.saturating_duration_since(Instant::now()));
+            let mut left = deadline.map_or(timeout, |d| d.saturating_duration_since(now));
             if left.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
+            }
+            // Nothing queued is due yet: wake no later than the earliest.
+            if let Some(next) = state.queue.iter().map(|(due, _)| *due).min() {
+                left = left.min(next.saturating_duration_since(now));
             }
             state.receiver_waiting = true;
             state = shared
@@ -328,22 +390,24 @@ impl MailboxReceiver {
         }
     }
 
-    /// Receive one packet if one is already queued.
+    /// Receive the first queued packet that is already deliverable.
+    /// `Empty` while nothing queued is due yet.
     pub fn try_recv(&self) -> Result<Packet, TryRecvError> {
         let mut state = self.shared.state.lock().expect("lock poisoned");
-        match state.queue.pop_front() {
-            Some((_, packet)) => {
+        match take_due(&mut state, Instant::now()) {
+            Some(packet) => {
                 self.shared.note_dequeued(&state, 1);
                 Ok(packet)
             }
-            None if state.senders_gone => Err(TryRecvError::Disconnected),
+            None if state.queue.is_empty() && state.senders_gone => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
         }
     }
 
-    /// Move up to `max` queued packets, oldest first, onto the back of
-    /// `into` under one lock — how a reactor drive takes its batch. Returns
-    /// how many moved.
+    /// Move up to `max` queued packets, in push order and whether due or
+    /// not, onto the back of `into` under one lock — how a reactor drive
+    /// takes its batch (the task holds what is not due yet). Returns how
+    /// many moved.
     pub(crate) fn drain_into(&self, max: usize, into: &mut VecDeque<(Instant, Packet)>) -> usize {
         let mut state = self.shared.state.lock().expect("lock poisoned");
         let moved = max.min(state.queue.len());
@@ -383,6 +447,12 @@ impl Drop for MailboxReceiver {
             std::mem::take(&mut state.queue)
         };
     }
+}
+
+/// Take the first packet deliverable by `now`, in push order.
+fn take_due(state: &mut State, now: Instant) -> Option<Packet> {
+    let at = state.queue.iter().position(|(due, _)| *due <= now)?;
+    state.queue.remove(at).map(|(_, packet)| packet)
 }
 
 /// `lock` for a destructor, which must not panic: the state is valid at

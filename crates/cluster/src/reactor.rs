@@ -19,11 +19,23 @@
 //! call's follow-up messages are self-sent envelopes too, so one loop
 //! over the drained batch drives everything a task receives.
 //!
+//! A mailbox packet is stamped with the instant it becomes deliverable:
+//! now for a plain send, the sampled delivery time for one the channel
+//! transport's network model delays. That is how a network delay costs no
+//! thread: the packet waits in its destination's mailbox, not in a fabric.
+//! A task drives a packet at most [`PlaneConfig::fabric_slack_us`] before
+//! its instant, and never later than its first drive after it; a drive
+//! that drains a packet due further out keeps it in the task's *held*
+//! queue, in due order, for a later drive.
+//!
 //! Scheduling is a sharded run queue with work stealing:
 //!
 //! * A task is woken by mailbox arrival (the mailbox's wake hook, which a
 //!   timer fire triggers like any other packet) or by its initial
-//!   schedule.
+//!   schedule. An arrival stamped beyond the slack wakes nothing: it
+//!   arms a *timed wake* for its instant instead, as does a drive that
+//!   leaves packets held. Timed wakes sit on one queue that every worker
+//!   checks at its loop top and parks against.
 //! * Wakes enqueue the task on its home worker's queue; an idle worker
 //!   with an empty queue steals from its peers, so a skewed shard cannot
 //!   strand runnable tasks behind one busy worker.
@@ -35,15 +47,19 @@
 //! queue (an actor keeps a timer or two armed, not one per transaction):
 //! each loop pops everything due into its task's mailbox, past the
 //! mailbox bound so a worker never blocks, and an idle worker parks until
-//! the queue's earliest deadline — a sleep that is exact, because a
-//! mailbox arrival or a wake cuts it short, so no polling tick is needed.
+//! the earliest of its timers and the timed wakes — a sleep that is
+//! exact, because a mailbox arrival, a wake or an earlier timed wake cuts
+//! it short, so no polling tick is needed.
 //! Outbound sends coalesce across tasks driven back-to-back on the same
 //! worker and flush as one `send_many` batch, capped by
 //! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
 //! transport when it fills, when the worker runs out of tasks, or when its
 //! oldest envelope has waited a full horizon — whichever comes first — so
 //! a flush can never be stranded behind a long run of stolen or busy
-//! tasks.
+//! tasks. A task's sends reach the transport in the order it made them,
+//! whichever workers drive it: before a worker drives a task that another
+//! worker drove last, it flushes that worker's pending batch (waiting out a
+//! flush already in flight).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -57,7 +73,9 @@ use planet_sim::{
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 use crate::plane::{mailbox, MailboxReceiver, MailboxSender, PlaneConfig};
-use crate::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, Ordering};
+use crate::sync::{
+    AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
+};
 use crate::transport::{Envelope, Transport};
 
 /// Idle park backstop when no timer is pending (wakes cut it short).
@@ -68,6 +86,9 @@ const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const RUNNING_NOTIFIED: u8 = 3;
+
+/// `TaskCore::wake_at` / `ReactorInner::earliest` when nothing is armed.
+const NO_WAKE: u64 = u64::MAX;
 
 /// One actor hosted by a task: id, state, and a private RNG seeded from
 /// the reactor's seed and the actor's id.
@@ -100,10 +121,19 @@ struct TaskBody {
     tx: MailboxSender,
     rx: MailboxReceiver,
     /// The batch a drive moved out of the mailbox under one lock and is
-    /// working through; empty between drives.
+    /// working through, each packet with its deliverable instant; empty
+    /// between drives.
     inbox: VecDeque<(Instant, Packet)>,
+    /// Packets drained before they were due, by due time: each is driven
+    /// by the first drive within the slack of its instant.
+    held: EventQueue<(Instant, Packet)>,
+    /// Each driven packet's wait since it became deliverable, µs: recorded
+    /// into `span.queue_us` once per drive, not once per packet.
+    queue_waits: Vec<u64>,
     transport: Arc<dyn Transport>,
     outbox: Vec<Envelope>,
+    /// The worker whose pending flush may still hold this task's sends.
+    flushes_on: Option<usize>,
     effects: Vec<Effect<Msg>>,
     started: bool,
 }
@@ -118,6 +148,11 @@ pub(crate) struct TaskCore {
     sched: AtomicU8,
     /// Set once the task has been finalized; late wakes become no-ops.
     done: AtomicBool,
+    /// The earliest timed wake armed for this task and not yet fired, as
+    /// µs on the reactor clock; [`NO_WAKE`] when none is. An arrival due
+    /// later than it arms nothing: the earlier wake's drive takes the
+    /// packet and re-arms for what it holds.
+    wake_at: AtomicU64,
     /// The drive state; `None` while a worker has it out for a drive, or
     /// after finalization.
     body: Mutex<Option<TaskBody>>,
@@ -216,18 +251,21 @@ enum WakeVerdict {
     Dead,
 }
 
-/// One worker's shared face: its run queue and its parker.
+/// One worker's shared face: its run queue, its parker, and its pending
+/// coalesced flush (locked by its owner, and by a worker about to drive a
+/// task whose sends it may still hold).
 struct WorkerShared {
     queue: Mutex<VecDeque<Arc<TaskCore>>>,
     parker: Parker,
+    pending: Mutex<PendingFlush>,
 }
 
 /// The park/notify rendezvous of one worker. `notified` is sticky: a
 /// notify that lands while the worker is between its recheck and its wait
 /// is consumed by the wait's guard check, so wakes are never lost. The
 /// `parked` flag gates the whole notify path: a busy worker costs its
-/// wakers nothing but an atomic load — crucial, since every fabric thread
-/// funnels through its destination's parker on every delivery.
+/// wakers nothing but an atomic load — crucial, since every send funnels
+/// through its destination's wake.
 struct Parker {
     notified: Mutex<bool>,
     cv: Condvar,
@@ -253,17 +291,18 @@ impl Parker {
         self.cv.notify_one();
     }
 
-    /// Park up to `timeout` — unless `has_work` observes runnable work
-    /// after the `parked` flag is visible, in which case the call returns
-    /// immediately. Enqueuers order push-then-check-`parked`; this orders
-    /// set-`parked`-then-recheck. Under SeqCst one side must see the other:
-    /// either the enqueuer notifies, or the recheck finds the push.
-    fn park_unless(&self, timeout: Duration, has_work: impl FnOnce() -> bool) {
+    /// Park for as long as `wait` says, read after the `parked` flag is
+    /// visible: `None` (runnable work, or a deadline already reached)
+    /// returns at once. Enqueuers and wake-armers order
+    /// publish-then-check-`parked`; this orders set-`parked`-then-recheck.
+    /// Under SeqCst one side must see the other: either the publisher
+    /// notifies, or the recheck finds what it published.
+    fn park_unless(&self, wait: impl FnOnce() -> Option<Duration>) {
         self.parked.store(true, Ordering::SeqCst);
-        if has_work() {
+        let Some(timeout) = wait() else {
             self.parked.store(false, Ordering::SeqCst);
             return;
-        }
+        };
         {
             let mut notified = self.notified.lock().expect("lock poisoned");
             if !*notified {
@@ -289,7 +328,16 @@ struct ReactorInner {
     running: AtomicBool,
     clock: Clock,
     plane: PlaneConfig,
+    /// How early a task may drive a packet ([`PlaneConfig::fabric_slack_us`]).
+    slack: Duration,
     seed: u64,
+    /// Timed wakes: each task with a packet due beyond the slack, at the
+    /// packet's instant on `clock`.
+    timed: Mutex<EventQueue<Arc<TaskCore>>>,
+    /// The earliest instant on `timed`, µs on `clock` ([`NO_WAKE`] when it
+    /// is empty), stored under its lock: what a worker compares with the
+    /// clock at its loop top and parks against without taking the lock.
+    earliest: AtomicU64,
     next_home: AtomicUsize,
     steals: AtomicU64,
     /// Microseconds workers spent driving tasks (summed across workers).
@@ -303,6 +351,116 @@ struct ReactorInner {
 }
 
 impl ReactorInner {
+    fn new(clock: Clock, plane: PlaneConfig, seed: u64) -> Self {
+        ReactorInner {
+            workers: (0..plane.workers.max(1))
+                .map(|_| WorkerShared {
+                    queue: Mutex::new(VecDeque::new()),
+                    parker: Parker::new(),
+                    pending: Mutex::new(PendingFlush::new(&plane)),
+                })
+                .collect(),
+            running: AtomicBool::new(true),
+            clock,
+            plane,
+            slack: Duration::from_micros(plane.fabric_slack_us),
+            seed,
+            timed: Mutex::new(EventQueue::new()),
+            earliest: AtomicU64::new(NO_WAKE),
+            next_home: AtomicUsize::new(0),
+            steals: AtomicU64::new(0),
+            busy_us: AtomicU64::new(0),
+            idle_us: AtomicU64::new(0),
+            drives: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+        }
+    }
+
+    /// A packet deliverable at `due` reached `task`'s mailbox: wake the
+    /// task if `due` is within the slack, else arm a timed wake for `due`.
+    fn wake_for(&self, task: &Arc<TaskCore>, due: Instant) {
+        if due <= Instant::now() + self.slack {
+            self.wake(task);
+        } else {
+            self.arm(task, self.clock.sim_time(due));
+        }
+    }
+
+    /// Wake `task` at `at`, unless a wake at or before `at` is armed for it
+    /// already. A wake that becomes the earliest of all rouses a parked
+    /// worker, whose park was timed against the earliest before it.
+    fn arm(&self, task: &Arc<TaskCore>, at: SimTime) {
+        let at_us = at.as_micros();
+        if task.wake_at.fetch_min(at_us, Ordering::AcqRel) <= at_us {
+            return;
+        }
+        let lowered = {
+            let mut timed = self.timed.lock().expect("lock poisoned");
+            timed.push(at, Arc::clone(task));
+            let head = timed.peek_at().map_or(NO_WAKE, SimTime::as_micros);
+            let lowered = head < self.earliest.load(Ordering::SeqCst);
+            self.earliest.store(head, Ordering::SeqCst);
+            lowered
+        };
+        if lowered {
+            for worker in &self.workers {
+                if worker.parker.parked.load(Ordering::SeqCst) {
+                    worker.parker.notify();
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Wake every task whose timed wake is due by `now`.
+    fn fire_timed(&self, now: SimTime) {
+        if self.earliest.load(Ordering::SeqCst) > now.as_micros() {
+            return;
+        }
+        loop {
+            let fired = {
+                let mut timed = self.timed.lock().expect("lock poisoned");
+                let fired = timed.pop_due(now);
+                let head = timed.peek_at().map_or(NO_WAKE, SimTime::as_micros);
+                self.earliest.store(head, Ordering::SeqCst);
+                fired
+            };
+            let Some((at, task)) = fired else {
+                return;
+            };
+            // Disarm, unless an earlier wake was armed since (it is still
+            // queued, and will fire too).
+            let _ = task.wake_at.compare_exchange(
+                at.as_micros(),
+                NO_WAKE,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+            self.wake(&task);
+        }
+    }
+
+    /// Park worker `w` until its earliest timer (`timer`), the earliest
+    /// timed wake, or a notify — or not at all if a task is runnable or a
+    /// deadline has passed by `now()`.
+    fn park(&self, w: usize, timer: Option<SimTime>, now: impl Fn() -> SimTime) {
+        let Some(worker) = self.workers.get(w) else {
+            return;
+        };
+        worker.parker.park_unless(|| {
+            if self.has_runnable() {
+                return None;
+            }
+            let now = now();
+            let earliest = SimTime::from_micros(self.earliest.load(Ordering::SeqCst));
+            let next = timer.map_or(earliest, |at| at.min(earliest));
+            if next <= now {
+                return None;
+            }
+            Some(next.since(now).to_std().min(IDLE_WAIT))
+        });
+    }
+
     /// Make `task` runnable (mailbox arrival, initial schedule).
     /// Idempotent under any interleaving: the scheduling word collapses
     /// concurrent wakes into at most one queue entry plus one re-run note.
@@ -415,6 +573,13 @@ impl PendingFlush {
         }
     }
 
+    /// Lock a worker's pending flush. Callers bind the guard with `let`,
+    /// so that planet-check's call graph resolves `pending.flush()` to
+    /// this type's method and not to every `Write::flush` in the workspace.
+    fn lock(slot: &Mutex<PendingFlush>) -> MutexGuard<'_, PendingFlush> {
+        slot.lock().expect("lock poisoned")
+    }
+
     /// Absorb one task's outbox into its transport's batch. A full batch
     /// flushes inline; otherwise the envelopes wait for the horizon or the
     /// worker's next idle moment.
@@ -482,26 +647,8 @@ impl Reactor {
     /// runs are not replayable (the OS scheduler orders events), but
     /// per-actor jitter sampling stays well-defined.
     pub fn new(clock: Clock, plane: PlaneConfig, seed: u64) -> Arc<Reactor> {
-        let workers = plane.workers.max(1);
-        let inner = Arc::new(ReactorInner {
-            workers: (0..workers)
-                .map(|_| WorkerShared {
-                    queue: Mutex::new(VecDeque::new()),
-                    parker: Parker::new(),
-                })
-                .collect(),
-            running: AtomicBool::new(true),
-            clock,
-            plane,
-            seed,
-            next_home: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            busy_us: AtomicU64::new(0),
-            idle_us: AtomicU64::new(0),
-            drives: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-        });
-        let joins = (0..workers)
+        let inner = Arc::new(ReactorInner::new(clock, plane, seed));
+        let joins = (0..inner.workers.len())
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -647,6 +794,7 @@ impl Reactor {
             home,
             sched: AtomicU8::new(IDLE),
             done: AtomicBool::new(false),
+            wake_at: AtomicU64::new(NO_WAKE),
             body: Mutex::new(None),
             result: Mutex::new(None),
             finished: Condvar::new(),
@@ -659,9 +807,9 @@ impl Reactor {
         // one upgrade per delivery instead of two.
         let weak_core = Arc::downgrade(&core);
         let wake_inner = Arc::clone(inner);
-        rx.set_waker(Arc::new(move || {
+        rx.set_waker(Arc::new(move |due| {
             if let Some(core) = weak_core.upgrade() {
-                wake_inner.wake(&core);
+                wake_inner.wake_for(&core, due);
             }
         }));
         *core.body.lock().expect("lock poisoned") = Some(TaskBody {
@@ -672,8 +820,11 @@ impl Reactor {
             tx: tx.clone(),
             rx,
             inbox: VecDeque::new(),
+            held: EventQueue::new(),
+            queue_waits: Vec::new(),
             transport,
             outbox: Vec::new(),
+            flushes_on: None,
             effects: Vec::new(),
             started: false,
         });
@@ -713,11 +864,14 @@ fn is_wal_class(msg: &Msg) -> bool {
     )
 }
 
-/// The worker main loop: fire timers, drive tasks (own queue first, then
-/// steals), coalesce flushes, park on the timer queue's next deadline.
+/// The worker main loop: fire timers and timed wakes, drive tasks (own
+/// queue first, then steals), coalesce flushes, park on the earliest
+/// deadline.
 fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     let mut timers: EventQueue<TimerFire> = EventQueue::new();
-    let mut pending = PendingFlush::new(&inner.plane);
+    let Some(me) = inner.workers.get(w) else {
+        return;
+    };
     loop {
         // Deliver every due timer into its task's mailbox, whose waker
         // wakes the task; a closed mailbox is a finalized task, and drops
@@ -726,33 +880,31 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
         while let Some((_, fire)) = timers.pop_due(now) {
             let _ = fire.mailbox.send_unbounded(Packet::Env(fire.env));
         }
+        inner.fire_timed(now);
         // The flush horizon is checked between drives, so a batch ages at
         // most one drive past `fabric_slack_us` even on a saturated worker.
+        let mut pending = PendingFlush::lock(&me.pending);
         pending.flush_if_due();
+        drop(pending);
         match inner.next_task(w) {
             Some((task, stolen)) => {
                 let began = Instant::now();
-                drive_task(&inner, w, &task, stolen, &mut timers, &mut pending);
+                drive_task(&inner, w, &task, stolen, &mut timers);
                 inner
                     .busy_us
                     .fetch_add(began.elapsed().as_micros() as u64, Ordering::Relaxed);
                 inner.drives.fetch_add(1, Ordering::Relaxed);
             }
             None => {
+                let mut pending = PendingFlush::lock(&me.pending);
                 pending.flush();
+                drop(pending);
                 if !inner.running.load(Ordering::SeqCst) {
                     return;
                 }
-                let timeout = match timers.peek_at() {
-                    Some(at) => at.since(inner.clock.now()).to_std().min(IDLE_WAIT),
-                    None => IDLE_WAIT,
-                };
                 let began = Instant::now();
                 inner.parks.fetch_add(1, Ordering::Relaxed);
-                // check:allow(panic): `w` is this worker's own index
-                inner.workers[w]
-                    .parker
-                    .park_unless(timeout, || inner.has_runnable());
+                inner.park(w, timers.peek_at(), || inner.clock.now());
                 inner
                     .idle_us
                     .fetch_add(began.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -761,17 +913,18 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     }
 }
 
-/// Drive one scheduled task: up to `max_batch` mailbox packets, one
-/// turn-group, one coalesced flush hand-off. Ends by releasing the
-/// scheduling word (re-queueing if traffic arrived mid-drive or the batch
-/// cap left the mailbox non-empty).
+/// Drive one scheduled task: the held packets now within the slack, then
+/// up to `max_batch` mailbox packets (holding those due further out), one
+/// turn-group, one coalesced flush hand-off. Ends by arming a timed wake
+/// for what the task holds and releasing the scheduling word (re-queueing
+/// if traffic arrived mid-drive or the batch cap left the mailbox
+/// non-empty).
 fn drive_task(
     inner: &Arc<ReactorInner>,
     w: usize,
     task: &Arc<TaskCore>,
     stolen: bool,
     timers: &mut EventQueue<TimerFire>,
-    pending: &mut PendingFlush,
 ) {
     if !task.claim_running() {
         return; // finalized under us; nothing to drive
@@ -782,6 +935,16 @@ fn drive_task(
         // wakes check `done` first.
         return;
     };
+    // The task's earlier sends go before anything this drive sends: if the
+    // worker that drove it last may still hold some, they are flushed now,
+    // after any flush of them already in flight.
+    if let Some(prev) = body.flushes_on.filter(|&prev| prev != w) {
+        if let Some(worker) = inner.workers.get(prev) {
+            let mut pending = PendingFlush::lock(&worker.pending);
+            pending.flush();
+        }
+        body.flushes_on = None;
+    }
     let max_batch = inner.plane.max_batch.max(1);
     let site = body.site;
     let inputs = |id: ActorId, now: SimTime| TurnInputs {
@@ -808,14 +971,26 @@ fn drive_task(
             absorb_effects(&mut body, idx, timers, now);
         }
     }
+    // What this drive may deliver: everything due by the slack past now.
+    // Held packets within it go first, in due order; a packet of the batch
+    // due later than any of them is of another pair or later on its own.
+    let horizon = Instant::now() + inner.slack;
+    let held_until = inner.clock.sim_time(horizon);
+    while let Some((_, held)) = body.held.pop_due(held_until) {
+        body.inbox.push_back(held);
+    }
     // The batch moves out of the mailbox under one lock, so the senders
     // contend with this task once a drive, not once a packet.
     let drained = body.rx.drain_into(max_batch, &mut body.inbox);
     let mut stopped = false;
-    while let Some((enqueued, packet)) = body.inbox.pop_front() {
-        body.metrics
-            .histogram("span.queue_us")
-            .record(enqueued.elapsed().as_micros() as u64);
+    while let Some((due, packet)) = body.inbox.pop_front() {
+        if due > horizon {
+            body.held.push(inner.clock.sim_time(due), (due, packet));
+            continue;
+        }
+        let at = Instant::now();
+        body.queue_waits
+            .push(at.saturating_duration_since(due).as_micros() as u64);
         match packet {
             Packet::Env(env) => {
                 let idx = match &body.by_id {
@@ -828,9 +1003,8 @@ fn drive_task(
                         }
                     },
                 };
-                let now = inner.clock.now();
+                let now = inner.clock.sim_time(at);
                 let wal = is_wal_class(&env.msg);
-                let before = if wal { Some(Instant::now()) } else { None };
                 // `idx` comes out of `by_id`, built over `members` at spawn,
                 // or is 0 on a single-member task: check:allow(panic)
                 let member = &mut body.members[idx];
@@ -843,10 +1017,10 @@ fn drive_task(
                     &mut body.metrics,
                     &mut body.effects,
                 );
-                if let Some(before) = before {
+                if wal {
                     body.metrics
                         .histogram("span.wal_us")
-                        .record(before.elapsed().as_micros() as u64);
+                        .record(at.elapsed().as_micros() as u64);
                 }
                 absorb_effects(&mut body, idx, timers, now);
             }
@@ -860,14 +1034,14 @@ fn drive_task(
                 let member = &mut body.members[0];
                 let id = member.id;
                 // The follow-ups are self-sent, ahead of everything the
-                // batch still holds, and arrived with the call.
+                // batch still holds, and deliverable when the call was.
                 for msg in f(member.actor.as_mut()).into_iter().rev() {
                     let env = Envelope {
                         from: id,
                         to: id,
                         msg,
                     };
-                    body.inbox.push_front((enqueued, Packet::Env(env)));
+                    body.inbox.push_front((due, Packet::Env(env)));
                 }
             }
             Packet::Stop => {
@@ -876,16 +1050,31 @@ fn drive_task(
             }
         }
     }
+    if !body.queue_waits.is_empty() {
+        let queue = body.metrics.histogram("span.queue_us");
+        for wait in body.queue_waits.drain(..) {
+            queue.record(wait);
+        }
+    }
     if drained > 0 {
         body.metrics.histogram("plane.batch").record(drained as u64);
         body.metrics
             .histogram("plane.mailbox.depth")
             .record(body.rx.depth() as u64);
     }
-    pending.absorb(&body.transport, &mut body.outbox);
+    if !body.outbox.is_empty() {
+        if let Some(me) = inner.workers.get(w) {
+            let mut pending = PendingFlush::lock(&me.pending);
+            pending.absorb(&body.transport, &mut body.outbox);
+            body.flushes_on = Some(w);
+        }
+    }
     if stopped {
         finalize(task, body);
         return;
+    }
+    if let Some(at) = body.held.peek_at() {
+        inner.arm(task, at);
     }
     // More work queued behind the batch cap? Treat it as a wake. (Under
     // the cap the batch emptied the mailbox — anything arriving since has
@@ -1358,6 +1547,178 @@ mod tests {
         handle.stop_and_join();
         reactor.shutdown();
     }
+
+    /// Reports `(now, tag)` for every message: a test that stamps each
+    /// packet's instant into its tag sees how early or late it was driven.
+    struct DueProbe(mpsc::Sender<(u64, u64)>);
+
+    impl Actor<Msg> for DueProbe {
+        fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            if let Msg::ClientTimer { tag, .. } = msg {
+                let _ = self.0.send((ctx.now().as_micros(), tag));
+            }
+        }
+    }
+
+    /// Packets stamped for up to 5 ms out, pushed by two threads in no due
+    /// order, are each driven no earlier than their instant less the slack,
+    /// whether held by an earlier drive or taken on a timed wake.
+    #[test]
+    fn no_packet_is_driven_earlier_than_its_instant_less_the_slack() {
+        let plane = PlaneConfig::default().with_workers(2);
+        let clock = Clock::new();
+        let reactor = Reactor::new(clock, plane, 17);
+        let (seen_tx, seen) = mpsc::channel();
+        let (tx, rx) = mailbox(plane.mailbox_capacity);
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let handle = reactor.spawn(
+            ActorId(1),
+            SiteId(0),
+            Box::new(DueProbe(seen_tx)),
+            tx.clone(),
+            rx,
+            transport,
+        );
+        const EACH: u64 = 1_000;
+        let pushers: Vec<_> = (0..2u64)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let mut rng = planet_sim::DetRng::new(p);
+                    for i in 0..EACH {
+                        let due = clock.now() + SimDuration::from_micros(rng.index(5_000) as u64);
+                        let env = Envelope {
+                            from: ActorId(70 + p as u32),
+                            to: ActorId(1),
+                            msg: Msg::ClientTimer {
+                                kind: 0,
+                                tag: due.as_micros(),
+                            },
+                        };
+                        let pushed =
+                            tx.open_run()
+                                .push(clock.instant(due), Packet::Env(env), false);
+                        assert!(pushed.is_ok());
+                        if i % 8 == 0 {
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for pusher in pushers {
+            pusher.join().expect("pusher");
+        }
+        let slack = plane.fabric_slack_us;
+        for _ in 0..2 * EACH {
+            let (now, due) = seen
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every packet is driven");
+            assert!(now + slack >= due, "driven {} µs early", due - now);
+            assert!(now <= due + 200_000, "driven {} µs late", now - due);
+        }
+        handle.stop_and_join();
+        reactor.shutdown();
+    }
+
+    /// Sleeps `hold` on every message: occupies whichever worker drives it.
+    struct Busy(Duration);
+
+    impl Actor<Msg> for Busy {
+        fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {
+            std::thread::sleep(self.0);
+        }
+    }
+
+    /// Sends one numbered message to actor 99 per `kind: 0` message it
+    /// receives, and nothing for any other.
+    struct Numbering(u64);
+
+    impl Actor<Msg> for Numbering {
+        fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            if let Msg::ClientTimer { kind: 0, .. } = msg {
+                let tag = self.0;
+                ctx.send(ActorId(99), Msg::ClientTimer { kind: 5, tag });
+                self.0 += 1;
+            }
+        }
+    }
+
+    /// A task's sends reach the transport in the order it made them, even
+    /// when its drives hop between workers: the sender's home worker keeps
+    /// a batch pending (the slack is long) while it sits in an 8 ms drive,
+    /// and the other worker, stealing the sender meanwhile, must not flush
+    /// the sender's later messages first — not even when a drive that sent
+    /// nothing came in between.
+    #[test]
+    fn a_task_s_sends_keep_their_order_across_workers() {
+        let plane = PlaneConfig {
+            fabric_slack_us: 20_000,
+            ..PlaneConfig::default()
+        }
+        .with_workers(2);
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let reactor = Reactor::new(Clock::new(), plane, 13);
+        let spawn = |id: u32, actor: Box<dyn Actor<Msg>>| {
+            let (tx, rx) = mailbox(plane.mailbox_capacity);
+            let shared = transport.clone() as std::sync::Arc<dyn Transport>;
+            reactor.spawn(ActorId(id), SiteId(0), actor, tx, rx, shared)
+        };
+        // Homes alternate between the two workers: 1 and 3 share one.
+        let sender = spawn(1, Box::new(Numbering(0)));
+        let other = spawn(2, Box::new(Busy(Duration::ZERO)));
+        let busy = spawn(3, Box::new(Busy(Duration::from_millis(8))));
+        let poke = |handle: &NodeHandle, kind: u32| {
+            let _ = handle.mailbox.send(Packet::Env(Envelope {
+                from: ActorId(77),
+                to: handle.id,
+                msg: Msg::ClientTimer { kind, tag: 0 },
+            }));
+        };
+        let until = Instant::now() + Duration::from_secs(2);
+        let mut injected = 0u64;
+        while Instant::now() < until {
+            poke(&sender, 0);
+            if injected.is_multiple_of(30) {
+                poke(&busy, 0);
+            }
+            injected += 1;
+            std::thread::sleep(Duration::from_micros(150));
+            // A message the sender answers with nothing.
+            poke(&sender, 9);
+            std::thread::sleep(Duration::from_micros(150));
+        }
+        let (numbering, _) = sender.stop_and_join();
+        for handle in [other, busy] {
+            handle.stop_and_join();
+        }
+        reactor.shutdown();
+        let any: &dyn std::any::Any = numbering.as_ref();
+        let sent = any.downcast_ref::<Numbering>().map_or(0, |n| n.0);
+        assert_eq!(sent, injected, "one send per numbered message received");
+        let tags: Vec<u64> = transport
+            .sent
+            .lock()
+            .expect("lock poisoned")
+            .iter()
+            .filter_map(|(_, env)| match env.msg {
+                Msg::ClientTimer { kind: 5, tag } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags.len() as u64, sent, "every send reached the transport");
+        let out_of_order = tags.windows(2).filter(|w| w[1] < w[0]).count();
+        assert!(
+            reactor.steals() > 0,
+            "the sender must have run on both workers"
+        );
+        assert_eq!(
+            out_of_order,
+            0,
+            "{out_of_order} of {} sends reached the transport out of order",
+            tags.len()
+        );
+    }
 }
 
 /// Exhaustive weak-memory verification of the reactor's lock-free
@@ -1378,10 +1739,11 @@ pub(crate) mod loom_tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use planet_sim::Metrics;
+    use planet_sim::{Metrics, SimTime};
 
-    use super::{Parker, TaskCore, WakeVerdict, IDLE};
-    use crate::node::PoolMembers;
+    use super::{Parker, ReactorInner, TaskCore, WakeVerdict, IDLE, NO_WAKE};
+    use crate::node::{Clock, Packet, PoolMembers};
+    use crate::plane::{mailbox, PlaneConfig};
     use crate::sync::{AtomicBool, AtomicU64, AtomicU8, Condvar, Mutex, Ordering};
 
     /// Park backstop passed to `park_unless`; modeled condvars never time
@@ -1394,6 +1756,7 @@ pub(crate) mod loom_tests {
             home: 0,
             sched: AtomicU8::new(IDLE),
             done: AtomicBool::new(false),
+            wake_at: AtomicU64::new(NO_WAKE),
             body: Mutex::new(None),
             result: Mutex::new(None),
             finished: Condvar::new(),
@@ -1435,6 +1798,90 @@ pub(crate) mod loom_tests {
         );
     }
 
+    /// A one-worker reactor core, with no threads.
+    fn one_worker() -> Arc<ReactorInner> {
+        let plane = PlaneConfig::default().with_workers(1);
+        Arc::new(ReactorInner::new(Clock::new(), plane, 0))
+    }
+
+    /// [`one_worker`] and a task homed on it whose mailbox wakes it through
+    /// the reactor's real waker, `wake_for`.
+    fn timed_wake_rig() -> (
+        Arc<ReactorInner>,
+        Arc<TaskCore>,
+        crate::plane::MailboxSender,
+    ) {
+        let inner = one_worker();
+        let core = fresh_core();
+        let (tx, rx) = mailbox(4);
+        let (waking, task) = (Arc::clone(&inner), Arc::downgrade(&core));
+        rx.set_waker(Arc::new(move |due| {
+            if let Some(task) = task.upgrade() {
+                waking.wake_for(&task, due);
+            }
+        }));
+        // The receiver stays open for the model's length.
+        std::mem::forget(rx);
+        (inner, core, tx)
+    }
+
+    /// The worker's side of a timed wake, as `run_worker` runs it but
+    /// with the clock stopped at `now`: fire what is due, take a runnable
+    /// task, else park against the earliest deadline. Modeled waits never
+    /// time out, so a worker whose park missed the new earliest wake
+    /// deadlocks instead of waking late.
+    fn work_until_woken(inner: &ReactorInner, core: &Arc<TaskCore>, now: SimTime) {
+        loop {
+            inner.fire_timed(now);
+            if let Some((task, _)) = inner.next_task(0) {
+                assert!(Arc::ptr_eq(&task, core), "the stamped task is woken");
+                assert!(task.claim_running(), "queued task must be claimable");
+                return;
+            }
+            inner.park(0, None, || now);
+        }
+    }
+
+    /// A packet stamped for later, pushed by a thread that is not a worker
+    /// while the one worker may already be parked, wakes its task once its
+    /// instant comes: the stamped push arms a timed wake, and the park
+    /// either sees the new earliest wake or is notified of it.
+    #[test]
+    fn loom_a_packet_stamped_for_later_wakes_its_task_by_its_instant() {
+        let report = loom::model(|| {
+            let (inner, core, tx) = timed_wake_rig();
+            let due = std::time::Instant::now() + Duration::from_secs(3_600);
+            let stamper = loom::thread::spawn(move || {
+                assert!(tx.open_run().push(due, Packet::Stop, false).is_ok());
+            });
+            work_until_woken(&inner, &core, inner.clock.sim_time(due));
+            stamper.join().expect("stamper");
+        });
+        record("timed_wake", &report);
+        assert!(report.iterations >= 2, "explorer must branch");
+    }
+
+    /// The broken twin: the timed wake is queued, but the push does not
+    /// lower the earliest due time the workers read and park against. A
+    /// parked worker sleeps past it, and the harness must find that. (No
+    /// mailbox here: a sender dropped while the failed run unwinds would
+    /// take a modeled lock.)
+    #[test]
+    fn loom_a_timed_wake_that_does_not_lower_the_earliest_is_found() {
+        let msg = fails(|| {
+            let (inner, core) = (one_worker(), fresh_core());
+            let due = inner.clock.now() + planet_sim::SimDuration::from_secs(3_600);
+            let (arming, task) = (Arc::clone(&inner), Arc::clone(&core));
+            let stamper = loom::thread::spawn(move || {
+                let _ = task.wake_at.fetch_min(due.as_micros(), Ordering::AcqRel);
+                arming.timed.lock().expect("lock poisoned").push(due, task);
+            });
+            work_until_woken(&inner, &core, due);
+            stamper.join().expect("stamper");
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
     /// The worker/enqueuer rendezvous, exactly as the reactor runs it:
     /// the enqueuer pushes under the queue lock then does the
     /// parked-flag-gated notify (`ReactorInner::enqueue`); the worker
@@ -1457,7 +1904,13 @@ pub(crate) mod loom_tests {
                 if queue.lock().expect("lock poisoned").pop_front().is_some() {
                     break;
                 }
-                parker.park_unless(TICK, || !queue.lock().expect("lock poisoned").is_empty());
+                parker.park_unless(|| {
+                    queue
+                        .lock()
+                        .expect("lock poisoned")
+                        .is_empty()
+                        .then_some(TICK)
+                });
             }
             enqueuer.join().expect("enqueuer");
         });
@@ -1486,7 +1939,7 @@ pub(crate) mod loom_tests {
                 if work.load(Ordering::Acquire) > 0 {
                     break;
                 }
-                parker.park_unless(TICK, || work.load(Ordering::Acquire) > 0);
+                parker.park_unless(|| (work.load(Ordering::Acquire) == 0).then_some(TICK));
             }
             producer.join().expect("producer");
         });
@@ -1512,7 +1965,7 @@ pub(crate) mod loom_tests {
                 if work.load(Ordering::SeqCst) > 0 {
                     break;
                 }
-                parker.park_unless(TICK, || work.load(Ordering::SeqCst) > 0);
+                parker.park_unless(|| (work.load(Ordering::SeqCst) == 0).then_some(TICK));
             }
             producer.join().expect("producer");
         });
@@ -1579,8 +2032,13 @@ pub(crate) mod loom_tests {
                             queue.lock().expect("lock poisoned").push_back(task);
                         }
                     }
-                    None => parker
-                        .park_unless(TICK, || !queue.lock().expect("lock poisoned").is_empty()),
+                    None => parker.park_unless(|| {
+                        queue
+                            .lock()
+                            .expect("lock poisoned")
+                            .is_empty()
+                            .then_some(TICK)
+                    }),
                 }
             }
             for p in producers {
@@ -1640,8 +2098,13 @@ pub(crate) mod loom_tests {
                             queue.lock().expect("lock poisoned").push_back(task);
                         }
                     }
-                    None => parker
-                        .park_unless(TICK, || !queue.lock().expect("lock poisoned").is_empty()),
+                    None => parker.park_unless(|| {
+                        queue
+                            .lock()
+                            .expect("lock poisoned")
+                            .is_empty()
+                            .then_some(TICK)
+                    }),
                 }
             }
             for p in producers {

@@ -1,129 +1,24 @@
-//! Concurrency stress for [`ChannelTransport`]: many sender threads hammer
-//! the same transport while receivers drain their mailboxes. Asserts that
-//! nothing is lost and that per-(sender, receiver) FIFO order survives —
-//! both for the direct (no fabric) transport and through the sharded
-//! fabric, for single sends and for coalesced [`Transport::send_many`]
-//! batches, and across a scheduled partition window (where losses are
-//! allowed but reordering never is).
+//! Concurrency stress for the direct [`ChannelTransport`]: many sender
+//! threads hammer the same transport while receivers drain their mailboxes.
+//! Asserts that nothing is lost and that per-(sender, receiver) FIFO order
+//! survives, for single sends and for coalesced [`Transport::send_many`]
+//! batches. The same rig runs through a network model in
+//! `fabric_delivery.rs`.
 //!
-//! This test is the workload for the ThreadSanitizer CI job: the interesting
-//! property is not just the counts but that tsan observes the sharded route
-//! tables, the per-shard fabric handoff, the bounded-mailbox gate and the
-//! atomic drop counters under real contention.
+//! This test is a workload for the ThreadSanitizer CI job: the interesting
+//! property is not just the counts but that tsan observes the route table
+//! and the bounded-mailbox gate under real contention.
+//!
+//! [`Transport::send_many`]: planet_cluster::transport::Transport::send_many
+
+mod common;
 
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use planet_cluster::node::{Clock, Packet};
-use planet_cluster::plane::{mailbox, MailboxReceiver};
-use planet_cluster::transport::{Envelope, Transport};
+use planet_cluster::node::Clock;
 use planet_cluster::ChannelTransport;
-use planet_mdcc::Msg;
-use planet_sim::{ActorId, NetworkModel, Partition, SimTime, SiteId};
 
-const SENDERS: u32 = 8;
-const RECEIVERS: u32 = 4;
-const PER_SENDER: u64 = 500;
-const MAILBOX_CAP: usize = 4096;
-
-fn envelope(s: u32, seq: u64) -> Envelope {
-    Envelope {
-        from: ActorId(100 + s),
-        to: ActorId(s % RECEIVERS),
-        msg: Msg::ClientTimer { kind: s, tag: seq },
-    }
-}
-
-/// Sender `s` targets receiver `s % RECEIVERS`; each message carries the
-/// sender in `kind` and a strictly increasing sequence in `tag`. With
-/// `batch > 1`, envelopes go out through coalesced `send_many` calls.
-fn run_senders(transport: &Arc<ChannelTransport>, batch: usize) {
-    let mut handles = Vec::new();
-    for s in 0..SENDERS {
-        let t = Arc::clone(transport);
-        handles.push(thread::spawn(move || {
-            let mut outbox = Vec::with_capacity(batch);
-            for seq in 0..PER_SENDER {
-                if batch <= 1 {
-                    t.send(envelope(s, seq));
-                } else {
-                    outbox.push(envelope(s, seq));
-                    if outbox.len() == batch {
-                        t.send_many(&mut outbox);
-                    }
-                }
-            }
-            if !outbox.is_empty() {
-                t.send_many(&mut outbox);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("sender thread");
-    }
-}
-
-/// Drain `rx` until every sender targeting this receiver has delivered its
-/// full quota, asserting per-sender FIFO along the way.
-fn drain(rx: MailboxReceiver, receiver: u32) -> u64 {
-    let expected: u64 =
-        (0..SENDERS).filter(|s| s % RECEIVERS == receiver).count() as u64 * PER_SENDER;
-    let mut next_seq = vec![0u64; SENDERS as usize];
-    let mut got = 0u64;
-    while got < expected {
-        let packet = rx
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|e| panic!("receiver {receiver} stalled at {got}/{expected}: {e}"));
-        let Packet::Env(env) = packet else {
-            continue;
-        };
-        let Msg::ClientTimer { kind, tag } = env.msg else {
-            panic!("unexpected message {:?}", env.msg);
-        };
-        assert_eq!(
-            tag, next_seq[kind as usize],
-            "FIFO violated: receiver {receiver} saw sender {kind} out of order"
-        );
-        next_seq[kind as usize] += 1;
-        got += 1;
-    }
-    got
-}
-
-fn register_all(transport: &Arc<ChannelTransport>, sender_site: SiteId) -> Vec<MailboxReceiver> {
-    let mut rxs = Vec::new();
-    for r in 0..RECEIVERS {
-        let (tx, rx) = mailbox(MAILBOX_CAP);
-        transport.register(r, SiteId(0), tx);
-        rxs.push(rx);
-    }
-    // Senders need routes too: the fabric resolves the source site before
-    // sampling a delay. Their receiving halves are parked in a leaked Vec
-    // so the mailboxes stay open (sends to senders are not part of this
-    // test, but a dropped receiver would mark the mailbox closed).
-    for s in 0..SENDERS {
-        let (tx, rx_unused) = mailbox(MAILBOX_CAP);
-        transport.register(100 + s, sender_site, tx);
-        std::mem::forget(rx_unused);
-    }
-    rxs
-}
-
-fn run_stress(transport: Arc<ChannelTransport>, batch: usize) {
-    let rxs = register_all(&transport, SiteId(0));
-    let drains: Vec<_> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(r, rx)| thread::spawn(move || drain(rx, r as u32)))
-        .collect();
-    run_senders(&transport, batch);
-    let mut total = 0;
-    for d in drains {
-        total += d.join().expect("receiver thread");
-    }
-    assert_eq!(total, u64::from(SENDERS) * PER_SENDER);
-}
+use common::run_stress;
 
 #[test]
 fn direct_transport_concurrent_senders() {
@@ -133,115 +28,8 @@ fn direct_transport_concurrent_senders() {
 }
 
 #[test]
-fn fabric_transport_concurrent_senders() {
-    // A one-site, zero-RTT, zero-loss model: the sharded fabric still paces
-    // and re-orders internally, but must deliver everything in pair order.
-    let net = NetworkModel::from_rtt_ms(&[vec![0.0]]);
-    let transport = ChannelTransport::with_network(Clock::new(), net, 42, 4, 200);
-    run_stress(Arc::clone(&transport), 1);
-    assert_eq!(transport.dropped(), 0);
-    transport.stop();
-}
-
-#[test]
 fn direct_transport_batched_senders() {
     let transport = ChannelTransport::direct(Clock::new());
     run_stress(Arc::clone(&transport), 32);
     assert_eq!(transport.dropped(), 0);
-}
-
-#[test]
-fn fabric_transport_batched_senders() {
-    let net = NetworkModel::from_rtt_ms(&[vec![0.0]]);
-    let transport = ChannelTransport::with_network(Clock::new(), net, 43, 4, 200);
-    run_stress(Arc::clone(&transport), 32);
-    assert_eq!(transport.dropped(), 0);
-    transport.stop();
-}
-
-/// Coalesced batches across a partition window: messages sent while the
-/// cut is up are lost (never delivered late), and per-pair FIFO holds
-/// across the gap — tags arrive strictly increasing, with a hole where the
-/// partition was, and traffic resumes after the heal.
-#[test]
-fn batched_fifo_survives_a_partition_window() {
-    // Two sites, 2ms RTT. Site 0 (senders) is cut off from site 1
-    // (receivers) for wall-clock [150ms, 450ms).
-    let rtt = vec![vec![0.05, 2.0], vec![2.0, 0.05]];
-    let mut net = NetworkModel::from_rtt_ms(&rtt);
-    net.add_partition(Partition {
-        from: SimTime::from_millis(150),
-        to: SimTime::from_millis(450),
-        a: SiteId(0),
-        b: SiteId(1),
-    });
-    let transport = ChannelTransport::with_network(Clock::new(), net, 44, 2, 200);
-
-    // Receivers at site 0, senders at site 1 — the cut hits exactly the
-    // sender→receiver direction.
-    let rxs = register_all(&transport, SiteId(1));
-
-    const ROUNDS: u64 = 60;
-    const PER_ROUND: u64 = 8;
-    let last_tag = ROUNDS * PER_ROUND - 1;
-
-    // Paced senders: one coalesced batch every 10ms, spanning the window.
-    let mut handles = Vec::new();
-    for s in 0..SENDERS {
-        let t = Arc::clone(&transport);
-        handles.push(thread::spawn(move || {
-            let mut outbox = Vec::with_capacity(PER_ROUND as usize);
-            for round in 0..ROUNDS {
-                for k in 0..PER_ROUND {
-                    outbox.push(envelope(s, round * PER_ROUND + k));
-                }
-                t.send_many(&mut outbox);
-                thread::sleep(Duration::from_millis(10));
-            }
-        }));
-    }
-
-    // Drain until every sender's final tag has arrived, asserting
-    // strictly-increasing tags per sender (gaps allowed: the partition
-    // loses messages, it must never reorder them).
-    let drains: Vec<_> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(r, rx)| {
-            thread::spawn(move || {
-                let receiver = r as u32;
-                let mine: Vec<u32> = (0..SENDERS).filter(|s| s % RECEIVERS == receiver).collect();
-                let mut last = vec![None::<u64>; SENDERS as usize];
-                while mine.iter().any(|&s| last[s as usize] != Some(last_tag)) {
-                    let packet = rx
-                        .recv_timeout(Duration::from_secs(30))
-                        .unwrap_or_else(|e| {
-                            panic!("receiver {receiver} stalled ({e}); progress: {last:?}")
-                        });
-                    let Packet::Env(env) = packet else { continue };
-                    let Msg::ClientTimer { kind, tag } = env.msg else {
-                        panic!("unexpected message {:?}", env.msg);
-                    };
-                    if let Some(prev) = last[kind as usize] {
-                        assert!(
-                            tag > prev,
-                            "receiver {receiver} saw sender {kind} go {prev} -> {tag}"
-                        );
-                    }
-                    last[kind as usize] = Some(tag);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("sender thread");
-    }
-    for d in drains {
-        d.join().expect("receiver thread");
-    }
-    assert!(
-        transport.dropped() > 0,
-        "the partition window should have cost some messages"
-    );
-    transport.stop();
 }

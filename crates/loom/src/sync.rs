@@ -76,6 +76,12 @@ pub mod atomic {
                     }) as $ty
                 }
 
+                pub fn fetch_min(&self, value: $ty, order: Ordering) -> $ty {
+                    crate::rt::atomic_rmw(self.id, order, |old| {
+                        (old as $ty).min(value) as u64
+                    }) as $ty
+                }
+
                 pub fn compare_exchange(
                     &self,
                     current: $ty,

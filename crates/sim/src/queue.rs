@@ -1,5 +1,5 @@
-//! The one timer and event queue: the simulator's events, a live reactor
-//! worker's timers and the channel fabric's held messages.
+//! The one timer and event queue: the simulator's events, and a live
+//! reactor's timers, timed wakes and the packets a task holds until due.
 //!
 //! Items leave in `(time, push order)` order. The heap holds only 24-byte
 //! keys `(time, sequence, slot)`; the item waits in a slab at `slot`, whose
