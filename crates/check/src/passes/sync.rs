@@ -24,9 +24,10 @@
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
-//!   push, mailbox enqueue — a timer fire and a stamped run push are
-//!   ones — timed-wake push, flush-slot absorb) must
-//!   reach the matching unpark/notify on every path — checked with the
+//!   push at either end, mailbox enqueue — a timer fire and a stamped run
+//!   push are ones — timed-wake push, flush-slot absorb, a tcp
+//!   connection's write-queue push) must
+//!   reach the matching unpark/rouse/watch on every path — checked with the
 //!   CFG must-solver, with a caller-level cover for sites whose notify
 //!   lives one frame up (`absorb` → the worker loop's
 //!   `flush`/`flush_if_due`).
@@ -93,9 +94,10 @@ pub const ATOMIC_ROLES: &[(&str, &str, Role)] = &[
     ("reactor.rs", "idle_us", Role::Counter),
     ("reactor.rs", "drives", Role::Counter),
     ("reactor.rs", "parks", Role::Counter),
-    // tcp's `closed`: `stop()` stores it before it shuts every adopted
-    // stream and wakes the acceptor; the acceptor and `adopt` load it, so
-    // a connection that races the stop is refused or shut with the rest.
+    // tcp's `closed`: `stop()` stores it before it drains the table of
+    // open connections and closes each; `register` loads it under that
+    // table's lock after it has made a connection, so a connection that
+    // races the stop is refused or closed with the rest.
     ("tcp.rs", "closed", Role::SeqCst),
 ];
 
@@ -134,9 +136,19 @@ pub const WAKE_TABLE: &[WakeRule] = &[
         file_suffix: "reactor.rs",
         recv: Some("queue"),
         method: "push_back",
-        cover: &["parked", "notify"],
+        cover: &["parked", "rouse"],
         what: "run-queue push",
-        fix: "rouse a sleeper (check `parked`/call `notify`) after pushing a runnable task",
+        fix: "rouse a sleeper (check `parked`/call `rouse`) after pushing a runnable task",
+    },
+    // A fired timed wake goes to the front of its home queue: the same
+    // handoff, the same cover.
+    WakeRule {
+        file_suffix: "reactor.rs",
+        recv: Some("queue"),
+        method: "push_front",
+        cover: &["parked", "rouse"],
+        what: "run-queue push to the front",
+        fix: "rouse a sleeper (check `parked`/call `rouse`) after pushing a runnable task",
     },
     WakeRule {
         file_suffix: "reactor.rs",
@@ -163,6 +175,17 @@ pub const WAKE_TABLE: &[WakeRule] = &[
         cover: &["waker", "wake_due"],
         what: "mailbox enqueue",
         fix: "invoke the registered waker after every enqueue once the lock is released (a run notes the instant in `wake_due` for its end to hand over), or the reactor task never learns about the message",
+    },
+    // Bytes a socket would not take queue on their connection, and only
+    // the poll writes them out, when the poller reports the socket
+    // writable — which it does only for a registration that asks.
+    WakeRule {
+        file_suffix: "tcp.rs",
+        recv: Some("queued"),
+        method: "push_back",
+        cover: &["ReadWrite"],
+        what: "connection write-queue push",
+        fix: "ask the poller for writability (`Interest::ReadWrite`) under the write lock after queueing unwritten bytes, or they strand until some later write",
     },
 ];
 

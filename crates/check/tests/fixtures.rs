@@ -1392,6 +1392,66 @@ impl Run {
 }
 
 #[test]
+fn sync_tcp_write_queue_push_must_watch_writability() {
+    // Only the poll writes a queued remainder out, and only when the
+    // poller reports the socket writable: a push that does not ask for
+    // writability strands its bytes.
+    let w = ws(&[(
+        "crates/cluster/src/tcp.rs",
+        r#"
+impl Connection {
+    fn offer(&self, poller: &Poller, buf: Vec<u8>) {
+        let mut side = self.write.lock().expect("lock poisoned");
+        side.queued.push_back(buf);
+        let _ = poller.modify(&self.stream, self.token, Interest::ReadWrite);
+    }
+    fn offer_unwatched(&self, buf: Vec<u8>) {
+        let mut side = self.write.lock().expect("lock poisoned");
+        side.queued.push_back(buf);
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE001").collect();
+    assert_eq!(hits.len(), 1, "only the unwatched push: {diags:?}");
+    assert!(
+        hits[0].message.contains("offer_unwatched"),
+        "{}",
+        hits[0].message
+    );
+    assert!(
+        hits[0].message.contains("write-queue push"),
+        "{}",
+        hits[0].message
+    );
+    assert_eq!(hits[0].line, 10);
+}
+
+#[test]
+fn sync_run_queue_push_to_the_front_must_rouse() {
+    // A fired timed wake jumps the queue; it must still rouse a sleeper.
+    let w = ws(&[(
+        "crates/cluster/src/reactor.rs",
+        r#"
+impl ReactorInner {
+    fn fire_silent(&self, task: Arc<TaskCore>) {
+        let mut queue = self.workers[0].queue.lock().expect("lock poisoned");
+        queue.push_front(task);
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hit = diags
+        .iter()
+        .find(|d| d.code == "WAKE001")
+        .expect("a push to the front that rouses nobody must fire WAKE001");
+    assert!(hit.message.contains("to the front"), "{}", hit.message);
+    assert_eq!(hit.line, 5);
+}
+
+#[test]
 fn sync_timed_wake_push_must_lower_the_earliest() {
     // Workers park against `earliest`: a timed wake queued without
     // lowering it is slept past.

@@ -32,6 +32,7 @@
 pub mod channel;
 pub mod node;
 pub mod plane;
+mod poll;
 pub mod reactor;
 mod sync;
 pub mod tcp;
@@ -52,7 +53,7 @@ pub use plane::{
 };
 pub use reactor::Reactor;
 pub use tcp::TcpTransport;
-pub use transport::{Envelope, Transport};
+pub use transport::{Envelope, Io, Transport};
 
 use std::collections::HashMap;
 use std::io;

@@ -11,12 +11,13 @@
 //! never hands out a packet before its instant.
 //!
 //! The bound is the backpressure mechanism of a sender that may block: a
-//! thread outside the reactor (a tcp reader, a harness call) that would
-//! overflow a peer's mailbox *blocks* until the peer drains. A reactor
-//! worker never blocks on a mailbox: the channel transport takes protocol
-//! traffic past the bound, as a worker does with a due timer, and *sheds*
-//! client submissions at it (bounced straight back as a timed-out
-//! `TxnDone`, see [`ChannelTransport`]), so admission stays end-to-end.
+//! harness call from a thread outside the reactor that would overflow a
+//! peer's mailbox *blocks* until the peer drains. A reactor worker never
+//! blocks on a mailbox, and both transports send and read on workers: they
+//! take protocol traffic past the bound, as a worker does with a due
+//! timer, and *shed* client submissions at it (bounced straight back as a
+//! timed-out `TxnDone`, see [`ChannelTransport`]), so admission stays
+//! end-to-end.
 //! Unbounded client load is exactly the >64-client latency collapse:
 //! queues grow without limit, and every queued message ages before it is
 //! even looked at.
@@ -64,9 +65,9 @@ pub struct PlaneConfig {
     /// flushing its accumulated sends as one coalesced transport batch.
     pub max_batch: usize,
     /// Mailbox capacity. Client submissions are shed at it (bounced as a
-    /// timed-out `TxnDone`); a sender outside the reactor blocks at it; the
-    /// channel transport takes protocol traffic past it, so that no reactor
-    /// worker ever blocks on a mailbox.
+    /// timed-out `TxnDone`); a harness call outside the reactor blocks at
+    /// it; both transports take protocol traffic past it, so that no
+    /// reactor worker ever blocks on a mailbox.
     pub mailbox_capacity: usize,
     /// Ignored: the channel fabric has no threads to shard over (a send is
     /// stamped on the sending thread and enqueued at its destination). It

@@ -36,9 +36,10 @@
 //!   arms a *timed wake* for its instant instead, as does a drive that
 //!   leaves packets held. Timed wakes sit on one queue that every worker
 //!   checks at its loop top and parks against.
-//! * Wakes enqueue the task on its home worker's queue; an idle worker
-//!   with an empty queue steals from its peers, so a skewed shard cannot
-//!   strand runnable tasks behind one busy worker.
+//! * Wakes enqueue the task at the back of its home worker's queue — a
+//!   fired timed wake at the front, since its packet is due now; an idle
+//!   worker with an empty queue steals from its peers, so a skewed shard
+//!   cannot strand runnable tasks behind one busy worker.
 //! * The per-task scheduling word (idle / queued / running / running+
 //!   notified) guarantees exactly one worker drives a task at a time —
 //!   actor state never needs a lock of its own.
@@ -49,7 +50,16 @@
 //! mailbox bound so a worker never blocks, and an idle worker parks until
 //! the earliest of its timers and the timed wakes — a sleep that is
 //! exact, because a mailbox arrival, a wake or an earlier timed wake cuts
-//! it short, so no polling tick is needed.
+//! it short, so no polling tick is needed. A worker parks in a poller of
+//! its own (`crate::poll`: an epoll set with an eventfd, woken by an
+//! eventfd write, timed to the microsecond).
+//!
+//! Sockets are read where the actors run. A spawn *adopts* the transport
+//! the new task sends through if it has socket I/O ([`Transport::io`]):
+//! the transport's own I/O thread stops, its poller is nested in every
+//! worker's, and each worker runs the transport's poll — accept, read and
+//! deliver, finish queued writes — without waiting at its loop top. A
+//! frame reaching an idle reactor ends the park it is in.
 //! Outbound sends coalesce across tasks driven back-to-back on the same
 //! worker and flush as one `send_many` batch, capped by
 //! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
@@ -62,7 +72,7 @@
 //! flush already in flight).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use planet_mdcc::Msg;
@@ -74,9 +84,9 @@ use planet_sim::{
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 use crate::plane::{mailbox, MailboxReceiver, MailboxSender, PlaneConfig};
 use crate::sync::{
-    AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
+    AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering, Waiter,
 };
-use crate::transport::{Envelope, Transport};
+use crate::transport::{Envelope, Io, Transport};
 
 /// Idle park backstop when no timer is pending (wakes cut it short).
 const IDLE_WAIT: Duration = Duration::from_millis(500);
@@ -260,35 +270,34 @@ struct WorkerShared {
     pending: Mutex<PendingFlush>,
 }
 
-/// The park/notify rendezvous of one worker. `notified` is sticky: a
-/// notify that lands while the worker is between its recheck and its wait
-/// is consumed by the wait's guard check, so wakes are never lost. The
-/// `parked` flag gates the whole notify path: a busy worker costs its
-/// wakers nothing but an atomic load — crucial, since every send funnels
-/// through its destination's wake.
+/// The park/rouse rendezvous of one worker: its [`Waiter`], a poller with
+/// an eventfd in it (and, once the reactor adopts a transport, that
+/// transport's poller nested in it). A rouse is sticky: one that lands
+/// while the worker is between its recheck and its wait leaves the
+/// eventfd counting, and the wait returns at once, so wakes are never
+/// lost. The `parked` flag gates the whole rouse path: a busy worker costs
+/// its wakers nothing but an atomic load — crucial, since every send
+/// funnels through its destination's wake.
 struct Parker {
-    notified: Mutex<bool>,
-    cv: Condvar,
+    waiter: Waiter,
     /// True from just before the pre-sleep recheck until wakeup. Paired
     /// with [`Parker::park_unless`]'s flag-then-recheck order (Dekker
     /// style): an enqueuer that reads `parked == false` is guaranteed its
-    /// push is visible to the recheck, so skipping the notify is safe.
+    /// push is visible to the recheck, so skipping the rouse is safe.
     parked: AtomicBool,
 }
 
 impl Parker {
     fn new() -> Self {
         Parker {
-            notified: Mutex::new(false),
-            cv: Condvar::new(),
+            waiter: Waiter::new(),
             parked: AtomicBool::new(false),
         }
     }
 
-    fn notify(&self) {
-        let mut notified = self.notified.lock().expect("lock poisoned");
-        *notified = true;
-        self.cv.notify_one();
+    /// End the worker's park, or its next one (the eventfd write).
+    fn rouse(&self) {
+        self.waiter.rouse();
     }
 
     /// Park for as long as `wait` says, read after the `parked` flag is
@@ -296,25 +305,12 @@ impl Parker {
     /// returns at once. Enqueuers and wake-armers order
     /// publish-then-check-`parked`; this orders set-`parked`-then-recheck.
     /// Under SeqCst one side must see the other: either the publisher
-    /// notifies, or the recheck finds what it published.
+    /// rouses, or the recheck finds what it published. A socket of an
+    /// adopted transport turning ready ends the park too.
     fn park_unless(&self, wait: impl FnOnce() -> Option<Duration>) {
         self.parked.store(true, Ordering::SeqCst);
-        let Some(timeout) = wait() else {
-            self.parked.store(false, Ordering::SeqCst);
-            return;
-        };
-        {
-            let mut notified = self.notified.lock().expect("lock poisoned");
-            if !*notified {
-                let (guard, _) = self
-                    .cv
-                    .wait_timeout(notified, timeout)
-                    // Errs only when the lock is poisoned, i.e. a holder
-                    // already panicked (the `.lock()` idiom): check:allow(panic)
-                    .expect("lock poisoned");
-                notified = guard;
-            }
-            *notified = false;
+        if let Some(timeout) = wait() {
+            self.waiter.wait(timeout);
         }
         self.parked.store(false, Ordering::SeqCst);
     }
@@ -338,6 +334,9 @@ struct ReactorInner {
     /// is empty), stored under its lock: what a worker compares with the
     /// clock at its loop top and parks against without taking the lock.
     earliest: AtomicU64,
+    /// The socket I/O of the transport this reactor adopted, if any: its
+    /// workers run it at their loop top and park in its poller too.
+    io: OnceLock<Io>,
     next_home: AtomicUsize,
     steals: AtomicU64,
     /// Microseconds workers spent driving tasks (summed across workers).
@@ -367,6 +366,7 @@ impl ReactorInner {
             seed,
             timed: Mutex::new(EventQueue::new()),
             earliest: AtomicU64::new(NO_WAKE),
+            io: OnceLock::new(),
             next_home: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             busy_us: AtomicU64::new(0),
@@ -405,7 +405,7 @@ impl ReactorInner {
         if lowered {
             for worker in &self.workers {
                 if worker.parker.parked.load(Ordering::SeqCst) {
-                    worker.parker.notify();
+                    worker.parker.rouse();
                     return;
                 }
             }
@@ -436,12 +436,17 @@ impl ReactorInner {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             );
-            self.wake(&task);
+            // Ahead of the queue: its packet is due now, and behind every
+            // task queued before it, it would be driven that much late.
+            if task.try_wake() == WakeVerdict::Enqueue {
+                self.enqueue(task.home, task, true);
+            }
         }
     }
 
     /// Park worker `w` until its earliest timer (`timer`), the earliest
-    /// timed wake, or a notify — or not at all if a task is runnable or a
+    /// timed wake, a rouse, or a socket of the adopted transport turning
+    /// ready — or not at all if a task is runnable or a
     /// deadline has passed by `now()`.
     fn park(&self, w: usize, timer: Option<SimTime>, now: impl Fn() -> SimTime) {
         let Some(worker) = self.workers.get(w) else {
@@ -466,34 +471,38 @@ impl ReactorInner {
     /// concurrent wakes into at most one queue entry plus one re-run note.
     fn wake(&self, task: &Arc<TaskCore>) {
         if task.try_wake() == WakeVerdict::Enqueue {
-            self.enqueue(task.home, Arc::clone(task));
+            self.enqueue(task.home, Arc::clone(task), false);
         }
     }
 
-    /// Push a runnable task onto worker `home`'s queue and rouse a
+    /// Push a runnable task onto worker `home`'s queue — at the back, or
+    /// at the front when `ahead` (a fired timed wake) — and rouse a
     /// *sleeper* if there is one: the home worker when it is parked, else
     /// one parked peer (home is mid-drive, and a parked peer can steal the
     /// task immediately instead of it waiting out an idle backstop). Awake
-    /// workers need no notify at all — before parking they recheck every
+    /// workers need no rouse at all — before parking they recheck every
     /// queue under the parked flag, so a push they weren't told about is
-    /// still found — which keeps the saturated path free of the parker
-    /// mutex and its condvar.
-    fn enqueue(&self, home: usize, task: Arc<TaskCore>) {
+    /// still found — which keeps the saturated path free of the eventfd.
+    fn enqueue(&self, home: usize, task: Arc<TaskCore>, ahead: bool) {
         {
             // `home` is a `TaskCore::home` (taken modulo `workers.len()` at
             // spawn) or the calling worker's own index: check:allow(panic)
             let mut queue = self.workers[home].queue.lock().expect("lock poisoned");
-            queue.push_back(task);
+            if ahead {
+                queue.push_front(task);
+            } else {
+                queue.push_back(task);
+            }
         }
         // check:allow(panic): `home` < `workers.len()`, as above
         if self.workers[home].parker.parked.load(Ordering::SeqCst) {
             // check:allow(panic): `home` < `workers.len()`, as above
-            self.workers[home].parker.notify();
+            self.workers[home].parker.rouse();
             return;
         }
         for (w, worker) in self.workers.iter().enumerate() {
             if w != home && worker.parker.parked.load(Ordering::SeqCst) {
-                worker.parker.notify();
+                worker.parker.rouse();
                 return;
             }
         }
@@ -501,7 +510,7 @@ impl ReactorInner {
 
     /// Any task queued on any worker? The pre-park recheck: a worker about
     /// to sleep must look at every queue (not just its own), because
-    /// enqueuers skip the notify for workers that weren't parked yet.
+    /// enqueuers skip the rouse for workers that weren't parked yet.
     fn has_runnable(&self) -> bool {
         self.workers
             .iter()
@@ -771,6 +780,7 @@ impl Reactor {
         rx: MailboxReceiver,
         transport: Arc<dyn Transport>,
     ) -> Arc<TaskCore> {
+        self.adopt(&transport);
         let inner = &self.inner;
         let home = inner.next_home.fetch_add(1, Ordering::Relaxed) % inner.workers.len();
         let members: Vec<TaskMember> = members
@@ -832,12 +842,40 @@ impl Reactor {
         core
     }
 
+    /// Run `transport`'s socket I/O on this reactor's workers, if it has
+    /// any ([`Transport::io`]) and this reactor runs none yet: stop the
+    /// transport's own I/O thread, nest its poller in every worker's park,
+    /// and publish it for the workers' loop tops. The own thread goes
+    /// first: until then it is the only waiter on the transport's poller,
+    /// so the notify that stops it is not taken by a worker. What turns
+    /// ready meanwhile is still ready once nested (level-triggered). A
+    /// reactor adopts one transport; another one's sockets stay on its own
+    /// thread. A worker whose park the poller could not be nested in still
+    /// polls at its loop top, and wakes for sockets only with its other
+    /// wakes.
+    fn adopt(&self, transport: &Arc<dyn Transport>) {
+        let inner = &self.inner;
+        if inner.io.get().is_some() {
+            return;
+        }
+        let Some(io) = transport.io() else {
+            return;
+        };
+        inner.io.get_or_init(|| {
+            io.source.adopted();
+            for worker in &inner.workers {
+                let _ = worker.parker.waiter.attach(io.source.poller());
+            }
+            io
+        });
+    }
+
     /// Stop the worker pool. Tasks must have been joined first (via their
     /// handles); workers exit at their next idle moment.
     pub fn shutdown(&self) {
         self.inner.running.store(false, Ordering::SeqCst);
         for worker in &self.inner.workers {
-            worker.parker.notify();
+            worker.parker.rouse();
         }
         let joins: Vec<_> = {
             let mut slot = self.joins.lock().expect("lock poisoned");
@@ -881,6 +919,11 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
             let _ = fire.mailbox.send_unbounded(Packet::Env(fire.env));
         }
         inner.fire_timed(now);
+        // Socket I/O of the adopted transport, without waiting: frames
+        // read here wake their tasks before the queue is looked at.
+        if let Some(io) = inner.io.get() {
+            io.source.poll();
+        }
         // The flush horizon is checked between drives, so a batch ages at
         // most one drive past `fabric_slack_us` even on a saturated worker.
         let mut pending = PendingFlush::lock(&me.pending);
@@ -1085,7 +1128,7 @@ fn drive_task(
     // the instant it reads QUEUED.
     *task.body.lock().expect("lock poisoned") = Some(body);
     if task.release_running() {
-        inner.enqueue(w, Arc::clone(task));
+        inner.enqueue(w, Arc::clone(task), false);
     } else if more {
         inner.wake(task);
     }
@@ -1621,6 +1664,84 @@ mod tests {
         reactor.shutdown();
     }
 
+    /// Logs `(id, when)` as each message begins, then holds its worker for
+    /// `hold`.
+    struct Logged {
+        id: u32,
+        hold: Duration,
+        log: std::sync::Arc<Mutex<Vec<(u32, Instant)>>>,
+    }
+
+    impl Actor<Msg> for Logged {
+        fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {
+            let entry = (self.id, Instant::now());
+            self.log.lock().expect("lock poisoned").push(entry);
+            std::thread::sleep(self.hold);
+        }
+    }
+
+    /// A task woken by a fired timed wake goes to the front of its home
+    /// queue: on one worker kept busy by four tasks with a backlog each
+    /// (one packet per drive, so they queue behind each other), a packet
+    /// stamped 2 ms out is driven before the busy tasks queued ahead of it
+    /// when it fell due — at most the one drive that began before the
+    /// worker's next loop top may come between.
+    #[test]
+    fn a_fired_timed_wake_is_driven_before_the_tasks_queued_ahead_of_it() {
+        let plane = PlaneConfig {
+            max_batch: 1,
+            ..PlaneConfig::default()
+        }
+        .with_workers(1);
+        let reactor = Reactor::new(Clock::new(), plane, 21);
+        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let spawn = |id: u32, hold: Duration, backlog: u64| {
+            let (tx, rx) = mailbox(plane.mailbox_capacity);
+            for tag in 0..backlog {
+                assert!(tx.send(env(0, tag)).is_ok());
+            }
+            let actor = Logged {
+                id,
+                hold,
+                log: log.clone(),
+            };
+            let shared = transport.clone() as std::sync::Arc<dyn Transport>;
+            reactor.spawn(ActorId(id), SiteId(0), Box::new(actor), tx, rx, shared)
+        };
+        let stamped = spawn(1, Duration::ZERO, 0);
+        let busy: Vec<_> = (10..14)
+            .map(|id| spawn(id, Duration::from_millis(1), 40))
+            .collect();
+        let due = Instant::now() + Duration::from_millis(2);
+        let pushed = stamped.mailbox.open_run().push(due, env(0, 99), false);
+        assert!(pushed.is_ok());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let at = loop {
+            let found = log
+                .lock()
+                .expect("lock poisoned")
+                .iter()
+                .position(|&(id, _)| id == 1);
+            if let Some(at) = found {
+                break at;
+            }
+            assert!(Instant::now() < deadline, "the stamped packet is driven");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        stamped.stop_and_join();
+        for handle in busy {
+            handle.stop_and_join();
+        }
+        reactor.shutdown();
+        let log = log.lock().expect("lock poisoned");
+        let ahead = log[..at].iter().filter(|&&(_, when)| when >= due).count();
+        assert!(
+            ahead <= 1,
+            "{ahead} busy drives began after the packet fell due and before it"
+        );
+    }
+
     /// Sleeps `hold` on every message: occupies whichever worker drives it.
     struct Busy(Duration);
 
@@ -1882,9 +2003,75 @@ pub(crate) mod loom_tests {
         assert!(msg.contains("deadlock"), "{msg}");
     }
 
+    /// A frame or an enqueue that lands while the only worker parks in its
+    /// poller is never lost. One thread plays the kernel's side of a
+    /// readable socket: the bytes land, and the poller the worker parks in
+    /// reads ready (a rouse of its waiter, which is what the nested
+    /// transport poller amounts to). Another pushes into a task's mailbox,
+    /// whose real waker runs `wake_for`, `enqueue` and its parked-gated
+    /// rouse. The worker runs its loop as `run_worker` does: take what the
+    /// socket holds, take a runnable task, else park in the poller.
+    #[test]
+    fn loom_a_frame_or_an_enqueue_reaches_a_worker_parked_in_its_poller() {
+        let report = loom::model(|| {
+            let (inner, core, tx) = timed_wake_rig();
+            let socket = Arc::new(Mutex::new(0u32));
+            let reader = {
+                let (inner, socket) = (Arc::clone(&inner), Arc::clone(&socket));
+                loom::thread::spawn(move || {
+                    *socket.lock().expect("lock poisoned") += 1;
+                    inner.workers[0].parker.waiter.rouse();
+                })
+            };
+            let sender = loom::thread::spawn(move || {
+                let now = std::time::Instant::now();
+                assert!(tx.open_run().push(now, Packet::Stop, false).is_ok());
+            });
+            let (mut frame, mut task) = (false, false);
+            loop {
+                frame |= std::mem::take(&mut *socket.lock().expect("lock poisoned")) > 0;
+                if let Some((woken, _)) = inner.next_task(0) {
+                    assert!(Arc::ptr_eq(&woken, &core), "the pushed-to task is woken");
+                    assert!(woken.claim_running(), "queued task must be claimable");
+                    task = true;
+                }
+                if frame && task {
+                    break;
+                }
+                inner.park(0, None, || SimTime::ZERO);
+            }
+            reader.join().expect("reader");
+            sender.join().expect("sender");
+        });
+        record("poller_park", &report);
+        assert!(report.iterations >= 2, "explorer must branch");
+    }
+
+    /// The broken twin: an enqueue whose rouse skips the eventfd — the
+    /// push and the `parked` check, and nothing after. A worker already in
+    /// its poller sleeps on past the task, and the harness must find it.
+    #[test]
+    fn loom_a_rouse_that_skips_the_eventfd_is_found() {
+        let msg = fails(|| {
+            let (inner, core) = (one_worker(), fresh_core());
+            let (enqueuing, task) = (Arc::clone(&inner), Arc::clone(&core));
+            let sender = loom::thread::spawn(move || {
+                assert_eq!(task.try_wake(), WakeVerdict::Enqueue);
+                let worker = &enqueuing.workers[0];
+                worker.queue.lock().expect("lock poisoned").push_back(task);
+                let _ = worker.parker.parked.load(Ordering::SeqCst);
+            });
+            while inner.next_task(0).is_none() {
+                inner.park(0, None, || SimTime::ZERO);
+            }
+            sender.join().expect("sender");
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
     /// The worker/enqueuer rendezvous, exactly as the reactor runs it:
     /// the enqueuer pushes under the queue lock then does the
-    /// parked-flag-gated notify (`ReactorInner::enqueue`); the worker
+    /// parked-flag-gated rouse (`ReactorInner::enqueue`); the worker
     /// loops `park_unless` with the every-queue recheck (`run_worker`).
     /// A lost handoff leaves the worker committed to a wait no one will
     /// notify — the explorer reports that as a deadlock.
@@ -1897,7 +2084,7 @@ pub(crate) mod loom_tests {
             let enqueuer = loom::thread::spawn(move || {
                 q2.lock().expect("lock poisoned").push_back(1u32);
                 if p2.parked.load(Ordering::SeqCst) {
-                    p2.notify();
+                    p2.rouse();
                 }
             });
             loop {
@@ -1932,7 +2119,7 @@ pub(crate) mod loom_tests {
             let producer = loom::thread::spawn(move || {
                 w2.fetch_add(1, Ordering::Release);
                 if p2.parked.load(Ordering::SeqCst) {
-                    p2.notify();
+                    p2.rouse();
                 }
             });
             loop {
@@ -1958,7 +2145,7 @@ pub(crate) mod loom_tests {
             let producer = loom::thread::spawn(move || {
                 w2.fetch_add(1, Ordering::SeqCst);
                 if p2.parked.load(Ordering::SeqCst) {
-                    p2.notify();
+                    p2.rouse();
                 }
             });
             loop {
@@ -2005,7 +2192,7 @@ pub(crate) mod loom_tests {
                             .expect("lock poisoned")
                             .push_back(Arc::clone(&core));
                         if parker.parked.load(Ordering::SeqCst) {
-                            parker.notify();
+                            parker.rouse();
                         }
                     }
                 }));
@@ -2076,7 +2263,7 @@ pub(crate) mod loom_tests {
                             .expect("lock poisoned")
                             .push_back(Arc::clone(&core));
                         if parker.parked.load(Ordering::SeqCst) {
-                            parker.notify();
+                            parker.rouse();
                         }
                     }
                 }));

@@ -1,5 +1,5 @@
-//! TCP transport: the wire-format codec over `std::net`, one process per
-//! deployment unit.
+//! TCP transport: the wire-format codec over nonblocking `std::net`
+//! sockets, one process per deployment unit.
 //!
 //! A [`TcpTransport`] plays both server and client:
 //!
@@ -14,87 +14,249 @@
 //!   This is how coordinators answer clients that never [`listen`]. A path
 //!   is learned once per (connection, sender), on the sender's first frame.
 //!
-//! Frames never overtake each other on a connection (TCP is FIFO), which
-//! preserves the same per-(src, dst) ordering guarantee the simulator's
-//! scheduler and the in-process fabric enforce.
+//! Frames never overtake each other on a connection (TCP is FIFO, and so
+//! is a connection's write queue), which preserves the same per-(src, dst)
+//! ordering guarantee the simulator's scheduler and the in-process fabric
+//! enforce.
 //!
 //! Writes are *coalesced*: a batch handed over via
 //! [`Transport::send_many`] is split by destination connection as it is
 //! encoded — each envelope goes straight onto the end of its connection's
 //! pooled buffer ([`wire::BufPool`] — no allocation once warm) — and each
-//! buffer goes out as a single `write_all` under a single stream lock. One
-//! syscall and one lock acquisition per destination per flush, instead of
-//! per message. [`TcpTransport::io_stats`] reports the resulting flush and
-//! byte counts, from which `bytes / flush` falls out directly.
+//! buffer goes out with one nonblocking `write`. One syscall per
+//! destination per flush, instead of per message. [`TcpTransport::io_stats`]
+//! reports the resulting flush and byte counts, from which `bytes / flush`
+//! falls out directly. A write that would block queues its remainder on the
+//! connection; later writes to it go behind the remainder, and the poll
+//! below finishes them when the socket turns writable. A connection whose
+//! queue passes [`MAX_QUEUED`] bytes — a peer that stopped reading — is
+//! shut down and its queued frames counted in [`TcpTransport::dropped`]:
+//! a stalled peer costs memory up to the bound, never a thread.
 //!
-//! Reads take the batch back the same way: a connection's reader thread
-//! issues one `read` per *burst* into the connection's one buffer and
-//! decodes every frame of the burst out of it ([`wire::FrameReader`]) — a
-//! fraction of a syscall per frame. A decoded envelope owns what it
-//! carries (a key is held inline, a byte value is copied), so the next
-//! burst reuses the buffer whatever the mailboxes still hold.
+//! Reads are readiness-driven. The listener and every connection sit in one
+//! epoll set (`cluster/src/poll.rs`), and one function, the transport's *poll*,
+//! does all of its socket I/O: it accepts new connections, reads every
+//! readable one burst by burst — one `read` takes whatever the socket holds
+//! into the connection's one buffer, and every frame of the burst is
+//! decoded out of it ([`wire::FrameReader`]) — delivers each burst's frames
+//! as one mailbox run per destination, and finishes queued writes. A
+//! decoded envelope owns what it carries (a key is held inline, a byte
+//! value is copied), so the next burst reuses the buffer whatever the
+//! mailboxes still hold.
 //!
-//! Local delivery applies the plane's backpressure policy: hosted
-//! mailboxes are bounded, protocol traffic blocks at a full one, and a
-//! client submission (`Msg::Submit` or `Msg::SubmitPlan`) is shed — bounced
-//! back to its `reply_to` as a timed-out `TxnDone` (see the module docs on
-//! [`crate::channel`] for the rationale; both transports implement the
-//! identical policy).
+//! Who polls: a reactor that spawns a task sending through the transport
+//! *adopts* it ([`Transport::io`]), and its workers run the poll at their
+//! loop top and park in a poller that the transport's sits nested in.
+//! Until then — and for good, for a transport no reactor adopts — one
+//! thread of the transport's own (`planet-tcp-io`) runs the same poll; it
+//! exits on adoption.
+//!
+//! Local delivery applies the plane's policy, the one
+//! [`ChannelTransport`](crate::ChannelTransport) applies: hosted mailboxes
+//! are bounded, protocol traffic goes past the bound (nothing that runs
+//! the poll may block), and a client submission (`Msg::Submit` or
+//! `Msg::SubmitPlan`) is shed at it — bounced back to its `reply_to` as a
+//! timed-out `TxnDone`, down the connection it came in on.
 //!
 //! [`listen`]: TcpTransport::listen
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use planet_sim::SimTime;
 
 use crate::node::Packet;
 use crate::plane::{MailboxSender, TrySendError};
-use crate::transport::{shed_bounce, Envelope, Transport};
+use crate::poll::{Events, Interest, Poller};
+use crate::transport::{shed_bounce, Envelope, Io, SocketIo, Transport};
 use crate::wire;
 
-/// A write handle to one connection, shared by everyone routing to it.
-type Conn = Arc<Mutex<TcpStream>>;
+/// Bytes a connection may hold queued behind a socket that would block
+/// (past what the kernel buffers) before it is shut down as stalled.
+pub const MAX_QUEUED: usize = 4 << 20;
 
-/// Which table a resolved connection came from, so a failed write can
-/// invalidate the right entry.
-enum ConnKey {
-    /// A learned reply route (keyed by actor id).
-    Peer(u32),
-    /// A static-route connection (keyed by remote address).
-    Addr(SocketAddr),
+/// The listener's token in the poller; connections count up from 1.
+const LISTENER: u64 = 0;
+
+/// Most bursts one poll reads from one connection before it moves on (the
+/// next poll, level-triggered, comes back for the rest).
+const MAX_BURSTS: usize = 16;
+
+/// The own I/O thread's park backstop (a notify cuts it short).
+const IO_WAIT: Duration = Duration::from_millis(500);
+
+/// One connection: its socket, its read side (used by one poll at a time)
+/// and its write side (every sender, and the poll when it turns writable).
+struct Connection {
+    /// Its token in the poller.
+    token: u64,
+    stream: TcpStream,
+    read: Mutex<ReadSide>,
+    write: Mutex<WriteSide>,
 }
 
-/// One connection's share of a `send_many`: the frames bound for it, encoded
-/// back-to-back, and how many there are (what a failed write drops).
-struct ConnWrite {
-    conn: Conn,
-    key: ConnKey,
-    buf: Vec<u8>,
-    frames: u64,
+/// What reading a connection keeps between bursts.
+struct ReadSide {
+    reader: wire::FrameReader,
+    /// Senders whose reply path this connection has settled.
+    settled: HashSet<u32>,
+    /// One burst's decoded frames, kept for the capacity.
+    frames: Vec<Envelope>,
+    /// One burst's destinations and their mailboxes (`None`: not hosted),
+    /// looked up once per burst: a mailbox `host`ed later is seen by the
+    /// next burst.
+    mailboxes: Vec<(u32, Option<MailboxSender>)>,
+}
+
+/// A connection's unwritten bytes, in order.
+#[derive(Default)]
+struct WriteSide {
+    /// Pooled buffers not fully written, each with its frame count.
+    queued: VecDeque<(Vec<u8>, u64)>,
+    /// Bytes of the front buffer already written.
+    written: usize,
+    /// Bytes queued and not written.
+    bytes: usize,
+    /// Shut down: a later write is a drop.
+    closed: bool,
+}
+
+/// What [`Connection::offer`] did with a buffer.
+enum Wrote {
+    /// Written whole: count it and pool it.
+    Whole(Vec<u8>),
+    /// Queued behind the socket; the poll finishes it.
+    Queued,
+    /// Not sent, the connection being closed: its frames are dropped.
+    Refused(Vec<u8>, u64),
+    /// The write failed, or the queue passed [`MAX_QUEUED`]: close the
+    /// connection, dropping the buffer too if it was not queued.
+    Failed(Option<(Vec<u8>, u64)>),
+}
+
+/// What [`Connection::write_front`] did with the front of the queue.
+enum Flushed {
+    /// Written whole: count it and pool it.
+    Whole(Vec<u8>),
+    /// The socket would block again.
+    Blocked,
+    /// Nothing is queued any more.
+    Empty,
+    /// The write failed: close the connection.
+    Failed,
+}
+
+impl Connection {
+    /// Write `buf` under the write lock: behind an unwritten remainder it
+    /// queues; otherwise it goes at once, as far as the socket takes it,
+    /// and what is left queues. Every queueing asks `poller` for
+    /// writability, under the lock that [`write_front`](Self::write_front)
+    /// stops asking under, so a queued byte is always watched for.
+    fn offer(&self, poller: &Poller, buf: Vec<u8>, frames: u64) -> Wrote {
+        let mut side = self.write.lock().expect("lock poisoned");
+        if side.closed {
+            return Wrote::Refused(buf, frames);
+        }
+        let mut written = 0;
+        if side.queued.is_empty() {
+            match write_some(&self.stream, &buf) {
+                Ok(n) if n == buf.len() => return Wrote::Whole(buf),
+                Ok(n) => written = n,
+                Err(_) => return Wrote::Failed(Some((buf, frames))),
+            }
+            side.written = written;
+        }
+        side.bytes += buf.len() - written;
+        side.queued.push_back((buf, frames));
+        let watched = poller.modify(&self.stream, self.token, Interest::ReadWrite);
+        if watched.is_err() || side.bytes > MAX_QUEUED {
+            return Wrote::Failed(None);
+        }
+        Wrote::Queued
+    }
+
+    /// Write the front of the queue as far as the socket takes it. Once the
+    /// queue is empty, stop watching writability.
+    fn write_front(&self, poller: &Poller) -> Flushed {
+        let mut side = self.write.lock().expect("lock poisoned");
+        let side = &mut *side;
+        let Some((buf, _)) = side.queued.front() else {
+            if !side.closed {
+                let _ = poller.modify(&self.stream, self.token, Interest::Read);
+            }
+            return Flushed::Empty;
+        };
+        let rest = buf.get(side.written..).unwrap_or_default();
+        match write_some(&self.stream, rest) {
+            Ok(n) if n == rest.len() => {
+                side.bytes -= n;
+                side.written = 0;
+                match side.queued.pop_front() {
+                    Some((buf, _)) => Flushed::Whole(buf),
+                    None => Flushed::Empty,
+                }
+            }
+            Ok(n) => {
+                side.bytes -= n;
+                side.written += n;
+                Flushed::Blocked
+            }
+            Err(_) => Flushed::Failed,
+        }
+    }
+}
+
+/// Open connections by token, and the next token.
+#[derive(Default)]
+struct Open {
+    by_token: HashMap<u64, Arc<Connection>>,
+    next: u64,
+}
+
+/// Who runs the transport's poll.
+enum Runner {
+    /// Nothing to poll yet.
+    Idle,
+    /// The transport's own thread.
+    Own(JoinHandle<()>),
+    /// The workers of the reactor that adopted it.
+    Adopted,
+    /// Nobody: the transport is stopped.
+    Stopped,
 }
 
 /// Most emptied `send_many` scratch lists kept: one per concurrent sender is
 /// all that is ever in use.
 const SCRATCH_CAP: usize = 8;
 
+/// One connection's share of a `send_many`: the frames bound for it, encoded
+/// back-to-back, and how many there are (what a failed write drops).
+struct ConnWrite {
+    conn: Arc<Connection>,
+    buf: Vec<u8>,
+    frames: u64,
+}
+
 struct TcpInner {
     /// Static actor → address routes (the deployment topology).
     routes: Mutex<HashMap<u32, SocketAddr>>,
     /// Open outbound connections by remote address.
-    conns: Mutex<HashMap<SocketAddr, Conn>>,
+    conns: Mutex<HashMap<SocketAddr, Arc<Connection>>>,
     /// Learned actor → connection routes (reply paths for clients).
-    peers: Mutex<HashMap<u32, Conn>>,
+    peers: Mutex<HashMap<u32, Arc<Connection>>>,
     /// Locally hosted actors' mailboxes.
     local: Mutex<HashMap<u32, MailboxSender>>,
-    /// Raw clones of every stream, so `stop` can unblock reader threads.
-    streams: Mutex<Vec<TcpStream>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    listen_addr: Mutex<Option<SocketAddr>>,
+    /// Every open connection, by its token in the poller.
+    open: Mutex<Open>,
+    listener: Mutex<Option<TcpListener>>,
+    /// The listener and every open connection, level-triggered.
+    poller: Poller,
+    runner: Mutex<Runner>,
     closed: AtomicBool,
     // Loss accounting only — never synchronizes. check:allow(atomics)
     dropped: AtomicU64,
@@ -103,7 +265,7 @@ struct TcpInner {
     pool: wire::BufPool,
     /// Emptied per-connection lists of `send_many`, kept for their capacity.
     flush_scratch: Mutex<Vec<Vec<ConnWrite>>>,
-    /// Successful coalesced writes (one per destination per flush).
+    /// Buffers written whole (one per destination per flush).
     flushes: AtomicU64, // check:allow(atomics)
     /// Payload bytes across those writes.
     bytes: AtomicU64, // check:allow(atomics)
@@ -116,6 +278,10 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// A transport with no routes and no listener yet.
+    ///
+    /// # Panics
+    ///
+    /// When the process is out of file descriptors for its poller.
     pub fn new() -> Arc<Self> {
         Arc::new(TcpTransport {
             inner: Arc::new(TcpInner {
@@ -123,9 +289,11 @@ impl TcpTransport {
                 conns: Mutex::new(HashMap::new()),
                 peers: Mutex::new(HashMap::new()),
                 local: Mutex::new(HashMap::new()),
-                streams: Mutex::new(Vec::new()),
-                threads: Mutex::new(Vec::new()),
-                listen_addr: Mutex::new(None),
+                open: Mutex::new(Open::default()),
+                listener: Mutex::new(None),
+                // Start-up, on the caller's thread: check:allow(panic)
+                poller: Poller::new().expect("create the transport's poller"),
+                runner: Mutex::new(Runner::Idle),
                 closed: AtomicBool::new(false),
                 dropped: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
@@ -165,35 +333,25 @@ impl TcpTransport {
     }
 
     /// Start accepting connections on a listener bound earlier; until
-    /// then, peers' connections wait in its backlog.
+    /// then, peers' connections wait in its backlog. A listener that
+    /// cannot be polled is dropped, which refuses them.
     pub fn serve(&self, listener: TcpListener) {
-        *self.inner.listen_addr.lock().expect("lock poisoned") = listener.local_addr().ok();
-        let inner = self.inner.clone();
-        let handle = std::thread::Builder::new()
-            .name("planet-tcp-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.closed.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            let _ = TcpInner::adopt(&inner, stream);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn tcp acceptor");
-        self.inner
-            .threads
-            .lock()
-            .expect("lock poisoned")
-            .push(handle);
+        let inner = &self.inner;
+        if inner.closed.load(Ordering::SeqCst)
+            || listener.set_nonblocking(true).is_err()
+            || inner
+                .poller
+                .add(&listener, LISTENER, Interest::Read)
+                .is_err()
+        {
+            return;
+        }
+        *inner.listener.lock().expect("lock poisoned") = Some(listener);
+        TcpInner::ensure_driven(inner);
     }
 
     /// Messages that could not be delivered (connect/write failures,
-    /// unroutable destinations).
+    /// stalled connections, unroutable destinations).
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
     }
@@ -204,9 +362,10 @@ impl TcpTransport {
         self.inner.shed.load(Ordering::Relaxed)
     }
 
-    /// `(flushes, bytes)` written so far: coalesced socket writes and the
-    /// total frame bytes they carried. `bytes / flushes` is the mean flush
-    /// size — the direct measure of how well writes are batching.
+    /// `(flushes, bytes)` written so far: coalesced buffers written whole
+    /// and the total frame bytes they carried. `bytes / flushes` is the
+    /// mean flush size — the direct measure of how well writes are
+    /// batching.
     pub fn io_stats(&self) -> (u64, u64) {
         (
             self.inner.flushes.load(Ordering::Relaxed),
@@ -214,110 +373,278 @@ impl TcpTransport {
         )
     }
 
-    /// Close every connection and stop the acceptor and reader threads.
+    /// Stop the transport's own I/O thread if it runs, close the listener
+    /// and every connection (their queued frames count as dropped), and
+    /// forget every connection route.
     pub fn stop(&self) {
-        self.inner.closed.store(true, Ordering::SeqCst);
-        for stream in self.inner.streams.lock().expect("lock poisoned").drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Unblock the acceptor with a throwaway connection.
-        if let Some(addr) = *self.inner.listen_addr.lock().expect("lock poisoned") {
-            let _ = TcpStream::connect(addr);
-        }
-        let threads: Vec<_> = self
-            .inner
-            .threads
-            .lock()
-            .expect("lock poisoned")
-            .drain(..)
-            .collect();
-        for handle in threads {
+        let inner = &self.inner;
+        inner.closed.store(true, Ordering::SeqCst);
+        let own = {
+            let mut runner = inner.runner.lock().expect("lock poisoned");
+            match std::mem::replace(&mut *runner, Runner::Stopped) {
+                Runner::Own(handle) => Some(handle),
+                _ => None,
+            }
+        };
+        if let Some(handle) = own {
+            inner.poller.notify();
             let _ = handle.join();
+        }
+        if let Some(listener) = inner.listener.lock().expect("lock poisoned").take() {
+            let _ = inner.poller.delete(&listener);
+        }
+        let open: Vec<_> = {
+            let mut open = inner.open.lock().expect("lock poisoned");
+            open.by_token.drain().map(|(_, conn)| conn).collect()
+        };
+        for conn in &open {
+            inner.close(conn);
         }
     }
 }
 
 impl TcpInner {
-    /// Wire up a new connection: keep a write handle, spawn a reader.
-    fn adopt(inner: &Arc<TcpInner>, stream: TcpStream) -> Option<Conn> {
-        if inner.closed.load(Ordering::SeqCst) {
-            return None;
+    /// Make sure someone runs the poll: the transport's own thread, unless
+    /// a reactor has adopted the transport (or it is stopped).
+    fn ensure_driven(inner: &Arc<TcpInner>) {
+        let mut runner = inner.runner.lock().expect("lock poisoned");
+        if !matches!(*runner, Runner::Idle) || inner.closed.load(Ordering::SeqCst) {
+            return;
         }
-        let _ = stream.set_nodelay(true);
-        // Bound every write: `write_batch` holds the per-connection stream
-        // lock across `write_all`, so a peer that stops draining must fail
-        // the write (and drop the connection) rather than park the sender —
-        // and everyone queued behind the lock — forever.
-        let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(10)));
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(_) => return None,
+        let own = Arc::clone(inner);
+        // The runner lock is held across the spawn, so the thread's first
+        // look at it finds itself installed.
+        let spawned = std::thread::Builder::new()
+            .name("planet-tcp-io".into())
+            // `drive` runs on the new thread, not under the guard: check:allow(race)
+            .spawn(move || TcpInner::drive(&own));
+        if let Ok(handle) = spawned {
+            *runner = Runner::Own(handle);
+        }
+    }
+
+    /// The own I/O thread: poll, parked in the poller between polls, until
+    /// a reactor adopts the transport or it stops.
+    fn drive(inner: &Arc<TcpInner>) {
+        while matches!(*inner.runner.lock().expect("lock poisoned"), Runner::Own(_)) {
+            TcpInner::poll(inner, Some(IO_WAIT));
+        }
+    }
+
+    /// A reactor runs the poll from now on: the own thread, if one runs,
+    /// is told and joined.
+    fn adopted(&self) {
+        let own = {
+            let mut runner = self.runner.lock().expect("lock poisoned");
+            if matches!(*runner, Runner::Stopped) {
+                return;
+            }
+            match std::mem::replace(&mut *runner, Runner::Adopted) {
+                Runner::Own(handle) => Some(handle),
+                _ => None,
+            }
         };
-        inner
-            .streams
-            .lock()
-            .expect("lock poisoned")
-            .push(match stream.try_clone() {
-                Ok(raw) => raw,
-                Err(_) => return None,
+        if let Some(handle) = own {
+            self.poller.notify();
+            let _ = handle.join();
+        }
+    }
+
+    /// All of the transport's socket I/O: wait up to `wait` (`None`: not
+    /// at all) for readiness, then accept, read and deliver, and finish
+    /// queued writes, for every ready registration.
+    fn poll(inner: &Arc<TcpInner>, wait: Option<Duration>) {
+        let mut events = Events::new();
+        if inner.poller.wait(&mut events, wait).is_err() {
+            return;
+        }
+        for ready in events.iter() {
+            if ready.token == LISTENER {
+                TcpInner::accept_all(inner);
+                continue;
+            }
+            let conn = inner
+                .open
+                .lock()
+                .expect("lock poisoned")
+                .by_token
+                .get(&ready.token)
+                .cloned();
+            let Some(conn) = conn else {
+                continue; // closed since the wait
+            };
+            if ready.writable() {
+                inner.finish_writes(&conn);
+            }
+            if ready.readable() {
+                TcpInner::read_ready(inner, &conn);
+            }
+        }
+    }
+
+    /// Accept every connection waiting on the listener.
+    fn accept_all(inner: &Arc<TcpInner>) {
+        loop {
+            let accepted = match inner.listener.lock().expect("lock poisoned").as_ref() {
+                Some(listener) => listener.accept(),
+                None => return,
+            };
+            match accepted {
+                Ok((stream, _)) => {
+                    let _ = TcpInner::register(inner, stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // `WouldBlock`: all taken. Anything else (out of
+                // descriptors, say) leaves the rest for a later poll.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Wire up a new connection: nonblocking, in the poller for reads.
+    fn register(inner: &Arc<TcpInner>, stream: TcpStream) -> Option<Arc<Connection>> {
+        stream.set_nonblocking(true).ok()?;
+        let _ = stream.set_nodelay(true);
+        let conn = {
+            let mut open = inner.open.lock().expect("lock poisoned");
+            // Under the table lock, which `stop` drains after storing
+            // `closed`: a connection that races the stop is refused or
+            // closed with the rest.
+            if inner.closed.load(Ordering::SeqCst) {
+                return None;
+            }
+            open.next += 1;
+            let conn = Arc::new(Connection {
+                token: open.next,
+                stream,
+                read: Mutex::new(ReadSide {
+                    reader: wire::FrameReader::new(),
+                    settled: HashSet::new(),
+                    frames: Vec::new(),
+                    mailboxes: Vec::new(),
+                }),
+                write: Mutex::new(WriteSide::default()),
             });
-        let conn: Conn = Arc::new(Mutex::new(stream));
-        let inner2 = inner.clone();
-        let conn2 = conn.clone();
-        let handle = std::thread::Builder::new()
-            .name("planet-tcp-read".into())
-            .spawn(move || TcpInner::read_loop(&inner2, reader, conn2))
-            .ok()?;
-        inner.threads.lock().expect("lock poisoned").push(handle);
+            inner
+                .poller
+                .add(&conn.stream, conn.token, Interest::Read)
+                .ok()?;
+            open.by_token.insert(conn.token, Arc::clone(&conn));
+            conn
+        };
+        TcpInner::ensure_driven(inner);
         Some(conn)
     }
 
-    /// Receive on one connection until EOF, burst by burst: one `read`
-    /// takes whatever the socket holds into the connection's buffer, and
-    /// every frame of the burst is decoded out of it
-    /// ([`wire::FrameReader`]) and delivered locally.
-    ///
-    /// The tables are consulted per connection and per burst, not per
-    /// frame. A sender's reply path is settled once per (connection,
-    /// sender): it has a static route, or `peers` is pointed at this
-    /// connection. That holds for the life of the connection — routes are
-    /// never removed, and a connection whose write failed is shut down
-    /// ([`TcpInner::write_buf`]), which ends this loop. A destination's
-    /// mailbox is looked up once per burst, so a mailbox `host`ed later is
-    /// seen by the next burst.
-    fn read_loop(inner: &Arc<TcpInner>, mut stream: TcpStream, conn: Conn) {
-        let mut reader = wire::FrameReader::new();
-        let mut settled: HashSet<u32> = HashSet::new();
-        let mut mailboxes: Vec<(u32, Option<MailboxSender>)> = Vec::new();
-        while matches!(reader.fill(&mut stream), Ok(n) if n > 0) {
-            loop {
-                let env = match reader.pop_frame() {
-                    Ok(Some(env)) => env,
-                    Ok(None) => break,
-                    Err(_) => return,
-                };
-                if settled.insert(env.from.0) {
-                    inner.learn_reply_path(env.from.0, &conn);
-                }
-                let known = mailboxes.iter().position(|(id, _)| *id == env.to.0);
-                let slot = known.unwrap_or_else(|| {
-                    mailboxes.push((env.to.0, inner.mailbox_of(env.to.0)));
-                    mailboxes.len() - 1
-                });
-                match mailboxes.get(slot) {
-                    Some((_, Some(tx))) => TcpInner::deliver(inner, tx, env),
-                    _ => {
-                        inner.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Read a readable connection, burst by burst, until it would block
+    /// (or [`MAX_BURSTS`]), delivering each burst. A connection another
+    /// poll is reading is left to it. End of stream, a read error or a
+    /// frame that does not decode closes the connection.
+    fn read_ready(inner: &Arc<TcpInner>, conn: &Arc<Connection>) {
+        let Ok(mut side) = conn.read.try_lock() else {
+            return;
+        };
+        for _ in 0..MAX_BURSTS {
+            let open = match side.reader.fill(&mut &conn.stream) {
+                Ok(0) => false,
+                Ok(_) => TcpInner::deliver_burst(inner, conn, &mut side),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => false,
+            };
+            if !open {
+                drop(side);
+                inner.close(conn);
+                return;
+            }
+        }
+    }
+
+    /// Decode every whole frame of the burst and deliver it: consecutive
+    /// frames for one mailbox as one run, under one lock and with one
+    /// wake. The tables are consulted per burst, not per frame: a sender's
+    /// reply path is settled once per (connection, sender), and a
+    /// destination's mailbox is looked up once per burst. `false` when a
+    /// frame does not decode (the ones before it are delivered).
+    fn deliver_burst(inner: &Arc<TcpInner>, conn: &Arc<Connection>, side: &mut ReadSide) -> bool {
+        let ReadSide {
+            reader,
+            settled,
+            frames,
+            mailboxes,
+        } = side;
+        let decoded = loop {
+            match reader.pop_frame() {
+                Ok(Some(env)) => {
+                    if settled.insert(env.from.0) {
+                        inner.learn_reply_path(env.from.0, conn);
                     }
+                    frames.push(env);
+                }
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        let now = Instant::now();
+        let mut burst = frames.drain(..).peekable();
+        while let Some(first) = burst.next() {
+            let to = first.to.0;
+            let tx = match mailboxes.iter().find(|(id, _)| *id == to) {
+                Some((_, tx)) => tx.clone(),
+                None => {
+                    let tx = inner.mailbox_of(to);
+                    mailboxes.push((to, tx.clone()));
+                    tx
+                }
+            };
+            let Some(tx) = tx else {
+                inner.dropped.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            let mut next = Some(first);
+            let mut shed = None;
+            {
+                let mut run = tx.open_run();
+                while let Some(env) = next.take() {
+                    let bounded = env.msg.submission().is_some();
+                    match run.push(now, Packet::Env(env), bounded) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(Packet::Env(env))) => {
+                            shed = Some(env);
+                            break;
+                        }
+                        // Destination node already stopped.
+                        Err(_) => {
+                            inner.dropped.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    next = burst.next_if(|env| env.to.0 == to);
                 }
             }
-            mailboxes.clear();
+            // The run has ended (and woken its task); the bounce may go to
+            // any mailbox or connection, and the rest of the group opens a
+            // run of its own.
+            if let Some(env) = shed {
+                TcpInner::shed_submission(inner, env);
+            }
+        }
+        drop(burst);
+        mailboxes.clear();
+        decoded
+    }
+
+    /// A submission met a full mailbox: bounce it back to its client as a
+    /// timeout, routed like any other send — a remote load generator sees the
+    /// shed down its own connection.
+    fn shed_submission(inner: &Arc<TcpInner>, env: Envelope) {
+        inner.shed.fetch_add(1, Ordering::Relaxed);
+        if let Some((reply_to, tag)) = env.msg.submission() {
+            TcpInner::send_env(inner, shed_bounce(env.to, reply_to, tag, SimTime::ZERO));
         }
     }
 
     /// The sender is reachable down the connection its frame came in on,
     /// unless a static route says where it lives.
-    fn learn_reply_path(&self, from: u32, conn: &Conn) {
+    fn learn_reply_path(&self, from: u32, conn: &Arc<Connection>) {
         let has_route = self
             .routes
             .lock()
@@ -327,12 +654,12 @@ impl TcpInner {
             self.peers
                 .lock()
                 .expect("lock poisoned")
-                .insert(from, conn.clone());
+                .insert(from, Arc::clone(conn));
         }
     }
 
     /// The mailbox of a locally hosted actor. The table lock is released
-    /// before any mailbox operation (sends may block).
+    /// before any mailbox operation.
     fn mailbox_of(&self, actor: u32) -> Option<MailboxSender> {
         self.local
             .lock()
@@ -341,39 +668,34 @@ impl TcpInner {
             .cloned()
     }
 
-    /// Deliver into a hosted mailbox under the plane's backpressure
-    /// policy: block for protocol traffic, shed submissions.
+    /// Deliver one envelope into a hosted mailbox under the plane's policy:
+    /// protocol traffic past the bound, submissions shed at it.
     fn deliver(inner: &Arc<TcpInner>, tx: &MailboxSender, env: Envelope) {
-        if let Some((reply_to, tag)) = env.msg.submission() {
-            match tx.try_send(Packet::Env(env)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(Packet::Env(env))) => {
-                    inner.shed.fetch_add(1, Ordering::Relaxed);
-                    // Routed like any other send, so a remote load driver
-                    // sees the shed as a timeout down its own connection.
-                    TcpInner::send_env(inner, shed_bounce(env.to, reply_to, tag, SimTime::ZERO));
-                }
-                Err(_) => {
-                    inner.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+        let bounded = env.msg.submission().is_some();
+        let pushed = tx
+            .open_run()
+            .push(Instant::now(), Packet::Env(env), bounded);
+        match pushed {
+            Ok(()) => {}
+            Err(TrySendError::Full(Packet::Env(env))) => TcpInner::shed_submission(inner, env),
+            Err(_) => {
+                inner.dropped.fetch_add(1, Ordering::Relaxed);
             }
-        } else if tx.send(Packet::Env(env)).is_err() {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Resolve the connection an envelope to `dst` should go down: learned
     /// reply route first, then static route (connecting on demand).
     /// Returns `None` (and counts a drop) if `dst` is unroutable.
-    fn resolve(inner: &Arc<TcpInner>, dst: u32) -> Option<(Conn, ConnKey)> {
+    fn resolve(inner: &Arc<TcpInner>, dst: u32) -> Option<Arc<Connection>> {
         let peer = inner
             .peers
             .lock()
             .expect("lock poisoned")
             .get(&dst)
             .cloned();
-        if let Some(conn) = peer {
-            return Some((conn, ConnKey::Peer(dst)));
+        if peer.is_some() {
+            return peer;
         }
         let addr = inner
             .routes
@@ -381,80 +703,117 @@ impl TcpInner {
             .expect("lock poisoned")
             .get(&dst)
             .copied();
-        let Some(addr) = addr else {
+        let conn = addr.and_then(|addr| TcpInner::connection_to(inner, addr));
+        if conn.is_none() {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
+        }
+        conn
+    }
+
+    /// The open outbound connection to `addr`, connecting if there is none.
+    /// Two senders that connect at once keep the first connection; the
+    /// second is closed unused.
+    fn connection_to(inner: &Arc<TcpInner>, addr: SocketAddr) -> Option<Arc<Connection>> {
         let existing = inner
             .conns
             .lock()
             .expect("lock poisoned")
             .get(&addr)
             .cloned();
-        let conn = match existing {
-            Some(conn) => Some(conn),
-            None => match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let conn = TcpInner::adopt(inner, stream);
-                    if let Some(conn) = &conn {
-                        inner
-                            .conns
-                            .lock()
-                            .expect("lock poisoned")
-                            .insert(addr, conn.clone());
-                    }
-                    conn
+        if existing.is_some() {
+            return existing;
+        }
+        let fresh = TcpInner::register(inner, TcpStream::connect(addr).ok()?)?;
+        let kept = Arc::clone(
+            inner
+                .conns
+                .lock()
+                .expect("lock poisoned")
+                .entry(addr)
+                .or_insert_with(|| Arc::clone(&fresh)),
+        );
+        if !Arc::ptr_eq(&kept, &fresh) {
+            inner.close(&fresh);
+        }
+        Some(kept)
+    }
+
+    /// Shut a connection down: out of the poller and every table, its
+    /// queued frames counted as dropped. A route that pointed at it is
+    /// resolved afresh by the next send (for a static route, a reconnect).
+    fn close(&self, conn: &Arc<Connection>) {
+        let _ = self.poller.delete(&conn.stream);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        self.open
+            .lock()
+            .expect("lock poisoned")
+            .by_token
+            .remove(&conn.token);
+        self.conns
+            .lock()
+            .expect("lock poisoned")
+            .retain(|_, c| !Arc::ptr_eq(c, conn));
+        self.peers
+            .lock()
+            .expect("lock poisoned")
+            .retain(|_, c| !Arc::ptr_eq(c, conn));
+        let queued = {
+            let mut write = conn.write.lock().expect("lock poisoned");
+            write.closed = true;
+            write.written = 0;
+            write.bytes = 0;
+            std::mem::take(&mut write.queued)
+        };
+        for (buf, frames) in queued {
+            self.dropped.fetch_add(frames, Ordering::Relaxed);
+            self.pool.put(buf);
+        }
+    }
+
+    /// Hand one connection's share of a flush — `frames` frames encoded
+    /// back-to-back into a pooled buffer — to its socket
+    /// ([`Connection::offer`]). A failed write closes the connection (half
+    /// a frame may be on the wire, after which nothing the peer reads would
+    /// parse), as does a queue past [`MAX_QUEUED`]. Every frame not sent is
+    /// counted as dropped.
+    fn write_buf(&self, conn: &Arc<Connection>, buf: Vec<u8>, frames: u64) {
+        match conn.offer(&self.poller, buf, frames) {
+            Wrote::Whole(buf) => self.count_flush(buf),
+            Wrote::Queued => {}
+            Wrote::Refused(buf, frames) => {
+                self.dropped.fetch_add(frames, Ordering::Relaxed);
+                self.pool.put(buf);
+            }
+            Wrote::Failed(unsent) => {
+                if let Some((buf, frames)) = unsent {
+                    self.dropped.fetch_add(frames, Ordering::Relaxed);
+                    self.pool.put(buf);
                 }
-                Err(_) => None,
-            },
-        };
-        match conn {
-            Some(conn) => Some((conn, ConnKey::Addr(addr))),
-            None => {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                None
+                self.close(conn);
             }
         }
     }
 
-    /// Forget a connection after a failed write, so the next send
-    /// re-resolves (and, for static routes, reconnects).
-    fn invalidate(&self, key: &ConnKey) {
-        match key {
-            ConnKey::Peer(id) => {
-                self.peers.lock().expect("lock poisoned").remove(id);
-            }
-            ConnKey::Addr(addr) => {
-                self.conns.lock().expect("lock poisoned").remove(addr);
+    /// The socket turned writable: write what is queued, in order, until
+    /// it would block again or it is all out.
+    fn finish_writes(&self, conn: &Arc<Connection>) {
+        loop {
+            match conn.write_front(&self.poller) {
+                Flushed::Whole(buf) => self.count_flush(buf),
+                Flushed::Blocked | Flushed::Empty => return,
+                Flushed::Failed => {
+                    self.close(conn);
+                    return;
+                }
             }
         }
     }
 
-    /// Write one connection's share of a flush — frames encoded
-    /// back-to-back into a pooled buffer — with a single `write_all` under
-    /// a single stream lock, and hand the buffer back to the pool. A
-    /// failed or timed-out write may have left half a frame on the wire,
-    /// after which nothing the peer reads would parse: the connection is
-    /// shut down, which also ends its reader thread.
-    fn write_buf(&self, conn: &Conn, buf: Vec<u8>) -> bool {
-        let ok = {
-            let mut stream = conn.lock().expect("lock poisoned");
-            // The wait is bounded: adopt() sets a write timeout on every
-            // stream, so a stalled peer errors out instead of parking
-            // writers behind this connection's lock forever.
-            // check:allow(race)
-            let ok = stream.write_all(&buf).and_then(|()| stream.flush()).is_ok();
-            if !ok {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-            ok
-        };
-        if ok {
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
+    /// A buffer went out whole: count it and give it back to the pool.
+    fn count_flush(&self, buf: Vec<u8>) {
+        self.flushes.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.pool.put(buf);
-        ok
     }
 
     /// Deliver one envelope: hosted mailbox, or down a resolved connection.
@@ -463,15 +822,45 @@ impl TcpInner {
             TcpInner::deliver(inner, &tx, env);
             return;
         }
-        let Some((conn, key)) = TcpInner::resolve(inner, env.to.0) else {
+        let Some(conn) = TcpInner::resolve(inner, env.to.0) else {
             return; // drop already counted
         };
         let mut buf = inner.pool.get();
         wire::encode_frame_into(&env, &mut buf);
-        if !inner.write_buf(&conn, buf) {
-            inner.invalidate(&key);
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+        inner.write_buf(&conn, buf, 1);
+    }
+}
+
+/// Write as much of `buf` as the socket takes without blocking; how much
+/// that was. An error other than `WouldBlock` is the connection's end.
+fn write_some(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    let mut done = 0;
+    while let Some(rest) = buf.get(done..).filter(|rest| !rest.is_empty()) {
+        match (&*stream).write(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
+    }
+    Ok(done)
+}
+
+/// The transport's socket I/O as a reactor runs it.
+struct TcpIo(Arc<TcpInner>);
+
+impl SocketIo for TcpIo {
+    fn poller(&self) -> &Poller {
+        &self.0.poller
+    }
+
+    fn poll(&self) {
+        TcpInner::poll(&self.0, None);
+    }
+
+    fn adopted(&self) {
+        self.0.adopted();
     }
 }
 
@@ -492,14 +881,13 @@ impl Transport for TcpTransport {
                 TcpInner::deliver(inner, &tx, env);
                 continue;
             }
-            let Some((conn, key)) = TcpInner::resolve(inner, env.to.0) else {
+            let Some(conn) = TcpInner::resolve(inner, env.to.0) else {
                 continue; // drop already counted
             };
             let at = flush.iter().position(|w| Arc::ptr_eq(&w.conn, &conn));
             let at = at.unwrap_or_else(|| {
                 flush.push(ConnWrite {
                     conn,
-                    key,
                     buf: inner.pool.get(),
                     frames: 0,
                 });
@@ -511,14 +899,17 @@ impl Transport for TcpTransport {
             }
         }
         for write in flush.drain(..) {
-            if !inner.write_buf(&write.conn, write.buf) {
-                inner.invalidate(&write.key);
-                inner.dropped.fetch_add(write.frames, Ordering::Relaxed);
-            }
+            inner.write_buf(&write.conn, write.buf, write.frames);
         }
         let mut scratch = inner.flush_scratch.lock().expect("lock poisoned");
         if scratch.len() < SCRATCH_CAP {
             scratch.push(std::mem::take(flush));
         }
+    }
+
+    fn io(&self) -> Option<Io> {
+        Some(Io {
+            source: Arc::new(TcpIo(Arc::clone(&self.inner))),
+        })
     }
 }

@@ -1,8 +1,12 @@
 //! The pluggable message fabric underneath a live cluster.
 
+use std::sync::Arc;
+
 use planet_mdcc::{Msg, Outcome, TxnStats};
 use planet_sim::{ActorId, SimTime};
 use planet_storage::TxnId;
+
+use crate::poll::Poller;
 
 /// A protocol message in flight between two live actors.
 #[derive(Debug, Clone)]
@@ -43,13 +47,13 @@ pub(crate) fn shed_bounce(from: ActorId, reply_to: ActorId, tag: u64, at: SimTim
 /// actor to another. Implementations decide delivery latency, loss, and
 /// ordering; the reactor above is transport-agnostic.
 ///
-/// Backpressure: a send *may* block while the destination's bounded mailbox
-/// is full — that is the mechanism that keeps queues (and therefore queueing
-/// latency) bounded. The exception is client load — a transaction submitted
-/// as `Msg::Submit` or as `Msg::SubmitPlan` (`Msg::submission` tells) —
-/// which transports shed rather than block on (see [`ChannelTransport`]), so
-/// it can never wedge the protocol plane; the client gets a
-/// `shed_bounce` instead.
+/// Backpressure: a send never blocks. Destination mailboxes are bounded;
+/// protocol traffic goes past the bound (a reactor worker, which is what
+/// sends, must never wait on a peer), and client load — a transaction
+/// submitted as `Msg::Submit` or as `Msg::SubmitPlan` (`Msg::submission`
+/// tells) — is shed at it: the client gets a `shed_bounce`, a timed-out
+/// `TxnDone`, instead (see [`ChannelTransport`]). Both transports apply
+/// this one policy.
 ///
 /// [`ChannelTransport`]: crate::ChannelTransport
 pub trait Transport: Send + Sync {
@@ -58,7 +62,7 @@ pub trait Transport: Send + Sync {
 
     /// Enqueue a batch of envelopes, draining `envs` (the caller keeps the
     /// vector's capacity for reuse). Implementations coalesce: one fabric
-    /// handoff per shard, one socket write per destination. Per-(src, dst)
+    /// lock per batch, one socket write per destination. Per-(src, dst)
     /// delivery order follows the order within `envs`, exactly as a loop of
     /// [`send`]s would.
     ///
@@ -68,4 +72,36 @@ pub trait Transport: Send + Sync {
             self.send(env);
         }
     }
+
+    /// The transport's socket I/O, for a reactor to run on its workers: a
+    /// reactor that spawns a task sending through this transport *adopts*
+    /// it (see [`Reactor`]). `None`, the default, for a transport with no
+    /// sockets — and for a wrapper that does not pass its inner
+    /// transport's on, whose sockets then stay on the inner transport's
+    /// own I/O thread.
+    ///
+    /// [`Reactor`]: crate::Reactor
+    fn io(&self) -> Option<Io> {
+        None
+    }
+}
+
+/// A transport's socket I/O, as [`Transport::io`] hands it to the reactor
+/// that adopts the transport. Opaque outside this crate.
+pub struct Io {
+    pub(crate) source: Arc<dyn SocketIo>,
+}
+
+/// What a reactor does with an adopted transport's sockets.
+pub(crate) trait SocketIo: Send + Sync {
+    /// The poller that reads ready when [`poll`](Self::poll) has work: the
+    /// adopting reactor nests it in each worker's park.
+    fn poller(&self) -> &Poller;
+
+    /// Do every ready socket operation, without waiting.
+    fn poll(&self);
+
+    /// The reactor runs [`poll`](Self::poll) from now on: stop the
+    /// transport's own I/O thread, if it runs.
+    fn adopted(&self);
 }

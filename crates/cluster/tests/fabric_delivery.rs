@@ -4,7 +4,8 @@
 //! that must keep: nothing lost and per-pair FIFO under many senders and
 //! across a partition window, no bare receive before a packet's instant, a
 //! reactor that drives a delayed packet within the slack of its instant,
-//! and a cluster that cannot wedge on tiny mailboxes.
+//! and a cluster that cannot wedge on tiny mailboxes — the last on the tcp
+//! fabric too, whose bursts are delivered under the same policy.
 //!
 //! This file is a workload for the ThreadSanitizer CI job, beside
 //! `channel_stress.rs`: tsan observes the fabric lock, stamped runs into
@@ -319,25 +320,22 @@ impl Actor<Msg> for Retrier {
 /// traffic goes past the bound and the cluster commits every transaction,
 /// while client submissions still shed at it (each pool's first burst of
 /// sixteen submissions to its coordinator cannot all fit) and come back to
-/// be resubmitted.
-#[test]
-fn a_channel_cluster_with_tiny_mailboxes_commits_every_transaction() {
-    let _host = serial();
+/// be resubmitted. `fabric` is the builder's last step: the channel fabric
+/// with a network model, or tcp with every site hosted.
+fn tiny_mailboxes_commit_every_transaction(
+    fabric: impl FnOnce(planet_cluster::LiveClusterBuilder) -> planet_cluster::LiveClusterBuilder,
+) {
     const CLIENTS: usize = 16;
     const EACH: u32 = 3;
-    let rtt: Vec<Vec<f64>> = (0..3)
-        .map(|i| (0..3).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
-        .collect();
     let plane = PlaneConfig {
         mailbox_capacity: 4,
         ..PlaneConfig::default()
     }
     .with_workers(2);
-    let mut cluster = LiveCluster::builder(ClusterConfig::new(3, Protocol::Fast))
-        .network(NetworkModel::from_rtt_ms(&rtt))
+    let builder = LiveCluster::builder(ClusterConfig::new(3, Protocol::Fast))
         .plane(plane)
-        .seed(5)
-        .build();
+        .seed(5);
+    let mut cluster = fabric(builder).build();
     let (outcomes_tx, outcomes) = channel();
     for site in 0..3 {
         let coordinator = cluster.coordinator(site);
@@ -372,4 +370,23 @@ fn a_channel_cluster_with_tiny_mailboxes_commits_every_transaction() {
         timed_out, harvest.shed,
         "every shed comes back as a timeout"
     );
+}
+
+#[test]
+fn a_channel_cluster_with_tiny_mailboxes_commits_every_transaction() {
+    let _host = serial();
+    let rtt: Vec<Vec<f64>> = (0..3)
+        .map(|i| (0..3).map(|j| if i == j { 0.1 } else { 2.0 }).collect())
+        .collect();
+    tiny_mailboxes_commit_every_transaction(|b| b.network(NetworkModel::from_rtt_ms(&rtt)));
+}
+
+/// The same on tcp: a burst read off a socket is delivered under the
+/// channel fabric's policy, so the servers' workers never block on a
+/// mailbox either, and a shed comes back down the client's connection.
+#[test]
+fn a_tcp_cluster_with_tiny_mailboxes_commits_every_transaction() {
+    let _host = serial();
+    let any = "127.0.0.1:0".parse().expect("loopback address");
+    tiny_mailboxes_commit_every_transaction(|b| b.tcp(vec![any; 3], 0..3));
 }

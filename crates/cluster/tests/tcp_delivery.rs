@@ -1,0 +1,251 @@
+//! Socket I/O on the reactor's workers: a peer that stops reading costs a
+//! connection, never a worker, and once every reactor has adopted its
+//! transport no thread of the transport's own is left.
+//!
+//! This file is a workload for the ThreadSanitizer CI job, beside
+//! `channel_stress.rs` and `fabric_delivery.rs`: tsan observes the poll,
+//! the connections' write queues and the adoption handoff.
+
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use planet_cluster::node::Clock;
+use planet_cluster::plane::{mailbox, PlaneConfig};
+use planet_cluster::{LiveCluster, Reactor, TcpTransport, Transport};
+use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol, TxnSpec};
+use planet_sim::{Actor, ActorId, Context, SiteId};
+use planet_storage::{Key, TxnId, Value, WriteOp};
+
+/// Held by every test here for its whole run: one reads the threads of the
+/// whole process.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+const PINGER: ActorId = ActorId(1);
+const PONGER: ActorId = ActorId(2);
+/// Routed to a peer that accepts and never reads.
+const STALLED: ActorId = ActorId(50);
+
+/// One 64 KiB write to the stalled peer per round.
+fn big(round: u64) -> Msg {
+    Msg::Apply {
+        key: Key::new("stalled"),
+        version: round,
+        value: Value::bytes(vec![7u8; 64 << 10]),
+        txn: TxnId::new(0, round),
+    }
+}
+
+/// Pings its partner on every answer, reporting the round, and writes a
+/// large frame to the stalled peer each round.
+struct Pinger {
+    round: u64,
+    rounds: Sender<u64>,
+}
+
+impl Actor<Msg> for Pinger {
+    fn on_message(&mut self, _from: ActorId, _msg: Msg, ctx: &mut Context<'_, Msg>) {
+        self.round += 1;
+        let _ = self.rounds.send(self.round);
+        ctx.send(STALLED, big(self.round));
+        ctx.send(
+            PONGER,
+            Msg::ClientTimer {
+                kind: 0,
+                tag: self.round,
+            },
+        );
+    }
+}
+
+/// Answers every ping.
+struct Ponger;
+
+impl Actor<Msg> for Ponger {
+    fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        ctx.send(from, msg);
+    }
+}
+
+/// Accepts every connection on `listener` and holds it unread until `done`.
+fn hold_unread(listener: TcpListener, done: Arc<AtomicBool>) -> thread::JoinHandle<usize> {
+    listener
+        .set_nonblocking(true)
+        .expect("nonblocking listener");
+    thread::spawn(move || {
+        let mut held: Vec<TcpStream> = Vec::new();
+        while !done.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => held.push(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        }
+        held.len()
+    })
+}
+
+/// A peer that accepts a connection and never reads stalls nobody: on a
+/// one-worker reactor, a pair of actors keeps exchanging messages, each
+/// round within 500 ms, while one of them writes 64 KiB a round to that
+/// peer. The socket fills, the rest queues on the connection, and once the
+/// queue passes its bound the connection is shut down and its frames
+/// counted as dropped.
+#[test]
+fn a_peer_that_stops_reading_stalls_no_worker() {
+    let _host = serial();
+    let raw = TcpListener::bind("127.0.0.1:0").expect("bind the stalled peer");
+    let raw_addr: SocketAddr = raw.local_addr().expect("its address");
+    let done = Arc::new(AtomicBool::new(false));
+    let holder = hold_unread(raw, Arc::clone(&done));
+
+    let transport = TcpTransport::new();
+    transport.add_route(STALLED.0, raw_addr);
+    let reactor = Reactor::new(Clock::new(), PlaneConfig::default().with_workers(1), 3);
+    let (rounds_tx, rounds) = channel();
+    let spawn = |id: ActorId, actor: Box<dyn Actor<Msg>>| {
+        let (tx, rx) = mailbox(PlaneConfig::default().mailbox_capacity);
+        transport.host(id.0, tx.clone());
+        let shared = transport.clone() as Arc<dyn Transport>;
+        reactor.spawn(id, SiteId(0), actor, tx, rx, shared)
+    };
+    let ponger = spawn(PONGER, Box::new(Ponger));
+    let pinger = spawn(
+        PINGER,
+        Box::new(Pinger {
+            round: 0,
+            rounds: rounds_tx,
+        }),
+    );
+    pinger.inject(Msg::ClientTimer { kind: 0, tag: 0 });
+
+    // Until the stalled connection is dropped, and 200 rounds past that.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut after_drop = 0;
+    while after_drop < 200 {
+        assert!(Instant::now() < deadline, "the bound was never passed");
+        let round = rounds
+            .recv_timeout(Duration::from_millis(500))
+            .unwrap_or_else(|e| panic!("no round within 500 ms ({e}); a worker is stalled"));
+        if transport.dropped() > 0 {
+            after_drop += 1;
+        }
+        assert!(round > 0);
+    }
+    pinger.stop_and_join();
+    ponger.stop_and_join();
+    transport.stop();
+    reactor.shutdown();
+    done.store(true, Ordering::SeqCst);
+    assert!(holder.join().expect("holder") >= 1);
+}
+
+/// A closed-loop client committing increments until `done` is set.
+struct Incrementer {
+    coordinator: ActorId,
+    key: Key,
+    done: Arc<AtomicBool>,
+    committed: Sender<()>,
+}
+
+impl Incrementer {
+    fn submit(&self, ctx: &mut Context<'_, Msg>) {
+        let spec = TxnSpec::write_one(self.key.clone(), WriteOp::add(1));
+        let reply_to = ctx.self_id();
+        ctx.send(
+            self.coordinator,
+            Msg::Submit {
+                spec,
+                reply_to,
+                tag: 0,
+            },
+        );
+    }
+}
+
+impl Actor<Msg> for Incrementer {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.submit(ctx);
+    }
+
+    fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        let Msg::TxnDone { outcome, .. } = msg else {
+            return;
+        };
+        if outcome == Outcome::Committed {
+            let _ = self.committed.send(());
+        }
+        if !self.done.load(Ordering::SeqCst) {
+            self.submit(ctx);
+        }
+    }
+}
+
+/// The names of this process's threads.
+fn thread_names() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+/// Under load on a tcp cluster of three hosted sites and a client node,
+/// every socket is read on a reactor worker: no `planet-tcp-*` thread is
+/// left once each node's reactor has adopted its transport.
+#[test]
+fn no_tcp_thread_is_left_once_the_reactors_adopt_their_transports() {
+    let _host = serial();
+    let any = "127.0.0.1:0".parse().expect("loopback address");
+    let mut cluster = LiveCluster::builder(ClusterConfig::new(3, Protocol::Fast))
+        .tcp(vec![any; 3], 0..3)
+        .plane(PlaneConfig::default().with_workers(2))
+        .seed(9)
+        .build();
+    let done = Arc::new(AtomicBool::new(false));
+    let (committed_tx, committed) = channel();
+    for site in 0..3 {
+        let coordinator = cluster.coordinator(site);
+        let clients: Vec<Box<dyn Actor<Msg>>> = (0..8)
+            .map(|c| {
+                Box::new(Incrementer {
+                    coordinator,
+                    key: Key::new(format!("t{site}-{c}")),
+                    done: Arc::clone(&done),
+                    committed: committed_tx.clone(),
+                }) as _
+            })
+            .collect();
+        cluster.spawn_client_pool(site, clients);
+    }
+    drop(committed_tx);
+    for _ in 0..600 {
+        committed
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the cluster commits");
+    }
+    let names = thread_names();
+    done.store(true, Ordering::SeqCst);
+    cluster.shutdown();
+    let tcp: Vec<_> = names
+        .iter()
+        .filter(|n| n.starts_with("planet-tcp"))
+        .collect();
+    assert!(tcp.is_empty(), "tcp threads left under load: {tcp:?}");
+    let workers = names
+        .iter()
+        .filter(|n| n.starts_with("planet-reactor"))
+        .count();
+    assert_eq!(workers, 4 * 2, "two workers on each of four nodes");
+}
