@@ -3,16 +3,20 @@
 //! and registry, storage validation, workload sampling, the timer queue
 //! (`planet_sim::EventQueue`) with a few dozen and with a quarter of a
 //! million timers armed, the reactor parking with the latter, plan
-//! registration against table size, and a replica's storage maintenance
-//! (checkpoint, restart) against store size at a fixed written set.
+//! registration against table size, a replica's storage maintenance
+//! (checkpoint, restart) against store size at a fixed written set, key
+//! interning against table size, and the tcp transport's `send_many` to a
+//! hosted and to a remote destination.
 //! Driven by the in-repo timing harness (`planet_bench::timing`).
 
+use std::io::Read;
+use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use planet_bench::timing::{black_box, Harness};
 
-use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, Transport};
+use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, TcpTransport, Transport};
 use planet_core::{CompiledPlan, DeltaRef, KeyRef, KeyTemplate, OpTemplate, TxnProgram};
 use planet_mdcc::{ClusterConfig, Msg, Protocol};
 use planet_predict::likelihood::{KeyState, LikelihoodModel, TxnSnapshot};
@@ -21,7 +25,9 @@ use planet_predict::LatencyEcdf;
 use planet_sim::{
     Actor, ActorId, Context, DetRng, EventQueue, Histogram, Metrics, SimDuration, SimTime, SiteId,
 };
-use planet_storage::{Key, KeyId, RecordOption, Replica, Store, TxnId, Value, WriteOp};
+use planet_storage::{
+    Key, KeyId, KeyInterner, RecordOption, Replica, Store, TxnId, Value, WriteOp,
+};
 use planet_workload::Zipf;
 
 fn bench_quorum(h: &mut Harness) {
@@ -377,6 +383,85 @@ fn bench_maintenance(h: &mut Harness) {
     });
 }
 
+fn bench_intern(h: &mut Harness) {
+    // What a replica does with each key a message carries: a key it holds
+    // already (a hit), and one it meets for the first time (a new order
+    // key, say). A new key grows the table, so that row interns a tenth
+    // more keys into a fresh copy of the table each batch.
+    let key = |i: u32| Key::from_fmt(format_args!("order:{i}"));
+    for (label, n) in [("100k", 100_000u32), ("1m", 1_000_000)] {
+        let mut table = KeyInterner::new();
+        for i in 0..n {
+            table.intern(&key(i));
+        }
+        let mut rng = DetRng::new(7);
+        let seen: Vec<Key> = (0..4096)
+            .map(|_| key(rng.index(n as usize) as u32))
+            .collect();
+        let mut at = 0;
+        h.bench(&format!("intern/hit@{label}-keys"), || {
+            at = (at + 1) % seen.len();
+            table.intern(&seen[at])
+        });
+        let fresh: Vec<Key> = (n..n + n / 10).map(key).collect();
+        h.bench_batched(
+            &format!("intern/new-key@{label}-keys"),
+            fresh.len() as u64,
+            || table.clone(),
+            |table, i| table.intern(&fresh[i as usize]),
+        );
+    }
+}
+
+fn bench_tcp(h: &mut Harness) {
+    // One reactor drive's outbox, 32 votes, to a hosted actor (a mailbox
+    // run; the row drains it too) and to a remote one (one socket write to
+    // a peer that reads and discards). Per envelope is the row over 32.
+    const BATCH: usize = 32;
+    const HOSTED: ActorId = ActorId(1);
+    const REMOTE: ActorId = ActorId(2);
+    let transport = TcpTransport::new();
+    let (tx, rx) = mailbox(1 << 16);
+    transport.host(HOSTED.0, tx);
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let peer_addr = peer.local_addr().expect("its address");
+    transport.add_route(REMOTE.0, peer_addr);
+    let reader = std::thread::spawn(move || {
+        let Ok((mut conn, _)) = peer.accept() else {
+            return;
+        };
+        let mut buf = [0u8; 1 << 16];
+        while let Ok(1..) = conn.read(&mut buf) {}
+    });
+    let vote = |to: ActorId, i: usize| Envelope {
+        from: ActorId(7),
+        to,
+        msg: Msg::Vote {
+            txn: TxnId::new(0, i as u64),
+            key: Key::new("order:1234"),
+            site: SiteId(1),
+            accept: true,
+            reason: None,
+            round: 0,
+        },
+    };
+    let mut batch = Vec::with_capacity(BATCH);
+    h.bench("tcp/send_many-hosted@32-envelopes", || {
+        batch.extend((0..BATCH).map(|i| vote(HOSTED, i)));
+        transport.send_many(&mut batch);
+        while rx.try_recv().is_ok() {}
+    });
+    h.bench("tcp/send_many-remote@32-envelopes", || {
+        batch.extend((0..BATCH).map(|i| vote(REMOTE, i)));
+        transport.send_many(&mut batch);
+    });
+    transport.stop();
+    // With the remote row filtered out nothing has connected: this one
+    // ends the reader's accept (and, closed at once, its read).
+    drop(std::net::TcpStream::connect(peer_addr));
+    let _ = reader.join();
+}
+
 fn bench_zipf(h: &mut Harness) {
     let zipf = Zipf::new(1_000_000, 0.99);
     let mut rng = DetRng::new(3);
@@ -395,5 +480,7 @@ fn main() {
     bench_storage(&mut h);
     bench_plan(&mut h);
     bench_maintenance(&mut h);
+    bench_intern(&mut h);
+    bench_tcp(&mut h);
     bench_zipf(&mut h);
 }

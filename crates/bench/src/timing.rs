@@ -30,13 +30,18 @@ impl Harness {
         Harness { filter }
     }
 
+    /// True when `name` passes the command line's filter.
+    fn selected(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
     /// Measure `f`, printing `name ... <median> ns/iter`. The closure's
     /// return value is black-boxed so the work cannot be optimised away.
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.selected(name) {
+            return;
         }
         // Calibrate: double the per-sample iteration count until one sample
         // takes long enough to time reliably.
@@ -59,7 +64,7 @@ impl Harness {
             }
         }
 
-        let mut per_iter: Vec<f64> = (0..SAMPLES)
+        let per_iter: Vec<f64> = (0..SAMPLES)
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..iters {
@@ -68,16 +73,57 @@ impl Harness {
                 t.elapsed().as_nanos() as f64 / iters as f64
             })
             .collect();
-        per_iter.sort_by(|a, b| a.partial_cmp(b).expect("latencies are never NaN"));
-        let median = per_iter[SAMPLES / 2];
-        let (lo, hi) = (per_iter[0], per_iter[SAMPLES - 1]);
-        println!(
-            "{name:<44} {:>12} ns/iter  (min {}, max {}, {iters} iters x {SAMPLES} samples)",
-            fmt_ns(median),
-            fmt_ns(lo),
-            fmt_ns(hi),
-        );
+        report(name, per_iter, iters);
     }
+
+    /// Measure an operation that changes what it measures — an insert
+    /// grows its table — on state that `setup` rebuilds every `batch`
+    /// calls of `run(state, i)`, `i` counting from 0 within the batch. Only
+    /// the calls are timed; the report is per call, as for
+    /// [`bench`](Self::bench).
+    pub fn bench_batched<S, T>(
+        &mut self,
+        name: &str,
+        batch: u64,
+        mut setup: impl FnMut() -> S,
+        mut run: impl FnMut(&mut S, u64) -> T,
+    ) {
+        if !self.selected(name) {
+            return;
+        }
+        let batch = batch.max(1);
+        let mut timed = |rounds: u64| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..rounds {
+                let mut state = setup();
+                let t = Instant::now();
+                for i in 0..batch {
+                    black_box(run(&mut state, i));
+                }
+                spent += t.elapsed();
+            }
+            spent
+        };
+        let once = timed(1);
+        let rounds = (TARGET_SAMPLE.as_nanos() / once.as_nanos().max(1)).clamp(1, 1 << 20) as u64;
+        let per_iter: Vec<f64> = (0..SAMPLES)
+            .map(|_| timed(rounds).as_nanos() as f64 / (rounds * batch) as f64)
+            .collect();
+        report(name, per_iter, rounds * batch);
+    }
+}
+
+/// Print the median of `per_iter`, with its range.
+fn report(name: &str, mut per_iter: Vec<f64>, iters: u64) {
+    per_iter.sort_by(|a, b| a.partial_cmp(b).expect("latencies are never NaN"));
+    let median = per_iter[SAMPLES / 2];
+    let (lo, hi) = (per_iter[0], per_iter[SAMPLES - 1]);
+    println!(
+        "{name:<44} {:>12} ns/iter  (min {}, max {}, {iters} iters x {SAMPLES} samples)",
+        fmt_ns(median),
+        fmt_ns(lo),
+        fmt_ns(hi),
+    );
 }
 
 fn fmt_ns(ns: f64) -> String {

@@ -87,6 +87,39 @@ mod tests {
     assert!(hits[0].message.contains("pending"));
 }
 
+/// The per-message maps are spelled `HashMap<K, V, FastHash>` (a fast
+/// seeded hasher): a walk over one is as unordered as over a SipHash map,
+/// and the lint must keep seeing it.
+#[test]
+fn determinism_fast_hasher_map_iteration_fires() {
+    let w = ws(&[(
+        "crates/mdcc/src/coordinator.rs",
+        r#"
+struct C {
+    exec_of: HashMap<TxnId, u32, FastHash>,
+}
+impl C {
+    fn walk(&self) {
+        for (txn, idx) in self.exec_of.iter() {
+            emit(txn, idx);
+        }
+        let seen: HashSet<u32, FastHash> = HashSet::default();
+        for id in &seen {
+            emit(id);
+        }
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "determinism");
+    let lines: Vec<u32> = diags
+        .iter()
+        .filter(|d| d.code == "DET004")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, [7, 11], "both walks: {diags:?}");
+}
+
 // ---- time ----
 
 #[test]

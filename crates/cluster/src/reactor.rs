@@ -77,8 +77,8 @@ use std::time::{Duration, Instant};
 
 use planet_mdcc::Msg;
 use planet_sim::{
-    drive_into, drive_start, Actor, ActorId, DetRng, Effect, EventQueue, Metrics, SimTime, SiteId,
-    TurnInputs,
+    drive_into, drive_start, Actor, ActorId, DetRng, Effect, EventQueue, FastHash, Metrics,
+    SimTime, SiteId, TurnInputs,
 };
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
@@ -125,7 +125,7 @@ struct TaskBody {
     members: Vec<TaskMember>,
     /// Destination-id routing for multi-member tasks; `None` for the
     /// single-member case (everything goes to member 0, no map lookup).
-    by_id: Option<HashMap<u32, usize>>,
+    by_id: Option<HashMap<u32, usize, FastHash>>,
     metrics: Metrics,
     /// The task's own mailbox: where its armed timers fire into.
     tx: MailboxSender,

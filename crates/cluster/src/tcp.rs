@@ -14,6 +14,16 @@
 //!   This is how coordinators answer clients that never [`listen`]. A path
 //!   is learned once per (connection, sender), on the sender's first frame.
 //!
+//! All three, and the open outbound link to each address, live in one
+//! route table under one lock. A batch — a [`Transport::send_many`], or
+//! one socket burst — resolves each of its destinations once, with one
+//! probe, and releases the lock before it writes a socket or pushes into a
+//! mailbox. The table is keyed by hash, not indexed by id: a sender's id
+//! comes from a peer's frame, and no peer-chosen number sizes a table.
+//! An address whose connect failed is left alone for [`REFUSED_BACKOFF`]:
+//! what is sent to it meanwhile counts as dropped and costs no system
+//! call ([`TcpTransport::connects`] counts the attempts).
+//!
 //! Frames never overtake each other on a connection (TCP is FIFO, and so
 //! is a connection's write queue), which preserves the same per-(src, dst)
 //! ordering guarantee the simulator's scheduler and the in-process fabric
@@ -39,10 +49,13 @@
 //! readable one burst by burst — one `read` takes whatever the socket holds
 //! into the connection's one buffer, and every frame of the burst is
 //! decoded out of it ([`wire::FrameReader`]) — delivers each burst's frames
-//! as one mailbox run per destination, and finishes queued writes. A
-//! decoded envelope owns what it carries (a key is held inline, a byte
-//! value is copied), so the next burst reuses the buffer whatever the
-//! mailboxes still hold.
+//! as one mailbox run per destination, and finishes queued writes. A read
+//! that comes back short of the room it had drained the socket, so it ends
+//! that connection's turn: the poller is level-triggered and reports the
+//! next bytes, and a readable socket costs one `read`, not a second that
+//! says `WouldBlock`. A decoded envelope owns what it carries (a key is
+//! held inline, a byte value is copied), so the next burst reuses the
+//! buffer whatever the mailboxes still hold.
 //!
 //! Who polls: a reactor that spawns a task sending through the transport
 //! *adopts* it ([`Transport::io`]), and its workers run the poll at their
@@ -51,7 +64,9 @@
 //! thread of the transport's own (`planet-tcp-io`) runs the same poll; it
 //! exits on adoption.
 //!
-//! Local delivery applies the plane's policy, the one
+//! Local delivery — of a burst's frames and of a send to a hosted actor
+//! alike — runs one loop: consecutive envelopes for one mailbox go in as
+//! one run, stamped with one clock read, under the plane's policy, the one
 //! [`ChannelTransport`](crate::ChannelTransport) applies: hosted mailboxes
 //! are bounded, protocol traffic goes past the bound (nothing that runs
 //! the poll may block), and a client submission (`Msg::Submit` or
@@ -68,7 +83,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use planet_sim::SimTime;
+use planet_sim::{FastHash, SimTime};
 
 use crate::node::Packet;
 use crate::plane::{MailboxSender, TrySendError};
@@ -104,13 +119,12 @@ struct Connection {
 struct ReadSide {
     reader: wire::FrameReader,
     /// Senders whose reply path this connection has settled.
-    settled: HashSet<u32>,
+    settled: HashSet<u32, FastHash>,
     /// One burst's decoded frames, kept for the capacity.
     frames: Vec<Envelope>,
-    /// One burst's destinations and their mailboxes (`None`: not hosted),
-    /// looked up once per burst: a mailbox `host`ed later is seen by the
-    /// next burst.
-    mailboxes: Vec<(u32, Option<MailboxSender>)>,
+    /// One burst's destinations, looked up once per burst: a mailbox
+    /// `host`ed later is seen by the next burst.
+    dests: Vec<(u32, Target)>,
 }
 
 /// A connection's unwritten bytes, in order.
@@ -214,7 +228,7 @@ impl Connection {
 /// Open connections by token, and the next token.
 #[derive(Default)]
 struct Open {
-    by_token: HashMap<u64, Arc<Connection>>,
+    by_token: HashMap<u64, Arc<Connection>, FastHash>,
     next: u64,
 }
 
@@ -230,9 +244,97 @@ enum Runner {
     Stopped,
 }
 
-/// Most emptied `send_many` scratch lists kept: one per concurrent sender is
-/// all that is ever in use.
-const SCRATCH_CAP: usize = 8;
+/// How long an address that refused a connect is left alone: envelopes
+/// for it are dropped, without a system call, until the window ends and
+/// the next send connects again.
+pub const REFUSED_BACKOFF: Duration = Duration::from_millis(100);
+
+/// What the transport knows about one actor id.
+#[derive(Default)]
+struct Route {
+    /// Hosted here: its envelopes go into this mailbox, whatever else is
+    /// known about it.
+    local: Option<MailboxSender>,
+    /// The static route: the address that serves it.
+    addr: Option<SocketAddr>,
+    /// The connection its envelopes go down: the open link to `addr`, or,
+    /// with no `addr`, the reply path learned from its frames.
+    conn: Option<Arc<Connection>>,
+}
+
+/// The outbound link to one address.
+enum Link {
+    Open(Arc<Connection>),
+    /// A connect failed; the next one waits for this instant.
+    Refused(Instant),
+}
+
+/// Every route, behind one lock: a batch resolves each of its destinations
+/// with one probe here and releases the lock before any socket write or
+/// mailbox push. Actor ids are hashed, not indexed: a learned one comes
+/// from a peer's frame, and no peer-chosen number sizes a table. Probed per
+/// batch, not per envelope, the table keeps `std`'s keyed hasher.
+#[derive(Default)]
+struct RouteTable {
+    by_actor: HashMap<u32, Route>,
+    by_addr: HashMap<SocketAddr, Link>,
+}
+
+impl RouteTable {
+    /// Where envelopes to `actor` go; a connection's share is found or
+    /// added in `writes`. `hosted_only`: anywhere but a hosted mailbox is
+    /// nowhere.
+    fn target(&mut self, actor: u32, hosted_only: bool, writes: &mut Vec<ConnWrite>) -> Target {
+        let RouteTable { by_actor, by_addr } = self;
+        let Some(route) = by_actor.get_mut(&actor) else {
+            return Target::Dropped;
+        };
+        if let Some(tx) = &route.local {
+            return Target::Local(tx.clone());
+        }
+        if hosted_only {
+            return Target::Dropped;
+        }
+        if let Some(conn) = &route.conn {
+            return Target::Write(write_for(writes, Arc::clone(conn)));
+        }
+        let Some(addr) = route.addr else {
+            return Target::Dropped;
+        };
+        match by_addr.get(&addr) {
+            Some(Link::Open(conn)) => {
+                route.conn = Some(Arc::clone(conn));
+                Target::Write(write_for(writes, Arc::clone(conn)))
+            }
+            Some(Link::Refused(until)) if Instant::now() < *until => Target::Dropped,
+            _ => Target::Connect(addr),
+        }
+    }
+
+    /// Forget `conn` wherever it is a route. An actor left with nothing
+    /// known about it leaves the table.
+    fn forget(&mut self, conn: &Arc<Connection>) {
+        self.by_addr
+            .retain(|_, link| !matches!(link, Link::Open(c) if Arc::ptr_eq(c, conn)));
+        self.by_actor.retain(|_, route| {
+            if route.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)) {
+                route.conn = None;
+            }
+            route.local.is_some() || route.addr.is_some() || route.conn.is_some()
+        });
+    }
+}
+
+/// Where one destination of a batch goes, resolved once per batch.
+enum Target {
+    Local(MailboxSender),
+    /// Onto `writes[i]`, the frames bound for one connection.
+    Write(usize),
+    /// Waiting for a connect to `addr`, made with the table lock released.
+    Connect(SocketAddr),
+    /// Nowhere: each envelope counts as dropped.
+    Dropped,
+}
 
 /// One connection's share of a `send_many`: the frames bound for it, encoded
 /// back-to-back, and how many there are (what a failed write drops).
@@ -242,15 +344,24 @@ struct ConnWrite {
     frames: u64,
 }
 
+/// A send's working lists, emptied after each use and kept for their
+/// capacity: a warm `send_many` allocates nothing.
+#[derive(Default)]
+struct Batch {
+    /// Each destination of the batch and where it goes.
+    dests: Vec<(u32, Target)>,
+    /// One per connection the batch writes to.
+    writes: Vec<ConnWrite>,
+}
+
+/// Most emptied batches kept: one per concurrent sender is all that is
+/// ever in use.
+const SCRATCH_CAP: usize = 8;
+
 struct TcpInner {
-    /// Static actor → address routes (the deployment topology).
-    routes: Mutex<HashMap<u32, SocketAddr>>,
-    /// Open outbound connections by remote address.
-    conns: Mutex<HashMap<SocketAddr, Arc<Connection>>>,
-    /// Learned actor → connection routes (reply paths for clients).
-    peers: Mutex<HashMap<u32, Arc<Connection>>>,
-    /// Locally hosted actors' mailboxes.
-    local: Mutex<HashMap<u32, MailboxSender>>,
+    /// Hosted mailboxes, static routes, learned reply paths and outbound
+    /// links.
+    routes: Mutex<RouteTable>,
     /// Every open connection, by its token in the poller.
     open: Mutex<Open>,
     listener: Mutex<Option<TcpListener>>,
@@ -261,10 +372,12 @@ struct TcpInner {
     // Loss accounting only — never synchronizes. check:allow(atomics)
     dropped: AtomicU64,
     shed: AtomicU64, // check:allow(atomics)
+    /// Outbound connects attempted.
+    connects: AtomicU64, // check:allow(atomics)
     /// Reused encode buffers for the coalesced write path.
     pool: wire::BufPool,
-    /// Emptied per-connection lists of `send_many`, kept for their capacity.
-    flush_scratch: Mutex<Vec<Vec<ConnWrite>>>,
+    /// Emptied batches, kept for their capacity.
+    scratch: Mutex<Vec<Batch>>,
     /// Buffers written whole (one per destination per flush).
     flushes: AtomicU64, // check:allow(atomics)
     /// Payload bytes across those writes.
@@ -285,10 +398,7 @@ impl TcpTransport {
     pub fn new() -> Arc<Self> {
         Arc::new(TcpTransport {
             inner: Arc::new(TcpInner {
-                routes: Mutex::new(HashMap::new()),
-                conns: Mutex::new(HashMap::new()),
-                peers: Mutex::new(HashMap::new()),
-                local: Mutex::new(HashMap::new()),
+                routes: Mutex::new(RouteTable::default()),
                 open: Mutex::new(Open::default()),
                 listener: Mutex::new(None),
                 // Start-up, on the caller's thread: check:allow(panic)
@@ -297,8 +407,9 @@ impl TcpTransport {
                 closed: AtomicBool::new(false),
                 dropped: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
+                connects: AtomicU64::new(0),
                 pool: wire::BufPool::new(),
-                flush_scratch: Mutex::new(Vec::new()),
+                scratch: Mutex::new(Vec::new()),
                 flushes: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
             }),
@@ -307,20 +418,14 @@ impl TcpTransport {
 
     /// Declare that `actor` is served at `addr` (may be this process).
     pub fn add_route(&self, actor: u32, addr: SocketAddr) {
-        self.inner
-            .routes
-            .lock()
-            .expect("lock poisoned")
-            .insert(actor, addr);
+        let mut table = self.inner.routes.lock().expect("lock poisoned");
+        table.by_actor.entry(actor).or_default().addr = Some(addr);
     }
 
     /// Register a locally hosted actor's mailbox.
     pub fn host(&self, actor: u32, mailbox: MailboxSender) {
-        self.inner
-            .local
-            .lock()
-            .expect("lock poisoned")
-            .insert(actor, mailbox);
+        let mut table = self.inner.routes.lock().expect("lock poisoned");
+        table.by_actor.entry(actor).or_default().local = Some(mailbox);
     }
 
     /// Bind `addr` (port 0 allowed) and start accepting connections.
@@ -351,7 +456,8 @@ impl TcpTransport {
     }
 
     /// Messages that could not be delivered (connect/write failures,
-    /// stalled connections, unroutable destinations).
+    /// stalled connections, unroutable destinations, and every envelope
+    /// sent to an address within its [`REFUSED_BACKOFF`]).
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
     }
@@ -360,6 +466,13 @@ impl TcpTransport {
     /// because a hosted mailbox was full.
     pub fn shed(&self) -> u64 {
         self.inner.shed.load(Ordering::Relaxed)
+    }
+
+    /// Outbound connects attempted so far, refused ones included: at most
+    /// one per address per [`REFUSED_BACKOFF`] while it refuses, from any
+    /// one sender.
+    pub fn connects(&self) -> u64 {
+        self.inner.connects.load(Ordering::Relaxed)
     }
 
     /// `(flushes, bytes)` written so far: coalesced buffers written whole
@@ -519,9 +632,9 @@ impl TcpInner {
                 stream,
                 read: Mutex::new(ReadSide {
                     reader: wire::FrameReader::new(),
-                    settled: HashSet::new(),
+                    settled: HashSet::default(),
                     frames: Vec::new(),
-                    mailboxes: Vec::new(),
+                    dests: Vec::new(),
                 }),
                 write: Mutex::new(WriteSide::default()),
             });
@@ -536,10 +649,12 @@ impl TcpInner {
         Some(conn)
     }
 
-    /// Read a readable connection, burst by burst, until it would block
-    /// (or [`MAX_BURSTS`]), delivering each burst. A connection another
-    /// poll is reading is left to it. End of stream, a read error or a
-    /// frame that does not decode closes the connection.
+    /// Read a readable connection, burst by burst, delivering each burst,
+    /// until a read comes back short of the room it had: the socket is
+    /// drained, and the poller, level-triggered, reports the next bytes. A
+    /// connection another poll is reading is left to it, and one poll
+    /// reads at most [`MAX_BURSTS`] from one connection. End of stream, a
+    /// read error or a frame that does not decode closes the connection.
     fn read_ready(inner: &Arc<TcpInner>, conn: &Arc<Connection>) {
         let Ok(mut side) = conn.read.try_lock() else {
             return;
@@ -556,21 +671,23 @@ impl TcpInner {
                 inner.close(conn);
                 return;
             }
+            if !side.reader.filled_room() {
+                return;
+            }
         }
     }
 
-    /// Decode every whole frame of the burst and deliver it: consecutive
-    /// frames for one mailbox as one run, under one lock and with one
-    /// wake. The tables are consulted per burst, not per frame: a sender's
-    /// reply path is settled once per (connection, sender), and a
-    /// destination's mailbox is looked up once per burst. `false` when a
-    /// frame does not decode (the ones before it are delivered).
+    /// Decode every whole frame of the burst and deliver it to its hosted
+    /// mailbox (a frame for an actor not hosted here is dropped, never
+    /// forwarded), through the loop a send runs. A sender's reply path is
+    /// settled once per (connection, sender). `false` when a frame does
+    /// not decode (the ones before it are delivered).
     fn deliver_burst(inner: &Arc<TcpInner>, conn: &Arc<Connection>, side: &mut ReadSide) -> bool {
         let ReadSide {
             reader,
             settled,
             frames,
-            mailboxes,
+            dests,
         } = side;
         let decoded = loop {
             match reader.pop_frame() {
@@ -584,23 +701,87 @@ impl TcpInner {
                 Err(_) => break false,
             }
         };
-        let now = Instant::now();
-        let mut burst = frames.drain(..).peekable();
-        while let Some(first) = burst.next() {
-            let to = first.to.0;
-            let tx = match mailboxes.iter().find(|(id, _)| *id == to) {
-                Some((_, tx)) => tx.clone(),
-                None => {
-                    let tx = inner.mailbox_of(to);
-                    mailboxes.push((to, tx.clone()));
-                    tx
+        let mut no_writes = Vec::new();
+        TcpInner::resolve(inner, frames, true, dests, &mut no_writes);
+        TcpInner::deliver(inner, frames.drain(..), dests, &mut no_writes);
+        dests.clear();
+        decoded
+    }
+
+    /// Resolve each distinct destination of `envs` once, under one hold of
+    /// the table lock, into `dests`, with one pooled buffer in `writes`
+    /// (empty on entry) per connection. `hosted_only`: a destination that
+    /// is not hosted here is dropped. Connects are made, and buffers
+    /// taken, after the lock is released.
+    fn resolve(
+        inner: &Arc<TcpInner>,
+        envs: &[Envelope],
+        hosted_only: bool,
+        dests: &mut Vec<(u32, Target)>,
+        writes: &mut Vec<ConnWrite>,
+    ) {
+        let mut connect = false;
+        {
+            let mut table = inner.routes.lock().expect("lock poisoned");
+            for env in envs {
+                let actor = env.to.0;
+                if dests.iter().any(|(id, _)| *id == actor) {
+                    continue;
+                }
+                let target = table.target(actor, hosted_only, writes);
+                connect |= matches!(target, Target::Connect(_));
+                dests.push((actor, target));
+            }
+        }
+        if connect {
+            for (_, target) in dests.iter_mut() {
+                if let Target::Connect(addr) = *target {
+                    *target = match TcpInner::connection_to(inner, addr) {
+                        Some(conn) => Target::Write(write_for(writes, conn)),
+                        None => Target::Dropped,
+                    };
+                }
+            }
+        }
+        for write in writes.iter_mut() {
+            write.buf = inner.pool.get();
+        }
+    }
+
+    /// Deliver `envs`, in order, where [`resolve`](Self::resolve) sent
+    /// their destinations: each envelope for a connection is encoded onto
+    /// the end of its buffer (batch order is buffer order, so per-pair FIFO
+    /// holds), and consecutive envelopes for one hosted mailbox go in as
+    /// one run — one lock, one wake — under the plane's policy: protocol
+    /// traffic past the bound, a submission shed at it. Every envelope of
+    /// one call is stamped with one clock read. No table lock is held.
+    fn deliver(
+        inner: &Arc<TcpInner>,
+        envs: impl Iterator<Item = Envelope>,
+        dests: &[(u32, Target)],
+        writes: &mut [ConnWrite],
+    ) {
+        let target = |to: u32| dests.iter().find(|(id, _)| *id == to).map(|(_, t)| t);
+        let mut now = None;
+        let mut dropped = 0;
+        let mut envs = envs.peekable();
+        while let Some(env) = envs.next() {
+            let tx = match target(env.to.0) {
+                Some(Target::Local(tx)) => tx,
+                Some(Target::Write(at)) => {
+                    if let Some(write) = writes.get_mut(*at) {
+                        wire::encode_frame_into(&env, &mut write.buf);
+                        write.frames += 1;
+                    }
+                    continue;
+                }
+                _ => {
+                    dropped += 1;
+                    continue;
                 }
             };
-            let Some(tx) = tx else {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let mut next = Some(first);
+            let now = *now.get_or_insert_with(Instant::now);
+            let mut next = Some(env);
             let mut shed = None;
             {
                 let mut run = tx.open_run();
@@ -613,11 +794,11 @@ impl TcpInner {
                             break;
                         }
                         // Destination node already stopped.
-                        Err(_) => {
-                            inner.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
+                        Err(_) => dropped += 1,
                     }
-                    next = burst.next_if(|env| env.to.0 == to);
+                    next = envs.next_if(
+                        |env| matches!(target(env.to.0), Some(Target::Local(to)) if to.same_as(tx)),
+                    );
                 }
             }
             // The run has ended (and woken its task); the bounce may go to
@@ -627,9 +808,40 @@ impl TcpInner {
                 TcpInner::shed_submission(inner, env);
             }
         }
-        drop(burst);
-        mailboxes.clear();
-        decoded
+        if dropped > 0 {
+            inner.dropped.fetch_add(dropped, Ordering::Relaxed);
+        }
+    }
+
+    /// Send `envs` (drained): resolve, deliver, then write each
+    /// connection's buffer.
+    fn send_all(inner: &Arc<TcpInner>, envs: &mut Vec<Envelope>, batch: &mut Batch) {
+        let Batch { dests, writes } = batch;
+        TcpInner::resolve(inner, envs, false, dests, writes);
+        TcpInner::deliver(inner, envs.drain(..), dests, writes);
+        dests.clear();
+        for write in writes.drain(..) {
+            inner.write_buf(&write.conn, write.buf, write.frames);
+        }
+    }
+
+    /// Run `send` with an emptied batch, and keep the batch afterwards.
+    fn with_batch(inner: &Arc<TcpInner>, send: impl FnOnce(&mut Batch)) {
+        let mut batch = inner.scratch.lock().expect("lock poisoned").pop();
+        let batch = batch.get_or_insert_default();
+        send(batch);
+        let mut scratch = inner.scratch.lock().expect("lock poisoned");
+        if scratch.len() < SCRATCH_CAP {
+            scratch.push(std::mem::take(batch));
+        }
+    }
+
+    /// Send one envelope (a start-up injection, a shed bounce: not the
+    /// path a drive's outbox takes).
+    fn send_env(inner: &Arc<TcpInner>, env: Envelope) {
+        TcpInner::with_batch(inner, |batch| {
+            TcpInner::send_all(inner, &mut vec![env], batch)
+        });
     }
 
     /// A submission met a full mailbox: bounce it back to its client as a
@@ -645,97 +857,54 @@ impl TcpInner {
     /// The sender is reachable down the connection its frame came in on,
     /// unless a static route says where it lives.
     fn learn_reply_path(&self, from: u32, conn: &Arc<Connection>) {
-        let has_route = self
-            .routes
-            .lock()
-            .expect("lock poisoned")
-            .contains_key(&from);
-        if !has_route {
-            self.peers
-                .lock()
-                .expect("lock poisoned")
-                .insert(from, Arc::clone(conn));
+        let mut table = self.routes.lock().expect("lock poisoned");
+        let route = table.by_actor.entry(from).or_default();
+        if route.addr.is_none() {
+            route.conn = Some(Arc::clone(conn));
         }
     }
 
-    /// The mailbox of a locally hosted actor. The table lock is released
-    /// before any mailbox operation.
-    fn mailbox_of(&self, actor: u32) -> Option<MailboxSender> {
-        self.local
+    /// The open outbound connection to `addr`, connecting if there is none
+    /// and the address has not refused one within [`REFUSED_BACKOFF`]. A
+    /// failed connect starts that window. Two senders that connect at once
+    /// keep the first connection; the second is closed unused.
+    fn connection_to(inner: &Arc<TcpInner>, addr: SocketAddr) -> Option<Arc<Connection>> {
+        match inner
+            .routes
             .lock()
             .expect("lock poisoned")
-            .get(&actor)
-            .cloned()
-    }
-
-    /// Deliver one envelope into a hosted mailbox under the plane's policy:
-    /// protocol traffic past the bound, submissions shed at it.
-    fn deliver(inner: &Arc<TcpInner>, tx: &MailboxSender, env: Envelope) {
-        let bounded = env.msg.submission().is_some();
-        let pushed = tx
-            .open_run()
-            .push(Instant::now(), Packet::Env(env), bounded);
-        match pushed {
-            Ok(()) => {}
-            Err(TrySendError::Full(Packet::Env(env))) => TcpInner::shed_submission(inner, env),
-            Err(_) => {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
+            .by_addr
+            .get(&addr)
+        {
+            Some(Link::Open(conn)) => return Some(Arc::clone(conn)),
+            Some(Link::Refused(until)) if Instant::now() < *until => return None,
+            _ => {}
+        }
+        inner.connects.fetch_add(1, Ordering::Relaxed);
+        let fresh = TcpStream::connect(addr)
+            .ok()
+            .and_then(|stream| TcpInner::register(inner, stream));
+        let kept = {
+            let mut table = inner.routes.lock().expect("lock poisoned");
+            match (table.by_addr.get(&addr), &fresh) {
+                (Some(Link::Open(kept)), _) => Some(Arc::clone(kept)),
+                (_, Some(fresh)) => {
+                    table.by_addr.insert(addr, Link::Open(Arc::clone(fresh)));
+                    Some(Arc::clone(fresh))
+                }
+                (_, None) => {
+                    let until = Instant::now() + REFUSED_BACKOFF;
+                    table.by_addr.insert(addr, Link::Refused(until));
+                    None
+                }
+            }
+        };
+        if let (Some(kept), Some(fresh)) = (&kept, &fresh) {
+            if !Arc::ptr_eq(kept, fresh) {
+                inner.close(fresh);
             }
         }
-    }
-
-    /// Resolve the connection an envelope to `dst` should go down: learned
-    /// reply route first, then static route (connecting on demand).
-    /// Returns `None` (and counts a drop) if `dst` is unroutable.
-    fn resolve(inner: &Arc<TcpInner>, dst: u32) -> Option<Arc<Connection>> {
-        let peer = inner
-            .peers
-            .lock()
-            .expect("lock poisoned")
-            .get(&dst)
-            .cloned();
-        if peer.is_some() {
-            return peer;
-        }
-        let addr = inner
-            .routes
-            .lock()
-            .expect("lock poisoned")
-            .get(&dst)
-            .copied();
-        let conn = addr.and_then(|addr| TcpInner::connection_to(inner, addr));
-        if conn.is_none() {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        conn
-    }
-
-    /// The open outbound connection to `addr`, connecting if there is none.
-    /// Two senders that connect at once keep the first connection; the
-    /// second is closed unused.
-    fn connection_to(inner: &Arc<TcpInner>, addr: SocketAddr) -> Option<Arc<Connection>> {
-        let existing = inner
-            .conns
-            .lock()
-            .expect("lock poisoned")
-            .get(&addr)
-            .cloned();
-        if existing.is_some() {
-            return existing;
-        }
-        let fresh = TcpInner::register(inner, TcpStream::connect(addr).ok()?)?;
-        let kept = Arc::clone(
-            inner
-                .conns
-                .lock()
-                .expect("lock poisoned")
-                .entry(addr)
-                .or_insert_with(|| Arc::clone(&fresh)),
-        );
-        if !Arc::ptr_eq(&kept, &fresh) {
-            inner.close(&fresh);
-        }
-        Some(kept)
+        kept
     }
 
     /// Shut a connection down: out of the poller and every table, its
@@ -749,14 +918,7 @@ impl TcpInner {
             .expect("lock poisoned")
             .by_token
             .remove(&conn.token);
-        self.conns
-            .lock()
-            .expect("lock poisoned")
-            .retain(|_, c| !Arc::ptr_eq(c, conn));
-        self.peers
-            .lock()
-            .expect("lock poisoned")
-            .retain(|_, c| !Arc::ptr_eq(c, conn));
+        self.routes.lock().expect("lock poisoned").forget(conn);
         let queued = {
             let mut write = conn.write.lock().expect("lock poisoned");
             write.closed = true;
@@ -815,19 +977,21 @@ impl TcpInner {
         self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.pool.put(buf);
     }
+}
 
-    /// Deliver one envelope: hosted mailbox, or down a resolved connection.
-    fn send_env(inner: &Arc<TcpInner>, env: Envelope) {
-        if let Some(tx) = inner.mailbox_of(env.to.0) {
-            TcpInner::deliver(inner, &tx, env);
-            return;
+/// The index in `writes` of `conn`'s share, added (bufferless) on first
+/// use.
+fn write_for(writes: &mut Vec<ConnWrite>, conn: Arc<Connection>) -> usize {
+    match writes.iter().position(|w| Arc::ptr_eq(&w.conn, &conn)) {
+        Some(at) => at,
+        None => {
+            writes.push(ConnWrite {
+                conn,
+                buf: Vec::new(),
+                frames: 0,
+            });
+            writes.len() - 1
         }
-        let Some(conn) = TcpInner::resolve(inner, env.to.0) else {
-            return; // drop already counted
-        };
-        let mut buf = inner.pool.get();
-        wire::encode_frame_into(&env, &mut buf);
-        inner.write_buf(&conn, buf, 1);
     }
 }
 
@@ -871,40 +1035,7 @@ impl Transport for TcpTransport {
 
     fn send_many(&self, envs: &mut Vec<Envelope>) {
         let inner = &self.inner;
-        // Each envelope is encoded, as it is resolved, onto the end of its
-        // connection's buffer: order within a buffer follows batch order,
-        // so per-pair FIFO is untouched. Local deliveries happen inline.
-        let mut flush = inner.flush_scratch.lock().expect("lock poisoned").pop();
-        let flush = flush.get_or_insert_default();
-        for env in envs.drain(..) {
-            if let Some(tx) = inner.mailbox_of(env.to.0) {
-                TcpInner::deliver(inner, &tx, env);
-                continue;
-            }
-            let Some(conn) = TcpInner::resolve(inner, env.to.0) else {
-                continue; // drop already counted
-            };
-            let at = flush.iter().position(|w| Arc::ptr_eq(&w.conn, &conn));
-            let at = at.unwrap_or_else(|| {
-                flush.push(ConnWrite {
-                    conn,
-                    buf: inner.pool.get(),
-                    frames: 0,
-                });
-                flush.len() - 1
-            });
-            if let Some(write) = flush.get_mut(at) {
-                wire::encode_frame_into(&env, &mut write.buf);
-                write.frames += 1;
-            }
-        }
-        for write in flush.drain(..) {
-            inner.write_buf(&write.conn, write.buf, write.frames);
-        }
-        let mut scratch = inner.flush_scratch.lock().expect("lock poisoned");
-        if scratch.len() < SCRATCH_CAP {
-            scratch.push(std::mem::take(flush));
-        }
+        TcpInner::with_batch(inner, |batch| TcpInner::send_all(inner, envs, batch));
     }
 
     fn io(&self) -> Option<Io> {

@@ -448,6 +448,8 @@ pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// The last [`fill`](Self::fill) read as many bytes as it had room for.
+    filled_room: bool,
 }
 
 impl FrameReader {
@@ -458,6 +460,7 @@ impl FrameReader {
             buf: Vec::new(),
             start: 0,
             end: 0,
+            filled_room: false,
         }
     }
 
@@ -526,6 +529,7 @@ impl FrameReader {
         }
         (self.start, self.end) = (0, unread);
         let room = self.buf.get_mut(unread..).unwrap_or_default();
+        let had = room.len();
         let n = loop {
             match r.read(room) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -533,6 +537,7 @@ impl FrameReader {
             }
         };
         self.end += n;
+        self.filled_room = n == had;
         if n == 0 && self.end > 0 {
             let what = if self.end < 4 {
                 "eof mid-header"
@@ -542,6 +547,14 @@ impl FrameReader {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, what));
         }
         Ok(n)
+    }
+
+    /// True when the last [`fill`](Self::fill) read as many bytes as it
+    /// had room for, so the stream may hold more. A short read drained it:
+    /// a readiness-driven reader stops there, without a `read` that would
+    /// only say `WouldBlock`.
+    pub fn filled_room(&self) -> bool {
+        self.filled_room
     }
 
     /// Read the next frame, blocking: [`pop_frame`](Self::pop_frame), and

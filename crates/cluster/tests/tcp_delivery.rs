@@ -1,12 +1,16 @@
 //! Socket I/O on the reactor's workers: a peer that stops reading costs a
 //! connection, never a worker, and once every reactor has adopted its
-//! transport no thread of the transport's own is left.
+//! transport no thread of the transport's own is left. And the transport's
+//! route table: one batch's hosted and remote destinations each keep their
+//! order, a frame cut by a short read is delivered once its rest arrives,
+//! and an address that refused a connect is not dialled again within the
+//! backoff.
 //!
 //! This file is a workload for the ThreadSanitizer CI job, beside
 //! `channel_stress.rs` and `fabric_delivery.rs`: tsan observes the poll,
 //! the connections' write queues and the adoption handoff.
 
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -14,9 +18,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use planet_cluster::node::Clock;
-use planet_cluster::plane::{mailbox, PlaneConfig};
-use planet_cluster::{LiveCluster, Reactor, TcpTransport, Transport};
+use planet_cluster::node::{Clock, Packet};
+use planet_cluster::plane::{mailbox, MailboxReceiver, PlaneConfig};
+use planet_cluster::tcp::REFUSED_BACKOFF;
+use planet_cluster::{wire, Envelope, LiveCluster, Reactor, TcpTransport, Transport};
 use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol, TxnSpec};
 use planet_sim::{Actor, ActorId, Context, SiteId};
 use planet_storage::{Key, TxnId, Value, WriteOp};
@@ -248,4 +253,144 @@ fn no_tcp_thread_is_left_once_the_reactors_adopt_their_transports() {
         .filter(|n| n.starts_with("planet-reactor"))
         .count();
     assert_eq!(workers, 4 * 2, "two workers on each of four nodes");
+}
+
+/// A numbered message from `from` to `to`.
+fn numbered(from: ActorId, to: ActorId, tag: u64) -> Envelope {
+    Envelope {
+        from,
+        to,
+        msg: Msg::ClientTimer { kind: from.0, tag },
+    }
+}
+
+/// The tags of the next `n` envelopes in `rx`.
+fn tags(rx: &MailboxReceiver, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(|_| {
+            match rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every envelope sent arrives")
+            {
+                Packet::Env(Envelope {
+                    msg: Msg::ClientTimer { tag, .. },
+                    ..
+                }) => tag,
+                _ => panic!("only numbered envelopes are sent"),
+            }
+        })
+        .collect()
+}
+
+/// One `send_many` that interleaves two hosted and two remote destinations
+/// resolves each once and delivers each in batch order: the hosted ones as
+/// mailbox runs, the remote ones down one coalesced connection.
+#[test]
+fn one_batch_to_hosted_and_remote_destinations_keeps_each_order() {
+    let _host = serial();
+    let (near, far) = (TcpTransport::new(), TcpTransport::new());
+    let any = "127.0.0.1:0".parse().expect("loopback address");
+    let far_addr = far.listen(any).expect("bind a loopback port");
+    let dests = [ActorId(11), ActorId(21), ActorId(12), ActorId(22)];
+    let mut inboxes = Vec::new();
+    for (i, dst) in dests.iter().enumerate() {
+        let (tx, rx) = mailbox(4096);
+        if i % 2 == 0 {
+            near.host(dst.0, tx);
+        } else {
+            far.host(dst.0, tx);
+            near.add_route(dst.0, far_addr);
+        }
+        inboxes.push(rx);
+    }
+    const PER_DEST: u64 = 300;
+    let mut next = [0u64; 4];
+    let mut batch = Vec::new();
+    let mut rng = planet_sim::DetRng::new(5);
+    while next.iter().any(|&n| n < PER_DEST) {
+        let i = rng.index(4);
+        let Some(tag) = next.get_mut(i).filter(|n| **n < PER_DEST) else {
+            continue;
+        };
+        batch.push(numbered(PINGER, dests[i], *tag));
+        *tag += 1;
+        if batch.len() == 1 + rng.index(40) {
+            near.send_many(&mut batch);
+        }
+    }
+    near.send_many(&mut batch);
+    let want: Vec<u64> = (0..PER_DEST).collect();
+    for (dst, rx) in dests.iter().zip(&inboxes) {
+        assert_eq!(tags(rx, PER_DEST as usize), want, "to {dst:?}");
+    }
+    assert_eq!((near.dropped(), far.dropped()), (0, 0));
+    assert_eq!(
+        near.connects(),
+        1,
+        "one connection carries both remote actors"
+    );
+    near.stop();
+    far.stop();
+}
+
+/// A frame whose bytes arrive in two writes, far enough apart that the
+/// first read comes back short, is delivered once the rest arrives, and so
+/// is the frame behind it.
+#[test]
+fn a_frame_completed_after_a_short_read_is_delivered() {
+    let _host = serial();
+    let transport = TcpTransport::new();
+    let any = "127.0.0.1:0".parse().expect("loopback address");
+    let addr = transport.listen(any).expect("bind a loopback port");
+    let (tx, rx) = mailbox(64);
+    transport.host(PONGER.0, tx);
+    let mut frames = Vec::new();
+    for tag in 0..2 {
+        wire::encode_frame_into(&numbered(PINGER, PONGER, tag), &mut frames);
+    }
+    let mut peer = TcpStream::connect(addr).expect("connect to the transport");
+    peer.set_nodelay(true).expect("no delay");
+    let cut = 5;
+    peer.write_all(&frames[..cut]).expect("the frame's head");
+    thread::sleep(Duration::from_millis(100));
+    assert!(
+        rx.recv_timeout(Duration::from_millis(50)).is_err(),
+        "half a frame is not an envelope"
+    );
+    peer.write_all(&frames[cut..]).expect("the rest");
+    assert_eq!(tags(&rx, 2), [0, 1]);
+    assert_eq!(transport.dropped(), 0);
+    transport.stop();
+}
+
+/// 1 000 sends to a port nobody listens on are dropped, and dial it at
+/// most once per backoff window: the first fails, and the rest of its
+/// window costs no system call.
+#[test]
+fn sends_to_a_refused_port_connect_at_most_once_per_backoff() {
+    let _host = serial();
+    let dead = {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a port");
+        listener.local_addr().expect("its address")
+    };
+    let transport = TcpTransport::new();
+    transport.add_route(STALLED.0, dead);
+    let start = Instant::now();
+    let mut batch = Vec::new();
+    for tag in 0..1_000 {
+        if tag % 2 == 0 {
+            transport.send(numbered(PINGER, STALLED, tag));
+        } else {
+            batch.push(numbered(PINGER, STALLED, tag));
+            transport.send_many(&mut batch);
+        }
+    }
+    let windows = start.elapsed().as_nanos() / REFUSED_BACKOFF.as_nanos() + 1;
+    assert_eq!(transport.dropped(), 1_000);
+    let connects = u128::from(transport.connects());
+    assert!(
+        (1..=windows).contains(&connects),
+        "{connects} connects in {windows} backoff windows"
+    );
+    transport.stop();
 }

@@ -60,7 +60,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use planet_plan::{CompiledPlan, KeyRoute, PlanError, PlanId, PlanParam, SlotFinder, TxnProgram};
-use planet_sim::{Actor, ActorId, Context, SimTime, SiteId, SiteMask};
+use planet_sim::{Actor, ActorId, Context, FastHash, SimTime, SiteId, SiteMask};
 use planet_storage::{Key, KeyList, RecordOption, TxnId, VersionNo, WriteOp};
 
 use crate::config::{ClusterConfig, Protocol};
@@ -281,19 +281,19 @@ pub struct CoordinatorActor {
     replicas: Vec<ActorId>,
     site: SiteId,
     next_seq: u64,
-    recent: HashMap<TxnId, RecentTxn>,
+    recent: HashMap<TxnId, RecentTxn, FastHash>,
     /// When each transaction in flight times out and each `recent` entry
     /// expires, in order; one `TxnTimeout` is armed for the head.
     deadlines: VecDeque<(SimTime, TxnId)>,
     /// Registered plans, compiled against `config`; read at submission
     /// only. Excluded from `mck_digest` for the same reason `config` is:
     /// plans are registered before traffic and never mutate mid-run.
-    plans: HashMap<PlanId, CompiledPlan>,
+    plans: HashMap<PlanId, CompiledPlan, FastHash>,
     /// Slab of executions; `free_execs` holds the (cleared) recycled
     /// indices and `exec_of` maps a transaction in flight to its slot.
     execs: Vec<Exec>,
     free_execs: Vec<u32>,
-    exec_of: HashMap<TxnId, u32>,
+    exec_of: HashMap<TxnId, u32, FastHash>,
     names: OutcomeNames,
 }
 
@@ -336,12 +336,12 @@ impl CoordinatorActor {
             replicas,
             site,
             next_seq: 0,
-            recent: HashMap::new(),
+            recent: HashMap::default(),
             deadlines: VecDeque::new(),
-            plans: HashMap::new(),
+            plans: HashMap::default(),
             execs: Vec::new(),
             free_execs: Vec::new(),
-            exec_of: HashMap::new(),
+            exec_of: HashMap::default(),
         }
     }
 

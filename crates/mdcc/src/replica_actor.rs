@@ -30,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use planet_sim::{Actor, ActorId, Context, SimDuration, SimTime, SiteId};
+use planet_sim::{Actor, ActorId, Context, FastHash, SimDuration, SimTime, SiteId};
 use planet_storage::{Key, KeyId, KeyList, RecordOption, Replica, TxnId};
 
 use crate::config::{ClusterConfig, Protocol};
@@ -54,9 +54,9 @@ pub struct ReplicaActor {
     storage: Replica,
     /// 2PC: replication ack collection per (txn, key) this site masters.
     /// Keys are interned ids — valid within this shard's store only.
-    repl_state: HashMap<(TxnId, KeyId), ReplState>,
+    repl_state: HashMap<(TxnId, KeyId), ReplState, FastHash>,
     /// Lease bookkeeping: when each pending option was accepted.
-    accepted_at: HashMap<(TxnId, KeyId), SimTime>,
+    accepted_at: HashMap<(TxnId, KeyId), SimTime, FastHash>,
     /// How long a pending option may live before the sweep reclaims it.
     lease: SimDuration,
     /// FIFO of validation work waiting for the (single) server, used when
@@ -86,8 +86,8 @@ impl ReplicaActor {
             peers,
             shard,
             storage: Replica::new(),
-            repl_state: HashMap::new(),
-            accepted_at: HashMap::new(),
+            repl_state: HashMap::default(),
+            accepted_at: HashMap::default(),
             lease,
             service_queue: VecDeque::new(),
             server_busy: false,

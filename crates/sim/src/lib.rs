@@ -35,6 +35,7 @@
 
 mod actor;
 mod engine;
+mod hash;
 pub mod metrics;
 pub mod net;
 mod queue;
@@ -44,6 +45,7 @@ pub mod topology;
 
 pub use actor::{drive, drive_into, drive_start, Actor, ActorId, Context, Effect, TurnInputs};
 pub use engine::Simulation;
+pub use hash::{FastHash, FastHasher};
 pub use metrics::{Counter, Histogram, Metrics};
 pub use net::{JitterModel, NetworkModel, Partition, SiteId, SiteMask, Spike};
 pub use queue::EventQueue;
