@@ -218,8 +218,8 @@ impl Transport for NullTransport {
 
 fn bench_reactor(h: &mut Harness) {
     // Message in, reply out, and the worker back in its parker (its sleep
-    // bounded by the timer queue's next deadline) on a one-worker reactor
-    // whose queue holds a quarter of a million timers. Waiting for the park
+    // bounded by the earliest timed wake) on a one-worker reactor whose
+    // task holds a quarter of a million timers. Waiting for the park
     // keeps the next message from arriving mid-drive, which would requeue
     // the task and skip the park path this row is about.
     let plane = PlaneConfig::default().with_workers(1);

@@ -24,9 +24,9 @@
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
-//!   push at either end, mailbox enqueue — a timer fire and a stamped run
-//!   push are ones — timed-wake push, flush-slot absorb, a tcp
-//!   connection's write-queue push) must
+//!   push at either end, mailbox enqueue — a stamped run push is one —
+//!   timed-wake push, which a held timer or packet takes, flush-slot
+//!   absorb, a tcp connection's write-queue push) must
 //!   reach the matching unpark/rouse/watch on every path — checked with the
 //!   CFG must-solver, with a caller-level cover for sites whose notify
 //!   lives one frame up (`absorb` → the worker loop's

@@ -14,10 +14,9 @@
 //! harness call from a thread outside the reactor that would overflow a
 //! peer's mailbox *blocks* until the peer drains. A reactor worker never
 //! blocks on a mailbox, and both transports send and read on workers: they
-//! take protocol traffic past the bound, as a worker does with a due
-//! timer, and *shed* client submissions at it (bounced straight back as a
-//! timed-out `TxnDone`, see [`ChannelTransport`]), so admission stays
-//! end-to-end.
+//! take protocol traffic past the bound and *shed* client submissions at
+//! it (bounced straight back as a timed-out `TxnDone`, see
+//! [`ChannelTransport`]), so admission stays end-to-end.
 //! Unbounded client load is exactly the >64-client latency collapse:
 //! queues grow without limit, and every queued message ages before it is
 //! even looked at.
@@ -267,15 +266,6 @@ impl MailboxSender {
     #[allow(clippy::result_large_err)]
     pub fn try_send(&self, packet: Packet) -> Result<(), TrySendError> {
         self.open_run().push(Instant::now(), packet, true)
-    }
-
-    /// Enqueue `packet` past the capacity bound, without blocking: how a
-    /// worker hands a due timer to the task that armed it. At most the
-    /// armed timers, a handful per actor, sit above capacity. A closed
-    /// mailbox hands the packet back.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn send_unbounded(&self, packet: Packet) -> Result<(), TrySendError> {
-        self.open_run().push(Instant::now(), packet, false)
     }
 
     /// True when `other` feeds the same mailbox.

@@ -7,7 +7,7 @@
 //! `planet-loom` model checker's types, and `Waiter` to a stand-in with the
 //! eventfd's semantics (a counter under the modeled `Mutex` and `Condvar`:
 //! a rouse before the wait is kept, a wait consumes it), so the reactor's
-//! *actual* `Parker`, scheduling-word, and timer-handshake code (not a
+//! *actual* `Parker`, scheduling-word and timed-wake code (not a
 //! transliteration of it) runs under exhaustive interleaving and
 //! weak-memory exploration in `reactor.rs`'s `loom_tests` module, and so
 //! does the mailbox's real blocked-sender / blocked-receiver code in

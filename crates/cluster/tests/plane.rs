@@ -38,7 +38,7 @@ impl Actor<Msg> for Probe {
 /// A message arriving while the task's only worker is parked toward a
 /// distant timer deadline must be handled immediately — not after the
 /// timer, and not on the next tick of some polling interval: the park is
-/// *exact*, bounded only by the timer queue's next deadline, because a mailbox
+/// *exact*, bounded only by the earliest timed wake, because a mailbox
 /// arrival's wake hook cuts it short.
 #[test]
 fn message_mid_timer_wait_is_handled_before_the_timer() {
