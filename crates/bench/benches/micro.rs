@@ -2,21 +2,26 @@
 //! run on every progress event of every transaction), the metrics histogram
 //! and registry, storage validation, workload sampling, the timer queue
 //! (`planet_sim::EventQueue`) with a few dozen and with a quarter of a
-//! million timers armed, the reactor parking with the latter, plan
+//! million timers armed, the reactor parking with the latter, a mailbox's
+//! two hot operations (a run of stamped sends, a drive-sized take), plan
 //! registration against table size, a replica's storage maintenance
 //! (checkpoint, restart) against store size at a fixed written set, key
 //! interning against table size, and the tcp transport's `send_many` to a
 //! hosted and to a remote destination.
 //! Driven by the in-repo timing harness (`planet_bench::timing`).
 
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use planet_bench::timing::{black_box, Harness};
 
-use planet_cluster::{mailbox, Clock, Envelope, PlaneConfig, Reactor, TcpTransport, Transport};
+use planet_cluster::{
+    mailbox, Clock, Envelope, Packet, PlaneConfig, Reactor, TcpTransport, Transport,
+};
 use planet_core::{CompiledPlan, DeltaRef, KeyRef, KeyTemplate, OpTemplate, TxnProgram};
 use planet_mdcc::{ClusterConfig, Msg, Protocol};
 use planet_predict::likelihood::{KeyState, LikelihoodModel, TxnSnapshot};
@@ -252,6 +257,34 @@ fn bench_reactor(h: &mut Harness) {
     reactor.shutdown();
 }
 
+fn bench_mailbox(h: &mut Harness) {
+    // A reactor drive's two mailbox operations: one run of 64 sends under
+    // one lock, stamped in no order within the slack as eight senders'
+    // interleaved traffic is, then one drive-sized take of all 64.
+    const RUN: u64 = 64;
+    let plane = PlaneConfig::default();
+    let slack = Duration::from_micros(plane.fabric_slack_us);
+    let (tx, rx) = mailbox(plane.mailbox_capacity);
+    let mut batch = VecDeque::with_capacity(RUN as usize);
+    h.bench("mailbox/run-push+drain@64", || {
+        let now = Instant::now();
+        let mut run = tx.open_run();
+        for tag in 0..RUN {
+            let env = Envelope {
+                from: ActorId(tag as u32 % 8),
+                to: ActorId(9),
+                msg: Msg::ClientTimer { kind: 0, tag },
+            };
+            let due = now + Duration::from_micros(tag * 37 % RUN);
+            let _ = run.push(due, Packet::Env(env), false);
+        }
+        drop(run);
+        let (taken, _) = rx.drain_into(RUN as usize, now, slack, &mut batch);
+        batch.clear();
+        taken
+    });
+}
+
 fn bench_storage(h: &mut Harness) {
     let mut store = Store::new();
     let key = Key::new("bench");
@@ -477,6 +510,7 @@ fn main() {
     bench_metrics(&mut h);
     bench_timers(&mut h);
     bench_reactor(&mut h);
+    bench_mailbox(&mut h);
     bench_storage(&mut h);
     bench_plan(&mut h);
     bench_maintenance(&mut h);

@@ -1352,23 +1352,28 @@ impl Worker {
 fn sync_mailbox_enqueue_must_hand_out_the_waker() {
     // The mailbox's queue push: the enqueue and the waker hand-off are one
     // critical section, and a push that can leave without the waker is a
-    // message its task is never told about.
+    // message its task is never told about. A drive's timers wake nobody,
+    // and are quiet for reading the head under the lock that queues them.
     let w = ws(&[(
         "crates/cluster/src/plane.rs",
         r#"
 impl Shared {
     fn push(&self, state: &mut State, at: Instant, packet: Packet) -> Option<Waker> {
-        state.queue.push_back((at, packet));
+        state.queue.push((at, false), packet);
         if state.receiver_waiting {
             self.arrived.notify_one();
         }
         state.waker.clone()
     }
     fn push_silent(&self, state: &mut State, at: Instant, packet: Packet) {
-        state.queue.push_back((at, packet));
+        state.queue.push((at, false), packet);
         if state.receiver_waiting {
             self.arrived.notify_one();
         }
+    }
+    fn settle(&self, state: &mut State, at: Instant, fire: Packet) -> Head {
+        state.queue.push((at, true), fire);
+        state.head(at, at)
     }
 }
 "#,
@@ -1396,7 +1401,7 @@ fn sync_stamped_run_push_must_note_its_wake() {
     let enqueue = r#"
 impl Shared {
     fn enqueue(&self, state: &mut State, due: Instant, packet: Packet) {
-        state.queue.push_back((due, packet));
+        state.queue.push((due, false), packet);
     }
 }
 impl Run {

@@ -5,10 +5,13 @@
 //! becomes *deliverable*: a send is stamped now, and the in-process
 //! [`ChannelTransport`] stamps a packet with the delivery time its network
 //! model sampled, so a mailbox holds what the network still has in flight
-//! and no thread has to hold it anywhere else. A reactor task drains its
-//! mailbox whole and keeps what is not yet due (see the reactor); a bare
-//! receiver ([`MailboxReceiver::recv_timeout`], [`MailboxReceiver::try_recv`])
-//! never hands out a packet before its instant.
+//! and no thread has to hold it anywhere else. The queue is ordered by
+//! instant, ties in push order: one sender's stamps to one mailbox never go
+//! backwards, so per-pair FIFO holds by construction. A reactor task's
+//! timers wait in the same queue, taking no capacity (see the reactor). A
+//! bare receiver ([`MailboxReceiver::recv_timeout`],
+//! [`MailboxReceiver::try_recv`]) never hands out a packet before its
+//! instant.
 //!
 //! The bound is the backpressure mechanism of a sender that may block: a
 //! harness call from a thread outside the reactor that would overflow a
@@ -21,11 +24,12 @@
 //! queues grow without limit, and every queued message ages before it is
 //! even looked at.
 //!
-//! A mailbox is one `VecDeque` and its bookkeeping behind one mutex, with a
-//! condvar for blocked senders and one for a blocked receiver. A send is one
-//! lock and one `push_back`, a run of sends to one mailbox is one lock
-//! (`MailboxSender::open_run`), and a reactor drive takes its whole batch
-//! under one (`MailboxReceiver::drain_into`). A condvar is notified only when a
+//! A mailbox is one [`EventQueue`] and its bookkeeping behind one mutex,
+//! with a condvar for blocked senders and one for a blocked receiver. A send
+//! is one lock and one push, a run of sends to one mailbox is one lock
+//! (`MailboxSender::open_run`), and a reactor drive takes its batch under
+//! one (`MailboxReceiver::drain_into`) and ends under one more
+//! (`MailboxReceiver::settle`). A condvar is notified only when a
 //! waiter has registered under that lock: with std's futex condvar a notify
 //! is a system call even when nobody waits, and a mailbox that paid it on
 //! every dequeue paid it some twenty times per committed transaction. The
@@ -39,21 +43,23 @@
 //!
 //! [`max_batch`]: PlaneConfig::max_batch
 //! [`ChannelTransport`]: crate::ChannelTransport
+//! [`EventQueue`]: planet_sim::EventQueue
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 // The receive errors stay std's (callers match on them); no channel does.
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use planet_sim::EventQueue;
+
 use crate::node::Packet;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
-/// A hook invoked after every successful mailbox enqueue with the instant
-/// the enqueued packet becomes deliverable (for a run, the earliest of
-/// its packets): how the reactor learns a task has traffic, and when. Set
-/// once (before the task goes live) via [`MailboxReceiver::set_waker`].
+/// A hook invoked after every successful enqueue by a sender with the
+/// instant the enqueued packet becomes deliverable (for a run, the earliest
+/// of its packets): how the reactor learns a task has traffic, and when.
+/// Set once (before the task goes live) via [`MailboxReceiver::set_waker`].
 pub type Waker = Arc<dyn Fn(Instant) + Send + Sync>;
 
 /// Tuning knobs for the batched message plane. One value configures every
@@ -76,8 +82,8 @@ pub struct PlaneConfig {
     /// stamped for later up to this much before its instant, so that one
     /// drive takes a window of deliveries instead of one, and a packet due
     /// further out than this does not wake its task at all but arms a timed
-    /// wake for its instant. Keep it well under the smallest modelled
-    /// cross-site delay (per-pair FIFO is unaffected). The same slack caps
+    /// wake for its instant. A timer takes no slack. Keep it well under the
+    /// smallest modelled cross-site delay. The same slack caps
     /// how long a reactor worker may hold a pending coalesced flush before
     /// handing it to the transport.
     pub fabric_slack_us: u64,
@@ -126,17 +132,17 @@ struct Shared {
     /// A receiver blocked in [`MailboxReceiver::recv_timeout`] waits here.
     arrived: Condvar,
     capacity: usize,
-    // Depth watermark for stats; the state mutex carries the real
-    // synchronization. check:allow(atomics)
-    high_water: AtomicUsize,
 }
 
 struct State {
-    /// Queued packets in push order, each with the instant it becomes
-    /// deliverable. Not in due order across senders; one sender's packets
-    /// to one mailbox are, so the first due packet never overtakes an
-    /// earlier one of its pair.
-    queue: VecDeque<(Instant, Packet)>,
+    /// Packets at the instants they become deliverable and the owning
+    /// task's timers at theirs (flagged), ties in push order, packets first.
+    queue: EventQueue<Packet, (Instant, bool)>,
+    /// Packets queued by senders and not yet taken: what the bound and the
+    /// shedding count. Timers never count.
+    packets: usize,
+    /// The most packets ever queued at once.
+    high_water: usize,
     /// The receiver is gone.
     closed: bool,
     /// Every [`MailboxSender`] is gone: an empty queue is disconnected.
@@ -151,15 +157,47 @@ struct State {
     waker: Option<Waker>,
 }
 
+impl State {
+    /// Take the head if it is due: a packet by `horizon`, a timer by `now`.
+    fn pop_due(&mut self, now: Instant, horizon: Instant) -> Option<(Instant, Packet)> {
+        let Head::Due = self.head(now, horizon) else {
+            return None;
+        };
+        let ((at, timer), packet) = self.queue.pop_due((horizon, true))?;
+        self.packets -= usize::from(!timer);
+        Some((at, packet))
+    }
+
+    /// What the head is to a drive at `now` that takes packets by `horizon`.
+    fn head(&self, now: Instant, horizon: Instant) -> Head {
+        match self.queue.peek_at() {
+            None => Head::Empty,
+            Some((at, timer)) if at <= if timer { now } else { horizon } => Head::Due,
+            Some((at, _)) => Head::At(at),
+        }
+    }
+}
+
+/// A mailbox's head, as a reactor drive sees it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Head {
+    /// Nothing is queued.
+    Empty,
+    /// The head may be driven now.
+    Due,
+    /// Due from this instant on: a packet's stamp or a timer's instant.
+    At(Instant),
+}
+
 impl Shared {
     /// Enqueue under the held lock, deliverable at `due` (read before the
     /// lock was taken: the clock is not read inside the critical section).
     /// What the caller has left to do is to call the waker with `due` once
     /// the lock is released.
     fn enqueue(&self, state: &mut State, due: Instant, packet: Packet) {
-        state.queue.push_back((due, packet));
-        self.high_water
-            .fetch_max(state.queue.len(), Ordering::Relaxed);
+        state.queue.push((due, false), packet);
+        state.packets += 1;
+        state.high_water = state.high_water.max(state.packets);
         if state.receiver_waiting {
             self.arrived.notify_one();
         }
@@ -238,7 +276,7 @@ impl MailboxSender {
                 if state.closed {
                     return Err(packet);
                 }
-                if state.queue.len() < shared.capacity {
+                if state.packets < shared.capacity {
                     break;
                 }
                 state.blocked_senders += 1;
@@ -276,7 +314,7 @@ impl MailboxSender {
     /// Open a run of enqueues under one lock: each packet is stamped with
     /// its own deliverable instant, and the waker is called once, when the
     /// run ends, with the earliest of them. Nothing in a run blocks.
-    pub(crate) fn open_run(&self) -> Run<'_> {
+    pub fn open_run(&self) -> Run<'_> {
         let shared = &*self.side.shared;
         Run {
             shared,
@@ -289,7 +327,7 @@ impl MailboxSender {
 /// Enqueues into one mailbox under one hold of its lock, opened by
 /// [`MailboxSender::open_run`]. Dropping it releases the lock and then
 /// calls the waker with `wake_due`, the earliest instant pushed.
-pub(crate) struct Run<'a> {
+pub struct Run<'a> {
     shared: &'a Shared,
     /// The held lock; taken out only by `drop`.
     state: Option<MutexGuard<'a, State>>,
@@ -302,7 +340,7 @@ impl Run<'_> {
     /// `bounded` (a full mailbox hands the packet back), past it otherwise.
     /// A closed mailbox hands the packet back.
     #[allow(clippy::result_large_err)]
-    pub(crate) fn push(
+    pub fn push(
         &mut self,
         due: Instant,
         packet: Packet,
@@ -314,7 +352,7 @@ impl Run<'_> {
         if state.closed {
             return Err(TrySendError::Closed(packet));
         }
-        if bounded && state.queue.len() >= self.shared.capacity {
+        if bounded && state.packets >= self.shared.capacity {
             return Err(TrySendError::Full(packet));
         }
         self.shared.enqueue(state, due, packet);
@@ -356,7 +394,7 @@ impl MailboxReceiver {
         let mut state = shared.state.lock().expect("lock poisoned");
         loop {
             let now = Instant::now();
-            if let Some(packet) = take_due(&mut state, now) {
+            if let Some((_, packet)) = state.pop_due(now, now) {
                 shared.note_dequeued(&state, 1);
                 return Ok(packet);
             }
@@ -368,7 +406,7 @@ impl MailboxReceiver {
                 return Err(RecvTimeoutError::Timeout);
             }
             // Nothing queued is due yet: wake no later than the earliest.
-            if let Some(next) = state.queue.iter().map(|(due, _)| *due).min() {
+            if let Some((next, _)) = state.queue.peek_at() {
                 left = left.min(next.saturating_duration_since(now));
             }
             state.receiver_waiting = true;
@@ -385,8 +423,9 @@ impl MailboxReceiver {
     /// `Empty` while nothing queued is due yet.
     pub fn try_recv(&self) -> Result<Packet, TryRecvError> {
         let mut state = self.shared.state.lock().expect("lock poisoned");
-        match take_due(&mut state, Instant::now()) {
-            Some(packet) => {
+        let now = Instant::now();
+        match state.pop_due(now, now) {
+            Some((_, packet)) => {
                 self.shared.note_dequeued(&state, 1);
                 Ok(packet)
             }
@@ -395,16 +434,40 @@ impl MailboxReceiver {
         }
     }
 
-    /// Move up to `max` queued packets, in push order and whether due or
-    /// not, onto the back of `into` under one lock — how a reactor drive
-    /// takes its batch (the task holds what is not due yet). Returns how
-    /// many moved.
-    pub(crate) fn drain_into(&self, max: usize, into: &mut VecDeque<(Instant, Packet)>) -> usize {
+    /// Move the head onto the back of `into`, each with its instant, while
+    /// it is a packet due within `slack` of `now` or a timer due by `now`,
+    /// up to `max` of them, under one lock: how a reactor drive takes its
+    /// batch. Returns how many moved, and the head left behind.
+    pub fn drain_into(
+        &self,
+        max: usize,
+        now: Instant,
+        slack: Duration,
+        into: &mut VecDeque<(Instant, Packet)>,
+    ) -> (usize, Head) {
+        let (horizon, before) = (now + slack, into.len());
         let mut state = self.shared.state.lock().expect("lock poisoned");
-        let moved = max.min(state.queue.len());
-        into.extend(state.queue.drain(..moved));
-        self.shared.note_dequeued(&state, moved);
-        moved
+        let packets = state.packets;
+        into.extend(std::iter::from_fn(|| state.pop_due(now, horizon)).take(max));
+        self.shared.note_dequeued(&state, packets - state.packets);
+        (into.len() - before, state.head(now, horizon))
+    }
+
+    /// End a reactor drive under one lock: queue the timers it armed, each
+    /// due at its instant, past the bound and without calling the waker;
+    /// then read the head as the drive's [`drain_into`](Self::drain_into)
+    /// at `now` would, and how many packets are queued.
+    pub(crate) fn settle(
+        &self,
+        armed: &mut Vec<(Instant, Packet)>,
+        now: Instant,
+        slack: Duration,
+    ) -> (Head, usize) {
+        let mut state = self.shared.state.lock().expect("lock poisoned");
+        for (at, fire) in armed.drain(..) {
+            state.queue.push((at, true), fire);
+        }
+        (state.head(now, now + slack), state.packets)
     }
 
     /// Install the wake hook invoked after every successful enqueue. The
@@ -414,14 +477,14 @@ impl MailboxReceiver {
         self.shared.state.lock().expect("lock poisoned").waker = Some(waker);
     }
 
-    /// Packets currently queued.
+    /// Packets currently queued by senders (timers do not count).
     pub fn depth(&self) -> usize {
-        self.shared.state.lock().expect("lock poisoned").queue.len()
+        self.shared.state.lock().expect("lock poisoned").packets
     }
 
     /// Deepest the mailbox has ever been.
     pub fn high_water(&self) -> usize {
-        self.shared.high_water.load(Ordering::Relaxed)
+        self.shared.state.lock().expect("lock poisoned").high_water
     }
 }
 
@@ -440,12 +503,6 @@ impl Drop for MailboxReceiver {
     }
 }
 
-/// Take the first packet deliverable by `now`, in push order.
-fn take_due(state: &mut State, now: Instant) -> Option<Packet> {
-    let at = state.queue.iter().position(|(due, _)| *due <= now)?;
-    state.queue.remove(at).map(|(_, packet)| packet)
-}
-
 /// `lock` for a destructor, which must not panic: the state is valid at
 /// every step, so a poisoned lock's guard is as good as any.
 fn lock_in_drop(state: &Mutex<State>) -> MutexGuard<'_, State> {
@@ -459,7 +516,9 @@ pub fn mailbox(capacity: usize) -> (MailboxSender, MailboxReceiver) {
     assert!(capacity > 0, "mailbox capacity must be positive");
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
-            queue: VecDeque::new(),
+            queue: EventQueue::new(),
+            packets: 0,
+            high_water: 0,
             closed: false,
             senders_gone: false,
             blocked_senders: 0,
@@ -469,7 +528,6 @@ pub fn mailbox(capacity: usize) -> (MailboxSender, MailboxReceiver) {
         drained: Condvar::new(),
         arrived: Condvar::new(),
         capacity,
-        high_water: AtomicUsize::new(0),
     });
     (
         MailboxSender {
@@ -576,44 +634,73 @@ mod tests {
         }
     }
 
+    /// Eight senders through a mailbox of 16, so that they block (or are
+    /// refused at the bound) and retry throughout. Each sender's packets
+    /// arrive in its order, whether it sends them now one at a time or
+    /// pushes them in stamped runs whose instants interleave with every
+    /// other sender's, so that the ordered queue sorts the senders among
+    /// each other.
     #[test]
     fn each_senders_packets_arrive_in_its_order() {
         const SENDERS: u64 = 8;
         const EACH: u64 = 2_000;
-        // A small mailbox, so senders block and wake throughout.
-        let (tx, rx) = mailbox(16);
-        let threads: Vec<_> = (0..SENDERS)
-            .map(|s| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for i in 0..EACH {
-                        assert!(tx.send(packet(s * EACH + i)).is_ok());
-                    }
+        const RUN: u64 = 7;
+        for stamped in [false, true] {
+            let (tx, rx) = mailbox(16);
+            let start = Instant::now();
+            let threads: Vec<_> = (0..SENDERS)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        let mut i = 0;
+                        while i < EACH {
+                            if !stamped {
+                                assert!(tx.send(packet(s * EACH + i)).is_ok());
+                                i += 1;
+                                continue;
+                            }
+                            let mut run = tx.open_run();
+                            for _ in 0..RUN.min(EACH - i) {
+                                let due = start + Duration::from_micros(i * SENDERS + s);
+                                match run.push(due, packet(s * EACH + i), true) {
+                                    Ok(()) => i += 1,
+                                    Err(TrySendError::Full(_)) => break,
+                                    Err(TrySendError::Closed(_)) => panic!("receiver gone"),
+                                }
+                            }
+                            drop(run);
+                            std::thread::yield_now();
+                        }
+                    })
                 })
-            })
-            .collect();
-        drop(tx);
-        let mut next = [0u64; SENDERS as usize];
-        let mut batch = VecDeque::new();
-        // Alternate the two ways out of the queue: one packet, one batch.
-        loop {
-            match rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(p) => batch.push_back((Instant::now(), p)),
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => panic!("senders stalled"),
+                .collect();
+            drop(tx);
+            let mut next = [0u64; SENDERS as usize];
+            let mut batch = VecDeque::new();
+            // Alternate the two ways out of the queue: one packet, one batch.
+            loop {
+                match rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(p) => batch.push_back((Instant::now(), p)),
+                    Err(RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Timeout) => panic!("senders stalled"),
+                }
+                rx.drain_into(5, Instant::now(), Duration::ZERO, &mut batch);
+                for (_, p) in batch.drain(..) {
+                    let tag = tag_of(p);
+                    let sender = (tag / EACH) as usize;
+                    assert_eq!(
+                        tag % EACH,
+                        next[sender],
+                        "sender {sender} reordered (stamped: {stamped})"
+                    );
+                    next[sender] += 1;
+                }
             }
-            rx.drain_into(5, &mut batch);
-            for (_, p) in batch.drain(..) {
-                let tag = tag_of(p);
-                let sender = (tag / EACH) as usize;
-                assert_eq!(tag % EACH, next[sender], "sender {sender} reordered");
-                next[sender] += 1;
+            assert_eq!(next, [EACH; SENDERS as usize]);
+            assert!(rx.high_water() <= 16);
+            for t in threads {
+                t.join().expect("sender thread");
             }
-        }
-        assert_eq!(next, [EACH; SENDERS as usize]);
-        assert!(rx.high_water() <= 16);
-        for t in threads {
-            t.join().expect("sender thread");
         }
     }
 
@@ -751,9 +838,11 @@ mod loom_tests {
             // Blocks unless the drain below came first.
             let sender = loom::thread::spawn(move || assert!(tx.send(Packet::Stop).is_ok()));
             let mut batch = VecDeque::new();
-            assert_eq!(rx.drain_into(64, &mut batch), 1, "the packet that fitted");
+            let now = std::time::Instant::now();
+            let mut drain = || rx.drain_into(64, now, FOREVER, &mut batch).0;
+            assert_eq!(drain(), 1, "the packet that fitted");
             sender.join().expect("sender");
-            assert_eq!(rx.drain_into(64, &mut batch), 1, "the one that waited");
+            assert_eq!(drain(), 1, "the one that waited");
             assert_eq!(rx.depth(), 0);
         });
         record("mailbox_blocked_sender", &report);

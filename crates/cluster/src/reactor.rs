@@ -11,33 +11,27 @@
 //! funnelled through [`planet_sim::drive_into`], the step function the
 //! deterministic engine uses; only the interpretation of the emitted
 //! effects differs (sends go to the task's [`Transport`], timers to the
-//! task's own *held* queue).
+//! task's own mailbox).
 //!
-//! A mailbox packet is stamped with the instant it becomes deliverable:
-//! now for a plain send, the sampled delivery time for one the channel
-//! transport's network model delays. That is how a network delay costs no
-//! thread: the packet waits in its destination's mailbox, not in a fabric.
-//! A task drives a packet at most [`PlaneConfig::fabric_slack_us`] before
-//! its instant, and never later than its first drive after it; a drive
-//! that drains a packet due further out keeps it in the task's held queue
-//! (an [`EventQueue`]), in due order, for a later drive.
-//!
-//! A timer is a packet its task holds: an envelope from and to the arming
-//! actor, kept on the task's own timer queue at its instant. Unlike a
-//! held packet it takes no slack — it is never driven before its instant —
-//! and it is driven after the batch its drive drains from the mailbox. It
-//! gates no packet: per-pair FIFO among held packets holds whatever timers
-//! are armed. A harness call's follow-up messages are self-sent envelopes
-//! too, so one loop over the batch drives everything a task receives.
+//! A task has one inbox: its mailbox, ordered by instant (see
+//! [`crate::plane`]). A packet is stamped with the instant it becomes
+//! deliverable, now for a plain send and the sampled delivery time for one
+//! the channel transport's network model delays, so a network delay costs
+//! no thread. A timer is an envelope from and to the arming actor at its
+//! instant. A drive takes the head while it is a packet within
+//! [`PlaneConfig::fabric_slack_us`] of its instant or a timer whose instant
+//! has come: a timer is never driven early, and one not yet due defers the
+//! packets stamped behind it until it is. A harness call's follow-ups are
+//! self-sent envelopes too, so one loop drives everything a task receives.
 //!
 //! Scheduling is a sharded run queue with work stealing:
 //!
 //! * A task is woken by mailbox arrival (the mailbox's wake hook) or by
 //!   its initial schedule. An arrival stamped beyond the slack wakes
-//!   nothing: it arms a *timed wake* for its instant instead, as does a
-//!   drive that leaves packets or timers held. Timed wakes sit on one
-//!   queue that every worker checks at its loop top and parks against, so
-//!   any worker fires a timer, not only the one that drove its arming.
+//!   nothing: it arms a *timed wake* for its instant instead, as a drive's
+//!   end does for the mailbox's head. Timed wakes sit on one queue
+//!   ([`EventQueue`]) that every worker checks at its loop top and parks
+//!   against, so any worker fires a timer, not only the one that armed it.
 //! * Wakes enqueue the task at the back of its home worker's queue — a
 //!   fired timed wake at the front, since its packet is due now; an idle
 //!   worker with an empty queue steals from its peers, so a skewed shard
@@ -52,22 +46,16 @@
 //! its own (`crate::poll`: an epoll set with an eventfd, woken by an
 //! eventfd write, timed to the microsecond).
 //!
-//! Sockets are read where the actors run. A spawn *adopts* the transport
-//! the new task sends through if it has socket I/O ([`Transport::io`]):
-//! the transport's own I/O thread stops, its poller is nested in every
-//! worker's, and each worker runs the transport's poll — accept, read and
-//! deliver, finish queued writes — without waiting at its loop top. A
-//! frame reaching an idle reactor ends the park it is in.
-//! Outbound sends coalesce across tasks driven back-to-back on the same
-//! worker and flush as one `send_many` batch, capped by
-//! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
-//! transport when it fills, when the worker runs out of tasks, or when its
-//! oldest envelope has waited a full horizon — whichever comes first — so
-//! a flush can never be stranded behind a long run of stolen or busy
-//! tasks. A task's sends reach the transport in the order it made them,
-//! whichever workers drive it: before a worker drives a task that another
-//! worker drove last, it flushes that worker's pending batch (waiting out a
-//! flush already in flight).
+//! Sockets are read where the actors run: a spawn *adopts* the transport
+//! the new task sends through if it has socket I/O ([`Transport::io`]),
+//! and every worker runs its poll at the loop top and parks in its poller.
+//! Outbound sends coalesce across tasks driven back-to-back on one worker
+//! and flush as one `send_many` batch when it fills, when the worker runs
+//! out of tasks, or when its oldest envelope has waited
+//! [`PlaneConfig::fabric_slack_us`], so no flush is stranded behind busy
+//! tasks. A task's sends reach the transport in the order it made them:
+//! before a worker drives a task that another worker drove last, it
+//! flushes that worker's pending batch (waiting out one in flight).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -80,7 +68,7 @@ use planet_sim::{
 };
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
-use crate::plane::{mailbox, MailboxReceiver, MailboxSender, PlaneConfig};
+use crate::plane::{mailbox, Head, MailboxReceiver, MailboxSender, PlaneConfig};
 use crate::sync::{
     AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering, Waiter,
 };
@@ -109,15 +97,8 @@ struct TaskMember {
 /// Everything a worker needs exclusive access to while driving a task.
 /// Lives inside the task's slot mutex and is *taken out* for the duration
 /// of a drive, so no lock is held while the actor runs or the transport is
-/// called.
-///
-/// A task hosts one *or more* members behind its single mailbox. The
-/// multi-member shape ([`Reactor::spawn_pool`]) exists for load
-/// generators: hundreds of tiny closed-loop clients each completing
-/// ~2 messages per wake would pay the full scheduling cost (queue hop,
-/// state-word CAS, body checkout, cold task state) per message, where a
-/// pool amortizes one drive across a whole batch of its members' traffic.
-/// Members keep private ids and RNGs; routing is by envelope destination.
+/// called. A task hosts one *or more* members behind its single mailbox
+/// ([`Reactor::spawn_pool`]), routed by envelope destination.
 struct TaskBody {
     site: SiteId,
     members: Vec<TaskMember>,
@@ -130,12 +111,9 @@ struct TaskBody {
     /// working through, each packet with its deliverable instant; empty
     /// between drives.
     inbox: VecDeque<(Instant, Packet)>,
-    /// Packets drained before they were due, by due time: each is driven
-    /// by the first drive within the slack of its instant.
-    held: EventQueue<(Instant, Packet)>,
-    /// Armed timers, by due time: each is driven by the first drive at or
-    /// after its instant, after the batch that drive drains.
-    timers: EventQueue<(Instant, Packet)>,
+    /// The timers this drive armed, each at its instant: they join the
+    /// mailbox at the drive's end, under the lock that reads its head.
+    armed: Vec<(Instant, Packet)>,
     /// Each driven packet's wait since it became deliverable, µs: recorded
     /// into `span.queue_us` once per drive, not once per packet.
     queue_waits: Vec<u64>,
@@ -159,8 +137,8 @@ pub(crate) struct TaskCore {
     done: AtomicBool,
     /// The earliest timed wake armed for this task and not yet fired, as
     /// µs on the reactor clock; [`NO_WAKE`] when none is. An arrival due
-    /// later than it arms nothing: the earlier wake's drive takes the
-    /// packet and re-arms for what it holds.
+    /// later than it arms nothing: the earlier wake's drive re-arms for the
+    /// mailbox's head.
     wake_at: AtomicU64,
     /// The drive state; `None` while a worker has it out for a drive, or
     /// after finalization.
@@ -402,12 +380,21 @@ impl ReactorInner {
             lowered
         };
         if lowered {
-            for worker in &self.workers {
-                if worker.parker.parked.load(Ordering::SeqCst) {
-                    worker.parker.rouse();
-                    return;
-                }
-            }
+            self.rouse(0);
+        }
+    }
+
+    /// Every worker once, from worker `w` on: `w` first, then its peers in
+    /// the order a steal sweep visits them.
+    fn workers_from(&self, w: usize) -> impl Iterator<Item = &WorkerShared> {
+        self.workers.iter().cycle().skip(w).take(self.workers.len())
+    }
+
+    /// Rouse the first parked worker from `from` on, if one is parked.
+    fn rouse(&self, from: usize) {
+        let parked = |w: &&WorkerShared| w.parker.parked.load(Ordering::SeqCst);
+        if let Some(worker) = self.workers_from(from).find(parked) {
+            worker.parker.rouse();
         }
     }
 
@@ -481,28 +468,15 @@ impl ReactorInner {
     /// queue under the parked flag, so a push they weren't told about is
     /// still found — which keeps the saturated path free of the eventfd.
     fn enqueue(&self, home: usize, task: Arc<TaskCore>, ahead: bool) {
-        {
-            // `home` is a `TaskCore::home` (taken modulo `workers.len()` at
-            // spawn) or the calling worker's own index: check:allow(panic)
-            let mut queue = self.workers[home].queue.lock().expect("lock poisoned");
+        if let Some(worker) = self.workers_from(home).next() {
+            let mut queue = worker.queue.lock().expect("lock poisoned");
             if ahead {
                 queue.push_front(task);
             } else {
                 queue.push_back(task);
             }
         }
-        // check:allow(panic): `home` < `workers.len()`, as above
-        if self.workers[home].parker.parked.load(Ordering::SeqCst) {
-            // check:allow(panic): `home` < `workers.len()`, as above
-            self.workers[home].parker.rouse();
-            return;
-        }
-        for (w, worker) in self.workers.iter().enumerate() {
-            if w != home && worker.parker.parked.load(Ordering::SeqCst) {
-                worker.parker.rouse();
-                return;
-            }
-        }
+        self.rouse(home);
     }
 
     /// Any task queued on any worker? The pre-park recheck: a worker about
@@ -517,31 +491,17 @@ impl ReactorInner {
     /// Pop the next runnable task for worker `w`: its own queue first,
     /// then a steal sweep over its peers.
     fn next_task(&self, w: usize) -> Option<(Arc<TaskCore>, bool)> {
-        // `w` is the calling worker's index, one of the `0..workers.len()`
-        // `Reactor::new` hands out: check:allow(panic)
-        if let Some(task) = self.workers[w]
-            .queue
-            .lock()
-            .expect("lock poisoned")
-            .pop_front()
-        {
-            return Some((task, false));
+        let (task, stolen) = self
+            .workers_from(w)
+            .enumerate()
+            .find_map(|(step, worker)| {
+                let task = worker.queue.lock().expect("lock poisoned").pop_front()?;
+                Some((task, step > 0))
+            })?;
+        if stolen {
+            self.steals.fetch_add(1, Ordering::Relaxed);
         }
-        let n = self.workers.len();
-        for step in 1..n {
-            let victim = (w + step) % n;
-            // check:allow(panic): taken modulo `n == workers.len()`
-            let stolen = self.workers[victim]
-                .queue
-                .lock()
-                .expect("lock poisoned")
-                .pop_front();
-            if let Some(task) = stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some((task, true));
-            }
-        }
-        None
+        Some((task, stolen))
     }
 }
 
@@ -817,8 +777,7 @@ impl Reactor {
             metrics: Metrics::new(),
             rx,
             inbox: VecDeque::new(),
-            held: EventQueue::new(),
-            timers: EventQueue::new(),
+            armed: Vec::new(),
             queue_waits: Vec::new(),
             transport,
             outbox: Vec::new(),
@@ -935,12 +894,12 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
     }
 }
 
-/// Drive one scheduled task: the held packets now within the slack, then
-/// up to `max_batch` mailbox packets (holding those due further out), then
-/// the timers now due, one turn-group, one coalesced flush hand-off.
-/// Ends by arming a timed wake for what the task holds and releasing the
-/// scheduling word (re-queueing if traffic arrived mid-drive or the batch
-/// cap left the mailbox non-empty).
+/// Drive one scheduled task: take the mailbox's due head, up to
+/// `max_batch` packets and timers, and drive them as one turn-group with
+/// one coalesced flush hand-off. Ends by queueing the timers the drive
+/// armed, arming a timed wake for the mailbox's head and releasing the
+/// scheduling word (re-queueing if traffic arrived mid-drive or the head is
+/// due already).
 fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen: bool) {
     if !task.claim_running() {
         return; // finalized under us; nothing to drive
@@ -987,29 +946,15 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
             absorb_effects(&mut body, idx, inner.clock, now);
         }
     }
-    // What this drive may deliver: everything due by the slack past now.
-    // Held packets within it go first, in due order; a packet of the batch
-    // due later than any of them is of another pair or later on its own.
-    let horizon = Instant::now() + inner.slack;
-    let held_until = inner.clock.sim_time(horizon);
-    while let Some((_, held)) = body.held.pop_due(held_until) {
-        body.inbox.push_back(held);
-    }
     // The batch moves out of the mailbox under one lock, so the senders
-    // contend with this task once a drive, not once a packet.
-    let drained = body.rx.drain_into(max_batch, &mut body.inbox);
-    // Due timers go after the batch and take no slack: an early fire would
-    // end a coordinator's timeout chain, which re-arms only when due.
-    let now = inner.clock.now();
-    while let Some((_, fire)) = body.timers.pop_due(now) {
-        body.inbox.push_back(fire);
-    }
+    // contend with this task once a drive, not once a packet: the head
+    // while it is due (a timer not yet due defers what is stamped after it).
+    let now = Instant::now();
+    let (drained, mut head) = body
+        .rx
+        .drain_into(max_batch, now, inner.slack, &mut body.inbox);
     let mut stopped = false;
     while let Some((due, packet)) = body.inbox.pop_front() {
-        if due > horizon {
-            body.held.push(inner.clock.sim_time(due), (due, packet));
-            continue;
-        }
         let at = Instant::now();
         body.queue_waits
             .push(at.saturating_duration_since(due).as_micros() as u64);
@@ -1072,17 +1017,12 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
             }
         }
     }
-    if !body.queue_waits.is_empty() {
+    if drained > 0 {
+        body.metrics.histogram("plane.batch").record(drained as u64);
         let queue = body.metrics.histogram("span.queue_us");
         for wait in body.queue_waits.drain(..) {
             queue.record(wait);
         }
-    }
-    if drained > 0 {
-        body.metrics.histogram("plane.batch").record(drained as u64);
-        body.metrics
-            .histogram("plane.mailbox.depth")
-            .record(body.rx.depth() as u64);
     }
     if !body.outbox.is_empty() {
         if let Some(me) = inner.workers.get(w) {
@@ -1095,26 +1035,26 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
         finalize(task, body);
         return;
     }
-    if let Some(at) = body
-        .held
-        .peek_at()
-        .into_iter()
-        .chain(body.timers.peek_at())
-        .min()
-    {
-        inner.arm(task, at);
+    // The drive's timers join the mailbox under the lock that reads its
+    // head as of the drain (a drive that took and armed nothing keeps the
+    // drain's read). A head due then, the batch cap hit, is more work; all
+    // that arrived since the drain ran the waker itself.
+    if drained > 0 || !body.armed.is_empty() {
+        let depth;
+        (head, depth) = body.rx.settle(&mut body.armed, now, inner.slack);
+        body.metrics
+            .histogram("plane.mailbox.depth")
+            .record(depth as u64);
     }
-    // More work queued behind the batch cap? Treat it as a wake. (Under
-    // the cap the batch emptied the mailbox — anything arriving since has
-    // flipped the scheduling word to RUNNING_NOTIFIED — so the depth
-    // probe and its lock are only paid when the cap hit.)
-    let more = drained == max_batch && body.rx.depth() > 0;
+    if let Head::At(at) = head {
+        inner.arm(task, inner.clock.sim_time(at));
+    }
     // Body back before the word is released: a stealer may drive the task
     // the instant it reads QUEUED.
     *task.body.lock().expect("lock poisoned") = Some(body);
     if task.release_running() {
         inner.enqueue(w, Arc::clone(task), false);
-    } else if more {
+    } else if head == Head::Due {
         inner.wake(task);
     }
 }
@@ -1136,7 +1076,7 @@ fn finalize(task: &Arc<TaskCore>, mut body: TaskBody) {
 }
 
 /// Apply one member's turn effects: sends to the task outbox, timers to
-/// the task's timer queue at `now` plus their delay on `clock` (addressed
+/// the drive's armed list at `now` plus their delay on `clock` (addressed
 /// from and to the arming member).
 fn absorb_effects(body: &mut TaskBody, member: usize, clock: Clock, now: SimTime) {
     // check:allow(panic): every caller passes the index it just drove
@@ -1155,7 +1095,7 @@ fn absorb_effects(body: &mut TaskBody, member: usize, clock: Clock, now: SimTime
                     to: id,
                     msg,
                 });
-                body.timers.push(at, (clock.instant(at), fire));
+                body.armed.push((clock.instant(at), fire));
             }
         }
     }
@@ -1581,7 +1521,7 @@ mod tests {
 
     /// Packets stamped for up to 5 ms out, pushed by two threads in no due
     /// order, are each driven no earlier than their instant less the slack,
-    /// whether held by an earlier drive or taken on a timed wake.
+    /// whether a drive within the slack takes them or a timed wake.
     #[test]
     fn no_packet_is_driven_earlier_than_its_instant_less_the_slack() {
         let plane = PlaneConfig::default().with_workers(2);
@@ -1915,12 +1855,12 @@ mod tests {
         reactor.shutdown();
     }
 
-    /// A timer gates no packet: with a timer armed ahead of a held packet
-    /// P, a later packet Q from P's sender is still driven after P. Slack
-    /// 20 ms and a 20 ms timer: P, stamped 30 ms out, is held by the drive
-    /// that a packet due now triggers; Q, stamped just after P, arrives
-    /// once P is within the slack but before the timer is due, and its
-    /// drive must take P first.
+    /// A timer never reorders a pair: with a timer armed ahead of a packet
+    /// P stamped for later, a later packet Q from P's sender is still
+    /// driven after P. Slack 20 ms and a 20 ms timer: P, stamped 30 ms out,
+    /// stays queued through the drive that a packet due now triggers; Q,
+    /// stamped just after P, arrives once P is within the slack but before
+    /// the timer is due, and P must be driven first.
     #[test]
     fn a_held_timer_does_not_reorder_the_packets_of_a_pair() {
         let plane = PlaneConfig {
@@ -2008,6 +1948,80 @@ mod tests {
         handle.stop_and_join();
         reactor.shutdown();
     }
+
+    /// The one rule the ordered inbox adds, and the wake instant it keeps.
+    /// A timer not yet due at the mailbox's head defers the packets stamped
+    /// behind it, even those within the slack, until it is due, and none of
+    /// them is driven later than its stamp (plus the 200 ms these tests
+    /// allow a loaded host). Slack 20 ms, a 30 ms timer, and five packets
+    /// stamped 35 to 39 ms out, beyond the slack when pushed; at 20 ms a
+    /// packet due at once drives the task while the five are within the
+    /// slack. Then a packet stamped 40 ms out, with no timer ahead of it,
+    /// wakes the task at its stamp, not at its stamp less the slack.
+    #[test]
+    fn a_timer_not_yet_due_defers_the_packets_stamped_behind_it() {
+        let plane = PlaneConfig {
+            fabric_slack_us: 20_000,
+            ..PlaneConfig::default()
+        }
+        .with_workers(2);
+        let clock = Clock::new();
+        let reactor = Reactor::new(clock, plane, 37);
+        let (seen_tx, seen) = mpsc::channel();
+        let (tx, rx) = mailbox(plane.mailbox_capacity);
+        let probe = TimerProbe {
+            delay: SimDuration::from_micros(30_000),
+            seen: seen_tx,
+        };
+        let transport = std::sync::Arc::new(RecordingTransport::default());
+        let handle = reactor.spawn(ActorId(1), SiteId(0), Box::new(probe), tx, rx, transport);
+        let stamped = |kind: u32, at_us: u64| {
+            let env = Envelope {
+                from: ActorId(70),
+                to: ActorId(1),
+                msg: Msg::ClientTimer { kind, tag: 0 },
+            };
+            let due = clock.instant(planet_sim::SimTime::from_micros(at_us));
+            let pushed = handle.mailbox.open_run().push(due, Packet::Env(env), false);
+            assert!(pushed.is_ok());
+        };
+        let (_, _, timer) = next(&seen);
+        let stamp = |kind: u32| timer + 5_000 + u64::from(kind - 10) * 1_000;
+        for kind in 10..15 {
+            stamped(kind, stamp(kind));
+        }
+        while clock.now().as_micros() + 10_000 < timer {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(handle.mailbox.send(env(3, 0)).is_ok());
+        let driven: Vec<(u32, u64)> = (0..7)
+            .filter_map(|_| match next(&seen) {
+                (_, Some(kind), now) => Some((kind, now)),
+                _ => None,
+            })
+            .collect();
+        let at = |kind: u32| driven.iter().position(|&(k, _)| k == kind);
+        for kind in 10..15 {
+            let (_, now) = driven[at(kind).expect("every packet is driven")];
+            assert!(
+                at(7) < at(kind),
+                "{kind} driven before the timer: {driven:?}"
+            );
+            assert!(
+                now >= timer,
+                "{kind} driven at {now} µs, the timer at {timer}"
+            );
+            assert!(now <= stamp(kind) + 200_000, "{kind} driven {now} µs");
+        }
+        let due = clock.now().as_micros() + 40_000;
+        stamped(20, due);
+        let (_, kind, now) = next(&seen);
+        assert_eq!(kind, Some(20));
+        assert!(now >= due, "driven {} µs before its stamp", due - now);
+        assert!(now <= due + 200_000, "driven {} µs late", now - due);
+        handle.stop_and_join();
+        reactor.shutdown();
+    }
 }
 
 /// Exhaustive weak-memory verification of the reactor's lock-free
@@ -2021,24 +2035,24 @@ mod tests {
 /// happens-before bridge) and assert the harness *finds* the lost
 /// wakeup, so the clean runs are evidence rather than vacuity.
 ///
-/// A timer has no model of its own: a drive that leaves a timer armed arms
-/// a timed wake for it as it does for a held packet, the path that
-/// `loom_a_packet_stamped_for_later_wakes_its_task_by_its_instant` and its
-/// seeded twin `loom_a_timed_wake_that_does_not_lower_the_earliest_is_found`
-/// explore.
+/// A timer is a mailbox entry like a packet stamped for later: a drive's
+/// end queues it and arms a timed wake for the mailbox's head, the path
+/// that `loom_a_push_that_lowers_the_mailbox_head_arms_its_timed_wake` and
+/// its seeded twin `loom_a_push_that_lowers_the_head_but_arms_nothing_is_found`
+/// explore together with a sender's push of an earlier packet.
 #[cfg(all(test, loom))]
 pub(crate) mod loom_tests {
     use std::collections::VecDeque;
     use std::io::Write as _;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use planet_sim::{Metrics, SimTime};
 
     use super::{Parker, ReactorInner, TaskCore, WakeVerdict, IDLE, NO_WAKE};
     use crate::node::{Clock, Packet, PoolMembers};
-    use crate::plane::{mailbox, PlaneConfig};
+    use crate::plane::{mailbox, Head, MailboxSender, PlaneConfig};
     use crate::sync::{AtomicBool, AtomicU64, AtomicU8, Condvar, Mutex, Ordering};
 
     /// Park backstop passed to `park_unless`; modeled condvars never time
@@ -2172,6 +2186,79 @@ pub(crate) mod loom_tests {
                 arming.timed.lock().expect("lock poisoned").push(due, task);
             });
             work_until_woken(&inner, &core, due);
+            stamper.join().expect("stamper");
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
+    /// How a mailbox push reaches the reactor: the waker's body.
+    type Wake = fn(&ReactorInner, &Arc<TaskCore>, Instant);
+
+    /// [`one_worker`] and a task homed on it whose mailbox runs `wake` on
+    /// every push, and whose last drive ended as `drive_task` ends: a timer
+    /// two hours out joined the mailbox (`settle`), and the task's timed
+    /// wake is armed for the head that lock read.
+    fn timer_at_the_head_rig(wake: Wake) -> (Arc<ReactorInner>, Arc<TaskCore>, MailboxSender) {
+        let inner = one_worker();
+        let core = fresh_core();
+        let (tx, rx) = mailbox(4);
+        let (waking, task) = (Arc::clone(&inner), Arc::downgrade(&core));
+        rx.set_waker(Arc::new(move |due| {
+            if let Some(task) = task.upgrade() {
+                wake(&waking, &task, due);
+            }
+        }));
+        let now = Instant::now();
+        let mut armed = vec![(now + Duration::from_secs(7_200), Packet::Stop)];
+        let (Head::At(head), 0) = rx.settle(&mut armed, now, inner.slack) else {
+            panic!("a timer two hours out is the head, and no packet is queued");
+        };
+        inner.arm(&core, inner.clock.sim_time(head));
+        // The receiver stays open for the model's length.
+        std::mem::forget(rx);
+        (inner, core, tx)
+    }
+
+    /// A push that lowers the mailbox's head arms the task's timed wake for
+    /// it. With a timer two hours out at the head and armed, a sender that
+    /// is not a worker pushes a packet stamped one hour out while the one
+    /// worker, its clock stopped at that hour, fires what is due or parks
+    /// against the earliest wake: the push's waker must arm the earlier
+    /// wake, and the park must see it or be roused.
+    #[test]
+    fn loom_a_push_that_lowers_the_mailbox_head_arms_its_timed_wake() {
+        let report = loom::model(|| {
+            let (inner, core, tx) = timer_at_the_head_rig(|inner, task, due| {
+                inner.wake_for(task, due);
+            });
+            let sooner = Instant::now() + Duration::from_secs(3_600);
+            let stamper = loom::thread::spawn(move || {
+                assert!(tx.open_run().push(sooner, Packet::Stop, false).is_ok());
+            });
+            work_until_woken(&inner, &core, inner.clock.sim_time(sooner));
+            stamper.join().expect("stamper");
+        });
+        record("lowered_head", &report);
+        assert!(report.iterations >= 2, "explorer must branch");
+    }
+
+    /// The broken twin: the waker arms nothing for a task whose timed wake
+    /// is armed already, even when the push lowered the mailbox's head. The
+    /// worker parks against the timer's two hours, past the packet's one,
+    /// and the harness must find that.
+    #[test]
+    fn loom_a_push_that_lowers_the_head_but_arms_nothing_is_found() {
+        let msg = fails(|| {
+            let (inner, core, tx) = timer_at_the_head_rig(|inner, task, due| {
+                if task.wake_at.load(Ordering::Acquire) == NO_WAKE {
+                    inner.wake_for(task, due);
+                }
+            });
+            let sooner = Instant::now() + Duration::from_secs(3_600);
+            let stamper = loom::thread::spawn(move || {
+                assert!(tx.open_run().push(sooner, Packet::Stop, false).is_ok());
+            });
+            work_until_woken(&inner, &core, inner.clock.sim_time(sooner));
             stamper.join().expect("stamper");
         });
         assert!(msg.contains("deadlock"), "{msg}");

@@ -3,8 +3,8 @@
 //! transport no thread of the transport's own is left. And the transport's
 //! route table: one batch's hosted and remote destinations each keep their
 //! order, a frame cut by a short read is delivered once its rest arrives,
-//! and an address that refused a connect is not dialled again within the
-//! backoff.
+//! an address that refused a connect is not dialled again within the
+//! backoff, and each connection's stamps never go backwards.
 //!
 //! This file is a workload for the ThreadSanitizer CI job, beside
 //! `channel_stress.rs` and `fabric_delivery.rs`: tsan observes the poll,
@@ -393,4 +393,89 @@ fn sends_to_a_refused_port_connect_at_most_once_per_backoff() {
         "{connects} connects in {windows} backoff windows"
     );
     transport.stop();
+}
+
+/// Reports the sender and tag of every numbered message it receives.
+struct Arrivals(Sender<(u32, u64)>);
+
+impl Actor<Msg> for Arrivals {
+    fn on_message(&mut self, from: ActorId, msg: Msg, _ctx: &mut Context<'_, Msg>) {
+        if let Msg::ClientTimer { tag, .. } = msg {
+            let _ = self.0.send((from.0, tag));
+        }
+    }
+}
+
+/// A connection's stamps never go backwards. A burst read off a connection
+/// is stamped with one clock read in `TcpInner::deliver`, under the
+/// connection's read lock, so two workers polling the same socket stamp
+/// its bursts in the order they deliver them. The task's mailbox hands
+/// packets out by stamp, ties in push order, so each connection's frames
+/// arriving in the order they were written shows it: three peers write
+/// numbered frames in bursts of one to eight, interleaved, to one actor on
+/// a two-worker reactor that reads the sockets on both workers.
+#[test]
+fn each_connection_s_stamps_never_go_backwards() {
+    let _host = serial();
+    const PEERS: u32 = 3;
+    const EACH: u64 = 3_000;
+    let transport = TcpTransport::new();
+    let any = "127.0.0.1:0".parse().expect("loopback address");
+    let addr = transport.listen(any).expect("bind a loopback port");
+    let reactor = Reactor::new(Clock::new(), PlaneConfig::default().with_workers(2), 43);
+    let (arrived_tx, arrived) = channel();
+    let (tx, rx) = mailbox(PlaneConfig::default().mailbox_capacity);
+    transport.host(PONGER.0, tx.clone());
+    let shared = transport.clone() as Arc<dyn Transport>;
+    let handle = reactor.spawn(
+        PONGER,
+        SiteId(0),
+        Box::new(Arrivals(arrived_tx)),
+        tx,
+        rx,
+        shared,
+    );
+    let writers: Vec<_> = (0..PEERS)
+        .map(|p| {
+            thread::spawn(move || {
+                let mut peer = TcpStream::connect(addr).expect("connect to the transport");
+                peer.set_nodelay(true).expect("no delay");
+                let mut rng = planet_sim::DetRng::new(u64::from(p));
+                let mut tag = 0;
+                while tag < EACH {
+                    let mut frames = Vec::new();
+                    for _ in 0..1 + rng.index(8) {
+                        if tag < EACH {
+                            let env = numbered(ActorId(10 + p), PONGER, tag);
+                            wire::encode_frame_into(&env, &mut frames);
+                            tag += 1;
+                        }
+                    }
+                    peer.write_all(&frames).expect("a burst");
+                    if rng.index(4) == 0 {
+                        thread::sleep(Duration::from_micros(50));
+                    }
+                }
+                peer
+            })
+        })
+        .collect();
+    let mut next = [0u64; PEERS as usize];
+    for _ in 0..u64::from(PEERS) * EACH {
+        let (from, tag) = arrived
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every frame written arrives");
+        let peer = (from - 10) as usize;
+        assert_eq!(tag, next[peer], "peer {peer}'s frames reordered");
+        next[peer] += 1;
+    }
+    let peers: Vec<TcpStream> = writers
+        .into_iter()
+        .map(|w| w.join().expect("writer"))
+        .collect();
+    handle.stop_and_join();
+    transport.stop();
+    reactor.shutdown();
+    drop(peers);
+    assert_eq!(transport.dropped(), 0);
 }

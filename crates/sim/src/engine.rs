@@ -9,10 +9,10 @@
 //! drains, as the live runtime's workers do with theirs: an event
 //! allocates what its messages carry, and nothing for being an event.
 //!
-//! Events wait on an [`EventQueue`], the same queue a live reactor task
-//! holds its timers on. The per-channel FIFO high-water marks are a dense
-//! table indexed by `(src, dst)`, sized when the run starts (actors are
-//! fixed from then on): a send hashes nothing.
+//! Events wait on an [`EventQueue`], the same queue a live reactor task's
+//! mailbox orders its packets and timers on. The per-channel FIFO
+//! high-water marks are a dense table indexed by `(src, dst)`, sized when
+//! the run starts (actors are fixed from then on): a send hashes nothing.
 
 use crate::actor::{drive_into, drive_start, Actor, ActorId, Effect, TurnInputs};
 use crate::metrics::Metrics;

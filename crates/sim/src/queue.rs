@@ -1,26 +1,35 @@
-//! The one timer and event queue: the simulator's events, and a live
-//! reactor's timed wakes and what a task holds until due, its timers and
-//! the packets it drained early.
+//! The one ordered queue: the simulator's events, a live reactor's timed
+//! wakes, and each reactor task's mailbox, where the packets senders queued
+//! and the timers the task armed wait together by instant.
 //!
-//! Items leave in `(time, push order)` order. The heap holds only 24-byte
-//! keys `(time, sequence, slot)`; the item waits in a slab at `slot`, whose
-//! freed slots are reused, so a sift moves keys, not items, and the slab
-//! never outgrows the most items ever pending at once. There is no cancel:
-//! an actor keeps a timer or two armed and ignores a fire it no longer
-//! wants. A reactor worker pops from its drive loop, so nothing here
+//! Items leave in `(key, push order)` order. The key is a [`SimTime`] by
+//! default; a mailbox keys by a wall-clock `Instant` and a timer flag.
+//! Only keys `(key, sequence, slot)` are ordered, and the item waits in a
+//! slab at `slot`, whose freed slots are reused: ordering moves keys, not
+//! items, a warm push and pop allocate nothing, and the slab never outgrows
+//! the most items ever pending at once. A key at or after the last one
+//! pushed appends to a sorted run, and a key before it first moves the
+//! run's later keys to a binary heap, so a stream pushed in order — a
+//! mailbox's stamps, mostly — pushes and pops without a sift. There is no
+//! cancel: an actor keeps a timer or two armed and ignores a fire it no
+//! longer wants. A reactor worker pops from its drive loop, so nothing here
 //! panics: a key whose slot is empty is skipped.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
 /// A queued item's key: `(at, seq, slot)`, earliest first.
-type Key = Reverse<(SimTime, u64, u32)>;
+type Key<K> = (K, u64, u32);
 
-/// Items due at instants, popped earliest first, ties in push order.
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Key>,
+/// Items due at keys, popped earliest first, ties in push order.
+pub struct EventQueue<T, K: Ord + Copy = SimTime> {
+    /// Keys in push order, which is key order: a push appends here after
+    /// moving the keys later than its own to `heap`.
+    run: VecDeque<Key<K>>,
+    /// The keys moved off the run, earliest on top.
+    heap: BinaryHeap<Reverse<Key<K>>>,
     /// The item of every queued key, at the key's slot; `None` = free.
     slab: Vec<Option<T>>,
     /// Free slots of `slab`, reused before it grows.
@@ -28,16 +37,17 @@ pub struct EventQueue<T> {
     seq: u64,
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T, K: Ord + Copy> Default for EventQueue<T, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> EventQueue<T> {
+impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -46,8 +56,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Queue `item` due at `at`, after everything already queued for the
-    /// same instant. An instant already past is due at once.
-    pub fn push(&mut self, at: SimTime, item: T) {
+    /// same key. A key already past is due at once.
+    pub fn push(&mut self, at: K, item: T) {
         let seq = self.seq;
         self.seq += 1;
         let reused = self
@@ -64,21 +74,38 @@ impl<T> EventQueue<T> {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse((at, seq, slot)));
+        while let Some(&later) = self.run.back().filter(|&&(last, _, _)| last > at) {
+            self.run.pop_back();
+            self.heap.push(Reverse(later));
+        }
+        self.run.push_back((at, seq, slot));
+    }
+
+    /// The earliest key, and whether it heads the run (else the heap).
+    fn head(&self) -> Option<(Key<K>, bool)> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(&run), Some(&Reverse(heap))) if heap < run => Some((heap, false)),
+            (Some(&run), _) => Some((run, true)),
+            (None, heap) => heap.map(|&Reverse(key)| (key, false)),
+        }
     }
 
     /// When the earliest queued item is due, if any.
-    pub fn peek_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((at, _, _))| at)
+    pub fn peek_at(&self) -> Option<K> {
+        self.head().map(|((at, _, _), _)| at)
     }
 
-    /// Take the earliest item due at or before `now`, with its due time.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-        while let Some(&Reverse((at, _, slot))) = self.heap.peek() {
+    /// Take the earliest item due at or before `now`, with its key.
+    pub fn pop_due(&mut self, now: K) -> Option<(K, T)> {
+        while let Some(((at, _, slot), in_run)) = self.head() {
             if at > now {
                 return None;
             }
-            self.heap.pop();
+            if in_run {
+                self.run.pop_front();
+            } else {
+                self.heap.pop();
+            }
             if let Some(item) = self.slab.get_mut(slot as usize).and_then(Option::take) {
                 self.free.push(slot);
                 return Some((at, item));
@@ -89,12 +116,12 @@ impl<T> EventQueue<T> {
 
     /// Items queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -111,7 +138,7 @@ mod tests {
 
     #[test]
     fn the_heap_holds_keys_of_24_bytes() {
-        assert!(std::mem::size_of::<Key>() <= 24);
+        assert!(std::mem::size_of::<Key<SimTime>>() <= 24);
     }
 
     /// The queue beside a `BTreeMap<(deadline, arm order), item>` that is
