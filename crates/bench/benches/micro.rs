@@ -279,7 +279,7 @@ fn bench_mailbox(h: &mut Harness) {
             let _ = run.push(due, Packet::Env(env), false);
         }
         drop(run);
-        let (taken, _) = rx.drain_into(RUN as usize, now, slack, &mut batch);
+        let (taken, _, _) = rx.drain_into(RUN as usize, now, slack, &mut batch);
         batch.clear();
         taken
     });

@@ -24,10 +24,9 @@
 //!   protocols whose correctness argument needs the single total order:
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
-//!   push at either end, mailbox push — a stamped run push is one, and so
-//!   is a drive's queueing of its timers — timed-wake push, which a
-//!   mailbox push takes, flush-slot absorb, a tcp connection's write-queue
-//!   push) must
+//!   push at either end, mailbox push — a stamped run push is one —
+//!   timed-wake push, which a mailbox push takes, flush-slot absorb, a tcp
+//!   connection's write-queue push) must
 //!   reach the matching unpark/rouse/watch on every path — checked with the
 //!   CFG must-solver, with a caller-level cover for sites whose notify
 //!   lives one frame up (`absorb` → the worker loop's
@@ -168,16 +167,16 @@ pub const WAKE_TABLE: &[WakeRule] = &[
         fix: "lower `earliest` (what workers park against) under the lock after queueing a timed wake, or a parked worker sleeps past it",
     },
     // A stamped enqueue in a run (`Run::push`) notes its instant in
-    // `wake_due`, which the run's end hands to the waker once. A drive's
-    // timers wake nobody: the lock that queues them reads the mailbox's
-    // head, which the drive's end arms a timed wake for.
+    // `wake_due`, which the run's end hands to the waker once. The one push
+    // that wakes nobody, a drive's queueing of its own timers, carries an
+    // allow marker with its reason.
     WakeRule {
         file_suffix: "plane.rs",
         recv: Some("queue"),
         method: "push",
-        cover: &["waker", "wake_due", "head"],
+        cover: &["waker", "wake_due"],
         what: "mailbox enqueue",
-        fix: "invoke the registered waker after a sender's enqueue once the lock is released (a run notes the instant in `wake_due` for its end to hand over), or read the head under the lock that queues a drive's timers, or the reactor task never learns about the message",
+        fix: "invoke the registered waker after every enqueue once the lock is released (a run notes the instant in `wake_due` for its end to hand over), or the reactor task never learns about the message",
     },
     // Bytes a socket would not take queue on their connection, and only
     // the poll writes them out, when the poller reports the socket

@@ -28,13 +28,14 @@
 //! with a condvar for blocked senders and one for a blocked receiver. A send
 //! is one lock and one push, a run of sends to one mailbox is one lock
 //! (`MailboxSender::open_run`), and a reactor drive takes its batch under
-//! one (`MailboxReceiver::drain_into`) and ends under one more
-//! (`MailboxReceiver::settle`). A condvar is notified only when a
-//! waiter has registered under that lock: with std's futex condvar a notify
-//! is a system call even when nobody waits, and a mailbox that paid it on
-//! every dequeue paid it some twenty times per committed transaction. The
-//! two handshakes take `Mutex` and `Condvar` from `crate::sync`, so
-//! planet-loom runs this file's code (`loom_tests`, under `--cfg loom`).
+//! one (`MailboxReceiver::drain_into`) and, if it armed timers, queues
+//! them under one more (`MailboxReceiver::settle`). A condvar is notified
+//! only when a waiter has registered under that lock: with std's futex
+//! condvar a notify is a system call even when nobody waits, and a
+//! mailbox that paid it on every dequeue paid it some twenty times per
+//! committed transaction. The two handshakes take `Mutex` and `Condvar`
+//! from `crate::sync`, so planet-loom runs this file's code (`loom_tests`,
+//! under `--cfg loom`).
 //!
 //! [`PlaneConfig`] carries the knobs ([`max_batch`], the mailbox capacity,
 //! the slack, the worker count) and travels from `LiveClusterBuilder` (or
@@ -437,37 +438,38 @@ impl MailboxReceiver {
     /// Move the head onto the back of `into`, each with its instant, while
     /// it is a packet due within `slack` of `now` or a timer due by `now`,
     /// up to `max` of them, under one lock: how a reactor drive takes its
-    /// batch. Returns how many moved, and the head left behind.
+    /// batch. Returns how many moved, the head left behind, and how many
+    /// packets were queued before the take.
     pub fn drain_into(
         &self,
         max: usize,
         now: Instant,
         slack: Duration,
         into: &mut VecDeque<(Instant, Packet)>,
-    ) -> (usize, Head) {
+    ) -> (usize, Head, usize) {
         let (horizon, before) = (now + slack, into.len());
         let mut state = self.shared.state.lock().expect("lock poisoned");
         let packets = state.packets;
         into.extend(std::iter::from_fn(|| state.pop_due(now, horizon)).take(max));
         self.shared.note_dequeued(&state, packets - state.packets);
-        (into.len() - before, state.head(now, horizon))
+        (into.len() - before, state.head(now, horizon), packets)
     }
 
-    /// End a reactor drive under one lock: queue the timers it armed, each
-    /// due at its instant, past the bound and without calling the waker;
-    /// then read the head as the drive's [`drain_into`](Self::drain_into)
-    /// at `now` would, and how many packets are queued.
+    /// Queue the timers a reactor drive armed, each due at its instant,
+    /// past the bound and without calling the waker; then read the head as
+    /// the drive's [`drain_into`](Self::drain_into) at `now` would.
     pub(crate) fn settle(
         &self,
         armed: &mut Vec<(Instant, Packet)>,
         now: Instant,
         slack: Duration,
-    ) -> (Head, usize) {
+    ) -> Head {
         let mut state = self.shared.state.lock().expect("lock poisoned");
         for (at, fire) in armed.drain(..) {
+            // check:allow(atomics): the drive arms a wake for the head read here
             state.queue.push((at, true), fire);
         }
-        (state.head(now, now + slack), state.packets)
+        state.head(now, now + slack)
     }
 
     /// Install the wake hook invoked after every successful enqueue. The

@@ -46,16 +46,22 @@
 //! its own (`crate::poll`: an epoll set with an eventfd, woken by an
 //! eventfd write, timed to the microsecond).
 //!
-//! Sockets are read where the actors run: a spawn *adopts* the transport
-//! the new task sends through if it has socket I/O ([`Transport::io`]),
-//! and every worker runs its poll at the loop top and parks in its poller.
-//! Outbound sends coalesce across tasks driven back-to-back on one worker
-//! and flush as one `send_many` batch when it fills, when the worker runs
-//! out of tasks, or when its oldest envelope has waited
-//! [`PlaneConfig::fabric_slack_us`], so no flush is stranded behind busy
-//! tasks. A task's sends reach the transport in the order it made them:
-//! before a worker drives a task that another worker drove last, it
-//! flushes that worker's pending batch (waiting out one in flight).
+//! Sockets are read where the actors run. A spawn *adopts* the transport
+//! the new task sends through if it has socket I/O ([`Transport::io`]):
+//! the transport's own I/O thread stops, its poller is nested in every
+//! worker's, and each worker runs the transport's poll — accept, read and
+//! deliver, finish queued writes — without waiting at its loop top. A
+//! frame reaching an idle reactor ends the park it is in.
+//! Outbound sends coalesce across tasks driven back-to-back on the same
+//! worker and flush as one `send_many` batch, capped by
+//! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
+//! transport when it fills, when the worker runs out of tasks, or when its
+//! oldest envelope has waited a full horizon — whichever comes first — so
+//! a flush can never be stranded behind a long run of stolen or busy
+//! tasks. A task's sends reach the transport in the order it made them,
+//! whichever workers drive it: before a worker drives a task that another
+//! worker drove last, it flushes that worker's pending batch (waiting out a
+//! flush already in flight).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -97,8 +103,15 @@ struct TaskMember {
 /// Everything a worker needs exclusive access to while driving a task.
 /// Lives inside the task's slot mutex and is *taken out* for the duration
 /// of a drive, so no lock is held while the actor runs or the transport is
-/// called. A task hosts one *or more* members behind its single mailbox
-/// ([`Reactor::spawn_pool`]), routed by envelope destination.
+/// called.
+///
+/// A task hosts one *or more* members behind its single mailbox. The
+/// multi-member shape ([`Reactor::spawn_pool`]) exists for load
+/// generators: hundreds of tiny closed-loop clients each completing
+/// ~2 messages per wake would pay the full scheduling cost (queue hop,
+/// state-word CAS, body checkout, cold task state) per message, where a
+/// pool amortizes one drive across a whole batch of its members' traffic.
+/// Members keep private ids and RNGs; routing is by envelope destination.
 struct TaskBody {
     site: SiteId,
     members: Vec<TaskMember>,
@@ -380,21 +393,12 @@ impl ReactorInner {
             lowered
         };
         if lowered {
-            self.rouse(0);
-        }
-    }
-
-    /// Every worker once, from worker `w` on: `w` first, then its peers in
-    /// the order a steal sweep visits them.
-    fn workers_from(&self, w: usize) -> impl Iterator<Item = &WorkerShared> {
-        self.workers.iter().cycle().skip(w).take(self.workers.len())
-    }
-
-    /// Rouse the first parked worker from `from` on, if one is parked.
-    fn rouse(&self, from: usize) {
-        let parked = |w: &&WorkerShared| w.parker.parked.load(Ordering::SeqCst);
-        if let Some(worker) = self.workers_from(from).find(parked) {
-            worker.parker.rouse();
+            for worker in &self.workers {
+                if worker.parker.parked.load(Ordering::SeqCst) {
+                    worker.parker.rouse();
+                    return;
+                }
+            }
         }
     }
 
@@ -468,15 +472,28 @@ impl ReactorInner {
     /// queue under the parked flag, so a push they weren't told about is
     /// still found — which keeps the saturated path free of the eventfd.
     fn enqueue(&self, home: usize, task: Arc<TaskCore>, ahead: bool) {
-        if let Some(worker) = self.workers_from(home).next() {
-            let mut queue = worker.queue.lock().expect("lock poisoned");
+        {
+            // `home` is a `TaskCore::home` (taken modulo `workers.len()` at
+            // spawn) or the calling worker's own index: check:allow(panic)
+            let mut queue = self.workers[home].queue.lock().expect("lock poisoned");
             if ahead {
                 queue.push_front(task);
             } else {
                 queue.push_back(task);
             }
         }
-        self.rouse(home);
+        // check:allow(panic): `home` < `workers.len()`, as above
+        if self.workers[home].parker.parked.load(Ordering::SeqCst) {
+            // check:allow(panic): `home` < `workers.len()`, as above
+            self.workers[home].parker.rouse();
+            return;
+        }
+        for (w, worker) in self.workers.iter().enumerate() {
+            if w != home && worker.parker.parked.load(Ordering::SeqCst) {
+                worker.parker.rouse();
+                return;
+            }
+        }
     }
 
     /// Any task queued on any worker? The pre-park recheck: a worker about
@@ -491,17 +508,31 @@ impl ReactorInner {
     /// Pop the next runnable task for worker `w`: its own queue first,
     /// then a steal sweep over its peers.
     fn next_task(&self, w: usize) -> Option<(Arc<TaskCore>, bool)> {
-        let (task, stolen) = self
-            .workers_from(w)
-            .enumerate()
-            .find_map(|(step, worker)| {
-                let task = worker.queue.lock().expect("lock poisoned").pop_front()?;
-                Some((task, step > 0))
-            })?;
-        if stolen {
-            self.steals.fetch_add(1, Ordering::Relaxed);
+        // `w` is the calling worker's index, one of the `0..workers.len()`
+        // `Reactor::new` hands out: check:allow(panic)
+        if let Some(task) = self.workers[w]
+            .queue
+            .lock()
+            .expect("lock poisoned")
+            .pop_front()
+        {
+            return Some((task, false));
         }
-        Some((task, stolen))
+        let n = self.workers.len();
+        for step in 1..n {
+            let victim = (w + step) % n;
+            // check:allow(panic): taken modulo `n == workers.len()`
+            let stolen = self.workers[victim]
+                .queue
+                .lock()
+                .expect("lock poisoned")
+                .pop_front();
+            if let Some(task) = stolen {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+                return Some((task, true));
+            }
+        }
+        None
     }
 }
 
@@ -950,9 +981,9 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
     // contend with this task once a drive, not once a packet: the head
     // while it is due (a timer not yet due defers what is stamped after it).
     let now = Instant::now();
-    let (drained, mut head) = body
-        .rx
-        .drain_into(max_batch, now, inner.slack, &mut body.inbox);
+    let (drained, mut head, depth) =
+        body.rx
+            .drain_into(max_batch, now, inner.slack, &mut body.inbox);
     let mut stopped = false;
     while let Some((due, packet)) = body.inbox.pop_front() {
         let at = Instant::now();
@@ -1019,6 +1050,9 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
     }
     if drained > 0 {
         body.metrics.histogram("plane.batch").record(drained as u64);
+        body.metrics
+            .histogram("plane.mailbox.depth")
+            .record(depth as u64);
         let queue = body.metrics.histogram("span.queue_us");
         for wait in body.queue_waits.drain(..) {
             queue.record(wait);
@@ -1035,16 +1069,12 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
         finalize(task, body);
         return;
     }
-    // The drive's timers join the mailbox under the lock that reads its
-    // head as of the drain (a drive that took and armed nothing keeps the
-    // drain's read). A head due then, the batch cap hit, is more work; all
-    // that arrived since the drain ran the waker itself.
-    if drained > 0 || !body.armed.is_empty() {
-        let depth;
-        (head, depth) = body.rx.settle(&mut body.armed, now, inner.slack);
-        body.metrics
-            .histogram("plane.mailbox.depth")
-            .record(depth as u64);
+    // The drive's timers join the mailbox under one more lock, which reads
+    // the head again; a drive that armed none keeps the drain's read, as
+    // all that arrived since ran the waker itself. A head due, the batch
+    // cap hit, is more work.
+    if !body.armed.is_empty() {
+        head = body.rx.settle(&mut body.armed, now, inner.slack);
     }
     if let Head::At(at) = head {
         inner.arm(task, inner.clock.sim_time(at));
@@ -2210,8 +2240,8 @@ pub(crate) mod loom_tests {
         }));
         let now = Instant::now();
         let mut armed = vec![(now + Duration::from_secs(7_200), Packet::Stop)];
-        let (Head::At(head), 0) = rx.settle(&mut armed, now, inner.slack) else {
-            panic!("a timer two hours out is the head, and no packet is queued");
+        let Head::At(head) = rx.settle(&mut armed, now, inner.slack) else {
+            panic!("a timer two hours out is the head");
         };
         inner.arm(&core, inner.clock.sim_time(head));
         // The receiver stays open for the model's length.
