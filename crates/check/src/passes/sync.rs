@@ -25,12 +25,12 @@
 //!   every operation on them must be `SeqCst`.
 //! * **WAKE001** — lost wakeup: a function that enqueues work (run-queue
 //!   push at either end, mailbox push — a stamped run push is one —
-//!   timed-wake push, which a mailbox push takes, flush-slot absorb, a tcp
-//!   connection's write-queue push) must
-//!   reach the matching unpark/rouse/watch on every path — checked with the
-//!   CFG must-solver, with a caller-level cover for sites whose notify
-//!   lives one frame up (`absorb` → the worker loop's
-//!   `flush`/`flush_if_due`).
+//!   timed-wake push, which a mailbox push takes, and a tcp connection's
+//!   write-queue push, by which a send stages its frames on an adopted
+//!   transport too) must reach the matching unpark/rouse/watch on every
+//!   path — checked with the CFG must-solver, with a caller-level cover
+//!   for sites whose notify lives one frame up (the mailbox's `enqueue` →
+//!   a run push that notes `wake_due`).
 //!
 //! What `compare_exchange` pairs and condvar waits must satisfy is left to
 //! the loom models, `reactor::loom_tests` and `plane::loom_tests`, which
@@ -114,15 +114,14 @@ const RMW_OPS: &[&str] = &[
     "fetch_update",
 ];
 
-/// WAKE001 rules: enqueuing work via `recv.method(..)` (or any-receiver
-/// when `recv` is `None`) must reach one of the `cover` identifiers on
-/// every path — in the enqueuing function, or (TIME003-style) around
-/// every call site in every caller.
+/// WAKE001 rules: enqueuing work via `recv.method(..)` must reach one of
+/// the `cover` identifiers on every path — in the enqueuing function, or
+/// (TIME003-style) around every call site in every caller.
 pub struct WakeRule {
     /// The file the rule reads, by path suffix.
     pub file_suffix: &'static str,
-    /// The receiver of the enqueue, or `None` for any.
-    pub recv: Option<&'static str>,
+    /// The receiver of the enqueue.
+    pub recv: &'static str,
     /// The enqueuing method.
     pub method: &'static str,
     cover: &'static [&'static str],
@@ -134,7 +133,7 @@ pub struct WakeRule {
 pub const WAKE_TABLE: &[WakeRule] = &[
     WakeRule {
         file_suffix: "reactor.rs",
-        recv: Some("queue"),
+        recv: "queue",
         method: "push_back",
         cover: &["parked", "rouse"],
         what: "run-queue push",
@@ -144,7 +143,7 @@ pub const WAKE_TABLE: &[WakeRule] = &[
     // handoff, the same cover.
     WakeRule {
         file_suffix: "reactor.rs",
-        recv: Some("queue"),
+        recv: "queue",
         method: "push_front",
         cover: &["parked", "rouse"],
         what: "run-queue push to the front",
@@ -152,15 +151,7 @@ pub const WAKE_TABLE: &[WakeRule] = &[
     },
     WakeRule {
         file_suffix: "reactor.rs",
-        recv: None,
-        method: "absorb",
-        cover: &["flush", "flush_if_due"],
-        what: "coalesced-flush absorb",
-        fix: "every path past an absorb must reach `flush`/`flush_if_due` (the horizon check), or batched envelopes strand",
-    },
-    WakeRule {
-        file_suffix: "reactor.rs",
-        recv: Some("timed"),
+        recv: "timed",
         method: "push",
         cover: &["earliest"],
         what: "timed-wake push",
@@ -172,19 +163,20 @@ pub const WAKE_TABLE: &[WakeRule] = &[
     // allow marker with its reason.
     WakeRule {
         file_suffix: "plane.rs",
-        recv: Some("queue"),
+        recv: "queue",
         method: "push",
         cover: &["waker", "wake_due"],
         what: "mailbox enqueue",
         fix: "invoke the registered waker after every enqueue once the lock is released (a run notes the instant in `wake_due` for its end to hand over), or the reactor task never learns about the message",
     },
-    // Bytes a socket would not take queue on their connection, and only
-    // the poll writes them out, when the poller reports the socket
-    // writable — which it does only for a registration that asks.
+    // Bytes a socket would not take, and frames an adopted transport
+    // stages, queue on their connection's one buffer, and only the poll
+    // writes them out, when the poller reports the socket writable — which
+    // it does only for a registration that asks.
     WakeRule {
         file_suffix: "tcp.rs",
-        recv: Some("queued"),
-        method: "push_back",
+        recv: "queued",
+        method: "extend_from_slice",
         cover: &["ReadWrite"],
         what: "connection write-queue push",
         fix: "ask the poller for writability (`Interest::ReadWrite`) under the write lock after queueing unwritten bytes, or they strand until some later write",
@@ -483,7 +475,7 @@ impl SyncPass {
                 if in_ranges(&skip, def.body.start) {
                     continue;
                 }
-                // Trigger sites: `recv.method(` (or `_.method(`).
+                // Trigger sites: `recv.method(`.
                 let sites: Vec<usize> = def
                     .body
                     .clone()
@@ -493,7 +485,7 @@ impl SyncPass {
                             && toks[k].is_ident(rule.method)
                             && toks[k - 1].is_punct('.')
                             && toks[k + 1].is_punct('(')
-                            && rule.recv.is_none_or(|r| toks[k - 2].is_ident(r))
+                            && toks[k - 2].is_ident(rule.recv)
                     })
                     .collect();
                 if sites.is_empty() {
@@ -506,8 +498,8 @@ impl SyncPass {
                         continue;
                     }
                     // Caller-level cover: every caller reaches the notify
-                    // around every call into this function (the absorb →
-                    // worker-loop flush shape).
+                    // around every call into this function (the mailbox's
+                    // `enqueue` → a run push that notes `wake_due`).
                     let callers: Vec<usize> = (0..g.fns.len())
                         .filter(|&n| g.callees[n].contains(&node))
                         .collect();

@@ -1298,57 +1298,6 @@ impl Inner {
 }
 
 #[test]
-fn sync_caller_covered_absorb_is_quiet_uncovered_caller_fires() {
-    // `absorb` pushes into the coalescing slot; the notify obligation
-    // (flush/flush_if_due) may be discharged one frame up, around every
-    // call site — the TIME003 caller-cover shape.
-    let quiet = ws(&[(
-        "crates/cluster/src/reactor.rs",
-        r#"
-impl Worker {
-    fn stash(&self, pending: &mut Pending, env: Envelope) {
-        pending.absorb(env);
-    }
-    fn run(&self, pending: &mut Pending) {
-        loop {
-            let env = self.next();
-            self.stash(pending, env);
-            pending.flush_if_due(self.now());
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&quiet, "sync");
-    assert!(
-        !diags.iter().any(|d| d.code == "WAKE001"),
-        "caller discharges the flush obligation: {diags:?}"
-    );
-
-    let loud = ws(&[(
-        "crates/cluster/src/reactor.rs",
-        r#"
-impl Worker {
-    fn stash(&self, pending: &mut Pending, env: Envelope) {
-        pending.absorb(env);
-    }
-    fn run(&self, pending: &mut Pending) {
-        loop {
-            let env = self.next();
-            self.stash(pending, env);
-        }
-    }
-}
-"#,
-    )]);
-    let diags = run(&loud, "sync");
-    assert!(
-        diags.iter().any(|d| d.code == "WAKE001" && d.line == 4),
-        "no caller flushes: {diags:?}"
-    );
-}
-
-#[test]
 fn sync_mailbox_enqueue_must_hand_out_the_waker() {
     // The mailbox's queue push: the enqueue and the waker hand-off are one
     // critical section, and a push that can leave without the waker is a
@@ -1451,14 +1400,14 @@ fn sync_tcp_write_queue_push_must_watch_writability() {
         "crates/cluster/src/tcp.rs",
         r#"
 impl Connection {
-    fn offer(&self, poller: &Poller, buf: Vec<u8>) {
+    fn offer(&self, poller: &Poller, rest: &[u8]) {
         let mut side = self.write.lock().expect("lock poisoned");
-        side.queued.push_back(buf);
-        let _ = poller.modify(&self.stream, self.token, Interest::ReadWrite);
+        side.queued.extend_from_slice(rest);
+        let _ = self.watch(&mut side, poller, Interest::ReadWrite);
     }
-    fn offer_unwatched(&self, buf: Vec<u8>) {
+    fn offer_unwatched(&self, rest: &[u8]) {
         let mut side = self.write.lock().expect("lock poisoned");
-        side.queued.push_back(buf);
+        side.queued.extend_from_slice(rest);
     }
 }
 "#,
@@ -1477,6 +1426,55 @@ impl Connection {
         hits[0].message
     );
     assert_eq!(hits[0].line, 10);
+}
+
+#[test]
+fn sync_tcp_staging_push_must_watch_writability() {
+    // An adopted transport stages a send's frames on the connection's write
+    // queue, and nothing writes them but a poll that sees the socket
+    // writable. A staging push that never asks for writability fires, and
+    // so does one that asks only when the queue was empty: the rule wants
+    // the ask on every path (a cached ask costs no system call).
+    let w = ws(&[(
+        "crates/cluster/src/tcp.rs",
+        r#"
+impl Connection {
+    fn stage(&self, poller: &Poller, buf: &[u8]) {
+        let mut side = self.write.lock().expect("lock poisoned");
+        side.queued.extend_from_slice(buf);
+        let _ = self.watch(&mut side, poller, Interest::ReadWrite);
+    }
+    fn stage_unwatched(&self, buf: &[u8]) {
+        let mut side = self.write.lock().expect("lock poisoned");
+        side.since.get_or_insert_with(Instant::now);
+        side.queued.extend_from_slice(buf);
+    }
+    fn stage_watched_when_empty(&self, poller: &Poller, buf: &[u8]) {
+        let mut side = self.write.lock().expect("lock poisoned");
+        let fresh = side.queued.is_empty();
+        side.queued.extend_from_slice(buf);
+        if fresh {
+            let _ = self.watch(&mut side, poller, Interest::ReadWrite);
+        }
+    }
+}
+"#,
+    )]);
+    let diags = run(&w, "sync");
+    let hits: Vec<_> = diags.iter().filter(|d| d.code == "WAKE001").collect();
+    assert_eq!(hits.len(), 2, "the two staging pushes: {diags:?}");
+    assert!(
+        hits[0].message.contains("stage_unwatched"),
+        "{}",
+        hits[0].message
+    );
+    assert_eq!(hits[0].line, 11);
+    assert!(
+        hits[1].message.contains("stage_watched_when_empty"),
+        "{}",
+        hits[1].message
+    );
+    assert_eq!(hits[1].line, 16);
 }
 
 #[test]

@@ -116,14 +116,12 @@ fn the_sync_tables_name_live_code() {
             toks[k].is_ident(rule.method)
                 && toks[k - 1].is_punct('.')
                 && toks[k + 1].is_punct('(')
-                && rule.recv.is_none_or(|r| toks[k - 2].is_ident(r))
+                && toks[k - 2].is_ident(rule.recv)
         });
         assert!(
             site,
             "WAKE001 rule `{}.{}(` matches nothing in {}",
-            rule.recv.unwrap_or("_"),
-            rule.method,
-            file.path
+            rule.recv, rule.method, file.path
         );
     }
 }

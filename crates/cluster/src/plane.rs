@@ -67,8 +67,8 @@ pub type Waker = Arc<dyn Fn(Instant) + Send + Sync>;
 /// node and the transport fabric of a cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct PlaneConfig {
-    /// Most packets a node drains (and drives) per mailbox wakeup before
-    /// flushing its accumulated sends as one coalesced transport batch.
+    /// Most packets a task drains (and drives) per mailbox wakeup; the
+    /// drive's sends go to its transport as one batch at its end.
     pub max_batch: usize,
     /// Mailbox capacity. Client submissions are shed at it (bounced as a
     /// timed-out `TxnDone`); a harness call outside the reactor blocks at
@@ -84,9 +84,9 @@ pub struct PlaneConfig {
     /// drive takes a window of deliveries instead of one, and a packet due
     /// further out than this does not wake its task at all but arms a timed
     /// wake for its instant. A timer takes no slack. Keep it well under the
-    /// smallest modelled cross-site delay. The same slack caps
-    /// how long a reactor worker may hold a pending coalesced flush before
-    /// handing it to the transport.
+    /// smallest modelled cross-site delay. The same slack caps how long a
+    /// tcp transport a reactor adopted holds a staged frame while the
+    /// reactor's workers are busy.
     pub fabric_slack_us: u64,
     /// Reactor worker threads driving the cluster's actors, each actor a
     /// schedulable task on a sharded-run-queue reactor with work stealing.

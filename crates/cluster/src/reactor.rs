@@ -50,18 +50,17 @@
 //! the new task sends through if it has socket I/O ([`Transport::io`]):
 //! the transport's own I/O thread stops, its poller is nested in every
 //! worker's, and each worker runs the transport's poll — accept, read and
-//! deliver, finish queued writes — without waiting at its loop top. A
+//! deliver, write what is staged — without waiting at its loop top. A
 //! frame reaching an idle reactor ends the park it is in.
-//! Outbound sends coalesce across tasks driven back-to-back on the same
-//! worker and flush as one `send_many` batch, capped by
-//! [`PlaneConfig::fabric_slack_us`]: a pending batch is handed to the
-//! transport when it fills, when the worker runs out of tasks, or when its
-//! oldest envelope has waited a full horizon — whichever comes first — so
-//! a flush can never be stranded behind a long run of stolen or busy
-//! tasks. A task's sends reach the transport in the order it made them,
-//! whichever workers drive it: before a worker drives a task that another
-//! worker drove last, it flushes that worker's pending batch (waiting out a
-//! flush already in flight).
+//!
+//! A drive hands its outbox to its task's transport at its end, as one
+//! [`Transport::send_many`], before the task is released: a task's sends
+//! reach the transport in the order it made them, whichever workers drive
+//! it. Coalescing is the transport's business. The channel fabric stamps
+//! and enqueues at once; an adopted tcp transport stages each
+//! connection's frames and writes them when a worker is about to park (the
+//! poll just before it does), or at a loop-top poll once the oldest has
+//! waited [`PlaneConfig::fabric_slack_us`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -75,9 +74,7 @@ use planet_sim::{
 
 use crate::node::{Clock, NodeHandle, Packet, PoolHandle, PoolMembers};
 use crate::plane::{mailbox, Head, MailboxReceiver, MailboxSender, PlaneConfig};
-use crate::sync::{
-    AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering, Waiter,
-};
+use crate::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, Ordering, Waiter};
 use crate::transport::{Envelope, Io, Transport};
 
 /// Idle park backstop when no timed wake is pending (wakes cut it short).
@@ -132,8 +129,6 @@ struct TaskBody {
     queue_waits: Vec<u64>,
     transport: Arc<dyn Transport>,
     outbox: Vec<Envelope>,
-    /// The worker whose pending flush may still hold this task's sends.
-    flushes_on: Option<usize>,
     effects: Vec<Effect<Msg>>,
     started: bool,
 }
@@ -251,13 +246,10 @@ enum WakeVerdict {
     Dead,
 }
 
-/// One worker's shared face: its run queue, its parker, and its pending
-/// coalesced flush (locked by its owner, and by a worker about to drive a
-/// task whose sends it may still hold).
+/// One worker's shared face: its run queue and its parker.
 struct WorkerShared {
     queue: Mutex<VecDeque<Arc<TaskCore>>>,
     parker: Parker,
-    pending: Mutex<PendingFlush>,
 }
 
 /// The park/rouse rendezvous of one worker: its [`Waiter`], a poller with
@@ -346,7 +338,6 @@ impl ReactorInner {
                 .map(|_| WorkerShared {
                     queue: Mutex::new(VecDeque::new()),
                     parker: Parker::new(),
-                    pending: Mutex::new(PendingFlush::new(&plane)),
                 })
                 .collect(),
             running: AtomicBool::new(true),
@@ -533,91 +524,6 @@ impl ReactorInner {
             }
         }
         None
-    }
-}
-
-/// Outbound envelopes coalesced across the tasks a worker drives
-/// back-to-back, flushed as one `send_many` per transport. `since` is the
-/// age of the *oldest* pending envelope: the flush horizon
-/// ([`PlaneConfig::fabric_slack_us`]) is measured from it, so batching can
-/// delay no send by more than one horizon regardless of how many tasks —
-/// stolen or home-grown — the worker drives in between.
-struct PendingFlush {
-    /// One pending batch per transport the worker's tasks send through (a
-    /// process hosts a handful at most — linear scan by pointer identity).
-    /// Keeping them separate lets sends coalesce across task drives even
-    /// when consecutive drives alternate transports, as they do in a
-    /// multi-site tcp topology.
-    slots: Vec<(Arc<dyn Transport>, Vec<Envelope>, Instant)>,
-    max_batch: usize,
-    horizon: Duration,
-}
-
-impl PendingFlush {
-    fn new(plane: &PlaneConfig) -> Self {
-        PendingFlush {
-            slots: Vec::new(),
-            max_batch: plane.max_batch.max(1),
-            horizon: Duration::from_micros(plane.fabric_slack_us),
-        }
-    }
-
-    /// Lock a worker's pending flush. Callers bind the guard with `let`,
-    /// so that planet-check's call graph resolves `pending.flush()` to
-    /// this type's method and not to every `Write::flush` in the workspace.
-    fn lock(slot: &Mutex<PendingFlush>) -> MutexGuard<'_, PendingFlush> {
-        slot.lock().expect("lock poisoned")
-    }
-
-    /// Absorb one task's outbox into its transport's batch. A full batch
-    /// flushes inline; otherwise the envelopes wait for the horizon or the
-    /// worker's next idle moment.
-    fn absorb(&mut self, transport: &Arc<dyn Transport>, outbox: &mut Vec<Envelope>) {
-        if outbox.is_empty() {
-            return;
-        }
-        let slot = match self
-            .slots
-            .iter_mut()
-            .find(|(t, _, _)| Arc::ptr_eq(t, transport))
-        {
-            Some(slot) => slot,
-            None => {
-                self.slots
-                    .push((Arc::clone(transport), Vec::new(), Instant::now()));
-                // check:allow(panic): non-empty, pushed on the line above
-                self.slots.last_mut().expect("just pushed")
-            }
-        };
-        if slot.1.is_empty() {
-            slot.2 = Instant::now();
-        }
-        slot.1.append(outbox);
-        if slot.1.len() >= self.max_batch || self.horizon.is_zero() {
-            slot.0.send_many(&mut slot.1);
-            slot.1.clear();
-        }
-    }
-
-    /// Hand everything pending to its transport.
-    fn flush(&mut self) {
-        for (transport, envs, _) in &mut self.slots {
-            if !envs.is_empty() {
-                transport.send_many(envs);
-                envs.clear();
-            }
-        }
-    }
-
-    /// Flush every batch whose oldest pending envelope has aged past the
-    /// horizon.
-    fn flush_if_due(&mut self) {
-        for (transport, envs, since) in &mut self.slots {
-            if !envs.is_empty() && since.elapsed() >= self.horizon {
-                transport.send_many(envs);
-                envs.clear();
-            }
-        }
     }
 }
 
@@ -812,7 +718,6 @@ impl Reactor {
             queue_waits: Vec::new(),
             transport,
             outbox: Vec::new(),
-            flushes_on: None,
             effects: Vec::new(),
             started: false,
         });
@@ -840,7 +745,7 @@ impl Reactor {
             return;
         };
         inner.io.get_or_init(|| {
-            io.source.adopted();
+            io.source.adopted(inner.slack);
             for worker in &inner.workers {
                 let _ = worker.parker.waiter.attach(io.source.poller());
             }
@@ -880,25 +785,20 @@ fn is_wal_class(msg: &Msg) -> bool {
     )
 }
 
-/// The worker main loop: fire timed wakes, drive tasks (own queue first,
-/// then steals), coalesce flushes, park on the earliest timed wake.
+/// The worker main loop: fire timed wakes, pick a task (own queue first,
+/// then steals), run the adopted transport's poll, then drive the task or
+/// park on the earliest timed wake.
 fn run_worker(w: usize, inner: Arc<ReactorInner>) {
-    let Some(me) = inner.workers.get(w) else {
-        return;
-    };
     loop {
         inner.fire_timed(inner.clock.now());
-        // Socket I/O of the adopted transport, without waiting: frames
-        // read here wake their tasks before the queue is looked at.
+        let task = inner.next_task(w);
+        // Socket I/O of the adopted transport, without waiting: frames read
+        // here wake their tasks, and a worker about to park writes every
+        // staged frame first.
         if let Some(io) = inner.io.get() {
-            io.source.poll();
+            io.source.poll(task.is_none());
         }
-        // The flush horizon is checked between drives, so a batch ages at
-        // most one drive past `fabric_slack_us` even on a saturated worker.
-        let mut pending = PendingFlush::lock(&me.pending);
-        pending.flush_if_due();
-        drop(pending);
-        match inner.next_task(w) {
+        match task {
             Some((task, stolen)) => {
                 let began = Instant::now();
                 drive_task(&inner, w, &task, stolen);
@@ -908,9 +808,6 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
                 inner.drives.fetch_add(1, Ordering::Relaxed);
             }
             None => {
-                let mut pending = PendingFlush::lock(&me.pending);
-                pending.flush();
-                drop(pending);
                 if !inner.running.load(Ordering::SeqCst) {
                     return;
                 }
@@ -926,11 +823,11 @@ fn run_worker(w: usize, inner: Arc<ReactorInner>) {
 }
 
 /// Drive one scheduled task: take the mailbox's due head, up to
-/// `max_batch` packets and timers, and drive them as one turn-group with
-/// one coalesced flush hand-off. Ends by queueing the timers the drive
-/// armed, arming a timed wake for the mailbox's head and releasing the
-/// scheduling word (re-queueing if traffic arrived mid-drive or the head is
-/// due already).
+/// `max_batch` packets and timers, and drive them as one turn-group whose
+/// sends go to the transport as one batch. Ends by queueing the timers the
+/// drive armed, arming a timed wake for the mailbox's head and releasing
+/// the scheduling word (re-queueing if traffic arrived mid-drive or the
+/// head is due already).
 fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen: bool) {
     if !task.claim_running() {
         return; // finalized under us; nothing to drive
@@ -941,16 +838,6 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
         // wakes check `done` first.
         return;
     };
-    // The task's earlier sends go before anything this drive sends: if the
-    // worker that drove it last may still hold some, they are flushed now,
-    // after any flush of them already in flight.
-    if let Some(prev) = body.flushes_on.filter(|&prev| prev != w) {
-        if let Some(worker) = inner.workers.get(prev) {
-            let mut pending = PendingFlush::lock(&worker.pending);
-            pending.flush();
-        }
-        body.flushes_on = None;
-    }
     let max_batch = inner.plane.max_batch.max(1);
     let site = body.site;
     let inputs = |id: ActorId, now: SimTime| TurnInputs {
@@ -1059,11 +946,7 @@ fn drive_task(inner: &Arc<ReactorInner>, w: usize, task: &Arc<TaskCore>, stolen:
         }
     }
     if !body.outbox.is_empty() {
-        if let Some(me) = inner.workers.get(w) {
-            let mut pending = PendingFlush::lock(&me.pending);
-            pending.absorb(&body.transport, &mut body.outbox);
-            body.flushes_on = Some(w);
-        }
+        body.transport.send_many(&mut body.outbox);
     }
     if stopped {
         finalize(task, body);
@@ -1151,17 +1034,6 @@ mod tests {
         sent: Mutex<Vec<(Instant, Envelope)>>,
     }
 
-    impl RecordingTransport {
-        fn sent_times(&self) -> Vec<Instant> {
-            self.sent
-                .lock()
-                .expect("lock poisoned")
-                .iter()
-                .map(|(at, _)| *at)
-                .collect()
-        }
-    }
-
     impl Transport for RecordingTransport {
         fn send(&self, env: Envelope) {
             self.sent
@@ -1185,84 +1057,6 @@ mod tests {
             std::thread::sleep(self.0);
         }
         fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {}
-    }
-
-    /// Sends one envelope at startup, then goes quiet.
-    struct OneShotSender;
-
-    impl Actor<Msg> for OneShotSender {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.send(ActorId(999), Msg::ClientTimer { kind: 1, tag: 0 });
-        }
-        fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {}
-    }
-
-    /// Satellite regression: a task driven away from its busy home worker
-    /// (the steal path) hands its outbox to the *stealing* worker's
-    /// coalescing buffer, and that buffer must reach the transport no later
-    /// than the flush horizon — not sit stranded until the idle backstop or
-    /// the home worker's next drive.
-    #[test]
-    fn stolen_task_flush_is_not_stranded_past_horizon() {
-        let horizon_us = 150_000u64;
-        let plane = PlaneConfig {
-            fabric_slack_us: horizon_us,
-            max_batch: 1024, // count-based flush never triggers
-            ..PlaneConfig::default()
-        }
-        .with_workers(2);
-        let transport = std::sync::Arc::new(RecordingTransport::default());
-        let reactor = Reactor::new(Clock::new(), plane, 7);
-
-        let mut handles = Vec::new();
-        let spawn = |actor: Box<dyn Actor<Msg>>, id: u32| {
-            let (tx, rx) = mailbox(plane.mailbox_capacity);
-            reactor.spawn(
-                ActorId(id),
-                SiteId(0),
-                actor,
-                tx,
-                rx,
-                transport.clone() as std::sync::Arc<dyn Transport>,
-            )
-        };
-        let started = Instant::now();
-        // Home assignment round-robins: the busy task pins worker 0 for
-        // 100ms, so every sender homed there can only run by being stolen.
-        handles.push(spawn(Box::new(BusyActor(Duration::from_millis(100))), 0));
-        let senders = 8;
-        for i in 0..senders {
-            handles.push(spawn(Box::new(OneShotSender), 100 + i));
-        }
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while (transport.sent.lock().expect("lock poisoned").len() as u32) < senders
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        let times = transport.sent_times();
-        assert_eq!(times.len() as u32, senders, "every startup send must land");
-        assert!(
-            reactor.steals() >= 1,
-            "senders homed behind the busy worker must have been stolen"
-        );
-        // Twice the horizon is the generous bound: a stranded flush would
-        // wait out the 500ms idle backstop (or the busy task's 100ms sleep
-        // plus a full horizon) instead.
-        let bound = Duration::from_micros(2 * horizon_us);
-        for at in times {
-            let waited = at.duration_since(started);
-            assert!(
-                waited < bound,
-                "flush stranded {waited:?} (bound {bound:?})"
-            );
-        }
-        for handle in handles {
-            handle.stop_and_join();
-        }
-        reactor.shutdown();
     }
 
     /// Re-arms a short timer on every fire, reporting each one (the
@@ -1712,10 +1506,10 @@ mod tests {
     }
 
     /// A task's sends reach the transport in the order it made them, even
-    /// when its drives hop between workers: the sender's home worker keeps
-    /// a batch pending (the slack is long) while it sits in an 8 ms drive,
-    /// and the other worker, stealing the sender meanwhile, must not flush
-    /// the sender's later messages first — not even when a drive that sent
+    /// when its drives hop between workers: the sender's home worker sits
+    /// in an 8 ms drive while the other steals the sender, and a drive
+    /// hands its sends over before its task is released, so no later drive,
+    /// on either worker, sends first — not even when a drive that sent
     /// nothing came in between.
     #[test]
     fn a_task_s_sends_keep_their_order_across_workers() {

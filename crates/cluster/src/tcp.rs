@@ -29,19 +29,26 @@
 //! ordering guarantee the simulator's scheduler and the in-process fabric
 //! enforce.
 //!
-//! Writes are *coalesced*: a batch handed over via
+//! Writes are *coalesced*. A batch handed over via
 //! [`Transport::send_many`] is split by destination connection as it is
-//! encoded — each envelope goes straight onto the end of its connection's
-//! pooled buffer ([`wire::BufPool`] — no allocation once warm) — and each
-//! buffer goes out with one nonblocking `write`. One syscall per
-//! destination per flush, instead of per message. [`TcpTransport::io_stats`]
-//! reports the resulting flush and byte counts, from which `bytes / flush`
-//! falls out directly. A write that would block queues its remainder on the
-//! connection; later writes to it go behind the remainder, and the poll
-//! below finishes them when the socket turns writable. A connection whose
-//! queue passes [`MAX_QUEUED`] bytes — a peer that stopped reading — is
-//! shut down and its queued frames counted in [`TcpTransport::dropped`]:
-//! a stalled peer costs memory up to the bound, never a thread.
+//! encoded — each envelope goes onto the end of its connection's share, a
+//! pooled buffer ([`wire::BufPool`] — no allocation once warm). A
+//! connection has one write queue, a byte buffer its frames leave in
+//! order, whichever path queued them. A transport no reactor has adopted
+//! writes a share at once, one nonblocking `write` per destination per
+//! batch, and queues what the socket does not take. An adopted one
+//! *stages* it: the share goes onto its connection's queue, so the sends
+//! of many drives, of any task on any worker, leave in one write. The poll
+//! below writes a connection's queue when the socket is writable and the
+//! polling worker is about to park, or once the queue's oldest frame has
+//! waited the adopting reactor's slack
+//! ([`PlaneConfig::fabric_slack_us`], handed over on adoption). Queueing
+//! asks the poller for writability, so a queued byte never strands.
+//! [`TcpTransport::io_stats`] reports the resulting flush and byte counts,
+//! from which `bytes / flush` falls out directly. A connection whose queue
+//! passes [`MAX_QUEUED`] bytes — a peer that stopped reading — is shut
+//! down and its queued frames counted in [`TcpTransport::dropped`]: a
+//! stalled peer costs memory up to the bound, never a thread.
 //!
 //! Reads are readiness-driven. The listener and every connection sit in one
 //! epoll set (`cluster/src/poll.rs`), and one function, the transport's *poll*,
@@ -49,7 +56,7 @@
 //! readable one burst by burst — one `read` takes whatever the socket holds
 //! into the connection's one buffer, and every frame of the burst is
 //! decoded out of it ([`wire::FrameReader`]) — delivers each burst's frames
-//! as one mailbox run per destination, and finishes queued writes. A read
+//! as one mailbox run per destination, and writes what is queued. A read
 //! that comes back short of the room it had drained the socket, so it ends
 //! that connection's turn: the poller is level-triggered and reports the
 //! next bytes, and a readable socket costs one `read`, not a second that
@@ -74,8 +81,9 @@
 //! timed-out `TxnDone`, down the connection it came in on.
 //!
 //! [`listen`]: TcpTransport::listen
+//! [`PlaneConfig::fabric_slack_us`]: crate::PlaneConfig::fabric_slack_us
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,101 +135,124 @@ struct ReadSide {
     dests: Vec<(u32, Target)>,
 }
 
-/// A connection's unwritten bytes, in order.
+/// A connection's unwritten frames.
 #[derive(Default)]
 struct WriteSide {
-    /// Pooled buffers not fully written, each with its frame count.
-    queued: VecDeque<(Vec<u8>, u64)>,
-    /// Bytes of the front buffer already written.
+    /// Frame bytes not yet written, back-to-back and in order: what a
+    /// socket would not take, and what an adopted transport staged.
+    queued: Vec<u8>,
+    /// Bytes written since `queued` last turned non-empty, and cut from
+    /// its front: what its flush counts besides what is left.
     written: usize,
-    /// Bytes queued and not written.
-    bytes: usize,
+    /// Frames in `queued`: what a close drops.
+    frames: u64,
+    /// When `queued` last turned non-empty: the age of its oldest frame.
+    since: Option<Instant>,
+    /// The poller is asked to report the socket writable.
+    watched: bool,
     /// Shut down: a later write is a drop.
     closed: bool,
 }
 
 /// What [`Connection::offer`] did with a buffer.
 enum Wrote {
-    /// Written whole: count it and pool it.
-    Whole(Vec<u8>),
-    /// Queued behind the socket; the poll finishes it.
+    /// Written whole.
+    Whole,
+    /// Queued; the poll writes it.
     Queued,
     /// Not sent, the connection being closed: its frames are dropped.
-    Refused(Vec<u8>, u64),
+    Refused,
     /// The write failed, or the queue passed [`MAX_QUEUED`]: close the
-    /// connection, dropping the buffer too if it was not queued.
-    Failed(Option<(Vec<u8>, u64)>),
+    /// connection, dropping the buffer's frames too if they were not
+    /// queued.
+    Failed { queued: bool },
 }
 
-/// What [`Connection::write_front`] did with the front of the queue.
+/// What [`Connection::write_queued`] did.
 enum Flushed {
-    /// Written whole: count it and pool it.
-    Whole(Vec<u8>),
-    /// The socket would block again.
-    Blocked,
-    /// Nothing is queued any more.
-    Empty,
+    /// The queue went out, this many bytes (0: nothing was queued).
+    Out(usize),
+    /// Bytes are left: the socket would block, or they are held.
+    Left,
     /// The write failed: close the connection.
     Failed,
 }
 
 impl Connection {
-    /// Write `buf` under the write lock: behind an unwritten remainder it
-    /// queues; otherwise it goes at once, as far as the socket takes it,
-    /// and what is left queues. Every queueing asks `poller` for
-    /// writability, under the lock that [`write_front`](Self::write_front)
-    /// stops asking under, so a queued byte is always watched for.
-    fn offer(&self, poller: &Poller, buf: Vec<u8>, frames: u64) -> Wrote {
+    /// Send `buf`, `frames` frames back-to-back, under the write lock: onto
+    /// the end of the queue when anything is queued or `stage` holds it
+    /// back; otherwise at once, as far as the socket takes it, and what is
+    /// left queues. Every queueing asks `poller` for writability, under the
+    /// lock that [`write_queued`](Self::write_queued) stops asking under,
+    /// so a queued byte is always watched for.
+    fn offer(&self, poller: &Poller, buf: &[u8], frames: u64, stage: bool) -> Wrote {
         let mut side = self.write.lock().expect("lock poisoned");
+        let side = &mut *side;
         if side.closed {
-            return Wrote::Refused(buf, frames);
+            return Wrote::Refused;
         }
-        let mut written = 0;
+        let mut rest = buf;
         if side.queued.is_empty() {
-            match write_some(&self.stream, &buf) {
-                Ok(n) if n == buf.len() => return Wrote::Whole(buf),
-                Ok(n) => written = n,
-                Err(_) => return Wrote::Failed(Some((buf, frames))),
+            if !stage {
+                match write_some(&self.stream, buf) {
+                    Ok(n) if n == buf.len() => return Wrote::Whole,
+                    Ok(n) => {
+                        side.written = n;
+                        rest = buf.get(n..).unwrap_or_default();
+                    }
+                    Err(_) => return Wrote::Failed { queued: false },
+                }
             }
-            side.written = written;
+            side.since = Some(Instant::now());
         }
-        side.bytes += buf.len() - written;
-        side.queued.push_back((buf, frames));
-        let watched = poller.modify(&self.stream, self.token, Interest::ReadWrite);
-        if watched.is_err() || side.bytes > MAX_QUEUED {
-            return Wrote::Failed(None);
+        side.queued.extend_from_slice(rest);
+        side.frames += frames;
+        let watched = self.watch(side, poller, Interest::ReadWrite);
+        if watched.is_err() || side.queued.len() > MAX_QUEUED {
+            return Wrote::Failed { queued: true };
         }
         Wrote::Queued
     }
 
-    /// Write the front of the queue as far as the socket takes it. Once the
-    /// queue is empty, stop watching writability.
-    fn write_front(&self, poller: &Poller) -> Flushed {
+    /// Write what is queued, as far as the socket takes it, unless its
+    /// oldest frame has waited less than `hold`. Once it is all out, stop
+    /// watching writability.
+    fn write_queued(&self, poller: &Poller, hold: Duration) -> Flushed {
         let mut side = self.write.lock().expect("lock poisoned");
         let side = &mut *side;
-        let Some((buf, _)) = side.queued.front() else {
-            if !side.closed {
-                let _ = poller.modify(&self.stream, self.token, Interest::Read);
-            }
-            return Flushed::Empty;
-        };
-        let rest = buf.get(side.written..).unwrap_or_default();
-        match write_some(&self.stream, rest) {
-            Ok(n) if n == rest.len() => {
-                side.bytes -= n;
+        if side.since.is_some_and(|since| since.elapsed() < hold) {
+            return Flushed::Left;
+        }
+        match write_some(&self.stream, &side.queued) {
+            Ok(n) if n == side.queued.len() => {
+                let bytes = side.written + n;
+                side.queued.clear();
                 side.written = 0;
-                match side.queued.pop_front() {
-                    Some((buf, _)) => Flushed::Whole(buf),
-                    None => Flushed::Empty,
+                side.frames = 0;
+                side.since = None;
+                if !side.closed {
+                    let _ = self.watch(side, poller, Interest::Read);
                 }
+                Flushed::Out(bytes)
             }
             Ok(n) => {
-                side.bytes -= n;
+                side.queued.drain(..n);
                 side.written += n;
-                Flushed::Blocked
+                Flushed::Left
             }
             Err(_) => Flushed::Failed,
         }
+    }
+
+    /// Ask `poller` to report the socket writable (`ReadWrite`) or stop
+    /// asking (`Read`): a system call only when that changes.
+    fn watch(&self, side: &mut WriteSide, poller: &Poller, interest: Interest) -> io::Result<()> {
+        let writable = interest == Interest::ReadWrite;
+        if side.watched != writable {
+            poller.modify(&self.stream, self.token, interest)?;
+            side.watched = writable;
+        }
+        Ok(())
     }
 }
 
@@ -238,8 +269,9 @@ enum Runner {
     Idle,
     /// The transport's own thread.
     Own(JoinHandle<()>),
-    /// The workers of the reactor that adopted it.
-    Adopted,
+    /// The workers of the reactor that adopted it; sends stage their
+    /// frames for up to its slack.
+    Adopted(Duration),
     /// Nobody: the transport is stopped.
     Stopped,
 }
@@ -378,7 +410,8 @@ struct TcpInner {
     pool: wire::BufPool,
     /// Emptied batches, kept for their capacity.
     scratch: Mutex<Vec<Batch>>,
-    /// Buffers written whole (one per destination per flush).
+    /// Buffers written whole: a share written at once, or a connection's
+    /// queue written out.
     flushes: AtomicU64, // check:allow(atomics)
     /// Payload bytes across those writes.
     bytes: AtomicU64, // check:allow(atomics)
@@ -476,6 +509,7 @@ impl TcpTransport {
     }
 
     /// `(flushes, bytes)` written so far: coalesced buffers written whole
+    /// (a batch's share for one connection, or a connection's whole queue)
     /// and the total frame bytes they carried. `bytes / flushes` is the
     /// mean flush size — the direct measure of how well writes are
     /// batching.
@@ -540,19 +574,19 @@ impl TcpInner {
     /// a reactor adopts the transport or it stops.
     fn drive(inner: &Arc<TcpInner>) {
         while matches!(*inner.runner.lock().expect("lock poisoned"), Runner::Own(_)) {
-            TcpInner::poll(inner, Some(IO_WAIT));
+            TcpInner::poll(inner, Some(IO_WAIT), Duration::ZERO);
         }
     }
 
-    /// A reactor runs the poll from now on: the own thread, if one runs,
-    /// is told and joined.
-    fn adopted(&self) {
+    /// A reactor runs the poll from now on, and sends stage for up to its
+    /// `slack`: the own thread, if one runs, is told and joined.
+    fn adopted(&self, slack: Duration) {
         let own = {
             let mut runner = self.runner.lock().expect("lock poisoned");
             if matches!(*runner, Runner::Stopped) {
                 return;
             }
-            match std::mem::replace(&mut *runner, Runner::Adopted) {
+            match std::mem::replace(&mut *runner, Runner::Adopted(slack)) {
                 Runner::Own(handle) => Some(handle),
                 _ => None,
             }
@@ -563,10 +597,20 @@ impl TcpInner {
         }
     }
 
+    /// The slack an adopting reactor handed over, if one has: how long a
+    /// staged frame may wait for a worker to park.
+    fn staging(&self) -> Option<Duration> {
+        match *self.runner.lock().expect("lock poisoned") {
+            Runner::Adopted(slack) => Some(slack),
+            _ => None,
+        }
+    }
+
     /// All of the transport's socket I/O: wait up to `wait` (`None`: not
-    /// at all) for readiness, then accept, read and deliver, and finish
-    /// queued writes, for every ready registration.
-    fn poll(inner: &Arc<TcpInner>, wait: Option<Duration>) {
+    /// at all) for readiness, then accept, read and deliver, and write
+    /// what is queued, for every ready registration; a queue whose oldest
+    /// frame has waited less than `hold` waits on.
+    fn poll(inner: &Arc<TcpInner>, wait: Option<Duration>, hold: Duration) {
         let mut events = Events::new();
         if inner.poller.wait(&mut events, wait).is_err() {
             return;
@@ -587,7 +631,7 @@ impl TcpInner {
                 continue; // closed since the wait
             };
             if ready.writable() {
-                inner.finish_writes(&conn);
+                inner.finish_writes(&conn, hold);
             }
             if ready.readable() {
                 TcpInner::read_ready(inner, &conn);
@@ -813,15 +857,19 @@ impl TcpInner {
         }
     }
 
-    /// Send `envs` (drained): resolve, deliver, then write each
+    /// Send `envs` (drained): resolve, deliver, then write or stage each
     /// connection's buffer.
     fn send_all(inner: &Arc<TcpInner>, envs: &mut Vec<Envelope>, batch: &mut Batch) {
         let Batch { dests, writes } = batch;
         TcpInner::resolve(inner, envs, false, dests, writes);
         TcpInner::deliver(inner, envs.drain(..), dests, writes);
         dests.clear();
+        if writes.is_empty() {
+            return;
+        }
+        let stage = inner.staging().is_some();
         for write in writes.drain(..) {
-            inner.write_buf(&write.conn, write.buf, write.frames);
+            inner.write_buf(&write.conn, write.buf, write.frames, stage);
         }
     }
 
@@ -919,63 +967,57 @@ impl TcpInner {
             .by_token
             .remove(&conn.token);
         self.routes.lock().expect("lock poisoned").forget(conn);
-        let queued = {
+        let frames = {
             let mut write = conn.write.lock().expect("lock poisoned");
+            let write = &mut *write;
             write.closed = true;
+            write.queued = Vec::new();
             write.written = 0;
-            write.bytes = 0;
-            std::mem::take(&mut write.queued)
+            write.since = None;
+            std::mem::take(&mut write.frames)
         };
-        for (buf, frames) in queued {
-            self.dropped.fetch_add(frames, Ordering::Relaxed);
-            self.pool.put(buf);
-        }
+        self.dropped.fetch_add(frames, Ordering::Relaxed);
     }
 
-    /// Hand one connection's share of a flush — `frames` frames encoded
-    /// back-to-back into a pooled buffer — to its socket
+    /// Hand one connection's share of a batch — `frames` frames encoded
+    /// back-to-back into a pooled buffer — to its socket, or stage it
     /// ([`Connection::offer`]). A failed write closes the connection (half
     /// a frame may be on the wire, after which nothing the peer reads would
     /// parse), as does a queue past [`MAX_QUEUED`]. Every frame not sent is
     /// counted as dropped.
-    fn write_buf(&self, conn: &Arc<Connection>, buf: Vec<u8>, frames: u64) {
-        match conn.offer(&self.poller, buf, frames) {
-            Wrote::Whole(buf) => self.count_flush(buf),
+    fn write_buf(&self, conn: &Arc<Connection>, buf: Vec<u8>, frames: u64, stage: bool) {
+        match conn.offer(&self.poller, &buf, frames, stage) {
+            Wrote::Whole => self.count_flush(buf.len()),
             Wrote::Queued => {}
-            Wrote::Refused(buf, frames) => {
+            Wrote::Refused => {
                 self.dropped.fetch_add(frames, Ordering::Relaxed);
-                self.pool.put(buf);
             }
-            Wrote::Failed(unsent) => {
-                if let Some((buf, frames)) = unsent {
+            Wrote::Failed { queued } => {
+                if !queued {
                     self.dropped.fetch_add(frames, Ordering::Relaxed);
-                    self.pool.put(buf);
                 }
                 self.close(conn);
             }
         }
+        self.pool.put(buf);
     }
 
-    /// The socket turned writable: write what is queued, in order, until
-    /// it would block again or it is all out.
-    fn finish_writes(&self, conn: &Arc<Connection>) {
-        loop {
-            match conn.write_front(&self.poller) {
-                Flushed::Whole(buf) => self.count_flush(buf),
-                Flushed::Blocked | Flushed::Empty => return,
-                Flushed::Failed => {
-                    self.close(conn);
-                    return;
-                }
-            }
+    /// The socket turned writable: write what is queued, unless its oldest
+    /// frame has waited less than `hold`.
+    fn finish_writes(&self, conn: &Arc<Connection>, hold: Duration) {
+        match conn.write_queued(&self.poller, hold) {
+            Flushed::Out(bytes) => self.count_flush(bytes),
+            Flushed::Left => {}
+            Flushed::Failed => self.close(conn),
         }
     }
 
-    /// A buffer went out whole: count it and give it back to the pool.
-    fn count_flush(&self, buf: Vec<u8>) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        self.pool.put(buf);
+    /// A buffer of `bytes` went out whole: count it.
+    fn count_flush(&self, bytes: usize) {
+        if bytes > 0 {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1019,12 +1061,17 @@ impl SocketIo for TcpIo {
         &self.0.poller
     }
 
-    fn poll(&self) {
-        TcpInner::poll(&self.0, None);
+    fn poll(&self, idle: bool) {
+        let hold = if idle {
+            Duration::ZERO
+        } else {
+            self.0.staging().unwrap_or_default()
+        };
+        TcpInner::poll(&self.0, None, hold);
     }
 
-    fn adopted(&self) {
-        self.0.adopted();
+    fn adopted(&self, slack: Duration) {
+        self.0.adopted(slack);
     }
 }
 

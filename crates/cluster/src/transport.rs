@@ -1,6 +1,7 @@
 //! The pluggable message fabric underneath a live cluster.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use planet_mdcc::{Msg, Outcome, TxnStats};
 use planet_sim::{ActorId, SimTime};
@@ -61,10 +62,12 @@ pub trait Transport: Send + Sync {
     fn send(&self, env: Envelope);
 
     /// Enqueue a batch of envelopes, draining `envs` (the caller keeps the
-    /// vector's capacity for reuse). Implementations coalesce: one fabric
-    /// lock per batch, one socket write per destination. Per-(src, dst)
-    /// delivery order follows the order within `envs`, exactly as a loop of
-    /// [`send`]s would.
+    /// vector's capacity for reuse): a reactor drive's outbox, handed over
+    /// at the drive's end. Implementations coalesce: one fabric lock per
+    /// batch, each connection's frames on one buffer (staged there, on a
+    /// transport a reactor adopted, until a worker parks or the slack
+    /// passes). Per-(src, dst) delivery order follows the order within
+    /// `envs`, exactly as a loop of [`send`]s would.
     ///
     /// [`send`]: Transport::send
     fn send_many(&self, envs: &mut Vec<Envelope>) {
@@ -98,10 +101,15 @@ pub(crate) trait SocketIo: Send + Sync {
     /// adopting reactor nests it in each worker's park.
     fn poller(&self) -> &Poller;
 
-    /// Do every ready socket operation, without waiting.
-    fn poll(&self);
+    /// Do every ready socket operation, without waiting. A writable
+    /// connection's staged frames are written if `idle` (the calling worker
+    /// is about to park), or once the oldest has waited the slack.
+    fn poll(&self, idle: bool);
 
     /// The reactor runs [`poll`](Self::poll) from now on: stop the
-    /// transport's own I/O thread, if it runs.
-    fn adopted(&self);
+    /// transport's own I/O thread, if it runs, and stage sends for up to
+    /// `slack` (the reactor's [`PlaneConfig::fabric_slack_us`]).
+    ///
+    /// [`PlaneConfig::fabric_slack_us`]: crate::PlaneConfig::fabric_slack_us
+    fn adopted(&self, slack: Duration);
 }

@@ -418,9 +418,9 @@ pub fn write_frame(w: &mut impl Write, env: &Envelope) -> io::Result<()> {
 }
 
 /// Size of a connection's receive buffer: what one socket `read` can
-/// return. Eight times the ~1.9 KB a sender's coalesced flush carries at
-/// saturation, so a read that found several flushes queued still takes
-/// them in one call.
+/// return. Four times the ~4 KB one write of a sender's staged frames
+/// carries at saturation, so a read that found several writes queued
+/// still takes them in one call.
 const BUF_LEN: usize = 16 * 1024;
 
 fn invalid_data(what: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {

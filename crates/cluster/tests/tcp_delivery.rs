@@ -1,19 +1,22 @@
 //! Socket I/O on the reactor's workers: a peer that stops reading costs a
 //! connection, never a worker, and once every reactor has adopted its
-//! transport no thread of the transport's own is left. And the transport's
-//! route table: one batch's hosted and remote destinations each keep their
-//! order, a frame cut by a short read is delivered once its rest arrives,
-//! an address that refused a connect is not dialled again within the
-//! backoff, and each connection's stamps never go backwards.
+//! transport no thread of the transport's own is left. An adopted
+//! transport stages its frames and writes them when its worker parks or
+//! the slack passes, and frames staged by two tasks leave in one write.
+//! And the transport's route table: one batch's hosted and remote
+//! destinations each keep their order, a frame cut by a short read is
+//! delivered once its rest arrives, an address that refused a connect is
+//! not dialled again within the backoff, and each connection's stamps
+//! never go backwards.
 //!
 //! This file is a workload for the ThreadSanitizer CI job, beside
 //! `channel_stress.rs` and `fabric_delivery.rs`: tsan observes the poll,
 //! the connections' write queues and the adoption handoff.
 
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -21,7 +24,7 @@ use std::time::{Duration, Instant};
 use planet_cluster::node::{Clock, Packet};
 use planet_cluster::plane::{mailbox, MailboxReceiver, PlaneConfig};
 use planet_cluster::tcp::REFUSED_BACKOFF;
-use planet_cluster::{wire, Envelope, LiveCluster, Reactor, TcpTransport, Transport};
+use planet_cluster::{wire, Envelope, LiveCluster, NodeHandle, Reactor, TcpTransport, Transport};
 use planet_mdcc::{ClusterConfig, Msg, Outcome, Protocol, TxnSpec};
 use planet_sim::{Actor, ActorId, Context, SiteId};
 use planet_storage::{Key, TxnId, Value, WriteOp};
@@ -478,4 +481,252 @@ fn each_connection_s_stamps_never_go_backwards() {
     reactor.shutdown();
     drop(peers);
     assert_eq!(transport.dropped(), 0);
+}
+
+/// Routed to a raw peer in the staging tests.
+const RAW: ActorId = ActorId(60);
+
+/// A one-worker reactor and a tcp transport that routes [`RAW`] to a raw
+/// peer, which the reactor adopts with its first spawn.
+struct Staging {
+    reactor: Arc<Reactor>,
+    transport: Arc<TcpTransport>,
+    /// For each read of the raw peer that returned bytes: when, and how
+    /// many.
+    peer: Receiver<(Instant, usize)>,
+    reader: thread::JoinHandle<()>,
+}
+
+impl Staging {
+    /// The rig, with the reactor's slack at `slack_us`.
+    fn new(slack_us: u64) -> Self {
+        let plane = PlaneConfig {
+            fabric_slack_us: slack_us,
+            ..PlaneConfig::default()
+        }
+        .with_workers(1);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind the raw peer");
+        let transport = TcpTransport::new();
+        transport.add_route(RAW.0, listener.local_addr().expect("its address"));
+        let (tx, peer) = channel();
+        let reader = thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("the transport connects");
+            let mut buf = [0u8; 1 << 16];
+            while let Ok(n @ 1..) = conn.read(&mut buf) {
+                let _ = tx.send((Instant::now(), n));
+            }
+        });
+        Staging {
+            reactor: Reactor::new(Clock::new(), plane, 61),
+            transport,
+            peer,
+            reader,
+        }
+    }
+
+    /// Spawn `actor` as `id`, hosted by the transport and sending through
+    /// it.
+    fn spawn(&self, id: ActorId, actor: Box<dyn Actor<Msg>>) -> NodeHandle {
+        let (tx, rx) = mailbox(PlaneConfig::default().mailbox_capacity);
+        self.transport.host(id.0, tx.clone());
+        let shared = self.transport.clone() as Arc<dyn Transport>;
+        self.reactor.spawn(id, SiteId(0), actor, tx, rx, shared)
+    }
+
+    /// Forward one message through `forward`: the instant it was sent and
+    /// the instant the raw peer read it.
+    fn forward_one(&self, forward: &NodeHandle, sent: &Receiver<Instant>) -> (Instant, Instant) {
+        forward.inject(Msg::ClientTimer { kind: 0, tag: 0 });
+        let wait = Duration::from_secs(2);
+        let sent = sent.recv_timeout(wait).expect("the forwarder runs");
+        let (arrived, _) = self
+            .peer
+            .recv_timeout(wait)
+            .expect("the staged frame reaches the peer");
+        (sent, arrived)
+    }
+
+    /// The transport's `(flushes, bytes)` once `bytes` bytes are counted:
+    /// a write is counted just after it returns, so the peer may read it
+    /// first.
+    fn io_stats_at(&self, bytes: u64) -> (u64, u64) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while self.transport.io_stats().1 < bytes && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        self.transport.io_stats()
+    }
+
+    /// Stop `handles`, the transport (which closes the raw peer's
+    /// connection) and the reactor.
+    fn finish(self, handles: Vec<NodeHandle>) {
+        for handle in handles {
+            handle.stop_and_join();
+        }
+        self.transport.stop();
+        self.reactor.shutdown();
+        self.reader.join().expect("the raw peer");
+    }
+}
+
+/// Forwards every message to [`RAW`], reporting the instant it did.
+struct Forward(Sender<Instant>);
+
+impl Actor<Msg> for Forward {
+    fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        let _ = self.0.send(Instant::now());
+        ctx.send(RAW, msg);
+    }
+}
+
+/// Sleeps 1 ms per message and sends itself the next, `rounds` times,
+/// keeping the one worker busy; reports its first and its last round.
+struct Spinner {
+    rounds: u32,
+    started: bool,
+    beats: Sender<Instant>,
+}
+
+impl Actor<Msg> for Spinner {
+    fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        if !std::mem::replace(&mut self.started, true) {
+            let _ = self.beats.send(Instant::now());
+        }
+        thread::sleep(Duration::from_millis(1));
+        self.rounds -= 1;
+        if self.rounds == 0 {
+            let _ = self.beats.send(Instant::now());
+            return;
+        }
+        let me = ctx.self_id();
+        ctx.send(me, msg);
+    }
+}
+
+/// A frame staged while the one worker is kept busy, so that it never
+/// parks, is written at a loop-top poll once it has waited the slack: it
+/// reaches the raw peer within twice the slack, while the worker is still
+/// busy.
+#[test]
+fn a_frame_staged_on_a_busy_worker_is_written_within_twice_the_slack() {
+    let _host = serial();
+    let slack = Duration::from_millis(100);
+    let rig = Staging::new(slack.as_micros() as u64);
+    let (sent_tx, sent) = channel();
+    let forward = rig.spawn(PINGER, Box::new(Forward(sent_tx)));
+    let (beats_tx, beats) = channel();
+    let spinner = rig.spawn(
+        PONGER,
+        Box::new(Spinner {
+            rounds: 1_000,
+            started: false,
+            beats: beats_tx,
+        }),
+    );
+    // Connected first, on an idle worker.
+    rig.forward_one(&forward, &sent);
+    spinner.inject(Msg::ClientTimer { kind: 0, tag: 0 });
+    let beat = || {
+        beats
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the spinner runs")
+    };
+    beat();
+    let (staged, arrived) = rig.forward_one(&forward, &sent);
+    let stopped = beat();
+    assert!(
+        arrived < stopped,
+        "written at the park after {:?}, not while the worker was busy",
+        arrived - staged
+    );
+    assert!(
+        arrived - staged < 2 * slack,
+        "reached the peer {:?} after it was staged (slack {slack:?})",
+        arrived - staged
+    );
+    rig.finish(vec![forward, spinner]);
+}
+
+/// A frame staged by the last drive before the one worker runs out of
+/// tasks is written as the worker parks, not when a long slack has passed
+/// nor at the 500 ms idle backstop.
+#[test]
+fn a_frame_staged_before_the_worker_parks_is_written_at_the_park() {
+    let _host = serial();
+    let rig = Staging::new(10_000_000);
+    let (sent_tx, sent) = channel();
+    let forward = rig.spawn(PINGER, Box::new(Forward(sent_tx)));
+    for _ in 0..3 {
+        let (staged, arrived) = rig.forward_one(&forward, &sent);
+        assert!(
+            arrived - staged < Duration::from_millis(100),
+            "reached the peer {:?} after it was staged",
+            arrived - staged
+        );
+    }
+    rig.finish(vec![forward]);
+}
+
+/// Blocks its worker on its first message until released.
+struct Gate {
+    entered: Sender<()>,
+    release: Receiver<()>,
+}
+
+impl Actor<Msg> for Gate {
+    fn on_message(&mut self, _from: ActorId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {
+        let _ = self.entered.send(());
+        let _ = self.release.recv_timeout(Duration::from_secs(10));
+    }
+}
+
+/// Two tasks on one worker that send to the same remote peer within a long
+/// slack leave in one write: their drives run back-to-back (queued behind
+/// a task that holds the worker), each stages its frame on the one
+/// connection, and the park writes both at once.
+#[test]
+fn two_tasks_frames_to_one_peer_leave_in_one_write() {
+    let _host = serial();
+    let rig = Staging::new(10_000_000);
+    let (sent_tx, sent) = channel();
+    let first = rig.spawn(PINGER, Box::new(Forward(sent_tx.clone())));
+    let second = rig.spawn(PONGER, Box::new(Forward(sent_tx)));
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let gate = rig.spawn(
+        ActorId(62),
+        Box::new(Gate {
+            entered: entered_tx,
+            release: release_rx,
+        }),
+    );
+    let frame = |from, tag| {
+        let msg = Msg::ClientTimer { kind: 0, tag };
+        let mut frame = Vec::new();
+        wire::encode_frame_into(&Envelope { from, to: RAW, msg }, &mut frame);
+        frame.len() as u64
+    };
+    // Connected first.
+    rig.forward_one(&first, &sent);
+    let (flushes, bytes) = rig.io_stats_at(frame(PINGER, 0));
+    gate.inject(Msg::ClientTimer { kind: 0, tag: 0 });
+    entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the gate holds the worker");
+    first.inject(Msg::ClientTimer { kind: 0, tag: 1 });
+    second.inject(Msg::ClientTimer { kind: 0, tag: 2 });
+    release.send(()).expect("the gate is waiting");
+    let frames = frame(PINGER, 1) + frame(PONGER, 2);
+    let mut read = 0;
+    while read < frames {
+        let (_, n) = rig
+            .peer
+            .recv_timeout(Duration::from_secs(2))
+            .expect("both frames reach the peer");
+        read += n as u64;
+    }
+    let (after, after_bytes) = rig.io_stats_at(bytes + frames);
+    assert_eq!(after_bytes - bytes, frames);
+    assert_eq!(after - flushes, 1, "both frames in one write");
+    rig.finish(vec![first, second, gate]);
 }
